@@ -39,7 +39,6 @@ from .proximity import (
     sets_equal_at_resolution,
 )
 from .compactness import (
-    MeasureValue,
     cantor_kuratowski_check,
     is_bounded,
     is_cauchy,

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .compactness import is_bounded, star_measure
-from .covering import AdmissibleFamily, closure
+from .covering import AdmissibleFamily, CheckResult, closure
 from .dynamics import (
     Action,
-    CheckOutcome,
     FilterBasis,
     TaxonomyReport,
     attracts,
@@ -36,14 +35,14 @@ class UnboundedTestset(Exception):
 @dataclass(frozen=True)
 class AttractorVerdict:
     candidate: frozenset[Point]
-    checks: tuple[CheckOutcome, ...]
+    checks: tuple[CheckResult, ...]
     kind: str  # "global", "global-uniform", "both", "neither"
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def outcome(self, name: str) -> CheckOutcome:
+    def outcome(self, name: str) -> CheckResult:
         for c in self.checks:
             if c.name == name:
                 return c
@@ -84,18 +83,18 @@ def _core_checks(
     family: AdmissibleFamily,
     cap: int,
     elements: Sequence,
-) -> list[CheckOutcome]:
-    checks = [CheckOutcome("nonempty", bool(candidate))]
+) -> list[CheckResult]:
+    checks = [CheckResult("nonempty", bool(candidate))]
     if not candidate:
-        checks.append(CheckOutcome("closed", False, "empty candidate"))
-        checks.append(CheckOutcome("compact", False, "empty candidate"))
-        checks.append(CheckOutcome("invariant", False, "empty candidate"))
+        checks.append(CheckResult("closed", False, "empty candidate"))
+        checks.append(CheckResult("compact", False, "empty candidate"))
+        checks.append(CheckResult("invariant", False, "empty candidate"))
         return checks
 
     cl = closure(candidate, family)
     closed_ok = sets_equal_at_resolution(cl, candidate, family)
     checks.append(
-        CheckOutcome(
+        CheckResult(
             "closed",
             closed_ok,
             None
@@ -106,7 +105,7 @@ def _core_checks(
 
     compact_ok = star_measure(candidate, family, cap).is_zero
     checks.append(
-        CheckOutcome(
+        CheckResult(
             "compact",
             compact_ok,
             None if compact_ok else f"no star cover within cap {cap}",
@@ -119,7 +118,7 @@ def _core_checks(
         if not sets_equal_at_resolution(image, candidate, family):
             inv_ok, inv_wit = False, f"element {s!r} moves the candidate"
             break
-    checks.append(CheckOutcome("invariant", inv_ok, inv_wit))
+    checks.append(CheckResult("invariant", inv_ok, inv_wit))
     return checks
 
 
@@ -147,7 +146,7 @@ def verify_global(
                 break
     else:
         ok, wit = False, "empty candidate"
-    checks.append(CheckOutcome("attracts", ok, wit))
+    checks.append(CheckResult("attracts", ok, wit))
     passed = all(c.passed for c in checks)
     return AttractorVerdict(
         candidate=candidate,
@@ -180,7 +179,7 @@ def verify_uniform(
                 break
     else:
         ok, wit = False, "empty candidate"
-    checks.append(CheckOutcome("prolongational_limits_inside", ok, wit))
+    checks.append(CheckResult("prolongational_limits_inside", ok, wit))
     passed = all(c.passed for c in checks)
     return AttractorVerdict(
         candidate=candidate,
@@ -249,7 +248,7 @@ class EquivalenceReport:
     uniform_verdict: AttractorVerdict
     taxonomy: TaxonomyReport
     hypothesis_ok: dict
-    eventually_compact: CheckOutcome
+    eventually_compact: CheckResult
     forward_holds: bool
     converse_applicable: bool
     converse_holds: Optional[bool]
@@ -297,7 +296,7 @@ def check_equivalence(scenario, candidate: Optional[frozenset[Point]] = None) ->
             action, scenario.declared.compact_witness, scenario.testsets, family, cap
         )
     else:
-        evc = CheckOutcome("eventually_compact", False, "not declared")
+        evc = CheckResult("eventually_compact", False, "not declared")
 
     forward_holds = (not glob.all_passed) or unif.all_passed
     converse_hyps = {

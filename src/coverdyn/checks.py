@@ -9,9 +9,7 @@ negative-controlled against a deliberately broken implementation.
 from __future__ import annotations
 
 import itertools
-import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,7 +22,14 @@ from .compactness import (
     member_measure,
     star_measure,
 )
-from .covering import CHAIN, AdmissibleFamily, closure, metric_chain_family, star
+from .covering import (
+    CHAIN,
+    AdmissibleFamily,
+    CheckResult,
+    closure,
+    metric_chain_family,
+    star,
+)
 from .proximity import (
     CoverCollection,
     coarsen,
@@ -36,19 +41,6 @@ from .proximity import (
     semi_prox,
 )
 from .space import Point, line_grid
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    witness: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        d = {"name": self.name, "verdict": "pass" if self.passed else "fail"}
-        if self.witness:
-            d["witness"] = self.witness
-        return d
 
 
 ProxFn = Callable[[Point, Point, AdmissibleFamily], CoverCollection]
@@ -137,12 +129,15 @@ def _triangle_check(
     name = f"prox_triangle_{n}_intermediate"
     pts = family.space.points
     if n == 1 and exhaustive and family.kind == CHAIN:
-        T = family.prox_matrix.astype(np.int64)
-        depth = family.depth
-        co = np.empty(depth + 2, dtype=np.int64)
-        for t in range(-1, depth + 1):
-            c = coarsen(CoverCollection.chain(family, t), 1)
-            co[t + 1] = depth if c.threshold == math.inf else int(c.threshold)
+        # chain stars shrink with the level, so B[:, x, y] is a prefix of
+        # length T[x, y] + 1
+        T = family.membership_cube.sum(axis=0, dtype=np.int64) - 1
+        co = np.array(
+            [
+                coarsen(CoverCollection.chain(family, t), 1).mask.bit_length() - 1
+                for t in range(-1, family.depth + 1)
+            ]
+        )
         for z in range(len(pts)):
             mins = np.minimum.outer(T[:, z], T[z, :])
             rhs = co[mins + 1]
@@ -317,9 +312,7 @@ def measure_suite(
     name = "measure_monotone"
     bad = None
     for A, B in pairs:
-        if not precedes(
-            star_measure(A, family, cap).value, star_measure(A | B, family, cap).value
-        ):
+        if not precedes(star_measure(A, family, cap), star_measure(A | B, family, cap)):
             bad = f"A={sorted(q.pid for q in A)[:3]}"
             break
     out.append(_fail(name, bad) if bad else _ok(name))
@@ -327,16 +320,15 @@ def measure_suite(
     name = "measure_union_bracket"
     bad = None
     for A, B in pairs[: max(40, len(pairs) // 3)]:
-        u = star_measure(A | B, family, cap).value.index_set()
+        u = star_measure(A | B, family, cap).index_set()
         meet = (
-            star_measure(A, family, cap).value & star_measure(B, family, cap).value
+            star_measure(A, family, cap) & star_measure(B, family, cap)
         ).index_set()
-        wide = star_measure(A | B, family, 2 * cap).value.index_set()
+        wide = star_measure(A | B, family, 2 * cap).index_set()
         ample = len(A | B)
-        exact_l = star_measure(A | B, family, ample).value.index_set()
+        exact_l = star_measure(A | B, family, ample).index_set()
         exact_r = (
-            star_measure(A, family, ample).value
-            & star_measure(B, family, ample).value
+            star_measure(A, family, ample) & star_measure(B, family, ample)
         ).index_set()
         if not (u <= meet <= wide) or exact_l != exact_r:
             bad = f"A={sorted(q.pid for q in A)[:3]} B={sorted(q.pid for q in B)[:3]}"
@@ -346,8 +338,8 @@ def measure_suite(
     name = "measure_closure_bracket"
     bad = None
     for A, _ in pairs[: max(40, len(pairs) // 3)]:
-        a = star_measure(A, family, cap).value
-        ac = star_measure(closure(A, family), family, cap).value
+        a = star_measure(A, family, cap)
+        ac = star_measure(closure(A, family), family, cap)
         if not (precedes(a, ac) and precedes(ac, coarsen(a, 1))):
             bad = f"A={sorted(q.pid for q in A)[:3]}"
             break
@@ -356,8 +348,8 @@ def measure_suite(
     name = "measure_member_cover_bracket"
     bad = None
     for A, _ in pairs[: max(40, len(pairs) // 3)]:
-        a = star_measure(A, family, cap).value
-        b = member_measure(A, family, cap).value
+        a = star_measure(A, family, cap)
+        b = member_measure(A, family, cap)
         if not (precedes(a, b) and precedes(b, coarsen(a, 1))):
             bad = f"A={sorted(q.pid for q in A)[:3]}"
             break

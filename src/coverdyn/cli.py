@@ -137,9 +137,8 @@ def _write(rc: RunConfig, text: str) -> None:
 def _broken_prox(x, y, family):
     # deliberately asymmetric: drops the finest level on ordered pairs
     v = prox(x, y, family)
-    if x.index < y.index and not v.is_empty:
-        raw = v._raw()
-        return CoverCollection.chain(family, raw - 1) if raw >= 0 else v
+    if x.index < y.index:
+        return CoverCollection(family, v.mask >> 1)
     return v
 
 
@@ -307,6 +306,18 @@ def cmd_scenario(rc: RunConfig) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="coverdyn",
@@ -317,11 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scenario", choices=sorted(BUILTIN_SCENARIOS), help="built-in system")
         p.add_argument("--config", dest="config_path", help="system config file")
-        p.add_argument("--max-level", type=int, dest="max_level", help="filter truncation")
-        p.add_argument("--resolution", type=int, help="covering index truncation")
-        p.add_argument("--cap", type=int, help="measure cardinality cap")
+        p.add_argument(
+            "--max-level", type=_at_least(0), dest="max_level", help="filter truncation"
+        )
+        p.add_argument("--resolution", type=_at_least(0), help="covering index truncation")
+        p.add_argument("--cap", type=_at_least(1), help="measure cardinality cap")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized test sets")
-        p.add_argument("--budget", type=int, default=32, help="sample budget")
+        p.add_argument("--budget", type=_at_least(0), default=32, help="sample budget")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="write the report to a file instead of stdout")
 

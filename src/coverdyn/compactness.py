@@ -33,17 +33,6 @@ class CoverSearchBudgetExceeded(Exception):
 DEFAULT_COVER_NODE_BUDGET = 400_000
 
 
-@dataclass(frozen=True)
-class MeasureValue:
-    """A measure of noncompactness: an upward-hereditary covering collection."""
-
-    value: CoverCollection
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value.is_zero
-
-
 def default_cap(space_size: int) -> int:
     return max(1, -(-space_size // 4))
 
@@ -55,9 +44,6 @@ def is_bounded(
     if not Y:
         raise EmptyInput("boundedness of the empty set is undefined")
     idx = [p.index for p in Y]
-    if family.kind == CHAIN:
-        T = family.prox_matrix
-        return bool(T[np.ix_(idx, idx)].min() >= 0)
     B = family.membership_cube
     return bool(B[:, idx][:, :, idx].all(axis=(1, 2)).any())
 
@@ -153,43 +139,34 @@ def _measure(
     family: AdmissibleFamily,
     cap: int,
     candidate_sets,
-) -> MeasureValue:
+) -> CoverCollection:
     if not Y:
         raise EmptyInput("measure of the empty set is undefined")
     ymask = family.space.mask_of(Y)
     if family.kind == CHAIN:
-        # qualifying levels are downward closed: scan fine-to-coarse
-        threshold = -1
+        # qualifying levels are downward closed: the finest one decides
         for i in range(family.depth, -1, -1):
             if coverable_within(ymask, candidate_sets(family.coverings[i]), cap):
-                threshold = i
-                break
-        if threshold == family.depth:
-            return MeasureValue(CoverCollection.zero(family))
-        # verify downward closure explicitly for odd families
-        while threshold >= 0 and not coverable_within(
-            ymask, candidate_sets(family.coverings[threshold]), cap
-        ):
-            threshold -= 1
-        return MeasureValue(CoverCollection.chain(family, threshold))
+                return CoverCollection.chain(family, i)
+        return CoverCollection.infinity(family)
     idx = [
         i
         for i, cov in enumerate(family.coverings)
         if coverable_within(ymask, candidate_sets(cov), cap)
     ]
-    return MeasureValue(CoverCollection.finite(family, idx))
+    return CoverCollection.finite(family, idx)
 
 
 def star_measure(
     Y: frozenset[Point] | set[Point], family: AdmissibleFamily, cap: int
-) -> MeasureValue:
+) -> CoverCollection:
     """Coverings at which Y admits a cover by at most `cap` point stars."""
     return _measure(Y, family, cap, lambda cov: cov.point_star)
 
 
 def member_measure(
     Y: frozenset[Point] | set[Point], family: AdmissibleFamily, cap: int
-) -> MeasureValue:
+) -> CoverCollection:
     """Coverings at which Y admits a cover by at most `cap` covering members."""
     return _measure(Y, family, cap, lambda cov: cov.members)
 
@@ -209,18 +186,6 @@ def is_cauchy(
     last_start = L - max(min_tail, 1)
     if last_start < 0:
         last_start = 0
-    if family.kind == CHAIN:
-        T = family.prox_matrix
-        for level in range(family.size):
-            ok = False
-            for k0 in range(last_start + 1):
-                tail = idx[k0:]
-                if T[np.ix_(tail, tail)].min() >= level:
-                    ok = True
-                    break
-            if not ok:
-                return False
-        return True
     B = family.membership_cube
     for level in range(family.size):
         ok = False
@@ -272,7 +237,7 @@ def cantor_kuratowski_check(
     for k in range(1, len(masks)):
         if masks[k] & ~masks[k - 1]:
             raise NotDecreasing(f"element {k} is not contained in element {k - 1}")
-    trace = tuple(star_measure(space.points_of(m), family, cap).value for m in masks)
+    trace = tuple(star_measure(space.points_of(m), family, cap) for m in masks)
     met = converges_to_zero(trace)
     inter = masks[-1]
     for m in masks:

@@ -15,7 +15,15 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .space import EmptyInput, Point, Space, ball_mask, iter_bits
+from .space import (
+    EmptyInput,
+    Point,
+    Space,
+    ball_mask,
+    bools_of_masks,
+    iter_bits,
+    mask_of_bools,
+)
 
 
 class CoveringError(Exception):
@@ -77,9 +85,6 @@ class Covering:
             if m & ymask:
                 s |= m
         return s
-
-    def same_members(self, other: "Covering") -> bool:
-        return self.members == other.members
 
     def __repr__(self) -> str:
         return f"Covering({self.label or len(self.members)})"
@@ -246,33 +251,26 @@ class AdmissibleFamily:
         return cache[n]
 
     @cached_property
-    def prox_matrix(self) -> np.ndarray:
-        """T[x, y] = greatest index i with y in St[x, U_i], or -1 (chain kind).
+    def refine_rows(self) -> tuple[int, ...]:
+        """Row i of refine_matrix as a bitmask: the coarsenings of covering i."""
+        return tuple(mask_of_bools(row) for row in self.refine_matrix)
 
-        For chains the membership sets are downward closed in the index, so a
-        single threshold encodes the whole index set.
-        """
-        if self.kind != CHAIN:
-            raise ChainKindUnsupported("threshold matrix is a chain-kind encoding")
-        n = self.space.n
-        T = np.full((n, n), -1, dtype=np.int32)
-        for i, cov in enumerate(self.coverings):
-            for x in range(n):
-                for y in iter_bits(cov.point_star[x]):
-                    if T[x, y] < i:
-                        T[x, y] = i
-        return T
+    def reach_rows(self, n: int) -> tuple[int, ...]:
+        """Row j of reach_matrix(n) as a bitmask."""
+        cache = self.__dict__.setdefault("_reach_rows", {})
+        if n not in cache:
+            cache[n] = tuple(mask_of_bools(row) for row in self.reach_matrix(n))
+        return cache[n]
 
     @cached_property
     def membership_cube(self) -> np.ndarray:
-        """B[i, x, y] = y in St[x, U_i] (finite kind; small spaces only)."""
-        L, n = self.size, self.space.n
-        B = np.zeros((L, n, n), dtype=bool)
-        for i, cov in enumerate(self.coverings):
-            for x in range(n):
-                for y in iter_bits(cov.point_star[x]):
-                    B[i, x, y] = True
-        return B
+        """B[i, x, y] = y in St[x, U_i].
+
+        For chains each slice B[:, x, y] is downward closed in the index, since
+        finer levels have smaller stars.
+        """
+        n = self.space.n
+        return np.stack([bools_of_masks(cov.point_star, n) for cov in self.coverings])
 
     def closure_mask(self, ymask: int) -> int:
         if ymask == 0:
@@ -397,27 +395,29 @@ def replete_closure(family: AdmissibleFamily) -> AdmissibleFamily:
 
 
 @dataclass(frozen=True)
-class AxiomCheck:
+class CheckResult:
+    """A named pass/fail verdict with an optional witness."""
+
     name: str
     passed: bool
     witness: Optional[str] = None
 
     def to_dict(self) -> dict:
         d = {"name": self.name, "verdict": "pass" if self.passed else "fail"}
-        if self.witness is not None:
+        if self.witness:
             d["witness"] = self.witness
         return d
 
 
 @dataclass(frozen=True)
 class AxiomReport:
-    checks: tuple[AxiomCheck, ...]
+    checks: tuple[CheckResult, ...]
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def check(self, name: str) -> AxiomCheck:
+    def check(self, name: str) -> CheckResult:
         for c in self.checks:
             if c.name == name:
                 return c
@@ -458,7 +458,7 @@ def verify_admissible(
         if not D[:, j].any():
             ok, wit = False, f"no double-refinement of {covs[j].label or j}"
             break
-    checks.append(AxiomCheck("double_refinement_exists", ok, wit))
+    checks.append(CheckResult("double_refinement_exists", ok, wit))
 
     targets = list(target_opens) if target_opens is not None else _default_target_opens(family)
     ok, wit = True, None
@@ -475,7 +475,7 @@ def verify_admissible(
                 break
         if not ok:
             break
-    checks.append(AxiomCheck("star_basis", ok, wit))
+    checks.append(CheckResult("star_basis", ok, wit))
 
     R = family.refine_matrix
     ok, wit = True, None
@@ -486,7 +486,7 @@ def verify_admissible(
                 break
         if not ok:
             break
-    checks.append(AxiomCheck("common_refinement", ok, wit))
+    checks.append(CheckResult("common_refinement", ok, wit))
 
     ok, wit = True, None
     for x in range(space.n):
@@ -496,7 +496,7 @@ def verify_admissible(
         if u != space.full_mask:
             ok, wit = False, f"stars of {space.points[x].pid} do not exhaust the space"
             break
-    checks.append(AxiomCheck("stars_exhaust_space", ok, wit))
+    checks.append(CheckResult("stars_exhaust_space", ok, wit))
 
     ok, wit = True, None
     for i in range(len(covs)):
@@ -506,6 +506,6 @@ def verify_admissible(
                 break
         if not ok:
             break
-    checks.append(AxiomCheck("common_double_coarsening", ok, wit))
+    checks.append(CheckResult("common_double_coarsening", ok, wit))
 
     return AxiomReport(checks=tuple(checks))

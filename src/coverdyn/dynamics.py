@@ -7,13 +7,13 @@ indexed by the chain truncation; all verdicts are "verified up to budget".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .compactness import is_bounded, member_measure, star_measure
-from .covering import AdmissibleFamily
+from .covering import AdmissibleFamily, CheckResult
 from .proximity import converges_to_zero, semi_prox
 from .space import EmptyInput, Point, Space, iter_bits
 
@@ -166,23 +166,16 @@ def integer_tails(
     )
 
 
-def vector_tails(
-    dim: int, depth: int, window: int = 4, include_mixed: bool = False
-) -> FilterBasis:
+def vector_tails(dim: int, depth: int, window: int = 4) -> FilterBasis:
     """Tail sets {t : t_i >= k for all i} of the vector-addition semigroup,
     sampled along the diagonal up to the truncation edge."""
-    def sampler(k):
-        out = [(m,) * dim for m in range(k, depth + window)]
-        if include_mixed and dim > 1:
-            out.append((k + 1,) + (k,) * (dim - 1))
-            out.append((k,) + (k + 1,) * (dim - 1))
-        return tuple(out)
-
     return FilterBasis(
         semigroup=vector_add(dim),
         depth=depth,
         contains=lambda el, k: all(v >= k for v in el),
-        sampler=sampler,
+        # from a list: tuple() over a generator resizes as it grows, which
+        # raised peak memory on the attractor path
+        sampler=lambda k: tuple([(m,) * dim for m in range(k, depth + window)]),
         label=f"vector-tails[{dim}]",
     )
 
@@ -201,14 +194,6 @@ def scaling_tails(depth: int, window: int = 3, L: float = 0.5) -> FilterBasis:
     )
 
 
-@dataclass(frozen=True)
-class ActionFlags:
-    open_map: bool = False
-    surjective: bool = False
-    eventually_compact: bool = False
-    compact_witness: Optional[object] = None
-
-
 @dataclass(frozen=True, eq=False)
 class Action:
     """A semigroup action on a finite space; every image is again a sample point."""
@@ -216,7 +201,6 @@ class Action:
     semigroup: Semigroup
     space: Space
     apply_fn: Callable[[object, Point], Point]
-    flags: ActionFlags = field(default_factory=ActionFlags)
     label: str = ""
 
     def apply(self, el, p: Point) -> Point:
@@ -580,23 +564,10 @@ def _single_ok(name: str, F: FilterBasis, s, k, b) -> bool:
 
 
 @dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    passed: bool
-    witness: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        d = {"name": self.name, "verdict": "pass" if self.passed else "fail"}
-        if self.witness:
-            d["witness"] = self.witness
-        return d
-
-
-@dataclass(frozen=True)
 class TaxonomyReport:
-    outcomes: tuple[CheckOutcome, ...]
+    outcomes: tuple[CheckResult, ...]
 
-    def outcome(self, name: str) -> CheckOutcome:
+    def outcome(self, name: str) -> CheckResult:
         for o in self.outcomes:
             if o.name == name:
                 return o
@@ -671,7 +642,7 @@ def check_dissipativity(
         if found is None:
             ok, wit = False, f"orbit of {name} never becomes bounded"
             break
-    outcomes.append(CheckOutcome("eventually_bounded", ok, wit))
+    outcomes.append(CheckResult("eventually_bounded", ok, wit))
 
     candidates = []
     if absorb_candidate:
@@ -690,7 +661,7 @@ def check_dissipativity(
             break
     if not ok and candidates:
         wit = "no candidate absorbs every test set"
-    outcomes.append(CheckOutcome("bounded_dissipative", ok, wit))
+    outcomes.append(CheckResult("bounded_dissipative", ok, wit))
 
     sample = list(points_sample) if points_sample is not None else list(space.points)
     ok, wit = False, "no bounded candidate absorbs every sampled point"
@@ -700,7 +671,7 @@ def check_dissipativity(
         if all(absorbs(D, frozenset({x}), F, action) is not None for x in sample):
             ok, wit = True, f"absorbing set: {cname}"
             break
-    outcomes.append(CheckOutcome("point_dissipative", ok, wit))
+    outcomes.append(CheckResult("point_dissipative", ok, wit))
 
     ok, wit = True, None
     n_blocks = F.depth + 1
@@ -719,13 +690,13 @@ def check_dissipativity(
                 break
         if not ok:
             break
-    outcomes.append(CheckOutcome("asymptotically_compact", ok, wit))
+    outcomes.append(CheckResult("asymptotically_compact", ok, wit))
 
     ok, wit = True, None
     for name, Y in sorted(testsets.items()):
         for i in range(family.size):
             if not any(
-                member_measure(orbit(k, Y, action, F), family, cap).value.contains_index(i)
+                member_measure(orbit(k, Y, action, F), family, cap).contains_index(i)
                 for k in F.levels()
             ):
                 ok = False
@@ -733,7 +704,7 @@ def check_dissipativity(
                 break
         if not ok:
             break
-    outcomes.append(CheckOutcome("limit_compact", ok, wit))
+    outcomes.append(CheckResult("limit_compact", ok, wit))
 
     return TaxonomyReport(outcomes=tuple(outcomes))
 
@@ -744,7 +715,7 @@ def verify_eventual_compactness(
     testsets: dict[str, frozenset[Point]],
     family: AdmissibleFamily,
     cap: int,
-) -> CheckOutcome:
+) -> CheckResult:
     """Check a declared witness: images of the test sets under it close to
     measure-zero sets at the configured cap."""
     space = action.space
@@ -753,9 +724,9 @@ def verify_eventual_compactness(
             family.closure_mask(action.image_mask(witness_element, space.mask_of(Y)))
         )
         if not star_measure(img, family, cap).is_zero:
-            return CheckOutcome(
+            return CheckResult(
                 "eventually_compact",
                 False,
                 f"closure of the image of {name} is not measure-zero",
             )
-    return CheckOutcome("eventually_compact", True, f"witness {witness_element!r}")
+    return CheckResult("eventually_compact", True, f"witness {witness_element!r}")

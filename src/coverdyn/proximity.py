@@ -3,8 +3,8 @@
 Distances between points are measured by which coverings place them in a
 common star. Values are upward-hereditary collections of covering indices,
 ordered by reverse inclusion: the full family plays the role of distance
-zero, the empty collection the role of infinity. Chain-kind collections are
-downward-closed index intervals and are stored as a single threshold.
+zero, the empty collection the role of infinity. Every collection is a
+bitmask over covering indices; on chains it is a prefix, read as a threshold.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-import numpy as np
-
 from .covering import CHAIN, FINITE, AdmissibleFamily, ChainKindUnsupported
-from .space import EmptyInput, Point
+from .space import EmptyInput, Point, iter_bits, mask_of_bools
 
 INF = math.inf
 
@@ -30,112 +28,84 @@ Threshold = Union[int, float]
 
 @dataclass(frozen=True, eq=False)
 class CoverCollection:
-    """An upward-hereditary set of covering indices of one family.
+    """An upward-hereditary set of covering indices of one family, as a bitmask.
 
-    Chain kind stores a threshold t meaning {levels 0..t}; t = -1 is the empty
-    collection and t = inf is the whole family (the zero element). Finite kind
-    stores the explicit index set, closed upward along the refinement order.
+    Bit i is set when covering i belongs to the collection. On chain families
+    the set bits are levels 0..t, read back through `threshold`.
     """
 
     family: AdmissibleFamily
-    threshold: Optional[Threshold] = None
-    indices: Optional[frozenset[int]] = None
+    mask: int
 
     @staticmethod
     def chain(family: AdmissibleFamily, threshold: Threshold) -> "CoverCollection":
+        """Levels 0..threshold of a chain; -1 is empty, inf or >= depth is the whole family."""
         if family.kind != CHAIN:
             raise ChainKindUnsupported("threshold encoding needs a chain family")
-        if threshold != INF:
-            threshold = int(threshold)
-            if threshold >= family.depth:
-                threshold = INF
-            elif threshold < -1:
-                threshold = -1
-        return CoverCollection(family=family, threshold=threshold)
+        t = family.depth if threshold == INF else min(max(int(threshold), -1), family.depth)
+        return CoverCollection(family, (1 << (t + 1)) - 1)
 
     @staticmethod
     def finite(family: AdmissibleFamily, indices: Iterable[int]) -> "CoverCollection":
+        """The upward closure of `indices` along the refinement order."""
         if family.kind != FINITE:
             raise ChainKindUnsupported("index-set encoding needs a finite family")
-        idx = set(int(i) for i in indices)
-        R = family.refine_matrix
-        # upward closure: a member's every coarsening is present
-        grown = set(idx)
-        for i in idx:
-            grown.update(int(j) for j in np.nonzero(R[i])[0])
-        return CoverCollection(family=family, indices=frozenset(grown))
+        rows = family.refine_rows
+        mask = 0
+        for i in indices:
+            mask |= rows[i]
+        return CoverCollection(family, mask)
 
     @staticmethod
     def zero(family: AdmissibleFamily) -> "CoverCollection":
         """The whole family: the least element, playing the role of distance zero."""
-        if family.kind == CHAIN:
-            return CoverCollection.chain(family, INF)
-        return CoverCollection(family=family, indices=frozenset(range(family.size)))
+        return CoverCollection(family, (1 << family.size) - 1)
 
     @staticmethod
     def infinity(family: AdmissibleFamily) -> "CoverCollection":
         """The empty collection: the greatest element."""
-        if family.kind == CHAIN:
-            return CoverCollection(family=family, threshold=-1)
-        return CoverCollection(family=family, indices=frozenset())
+        return CoverCollection(family, 0)
+
+    @property
+    def threshold(self) -> Threshold:
+        """Chain kind: the finest level t of levels 0..t; -1 when empty, inf when whole."""
+        if self.family.kind != CHAIN:
+            raise ChainKindUnsupported("thresholds read chain-kind collections only")
+        return INF if self.is_zero else self.mask.bit_length() - 1
 
     def index_set(self) -> frozenset[int]:
-        if self.family.kind == CHAIN:
-            if self.threshold == INF:
-                return frozenset(range(self.family.size))
-            return frozenset(range(int(self.threshold) + 1))
-        return self.indices
+        return frozenset(iter_bits(self.mask))
 
     def contains_index(self, i: int) -> bool:
-        if self.family.kind == CHAIN:
-            return i <= self.threshold
-        return i in self.indices
+        return bool((self.mask >> i) & 1)
 
     @property
     def is_zero(self) -> bool:
-        if self.family.kind == CHAIN:
-            return self.threshold == INF
-        return len(self.indices) == self.family.size
+        return self.mask == (1 << self.family.size) - 1
 
     @property
     def is_empty(self) -> bool:
-        if self.family.kind == CHAIN:
-            return self.threshold == -1
-        return not self.indices
-
-    def _raw(self) -> Threshold:
-        return self.family.depth if self.threshold == INF else self.threshold
+        return self.mask == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoverCollection):
             return NotImplemented
         _check_family(self, other)
-        if self.family.kind == CHAIN:
-            return self.threshold == other.threshold
-        return self.indices == other.indices
+        return self.mask == other.mask
 
     def __hash__(self) -> int:
-        if self.family.kind == CHAIN:
-            return hash((id(self.family), self.threshold))
-        return hash((id(self.family), self.indices))
+        return hash((id(self.family), self.mask))
 
     def __and__(self, other: "CoverCollection") -> "CoverCollection":
         _check_family(self, other)
-        if self.family.kind == CHAIN:
-            return CoverCollection.chain(self.family, min(self._raw(), other._raw()))
-        return CoverCollection(family=self.family, indices=self.indices & other.indices)
+        return CoverCollection(self.family, self.mask & other.mask)
 
     def __or__(self, other: "CoverCollection") -> "CoverCollection":
         _check_family(self, other)
-        if self.family.kind == CHAIN:
-            return CoverCollection.chain(self.family, max(self._raw(), other._raw()))
-        return CoverCollection(family=self.family, indices=self.indices | other.indices)
+        return CoverCollection(self.family, self.mask | other.mask)
 
     def __repr__(self) -> str:
-        if self.family.kind == CHAIN:
-            t = "inf" if self.threshold == INF else self.threshold
-            return f"CoverCollection(<=U_{t})"
-        return f"CoverCollection({sorted(self.indices)})"
+        return f"CoverCollection({sorted(self.index_set())})"
 
 
 def _check_family(a: CoverCollection, b: CoverCollection) -> None:
@@ -146,24 +116,7 @@ def _check_family(a: CoverCollection, b: CoverCollection) -> None:
 def precedes(E1: CoverCollection, E2: CoverCollection) -> bool:
     """Order by reverse inclusion: E1 precedes E2 iff E1 contains E2."""
     _check_family(E1, E2)
-    if E1.family.kind == CHAIN:
-        return E1._raw() >= E2._raw()
-    return E1.indices >= E2.indices
-
-
-def _chain_coarsen_witness(family: AdmissibleFamily, n: int) -> np.ndarray:
-    """W[i] = least source level whose n-step double-refinement reaches level i."""
-    cache = family.__dict__.setdefault("_coarsen_witness", {})
-    if n not in cache:
-        reach = family.reach_matrix(n)
-        L = family.size
-        W = np.full(L, L + 1, dtype=np.int32)
-        for i in range(L):
-            src = np.nonzero(reach[:, i])[0]
-            if src.size:
-                W[i] = int(src.min())
-        cache[n] = W
-    return cache[n]
+    return E2.mask & ~E1.mask == 0
 
 
 def coarsen(E: CoverCollection, n: int) -> CoverCollection:
@@ -174,19 +127,11 @@ def coarsen(E: CoverCollection, n: int) -> CoverCollection:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    fam = E.family
-    if fam.kind == CHAIN:
-        if E.is_empty:
-            return CoverCollection.infinity(fam)
-        W = _chain_coarsen_witness(fam, n)
-        raw = E._raw()
-        qualifying = np.nonzero(W <= raw)[0]
-        return CoverCollection.chain(fam, int(qualifying.max()) if qualifying.size else -1)
-    reach = fam.reach_matrix(n)
-    out = set()
-    for j in E.indices:
-        out.update(int(i) for i in np.nonzero(reach[j])[0])
-    return CoverCollection(family=fam, indices=frozenset(out))
+    rows = E.family.reach_rows(n)
+    mask = 0
+    for j in iter_bits(E.mask):
+        mask |= rows[j]
+    return CoverCollection(E.family, mask)
 
 
 def converges_to_zero(seq: Sequence[CoverCollection]) -> bool:
@@ -214,13 +159,8 @@ def convergence_trace(seq: Sequence[CoverCollection]) -> list[Optional[int]]:
 
 def prox(x: Point, y: Point, family: AdmissibleFamily) -> CoverCollection:
     """The collection of coverings whose star at x captures y."""
-    if family.kind == CHAIN:
-        return CoverCollection.chain(family, int(family.prox_matrix[x.index, y.index]))
-    B = family.membership_cube
-    return CoverCollection(
-        family=family,
-        indices=frozenset(int(i) for i in np.nonzero(B[:, x.index, y.index])[0]),
-    )
+    hit = family.membership_cube[:, x.index, y.index]
+    return CoverCollection(family, mask_of_bools(hit))
 
 
 def prox_to_set(
@@ -229,16 +169,9 @@ def prox_to_set(
     """Union of prox(x, a) over a in A: coverings whose star at x meets A."""
     if not A:
         raise EmptyInput("prox to the empty set is undefined")
-    if family.kind == CHAIN:
-        T = family.prox_matrix
-        t = max(int(T[x.index, a.index]) for a in A)
-        return CoverCollection.chain(family, t)
-    B = family.membership_cube
     cols = [a.index for a in A]
-    mask = B[:, x.index, cols].any(axis=1)
-    return CoverCollection(
-        family=family, indices=frozenset(int(i) for i in np.nonzero(mask)[0])
-    )
+    hit = family.membership_cube[:, x.index, cols].any(axis=1)
+    return CoverCollection(family, mask_of_bools(hit))
 
 
 def semi_prox(
@@ -249,15 +182,10 @@ def semi_prox(
     """One-sided set proximity: coverings at which every point of B is star-close to A."""
     if not A or not B:
         raise EmptyInput("semi_prox needs nonempty sets")
-    out = CoverCollection.zero(family)
-    for b in B:
-        out = out & prox_to_set(b, A, family)
-    return out
-
-
-def semi_prox_masks(amask: int, bmask: int, family: AdmissibleFamily) -> CoverCollection:
-    space = family.space
-    return semi_prox(space.points_of(amask), space.points_of(bmask), family)
+    a_idx = [a.index for a in A]
+    b_idx = [b.index for b in B]
+    hit = family.membership_cube[:, b_idx][:, :, a_idx].any(axis=2).all(axis=1)
+    return CoverCollection(family, mask_of_bools(hit))
 
 
 def point_sequence_converges(

@@ -20,10 +20,8 @@ from .covering import AdmissibleFamily, metric_chain_family, verify_admissible
 from .compactness import default_cap, is_bounded
 from .dynamics import (
     Action,
-    ActionFlags,
     FilterBasis,
     NestingViolation,
-    Semigroup,
     integer_tails,
     nat_add,
     nat_mul,
@@ -58,7 +56,6 @@ class Declared:
     hypothesis_expect: dict
     eventually_compact: bool = False
     compact_witness: Optional[object] = None
-    omega_invariant: bool = False
     absorbing_name: Optional[str] = None
     snap_error: float = 0.0
     resolving: bool = True
@@ -71,12 +68,9 @@ class Expected:
     attractor: tuple[str, ...]
     kind: str  # "both" or "uniform-only"
     global_ok: bool
-    uniform_ok: bool
     attraction_index: Optional[int] = None
     attraction_bound: Optional[int] = None
     failure_index: Optional[int] = None
-    witness_norm: Optional[float] = None
-    spread_testset: Optional[str] = None
     spread_first_arg: Optional[float] = None
     spread_delta1: Optional[float] = None
     spread_lipschitz: Optional[float] = None
@@ -109,10 +103,6 @@ class Scenario:
             pick = frozenset(rng.sample(pool, min(size, len(pool))))
             out[f"rand{i}"] = pick
         return out
-
-
-def _finest_radius(params_radii: Sequence[float]) -> float:
-    return min(params_radii)
 
 
 def _validate(sc: Scenario, finest_radius: float, assoc_elements: Sequence) -> Scenario:
@@ -193,7 +183,6 @@ def scenario_iterated_contractions(
         semigroup=nat_mul(),
         space=space,
         apply_fn=apply_fn,
-        flags=ActionFlags(eventually_compact=True, compact_witness=esnap),
         label="power-iteration",
     )
     F = integer_tails(nat_mul(), depth=depth, window=4, start=1)
@@ -221,7 +210,6 @@ def scenario_iterated_contractions(
         },
         eventually_compact=True,
         compact_witness=esnap,
-        omega_invariant=True,
         absorbing_name="attractor",
         snap_error=_pow2(-esnap) * delta,
         resolving=False,
@@ -230,7 +218,6 @@ def scenario_iterated_contractions(
         attractor=attractor_pids,
         kind="both",
         global_ok=True,
-        uniform_ok=True,
         attraction_index=radii.index(eps_target) if eps_target in radii else 4,
         attraction_bound=bound,
     )
@@ -303,10 +290,9 @@ def scenario_composition(
     family = pointwise_chain(model, levels, label="composition-chain")
 
     action = Action(
-        semigroup=scaling_maps_about(x0, L),
+        semigroup=scaling_maps(L),
         space=space,
         apply_fn=apply_fn,
-        flags=ActionFlags(eventually_compact=True, compact_witness=_pow2(-esnap)),
         label="post-composition",
     )
     F = scaling_tails(depth=depth, window=3, L=L)
@@ -329,7 +315,6 @@ def scenario_composition(
         )},
         eventually_compact=True,
         compact_witness=_pow2(-esnap),
-        omega_invariant=True,
         absorbing_name="attractor",
         snap_error=_pow2(-esnap) * max(abs(v - x0) for t in tables for (v,) in t),
         resolving=False,
@@ -338,8 +323,6 @@ def scenario_composition(
         attractor=(f"i[{x0:g}]",),
         kind="both",
         global_ok=True,
-        uniform_ok=True,
-        spread_testset="whole",
         spread_first_arg=args[0],
         spread_delta1=radii[1],
         spread_lipschitz=lip,
@@ -359,17 +342,6 @@ def scenario_composition(
         params={"x0": x0, "depth": depth, "eps0": eps0, "chain_depth": chain_depth},
     )
     return _validate(sc, radii[-1], assoc_elements=(0.5, 0.25, 0.125))
-
-
-def scaling_maps_about(x0: float, L: float) -> Semigroup:
-    sem = scaling_maps(L)
-    return Semigroup(
-        name=f"scaling[x0={x0:g},L={L:g}]",
-        compose=sem.compose,
-        sample=sem.sample,
-        divide_left=sem.divide_left,
-        divide_right=sem.divide_right,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +398,6 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
         semigroup=vector_add(2),
         space=space,
         apply_fn=apply_fn,
-        flags=ActionFlags(eventually_compact=False),
         label="coordinate-decay",
     )
     F = vector_tails(2, depth=depth, window=window)
@@ -450,7 +421,6 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
             "within_left_translate",
         )},
         eventually_compact=False,
-        omega_invariant=False,
         absorbing_name="orbit-star",
         snap_error=_pow2(floor - 1) * math.sqrt(2.0),
         resolving=False,
@@ -459,9 +429,7 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
         attractor=("zero",),
         kind="global-uniform-only",
         global_ok=False,
-        uniform_ok=True,
         failure_index=2,
-        witness_norm=2.0 * math.sqrt(2.0),
     )
     sc = Scenario(
         name="exp_decay",
@@ -498,7 +466,6 @@ def scenario_decay_grid(
         semigroup=nat_add(),
         space=space,
         apply_fn=apply_fn,
-        flags=ActionFlags(eventually_compact=True, compact_witness=7),
         label="halving-decay",
     )
     F = integer_tails(nat_add(), depth=depth, window=window)
@@ -522,7 +489,6 @@ def scenario_decay_grid(
         )},
         eventually_compact=True,
         compact_witness=7,
-        omega_invariant=True,
         absorbing_name="low-ball",
         snap_error=step,
         resolving=False,
@@ -531,7 +497,6 @@ def scenario_decay_grid(
         attractor=(zero.pid,),
         kind="both",
         global_ok=True,
-        uniform_ok=True,
     )
     sc = Scenario(
         name="decay_grid",
@@ -693,7 +658,6 @@ def _load_custom(cp) -> Scenario:
         hypothesis_expect={},
         eventually_compact=witness is not None,
         compact_witness=witness,
-        omega_invariant=bool(_jget(cp, "declared", "omega_invariant", False)) if cp.has_section("declared") else False,
         absorbing_name=next(iter(testsets)),
         snap_error=snap_error,
         resolving=False,
@@ -702,7 +666,6 @@ def _load_custom(cp) -> Scenario:
         attractor=tuple(space.points[int(i)].pid for i in attractor_idx),
         kind=kind_expect,
         global_ok=(kind_expect == "both"),
-        uniform_ok=True,
     )
     name = _jget(cp, "scenario", "name", "custom")
     sc = Scenario(

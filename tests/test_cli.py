@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from coverdyn.cli import main
 
 
@@ -176,3 +178,16 @@ def test_verify_axioms_deterministic(tmp_path):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-level", "-3"), ("--resolution", "-1"), ("--cap", "0"), ("--budget", "-5")],
+)
+def test_out_of_range_flag_is_usage_error(capsys, flag, value):
+    code = main(["omega", "--scenario", "decay_grid", "--target", "seed", flag, value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage:")
+    assert f"argument {flag}: must be at least" in err
+    assert "Traceback" not in err

@@ -4,7 +4,6 @@ from coverdyn.compactness import default_cap, is_bounded, star_measure
 from coverdyn.covering import closure, metric_chain_family
 from coverdyn.dynamics import (
     Action,
-    ActionFlags,
     FilterBasis,
     NestingViolation,
     absorbs,
@@ -56,7 +55,6 @@ def decay(grid):
         semigroup=nat_add(),
         space=grid,
         apply_fn=apply_fn,
-        flags=ActionFlags(eventually_compact=True, compact_witness=7),
         label="halving-decay",
     )
 

@@ -1,0 +1,36 @@
+"""Golden reports: each CLI run must reproduce its recorded report byte for byte.
+
+The files under tests/golden/ hold the stdout of `coverdyn <argv>`; a change
+that alters any verdict, witness or formatting shows up here as a diff.
+"""
+
+import difflib
+from pathlib import Path
+
+import pytest
+
+from coverdyn.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SCENARIOS = ("composition", "decay_grid", "exp_decay", "iterated_contractions")
+
+CASES = {
+    **{f"attractor-{s}": ("attractor", "--scenario", s, "--seed", "0") for s in SCENARIOS},
+    **{f"verify-axioms-{s}": ("verify-axioms", "--scenario", s, "--seed", "0") for s in SCENARIOS},
+    "verify-axioms-prox-asymmetry": ("verify-axioms", "--seed", "0", "--mutate", "prox-asymmetry"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, capsys):
+    main(list(CASES[name]))
+    got = capsys.readouterr().out
+    want = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    if got != want:
+        diff = difflib.unified_diff(
+            want.splitlines(keepends=True),
+            got.splitlines(keepends=True),
+            fromfile=f"golden/{name}.json",
+            tofile="current",
+        )
+        pytest.fail("report differs from golden:\n" + "".join(diff))

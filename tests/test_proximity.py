@@ -11,6 +11,7 @@ from coverdyn.covering import (
     finite_all_coverings_family,
     make_covering,
     metric_chain_family,
+    refines,
 )
 from coverdyn.proximity import (
     INF,
@@ -26,7 +27,14 @@ from coverdyn.proximity import (
     semi_prox,
     sets_equal_at_resolution,
 )
-from coverdyn.space import build_finite_topology, build_metric_space, line_grid
+from coverdyn.space import (
+    Point,
+    Space,
+    build_finite_topology,
+    build_metric_space,
+    enumerate_topologies,
+    line_grid,
+)
 
 
 @pytest.fixture(scope="module")
@@ -149,8 +157,8 @@ def test_prox_matches_oracle_finite(tiny):
 
 
 def test_prox_symmetry_exhaustive(grid, fam):
-    T = fam.prox_matrix
-    assert (T == T.T).all()
+    B = fam.membership_cube
+    assert (B == B.transpose(0, 2, 1)).all()
 
 
 def test_prox_self_is_zero(grid, fam):
@@ -332,3 +340,69 @@ def test_empty_inputs_raise(grid, fam):
         semi_prox(frozenset(), frozenset({grid.points[0]}), fam)
     with pytest.raises(EmptyInput):
         convergence_trace([])
+
+
+# Differential tests of the bitmask encoding against direct set computations,
+# over every topology on at most three points and over small metric chains.
+TOPOLOGY_FAMILIES = [
+    finite_all_coverings_family(
+        Space(points=tuple(Point(pid=f"p{i}", index=i) for i in range(n)), opens=opens)
+    )
+    for n in (1, 2, 3)
+    for opens in enumerate_topologies(n)
+]
+# On the two larger grids some consecutive levels do not double-refine
+# themselves, so two-step coarsening differs from one-step coarsening there.
+CHAIN_FAMILIES = [
+    metric_chain_family(line_grid(0.0, 1.0, count), eps0, depth)
+    for count, eps0, depth in [(c, 0.5, 2) for c in range(5, 10)]
+    + [(c, 2.0, 4) for c in range(5, 10)]
+    + [(17, 2.0, 4), (33, 1.0, 3)]
+]
+ALL_FAMILIES = TOPOLOGY_FAMILIES + CHAIN_FAMILIES
+
+
+def _collection(data, fam):
+    """A drawn collection: a threshold on chains, an upward closure otherwise."""
+    if fam.kind == "chain":
+        return CoverCollection.chain(fam, data.draw(st.integers(-1, fam.depth)))
+    return CoverCollection.finite(fam, data.draw(st.sets(st.integers(0, fam.size - 1))))
+
+
+def _point_set(data, fam):
+    n = fam.space.n
+    return frozenset(
+        fam.space.points[i] for i in data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    )
+
+
+@pytest.mark.parametrize("fam", TOPOLOGY_FAMILIES, ids=lambda f: f"opens{f.space.opens}")
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_finite_upward_closure_matches_refinement(fam, data):
+    S = data.draw(st.sets(st.integers(0, fam.size - 1)))
+    covs = fam.coverings
+    expected = {j for j in range(fam.size) if any(refines(covs[i], covs[j]) for i in S)}
+    assert CoverCollection.finite(fam, S).index_set() == expected
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_coarsen_matches_reach_matrix(fam, data):
+    E = _collection(data, fam)
+    for n in (1, 2):
+        reach = fam.reach_matrix(n)
+        expected = {i for i in range(fam.size) if any(reach[j, i] for j in E.index_set())}
+        assert coarsen(E, n).index_set() == expected
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_semi_prox_matches_oracle(fam, data):
+    A, B = _point_set(data, fam), _point_set(data, fam)
+    expected = frozenset(range(fam.size))
+    for b in B:
+        expected &= frozenset().union(*(naive_prox_indices(b, a, fam) for a in A))
+    assert semi_prox(A, B, fam).index_set() == expected
