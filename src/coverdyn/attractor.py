@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .compactness import is_bounded, star_measure
-from .covering import AdmissibleFamily, CheckResult, closure
+from .compactness import is_bounded, star_measure_mask
+from .covering import AdmissibleFamily, CheckList, CheckResult
 from .dynamics import (
     Action,
     FilterBasis,
@@ -24,32 +24,22 @@ from .dynamics import (
     prolongational_limit,
     verify_eventual_compactness,
 )
-from .proximity import sets_equal_at_resolution, subset_at_resolution
-from .space import EmptyInput, Point
+from .proximity import (
+    sets_equal_at_resolution,
+    sets_equal_at_resolution_mask,
+    subset_at_resolution,
+)
+from .space import CoverdynError, EmptyInput, Point
 
 
-class UnboundedTestset(Exception):
+class UnboundedTestset(CoverdynError):
     """Candidate construction requires bounded test sets."""
 
 
 @dataclass(frozen=True)
-class AttractorVerdict:
+class AttractorVerdict(CheckList):
     candidate: frozenset[Point]
-    checks: tuple[CheckResult, ...]
     kind: str  # "global", "global-uniform", "both", "neither"
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def outcome(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def passed(self, name: str) -> bool:
-        return self.outcome(name).passed
 
     def to_dict(self) -> dict:
         return {
@@ -91,19 +81,21 @@ def _core_checks(
         checks.append(CheckResult("invariant", False, "empty candidate"))
         return checks
 
-    cl = closure(candidate, family)
-    closed_ok = sets_equal_at_resolution(cl, candidate, family)
+    space = action.space
+    cmask = space.mask_of(candidate)
+    cl = family.closure_mask(cmask)
+    closed_ok = sets_equal_at_resolution_mask(cl, cmask, family)
     checks.append(
         CheckResult(
             "closed",
             closed_ok,
             None
             if closed_ok
-            else f"closure adds {sorted(p.pid for p in cl - candidate)[:4]}",
+            else f"closure adds {sorted(p.pid for p in space.point_list(cl & ~cmask))[:4]}",
         )
     )
 
-    compact_ok = star_measure(candidate, family, cap).is_zero
+    compact_ok = star_measure_mask(cmask, family, cap).is_zero
     checks.append(
         CheckResult(
             "compact",
@@ -114,8 +106,7 @@ def _core_checks(
 
     inv_ok, inv_wit = True, None
     for s in elements:
-        image = frozenset(action.apply(s, p) for p in candidate)
-        if not sets_equal_at_resolution(image, candidate, family):
+        if not sets_equal_at_resolution_mask(action.image_mask(s, cmask), cmask, family):
             inv_ok, inv_wit = False, f"element {s!r} moves the candidate"
             break
     checks.append(CheckResult("invariant", inv_ok, inv_wit))

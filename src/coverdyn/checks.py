@@ -129,9 +129,8 @@ def _triangle_check(
     name = f"prox_triangle_{n}_intermediate"
     pts = family.space.points
     if n == 1 and exhaustive and family.kind == CHAIN:
-        # chain stars shrink with the level, so B[:, x, y] is a prefix of
-        # length T[x, y] + 1
-        T = family.membership_cube.sum(axis=0, dtype=np.int64) - 1
+        # chain values are prefixes, read as their finest level T[x, y]
+        T = np.array([[p(x, y, family).mask.bit_length() - 1 for y in pts] for x in pts])
         co = np.array(
             [
                 coarsen(CoverCollection.chain(family, t), 1).mask.bit_length() - 1

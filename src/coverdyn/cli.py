@@ -34,6 +34,7 @@ from .scenarios import (
     get_scenario,
     load_system,
 )
+from .space import CoverdynError
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,7 @@ def cmd_attractor(rc: RunConfig) -> int:
         rows.append({"name": f"global.{v.name}", "verdict": "pass" if v.passed else "fail", "witness": v.witness or ""})
     for v in report.uniform_verdict.checks:
         rows.append({"name": f"uniform.{v.name}", "verdict": "pass" if v.passed else "fail", "witness": v.witness or ""})
-    for o in report.taxonomy.outcomes:
+    for o in report.taxonomy.checks:
         rows.append({"name": f"taxonomy.{o.name}", "verdict": "pass" if o.passed else "fail", "witness": o.witness or ""})
     for name, ok in sorted(report.hypothesis_ok.items()):
         rows.append({"name": f"hypothesis.{name}", "verdict": "pass" if ok else "fail", "witness": ""})
@@ -388,7 +389,7 @@ def main(argv: Optional[list] = None) -> int:
     }
     try:
         return handlers[rc.command](rc)
-    except (SchemaError, FileNotFoundError, OSError) as e:
+    except (CoverdynError, OSError, UnicodeDecodeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

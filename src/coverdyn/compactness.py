@@ -11,22 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .covering import CHAIN, AdmissibleFamily
 from .proximity import CoverCollection, converges_to_zero
-from .space import EmptyInput, Point, bit_count, iter_bits
+from .space import CoverdynError, EmptyInput, Point, Space, bit_count, iter_bits
 
 
-class NotDecreasing(Exception):
+class NotDecreasing(CoverdynError):
     """A chain of sets fails F_{k+1} contained in F_k."""
 
 
-class NotClosed(Exception):
+class NotClosed(CoverdynError):
     """A set in a chain is not closed under the family closure."""
 
 
-class CoverSearchBudgetExceeded(Exception):
+class CoverSearchBudgetExceeded(CoverdynError):
     """The exact minimum-cover search exceeded its node budget."""
 
 
@@ -41,11 +39,16 @@ def is_bounded(
     Y: frozenset[Point] | set[Point], family: AdmissibleFamily
 ) -> bool:
     """True iff some covering of the family relates every pair of Y."""
-    if not Y:
+    return is_bounded_mask(family.space.mask_of(Y), family)
+
+
+def is_bounded_mask(ymask: int, family: AdmissibleFamily) -> bool:
+    if ymask == 0:
         raise EmptyInput("boundedness of the empty set is undefined")
-    idx = [p.index for p in Y]
-    B = family.membership_cube
-    return bool(B[:, idx][:, :, idx].all(axis=(1, 2)).any())
+    return any(
+        all(ymask & ~cov.point_star[y] == 0 for y in iter_bits(ymask))
+        for cov in family.coverings
+    )
 
 
 def is_totally_bounded(
@@ -134,15 +137,9 @@ def coverable_within(
     return search(target, 0)
 
 
-def _measure(
-    Y: frozenset[Point] | set[Point],
-    family: AdmissibleFamily,
-    cap: int,
-    candidate_sets,
-) -> CoverCollection:
-    if not Y:
+def _measure(ymask: int, family: AdmissibleFamily, cap: int, candidate_sets) -> CoverCollection:
+    if ymask == 0:
         raise EmptyInput("measure of the empty set is undefined")
-    ymask = family.space.mask_of(Y)
     if family.kind == CHAIN:
         # qualifying levels are downward closed: the finest one decides
         for i in range(family.depth, -1, -1):
@@ -161,14 +158,22 @@ def star_measure(
     Y: frozenset[Point] | set[Point], family: AdmissibleFamily, cap: int
 ) -> CoverCollection:
     """Coverings at which Y admits a cover by at most `cap` point stars."""
-    return _measure(Y, family, cap, lambda cov: cov.point_star)
+    return star_measure_mask(family.space.mask_of(Y), family, cap)
+
+
+def star_measure_mask(ymask: int, family: AdmissibleFamily, cap: int) -> CoverCollection:
+    return _measure(ymask, family, cap, lambda cov: cov.point_star)
 
 
 def member_measure(
     Y: frozenset[Point] | set[Point], family: AdmissibleFamily, cap: int
 ) -> CoverCollection:
     """Coverings at which Y admits a cover by at most `cap` covering members."""
-    return _measure(Y, family, cap, lambda cov: cov.members)
+    return member_measure_mask(family.space.mask_of(Y), family, cap)
+
+
+def member_measure_mask(ymask: int, family: AdmissibleFamily, cap: int) -> CoverCollection:
+    return _measure(ymask, family, cap, lambda cov: cov.members)
 
 
 def is_cauchy(
@@ -178,25 +183,17 @@ def is_cauchy(
 
     Only tails with at least `min_tail` elements count: a one-element tail is
     vacuously related, which would make every truncated sequence Cauchy.
+    Later tails are subsets of earlier ones, so the shortest counted tail
+    decides.
     """
     if not seq:
         raise EmptyInput("a Cauchy check needs a nonempty sequence")
-    L = len(seq)
-    idx = [p.index for p in seq]
-    last_start = L - max(min_tail, 1)
-    if last_start < 0:
-        last_start = 0
-    B = family.membership_cube
-    for level in range(family.size):
-        ok = False
-        for k0 in range(last_start + 1):
-            tail = idx[k0:]
-            if B[level][np.ix_(tail, tail)].all():
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    tail = seq[max(len(seq) - max(min_tail, 1), 0):]
+    tmask = family.space.mask_of(tail)
+    return all(
+        all(tmask & ~cov.point_star[p.index] == 0 for p in tail)
+        for cov in family.coverings
+    )
 
 
 @dataclass(frozen=True)
@@ -204,9 +201,14 @@ class NestedChainReport:
     """Outcome of the nested-closed-chain (Cantor-style) harness."""
 
     hypothesis_met: bool
-    intersection: frozenset[Point]
+    space: Space
+    intersection_mask: int
     measure_trace: tuple[CoverCollection, ...]
     claim: str
+
+    @property
+    def intersection(self) -> frozenset[Point]:
+        return self.space.points_of(self.intersection_mask)
 
     def to_dict(self) -> dict:
         return {
@@ -237,19 +239,22 @@ def cantor_kuratowski_check(
     for k in range(1, len(masks)):
         if masks[k] & ~masks[k - 1]:
             raise NotDecreasing(f"element {k} is not contained in element {k - 1}")
-    trace = tuple(star_measure(space.points_of(m), family, cap) for m in masks)
+    trace = tuple(star_measure_mask(m, family, cap) for m in masks)
     met = converges_to_zero(trace)
     inter = masks[-1]
     for m in masks:
         inter &= m
-    pts = space.points_of(inter)
     if met:
-        if not pts:
+        if not inter:
             claim = "violated: measures converge but the intersection is empty"
         else:
             claim = "nonempty compact intersection"
     else:
         claim = "hypothesis not met"
     return NestedChainReport(
-        hypothesis_met=met, intersection=pts, measure_trace=trace, claim=claim
+        hypothesis_met=met,
+        space=space,
+        intersection_mask=inter,
+        measure_trace=trace,
+        claim=claim,
     )

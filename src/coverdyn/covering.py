@@ -16,17 +16,17 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .space import (
+    CoverdynError,
     EmptyInput,
     Point,
     Space,
     ball_mask,
-    bools_of_masks,
     iter_bits,
     mask_of_bools,
 )
 
 
-class CoveringError(Exception):
+class CoveringError(CoverdynError):
     """Base class for covering construction and comparison errors."""
 
 
@@ -262,16 +262,6 @@ class AdmissibleFamily:
             cache[n] = tuple(mask_of_bools(row) for row in self.reach_matrix(n))
         return cache[n]
 
-    @cached_property
-    def membership_cube(self) -> np.ndarray:
-        """B[i, x, y] = y in St[x, U_i].
-
-        For chains each slice B[:, x, y] is downward closed in the index, since
-        finer levels have smaller stars.
-        """
-        n = self.space.n
-        return np.stack([bools_of_masks(cov.point_star, n) for cov in self.coverings])
-
     def closure_mask(self, ymask: int) -> int:
         if ymask == 0:
             raise EmptyInput("closure of the empty set is undefined")
@@ -279,9 +269,6 @@ class AdmissibleFamily:
         for cov in self.coverings:
             out &= cov.star_mask(ymask)
         return out
-
-    def star_mask_at(self, ymask: int, index: int) -> int:
-        return self.coverings[index].star_mask(ymask)
 
 
 def chain_family(
@@ -410,7 +397,9 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class AxiomReport:
+class CheckList:
+    """An ordered tuple of named pass/fail results, looked up by name."""
+
     checks: tuple[CheckResult, ...]
 
     @property
@@ -423,6 +412,12 @@ class AxiomReport:
                 return c
         raise KeyError(name)
 
+    def passed(self, name: str) -> bool:
+        return self.check(name).passed
+
+
+@dataclass(frozen=True)
+class AxiomReport(CheckList):
     def to_dict(self) -> dict:
         return {
             "all_passed": self.all_passed,

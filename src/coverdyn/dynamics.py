@@ -10,15 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
-from .compactness import is_bounded, member_measure, star_measure
-from .covering import AdmissibleFamily, CheckResult
-from .proximity import converges_to_zero, semi_prox
-from .space import EmptyInput, Point, Space, iter_bits
+from .compactness import is_bounded_mask, member_measure_mask, star_measure_mask
+from .covering import AdmissibleFamily, CheckList, CheckResult
+from .proximity import CoverCollection, converges_to_zero, stars_containing
+from .space import CoverdynError, EmptyInput, Point, Space, iter_bits
 
 
-class NestingViolation(Exception):
+class NestingViolation(CoverdynError):
     """Filter levels are not nested on their samples."""
 
 
@@ -207,20 +205,18 @@ class Action:
         q = self.apply_fn(el, p)
         return q
 
-    def image_indices(self, el) -> np.ndarray:
+    def image_indices(self, el) -> tuple[int, ...]:
         """Image of every point under one element, cached per element."""
         cache = self.__dict__.setdefault("_image_cache", {})
         if el not in cache:
-            cache[el] = np.array(
-                [self.apply(el, p).index for p in self.space.points], dtype=np.int64
-            )
+            cache[el] = tuple([self.apply(el, p).index for p in self.space.points])
         return cache[el]
 
     def image_mask(self, el, ymask: int) -> int:
         row = self.image_indices(el)
         out = 0
         for i in iter_bits(ymask):
-            out |= 1 << int(row[i])
+            out |= 1 << row[i]
         return out
 
     def check_associativity(
@@ -403,40 +399,29 @@ def attracts(
         raise EmptyInput("attraction needs nonempty sets")
     space = action.space
     ymask, zmask = space.mask_of(Y), space.mask_of(Z)
+    stars = [cov.star_mask(ymask) for cov in family.coverings]
+    # per filter level: the covering indices whose star of Y holds the orbit of Z
+    inside = [stars_containing(orbit_mask(k, zmask, action, F), stars) for k in F.levels()]
     levels, failures = {}, {}
     for i in range(family.size):
-        found = None
-        for k in F.levels():
-            om = orbit_mask(k, zmask, action, F)
-            if om & ~family.star_mask_at(ymask, i) == 0:
-                found = k
-                break
+        found = next((k for k, m in enumerate(inside) if (m >> i) & 1), None)
         if found is not None:
             levels[i] = found
         else:
-            star = family.star_mask_at(ymask, i)
-            wit = None
-            for el in F.sampler(F.depth):
-                for z in sorted(Z, key=lambda p: p.index):
-                    img = action.apply(el, z)
-                    if not (star >> img.index) & 1:
-                        wit = (el, z, img)
-                        break
-                if wit:
-                    break
-            if wit is None:
-                # every deepest sampled image lands inside: cite the earliest level instead
-                k0 = 0
-                el0 = F.sampler(k0)[0]
-                z0 = sorted(Z, key=lambda p: p.index)[0]
-                wit = (el0, z0, action.apply(el0, z0))
-            failures[i] = wit
+            # the deepest orbit leaves the star, so one of its images does
+            failures[i] = next(
+                (el, z, img)
+                for el in F.sampler(F.depth)
+                for z in space.point_list(zmask)
+                for img in (action.apply(el, z),)
+                if not (stars[i] >> img.index) & 1
+            )
     attracted = not failures
 
-    traj = []
-    for k, el in divergent_sequence(F):
-        img = action.image_mask(el, zmask)
-        traj.append(semi_prox(Y, space.points_of(img), family))
+    traj = [
+        CoverCollection(family, stars_containing(action.image_mask(el, zmask), stars))
+        for _, el in divergent_sequence(F)
+    ]
     prox_attracted = converges_to_zero(traj)
     return AttractionReport(
         attracted=attracted,
@@ -457,7 +442,10 @@ def absorbs(
     if not Y or not Z:
         raise EmptyInput("absorption needs nonempty sets")
     space = action.space
-    ymask, zmask = space.mask_of(Y), space.mask_of(Z)
+    return absorbs_mask(space.mask_of(Y), space.mask_of(Z), F, action)
+
+
+def absorbs_mask(ymask: int, zmask: int, F: FilterBasis, action: Action) -> Optional[int]:
     for k in F.levels():
         if orbit_mask(k, zmask, action, F) & ~ymask == 0:
             return k
@@ -564,20 +552,9 @@ def _single_ok(name: str, F: FilterBasis, s, k, b) -> bool:
 
 
 @dataclass(frozen=True)
-class TaxonomyReport:
-    outcomes: tuple[CheckResult, ...]
-
-    def outcome(self, name: str) -> CheckResult:
-        for o in self.outcomes:
-            if o.name == name:
-                return o
-        raise KeyError(name)
-
-    def passed(self, name: str) -> bool:
-        return self.outcome(name).passed
-
+class TaxonomyReport(CheckList):
     def to_dict(self) -> dict:
-        return {"outcomes": [o.to_dict() for o in self.outcomes]}
+        return {"outcomes": [o.to_dict() for o in self.checks]}
 
 
 def _stable_cluster_exists(
@@ -631,54 +608,47 @@ def check_dissipativity(
         raise EmptyInput("the taxonomy needs at least one test set")
     space = action.space
     outcomes = []
+    masks = {name: space.mask_of(Y) for name, Y in sorted(testsets.items())}
+    orbits = {
+        name: [orbit_mask(k, m, action, F) for k in F.levels()] for name, m in masks.items()
+    }
 
     ok, wit = True, None
-    for name, Y in sorted(testsets.items()):
-        found = None
-        for k in F.levels():
-            if is_bounded(orbit(k, Y, action, F), family):
-                found = k
-                break
-        if found is None:
+    for name, per_level in orbits.items():
+        if not any(is_bounded_mask(om, family) for om in per_level):
             ok, wit = False, f"orbit of {name} never becomes bounded"
             break
     outcomes.append(CheckResult("eventually_bounded", ok, wit))
 
     candidates = []
     if absorb_candidate:
-        candidates.append(("declared", absorb_candidate))
-        for i in range(family.size):
-            m = family.star_mask_at(space.mask_of(absorb_candidate), i)
-            candidates.append((f"declared-star-{i}", space.points_of(m)))
-    if is_bounded(frozenset(space.points), family):
-        candidates.append(("whole-space", frozenset(space.points)))
-    ok, wit, chosen = False, "no bounded absorbing candidate", None
-    for cname, D in candidates:
-        if not is_bounded(D, family):
-            continue
-        if all(absorbs(D, Y, F, action) is not None for Y in testsets.values()):
-            ok, wit, chosen = True, f"absorbing set: {cname}", D
+        amask = space.mask_of(absorb_candidate)
+        candidates.append(("declared", amask))
+        for i, cov in enumerate(family.coverings):
+            candidates.append((f"declared-star-{i}", cov.star_mask(amask)))
+    candidates.append(("whole-space", space.full_mask))
+    bounded = [(cname, D) for cname, D in candidates if is_bounded_mask(D, family)]
+    ok, wit = False, "no bounded absorbing candidate"
+    for cname, D in bounded:
+        if all(any(om & ~D == 0 for om in per_level) for per_level in orbits.values()):
+            ok, wit = True, f"absorbing set: {cname}"
             break
-    if not ok and candidates:
+    if not ok and (absorb_candidate or bounded):
         wit = "no candidate absorbs every test set"
     outcomes.append(CheckResult("bounded_dissipative", ok, wit))
 
     sample = list(points_sample) if points_sample is not None else list(space.points)
     ok, wit = False, "no bounded candidate absorbs every sampled point"
-    for cname, D in candidates:
-        if not is_bounded(D, family):
-            continue
-        if all(absorbs(D, frozenset({x}), F, action) is not None for x in sample):
+    for cname, D in bounded:
+        if all(absorbs_mask(D, 1 << x.index, F, action) is not None for x in sample):
             ok, wit = True, f"absorbing set: {cname}"
             break
     outcomes.append(CheckResult("point_dissipative", ok, wit))
 
     ok, wit = True, None
     n_blocks = F.depth + 1
-    for name, Y in sorted(testsets.items()):
-        for pname, xs in _sequence_patterns(
-            sorted(Y, key=lambda p: p.index), n_blocks, escape_patterns
-        ):
+    for name, m in masks.items():
+        for pname, xs in _sequence_patterns(space.point_list(m), n_blocks, escape_patterns):
             images = []
             for k in F.levels():
                 el = F.sampler(k)[0]
@@ -693,20 +663,21 @@ def check_dissipativity(
     outcomes.append(CheckResult("asymptotically_compact", ok, wit))
 
     ok, wit = True, None
-    for name, Y in sorted(testsets.items()):
-        for i in range(family.size):
-            if not any(
-                member_measure(orbit(k, Y, action, F), family, cap).contains_index(i)
-                for k in F.levels()
-            ):
-                ok = False
-                wit = f"{name}: no level keeps covering {i} in the member measure"
+    every = (1 << family.size) - 1
+    for name, per_level in orbits.items():
+        # the coverings kept by the member measure at some level
+        kept = 0
+        for om in per_level:
+            kept |= member_measure_mask(om, family, cap).mask
+            if kept == every:
                 break
-        if not ok:
+        if kept != every:
+            i = next(i for i in range(family.size) if not (kept >> i) & 1)
+            ok, wit = False, f"{name}: no level keeps covering {i} in the member measure"
             break
     outcomes.append(CheckResult("limit_compact", ok, wit))
 
-    return TaxonomyReport(outcomes=tuple(outcomes))
+    return TaxonomyReport(checks=tuple(outcomes))
 
 
 def verify_eventual_compactness(
@@ -720,10 +691,8 @@ def verify_eventual_compactness(
     measure-zero sets at the configured cap."""
     space = action.space
     for name, Y in sorted(testsets.items()):
-        img = space.points_of(
-            family.closure_mask(action.image_mask(witness_element, space.mask_of(Y)))
-        )
-        if not star_measure(img, family, cap).is_zero:
+        img = family.closure_mask(action.image_mask(witness_element, space.mask_of(Y)))
+        if not star_measure_mask(img, family, cap).is_zero:
             return CheckResult(
                 "eventually_compact",
                 False,

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .covering import CHAIN, FINITE, AdmissibleFamily, ChainKindUnsupported
-from .space import EmptyInput, Point, iter_bits, mask_of_bools
+from .space import CoverdynError, EmptyInput, Point, iter_bits
 
 INF = math.inf
 
 
-class FamilyMismatch(Exception):
+class FamilyMismatch(CoverdynError):
     """Two collection values refer to different covering families."""
 
 
@@ -159,8 +159,11 @@ def convergence_trace(seq: Sequence[CoverCollection]) -> list[Optional[int]]:
 
 def prox(x: Point, y: Point, family: AdmissibleFamily) -> CoverCollection:
     """The collection of coverings whose star at x captures y."""
-    hit = family.membership_cube[:, x.index, y.index]
-    return CoverCollection(family, mask_of_bools(hit))
+    mask = 0
+    for i, cov in enumerate(family.coverings):
+        if (cov.point_star[x.index] >> y.index) & 1:
+            mask |= 1 << i
+    return CoverCollection(family, mask)
 
 
 def prox_to_set(
@@ -169,9 +172,12 @@ def prox_to_set(
     """Union of prox(x, a) over a in A: coverings whose star at x meets A."""
     if not A:
         raise EmptyInput("prox to the empty set is undefined")
-    cols = [a.index for a in A]
-    hit = family.membership_cube[:, x.index, cols].any(axis=1)
-    return CoverCollection(family, mask_of_bools(hit))
+    amask = family.space.mask_of(A)
+    mask = 0
+    for i, cov in enumerate(family.coverings):
+        if cov.point_star[x.index] & amask:
+            mask |= 1 << i
+    return CoverCollection(family, mask)
 
 
 def semi_prox(
@@ -182,10 +188,23 @@ def semi_prox(
     """One-sided set proximity: coverings at which every point of B is star-close to A."""
     if not A or not B:
         raise EmptyInput("semi_prox needs nonempty sets")
-    a_idx = [a.index for a in A]
-    b_idx = [b.index for b in B]
-    hit = family.membership_cube[:, b_idx][:, :, a_idx].any(axis=2).all(axis=1)
-    return CoverCollection(family, mask_of_bools(hit))
+    space = family.space
+    amask = space.mask_of(A)
+    stars = [cov.star_mask(amask) for cov in family.coverings]
+    return CoverCollection(family, stars_containing(space.mask_of(B), stars))
+
+
+def stars_containing(bmask: int, stars: Sequence[int]) -> int:
+    """Bitmask of the indices i with `bmask` inside stars[i].
+
+    With stars[i] the star of A at covering i this is semi_prox(A, B) for
+    callers that already hold the stars of A.
+    """
+    mask = 0
+    for i, star in enumerate(stars):
+        if bmask & ~star == 0:
+            mask |= 1 << i
+    return mask
 
 
 def point_sequence_converges(
@@ -210,12 +229,18 @@ def sets_equal_at_resolution(
     B: frozenset[Point] | set[Point],
     family: AdmissibleFamily,
 ) -> bool:
-    """Set equality up to the family's resolution: mutual semi-prox domination."""
-    if not A and not B:
-        return True
-    if not A or not B:
-        return False
-    return semi_prox(A, B, family).is_zero and semi_prox(B, A, family).is_zero
+    """Set equality up to the family's resolution: each set lies in the other's closure."""
+    space = family.space
+    return sets_equal_at_resolution_mask(space.mask_of(A), space.mask_of(B), family)
+
+
+def sets_equal_at_resolution_mask(amask: int, bmask: int, family: AdmissibleFamily) -> bool:
+    if not amask or not bmask:
+        return amask == bmask
+    return (
+        amask & ~family.closure_mask(bmask) == 0
+        and bmask & ~family.closure_mask(amask) == 0
+    )
 
 
 def subset_at_resolution(
@@ -223,9 +248,13 @@ def subset_at_resolution(
     B: frozenset[Point] | set[Point],
     family: AdmissibleFamily,
 ) -> bool:
-    """A is contained in B up to resolution: every point of A is star-close to B."""
+    """A is contained in B up to resolution: A lies inside the family closure of B.
+
+    Equivalently, every point of A is star-close to B at every covering.
+    """
     if not A:
         return True
     if not B:
         return False
-    return semi_prox(B, A, family).is_zero
+    space = family.space
+    return space.mask_of(A) & ~family.closure_mask(space.mask_of(B)) == 0

@@ -10,6 +10,7 @@ against half the finest covering radius at build time.
 from __future__ import annotations
 
 import configparser
+import inspect
 import io
 import json
 import math
@@ -21,7 +22,6 @@ from .compactness import default_cap, is_bounded
 from .dynamics import (
     Action,
     FilterBasis,
-    NestingViolation,
     integer_tails,
     nat_add,
     nat_mul,
@@ -37,14 +37,14 @@ from .funcspace import (
     pointwise_chain,
     pointwise_covering,
 )
-from .space import Point, Space, line_grid
+from .space import CoverdynError, Point, Space, line_grid
 
 
-class SchemaError(Exception):
+class SchemaError(CoverdynError):
     """The system config is malformed or references unknown kinds."""
 
 
-class SnapToleranceExceeded(Exception):
+class SnapToleranceExceeded(CoverdynError):
     """The action's snap error is not below half the finest star radius."""
 
 
@@ -554,7 +554,10 @@ def _jget(cp, section, key, default=None, required=False):
         if required:
             raise SchemaError(f"missing [{section}] {key}")
         return default
-    raw = cp.get(section, key)
+    try:
+        raw = cp.get(section, key)
+    except configparser.Error as e:
+        raise SchemaError(f"bad value for [{section}] {key}: {e}") from e
     try:
         return json.loads(raw)
     except json.JSONDecodeError as e:
@@ -562,21 +565,27 @@ def _jget(cp, section, key, default=None, required=False):
 
 
 def load_system(cfg_text: str) -> Scenario:
-    """Build a scenario from sectioned config text (snap checks enforced)."""
+    """Build a scenario from sectioned config text (snap checks enforced).
+
+    A value that the builders reject with a non-coverdyn exception (a wrong
+    type, an out-of-range number or index) is reported as a SchemaError.
+    """
     cp = _parse(cfg_text)
     if not cp.has_section("scenario"):
         raise SchemaError("missing [scenario] section")
     kind = _jget(cp, "scenario", "kind", required=True)
-    if kind in BUILTIN_SCENARIOS:
-        params = {
-            k: _jget(cp, "scenario", k)
-            for k in cp.options("scenario")
-            if k != "kind"
-        }
-        return get_scenario(kind, **params)
-    if kind != "custom":
+    if kind not in ("custom", *BUILTIN_SCENARIOS):
         raise SchemaError(f"unknown scenario kind {kind!r}")
-    return _load_custom(cp)
+    try:
+        if kind == "custom":
+            return _load_custom(cp)
+        params = {k: _jget(cp, "scenario", k) for k in cp.options("scenario") if k != "kind"}
+        unknown = set(params) - set(inspect.signature(BUILTIN_SCENARIOS[kind]).parameters)
+        if unknown:
+            raise SchemaError(f"unknown [scenario] parameters for {kind}: {sorted(unknown)}")
+        return get_scenario(kind, **params)
+    except (TypeError, ValueError, LookupError, ArithmeticError) as e:
+        raise SchemaError(f"bad config value: {e}") from e
 
 
 def _load_custom(cp) -> Scenario:

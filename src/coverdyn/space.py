@@ -15,7 +15,11 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 
-class SpaceError(Exception):
+class CoverdynError(Exception):
+    """Root of every coverdyn exception; the CLI reports one as a usage or config error."""
+
+
+class SpaceError(CoverdynError):
     """Base class for space construction and query errors."""
 
 
@@ -173,14 +177,6 @@ def bit_count(mask: int) -> int:
 def mask_of_bools(row: np.ndarray) -> int:
     """Bitmask of the True positions of a boolean vector."""
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-
-
-def bools_of_masks(masks: Sequence[int], n: int) -> np.ndarray:
-    """Boolean matrix whose row r holds bits 0..n-1 of masks[r]."""
-    width = (n + 7) // 8
-    raw = b"".join(m.to_bytes(width, "little") for m in masks)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
-    return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
 
 
 def _pairwise_distances(coords: np.ndarray, metric: str) -> np.ndarray:

@@ -84,7 +84,7 @@ def test_verify_uniform_missing_limit_point():
         sc.family,
         sc.declared.cap,
     )
-    chk = v.outcome("prolongational_limits_inside")
+    chk = v.check("prolongational_limits_inside")
     assert not chk.passed
     assert chk.witness is not None
 

@@ -25,17 +25,26 @@ def test_proximity_suite_green(fam):
     assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
-def test_proximity_suite_catches_broken_symmetry(fam):
-    def broken(x, y, family):
-        v = prox(x, y, family)
-        if x.index < y.index:
-            return CoverCollection(family, v.mask >> 1)
-        return v
+def broken(x, y, family):
+    v = prox(x, y, family)
+    if x.index < y.index:
+        return CoverCollection(family, v.mask >> 1)
+    return v
 
+
+def test_proximity_suite_catches_broken_symmetry(fam):
     results = proximity_suite(fam, prox_fn=broken, resolving=True)
     by_name = {r.name: r for r in results}
     assert not by_name["prox_symmetry"].passed
     assert by_name["prox_symmetry"].witness
+
+
+def test_exhaustive_triangle_check_reads_the_injected_prox():
+    grid_fam = metric_chain_family(line_grid(0.0, 1.0, 101), 2.0, 6)
+    results = proximity_suite(grid_fam, prox_fn=broken, resolving=True)
+    triangle = {r.name: r for r in results}["prox_triangle_1_intermediate"]
+    assert not triangle.passed
+    assert triangle.witness == "(0),(0.99) via (0.01)"
 
 
 def test_closure_and_boundedness_suites_green(fam):

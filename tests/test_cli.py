@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coverdyn.cli import main
 
@@ -190,4 +192,122 @@ def test_out_of_range_flag_is_usage_error(capsys, flag, value):
     assert code == 2
     assert err.startswith("usage:")
     assert f"argument {flag}: must be at least" in err
+    assert "Traceback" not in err
+
+
+CUSTOM = """
+[scenario]
+kind = "custom"
+
+[space]
+kind = "line_grid"
+count = 21
+
+[family]
+kind = "metric_chain"
+eps0 = 2.0
+depth = 2
+
+[action]
+kind = "halving_decay"
+
+[filter]
+kind = "integer_tails"
+depth = 4
+"""
+INTEGER_TAILS = 'kind = "integer_tails"\ndepth = 4'
+CONFIGS = {
+    "custom-valid": (CUSTOM, 0),
+    "unknown-parameter": ('[scenario]\nkind = "decay_grid"\nbogus = 3\n', 2),
+    "empty-grid": ('[scenario]\nkind = "decay_grid"\ncount = 0\n', 2),
+    "count-not-a-number": ('[scenario]\nkind = "decay_grid"\ncount = "abc"\n', 2),
+    "snap-tolerance": ('[scenario]\nkind = "decay_grid"\nchain_depth = 9\n', 2),
+    "negative-eps0": (CUSTOM.replace("eps0 = 2.0", "eps0 = -1.0"), 2),
+    "test-set-index": (CUSTOM + "\n[testsets]\nbad = [99]\n", 2),
+    "filter-not-nested": (
+        CUSTOM.replace(INTEGER_TAILS, 'kind = "explicit"\nlevels = [[1, 2], [3]]'),
+        2,
+    ),
+    "not-utf-8": (b"\xff\xfe[scenario]\n", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_bad_config_is_config_error(tmp_path, capsys, name):
+    text, expected = CONFIGS[name]
+    path = tmp_path / "system.ini"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    code = main(["scenario", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert err.startswith("error: ") if expected else err == ""
+
+
+KINDS = ("custom", "decay_grid", "line_grid", "metric_chain", "identity", "explicit", "wat")
+BUILTINS = ("decay_grid", "exp_decay", "composition", "iterated_contractions")
+BUILTIN_PARAMS = ("count", "chain_depth", "depth", "window", "eps0", "x0", "bogus")
+# section -> (valid kinds, valid value per key) of a custom system
+CUSTOM_SECTIONS = {
+    "space": (("line_grid",), {"count": "21", "start": "0.0", "stop": "1.0"}),
+    "family": (("metric_chain",), {"eps0": "2.0", "depth": "2"}),
+    "action": (("halving_decay", "pow2_decay", "identity"), {}),
+    "semigroup": (("nat_add",), {}),
+    "filter": (
+        ("integer_tails", "explicit"),
+        {"depth": "4", "window": "4", "levels": "[[1, 2], [2]]"},
+    ),
+    "testsets": ((), {"whole": '"all"', "seed": "[20]"}),
+    "declared": ((), {"cap": "3", "eventually_compact_witness": "5"}),
+    "expectations": ((), {"attractor": "[0]", "kind": '"both"'}),
+}
+# small numbers keep every drawn system desk-sized
+VALUES = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.floats(-3.0, 3.0, allow_nan=False).map(repr),
+    st.sampled_from(
+        ['"abc"', '"all"', "[]", "[0, 1]", "[99]", "[[1, 2], [2]]", "[[1]]", "null",
+         "true", "{}", "%", "not-json", "[1.5]"]
+    ),
+)
+
+
+@st.composite
+def config_texts(draw):
+    """Config text near a valid system: one kind or value in five is perturbed."""
+    kind = draw(st.sampled_from(("custom", "custom") + BUILTINS + ("wat",)))
+    lines = ["[scenario]", f'kind = "{kind}"']
+    if kind != "custom":
+        for key in draw(st.lists(st.sampled_from(BUILTIN_PARAMS), unique=True)):
+            lines.append(f"{key} = {draw(VALUES)}")
+        return "\n".join(lines) + "\n"
+
+    def pick(valid, perturbed):
+        return draw(perturbed) if draw(st.integers(0, 4)) == 0 else valid
+
+    dropped = draw(st.lists(st.sampled_from(sorted(CUSTOM_SECTIONS)), max_size=1))
+    for section, (kinds, keys) in CUSTOM_SECTIONS.items():
+        if section in dropped:
+            continue
+        lines.append(f"[{section}]")
+        if kinds:
+            lines.append(f'kind = "{pick(draw(st.sampled_from(kinds)), st.sampled_from(KINDS))}"')
+        for key, valid in keys.items():
+            lines.append(f"{key} = {pick(valid, VALUES)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    text=st.one_of(config_texts(), st.text(max_size=80)),
+    argv=st.sampled_from([("scenario",), ("omega", "--target", "whole")]),
+)
+def test_config_text_never_crashes(tmp_path, capsys, text, argv):
+    # in process, an exception escaping main fails the test by itself
+    path = tmp_path / "system.ini"
+    path.write_text(text, encoding="utf-8")
+    code = main([*argv, "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
     assert "Traceback" not in err

@@ -262,7 +262,7 @@ def test_taxonomy_decay(decay, grid, fam, tails):
         "asymptotically_compact",
         "limit_compact",
     ):
-        assert rep.passed(name), rep.outcome(name)
+        assert rep.passed(name), rep.check(name)
 
 
 def test_taxonomy_identity(identity_action, grid, fam, tails):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverdyn.compactness import is_bounded, is_cauchy
 from coverdyn.covering import (
     chain_family,
     closure,
@@ -26,6 +27,7 @@ from coverdyn.proximity import (
     prox_to_set,
     semi_prox,
     sets_equal_at_resolution,
+    subset_at_resolution,
 )
 from coverdyn.space import (
     Point,
@@ -157,8 +159,10 @@ def test_prox_matches_oracle_finite(tiny):
 
 
 def test_prox_symmetry_exhaustive(grid, fam):
-    B = fam.membership_cube
-    assert (B == B.transpose(0, 2, 1)).all()
+    for cov in fam.coverings:
+        star = cov.point_star
+        for x, y in itertools.product(range(grid.n), repeat=2):
+            assert (star[x] >> y) & 1 == (star[y] >> x) & 1
 
 
 def test_prox_self_is_zero(grid, fam):
@@ -369,11 +373,16 @@ def _collection(data, fam):
     return CoverCollection.finite(fam, data.draw(st.sets(st.integers(0, fam.size - 1))))
 
 
-def _point_set(data, fam):
+def _point_set(data, fam, min_size=1):
     n = fam.space.n
     return frozenset(
-        fam.space.points[i] for i in data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        fam.space.points[i]
+        for i in data.draw(st.sets(st.integers(0, n - 1), min_size=min_size))
     )
+
+
+def _share_member(cov, a, b):
+    return bool(set(cov.point_members[a.index]) & set(cov.point_members[b.index]))
 
 
 @pytest.mark.parametrize("fam", TOPOLOGY_FAMILIES, ids=lambda f: f"opens{f.space.opens}")
@@ -406,3 +415,50 @@ def test_semi_prox_matches_oracle(fam, data):
     for b in B:
         expected &= frozenset().union(*(naive_prox_indices(b, a, fam) for a in A))
     assert semi_prox(A, B, fam).index_set() == expected
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_is_bounded_matches_oracle(fam, data):
+    Y = _point_set(data, fam)
+    expected = any(
+        all(_share_member(cov, a, b) for a in Y for b in Y) for cov in fam.coverings
+    )
+    assert is_bounded(Y, fam) == expected
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_is_cauchy_matches_oracle(fam, data):
+    pts = fam.space.points
+    seq = data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=8))
+    min_tail = data.draw(st.integers(0, 4))
+    last_start = max(len(seq) - max(min_tail, 1), 0)
+    expected = all(
+        any(
+            all(_share_member(cov, a, b) for a in seq[k0:] for b in seq[k0:])
+            for k0 in range(last_start + 1)
+        )
+        for cov in fam.coverings
+    )
+    assert is_cauchy(seq, fam, min_tail=min_tail) == expected
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_resolution_comparisons_match_oracle(fam, data):
+    A, B = _point_set(data, fam, min_size=0), _point_set(data, fam, min_size=0)
+
+    def inside(S, T):
+        # every point of S is star-close to T at every covering
+        every = frozenset(range(fam.size))
+        return all(
+            frozenset().union(*(naive_prox_indices(s, t, fam) for t in T)) == every
+            for s in S
+        )
+
+    assert subset_at_resolution(A, B, fam) == inside(A, B)
+    assert sets_equal_at_resolution(A, B, fam) == (inside(A, B) and inside(B, A))
