@@ -43,6 +43,9 @@ def main() -> int:
             kind, met = "?", False
         status = "ok" if proc.returncode == 0 else f"exit {proc.returncode}"
         print(f"{name:24s} kind={kind:22s} expectations_met={met} [{status}]")
+        if kind == "?":
+            lines = proc.stderr.strip().splitlines()
+            print(f"    {lines[-1] if lines else 'no output on stderr'}")
     return worst
 
 

@@ -14,7 +14,7 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .attractor import (
@@ -89,12 +89,12 @@ def _load_scenario(rc: RunConfig) -> Scenario:
     else:
         raise SchemaError("either --scenario or --config is required")
     if rc.max_level is not None:
-        object.__setattr__(sc, "filter_basis", _truncate_filter(sc.filter_basis, rc.max_level))
+        sc = replace(sc, filter_basis=_truncate_filter(sc.filter_basis, rc.max_level))
     if rc.resolution is not None and rc.resolution < sc.family.size - 1:
         fam = chain_family(
             sc.space, sc.family.coverings[: rc.resolution + 1], label=sc.family.label
         )
-        object.__setattr__(sc, "family", fam)
+        sc = replace(sc, family=fam)
     return sc
 
 
@@ -220,11 +220,9 @@ def cmd_attractor(rc: RunConfig) -> int:
     rng = random.Random(rc.seed)
     testsets = dict(sc.testsets)
     testsets.update(sc.random_bounded_testsets(rng, count=min(rc.budget, 50)))
-    object.__setattr__(sc, "testsets", testsets)
+    sc = replace(sc, testsets=testsets)
     if rc.cap is not None:
-        object.__setattr__(sc, "declared", sc.declared.__class__(
-            **{**sc.declared.__dict__, "cap": rc.cap}
-        ))
+        sc = replace(sc, declared=replace(sc.declared, cap=rc.cap))
 
     report = check_equivalence(sc)
     candidate = sc.attractor_points()
@@ -251,13 +249,15 @@ def cmd_attractor(rc: RunConfig) -> int:
         and (uniqueness is None or uniqueness.passed)
     )
 
-    rows = []
-    for v in report.global_verdict.checks:
-        rows.append({"name": f"global.{v.name}", "verdict": "pass" if v.passed else "fail", "witness": v.witness or ""})
-    for v in report.uniform_verdict.checks:
-        rows.append({"name": f"uniform.{v.name}", "verdict": "pass" if v.passed else "fail", "witness": v.witness or ""})
-    for o in report.taxonomy.checks:
-        rows.append({"name": f"taxonomy.{o.name}", "verdict": "pass" if o.passed else "fail", "witness": o.witness or ""})
+    rows = [
+        {"name": f"{prefix}.{c.name}", "verdict": "pass" if c.passed else "fail", "witness": c.witness or ""}
+        for prefix, checks in (
+            ("global", report.global_verdict.checks),
+            ("uniform", report.uniform_verdict.checks),
+            ("taxonomy", report.taxonomy.checks),
+        )
+        for c in checks
+    ]
     for name, ok in sorted(report.hypothesis_ok.items()):
         rows.append({"name": f"hypothesis.{name}", "verdict": "pass" if ok else "fail", "witness": ""})
     rows.append(

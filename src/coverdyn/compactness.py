@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .covering import CHAIN, AdmissibleFamily
 from .proximity import CoverCollection, converges_to_zero
-from .space import CoverdynError, EmptyInput, Point, Space, bit_count, iter_bits
+from .space import CoverdynError, EmptyInput, Point, Space, iter_bits
 
 
 class NotDecreasing(CoverdynError):
@@ -71,7 +71,7 @@ def _greedy_cover(target: int, candidates: Sequence[int], cap: int) -> Optional[
     remaining = target
     used = 0
     while remaining:
-        best = max(candidates, key=lambda c: bit_count(c & remaining))
+        best = max(candidates, key=lambda c: (c & remaining).bit_count())
         gain = best & remaining
         if not gain:
             return None
@@ -95,7 +95,7 @@ def coverable_within(
     """
     if target == 0:
         return True
-    cands = sorted({c & target for c in candidates if c & target}, key=lambda c: -bit_count(c))
+    cands = sorted({c & target for c in candidates if c & target}, key=lambda c: -c.bit_count())
     # drop dominated candidates
     kept: list[int] = []
     for c in cands:
@@ -110,8 +110,7 @@ def coverable_within(
         return False
     if cap >= len(kept):
         return True
-    g = _greedy_cover(target, kept, cap)
-    if g is not None and g <= cap:
+    if _greedy_cover(target, kept, cap) is not None:
         return True
 
     per_point = {i: [c for c in kept if (c >> i) & 1] for i in iter_bits(target)}

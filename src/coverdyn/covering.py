@@ -13,17 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
-from .space import (
-    CoverdynError,
-    EmptyInput,
-    Point,
-    Space,
-    ball_mask,
-    iter_bits,
-    mask_of_bools,
-)
+from .space import CoverdynError, EmptyInput, Point, Space, ball_mask, iter_bits
 
 
 class CoveringError(CoverdynError):
@@ -133,7 +123,7 @@ def refines(V: Covering, U: Covering) -> bool:
     """True iff every member of V is contained in some member of U."""
     _check_same_space(V, U)
     for v in V.members:
-        anchor = next(iter_bits(v))
+        anchor = (v & -v).bit_length() - 1
         if not any(v & ~U.members[mi] == 0 for mi in U.point_members[anchor]):
             return False
     return True
@@ -142,16 +132,15 @@ def refines(V: Covering, U: Covering) -> bool:
 def double_refines(V: Covering, U: Covering) -> bool:
     """True iff any two intersecting members of V fit jointly inside one member of U."""
     _check_same_space(V, U)
-    pairs = set()
-    for mis in V.point_members:
-        for a, b in itertools.combinations(mis, 2):
-            pairs.add((a, b))
-    pairs.update((i, i) for i in range(len(V.members)))
-    for a, b in pairs:
-        union = V.members[a] | V.members[b]
-        anchor = next(iter_bits(union))
-        if not any(union & ~U.members[mi] == 0 for mi in U.point_members[anchor]):
-            return False
+    members = V.members
+    for a, va in enumerate(members):
+        for vb in members[a:]:
+            if not va & vb:
+                continue
+            union = va | vb
+            anchor = (union & -union).bit_length() - 1
+            if not any(union & ~U.members[mi] == 0 for mi in U.point_members[anchor]):
+                return False
     return True
 
 
@@ -219,47 +208,38 @@ class AdmissibleFamily:
         """Index of the designated finest covering (last level for chains)."""
         return self.depth
 
-    @cached_property
-    def refine_matrix(self) -> np.ndarray:
-        """R[i, j] = covering i refines covering j."""
-        L = self.size
-        R = np.zeros((L, L), dtype=bool)
-        for i in range(L):
-            for j in range(L):
-                R[i, j] = refines(self.coverings[i], self.coverings[j])
-        return R
-
-    @cached_property
-    def double_refine_matrix(self) -> np.ndarray:
-        """D[i, j] = covering i double-refines covering j."""
-        L = self.size
-        D = np.zeros((L, L), dtype=bool)
-        for i in range(L):
-            for j in range(L):
-                D[i, j] = double_refines(self.coverings[i], self.coverings[j])
-        return D
-
-    def reach_matrix(self, n: int) -> np.ndarray:
-        """Exact n-step double-refinement reachability within the family."""
-        cache = self.__dict__.setdefault("_reach_cache", {})
-        if n not in cache:
-            if n == 1:
-                cache[n] = self.double_refine_matrix.copy()
-            else:
-                prev = self.reach_matrix(n - 1).astype(np.int64)
-                cache[n] = (prev @ self.double_refine_matrix.astype(np.int64)) > 0
-        return cache[n]
+    def _relation_rows(self, relation) -> tuple[int, ...]:
+        covs = self.coverings
+        return tuple(
+            sum(1 << j for j, u in enumerate(covs) if relation(v, u)) for v in covs
+        )
 
     @cached_property
     def refine_rows(self) -> tuple[int, ...]:
-        """Row i of refine_matrix as a bitmask: the coarsenings of covering i."""
-        return tuple(mask_of_bools(row) for row in self.refine_matrix)
+        """Bit j of row i: covering i refines covering j."""
+        return self._relation_rows(refines)
+
+    @cached_property
+    def double_refine_rows(self) -> tuple[int, ...]:
+        """Bit j of row i: covering i double-refines covering j."""
+        return self._relation_rows(double_refines)
 
     def reach_rows(self, n: int) -> tuple[int, ...]:
-        """Row j of reach_matrix(n) as a bitmask."""
+        """Bit j of row i: an n-step double-refinement chain inside the family
+        leads from covering i to covering j."""
         cache = self.__dict__.setdefault("_reach_rows", {})
         if n not in cache:
-            cache[n] = tuple(mask_of_bools(row) for row in self.reach_matrix(n))
+            D = self.double_refine_rows
+            if n == 1:
+                cache[n] = D
+            else:
+                rows = []
+                for prev in self.reach_rows(n - 1):
+                    row = 0
+                    for j in iter_bits(prev):
+                        row |= D[j]
+                    rows.append(row)
+                cache[n] = tuple(rows)
         return cache[n]
 
     def closure_mask(self, ymask: int) -> int:
@@ -445,12 +425,15 @@ def verify_admissible(
     """
     space = family.space
     covs = family.coverings
-    D = family.double_refine_matrix
+    D = family.double_refine_rows
     checks = []
 
+    refined = 0
+    for row in D:
+        refined |= row
     ok, wit = True, None
     for j in range(len(covs)):
-        if not D[:, j].any():
+        if not (refined >> j) & 1:
             ok, wit = False, f"no double-refinement of {covs[j].label or j}"
             break
     checks.append(CheckResult("double_refinement_exists", ok, wit))
@@ -472,11 +455,12 @@ def verify_admissible(
             break
     checks.append(CheckResult("star_basis", ok, wit))
 
-    R = family.refine_matrix
+    R = family.refine_rows
     ok, wit = True, None
     for i in range(len(covs)):
         for j in range(len(covs)):
-            if not (R[:, i] & R[:, j]).any():
+            both = (1 << i) | (1 << j)
+            if not any(row & both == both for row in R):
                 ok, wit = False, f"no common refinement of ({i},{j})"
                 break
         if not ok:
@@ -496,7 +480,7 @@ def verify_admissible(
     ok, wit = True, None
     for i in range(len(covs)):
         for j in range(len(covs)):
-            if not (D[i, :] & D[j, :]).any():
+            if not D[i] & D[j]:
                 ok, wit = False, f"no common double-coarsening of ({i},{j})"
                 break
         if not ok:

@@ -202,8 +202,7 @@ class Action:
     label: str = ""
 
     def apply(self, el, p: Point) -> Point:
-        q = self.apply_fn(el, p)
-        return q
+        return self.apply_fn(el, p)
 
     def image_indices(self, el) -> tuple[int, ...]:
         """Image of every point under one element, cached per element."""

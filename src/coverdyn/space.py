@@ -170,15 +170,6 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def bit_count(mask: int) -> int:
-    return mask.bit_count()
-
-
-def mask_of_bools(row: np.ndarray) -> int:
-    """Bitmask of the True positions of a boolean vector."""
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-
-
 def _pairwise_distances(coords: np.ndarray, metric: str) -> np.ndarray:
     diff = coords[:, None, :] - coords[None, :, :]
     if metric == "euclidean":

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverdyn.covering import (
+    FINITE,
+    AdmissibleFamily,
     ChainKindUnsupported,
     DegenerateChain,
     TooManyOpens,
@@ -23,8 +25,11 @@ from coverdyn.covering import (
 )
 from coverdyn.space import (
     EmptyInput,
+    Point,
+    Space,
     build_finite_topology,
     build_metric_space,
+    enumerate_topologies,
     line_grid,
 )
 
@@ -343,3 +348,83 @@ def test_space_mismatch_errors(line3):
         refines(V, U)
     with pytest.raises(SpaceMismatch):
         double_refines(V, U)
+
+
+def _first(cases):
+    return next(iter(cases), None)
+
+
+def admissible_oracle(fam):
+    """Oracle for verify_admissible from direct refines/double_refines/star calls."""
+    space, covs, L = fam.space, fam.coverings, fam.size
+    pts = space.points
+    checks = []
+
+    j = _first(j for j in range(L) if not any(double_refines(V, covs[j]) for V in covs))
+    checks.append(
+        ("double_refinement_exists", j is None,
+         None if j is None else f"no double-refinement of {covs[j].label or j}")
+    )
+
+    targets = [o for o in space.opens if o != 0]
+    bad = _first(
+        (x, o)
+        for x in pts
+        for o in targets
+        if x in space.points_of(o)
+        and not any(star({x}, U) <= space.points_of(o) for U in covs)
+    )
+    checks.append(
+        ("star_basis", bad is None,
+         None if bad is None else
+         f"no star of {bad[0].pid} fits inside open "
+         f"{sorted(p.pid for p in space.points_of(bad[1]))}")
+    )
+
+    pair = _first(
+        (i, j)
+        for i, j in itertools.product(range(L), repeat=2)
+        if not any(refines(W, covs[i]) and refines(W, covs[j]) for W in covs)
+    )
+    checks.append(
+        ("common_refinement", pair is None,
+         None if pair is None else f"no common refinement of ({pair[0]},{pair[1]})")
+    )
+
+    x = _first(x for x in pts if frozenset().union(*(star({x}, U) for U in covs)) != set(pts))
+    checks.append(
+        ("stars_exhaust_space", x is None,
+         None if x is None else f"stars of {x.pid} do not exhaust the space")
+    )
+
+    pair = _first(
+        (i, j)
+        for i, j in itertools.product(range(L), repeat=2)
+        if not any(double_refines(covs[i], W) and double_refines(covs[j], W) for W in covs)
+    )
+    checks.append(
+        ("common_double_coarsening", pair is None,
+         None if pair is None else f"no common double-coarsening of ({pair[0]},{pair[1]})")
+    )
+    return checks
+
+
+def test_verify_admissible_matches_oracle_on_small_subfamilies():
+    # every family of one or two open coverings of every topology on at most
+    # three points; most of them fail some relation check
+    failures = dict.fromkeys(
+        ("double_refinement_exists", "common_refinement", "common_double_coarsening"), 0
+    )
+    for n in (1, 2, 3):
+        for opens in enumerate_topologies(n):
+            space = Space(points=tuple(Point(pid=f"p{i}", index=i) for i in range(n)), opens=opens)
+            covs = enumerate_open_coverings(space)
+            for k in (1, 2):
+                for sub in itertools.combinations(covs, k):
+                    fam = AdmissibleFamily(space=space, kind=FINITE, coverings=sub)
+                    got = [(c.name, c.passed, c.witness) for c in verify_admissible(fam).checks]
+                    assert got == admissible_oracle(fam), sub
+                    for name, ok, _ in got:
+                        if name in failures:
+                            failures[name] += not ok
+    assert all(failures.values()), failures

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from coverdyn.compactness import is_bounded, is_cauchy
 from coverdyn.covering import (
     chain_family,
     closure,
+    double_refines,
     finite_all_coverings_family,
     make_covering,
     metric_chain_family,
@@ -35,6 +37,7 @@ from coverdyn.space import (
     build_finite_topology,
     build_metric_space,
     enumerate_topologies,
+    iter_bits,
     line_grid,
 )
 
@@ -395,14 +398,50 @@ def test_finite_upward_closure_matches_refinement(fam, data):
     assert CoverCollection.finite(fam, S).index_set() == expected
 
 
+def pair_set_double_refines(V, U):
+    """Oracle: collect every intersecting member pair of V once, then test each."""
+    pairs = set()
+    for mis in V.point_members:
+        for a, b in itertools.combinations(mis, 2):
+            pairs.add((a, b))
+    pairs.update((i, i) for i in range(len(V.members)))
+    for a, b in pairs:
+        union = V.members[a] | V.members[b]
+        anchor = next(iter_bits(union))
+        if not any(union & ~U.members[mi] == 0 for mi in U.point_members[anchor]):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
+def test_double_refines_matches_pair_set_oracle(fam):
+    for V, U in itertools.product(fam.coverings, repeat=2):
+        assert double_refines(V, U) == pair_set_double_refines(V, U), (V, U)
+
+
+@functools.cache
+def reach_pairs(fam):
+    """Oracle: the pairs (i, j) joined by a one- and by a two-step
+    double-refinement chain inside the family, from direct calls."""
+    covs = fam.coverings
+    one = {
+        (i, j)
+        for i, j in itertools.product(range(fam.size), repeat=2)
+        if double_refines(covs[i], covs[j])
+    }
+    succ = {i: [j for a, j in one if a == i] for i in range(fam.size)}
+    two = {(i, k) for i, j in one for k in succ[j]}
+    return {1: one, 2: two}
+
+
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_coarsen_matches_reach_matrix(fam, data):
     E = _collection(data, fam)
     for n in (1, 2):
-        reach = fam.reach_matrix(n)
-        expected = {i for i in range(fam.size) if any(reach[j, i] for j in E.index_set())}
+        reach = reach_pairs(fam)[n]
+        expected = {j for j in range(fam.size) if any((i, j) in reach for i in E.index_set())}
         assert coarsen(E, n).index_set() == expected
 
 
