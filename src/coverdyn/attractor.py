@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .compactness import is_bounded, star_measure_mask
-from .covering import AdmissibleFamily, CheckList, CheckResult
+from .covering import AdmissibleFamily, CheckList, CheckResult, first_failure
 from .dynamics import (
     Action,
     FilterBasis,
@@ -104,12 +104,11 @@ def _core_checks(
         )
     )
 
-    inv_ok, inv_wit = True, None
-    for s in elements:
-        if not sets_equal_at_resolution_mask(action.image_mask(s, cmask), cmask, family):
-            inv_ok, inv_wit = False, f"element {s!r} moves the candidate"
-            break
-    checks.append(CheckResult("invariant", inv_ok, inv_wit))
+    checks.append(first_failure("invariant", (
+        f"element {s!r} moves the candidate"
+        for s in elements
+        if not sets_equal_at_resolution_mask(action.image_mask(s, cmask), cmask, family)
+    )))
     return checks
 
 
@@ -123,21 +122,21 @@ def verify_global(
 ) -> AttractorVerdict:
     """Nonempty, closed, compact, invariant, and attracts every test set."""
     checks = _core_checks(candidate, action, family, cap, F.sampler(0)[:4])
-    ok, wit = True, None
-    if candidate:
+
+    def unattracted():
+        if not candidate:
+            yield "empty candidate"
+            return
         for name in sorted(testsets):
             rep = attracts(candidate, testsets[name], F, action, family)
             if not rep.attracted:
                 idx, (el, z, img) = sorted(rep.failures.items())[0]
-                ok = False
-                wit = (
+                yield (
                     f"{name}: covering {idx} never absorbed; witness element "
                     f"{el!r} sends {z.pid} to {img.pid}"
                 )
-                break
-    else:
-        ok, wit = False, "empty candidate"
-    checks.append(CheckResult("attracts", ok, wit))
+
+    checks.append(first_failure("attracts", unattracted()))
     passed = all(c.passed for c in checks)
     return AttractorVerdict(
         candidate=candidate,
@@ -157,20 +156,20 @@ def verify_uniform(
     """Compact invariant set containing every sampled prolongational limit set,
     each of which must be nonempty."""
     checks = _core_checks(candidate, action, family, cap, F.sampler(0)[:4])
-    ok, wit = True, None
-    if candidate:
+
+    def limits_outside():
+        if not candidate:
+            yield "empty candidate"
+            return
         for x in points_sample:
             rep = prolongational_limit(x, F, action, family)
             if not rep.points:
-                ok, wit = False, f"prolongational limit of {x.pid} is empty"
-                break
-            if not subset_at_resolution(rep.points, candidate, family):
+                yield f"prolongational limit of {x.pid} is empty"
+            elif not subset_at_resolution(rep.points, candidate, family):
                 stray = sorted(p.pid for p in rep.points)[:4]
-                ok, wit = False, f"limit of {x.pid} leaves the candidate: {stray}"
-                break
-    else:
-        ok, wit = False, "empty candidate"
-    checks.append(CheckResult("prolongational_limits_inside", ok, wit))
+                yield f"limit of {x.pid} leaves the candidate: {stray}"
+
+    checks.append(first_failure("prolongational_limits_inside", limits_outside()))
     passed = all(c.passed for c in checks)
     return AttractorVerdict(
         candidate=candidate,

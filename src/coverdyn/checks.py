@@ -27,6 +27,7 @@ from .covering import (
     AdmissibleFamily,
     CheckResult,
     closure,
+    first_failure,
     metric_chain_family,
     star,
 )
@@ -46,14 +47,6 @@ from .space import Point, line_grid
 ProxFn = Callable[[Point, Point, AdmissibleFamily], CoverCollection]
 
 
-def _fail(name: str, witness: str) -> CheckResult:
-    return CheckResult(name, False, witness)
-
-
-def _ok(name: str) -> CheckResult:
-    return CheckResult(name, True)
-
-
 def proximity_suite(
     family: AdmissibleFamily,
     prox_fn: Optional[ProxFn] = None,
@@ -69,51 +62,39 @@ def proximity_suite(
     rng = rng or random.Random(0)
     out = []
 
-    name = "prox_symmetry"
-    bad = None
-    for x, y in itertools.combinations(pts, 2):
-        if p(x, y, family) != p(y, x, family):
-            bad = f"{x.pid},{y.pid}"
-            break
-    out.append(_fail(name, bad) if bad else _ok(name))
+    out.append(first_failure("prox_symmetry", (
+        f"{x.pid},{y.pid}"
+        for x, y in itertools.combinations(pts, 2)
+        if p(x, y, family) != p(y, x, family)
+    )))
 
-    name = "prox_zero_at_diagonal"
-    bad = None
-    for x in pts:
-        v = p(x, x, family)
-        if not v.is_zero or not precedes(CoverCollection.zero(family), v):
-            bad = x.pid
-            break
-    out.append(_fail(name, bad) if bad else _ok(name))
+    def off_zero_diagonal():
+        for x in pts:
+            v = p(x, x, family)
+            if not v.is_zero or not precedes(CoverCollection.zero(family), v):
+                yield x.pid
+
+    out.append(first_failure("prox_zero_at_diagonal", off_zero_diagonal()))
 
     if resolving:
-        name = "prox_separates_points"
-        bad = None
-        for x, y in itertools.combinations(pts, 2):
-            if p(x, y, family).is_zero:
-                bad = f"{x.pid},{y.pid}"
-                break
-        out.append(_fail(name, bad) if bad else _ok(name))
+        out.append(first_failure("prox_separates_points", (
+            f"{x.pid},{y.pid}"
+            for x, y in itertools.combinations(pts, 2)
+            if p(x, y, family).is_zero
+        )))
 
     out.append(_triangle_check(family, p, n=1, exhaustive=triangle_exhaustive))
     out.append(_triangle_check(family, p, n=2, exhaustive=False, rng=rng))
 
-    name = "sequence_convergence_matches_prox"
-    bad = None
     sample = pts[:: max(1, len(pts) // 12)]
-    for x in sample:
-        for y in sample:
-            for seq in ([y] * 3 + [x] * 4, [x, y] * 4, [y] * 6):
-                lhs = point_sequence_converges(seq, x, family)
-                rhs = converges_to_zero([p(q, x, family) for q in seq])
-                if lhs != rhs:
-                    bad = f"x={x.pid} seq via {y.pid}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    out.append(_fail(name, bad) if bad else _ok(name))
+    out.append(first_failure("sequence_convergence_matches_prox", (
+        f"x={x.pid} seq via {y.pid}"
+        for x in sample
+        for y in sample
+        for seq in ([y] * 3 + [x] * 4, [x, y] * 4, [y] * 6)
+        if point_sequence_converges(seq, x, family)
+        != converges_to_zero([p(q, x, family) for q in seq])
+    )))
     return out
 
 
@@ -143,8 +124,8 @@ def _triangle_check(
             bad = np.argwhere(T < rhs)
             if bad.size:
                 x, y = map(int, bad[0])
-                return _fail(name, f"{pts[x].pid},{pts[y].pid} via {pts[z].pid}")
-        return _ok(name)
+                return CheckResult(name, False, f"{pts[x].pid},{pts[y].pid} via {pts[z].pid}")
+        return CheckResult(name, True)
 
     if exhaustive:
         triples = itertools.product(pts, repeat=n + 2)
@@ -153,16 +134,18 @@ def _triangle_check(
         triples = [
             tuple(rng.choice(pts) for _ in range(n + 2)) for _ in range(400)
         ]
-    for tup in triples:
-        x, y, mids = tup[0], tup[1], tup[2:]
-        chain_pts = (x,) + mids + (y,)
-        acc = CoverCollection.zero(family)
-        for a, b in zip(chain_pts, chain_pts[1:]):
-            acc = acc & p(a, b, family)
-        if not precedes(p(x, y, family), coarsen(acc, n)):
-            ids = ",".join(q.pid for q in tup)
-            return _fail(name, ids)
-    return _ok(name)
+
+    def violations():
+        for tup in triples:
+            x, y, mids = tup[0], tup[1], tup[2:]
+            chain_pts = (x,) + mids + (y,)
+            acc = CoverCollection.zero(family)
+            for a, b in zip(chain_pts, chain_pts[1:]):
+                acc = acc & p(a, b, family)
+            if not precedes(p(x, y, family), coarsen(acc, n)):
+                yield ",".join(q.pid for q in tup)
+
+    return first_failure(name, violations())
 
 
 def closure_criteria_suite(
@@ -191,61 +174,53 @@ def closure_criteria_suite(
             space.points_of(m) for m in range(1, space.full_mask + 1)
         ]
 
-    name = "prox_zero_iff_in_closure"
-    bad = None
-    for A in sets:
-        cl = closure(A, family)
-        for x in pts:
-            if prox_to_set(x, A, family).is_zero != (x in cl):
-                bad = f"x={x.pid} A={sorted(q.pid for q in A)[:4]}"
-                break
-        if bad:
-            break
-    out.append(_fail(name, bad) if bad else _ok(name))
-
-    if star_basis_holds:
-        name = "prox_to_closure_invariant"
-        bad = None
+    def zero_off_closure():
         for A in sets:
             cl = closure(A, family)
-            for x in pts[:: max(1, len(pts) // 10)]:
-                if prox_to_set(x, A, family) != prox_to_set(x, cl, family):
-                    bad = f"x={x.pid}"
-                    break
-            if bad:
-                break
-        out.append(_fail(name, bad) if bad else _ok(name))
+            for x in pts:
+                if prox_to_set(x, A, family).is_zero != (x in cl):
+                    yield f"x={x.pid} A={sorted(q.pid for q in A)[:4]}"
 
-        name = "semi_prox_closure_invariant"
-        bad = None
-        for A in sets[:40]:
+    out.append(first_failure("prox_zero_iff_in_closure", zero_off_closure()))
+
+    if star_basis_holds:
+
+        def closure_moves_prox():
+            for A in sets:
+                cl = closure(A, family)
+                for x in pts[:: max(1, len(pts) // 10)]:
+                    if prox_to_set(x, A, family) != prox_to_set(x, cl, family):
+                        yield f"x={x.pid}"
+
+        out.append(first_failure("prox_to_closure_invariant", closure_moves_prox()))
+
+        def closure_moves_semi_prox():
+            for A in sets[:40]:
+                cl = closure(A, family)
+                B = frozenset(rng.sample(pts, rng.randint(1, min(6, space.n))))
+                if semi_prox(A, B, family) != semi_prox(cl, B, family):
+                    yield f"A={sorted(q.pid for q in A)[:4]}"
+
+        out.append(first_failure("semi_prox_closure_invariant", closure_moves_semi_prox()))
+
+    def zero_off_subset():
+        for A in sets[:60]:
             cl = closure(A, family)
             B = frozenset(rng.sample(pts, rng.randint(1, min(6, space.n))))
-            if semi_prox(A, B, family) != semi_prox(cl, B, family):
-                bad = f"A={sorted(q.pid for q in A)[:4]}"
-                break
-        out.append(_fail(name, bad) if bad else _ok(name))
+            if semi_prox(A, B, family).is_zero != (B <= cl):
+                yield f"A={sorted(q.pid for q in A)[:4]} B={sorted(q.pid for q in B)[:4]}"
 
-    name = "semi_prox_zero_iff_subset_closure"
-    bad = None
-    for A in sets[:60]:
-        cl = closure(A, family)
-        B = frozenset(rng.sample(pts, rng.randint(1, min(6, space.n))))
-        if semi_prox(A, B, family).is_zero != (B <= cl):
-            bad = f"A={sorted(q.pid for q in A)[:4]} B={sorted(q.pid for q in B)[:4]}"
-            break
-    out.append(_fail(name, bad) if bad else _ok(name))
+    out.append(first_failure("semi_prox_zero_iff_subset_closure", zero_off_subset()))
 
-    name = "convergent_sequence_closure_criterion"
-    bad = None
-    for A in sets[:40]:
-        x = rng.choice(pts)
-        walk = [rng.choice(pts) for _ in range(4)] + [x] * 4
-        traj = [semi_prox(A, frozenset({q}), family) for q in walk]
-        if converges_to_zero(traj) != (x in closure(A, family)):
-            bad = f"x={x.pid} A={sorted(q.pid for q in A)[:4]}"
-            break
-    out.append(_fail(name, bad) if bad else _ok(name))
+    def criterion_misses():
+        for A in sets[:40]:
+            x = rng.choice(pts)
+            walk = [rng.choice(pts) for _ in range(4)] + [x] * 4
+            traj = [semi_prox(A, frozenset({q}), family) for q in walk]
+            if converges_to_zero(traj) != (x in closure(A, family)):
+                yield f"x={x.pid} A={sorted(q.pid for q in A)[:4]}"
+
+    out.append(first_failure("convergent_sequence_closure_criterion", criterion_misses()))
     return out
 
 
@@ -260,26 +235,24 @@ def boundedness_suite(
     pts = space.points
     out = []
 
-    name = "totally_bounded_implies_bounded"
-    bad = None
-    for _ in range(trials):
-        Y = frozenset(rng.sample(pts, rng.randint(1, min(40, space.n))))
-        if is_totally_bounded(Y, family) and not is_bounded(Y, family):
-            bad = sorted(q.pid for q in Y)[:4]
-            break
-    out.append(_fail(name, str(bad)) if bad else _ok(name))
+    def totally_bounded_unbounded():
+        for _ in range(trials):
+            Y = frozenset(rng.sample(pts, rng.randint(1, min(40, space.n))))
+            if is_totally_bounded(Y, family) and not is_bounded(Y, family):
+                yield str(sorted(q.pid for q in Y)[:4])
 
-    name = "star_of_bounded_is_bounded"
-    bad = None
-    for _ in range(trials):
-        Y = frozenset(rng.sample(pts, rng.randint(1, min(25, space.n))))
-        if not is_bounded(Y, family):
-            continue
-        U = family.coverings[rng.randint(0, family.depth)]
-        if not is_bounded(star(Y, U), family):
-            bad = sorted(q.pid for q in Y)[:4]
-            break
-    out.append(_fail(name, str(bad)) if bad else _ok(name))
+    out.append(first_failure("totally_bounded_implies_bounded", totally_bounded_unbounded()))
+
+    def unbounded_stars():
+        for _ in range(trials):
+            Y = frozenset(rng.sample(pts, rng.randint(1, min(25, space.n))))
+            if not is_bounded(Y, family):
+                continue
+            U = family.coverings[rng.randint(0, family.depth)]
+            if not is_bounded(star(Y, U), family):
+                yield str(sorted(q.pid for q in Y)[:4])
+
+    out.append(first_failure("star_of_bounded_is_bounded", unbounded_stars()))
     return out
 
 
@@ -308,51 +281,47 @@ def measure_suite(
         ]
         pairs = [(pool[i], pool[(i * 7 + 3) % len(pool)]) for i in range(len(pool))]
 
-    name = "measure_monotone"
-    bad = None
-    for A, B in pairs:
-        if not precedes(star_measure(A, family, cap), star_measure(A | B, family, cap)):
-            bad = f"A={sorted(q.pid for q in A)[:3]}"
-            break
-    out.append(_fail(name, bad) if bad else _ok(name))
+    out.append(first_failure("measure_monotone", (
+        f"A={sorted(q.pid for q in A)[:3]}"
+        for A, B in pairs
+        if not precedes(star_measure(A, family, cap), star_measure(A | B, family, cap))
+    )))
+    head = pairs[: max(40, len(pairs) // 3)]
 
-    name = "measure_union_bracket"
-    bad = None
-    for A, B in pairs[: max(40, len(pairs) // 3)]:
-        u = star_measure(A | B, family, cap).index_set()
-        meet = (
-            star_measure(A, family, cap) & star_measure(B, family, cap)
-        ).index_set()
-        wide = star_measure(A | B, family, 2 * cap).index_set()
-        ample = len(A | B)
-        exact_l = star_measure(A | B, family, ample).index_set()
-        exact_r = (
-            star_measure(A, family, ample) & star_measure(B, family, ample)
-        ).index_set()
-        if not (u <= meet <= wide) or exact_l != exact_r:
-            bad = f"A={sorted(q.pid for q in A)[:3]} B={sorted(q.pid for q in B)[:3]}"
-            break
-    out.append(_fail(name, bad) if bad else _ok(name))
+    def union_bracket_breaks():
+        for A, B in head:
+            u = star_measure(A | B, family, cap).index_set()
+            meet = (
+                star_measure(A, family, cap) & star_measure(B, family, cap)
+            ).index_set()
+            wide = star_measure(A | B, family, 2 * cap).index_set()
+            ample = len(A | B)
+            exact_l = star_measure(A | B, family, ample).index_set()
+            exact_r = (
+                star_measure(A, family, ample) & star_measure(B, family, ample)
+            ).index_set()
+            if not (u <= meet <= wide) or exact_l != exact_r:
+                yield f"A={sorted(q.pid for q in A)[:3]} B={sorted(q.pid for q in B)[:3]}"
 
-    name = "measure_closure_bracket"
-    bad = None
-    for A, _ in pairs[: max(40, len(pairs) // 3)]:
-        a = star_measure(A, family, cap)
-        ac = star_measure(closure(A, family), family, cap)
-        if not (precedes(a, ac) and precedes(ac, coarsen(a, 1))):
-            bad = f"A={sorted(q.pid for q in A)[:3]}"
-            break
-    out.append(_fail(name, bad) if bad else _ok(name))
+    out.append(first_failure("measure_union_bracket", union_bracket_breaks()))
 
-    name = "measure_member_cover_bracket"
-    bad = None
-    for A, _ in pairs[: max(40, len(pairs) // 3)]:
-        a = star_measure(A, family, cap)
-        b = member_measure(A, family, cap)
-        if not (precedes(a, b) and precedes(b, coarsen(a, 1))):
-            bad = f"A={sorted(q.pid for q in A)[:3]}"
-            break
-    out.append(_fail(name, bad) if bad else _ok(name))
+    def closure_bracket_breaks():
+        for A, _ in head:
+            a = star_measure(A, family, cap)
+            ac = star_measure(closure(A, family), family, cap)
+            if not (precedes(a, ac) and precedes(ac, coarsen(a, 1))):
+                yield f"A={sorted(q.pid for q in A)[:3]}"
+
+    out.append(first_failure("measure_closure_bracket", closure_bracket_breaks()))
+
+    def member_bracket_breaks():
+        for A, _ in head:
+            a = star_measure(A, family, cap)
+            b = member_measure(A, family, cap)
+            if not (precedes(a, b) and precedes(b, coarsen(a, 1))):
+                yield f"A={sorted(q.pid for q in A)[:3]}"
+
+    out.append(first_failure("measure_member_cover_bracket", member_bracket_breaks()))
     return out
 
 
@@ -372,45 +341,42 @@ def nested_chain_suite(
     cap = cap if cap is not None else default_cap(space.n)
     out = []
 
-    name = "nested_chain_positive_runs"
-    bad = None
-    for t in range(positives):
-        center = rng.choice(pts)
-        chain = []
-        radius = 1.3
-        for _ in range(rng.randint(3, 6)):
-            m = 0
-            for q in pts:
-                if space.dist is not None:
-                    near = space.distance(center, q) < radius
-                else:
-                    near = q == center
-                if near:
-                    m |= 1 << q.index
-            chain.append(space.points_of(family.closure_mask(m)))
-            radius /= 4
-        rep = cantor_kuratowski_check(chain, family, cap)
-        if not rep.hypothesis_met or not rep.intersection:
-            bad = f"trial {t} center {center.pid}: {rep.claim}"
-            break
-        if center not in rep.intersection:
-            bad = f"trial {t}: intersection misses the center"
-            break
-    out.append(_fail(name, bad) if bad else _ok(name))
+    def positive_misses():
+        for t in range(positives):
+            center = rng.choice(pts)
+            chain = []
+            radius = 1.3
+            for _ in range(rng.randint(3, 6)):
+                m = 0
+                for q in pts:
+                    if space.dist is not None:
+                        near = space.distance(center, q) < radius
+                    else:
+                        near = q == center
+                    if near:
+                        m |= 1 << q.index
+                chain.append(space.points_of(family.closure_mask(m)))
+                radius /= 4
+            rep = cantor_kuratowski_check(chain, family, cap)
+            if not rep.hypothesis_met or not rep.intersection:
+                yield f"trial {t} center {center.pid}: {rep.claim}"
+            elif center not in rep.intersection:
+                yield f"trial {t}: intersection misses the center"
 
-    name = "nested_chain_negative_controls"
-    bad = None
-    starved_cap = 2
-    for t in range(negatives):
-        stride = rng.randint(3, 5)
-        offset = rng.randint(0, stride - 1)
-        spread = frozenset(pts[offset::stride])
-        spread = space.points_of(family.closure_mask(space.mask_of(spread)))
-        rep = cantor_kuratowski_check([spread] * 4, family, starved_cap)
-        if rep.hypothesis_met or rep.claim != "hypothesis not met":
-            bad = f"trial {t}: claimed {rep.claim!r} under a starved cap"
-            break
-    out.append(_fail(name, bad) if bad else _ok(name))
+    out.append(first_failure("nested_chain_positive_runs", positive_misses()))
+
+    def starved_claims():
+        starved_cap = 2
+        for t in range(negatives):
+            stride = rng.randint(3, 5)
+            offset = rng.randint(0, stride - 1)
+            spread = frozenset(pts[offset::stride])
+            spread = space.points_of(family.closure_mask(space.mask_of(spread)))
+            rep = cantor_kuratowski_check([spread] * 4, family, starved_cap)
+            if rep.hypothesis_met or rep.claim != "hypothesis not met":
+                yield f"trial {t}: claimed {rep.claim!r} under a starved cap"
+
+    out.append(first_failure("nested_chain_negative_controls", starved_claims()))
     return out
 
 
@@ -454,11 +420,8 @@ def tiny_topology_battery(rng: Optional[random.Random] = None) -> list[CheckResu
     def fold(results):
         for r in results:
             key = f"topologies<=3:{r.name}"
-            if key not in merged or merged[key].passed:
-                if not r.passed:
-                    merged[key] = CheckResult(key, False, r.witness)
-                elif key not in merged:
-                    merged[key] = CheckResult(key, True)
+            if key not in merged or (merged[key].passed and not r.passed):
+                merged[key] = CheckResult(key, r.passed, r.witness)
 
     for n in (1, 2, 3):
         for opens in enumerate_topologies(n):

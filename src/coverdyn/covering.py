@@ -376,6 +376,16 @@ class CheckResult:
         return d
 
 
+def first_failure(name: str, witnesses: Iterable[str]) -> CheckResult:
+    """Pass when `witnesses` yields nothing; otherwise fail with its first item.
+
+    The iterable is read no further than that item, so a check that draws
+    random numbers as it goes draws none after its first counterexample.
+    """
+    witness = next(iter(witnesses), None)
+    return CheckResult(name, witness is None, witness)
+
+
 @dataclass(frozen=True)
 class CheckList:
     """An ordered tuple of named pass/fail results, looked up by name."""
@@ -405,7 +415,7 @@ class AxiomReport(CheckList):
         }
 
 
-def _default_target_opens(family: AdmissibleFamily) -> list[int]:
+def _target_opens(family: AdmissibleFamily) -> list[int]:
     space = family.space
     if space.opens is not None:
         return [o for o in space.opens if o != 0]
@@ -413,78 +423,59 @@ def _default_target_opens(family: AdmissibleFamily) -> list[int]:
     return [1 << i for i in range(space.n)]
 
 
-def verify_admissible(
-    family: AdmissibleFamily, target_opens: Optional[Sequence[int]] = None
-) -> AxiomReport:
+def verify_admissible(family: AdmissibleFamily) -> AxiomReport:
     """Check the admissibility axioms and both repleteness conditions, with witnesses.
 
     Axioms: (1) every covering admits a double-refinement in the family;
     (2) point stars resolve every target open (star basis); (3) common
     refinements exist. Repleteness: stars of each point exhaust the space,
     and every pair admits a common double-coarsening in the family.
+    Both pair relations are symmetric, so each unordered pair is tested once:
+    the first failing pair in row-major order always has i <= j.
     """
     space = family.space
     covs = family.coverings
+    L = len(covs)
     D = family.double_refine_rows
-    checks = []
+    R = family.refine_rows
+    targets = _target_opens(family)
 
     refined = 0
     for row in D:
         refined |= row
-    ok, wit = True, None
-    for j in range(len(covs)):
-        if not (refined >> j) & 1:
-            ok, wit = False, f"no double-refinement of {covs[j].label or j}"
-            break
-    checks.append(CheckResult("double_refinement_exists", ok, wit))
 
-    targets = list(target_opens) if target_opens is not None else _default_target_opens(family)
-    ok, wit = True, None
-    for x in range(space.n):
-        for o in targets:
-            if not (o >> x) & 1:
-                continue
-            if not any(cov.point_star[x] & ~o == 0 for cov in covs):
-                ok = False
-                wit = (
-                    f"no star of {space.points[x].pid} fits inside open "
-                    f"{sorted(p.pid for p in space.points_of(o))}"
-                )
-                break
-        if not ok:
-            break
-    checks.append(CheckResult("star_basis", ok, wit))
+    def unexhausted():
+        for x in range(space.n):
+            u = 0
+            for cov in covs:
+                u |= cov.point_star[x]
+            if u != space.full_mask:
+                yield f"stars of {space.points[x].pid} do not exhaust the space"
 
-    R = family.refine_rows
-    ok, wit = True, None
-    for i in range(len(covs)):
-        for j in range(len(covs)):
-            both = (1 << i) | (1 << j)
-            if not any(row & both == both for row in R):
-                ok, wit = False, f"no common refinement of ({i},{j})"
-                break
-        if not ok:
-            break
-    checks.append(CheckResult("common_refinement", ok, wit))
-
-    ok, wit = True, None
-    for x in range(space.n):
-        u = 0
-        for cov in covs:
-            u |= cov.point_star[x]
-        if u != space.full_mask:
-            ok, wit = False, f"stars of {space.points[x].pid} do not exhaust the space"
-            break
-    checks.append(CheckResult("stars_exhaust_space", ok, wit))
-
-    ok, wit = True, None
-    for i in range(len(covs)):
-        for j in range(len(covs)):
-            if not D[i] & D[j]:
-                ok, wit = False, f"no common double-coarsening of ({i},{j})"
-                break
-        if not ok:
-            break
-    checks.append(CheckResult("common_double_coarsening", ok, wit))
-
-    return AxiomReport(checks=tuple(checks))
+    return AxiomReport(checks=(
+        first_failure("double_refinement_exists", (
+            f"no double-refinement of {covs[j].label or j}"
+            for j in range(L)
+            if not (refined >> j) & 1
+        )),
+        first_failure("star_basis", (
+            f"no star of {space.points[x].pid} fits inside open "
+            f"{sorted(p.pid for p in space.points_of(o))}"
+            for x in range(space.n)
+            for o in targets
+            if (o >> x) & 1 and not any(cov.point_star[x] & ~o == 0 for cov in covs)
+        )),
+        first_failure("common_refinement", (
+            f"no common refinement of ({i},{j})"
+            for i in range(L)
+            for j in range(i, L)
+            if not any((row >> i) & (row >> j) & 1 for row in R)
+        )),
+        first_failure("stars_exhaust_space", unexhausted()),
+        first_failure("common_double_coarsening", (
+            f"no common double-coarsening of ({i},{j})"
+            for i in range(L)
+            for j in range(i, L)
+            if not D[i] & D[j]
+        )),
+    ))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .compactness import is_bounded_mask, member_measure_mask, star_measure_mask
-from .covering import AdmissibleFamily, CheckList, CheckResult
+from .covering import AdmissibleFamily, CheckList, CheckResult, first_failure
 from .proximity import CoverCollection, converges_to_zero, stars_containing
 from .space import CoverdynError, EmptyInput, Point, Space, iter_bits
 
@@ -129,6 +129,8 @@ class FilterBasis:
     label: str = ""
 
     def __post_init__(self):
+        if self.depth < 0:
+            raise NestingViolation(f"a filter basis needs a level 0; got depth {self.depth}")
         for k in range(self.depth + 1):
             sample = self.sampler(k)
             if not sample:
@@ -332,17 +334,14 @@ def prolongational_limit(
     F: FilterBasis,
     action: Action,
     family: AdmissibleFamily,
-    perturb_depth: Optional[int] = None,
 ) -> LimitSetReport:
     """Limit points of divergent orbits started from shrinking stars around x."""
     space = action.space
-    if perturb_depth is None:
-        perturb_depth = family.finest_index
-    perturb_depth = min(perturb_depth, family.finest_index)
+    finest = family.finest_index
     acc = space.full_mask
     deepest_pairs = []
     for k in F.levels():
-        i = min(k, perturb_depth)
+        i = min(k, finest)
         pmask = family.coverings[i].point_star[x.index]
         block = 0
         for el in F.sampler(k):
@@ -504,7 +503,7 @@ def check_hypotheses(
         return F.sampler(j)
 
     def holds(name, s, k, j) -> bool:
-        return all(_single_ok(name, F, s, k, b) for b in elements_of(j))
+        return all(_single_holds(name, F, s, k, b) for b in elements_of(j))
 
     verdicts, witnesses, counterexamples = {}, {}, {}
     for name in HYPOTHESIS_NAMES:
@@ -512,21 +511,13 @@ def check_hypotheses(
         wit = {}
         for s in s_samples:
             for k in levels:
-                found = None
-                for j in F.levels():
-                    if holds(name, s, k, j):
-                        found = j
-                        break
+                found = next((j for j in F.levels() if holds(name, s, k, j)), None)
                 if found is None:
                     ok_all = False
-                    blocker = None
-                    for j in F.levels():
-                        for b in elements_of(j):
-                            if not _single_ok(name, F, s, k, b):
-                                blocker = b
-                                break
-                        if blocker is not None:
-                            break
+                    # level 0 fails too, so it holds the first blocking element
+                    blocker = next(
+                        b for b in elements_of(0) if not _single_holds(name, F, s, k, b)
+                    )
                     counterexamples.setdefault(name, (s, k, blocker))
                 else:
                     wit[f"s={s!r},level={k}"] = found
@@ -537,7 +528,7 @@ def check_hypotheses(
     )
 
 
-def _single_ok(name: str, F: FilterBasis, s, k, b) -> bool:
+def _single_holds(name: str, F: FilterBasis, s, k, b) -> bool:
     sem = F.semigroup
     if name == "left_translate_into":
         return F.contains(sem.compose(s, b), k)
@@ -556,27 +547,22 @@ class TaxonomyReport(CheckList):
         return {"outcomes": [o.to_dict() for o in self.checks]}
 
 
-def _stable_cluster_exists(
-    blocks: Sequence[Point],
-    family: AdmissibleFamily,
-    tail_window: int,
-    min_hits: int = 2,
-) -> Optional[Point]:
-    """A point whose finest star is hit at least `min_hits` times among the
-    last `tail_window` block images (truncated stand-in for a cluster point)."""
+TAIL_WINDOW = 4
+
+
+def _stable_cluster_exists(tail: Sequence[Point], family: AdmissibleFamily) -> Optional[Point]:
+    """A point whose finest star is hit at least twice among the tail block
+    images (truncated stand-in for a cluster point)."""
     fine = family.coverings[family.finest_index]
-    tail = blocks[-tail_window:]
     for cand in family.space.points:
         star = fine.point_star[cand.index]
         hits = sum(1 for img in tail if (star >> img.index) & 1)
-        if hits >= min_hits:
+        if hits >= 2:
             return cand
     return None
 
 
-def _sequence_patterns(
-    B: Sequence[Point], n_blocks: int, declared: Sequence[Sequence[Point]] = ()
-) -> list[tuple[str, list[Point]]]:
+def _sequence_patterns(B: Sequence[Point], n_blocks: int) -> list[tuple[str, list[Point]]]:
     pts = sorted(B, key=lambda p: p.index)
     big = max(3, (len(pts) + max(1, n_blocks // 2) - 1) // max(1, n_blocks // 2))
     patterns = []
@@ -585,8 +571,6 @@ def _sequence_patterns(
         patterns.append((f"stride-{stride}", seq))
     patterns.append(("constant-first", [pts[0]] * n_blocks))
     patterns.append(("constant-last", [pts[-1]] * n_blocks))
-    for i, seq in enumerate(declared):
-        patterns.append((f"declared-{i}", list(seq)[:n_blocks]))
     return patterns
 
 
@@ -598,8 +582,6 @@ def check_dissipativity(
     cap: int,
     points_sample: Optional[Sequence[Point]] = None,
     absorb_candidate: Optional[frozenset[Point]] = None,
-    escape_patterns: Sequence[Sequence[Point]] = (),
-    tail_window: int = 4,
 ) -> TaxonomyReport:
     """Verdicts with witnesses for the five dissipativity/compactness notions,
     evaluated on the supplied bounded test sets up to the sampling budget."""
@@ -612,12 +594,11 @@ def check_dissipativity(
         name: [orbit_mask(k, m, action, F) for k in F.levels()] for name, m in masks.items()
     }
 
-    ok, wit = True, None
-    for name, per_level in orbits.items():
-        if not any(is_bounded_mask(om, family) for om in per_level):
-            ok, wit = False, f"orbit of {name} never becomes bounded"
-            break
-    outcomes.append(CheckResult("eventually_bounded", ok, wit))
+    outcomes.append(first_failure("eventually_bounded", (
+        f"orbit of {name} never becomes bounded"
+        for name, per_level in orbits.items()
+        if not any(is_bounded_mask(om, family) for om in per_level)
+    )))
 
     candidates = []
     if absorb_candidate:
@@ -644,37 +625,35 @@ def check_dissipativity(
             break
     outcomes.append(CheckResult("point_dissipative", ok, wit))
 
-    ok, wit = True, None
-    n_blocks = F.depth + 1
-    for name, m in masks.items():
-        for pname, xs in _sequence_patterns(space.point_list(m), n_blocks, escape_patterns):
-            images = []
-            for k in F.levels():
-                el = F.sampler(k)[0]
-                images.append(action.apply(el, xs[min(k, len(xs) - 1)]))
-            if _stable_cluster_exists(images, family, tail_window) is None:
-                ok = False
-                trail = ",".join(p.pid for p in images[-tail_window:])
-                wit = f"{name}/{pname}: tail images [{trail}] admit no cluster"
-                break
-        if not ok:
-            break
-    outcomes.append(CheckResult("asymptotically_compact", ok, wit))
+    def clusterless_tails():
+        n_blocks = F.depth + 1
+        for name, m in masks.items():
+            for pname, xs in _sequence_patterns(space.point_list(m), n_blocks):
+                images = []
+                for k in F.levels():
+                    el = F.sampler(k)[0]
+                    images.append(action.apply(el, xs[min(k, len(xs) - 1)]))
+                tail = images[-TAIL_WINDOW:]
+                if _stable_cluster_exists(tail, family) is None:
+                    trail = ",".join(p.pid for p in tail)
+                    yield f"{name}/{pname}: tail images [{trail}] admit no cluster"
 
-    ok, wit = True, None
-    every = (1 << family.size) - 1
-    for name, per_level in orbits.items():
-        # the coverings kept by the member measure at some level
-        kept = 0
-        for om in per_level:
-            kept |= member_measure_mask(om, family, cap).mask
-            if kept == every:
-                break
-        if kept != every:
-            i = next(i for i in range(family.size) if not (kept >> i) & 1)
-            ok, wit = False, f"{name}: no level keeps covering {i} in the member measure"
-            break
-    outcomes.append(CheckResult("limit_compact", ok, wit))
+    outcomes.append(first_failure("asymptotically_compact", clusterless_tails()))
+
+    def dropped_coverings():
+        every = (1 << family.size) - 1
+        for name, per_level in orbits.items():
+            # the coverings kept by the member measure at some level
+            kept = 0
+            for om in per_level:
+                kept |= member_measure_mask(om, family, cap).mask
+                if kept == every:
+                    break
+            if kept != every:
+                i = next(i for i in range(family.size) if not (kept >> i) & 1)
+                yield f"{name}: no level keeps covering {i} in the member measure"
+
+    outcomes.append(first_failure("limit_compact", dropped_coverings()))
 
     return TaxonomyReport(checks=tuple(outcomes))
 

@@ -87,7 +87,6 @@ class Scenario:
     declared: Declared
     expected: Expected
     points_sample: tuple[Point, ...]
-    bounded_pool: tuple[Point, ...]
     model: Optional[FunctionSpaceModel] = None
     params: dict = field(default_factory=dict)
 
@@ -95,9 +94,9 @@ class Scenario:
         return frozenset(self.space.by_id(pid) for pid in self.expected.attractor)
 
     def random_bounded_testsets(self, rng, count: int, max_size: int = 6) -> dict:
-        """Seeded random subsets of the bounded pool (subsets stay bounded)."""
+        """Seeded random subsets of the space's points."""
         out = {}
-        pool = list(self.bounded_pool)
+        pool = self.space.points
         for i in range(count):
             size = rng.randint(1, max_size)
             pick = frozenset(rng.sample(pool, min(size, len(pool))))
@@ -231,7 +230,6 @@ def scenario_iterated_contractions(
         declared=declared,
         expected=expected,
         points_sample=tuple(space.points),
-        bounded_pool=tuple(space.points),
         model=model,
         params={"depth": depth, "eps0": eps0, "chain_depth": chain_depth},
     )
@@ -337,7 +335,6 @@ def scenario_composition(
         declared=declared,
         expected=expected,
         points_sample=tuple(space.points),
-        bounded_pool=tuple(space.points),
         model=model,
         params={"x0": x0, "depth": depth, "eps0": eps0, "chain_depth": chain_depth},
     )
@@ -441,7 +438,6 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
         declared=declared,
         expected=expected,
         points_sample=sample,
-        bounded_pool=tuple(space.points),
         model=model,
         params={"depth": depth, "window": window},
     )
@@ -508,7 +504,6 @@ def scenario_decay_grid(
         declared=declared,
         expected=expected,
         points_sample=tuple(space.points[::10]),
-        bounded_pool=tuple(space.points),
         model=None,
         params={
             "count": count,
@@ -562,6 +557,13 @@ def _jget(cp, section, key, default=None, required=False):
         return json.loads(raw)
     except json.JSONDecodeError as e:
         raise SchemaError(f"bad JSON for [{section}] {key}: {raw!r}") from e
+
+
+def _config_point(value, space: Space, where: str) -> Point:
+    # bool is an int subclass; a float or negative index would truncate or wrap
+    if type(value) is not int or not 0 <= value < space.n:
+        raise SchemaError(f"{where}: {value!r} is not a point index in [0, {space.n})")
+    return space.points[value]
 
 
 def load_system(cfg_text: str) -> Scenario:
@@ -653,11 +655,14 @@ def _load_custom(cp) -> Scenario:
             if raw == "all":
                 testsets[name] = frozenset(space.points)
             else:
-                testsets[name] = frozenset(space.points[int(i)] for i in raw)
+                where = f"[testsets] {name}"
+                testsets[name] = frozenset(_config_point(i, space, where) for i in raw)
     if not testsets:
         testsets = {"whole": frozenset(space.points)}
 
     cap = int(_jget(cp, "declared", "cap", default_cap(space.n))) if cp.has_section("declared") else default_cap(space.n)
+    if cap < 1:
+        raise SchemaError(f"[declared] cap must be at least 1; got {cap}")
     witness = _jget(cp, "declared", "eventually_compact_witness") if cp.has_section("declared") else None
     attractor_idx = _jget(cp, "expectations", "attractor", [0]) if cp.has_section("expectations") else [0]
     kind_expect = _jget(cp, "expectations", "kind", "both") if cp.has_section("expectations") else "both"
@@ -672,7 +677,9 @@ def _load_custom(cp) -> Scenario:
         resolving=False,
     )
     expected = Expected(
-        attractor=tuple(space.points[int(i)].pid for i in attractor_idx),
+        attractor=tuple(
+            _config_point(i, space, "[expectations] attractor").pid for i in attractor_idx
+        ),
         kind=kind_expect,
         global_ok=(kind_expect == "both"),
     )
@@ -687,7 +694,6 @@ def _load_custom(cp) -> Scenario:
         declared=declared,
         expected=expected,
         points_sample=tuple(space.points[:: max(1, space.n // 10)]),
-        bounded_pool=tuple(space.points),
         model=None,
         params={},
     )

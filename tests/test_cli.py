@@ -229,6 +229,24 @@ CONFIGS = {
         2,
     ),
     "not-utf-8": (b"\xff\xfe[scenario]\n", 2),
+    **{
+        f"{kind}-depth-negative": (f'[scenario]\nkind = "{kind}"\ndepth = -1\n', 2)
+        for kind in ("decay_grid", "iterated_contractions", "composition")
+    },
+    "integer-tails-depth-negative": (
+        CUSTOM.replace(INTEGER_TAILS, 'kind = "integer_tails"\ndepth = -1'),
+        2,
+    ),
+    "explicit-filter-no-levels": (
+        CUSTOM.replace(INTEGER_TAILS, 'kind = "explicit"\nlevels = []'),
+        2,
+    ),
+    "cap-zero": (CUSTOM + "\n[declared]\ncap = 0\n", 2),
+    "cap-negative": (CUSTOM + "\n[declared]\ncap = -3\n", 2),
+    "test-set-index-negative": (CUSTOM + "\n[testsets]\nseed = [-1]\n", 2),
+    "test-set-index-float": (CUSTOM + "\n[testsets]\nseed = [20.7]\n", 2),
+    "test-set-index-bool": (CUSTOM + "\n[testsets]\nseed = [true]\n", 2),
+    "attractor-index-negative": (CUSTOM + "\n[expectations]\nattractor = [-21]\n", 2),
 }
 
 
@@ -241,6 +259,16 @@ def test_bad_config_is_config_error(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert code == expected, err
     assert err.startswith("error: ") if expected else err == ""
+
+
+def test_attractor_on_filter_without_levels_is_config_error(tmp_path, capsys):
+    path = tmp_path / "system.ini"
+    path.write_text(CONFIGS["decay_grid-depth-negative"][0], encoding="utf-8")
+    code = main(["attractor", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 KINDS = ("custom", "decay_grid", "line_grid", "metric_chain", "identity", "explicit", "wat")

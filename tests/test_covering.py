@@ -15,6 +15,7 @@ from coverdyn.covering import (
     double_refines,
     enumerate_open_coverings,
     finite_all_coverings_family,
+    first_failure,
     make_covering,
     metric_chain_family,
     n_refines,
@@ -428,3 +429,26 @@ def test_verify_admissible_matches_oracle_on_small_subfamilies():
                         if name in failures:
                             failures[name] += not ok
     assert all(failures.values()), failures
+
+
+def test_first_failure_passes_on_empty_stream():
+    r = first_failure("law", iter(()))
+    assert (r.name, r.passed, r.witness) == ("law", True, None)
+
+
+def test_first_failure_fails_with_first_witness():
+    r = first_failure("law", ["a", "b"])
+    assert (r.name, r.passed, r.witness) == ("law", False, "a")
+
+
+def test_first_failure_reads_no_further_than_the_first_witness():
+    # checks that draw random numbers rely on this: no draw after a failure
+    produced = []
+
+    def witnesses():
+        for w in ("first", "second", "third"):
+            produced.append(w)
+            yield w
+
+    assert first_failure("law", witnesses()).witness == "first"
+    assert produced == ["first"]
