@@ -3,6 +3,8 @@
 Limit behavior is directed by a filter basis given as a nested chain of
 semigroup subsets with per-level samplers. Nets are replaced by sequences
 indexed by the chain truncation; all verdicts are "verified up to budget".
+The limit sets ω(Y) and J(x) are one intersection of closures of level orbits,
+seeded by Y at every level for ω(Y) and by shrinking stars of x for J(x).
 """
 
 from __future__ import annotations
@@ -196,7 +198,11 @@ def scaling_tails(depth: int, window: int = 3, L: float = 0.5) -> FilterBasis:
 
 @dataclass(frozen=True, eq=False)
 class Action:
-    """A semigroup action on a finite space; every image is again a sample point."""
+    """A semigroup action on a finite space; every image is again a sample point.
+
+    `apply_fn` must be a pure function of the element and the point: images
+    of points and of point sets are cached for the life of the action.
+    """
 
     semigroup: Semigroup
     space: Space
@@ -214,11 +220,16 @@ class Action:
         return cache[el]
 
     def image_mask(self, el, ymask: int) -> int:
-        row = self.image_indices(el)
-        out = 0
-        for i in iter_bits(ymask):
-            out |= 1 << row[i]
-        return out
+        """Image of a point set under one element, cached per (element, set)."""
+        cache = self.__dict__.setdefault("_mask_cache", {})
+        key = (el, ymask)
+        if key not in cache:
+            row = self.image_indices(el)
+            out = 0
+            for i in iter_bits(ymask):
+                out |= 1 << row[i]
+            cache[key] = out
+        return cache[key]
 
     def check_associativity(
         self, elements: Sequence, points: Sequence[Point]
@@ -286,22 +297,31 @@ class LimitSetReport:
         }
 
 
-def _limit_witnesses(
-    acc_mask: int,
-    deepest_pairs: Sequence[tuple[object, Point]],
-    action: Action,
-    family: AdmissibleFamily,
-) -> dict:
+def _limit_set(
+    seeds: Sequence[int], F: FilterBasis, action: Action, family: AdmissibleFamily
+) -> LimitSetReport:
+    """Intersection over filter levels k of the closures of the level-k orbits
+    of `seeds[k]`; each limit point is witnessed by a deepest-level image that
+    hits its finest star."""
+    space = action.space
+    acc = space.full_mask
+    for k in F.levels():
+        acc &= family.closure_mask(orbit_mask(k, seeds[k], action, F))
+    deepest = [(el, src) for el in F.sampler(F.depth) for src in space.point_list(seeds[F.depth])]
     fine = family.coverings[family.finest_index]
-    out = {}
-    for i in iter_bits(acc_mask):
+    witnesses = {}
+    for i in iter_bits(acc):
         star = fine.point_star[i]
-        for el, src in deepest_pairs:
-            img = action.apply(el, src)
-            if (star >> img.index) & 1:
-                out[action.space.points[i]] = (el, src)
+        for el, src in deepest:
+            if (star >> action.apply(el, src).index) & 1:
+                witnesses[space.points[i]] = (el, src)
                 break
-    return out
+    return LimitSetReport(
+        points=space.points_of(acc),
+        resolution=family.finest_index,
+        truncation=F.depth,
+        witnesses=witnesses,
+    )
 
 
 def omega_limit(
@@ -313,20 +333,7 @@ def omega_limit(
     """Intersection over filter levels of the closures of the level orbits."""
     if not Y:
         raise EmptyInput("limit set of the empty set is undefined")
-    space = action.space
-    ymask = space.mask_of(Y)
-    acc = space.full_mask
-    for k in F.levels():
-        acc &= family.closure_mask(orbit_mask(k, ymask, action, F))
-    deepest = [
-        (el, y) for el in F.sampler(F.depth) for y in sorted(Y, key=lambda p: p.index)
-    ]
-    return LimitSetReport(
-        points=space.points_of(acc),
-        resolution=family.finest_index,
-        truncation=F.depth,
-        witnesses=_limit_witnesses(acc, deepest, action, family),
-    )
+    return _limit_set([action.space.mask_of(Y)] * (F.depth + 1), F, action, family)
 
 
 def prolongational_limit(
@@ -336,29 +343,9 @@ def prolongational_limit(
     family: AdmissibleFamily,
 ) -> LimitSetReport:
     """Limit points of divergent orbits started from shrinking stars around x."""
-    space = action.space
     finest = family.finest_index
-    acc = space.full_mask
-    deepest_pairs = []
-    for k in F.levels():
-        i = min(k, finest)
-        pmask = family.coverings[i].point_star[x.index]
-        block = 0
-        for el in F.sampler(k):
-            block |= action.image_mask(el, pmask)
-        acc &= family.closure_mask(block)
-        if k == F.depth:
-            deepest_pairs = [
-                (el, src)
-                for el in F.sampler(k)
-                for src in space.point_list(pmask)
-            ]
-    return LimitSetReport(
-        points=space.points_of(acc),
-        resolution=family.finest_index,
-        truncation=F.depth,
-        witnesses=_limit_witnesses(acc, deepest_pairs, action, family),
-    )
+    seeds = [family.coverings[min(k, finest)].point_star[x.index] for k in F.levels()]
+    return _limit_set(seeds, F, action, family)
 
 
 @dataclass(frozen=True)

@@ -559,6 +559,14 @@ def _jget(cp, section, key, default=None, required=False):
         raise SchemaError(f"bad JSON for [{section}] {key}: {raw!r}") from e
 
 
+def _config_int(cp, section, key, default=None, required=False) -> int:
+    # bool is an int subclass, and int() would truncate a float
+    value = _jget(cp, section, key, default, required)
+    if type(value) is not int:
+        raise SchemaError(f"[{section}] {key}: {value!r} is not an integer")
+    return value
+
+
 def _config_point(value, space: Space, where: str) -> Point:
     # bool is an int subclass; a float or negative index would truncate or wrap
     if type(value) is not int or not 0 <= value < space.n:
@@ -585,6 +593,9 @@ def load_system(cfg_text: str) -> Scenario:
         unknown = set(params) - set(inspect.signature(BUILTIN_SCENARIOS[kind]).parameters)
         if unknown:
             raise SchemaError(f"unknown [scenario] parameters for {kind}: {sorted(unknown)}")
+        flags = sorted(k for k, v in params.items() if type(v) is bool)
+        if flags:
+            raise SchemaError(f"[scenario] {flags[0]}: a boolean is not a number")
         return get_scenario(kind, **params)
     except (TypeError, ValueError, LookupError, ArithmeticError) as e:
         raise SchemaError(f"bad config value: {e}") from e
@@ -596,7 +607,7 @@ def _load_custom(cp) -> Scenario:
         raise SchemaError(f"unsupported space kind {skind!r}")
     start = _jget(cp, "space", "start", 0.0)
     stop = _jget(cp, "space", "stop", 1.0)
-    count = int(_jget(cp, "space", "count", required=True))
+    count = _config_int(cp, "space", "count", required=True)
     space = line_grid(start, stop, count)
     step = (stop - start) / (count - 1) if count > 1 else 0.0
 
@@ -604,7 +615,7 @@ def _load_custom(cp) -> Scenario:
     if fkind != "metric_chain":
         raise SchemaError(f"unsupported family kind {fkind!r}")
     eps0 = float(_jget(cp, "family", "eps0", required=True))
-    chain_depth = int(_jget(cp, "family", "depth", required=True))
+    chain_depth = _config_int(cp, "family", "depth", required=True)
     family = metric_chain_family(space, eps0, chain_depth)
     finest_radius = eps0 * 0.25**chain_depth
 
@@ -632,8 +643,8 @@ def _load_custom(cp) -> Scenario:
     if tkind == "integer_tails":
         F = integer_tails(
             sem,
-            depth=int(_jget(cp, "filter", "depth", required=True)),
-            window=int(_jget(cp, "filter", "window", 4)),
+            depth=_config_int(cp, "filter", "depth", required=True),
+            window=_config_int(cp, "filter", "window", 4),
         )
     elif tkind == "explicit":
         levels = _jget(cp, "filter", "levels", required=True)
@@ -660,7 +671,7 @@ def _load_custom(cp) -> Scenario:
     if not testsets:
         testsets = {"whole": frozenset(space.points)}
 
-    cap = int(_jget(cp, "declared", "cap", default_cap(space.n))) if cp.has_section("declared") else default_cap(space.n)
+    cap = _config_int(cp, "declared", "cap", default_cap(space.n))
     if cap < 1:
         raise SchemaError(f"[declared] cap must be at least 1; got {cap}")
     witness = _jget(cp, "declared", "eventually_compact_witness") if cp.has_section("declared") else None

@@ -247,6 +247,21 @@ CONFIGS = {
     "test-set-index-float": (CUSTOM + "\n[testsets]\nseed = [20.7]\n", 2),
     "test-set-index-bool": (CUSTOM + "\n[testsets]\nseed = [true]\n", 2),
     "attractor-index-negative": (CUSTOM + "\n[expectations]\nattractor = [-21]\n", 2),
+    # int() used to truncate these: 21.9 points, 2.5 levels, window true = 1, cap 2.5 = 2
+    "space-count-float": (CUSTOM.replace("count = 21", "count = 21.9"), 2),
+    "family-depth-float": (CUSTOM.replace("eps0 = 2.0\ndepth = 2", "eps0 = 2.0\ndepth = 2.5"), 2),
+    "filter-depth-float": (CUSTOM.replace(INTEGER_TAILS, 'kind = "integer_tails"\ndepth = 4.5'), 2),
+    "filter-window-bool": (CUSTOM + "window = true\n", 2),
+    "cap-float": (CUSTOM + "\n[declared]\ncap = 2.5\n", 2),
+    **{
+        f"{kind}-{key}-bool": (f'[scenario]\nkind = "{kind}"\n{key} = {value}\n', 2)
+        for kind, key, value in (
+            ("decay_grid", "depth", "true"),
+            ("exp_decay", "window", "true"),
+            ("composition", "x0", "false"),
+            ("iterated_contractions", "chain_depth", "true"),
+        )
+    },
 }
 
 

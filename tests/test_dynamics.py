@@ -26,7 +26,8 @@ from coverdyn.proximity import (
     sets_equal_at_resolution,
     subset_at_resolution,
 )
-from coverdyn.space import EmptyInput, ball, line_grid
+from coverdyn.scenarios import BUILTIN_SCENARIOS, get_scenario
+from coverdyn.space import EmptyInput, ball, iter_bits, line_grid
 
 
 @pytest.fixture(scope="module")
@@ -309,3 +310,70 @@ def test_divergent_sequence_scaling_powers():
         first_per_level.setdefault(k, el)
     vals = [first_per_level[k] for k in sorted(first_per_level)]
     assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+
+def reference_prolongational_limit(x, F, action, family):
+    """The former stand-alone body of `prolongational_limit`: its own orbit
+    loop, deepest pairs built inside the level loop, then the witness scan."""
+    space = action.space
+    finest = family.finest_index
+    acc = space.full_mask
+    deepest_pairs = []
+    for k in F.levels():
+        i = min(k, finest)
+        pmask = family.coverings[i].point_star[x.index]
+        block = 0
+        for el in F.sampler(k):
+            block |= action.image_mask(el, pmask)
+        acc &= family.closure_mask(block)
+        if k == F.depth:
+            deepest_pairs = [
+                (el, src)
+                for el in F.sampler(k)
+                for src in space.point_list(pmask)
+            ]
+    fine = family.coverings[family.finest_index]
+    witnesses = {}
+    for i in iter_bits(acc):
+        star = fine.point_star[i]
+        for el, src in deepest_pairs:
+            img = action.apply(el, src)
+            if (star >> img.index) & 1:
+                witnesses[space.points[i]] = (el, src)
+                break
+    return space.points_of(acc), witnesses
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_prolongational_limit_matches_reference(name):
+    sc = get_scenario(name)
+    for x in sc.points_sample:
+        rep = prolongational_limit(x, sc.filter_basis, sc.action, sc.family)
+        points, witnesses = reference_prolongational_limit(
+            x, sc.filter_basis, sc.action, sc.family
+        )
+        assert rep.points == points, x.pid
+        assert rep.witnesses == witnesses, x.pid
+
+
+@pytest.mark.parametrize("depth", range(5))
+def test_prolongational_limit_matches_reference_on_shallow_filters(decay, grid, fam, depth):
+    # the built-in filters run deeper than their families, so every level past
+    # the finest covering seeds the same star; shallow filters end on coarser ones
+    F = integer_tails(nat_add(), depth=depth, window=8)
+    for x in grid.points[::5]:
+        rep = prolongational_limit(x, F, decay, fam)
+        points, witnesses = reference_prolongational_limit(x, F, decay, fam)
+        assert rep.points == points, x.pid
+        assert rep.witnesses == witnesses, x.pid
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_image_mask_cache_keeps_sets_apart(decay, grid, order):
+    # a fresh action per order, so that each order starts from an empty cache
+    action = Action(semigroup=nat_add(), space=grid, apply_fn=decay.apply_fn)
+    masks = [grid.mask_of(pick(grid, 7, 50, 100)), grid.mask_of(pick(grid, 3, 64))]
+    for el in (1, 3):
+        for m in [masks[j] for j in order for _ in range(2)]:
+            want = grid.mask_of(action.apply(el, p) for p in grid.points_of(m))
+            assert action.image_mask(el, m) == want

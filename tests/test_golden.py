@@ -19,6 +19,15 @@ CASES = {
     **{f"verify-axioms-{s}": ("verify-axioms", "--scenario", s, "--seed", "0") for s in SCENARIOS},
     "verify-axioms": ("verify-axioms", "--seed", "0"),
     "verify-axioms-prox-asymmetry": ("verify-axioms", "--seed", "0", "--mutate", "prox-asymmetry"),
+    **{
+        f"omega-{s}": ("omega", "--scenario", s, "--target", t, "--seed", "0")
+        for s, t in (
+            ("composition", "whole"),
+            ("decay_grid", "seed"),
+            ("exp_decay", "orbit-star"),
+            ("iterated_contractions", "whole"),
+        )
+    },
 }
 
 
