@@ -7,6 +7,7 @@ import sys
 import time
 
 from coverdyn.checks import grid_battery
+from coverdyn.space import CoverdynError
 
 
 def main() -> int:
@@ -17,7 +18,12 @@ def main() -> int:
     args = ap.parse_args()
 
     t0 = time.monotonic()
-    results = grid_battery(seed=args.seed, cap=args.cap, chain_depth=args.chain_depth)
+    try:
+        results = grid_battery(seed=args.seed, cap=args.cap, chain_depth=args.chain_depth)
+    except CoverdynError as e:
+        # same contract as `coverdyn verify-axioms`: one error line, exit 2
+        sys.stderr.write(f"error: {e}\n")
+        return 2
     elapsed = time.monotonic() - t0
     width = max(len(r.name) for r in results)
     failures = 0

@@ -4,6 +4,11 @@ The star measure of a set is the collection of coverings at which the set
 admits a cover by at most `cap` point stars; the cap is the desk-scale stand-in
 for "finitely many" against the ambient space. A member-cover variant (covers
 by at most `cap` covering members) backs the limit-compactness checks.
+
+Each family memoizes its measures per (set mask, cap, candidate name), so a
+repeated query runs no second cover search. The memo holds int collection
+masks: a stored CoverCollection points back at its family, and that cycle
+would keep every measured family alive until the cyclic collector ran.
 """
 
 from __future__ import annotations
@@ -136,21 +141,23 @@ def coverable_within(
     return search(target, 0)
 
 
-def _measure(ymask: int, family: AdmissibleFamily, cap: int, candidate_sets) -> CoverCollection:
+def _measure(ymask: int, family: AdmissibleFamily, cap: int, candidates: str) -> CoverCollection:
+    # candidates names the Covering attribute that may cover ymask: "point_star" or "members"
     if ymask == 0:
         raise EmptyInput("measure of the empty set is undefined")
-    if family.kind == CHAIN:
-        # qualifying levels are downward closed: the finest one decides
-        for i in range(family.depth, -1, -1):
-            if coverable_within(ymask, candidate_sets(family.coverings[i]), cap):
-                return CoverCollection.chain(family, i)
-        return CoverCollection.infinity(family)
-    idx = [
-        i
-        for i, cov in enumerate(family.coverings)
-        if coverable_within(ymask, candidate_sets(cov), cap)
-    ]
-    return CoverCollection.finite(family, idx)
+    cache = family.__dict__.setdefault("_measure_cache", {})
+    key = (ymask, cap, candidates)
+    if key not in cache:
+        def fits(i: int) -> bool:
+            return coverable_within(ymask, getattr(family.coverings[i], candidates), cap)
+
+        if family.kind == CHAIN:
+            # qualifying levels are downward closed: the finest one decides
+            level = next((i for i in range(family.depth, -1, -1) if fits(i)), -1)
+            cache[key] = CoverCollection.chain(family, level).mask
+        else:
+            cache[key] = CoverCollection.finite(family, filter(fits, range(family.size))).mask
+    return CoverCollection(family, cache[key])
 
 
 def star_measure(
@@ -161,7 +168,7 @@ def star_measure(
 
 
 def star_measure_mask(ymask: int, family: AdmissibleFamily, cap: int) -> CoverCollection:
-    return _measure(ymask, family, cap, lambda cov: cov.point_star)
+    return _measure(ymask, family, cap, "point_star")
 
 
 def member_measure(
@@ -172,7 +179,7 @@ def member_measure(
 
 
 def member_measure_mask(ymask: int, family: AdmissibleFamily, cap: int) -> CoverCollection:
-    return _measure(ymask, family, cap, lambda cov: cov.members)
+    return _measure(ymask, family, cap, "members")
 
 
 def is_cauchy(

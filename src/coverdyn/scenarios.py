@@ -567,6 +567,13 @@ def _config_int(cp, section, key, default=None, required=False) -> int:
     return value
 
 
+def _config_number(cp, section, key, default=None, required=False) -> float:
+    value = _jget(cp, section, key, default, required)
+    if type(value) not in (int, float):
+        raise SchemaError(f"[{section}] {key}: {value!r} is not a number")
+    return value
+
+
 def _config_point(value, space: Space, where: str) -> Point:
     # bool is an int subclass; a float or negative index would truncate or wrap
     if type(value) is not int or not 0 <= value < space.n:
@@ -605,8 +612,8 @@ def _load_custom(cp) -> Scenario:
     skind = _jget(cp, "space", "kind", required=True)
     if skind != "line_grid":
         raise SchemaError(f"unsupported space kind {skind!r}")
-    start = _jget(cp, "space", "start", 0.0)
-    stop = _jget(cp, "space", "stop", 1.0)
+    start = _config_number(cp, "space", "start", 0.0)
+    stop = _config_number(cp, "space", "stop", 1.0)
     count = _config_int(cp, "space", "count", required=True)
     space = line_grid(start, stop, count)
     step = (stop - start) / (count - 1) if count > 1 else 0.0
@@ -614,7 +621,7 @@ def _load_custom(cp) -> Scenario:
     fkind = _jget(cp, "family", "kind", required=True)
     if fkind != "metric_chain":
         raise SchemaError(f"unsupported family kind {fkind!r}")
-    eps0 = float(_jget(cp, "family", "eps0", required=True))
+    eps0 = _config_number(cp, "family", "eps0", required=True)
     chain_depth = _config_int(cp, "family", "depth", required=True)
     family = metric_chain_family(space, eps0, chain_depth)
     finest_radius = eps0 * 0.25**chain_depth

@@ -1,10 +1,14 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coverdyn.cli import main
+from coverdyn.compactness import CoverSearchBudgetExceeded
 
 
 def run(capsys, *argv):
@@ -253,6 +257,11 @@ CONFIGS = {
     "filter-depth-float": (CUSTOM.replace(INTEGER_TAILS, 'kind = "integer_tails"\ndepth = 4.5'), 2),
     "filter-window-bool": (CUSTOM + "window = true\n", 2),
     "cap-float": (CUSTOM + "\n[declared]\ncap = 2.5\n", 2),
+    # start/stop went in untyped and eps0 through float(): these loaded as 0.0, 1.0, 1.0, 2.0
+    "start-bool": (CUSTOM.replace("count = 21", "start = false\ncount = 21"), 2),
+    "stop-bool": (CUSTOM.replace("count = 21", "stop = true\ncount = 21"), 2),
+    "eps0-bool": (CUSTOM.replace("eps0 = 2.0\ndepth = 2", "eps0 = true\ndepth = 1"), 2),
+    "eps0-string": (CUSTOM.replace("eps0 = 2.0", 'eps0 = "2.0"'), 2),
     **{
         f"{kind}-{key}-bool": (f'[scenario]\nkind = "{kind}"\n{key} = {value}\n', 2)
         for kind, key, value in (
@@ -354,3 +363,27 @@ def test_config_text_never_crashes(tmp_path, capsys, text, argv):
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+def _load_script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_axiom_battery_script_reports_error_without_traceback(monkeypatch, capsys):
+    # `--seed 1 --cap 8` overflows the cover-search budget after seconds of
+    # search; a stub that raises at once exercises the same path
+    script = _load_script("axiom_battery")
+
+    def over_budget(**kwargs):
+        raise CoverSearchBudgetExceeded("cover search exceeded 400000 nodes")
+
+    monkeypatch.setattr(script, "grid_battery", over_budget)
+    monkeypatch.setattr(sys, "argv", ["axiom_battery.py", "--seed", "1", "--cap", "8"])
+    assert script.main() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cover search exceeded 400000 nodes\n"

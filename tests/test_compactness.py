@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from coverdyn.compactness import (
     star_measure,
 )
 from coverdyn.covering import (
+    CHAIN,
     chain_family,
     closure,
     finite_all_coverings_family,
@@ -26,6 +29,7 @@ from coverdyn.covering import (
 )
 from coverdyn.proximity import CoverCollection, coarsen, converges_to_zero, precedes
 from coverdyn.space import EmptyInput, build_finite_topology, line_grid
+from test_proximity import ALL_FAMILIES
 
 
 @pytest.fixture(scope="module")
@@ -303,3 +307,104 @@ def test_measure_monotone_hypothesis(data):
     Y = frozenset(g.points[i] for i in y)
     Z = Y | frozenset(g.points[i] for i in extra)
     assert precedes(star_measure(Y, f, cap), star_measure(Z, f, cap))
+
+
+# The measures are memoized on the family per (set, cap, candidate name); these
+# tests hold them to the cache-free body they replaced.
+def reference_measure(ymask, family, cap, candidate_sets):
+    """Oracle: the measure body as it stood before the memo, deciding every query."""
+    if ymask == 0:
+        raise EmptyInput("measure of the empty set is undefined")
+    if family.kind == CHAIN:
+        # qualifying levels are downward closed: the finest one decides
+        for i in range(family.depth, -1, -1):
+            if coverable_within(ymask, candidate_sets(family.coverings[i]), cap):
+                return CoverCollection.chain(family, i)
+        return CoverCollection.infinity(family)
+    idx = [
+        i
+        for i, cov in enumerate(family.coverings)
+        if coverable_within(ymask, candidate_sets(cov), cap)
+    ]
+    return CoverCollection.finite(family, idx)
+
+
+MEASURES = {
+    "star": (star_measure, lambda cov: cov.point_star),
+    "member": (member_measure, lambda cov: cov.members),
+}
+
+
+def _check_against_reference(family, masks, caps):
+    # the second pass is answered from the memo
+    for _ in range(2):
+        for ymask in masks:
+            Y = family.space.points_of(ymask)
+            for cap in caps:
+                for measure, candidate_sets in MEASURES.values():
+                    want = reference_measure(ymask, family, cap, candidate_sets)
+                    assert measure(Y, family, cap).mask == want.mask, (ymask, cap, measure)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
+def test_memoized_measures_match_reference(family):
+    # every nonempty subset on the small spaces, random subsets on the rest
+    n = family.space.n
+    rng = random.Random(n)
+    masks = range(1, 1 << n) if n <= 9 else [rng.randint(1, (1 << n) - 1) for _ in range(100)]
+    _check_against_reference(family, masks, caps=(1, 2, 3))
+
+
+def test_memoized_measures_match_reference_on_grid_chain(grid, fam):
+    rng = random.Random(43)
+    masks = [grid.mask_of(rng.sample(grid.points, rng.randint(1, 40))) for _ in range(30)]
+    _check_against_reference(fam, masks, caps=(1, 2, 3, default_cap(grid.n)))
+
+
+def _small_chain():
+    return metric_chain_family(line_grid(0.0, 1.0, 13), 2.0, 3)
+
+
+def _three_point_topology():
+    # its 22 coverings tell the caps and the candidate kinds apart
+    opens = [[], ["a"], ["b"], ["a", "b"], ["a", "c"], ["a", "b", "c"]]
+    return finite_all_coverings_family(build_finite_topology(["a", "b", "c"], opens))
+
+
+@pytest.mark.parametrize("make", [_small_chain, _three_point_topology])
+def test_interleaved_queries_match_a_fresh_family(make):
+    # one family answers the same set at two caps and for stars then members;
+    # each answer must equal the one a fresh, empty-memo family gives
+    shared = make()
+    n = shared.space.n
+    rng = random.Random(47)
+    seen = {"cap": 0, "kind": 0}
+    for _ in range(25):
+        Y = shared.space.points_of(rng.randint(1, (1 << n) - 1))
+        answers = {}
+        for name, cap in (("star", 1), ("star", 2), ("member", 1), ("member", 2), ("star", 1)):
+            measure = MEASURES[name][0]
+            got = measure(Y, shared, cap).index_set()
+            assert got == measure(Y, make(), cap).index_set(), (Y, name, cap)
+            answers[name, cap] = got
+        seen["cap"] += answers["star", 1] != answers["star", 2]
+        seen["kind"] += answers["star", 1] != answers["member", 1]
+    # the draws must tell the caps and the candidate kinds apart
+    assert seen["cap"] > 0 and seen["kind"] > 0
+
+
+@pytest.mark.parametrize("make", [_small_chain, _three_point_topology])
+def test_measured_family_is_freed_without_cyclic_gc(make):
+    # the memo must not tie a family into a reference cycle: with the cyclic
+    # collector off, dropping the last reference frees it at once
+    gc.disable()
+    try:
+        family = make()
+        Y = frozenset(family.space.points)
+        for measure, _ in MEASURES.values():
+            assert measure(Y, family, 1).family is family
+        ref = weakref.ref(family)
+        del family
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -19,6 +19,7 @@ CASES = {
     **{f"verify-axioms-{s}": ("verify-axioms", "--scenario", s, "--seed", "0") for s in SCENARIOS},
     "verify-axioms": ("verify-axioms", "--seed", "0"),
     "verify-axioms-prox-asymmetry": ("verify-axioms", "--seed", "0", "--mutate", "prox-asymmetry"),
+    "verify-axioms-seed1-cap12": ("verify-axioms", "--seed", "1", "--cap", "12"),
     **{
         f"omega-{s}": ("omega", "--scenario", s, "--target", t, "--seed", "0")
         for s, t in (
