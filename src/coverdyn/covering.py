@@ -57,6 +57,11 @@ class Covering:
         return tuple(tuple(v) for v in per)
 
     @cached_property
+    def point_rows(self) -> tuple[int, ...]:
+        """For each point index, the mask of the indices of members containing it."""
+        return tuple(sum(1 << mi for mi in mis) for mis in self.point_members)
+
+    @cached_property
     def point_star(self) -> tuple[int, ...]:
         """For each point index, the union of members containing it."""
         out = []
@@ -130,17 +135,44 @@ def refines(V: Covering, U: Covering) -> bool:
 
 
 def double_refines(V: Covering, U: Covering) -> bool:
-    """True iff any two intersecting members of V fit jointly inside one member of U."""
+    """True iff any two intersecting members of V fit jointly inside one member of U.
+
+    Row form: `meets` is the mask of the V-members that meet member a (a's
+    own bit included), and `inside[k]` the mask of the V-members contained in
+    U-member k. The union of a and b lies in U-member k exactly when both do,
+    so a passes when `meets` lies inside the union of `inside[k]` over the
+    U-members k that contain a. `inside[k]` is built only for those k, once
+    per call and only until `meets` is covered; the test stops at the first
+    member that fails.
+    """
     _check_same_space(V, U)
-    members = V.members
-    for a, va in enumerate(members):
-        for vb in members[a:]:
-            if not va & vb:
+    rows = V.point_rows
+    stars = V.point_star
+    inside: dict[int, int] = {}
+    for va in V.members:
+        meets = 0
+        for p in iter_bits(va):
+            meets |= rows[p]
+        anchor = (va & -va).bit_length() - 1
+        fits = 0
+        for k in U.point_members[anchor]:
+            uk = U.members[k]
+            if va & ~uk:
                 continue
-            union = va | vb
-            anchor = (union & -union).bit_length() - 1
-            if not any(union & ~U.members[mi] == 0 for mi in U.point_members[anchor]):
-                return False
+            if k not in inside:
+                # members meeting uk, less those that reach a point outside it
+                near = reach = out = 0
+                for p in iter_bits(uk):
+                    near |= rows[p]
+                    reach |= stars[p]
+                for p in iter_bits(reach & ~uk):
+                    out |= rows[p]
+                inside[k] = near & ~out
+            fits |= inside[k]
+            if not meets & ~fits:
+                break
+        if meets & ~fits:
+            return False
     return True
 
 
@@ -176,9 +208,16 @@ FINITE = "finite"
 class AdmissibleFamily:
     """An indexed family of coverings: a double-refinement chain or a finite directed set.
 
-    Chain families are indexed coarse-to-fine; the construction certifies that
-    each level double-refines its predecessor. Finite families are arbitrary
+    Chain families are indexed coarse-to-fine, and construction certifies
+    that each level double-refines its predecessor (`DegenerateChain`
+    otherwise), so no uncertified chain exists. Finite families are arbitrary
     listings (typically every open covering of a finite topology).
+
+    Chain relation rows follow from that certificate below the diagonal:
+    double-refinement implies refinement, and refinement is transitive, so
+    level i double-refines and refines every level j < i. Those bits are set
+    without a test; every entry with j >= i is tested directly, since deep
+    levels of a finite sample can repeat and make such entries true.
     """
 
     space: Space
@@ -194,6 +233,14 @@ class AdmissibleFamily:
         for c in self.coverings:
             if c.space is not self.space:
                 raise SpaceMismatch("family coverings must share one space")
+        if self.kind == CHAIN:
+            covs = self.coverings
+            for i in range(1, len(covs)):
+                if not double_refines(covs[i], covs[i - 1]):
+                    raise DegenerateChain(
+                        f"level {i} ({covs[i].label}) does not double-refine "
+                        f"level {i - 1} ({covs[i - 1].label})"
+                    )
 
     @property
     def depth(self) -> int:
@@ -210,9 +257,16 @@ class AdmissibleFamily:
 
     def _relation_rows(self, relation) -> tuple[int, ...]:
         covs = self.coverings
-        return tuple(
-            sum(1 << j for j, u in enumerate(covs) if relation(v, u)) for v in covs
-        )
+        rows = []
+        for i, v in enumerate(covs):
+            # a chain's bits j < i come from its certificate (class docstring)
+            start = i if self.kind == CHAIN else 0
+            row = (1 << start) - 1
+            for j in range(start, len(covs)):
+                if relation(v, covs[j]):
+                    row |= 1 << j
+            rows.append(row)
+        return tuple(rows)
 
     @cached_property
     def refine_rows(self) -> tuple[int, ...]:
@@ -254,13 +308,8 @@ class AdmissibleFamily:
 def chain_family(
     space: Space, coverings: Sequence[Covering], label: str = ""
 ) -> AdmissibleFamily:
-    """Assemble a chain family, certifying every consecutive double-refinement."""
-    for i in range(1, len(coverings)):
-        if not double_refines(coverings[i], coverings[i - 1]):
-            raise DegenerateChain(
-                f"level {i} ({coverings[i].label}) does not double-refine "
-                f"level {i - 1} ({coverings[i - 1].label})"
-            )
+    """Assemble a chain family; construction certifies every consecutive
+    double-refinement and raises `DegenerateChain` at the first that fails."""
     return AdmissibleFamily(space=space, kind=CHAIN, coverings=tuple(coverings), label=label)
 
 

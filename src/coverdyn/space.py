@@ -191,10 +191,15 @@ def _validate_metric(dist: np.ndarray, ids: Sequence[str]) -> None:
     if np.any(off <= 0):
         i, j = map(int, np.argwhere(off <= 0)[0])
         raise DuplicatePoint(f"points {ids[i]} and {ids[j]} are indistinguishable")
+    # one float and one bool buffer serve every k: via = (d[:, k] + d[k, :]) + slack
+    via = np.empty((n, n))
+    bad = np.empty((n, n), dtype=bool)
     for k in range(n):
-        via = dist[:, k, None] + dist[None, k, :]
-        if np.any(dist > via + TRIANGLE_SLACK):
-            i, j = map(int, np.argwhere(dist > via + TRIANGLE_SLACK)[0])
+        np.add(dist[:, k, None], dist[None, k, :], out=via)
+        via += TRIANGLE_SLACK
+        np.greater(dist, via, out=bad)
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
             raise MetricAxiomViolation("triangle", (ids[i], ids[j], ids[k]))
 
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverdyn import covering
 from coverdyn.covering import (
+    CHAIN,
     FINITE,
     AdmissibleFamily,
     ChainKindUnsupported,
@@ -172,6 +174,36 @@ def test_metric_chain_degenerate_ratio():
     grid = line_grid(0.0, 1.0, 101)
     with pytest.raises(DegenerateChain):
         metric_chain_family(grid, 0.5, 1, ratio=0.8)
+
+
+def test_chain_family_type_refuses_an_uncertified_chain():
+    grid = line_grid(0.0, 1.0, 101)
+    halves = make_covering(grid, [grid.points[:60], grid.points[40:]])
+    whole = make_covering(grid, [grid.points])
+    # the whole space fits in neither half, so the finer level fails
+    with pytest.raises(DegenerateChain, match=r"level 1 \(\) does not double-refine level 0"):
+        AdmissibleFamily(space=grid, kind=CHAIN, coverings=(halves, whole))
+
+
+def test_verify_admissible_tests_only_the_chain_entries_on_and_above_the_diagonal(
+    monkeypatch,
+):
+    # the certificate gives bits j < i of every row; a fresh L-level chain
+    # needs L * (L + 1) / 2 direct tests, not L * L
+    fam = metric_chain_family(line_grid(0.0, 1.0, 33), 2.0, 4)
+    covs = fam.coverings
+    L = fam.size
+    calls = []
+    real = covering.double_refines
+
+    def counted(V, U):
+        calls.append((covs.index(V), covs.index(U)))
+        return real(V, U)
+
+    monkeypatch.setattr(covering, "double_refines", counted)
+    assert verify_admissible(fam).all_passed
+    assert len(calls) == L * (L + 1) // 2
+    assert sorted(calls) == [(i, j) for i in range(L) for j in range(i, L)]
 
 
 def test_finite_all_coverings_discrete_two_points():

@@ -31,6 +31,7 @@ from coverdyn.proximity import (
     sets_equal_at_resolution,
     subset_at_resolution,
 )
+from coverdyn.scenarios import get_scenario
 from coverdyn.space import (
     Point,
     Space,
@@ -398,14 +399,20 @@ def test_finite_upward_closure_matches_refinement(fam, data):
     assert CoverCollection.finite(fam, S).index_set() == expected
 
 
-def pair_set_double_refines(V, U):
-    """Oracle: collect every intersecting member pair of V once, then test each."""
+@functools.cache
+def intersecting_pairs(V):
+    """Every intersecting member pair of V, each once, with every (a, a)."""
     pairs = set()
     for mis in V.point_members:
         for a, b in itertools.combinations(mis, 2):
             pairs.add((a, b))
     pairs.update((i, i) for i in range(len(V.members)))
-    for a, b in pairs:
+    return frozenset(pairs)
+
+
+def pair_set_double_refines(V, U):
+    """Oracle: collect every intersecting member pair of V once, then test each."""
+    for a, b in intersecting_pairs(V):
         union = V.members[a] | V.members[b]
         anchor = next(iter_bits(union))
         if not any(union & ~U.members[mi] == 0 for mi in U.point_members[anchor]):
@@ -413,10 +420,56 @@ def pair_set_double_refines(V, U):
     return True
 
 
-@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
+# On the 101-point grid chain most level pairs pass, so the row form's
+# passing path runs on many members; the small families mostly fail early.
+GRID101_CHAIN = metric_chain_family(line_grid(0.0, 1.0, 101), 2.0, 6)
+
+
+@pytest.mark.parametrize(
+    "fam", ALL_FAMILIES + [GRID101_CHAIN], ids=lambda f: f"{f.kind}{f.space.n}-{f.size}"
+)
 def test_double_refines_matches_pair_set_oracle(fam):
     for V, U in itertools.product(fam.coverings, repeat=2):
         assert double_refines(V, U) == pair_set_double_refines(V, U), (V, U)
+
+
+def _direct_rows(fam, relation):
+    """Relation rows built entry by entry, with no use of the chain certificate."""
+    covs = fam.coverings
+    return tuple(sum(1 << j for j, U in enumerate(covs) if relation(V, U)) for V in covs)
+
+
+# Chains whose relation rows are filled from the certificate: the metric
+# chains of these tests, the decay_grid chains at two sizes, the pointwise
+# chains of the function-space built-ins, and a 5-point chain whose deep
+# levels repeat, so that entries above the diagonal are true.
+CHAIN_ROW_CASES = {
+    "test-metric-chains": lambda: CHAIN_FAMILIES + [
+        GRID101_CHAIN,
+        metric_chain_family(line_grid(0.0, 1.0, 101), 2.0, 5),
+        metric_chain_family(line_grid(0.0, 1.0, 101), 1.0, 5),
+        metric_chain_family(line_grid(0.0, 1.0, 31), 2.0, 4),
+        metric_chain_family(line_grid(0.0, 1.0, 21), 2.0, 4),
+        metric_chain_family(line_grid(0.0, 1.0, 41), 0.3, 1),
+    ],
+    "decay_grid-101": lambda: [get_scenario("decay_grid", count=101).family],
+    "decay_grid-201": lambda: [get_scenario("decay_grid", count=201).family],
+    "iterated_contractions": lambda: [get_scenario("iterated_contractions").family],
+    "composition": lambda: [get_scenario("composition").family],
+    "exp_decay": lambda: [get_scenario("exp_decay").family],
+    "repeated-deep-levels": lambda: [metric_chain_family(line_grid(0.0, 1.0, 5), 2.0, 5)],
+}
+
+
+@pytest.mark.parametrize("case", list(CHAIN_ROW_CASES))
+def test_chain_rows_match_direct_rows(case):
+    for fam in CHAIN_ROW_CASES[case]():
+        assert fam.kind == "chain"
+        assert fam.refine_rows == _direct_rows(fam, refines)
+        assert fam.double_refine_rows == _direct_rows(fam, pair_set_double_refines)
+        if case == "repeated-deep-levels":
+            upper = [row >> (i + 1) for i, row in enumerate(fam.double_refine_rows)]
+            assert any(upper)
 
 
 @functools.cache

@@ -57,6 +57,7 @@ def test_bad_distance_matrix_triangle():
     with pytest.raises(MetricAxiomViolation) as e:
         space_from_distance_matrix(d, ["a", "b", "c"])
     assert e.value.axiom == "triangle"
+    assert e.value.witness == ("a", "c", "b")
 
 
 def test_ball_basic():
