@@ -157,7 +157,6 @@ def cmd_verify_axioms(rc: RunConfig) -> int:
         results += proximity_suite(
             sc.family,
             resolving=sc.declared.resolving,
-            triangle_exhaustive=sc.space.n <= 40,
             rng=rng,
             prox_fn=_broken_prox if rc.mutate == "prox-asymmetry" else None,
         )

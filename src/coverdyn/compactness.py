@@ -216,14 +216,6 @@ class NestedChainReport:
     def intersection(self) -> frozenset[Point]:
         return self.space.points_of(self.intersection_mask)
 
-    def to_dict(self) -> dict:
-        return {
-            "hypothesis_met": self.hypothesis_met,
-            "intersection": sorted(p.pid for p in self.intersection),
-            "trace": [sorted(c.index_set()) for c in self.measure_trace],
-            "claim": self.claim,
-        }
-
 
 def cantor_kuratowski_check(
     chain: Sequence[frozenset[Point] | set[Point]],

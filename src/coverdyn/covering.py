@@ -278,6 +278,11 @@ class AdmissibleFamily:
         """Bit j of row i: covering i double-refines covering j."""
         return self._relation_rows(double_refines)
 
+    @cached_property
+    def admissibility_report(self) -> AxiomReport:
+        """The family's axiom and repleteness report, computed on first read."""
+        return verify_admissible(self)
+
     def reach_rows(self, n: int) -> tuple[int, ...]:
         """Bit j of row i: an n-step double-refinement chain inside the family
         leads from covering i to covering j."""
@@ -367,14 +372,11 @@ def enumerate_open_coverings(space: Space) -> list[Covering]:
 
 
 def finite_all_coverings_family(space: Space) -> AdmissibleFamily:
-    """The family of all open coverings of a finite topology, with its axiom report attached."""
+    """The family of all open coverings of a finite topology."""
     coverings = enumerate_open_coverings(space)
-    fam = AdmissibleFamily(
+    return AdmissibleFamily(
         space=space, kind=FINITE, coverings=tuple(coverings), label="all-open-coverings"
     )
-    report = verify_admissible(fam)
-    fam.__dict__["admissibility_report"] = report
-    return fam
 
 
 def closure(

@@ -356,19 +356,6 @@ class AttractionReport:
     levels: dict
     failures: dict
     prox_form_agrees: bool
-    prox_form_attracted: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "attracted": self.attracted,
-            "levels": {str(i): k for i, k in sorted(self.levels.items())},
-            "failures": {
-                str(i): {"element": repr(el), "point": p.pid, "image": img.pid}
-                for i, (el, p, img) in sorted(self.failures.items())
-            },
-            "prox_form_agrees": self.prox_form_agrees,
-            "prox_form_attracted": self.prox_form_attracted,
-        }
 
 
 def attracts(
@@ -407,13 +394,11 @@ def attracts(
         CoverCollection(family, stars_containing(action.image_mask(el, zmask), stars))
         for _, el in divergent_sequence(F)
     ]
-    prox_attracted = converges_to_zero(traj)
     return AttractionReport(
         attracted=attracted,
         levels=levels,
         failures=failures,
-        prox_form_agrees=(attracted == prox_attracted),
-        prox_form_attracted=prox_attracted,
+        prox_form_agrees=(attracted == converges_to_zero(traj)),
     )
 
 
@@ -448,21 +433,10 @@ HYPOTHESIS_NAMES = {
 @dataclass(frozen=True)
 class HypothesisReport:
     verdicts: dict
-    witnesses: dict
     counterexamples: dict
 
     def passed(self, name: str) -> bool:
         return self.verdicts[name]
-
-    def to_dict(self) -> dict:
-        return {
-            "verdicts": dict(self.verdicts),
-            "witnesses": {k: dict(v) for k, v in self.witnesses.items()},
-            "counterexamples": {
-                k: {"s": repr(v[0]), "level": v[1], "element": repr(v[2])}
-                for k, v in self.counterexamples.items()
-            },
-        }
 
 
 def check_hypotheses(
@@ -492,27 +466,20 @@ def check_hypotheses(
     def holds(name, s, k, j) -> bool:
         return all(_single_holds(name, F, s, k, b) for b in elements_of(j))
 
-    verdicts, witnesses, counterexamples = {}, {}, {}
+    verdicts, counterexamples = {}, {}
     for name in HYPOTHESIS_NAMES:
         ok_all = True
-        wit = {}
         for s in s_samples:
             for k in levels:
-                found = next((j for j in F.levels() if holds(name, s, k, j)), None)
-                if found is None:
+                if not any(holds(name, s, k, j) for j in F.levels()):
                     ok_all = False
                     # level 0 fails too, so it holds the first blocking element
                     blocker = next(
                         b for b in elements_of(0) if not _single_holds(name, F, s, k, b)
                     )
                     counterexamples.setdefault(name, (s, k, blocker))
-                else:
-                    wit[f"s={s!r},level={k}"] = found
         verdicts[name] = ok_all
-        witnesses[name] = wit
-    return HypothesisReport(
-        verdicts=verdicts, witnesses=witnesses, counterexamples=counterexamples
-    )
+    return HypothesisReport(verdicts=verdicts, counterexamples=counterexamples)
 
 
 def _single_holds(name: str, F: FilterBasis, s, k, b) -> bool:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .covering import AdmissibleFamily, metric_chain_family, verify_admissible
+from .covering import AdmissibleFamily, metric_chain_family
 from .compactness import default_cap, is_bounded
 from .dynamics import (
     Action,
@@ -118,14 +118,12 @@ def _validate(sc: Scenario, finest_radius: float, assoc_elements: Sequence) -> S
             raise SchemaError(f"test set {name!r} is empty")
         if not is_bounded(Y, sc.family):
             raise SchemaError(f"test set {name!r} is not bounded")
-    # record the family's axiom report and hold it to the declared resolution:
-    # a scenario claiming to resolve single points must actually do so
-    report = verify_admissible(sc.family)
-    if report.check("star_basis").passed != sc.declared.resolving:
+    # hold the family's axiom report to the declared resolution: a scenario
+    # claiming to resolve single points must actually do so
+    if sc.family.admissibility_report.check("star_basis").passed != sc.declared.resolving:
         raise SchemaError(
             "declared resolution flag disagrees with the star-basis verdict"
         )
-    sc.family.__dict__["admissibility_report"] = report
     return sc
 
 

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from test_proximity import ALL_FAMILIES, GRID101_CHAIN
 
 from coverdyn.checks import (
     boundedness_suite,
@@ -10,8 +12,8 @@ from coverdyn.checks import (
     proximity_suite,
     tiny_topology_battery,
 )
-from coverdyn.covering import metric_chain_family
-from coverdyn.proximity import CoverCollection, prox
+from coverdyn.covering import CheckResult, metric_chain_family
+from coverdyn.proximity import CoverCollection, FamilyMismatch, coarsen, precedes, prox
 from coverdyn.space import line_grid
 
 
@@ -45,6 +47,58 @@ def test_exhaustive_triangle_check_reads_the_injected_prox():
     triangle = {r.name: r for r in results}["prox_triangle_1_intermediate"]
     assert not triangle.passed
     assert triangle.witness == "(0),(0.99) via (0.01)"
+
+
+def test_proximity_suite_rejects_a_prox_of_another_family(fam):
+    other = metric_chain_family(fam.space, 2.0, 4)
+
+    def foreign(x, y, family):
+        return prox(x, y, other)
+
+    with pytest.raises(FamilyMismatch):
+        proximity_suite(fam, prox_fn=foreign)
+
+
+def reference_triangle_1(family, p):
+    """The one-intermediate triangle law as a plain triple loop in (z, x, y)
+    order: prox(x, y) precedes the coarsening of prox(x, z) & prox(z, y)."""
+    pts = family.space.points
+    val = {(x, y): p(x, y, family) for x in pts for y in pts}
+    coarsened = {}
+    for z, x, y in itertools.product(pts, repeat=3):
+        acc = val[x, z] & val[z, y]
+        if acc.mask not in coarsened:
+            coarsened[acc.mask] = coarsen(acc, 1)
+        if not precedes(val[x, y], coarsened[acc.mask]):
+            return CheckResult(
+                "prox_triangle_1_intermediate", False, f"{x.pid},{y.pid} via {z.pid}"
+            )
+    return CheckResult("prox_triangle_1_intermediate", True)
+
+
+def clear_one_bit(x, y, family):
+    # drops covering 0 (the coarsest: the trivial covering of a finite
+    # family, the first level of a chain) from one ordered pair
+    v = prox(x, y, family)
+    pts = family.space.points
+    if (x, y) == (pts[0], pts[-1]):
+        return CoverCollection(family, v.mask & ~1)
+    return v
+
+
+@pytest.mark.parametrize("p", [prox, broken, clear_one_bit], ids=lambda p: p.__name__)
+@pytest.mark.parametrize(
+    "family", ALL_FAMILIES + [GRID101_CHAIN], ids=lambda f: f"{f.kind}{f.space.n}-{f.size}"
+)
+def test_triangle_1_matches_the_triple_loop(family, p):
+    results = proximity_suite(family, prox_fn=p, resolving=False)
+    got = {r.name: r for r in results}["prox_triangle_1_intermediate"]
+    assert got == reference_triangle_1(family, p)
+
+
+@pytest.mark.parametrize("p", [broken, clear_one_bit], ids=lambda p: p.__name__)
+def test_triangle_1_mutants_fail_somewhere(p):
+    assert any(not reference_triangle_1(f, p).passed for f in ALL_FAMILIES)
 
 
 def test_closure_and_boundedness_suites_green(fam):

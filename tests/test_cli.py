@@ -41,6 +41,7 @@ def test_verify_axioms_negative_control(capsys):
     payload = json.loads(out)
     failed = {r["name"] for r in payload["results"] if r["verdict"] == "fail"}
     assert "prox_symmetry" in failed
+    assert "prox_triangle_1_intermediate" in failed
 
 
 def test_omega_known_target(capsys):

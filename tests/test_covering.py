@@ -26,6 +26,7 @@ from coverdyn.covering import (
     star,
     verify_admissible,
 )
+from coverdyn.scenarios import get_scenario
 from coverdyn.space import (
     EmptyInput,
     Point,
@@ -234,6 +235,29 @@ def test_finite_all_coverings_single_point():
     fam = finite_all_coverings_family(s)
     assert fam.size == 1
     assert fam.admissibility_report.all_passed
+
+
+@pytest.mark.parametrize("build", ["finite", "scenario"])
+def test_admissibility_report_is_one_verify_admissible_call(monkeypatch, build):
+    calls = []
+    real = covering.verify_admissible
+
+    def counted(fam):
+        calls.append(fam)
+        return real(fam)
+
+    # the property reads the module-global name, so a rebinding sees its call
+    monkeypatch.setattr(covering, "verify_admissible", counted)
+    if build == "finite":
+        fam = finite_all_coverings_family(
+            build_finite_topology(["a", "b"], [[], ["a"], ["a", "b"]])
+        )
+    else:
+        fam = get_scenario("exp_decay").family
+    first = fam.admissibility_report
+    assert fam.admissibility_report is first
+    assert calls == [fam]
+    assert first.checks == real(fam).checks
 
 
 def test_too_many_opens_guard():
