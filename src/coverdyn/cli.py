@@ -24,7 +24,6 @@ from .attractor import (
     verify_global,
 )
 from .checks import grid_battery, proximity_suite
-from .covering import chain_family
 from .dynamics import FilterBasis, omega_limit
 from .proximity import CoverCollection, prox
 from .scenarios import (
@@ -91,10 +90,7 @@ def _load_scenario(rc: RunConfig) -> Scenario:
     if rc.max_level is not None:
         sc = replace(sc, filter_basis=_truncate_filter(sc.filter_basis, rc.max_level))
     if rc.resolution is not None and rc.resolution < sc.family.size - 1:
-        fam = chain_family(
-            sc.space, sc.family.coverings[: rc.resolution + 1], label=sc.family.label
-        )
-        sc = replace(sc, family=fam)
+        sc = replace(sc, family=sc.family.prefix(rc.resolution))
     return sc
 
 

@@ -13,7 +13,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .space import CoverdynError, EmptyInput, Point, Space, ball_mask, iter_bits
+from .space import (
+    CoverdynError,
+    EmptyInput,
+    Point,
+    Space,
+    ball_mask,
+    bool_product,
+    bool_products,
+    iter_bits,
+    transpose_masks,
+)
 
 
 class CoveringError(CoverdynError):
@@ -48,29 +58,16 @@ class Covering:
     label: str = ""
 
     @cached_property
-    def point_members(self) -> tuple[tuple[int, ...], ...]:
-        """For each point index, the indices of members containing it."""
-        per = [[] for _ in range(self.space.n)]
-        for mi, m in enumerate(self.members):
-            for b in iter_bits(m):
-                per[b].append(mi)
-        return tuple(tuple(v) for v in per)
-
-    @cached_property
     def point_rows(self) -> tuple[int, ...]:
-        """For each point index, the mask of the indices of members containing it."""
-        return tuple(sum(1 << mi for mi in mis) for mis in self.point_members)
+        """For each point index, the mask of the indices of members containing it
+        (the transpose of `members`)."""
+        return transpose_masks(self.members, self.space.n)
 
     @cached_property
     def point_star(self) -> tuple[int, ...]:
-        """For each point index, the union of members containing it."""
-        out = []
-        for i in range(self.space.n):
-            s = 0
-            for mi in self.point_members[i]:
-                s |= self.members[mi]
-            out.append(s)
-        return tuple(out)
+        """For each point index, the union of members containing it: point y is
+        in the star of x iff some member holds both, i.e. their rows meet."""
+        return bool_product(self.point_rows, self.point_rows, len(self.members))
 
     def star_mask(self, ymask: int) -> int:
         if ymask == 0:
@@ -124,56 +121,97 @@ def star(Y: frozenset[Point] | set[Point], U: Covering) -> frozenset[Point]:
     return U.space.points_of(U.star_mask(mask))
 
 
+def relation_rows(
+    sources: Sequence[Covering], targets: Sequence[Covering]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Refinement and double-refinement rows: bit j of row i is set when
+    sources[i] refines (double-refines) targets[j].
+
+    The work is done once per distinct source member set, not per covering:
+    the sources are grouped into components linked by shared member sets
+    (the levels of a metric chain are mostly one component each; all the
+    open coverings of a finite topology are one). For a component and a
+    target U, the containment rows give, per member set s, the mask of the
+    U-members containing s: the complement of the boolean product of the
+    sets with U's complements. A source V refines U when all its members
+    have a nonempty row; the rows are not computed where every source of the
+    component has a member larger than all of U's, since such a member has
+    no container. V double-refines U when moreover any two intersecting
+    members of V lie in one common U-member, i.e. when the member incidence
+    of V (the component's product of sets with themselves, restricted to V)
+    lies inside the product of the containment rows with themselves. That
+    second product is taken only where some source refines U. All products
+    go through two batched `bool_products` calls.
+    """
+    space = sources[0].space
+    for c in itertools.chain(sources, targets):
+        _check_same_space(c, sources[0])
+    n = space.n
+    outside = [[space.full_mask & ~u for u in U.members] for U in targets]
+    comps: list[tuple[set[int], list[int]]] = []
+    for i, V in enumerate(sources):
+        sets, idx = set(V.members), [i]
+        rest = []
+        for other, others in comps:
+            if sets.isdisjoint(other):
+                rest.append((other, others))
+            else:
+                sets |= other
+                idx += others
+        comps = rest + [(sets, idx)]
+    comps = [(sorted(sets), idx) for sets, idx in comps]
+    size = [max(m.bit_count() for m in cov.members) for cov in sources]
+    least = [min(size[i] for i in idx) for _, idx in comps]
+    widest = [max(u.bit_count() for u in U.members) for U in targets]
+    pairs = [
+        (ci, j)
+        for ci in range(len(comps))
+        for j in range(len(targets))
+        if least[ci] <= widest[j]
+    ]
+    escapes = bool_products([(comps[ci][0], outside[j], n) for ci, j in pairs])
+
+    # per source: the local indices of its member sets in its component, and their mask
+    local: list[list[int]] = [[] for _ in sources]
+    for sets, idx in comps:
+        pos = {m: k for k, m in enumerate(sets)}
+        for i in idx:
+            local[i] = [pos[m] for m in sources[i].members]
+    own = [sum(1 << k for k in ks) for ks in local]
+
+    refine = [0] * len(sources)
+    # the first len(comps) products are the components' member incidences
+    products = [(sets, sets, n) for sets, _ in comps]
+    tested = []
+    for (ci, j), esc in zip(pairs, escapes):
+        full = (1 << len(outside[j])) - 1
+        inside = [full & ~e for e in esc]
+        held = sum(1 << k for k, row in enumerate(inside) if row)
+        passing = [i for i in comps[ci][1] if not own[i] & ~held]
+        if passing:
+            for i in passing:
+                refine[i] |= 1 << j
+            tested.append((ci, j, passing))
+            products.append((inside, inside, len(outside[j])))
+    results = bool_products(products)
+    double = [0] * len(sources)
+    for (ci, j, passing), fits in zip(tested, results[len(comps) :]):
+        # bad[s]: the sets meeting s that share no U-member with it
+        bad = [m & ~f for m, f in zip(results[ci], fits)]
+        for i in passing:
+            if not any(bad[k] & own[i] for k in local[i]):
+                double[i] |= 1 << j
+    return tuple(refine), tuple(double)
+
+
 def refines(V: Covering, U: Covering) -> bool:
     """True iff every member of V is contained in some member of U."""
-    _check_same_space(V, U)
-    for v in V.members:
-        anchor = (v & -v).bit_length() - 1
-        if not any(v & ~U.members[mi] == 0 for mi in U.point_members[anchor]):
-            return False
-    return True
+    return relation_rows((V,), (U,))[0][0] == 1
 
 
 def double_refines(V: Covering, U: Covering) -> bool:
-    """True iff any two intersecting members of V fit jointly inside one member of U.
-
-    Row form: `meets` is the mask of the V-members that meet member a (a's
-    own bit included), and `inside[k]` the mask of the V-members contained in
-    U-member k. The union of a and b lies in U-member k exactly when both do,
-    so a passes when `meets` lies inside the union of `inside[k]` over the
-    U-members k that contain a. `inside[k]` is built only for those k, once
-    per call and only until `meets` is covered; the test stops at the first
-    member that fails.
-    """
-    _check_same_space(V, U)
-    rows = V.point_rows
-    stars = V.point_star
-    inside: dict[int, int] = {}
-    for va in V.members:
-        meets = 0
-        for p in iter_bits(va):
-            meets |= rows[p]
-        anchor = (va & -va).bit_length() - 1
-        fits = 0
-        for k in U.point_members[anchor]:
-            uk = U.members[k]
-            if va & ~uk:
-                continue
-            if k not in inside:
-                # members meeting uk, less those that reach a point outside it
-                near = reach = out = 0
-                for p in iter_bits(uk):
-                    near |= rows[p]
-                    reach |= stars[p]
-                for p in iter_bits(reach & ~uk):
-                    out |= rows[p]
-                inside[k] = near & ~out
-            fits |= inside[k]
-            if not meets & ~fits:
-                break
-        if meets & ~fits:
-            return False
-    return True
+    """True iff any two intersecting members of V fit jointly inside one member of U."""
+    return relation_rows((V,), (U,))[1][0] == 1
 
 
 def n_refines(V: Covering, U: Covering, n: int, pool: Sequence[Covering] = ()) -> bool:
@@ -210,14 +248,11 @@ class AdmissibleFamily:
 
     Chain families are indexed coarse-to-fine, and construction certifies
     that each level double-refines its predecessor (`DegenerateChain`
-    otherwise), so no uncertified chain exists. Finite families are arbitrary
-    listings (typically every open covering of a finite topology).
-
-    Chain relation rows follow from that certificate below the diagonal:
-    double-refinement implies refinement, and refinement is transitive, so
-    level i double-refines and refines every level j < i. Those bits are set
-    without a test; every entry with j >= i is tested directly, since deep
-    levels of a finite sample can repeat and make such entries true.
+    otherwise), so no uncertified chain exists. The certificate is the
+    sub-diagonal of `double_refine_rows`, which one `relation_rows` call
+    computes with `refine_rows` for every pair of coverings. Finite families
+    are arbitrary listings (typically every open covering of a finite
+    topology).
     """
 
     space: Space
@@ -235,8 +270,9 @@ class AdmissibleFamily:
                 raise SpaceMismatch("family coverings must share one space")
         if self.kind == CHAIN:
             covs = self.coverings
+            rows = self.double_refine_rows
             for i in range(1, len(covs)):
-                if not double_refines(covs[i], covs[i - 1]):
+                if not (rows[i] >> (i - 1)) & 1:
                     raise DegenerateChain(
                         f"level {i} ({covs[i].label}) does not double-refine "
                         f"level {i - 1} ({covs[i - 1].label})"
@@ -255,28 +291,39 @@ class AdmissibleFamily:
         """Index of the designated finest covering (last level for chains)."""
         return self.depth
 
-    def _relation_rows(self, relation) -> tuple[int, ...]:
-        covs = self.coverings
-        rows = []
-        for i, v in enumerate(covs):
-            # a chain's bits j < i come from its certificate (class docstring)
-            start = i if self.kind == CHAIN else 0
-            row = (1 << start) - 1
-            for j in range(start, len(covs)):
-                if relation(v, covs[j]):
-                    row |= 1 << j
-            rows.append(row)
-        return tuple(rows)
-
     @cached_property
+    def _relations(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return relation_rows(self.coverings, self.coverings)
+
+    @property
     def refine_rows(self) -> tuple[int, ...]:
         """Bit j of row i: covering i refines covering j."""
-        return self._relation_rows(refines)
+        return self._relations[0]
 
-    @cached_property
+    @property
     def double_refine_rows(self) -> tuple[int, ...]:
         """Bit j of row i: covering i double-refines covering j."""
-        return self._relation_rows(double_refines)
+        return self._relations[1]
+
+    def prefix(self, level: int) -> AdmissibleFamily:
+        """The family of levels 0..level, with the same kind and label.
+
+        Its relation rows are the top-left block of this family's rows, so
+        nothing is recomputed; a prefix of a certified chain is certified.
+        """
+        keep = (1 << (level + 1)) - 1
+        fam = object.__new__(AdmissibleFamily)
+        fam.__dict__.update(
+            space=self.space,
+            kind=self.kind,
+            coverings=self.coverings[: level + 1],
+            label=self.label,
+            _relations=tuple(
+                tuple(row & keep for row in rows[: level + 1]) for rows in self._relations
+            ),
+        )
+        fam.__post_init__()
+        return fam
 
     @cached_property
     def admissibility_report(self) -> AxiomReport:

@@ -170,6 +170,85 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+# Bit matrices. The kernel keeps one set encoding, the int mask; the helpers
+# below take and return masks and go through numpy only inside. Bit i of a
+# mask is column i of its row (little bit order within each byte).
+
+# float32 bytes (operands and result) of one stack of boolean products; a
+# single product larger than this is taken alone
+PRODUCT_BATCH_BYTES = 1 << 18
+
+
+def _unpack(masks: Sequence[int], width: int) -> np.ndarray:
+    """Masks over `width` bits as the rows of a 0/1 uint8 matrix."""
+    nbytes = (width + 7) // 8
+    buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def _pack(bits: np.ndarray) -> tuple[int, ...]:
+    """The rows of a 0/1 matrix as masks."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    nbytes = packed.shape[1]
+    buf = packed.tobytes()
+    return tuple(
+        int.from_bytes(buf[k * nbytes : (k + 1) * nbytes], "little")
+        for k in range(packed.shape[0])
+    )
+
+
+def transpose_masks(masks: Sequence[int], width: int) -> tuple[int, ...]:
+    """The transposed bit matrix: bit i of output j is bit j of masks[i].
+
+    Takes len(masks) masks over `width` bits and returns `width` masks over
+    len(masks) bits.
+    """
+    return _pack(_unpack(masks, width).T)
+
+
+def bool_products(
+    products: Sequence[tuple[Sequence[int], Sequence[int], int]],
+) -> list[tuple[int, ...]]:
+    """Boolean matrix products of masks, one per (rows, cols, width) triple.
+
+    Output row i of a product has bit j set iff rows[i] & cols[j] != 0, both
+    masks over `width` bits. Consecutive products are stacked, zero-padded to
+    common shapes, while the stack stays within PRODUCT_BATCH_BYTES of float32
+    operands and result, so many small products cost one matmul and a large
+    one holds no more than its own operands.
+    """
+    out: list[tuple[int, ...]] = []
+    start = 0
+    while start < len(products):
+        stop = start
+        r = c = w = 0
+        while stop < len(products):
+            rows, cols, width = products[stop]
+            r2, c2, w2 = max(r, len(rows)), max(c, len(cols)), max(w, width)
+            size = 4 * (stop + 1 - start) * (r2 * w2 + c2 * w2 + r2 * c2)
+            if stop > start and size > PRODUCT_BATCH_BYTES:
+                break
+            r, c, w, stop = r2, c2, w2, stop + 1
+        batch = products[start:stop]
+        g = len(batch)
+        lhs = _unpack([m for rows, _, _ in batch for m in (*rows, *[0] * (r - len(rows)))], w)
+        rhs = _unpack([m for _, cols, _ in batch for m in (*cols, *[0] * (c - len(cols)))], w)
+        hits = np.matmul(
+            lhs.reshape(g, r, w).astype(np.float32),
+            rhs.reshape(g, c, w).astype(np.float32).transpose(0, 2, 1),
+        )
+        masks = _pack(hits.reshape(g * r, c) > 0)
+        out.extend(masks[k * r : k * r + len(rows)] for k, (rows, _, _) in enumerate(batch))
+        start = stop
+    return out
+
+
+def bool_product(rows: Sequence[int], cols: Sequence[int], width: int) -> tuple[int, ...]:
+    """One boolean product: bit j of output row i iff rows[i] & cols[j] != 0."""
+    return bool_products([(rows, cols, width)])[0]
+
+
 def _pairwise_distances(coords: np.ndarray, metric: str) -> np.ndarray:
     diff = coords[:, None, :] - coords[None, :, :]
     if metric == "euclidean":
@@ -249,11 +328,7 @@ def ball_mask(space: Space, center: Point, radius: float) -> int:
     space.require_metric()
     if radius <= 0:
         raise ValueError("radius must be positive")
-    row = space.dist[center.index]
-    mask = 0
-    for i in np.nonzero(row < radius)[0]:
-        mask |= 1 << int(i)
-    return mask
+    return _pack(space.dist[center.index, None] < radius)[0]
 
 
 def ball(space: Space, center: Point, radius: float) -> frozenset[Point]:

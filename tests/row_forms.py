@@ -1,0 +1,96 @@
+"""Reference row forms of the covering kernel, kept as test oracles.
+
+These are the bit-walk bodies the packed bit-matrix kernel replaced: point
+rows and stars from one bit per Python step, refinement and double
+refinement from per-member row loops, and relation rows and chain
+certification one covering pair at a time.
+"""
+
+from coverdyn.covering import DegenerateChain
+from coverdyn.space import iter_bits
+
+
+def point_members(cov):
+    """For each point index, the indices of the members containing it."""
+    per = [[] for _ in range(cov.space.n)]
+    for mi, m in enumerate(cov.members):
+        for b in iter_bits(m):
+            per[b].append(mi)
+    return tuple(tuple(v) for v in per)
+
+
+def point_rows(cov):
+    return tuple(sum(1 << mi for mi in mis) for mis in point_members(cov))
+
+
+def point_star(cov):
+    out = []
+    for mis in point_members(cov):
+        s = 0
+        for mi in mis:
+            s |= cov.members[mi]
+        out.append(s)
+    return tuple(out)
+
+
+def refines(V, U):
+    """Every member of V lies in a U-member containing its lowest point."""
+    per = point_members(U)
+    for v in V.members:
+        anchor = (v & -v).bit_length() - 1
+        if not any(v & ~U.members[mi] == 0 for mi in per[anchor]):
+            return False
+    return True
+
+
+def double_refines(V, U):
+    """Row form: `meets` is the mask of the V-members that meet member a (a's
+    own bit included), and `inside[k]` the mask of the V-members contained in
+    U-member k; a passes when `meets` lies inside the union of `inside[k]`
+    over the U-members k that contain a."""
+    rows = point_rows(V)
+    stars = point_star(V)
+    per = point_members(U)
+    inside = {}
+    for va in V.members:
+        meets = 0
+        for p in iter_bits(va):
+            meets |= rows[p]
+        anchor = (va & -va).bit_length() - 1
+        fits = 0
+        for k in per[anchor]:
+            uk = U.members[k]
+            if va & ~uk:
+                continue
+            if k not in inside:
+                near = reach = out = 0
+                for p in iter_bits(uk):
+                    near |= rows[p]
+                    reach |= stars[p]
+                for p in iter_bits(reach & ~uk):
+                    out |= rows[p]
+                inside[k] = near & ~out
+            fits |= inside[k]
+            if not meets & ~fits:
+                break
+        if meets & ~fits:
+            return False
+    return True
+
+
+def relation_rows(coverings, relation):
+    """Relation rows built entry by entry: bit j of row i iff relation(i, j)."""
+    return tuple(
+        sum(1 << j for j, U in enumerate(coverings) if relation(V, U)) for V in coverings
+    )
+
+
+def certify_chain(coverings):
+    """Raise the DegenerateChain of the first level that fails to
+    double-refine its predecessor, one pair at a time."""
+    for i in range(1, len(coverings)):
+        if not double_refines(coverings[i], coverings[i - 1]):
+            raise DegenerateChain(
+                f"level {i} ({coverings[i].label}) does not double-refine "
+                f"level {i - 1} ({coverings[i - 1].label})"
+            )

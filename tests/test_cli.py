@@ -159,6 +159,24 @@ def test_max_level_and_resolution_flags(capsys):
     assert payload["limit_set"]["resolution"] == 2
 
 
+@pytest.mark.parametrize("flags", [(), ("--resolution", "2")])
+def test_resolution_prefix_makes_no_second_relation_computation(capsys, monkeypatch, flags):
+    # the --resolution prefix reads the top-left block of the chain's rows
+    from coverdyn import covering
+
+    calls = []
+    real = covering.relation_rows
+
+    def counted(sources, targets):
+        calls.append(len(sources))
+        return real(sources, targets)
+
+    monkeypatch.setattr(covering, "relation_rows", counted)
+    code, out = run(capsys, "attractor", "--scenario", "decay_grid", *flags)
+    assert code == 0
+    assert calls == [4]
+
+
 def test_omega_contraction_whole_lists_attractor(capsys):
     code, out = run(
         capsys, "omega", "--scenario", "iterated_contractions", "--target", "whole"

@@ -37,6 +37,8 @@ from coverdyn.space import (
     line_grid,
 )
 
+import row_forms
+
 
 @pytest.fixture(scope="module")
 def line3():
@@ -186,25 +188,62 @@ def test_chain_family_type_refuses_an_uncertified_chain():
         AdmissibleFamily(space=grid, kind=CHAIN, coverings=(halves, whole))
 
 
-def test_verify_admissible_tests_only_the_chain_entries_on_and_above_the_diagonal(
-    monkeypatch,
-):
-    # the certificate gives bits j < i of every row; a fresh L-level chain
-    # needs L * (L + 1) / 2 direct tests, not L * L
-    fam = metric_chain_family(line_grid(0.0, 1.0, 33), 2.0, 4)
-    covs = fam.coverings
-    L = fam.size
+def test_certification_names_the_first_failing_level_like_the_row_form():
+    # level 1 fails, level 2 would pass on its own, and a second chain fails
+    # only at level 2: the verdict and message match the pairwise reference
+    grid = line_grid(0.0, 1.0, 101)
+    pts = grid.points
+    halves = make_covering(grid, [pts[:60], pts[40:]], label="halves")
+    whole = make_covering(grid, [pts], label="whole")
+    singles = make_covering(grid, [[p] for p in pts], label="singles")
+    for covs in [(halves, whole, singles), (whole, halves, whole)]:
+        with pytest.raises(DegenerateChain) as reference:
+            row_forms.certify_chain(covs)
+        with pytest.raises(DegenerateChain) as got:
+            chain_family(grid, covs)
+        assert str(got.value) == str(reference.value)
+    assert str(got.value) == "level 2 (whole) does not double-refine level 1 (halves)"
+
+
+def test_verify_admissible_makes_one_batched_relation_computation(monkeypatch):
+    # a chain's certificate and its admissibility report read the same rows,
+    # and so does a finite family's report: one relation_rows call over all
+    # the family's coverings, and no pairwise refines/double_refines call
     calls = []
-    real = covering.double_refines
+    real = covering.relation_rows
 
-    def counted(V, U):
-        calls.append((covs.index(V), covs.index(U)))
-        return real(V, U)
+    def counted(sources, targets):
+        calls.append((tuple(sources), tuple(targets)))
+        return real(sources, targets)
 
-    monkeypatch.setattr(covering, "double_refines", counted)
-    assert verify_admissible(fam).all_passed
-    assert len(calls) == L * (L + 1) // 2
-    assert sorted(calls) == [(i, j) for i in range(L) for j in range(i, L)]
+    def pairwise(V, U):
+        raise AssertionError("pairwise relation call")
+
+    monkeypatch.setattr(covering, "relation_rows", counted)
+    monkeypatch.setattr(covering, "refines", pairwise)
+    monkeypatch.setattr(covering, "double_refines", pairwise)
+    chain = metric_chain_family(line_grid(0.0, 1.0, 33), 2.0, 4)
+    assert verify_admissible(chain).all_passed
+    finite = finite_all_coverings_family(
+        build_finite_topology(["a", "b", "c"], [[], ["a"], ["b"], ["a", "b"], ["a", "b", "c"]])
+    )
+    verify_admissible(finite)
+    assert calls == [
+        (chain.coverings, chain.coverings),
+        (finite.coverings, finite.coverings),
+    ]
+
+
+def test_prefix_reads_the_parent_rows():
+    fam = get_scenario("decay_grid").family
+    for level in range(fam.size):
+        prefix = fam.prefix(level)
+        fresh = chain_family(fam.space, fam.coverings[: level + 1], label=fam.label)
+        assert (prefix.kind, prefix.label) == (fam.kind, fam.label)
+        assert prefix.coverings == fresh.coverings
+        assert prefix.refine_rows == fresh.refine_rows
+        assert prefix.double_refine_rows == fresh.double_refine_rows
+        assert prefix.admissibility_report.checks == fresh.admissibility_report.checks
 
 
 def test_finite_all_coverings_discrete_two_points():
@@ -412,12 +451,12 @@ def _first(cases):
 
 
 def admissible_oracle(fam):
-    """Oracle for verify_admissible from direct refines/double_refines/star calls."""
+    """Oracle for verify_admissible from the reference row forms and direct star calls."""
     space, covs, L = fam.space, fam.coverings, fam.size
     pts = space.points
     checks = []
 
-    j = _first(j for j in range(L) if not any(double_refines(V, covs[j]) for V in covs))
+    j = _first(j for j in range(L) if not any(row_forms.double_refines(V, covs[j]) for V in covs))
     checks.append(
         ("double_refinement_exists", j is None,
          None if j is None else f"no double-refinement of {covs[j].label or j}")
@@ -441,7 +480,7 @@ def admissible_oracle(fam):
     pair = _first(
         (i, j)
         for i, j in itertools.product(range(L), repeat=2)
-        if not any(refines(W, covs[i]) and refines(W, covs[j]) for W in covs)
+        if not any(row_forms.refines(W, covs[i]) and row_forms.refines(W, covs[j]) for W in covs)
     )
     checks.append(
         ("common_refinement", pair is None,
@@ -457,7 +496,10 @@ def admissible_oracle(fam):
     pair = _first(
         (i, j)
         for i, j in itertools.product(range(L), repeat=2)
-        if not any(double_refines(covs[i], W) and double_refines(covs[j], W) for W in covs)
+        if not any(
+            row_forms.double_refines(covs[i], W) and row_forms.double_refines(covs[j], W)
+            for W in covs
+        )
     )
     checks.append(
         ("common_double_coarsening", pair is None,

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from coverdyn.compactness import is_bounded, is_cauchy
 from coverdyn.covering import (
+    DegenerateChain,
     chain_family,
     closure,
     double_refines,
     finite_all_coverings_family,
     make_covering,
     metric_chain_family,
-    refines,
 )
 from coverdyn.proximity import (
     INF,
@@ -41,6 +41,8 @@ from coverdyn.space import (
     iter_bits,
     line_grid,
 )
+
+import row_forms
 
 
 @pytest.fixture(scope="module")
@@ -386,7 +388,7 @@ def _point_set(data, fam, min_size=1):
 
 
 def _share_member(cov, a, b):
-    return bool(set(cov.point_members[a.index]) & set(cov.point_members[b.index]))
+    return bool(cov.point_rows[a.index] & cov.point_rows[b.index])
 
 
 @pytest.mark.parametrize("fam", TOPOLOGY_FAMILIES, ids=lambda f: f"opens{f.space.opens}")
@@ -395,7 +397,9 @@ def _share_member(cov, a, b):
 def test_finite_upward_closure_matches_refinement(fam, data):
     S = data.draw(st.sets(st.integers(0, fam.size - 1)))
     covs = fam.coverings
-    expected = {j for j in range(fam.size) if any(refines(covs[i], covs[j]) for i in S)}
+    expected = {
+        j for j in range(fam.size) if any(row_forms.refines(covs[i], covs[j]) for i in S)
+    }
     assert CoverCollection.finite(fam, S).index_set() == expected
 
 
@@ -403,8 +407,8 @@ def test_finite_upward_closure_matches_refinement(fam, data):
 def intersecting_pairs(V):
     """Every intersecting member pair of V, each once, with every (a, a)."""
     pairs = set()
-    for mis in V.point_members:
-        for a, b in itertools.combinations(mis, 2):
+    for row in V.point_rows:
+        for a, b in itertools.combinations(iter_bits(row), 2):
             pairs.add((a, b))
     pairs.update((i, i) for i in range(len(V.members)))
     return frozenset(pairs)
@@ -415,7 +419,7 @@ def pair_set_double_refines(V, U):
     for a, b in intersecting_pairs(V):
         union = V.members[a] | V.members[b]
         anchor = next(iter_bits(union))
-        if not any(union & ~U.members[mi] == 0 for mi in U.point_members[anchor]):
+        if not any(union & ~U.members[mi] == 0 for mi in iter_bits(U.point_rows[anchor])):
             return False
     return True
 
@@ -433,16 +437,10 @@ def test_double_refines_matches_pair_set_oracle(fam):
         assert double_refines(V, U) == pair_set_double_refines(V, U), (V, U)
 
 
-def _direct_rows(fam, relation):
-    """Relation rows built entry by entry, with no use of the chain certificate."""
-    covs = fam.coverings
-    return tuple(sum(1 << j for j, U in enumerate(covs) if relation(V, U)) for V in covs)
-
-
-# Chains whose relation rows are filled from the certificate: the metric
-# chains of these tests, the decay_grid chains at two sizes, the pointwise
-# chains of the function-space built-ins, and a 5-point chain whose deep
-# levels repeat, so that entries above the diagonal are true.
+# Chains of every construction path: the metric chains of these tests, the
+# decay_grid chains at two sizes, the pointwise chains of the function-space
+# built-ins, and a 5-point chain whose deep levels repeat, so that entries
+# above the diagonal are true.
 CHAIN_ROW_CASES = {
     "test-metric-chains": lambda: CHAIN_FAMILIES + [
         GRID101_CHAIN,
@@ -465,8 +463,10 @@ CHAIN_ROW_CASES = {
 def test_chain_rows_match_direct_rows(case):
     for fam in CHAIN_ROW_CASES[case]():
         assert fam.kind == "chain"
-        assert fam.refine_rows == _direct_rows(fam, refines)
-        assert fam.double_refine_rows == _direct_rows(fam, pair_set_double_refines)
+        assert fam.refine_rows == row_forms.relation_rows(fam.coverings, row_forms.refines)
+        assert fam.double_refine_rows == row_forms.relation_rows(
+            fam.coverings, pair_set_double_refines
+        )
         if case == "repeated-deep-levels":
             upper = [row >> (i + 1) for i, row in enumerate(fam.double_refine_rows)]
             assert any(upper)
@@ -475,12 +475,12 @@ def test_chain_rows_match_direct_rows(case):
 @functools.cache
 def reach_pairs(fam):
     """Oracle: the pairs (i, j) joined by a one- and by a two-step
-    double-refinement chain inside the family, from direct calls."""
+    double-refinement chain inside the family, from the reference row form."""
     covs = fam.coverings
     one = {
         (i, j)
         for i, j in itertools.product(range(fam.size), repeat=2)
-        if double_refines(covs[i], covs[j])
+        if row_forms.double_refines(covs[i], covs[j])
     }
     succ = {i: [j for a, j in one if a == i] for i in range(fam.size)}
     two = {(i, k) for i, j in one for k in succ[j]}
@@ -554,3 +554,37 @@ def test_resolution_comparisons_match_oracle(fam, data):
 
     assert subset_at_resolution(A, B, fam) == inside(A, B)
     assert sets_equal_at_resolution(A, B, fam) == (inside(A, B) and inside(B, A))
+
+
+def _certification(certify, coverings):
+    """The DegenerateChain message of certifying these coverings as a chain, or None."""
+    try:
+        certify(coverings)
+    except DegenerateChain as exc:
+        return str(exc)
+    return None
+
+
+# Every all-coverings family on at most three points, the metric test chains
+# and the 101- and 201-point decay_grid chains.
+KERNEL_CASES = ALL_FAMILIES + [
+    GRID101_CHAIN,
+    get_scenario("decay_grid", count=101).family,
+    get_scenario("decay_grid", count=201).family,
+]
+
+
+@pytest.mark.parametrize("fam", KERNEL_CASES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
+def test_kernel_matches_row_forms(fam):
+    covs = fam.coverings
+    for cov in covs:
+        assert cov.point_rows == row_forms.point_rows(cov)
+        assert cov.point_star == row_forms.point_star(cov)
+    assert fam.refine_rows == row_forms.relation_rows(covs, row_forms.refines)
+    assert fam.double_refine_rows == row_forms.relation_rows(covs, row_forms.double_refines)
+    # the coverings listed as a chain, in both orders: most finite listings
+    # fail certification, at the level the pairwise reference names
+    for order in (covs, covs[::-1]):
+        assert _certification(
+            lambda c: chain_family(c[0].space, c), order
+        ) == _certification(row_forms.certify_chain, order)

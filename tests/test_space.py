@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverdyn import space
 from coverdyn.space import (
     DuplicatePoint,
     EmptyInput,
@@ -14,11 +16,15 @@ from coverdyn.space import (
     NotClosedUnderUnion,
     NotMetricSpace,
     ball,
+    ball_mask,
+    bool_product,
+    bool_products,
     build_finite_topology,
     build_metric_space,
     enumerate_topologies,
     line_grid,
     space_from_distance_matrix,
+    transpose_masks,
 )
 
 
@@ -170,3 +176,76 @@ def test_topology_closure():
     # the only open containing b is the whole space, which meets {a}
     assert s.topology_closure(s.mask_of([a])) == s.full_mask
     assert s.topology_closure(s.mask_of([b])) == s.mask_of([b])
+
+
+# Bit-matrix helpers against bit-walk references, at byte boundaries.
+WIDTHS = (1, 7, 8, 9, 63, 64, 65)
+
+
+def walk_transpose(masks, width):
+    return tuple(sum(((m >> j) & 1) << i for i, m in enumerate(masks)) for j in range(width))
+
+
+def walk_product(rows, cols):
+    return tuple(sum(1 << j for j, c in enumerate(cols) if r & c) for r in rows)
+
+
+def walk_ball_mask(s, center, radius):
+    """The loop the packed ball mask replaced: one bit per step."""
+    mask = 0
+    for i in np.nonzero(s.dist[center.index] < radius)[0]:
+        mask |= 1 << int(i)
+    return mask
+
+
+def _masks(rng, count, width):
+    # the full mask first: it sets the top bit of a partial last byte
+    return ([(1 << width) - 1] + [rng.getrandbits(width) for _ in range(count - 1)])[:count]
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 65])
+def test_transpose_masks_matches_bit_walk(width, count):
+    masks = _masks(random.Random(100 * width + count), count, width)
+    assert transpose_masks(masks, width) == walk_transpose(masks, width)
+    assert transpose_masks(transpose_masks(masks, width), count) == tuple(masks)
+
+
+@pytest.mark.parametrize("budget", [space.PRODUCT_BATCH_BYTES, 64])
+@pytest.mark.parametrize("width", WIDTHS)
+def test_bool_products_match_bit_walk(monkeypatch, width, budget):
+    # the small budget puts every product in a stack of its own
+    monkeypatch.setattr(space, "PRODUCT_BATCH_BYTES", budget)
+    rng = random.Random(width)
+    products = [
+        (_masks(rng, r, width), _masks(rng, c, width), width)
+        for r in (0, 1, 8, 9, 65)
+        for c in (0, 1, 7, 64)
+    ]
+    # products of every width stacked into one batch
+    products += [(_masks(rng, 3, w), _masks(rng, 5, w), w) for w in WIDTHS]
+    assert bool_products(products) == [walk_product(r, c) for r, c, _ in products]
+    rows, cols, _ = products[-1]
+    assert bool_product(rows, cols, 65) == walk_product(rows, cols)
+
+
+def test_bit_matrix_helpers_on_empty_input():
+    assert transpose_masks([], 9) == (0,) * 9
+    assert transpose_masks([0, 0], 0) == ()
+    assert bool_products([]) == []
+    assert bool_product([], [1, 2], 2) == ()
+    assert bool_product([3, 1], [], 2) == (0, 0)
+    assert bool_product([0, 0], [0], 0) == (0, 0)
+
+
+BALL_GRIDS = [line_grid(0.0, 1.0, c) for c in (5, 6, 7, 8, 9, 17, 21, 31, 33, 41, 63, 64, 65, 101)]
+BALL_RADII = sorted(
+    {e * q**i for e in (2.0, 1.0, 0.5, 0.3) for q in (0.25, 0.8) for i in range(7)}
+)
+
+
+@pytest.mark.parametrize("grid", BALL_GRIDS, ids=lambda g: f"grid{g.n}")
+def test_ball_mask_matches_the_bit_loop(grid):
+    for r in BALL_RADII:
+        for p in grid.points:
+            assert ball_mask(grid, p, r) == walk_ball_mask(grid, p, r), (p, r)
