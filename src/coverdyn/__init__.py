@@ -22,9 +22,7 @@ from .covering import (
     finite_all_coverings_family,
     make_covering,
     metric_chain_family,
-    n_refines,
     refines,
-    replete_closure,
     star,
     verify_admissible,
 )

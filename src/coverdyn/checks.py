@@ -24,6 +24,7 @@ from .covering import (
     AdmissibleFamily,
     CheckResult,
     closure,
+    finite_all_coverings_family,
     first_failure,
     metric_chain_family,
     star,
@@ -39,7 +40,7 @@ from .proximity import (
     prox_to_set,
     semi_prox,
 )
-from .space import Point, iter_bits, line_grid
+from .space import Point, Space, enumerate_topologies, iter_bits, line_grid
 
 
 ProxFn = Callable[[Point, Point, AdmissibleFamily], CoverCollection]
@@ -408,9 +409,6 @@ def grid_battery(
 def tiny_topology_battery(rng: Optional[random.Random] = None) -> list[CheckResult]:
     """Exhaustive suites over the all-coverings family of every topology on
     one, two, and three points."""
-    from .covering import finite_all_coverings_family
-    from .space import Point as Pt, Space, enumerate_topologies
-
     rng = rng or random.Random(6)
     merged: dict[str, CheckResult] = {}
 
@@ -422,7 +420,7 @@ def tiny_topology_battery(rng: Optional[random.Random] = None) -> list[CheckResu
 
     for n in (1, 2, 3):
         for opens in enumerate_topologies(n):
-            pts = tuple(Pt(pid=f"p{i}", index=i) for i in range(n))
+            pts = tuple(Point(pid=f"p{i}", index=i) for i in range(n))
             space = Space(points=pts, opens=opens)
             fam = finite_all_coverings_family(space)
             star_basis = fam.admissibility_report.check("star_basis").passed

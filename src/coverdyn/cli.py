@@ -23,8 +23,15 @@ from .attractor import (
     construct_candidate,
     verify_global,
 )
-from .checks import grid_battery, proximity_suite
-from .dynamics import FilterBasis, omega_limit
+from .checks import (
+    boundedness_suite,
+    closure_criteria_suite,
+    grid_battery,
+    measure_suite,
+    proximity_suite,
+)
+from .covering import metric_chain_family
+from .dynamics import omega_limit
 from .proximity import CoverCollection, prox
 from .scenarios import (
     BUILTIN_SCENARIOS,
@@ -33,7 +40,7 @@ from .scenarios import (
     get_scenario,
     load_system,
 )
-from .space import CoverdynError
+from .space import CoverdynError, line_grid
 
 
 @dataclass(frozen=True)
@@ -66,19 +73,6 @@ class RunConfig:
         }
 
 
-def _truncate_filter(F: FilterBasis, depth: int) -> FilterBasis:
-    if depth >= F.depth:
-        return F
-    return FilterBasis(
-        semigroup=F.semigroup,
-        depth=depth,
-        contains=F.contains,
-        sampler=F.sampler,
-        enumerate_level=F.enumerate_level,
-        label=F.label + f"|<= {depth}",
-    )
-
-
 def _load_scenario(rc: RunConfig) -> Scenario:
     if rc.scenario:
         sc = get_scenario(rc.scenario)
@@ -87,8 +81,8 @@ def _load_scenario(rc: RunConfig) -> Scenario:
             sc = load_system(fh.read())
     else:
         raise SchemaError("either --scenario or --config is required")
-    if rc.max_level is not None:
-        sc = replace(sc, filter_basis=_truncate_filter(sc.filter_basis, rc.max_level))
+    if rc.max_level is not None and rc.max_level < sc.filter_basis.depth:
+        sc = replace(sc, filter_basis=replace(sc.filter_basis, depth=rc.max_level))
     if rc.resolution is not None and rc.resolution < sc.family.size - 1:
         sc = replace(sc, family=sc.family.prefix(rc.resolution))
     return sc
@@ -142,12 +136,6 @@ def _broken_prox(x, y, family):
 def cmd_verify_axioms(rc: RunConfig) -> int:
     if rc.scenario or rc.config_path:
         sc = _load_scenario(rc)
-        from .checks import (
-            boundedness_suite,
-            closure_criteria_suite,
-            measure_suite,
-        )
-
         rng = random.Random(rc.seed)
         results = []
         results += proximity_suite(
@@ -164,9 +152,6 @@ def cmd_verify_axioms(rc: RunConfig) -> int:
         resolution = sc.family.finest_index
     else:
         if rc.mutate == "prox-asymmetry":
-            from .covering import metric_chain_family
-            from .space import line_grid
-
             grid = line_grid(0.0, 1.0, 101)
             fam = metric_chain_family(grid, 2.0, 6)
             results = proximity_suite(
@@ -322,8 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--scenario", choices=sorted(BUILTIN_SCENARIOS), help="built-in system")
-        p.add_argument("--config", dest="config_path", help="system config file")
+        system = p.add_mutually_exclusive_group()
+        system.add_argument("--scenario", choices=sorted(BUILTIN_SCENARIOS), help="built-in system")
+        system.add_argument("--config", dest="config_path", help="system config file")
         p.add_argument(
             "--max-level", type=_at_least(0), dest="max_level", help="filter truncation"
         )
@@ -355,21 +341,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _reject_ignored_flags(ap: argparse.ArgumentParser, ns: argparse.Namespace) -> None:
+    """Usage error for a flag that the command would accept and then ignore."""
+    name = getattr(ns, "name", None)
+    if name and (ns.config_path or ns.scenario not in (None, name)):
+        ap.error(f"scenario name {name!r} conflicts with --scenario/--config")
+    if ns.command == "verify-axioms" and not (ns.scenario or ns.config_path):
+        for flag, value in (("--max-level", ns.max_level), ("--resolution", ns.resolution)):
+            if value is not None:
+                ap.error(f"argument {flag}: needs --scenario or --config")
+
+
 def main(argv: Optional[list] = None) -> int:
     ap = build_parser()
     try:
         ns = ap.parse_args(argv)
+        _reject_ignored_flags(ap, ns)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    scen = getattr(ns, "scenario", None) or getattr(ns, "name", None)
     rc = RunConfig(
         command=ns.command,
-        scenario=scen,
-        config_path=getattr(ns, "config_path", None),
+        scenario=ns.scenario or getattr(ns, "name", None),
+        config_path=ns.config_path,
         target=getattr(ns, "target", None),
-        max_level=getattr(ns, "max_level", None),
-        resolution=getattr(ns, "resolution", None),
-        cap=getattr(ns, "cap", None),
+        max_level=ns.max_level,
+        resolution=ns.resolution,
+        cap=ns.cap,
         seed=ns.seed,
         budget=ns.budget,
         format=ns.format,

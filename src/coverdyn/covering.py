@@ -214,30 +214,6 @@ def double_refines(V: Covering, U: Covering) -> bool:
     return relation_rows((V,), (U,))[1][0] == 1
 
 
-def n_refines(V: Covering, U: Covering, n: int, pool: Sequence[Covering] = ()) -> bool:
-    """True iff a length-n double-refinement chain from V to U exists with
-    intermediates drawn from `pool` (searched exhaustively)."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    _check_same_space(V, U)
-    if n == 1:
-        return double_refines(V, U)
-    frontier = [W for W in pool if double_refines(V, W)]
-    for _ in range(n - 2):
-        if not frontier:
-            return False
-        nxt = []
-        seen = set()
-        for W in pool:
-            if id(W) in seen:
-                continue
-            if any(double_refines(F, W) for F in frontier):
-                nxt.append(W)
-                seen.add(id(W))
-        frontier = nxt
-    return any(double_refines(F, U) for F in frontier)
-
-
 CHAIN = "chain"
 FINITE = "finite"
 
@@ -258,7 +234,6 @@ class AdmissibleFamily:
     space: Space
     kind: str
     coverings: tuple[Covering, ...]
-    label: str = ""
 
     def __post_init__(self):
         if self.kind not in (CHAIN, FINITE):
@@ -306,7 +281,7 @@ class AdmissibleFamily:
         return self._relations[1]
 
     def prefix(self, level: int) -> AdmissibleFamily:
-        """The family of levels 0..level, with the same kind and label.
+        """The family of levels 0..level, with the same kind.
 
         Its relation rows are the top-left block of this family's rows, so
         nothing is recomputed; a prefix of a certified chain is certified.
@@ -317,7 +292,6 @@ class AdmissibleFamily:
             space=self.space,
             kind=self.kind,
             coverings=self.coverings[: level + 1],
-            label=self.label,
             _relations=tuple(
                 tuple(row & keep for row in rows[: level + 1]) for rows in self._relations
             ),
@@ -357,12 +331,10 @@ class AdmissibleFamily:
         return out
 
 
-def chain_family(
-    space: Space, coverings: Sequence[Covering], label: str = ""
-) -> AdmissibleFamily:
+def chain_family(space: Space, coverings: Sequence[Covering]) -> AdmissibleFamily:
     """Assemble a chain family; construction certifies every consecutive
     double-refinement and raises `DegenerateChain` at the first that fails."""
-    return AdmissibleFamily(space=space, kind=CHAIN, coverings=tuple(coverings), label=label)
+    return AdmissibleFamily(space=space, kind=CHAIN, coverings=tuple(coverings))
 
 
 def metric_chain_family(
@@ -387,7 +359,7 @@ def metric_chain_family(
         r = eps0 * ratio**i
         masks = {ball_mask(space, p, r) for p in space.points}
         coverings.append(make_covering_masks(space, masks, label=f"balls[r={r:.8g}]"))
-    return chain_family(space, coverings, label=f"metric-chain(eps0={eps0:g},depth={depth})")
+    return chain_family(space, coverings)
 
 
 def enumerate_open_coverings(space: Space) -> list[Covering]:
@@ -420,9 +392,8 @@ def enumerate_open_coverings(space: Space) -> list[Covering]:
 
 def finite_all_coverings_family(space: Space) -> AdmissibleFamily:
     """The family of all open coverings of a finite topology."""
-    coverings = enumerate_open_coverings(space)
     return AdmissibleFamily(
-        space=space, kind=FINITE, coverings=tuple(coverings), label="all-open-coverings"
+        space=space, kind=FINITE, coverings=tuple(enumerate_open_coverings(space))
     )
 
 
@@ -436,27 +407,6 @@ def closure(
     """
     mask = family.space.mask_of(Y)
     return family.space.points_of(family.closure_mask(mask))
-
-
-def replete_closure(family: AdmissibleFamily) -> AdmissibleFamily:
-    """Extend a finite-kind family with every open covering coarsened by a member."""
-    if family.kind != FINITE:
-        raise ChainKindUnsupported("replete closure is defined for finite-kind families")
-    universe = enumerate_open_coverings(family.space)
-    have = {c.members for c in family.coverings}
-    extra = []
-    for cand in universe:
-        if cand.members in have:
-            continue
-        if any(refines(u, cand) for u in family.coverings):
-            extra.append(cand)
-            have.add(cand.members)
-    return AdmissibleFamily(
-        space=family.space,
-        kind=FINITE,
-        coverings=tuple(family.coverings) + tuple(extra),
-        label=family.label + "+replete",
-    )
 
 
 @dataclass(frozen=True)

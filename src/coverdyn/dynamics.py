@@ -10,7 +10,7 @@ seeded by Y at every level for ω(Y) and by shrinking stars of x for J(x).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .compactness import is_bounded_mask, member_measure_mask, star_measure_mask
 from .covering import AdmissibleFamily, CheckList, CheckResult, first_failure
@@ -31,24 +31,15 @@ class Semigroup:
     translation-hypothesis checks.
     """
 
-    name: str
     compose: Callable
     sample: Callable[[int], tuple]
     divide_left: Optional[Callable] = None
     divide_right: Optional[Callable] = None
 
-    def check_associativity(self, triples: Iterable[tuple]) -> Optional[tuple]:
-        """Return a violating triple, or None when all sampled triples pass."""
-        for a, b, c in triples:
-            if self.compose(self.compose(a, b), c) != self.compose(a, self.compose(b, c)):
-                return (a, b, c)
-        return None
-
 
 def nat_add() -> Semigroup:
     """Nonnegative integers under addition."""
     return Semigroup(
-        name="nat_add",
         compose=lambda a, b: a + b,
         sample=lambda count: tuple(range(count)),
         divide_left=lambda t, s: t - s if t - s >= 0 else None,
@@ -62,7 +53,6 @@ def nat_mul() -> Semigroup:
         return t // s if s != 0 and t % s == 0 and t // s >= 1 else None
 
     return Semigroup(
-        name="nat_mul",
         compose=lambda a, b: a * b,
         sample=lambda count: tuple(range(1, count + 1)),
         divide_left=div,
@@ -88,7 +78,6 @@ def vector_add(dim: int) -> Semigroup:
         return a if all(v >= 0 for v in a) else None
 
     return Semigroup(
-        name=f"vector_add[{dim}]",
         compose=lambda a, b: tuple(x + y for x, y in zip(a, b)),
         sample=sample,
         divide_left=div,
@@ -105,7 +94,6 @@ def scaling_maps(L: float = 0.5) -> Semigroup:
         return a if abs(a) <= 1.0 else None
 
     return Semigroup(
-        name=f"scaling[L={L:g}]",
         compose=lambda a, b: a * b,
         sample=lambda count: tuple(L**j for j in range(1, count + 1)),
         divide_left=div,
@@ -128,7 +116,6 @@ class FilterBasis:
     contains: Callable[[object, int], bool]
     sampler: Callable[[int], tuple]
     enumerate_level: Optional[Callable[[int, int], tuple]] = None
-    label: str = ""
 
     def __post_init__(self):
         if self.depth < 0:
@@ -164,7 +151,6 @@ def integer_tails(
         contains=lambda el, k: el >= lo(k),
         sampler=lambda k: tuple(range(lo(k), lo(depth) + window)),
         enumerate_level=lambda k, bound: tuple(range(lo(k), bound + 1)),
-        label=f"tails[{semigroup.name}]",
     )
 
 
@@ -178,7 +164,6 @@ def vector_tails(dim: int, depth: int, window: int = 4) -> FilterBasis:
         # from a list: tuple() over a generator resizes as it grows, which
         # raised peak memory on the attractor path
         sampler=lambda k: tuple([(m,) * dim for m in range(k, depth + window)]),
-        label=f"vector-tails[{dim}]",
     )
 
 
@@ -192,7 +177,6 @@ def scaling_tails(depth: int, window: int = 3, L: float = 0.5) -> FilterBasis:
         sampler=lambda m: tuple(
             L**j for j in range(max(m, 1), max(depth, 1) + window)
         ),
-        label=f"scaling-tails[L={L:g}]",
     )
 
 
@@ -207,7 +191,6 @@ class Action:
     semigroup: Semigroup
     space: Space
     apply_fn: Callable[[object, Point], Point]
-    label: str = ""
 
     def apply(self, el, p: Point) -> Point:
         return self.apply_fn(el, p)

@@ -10,11 +10,10 @@ explicit point sets over the model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .covering import AdmissibleFamily, Covering, chain_family, make_covering_masks
-from .space import Point, Space, build_metric_space
+from .space import Space, build_metric_space
 
 Value = tuple[float, ...]
 Table = tuple[Value, ...]
@@ -29,24 +28,8 @@ class FunctionSpaceModel:
     space: Space
     tables: tuple[Table, ...]
 
-    @cached_property
-    def point_of_table(self) -> dict:
-        return {t: self.space.points[i] for i, t in enumerate(self.tables)}
-
-    def table(self, p: Point) -> Table:
-        return self.tables[p.index]
-
-    def value(self, p: Point, arg_index: int) -> Value:
-        return self.tables[p.index][arg_index]
-
-    def lookup(self, table: Table) -> Optional[Point]:
-        return self.point_of_table.get(table)
-
     def observed_values(self, arg_index: int) -> tuple[Value, ...]:
         return tuple(sorted({t[arg_index] for t in self.tables}))
-
-    def constant_table(self, value: Value) -> Table:
-        return tuple(value for _ in self.args)
 
 
 def as_value(v, dim: int) -> Value:
@@ -146,30 +129,9 @@ def pointwise_covering(
     return make_covering_masks(model.space, members, label=label)
 
 
-def in_pointwise_star(
-    model: FunctionSpaceModel,
-    f: Point,
-    g: Point,
-    constraints: Sequence[ArgConstraint],
-) -> bool:
-    """Direct membership formula: per constrained argument, some center holds
-    both function values within the radius (arguments are independent)."""
-    for c in constraints:
-        fv = model.value(f, c.arg_index)
-        gv = model.value(g, c.arg_index)
-        r2 = c.radius * c.radius
-        if not any(
-            _dist2(fv, ctr) < r2 and _dist2(gv, ctr) < r2 for ctr in c.centers
-        ):
-            return False
-    return True
-
-
 def pointwise_chain(
-    model: FunctionSpaceModel,
-    levels: Sequence[Sequence[ArgConstraint]],
-    label: str = "",
+    model: FunctionSpaceModel, levels: Sequence[Sequence[ArgConstraint]]
 ) -> AdmissibleFamily:
     """Chain of pointwise coverings; double-refinements certified on construction."""
     covs = [pointwise_covering(model, cs) for cs in levels]
-    return chain_family(model.space, covs, label=label or "pointwise-chain")
+    return chain_family(model.space, covs)

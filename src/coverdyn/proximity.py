@@ -61,11 +61,6 @@ class CoverCollection:
         """The whole family: the least element, playing the role of distance zero."""
         return CoverCollection(family, (1 << family.size) - 1)
 
-    @staticmethod
-    def infinity(family: AdmissibleFamily) -> "CoverCollection":
-        """The empty collection: the greatest element."""
-        return CoverCollection(family, 0)
-
     @property
     def threshold(self) -> Threshold:
         """Chain kind: the finest level t of levels 0..t; -1 when empty, inf when whole."""
@@ -82,10 +77,6 @@ class CoverCollection:
     @property
     def is_zero(self) -> bool:
         return self.mask == (1 << self.family.size) - 1
-
-    @property
-    def is_empty(self) -> bool:
-        return self.mask == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoverCollection):

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence
 from .covering import AdmissibleFamily, metric_chain_family
 from .compactness import default_cap, is_bounded
 from .dynamics import (
+    HYPOTHESIS_NAMES,
     Action,
     FilterBasis,
     integer_tails,
@@ -174,14 +175,9 @@ def scenario_iterated_contractions(
     levels = [
         [constraint(model, 0, r), constraint(model, 1, r)] for r in radii
     ]
-    family = pointwise_chain(model, levels, label="contraction-chain")
+    family = pointwise_chain(model, levels)
 
-    action = Action(
-        semigroup=nat_mul(),
-        space=space,
-        apply_fn=apply_fn,
-        label="power-iteration",
-    )
+    action = Action(semigroup=nat_mul(), space=space, apply_fn=apply_fn)
     F = integer_tails(nat_mul(), depth=depth, window=4, start=1)
 
     attractor_pids = tuple(f"i[{xf:g}]" for xf in fixed)
@@ -283,14 +279,9 @@ def scenario_composition(
     levels = [
         [constraint(model, a, r) for a in range(3)] for r in radii
     ]
-    family = pointwise_chain(model, levels, label="composition-chain")
+    family = pointwise_chain(model, levels)
 
-    action = Action(
-        semigroup=scaling_maps(L),
-        space=space,
-        apply_fn=apply_fn,
-        label="post-composition",
-    )
+    action = Action(semigroup=scaling_maps(L), space=space, apply_fn=apply_fn)
     F = scaling_tails(depth=depth, window=3, L=L)
 
     whole = frozenset(space.points)
@@ -303,12 +294,7 @@ def scenario_composition(
     }
     declared = Declared(
         cap=default_cap(space.n),
-        hypothesis_expect={name: True for name in (
-            "left_translate_into",
-            "right_translate_into",
-            "within_right_translate",
-            "within_left_translate",
-        )},
+        hypothesis_expect=dict.fromkeys(HYPOTHESIS_NAMES, True),
         eventually_compact=True,
         compact_witness=_pow2(-esnap),
         absorbing_name="attractor",
@@ -387,14 +373,9 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
     levels = [[constraint(model, 0, radii[0])]] + [
         [constraint(model, 0, r), constraint(model, 1, r)] for r in radii[1:]
     ]
-    family = pointwise_chain(model, levels, label="decay-chain")
+    family = pointwise_chain(model, levels)
 
-    action = Action(
-        semigroup=vector_add(2),
-        space=space,
-        apply_fn=apply_fn,
-        label="coordinate-decay",
-    )
+    action = Action(semigroup=vector_add(2), space=space, apply_fn=apply_fn)
     F = vector_tails(2, depth=depth, window=window)
 
     star_cov = pointwise_covering(model, [constraint(model, 0, 1.0)], label="pw[0@1]")
@@ -409,12 +390,7 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
     )
     declared = Declared(
         cap=6,
-        hypothesis_expect={name: True for name in (
-            "left_translate_into",
-            "right_translate_into",
-            "within_right_translate",
-            "within_left_translate",
-        )},
+        hypothesis_expect=dict.fromkeys(HYPOTHESIS_NAMES, True),
         eventually_compact=False,
         absorbing_name="orbit-star",
         snap_error=_pow2(floor - 1) * math.sqrt(2.0),
@@ -456,12 +432,7 @@ def scenario_decay_grid(
     def apply_fn(t, p):
         return space.points[p.index >> t]
 
-    action = Action(
-        semigroup=nat_add(),
-        space=space,
-        apply_fn=apply_fn,
-        label="halving-decay",
-    )
+    action = Action(semigroup=nat_add(), space=space, apply_fn=apply_fn)
     F = integer_tails(nat_add(), depth=depth, window=window)
     zero = space.points[0]
     step = 1.0 / (count - 1)
@@ -475,12 +446,7 @@ def scenario_decay_grid(
     }
     declared = Declared(
         cap=default_cap(space.n),
-        hypothesis_expect={name: True for name in (
-            "left_translate_into",
-            "right_translate_into",
-            "within_right_translate",
-            "within_left_translate",
-        )},
+        hypothesis_expect=dict.fromkeys(HYPOTHESIS_NAMES, True),
         eventually_compact=True,
         compact_witness=7,
         absorbing_name="low-ball",
@@ -642,7 +608,7 @@ def _load_custom(cp) -> Scenario:
     if gkind != "nat_add":
         raise SchemaError(f"unsupported semigroup kind {gkind!r}")
     sem = nat_add()
-    action = Action(semigroup=sem, space=space, apply_fn=apply_fn, label=akind)
+    action = Action(semigroup=sem, space=space, apply_fn=apply_fn)
 
     tkind = _jget(cp, "filter", "kind", required=True)
     if tkind == "integer_tails":
@@ -659,7 +625,6 @@ def _load_custom(cp) -> Scenario:
             depth=len(level_sets) - 1,
             contains=lambda el, k: el in level_sets[k],
             sampler=lambda k: tuple(sorted(level_sets[k])),
-            label="explicit",
         )
     else:
         raise SchemaError(f"unsupported filter kind {tkind!r}")
@@ -727,31 +692,3 @@ def scenario_to_config(sc: Scenario) -> str:
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
-
-
-def scenarios_equal(a: Scenario, b: Scenario) -> bool:
-    """Structural equality: spaces, families, filters, actions, and test sets."""
-    if [p.pid for p in a.space.points] != [p.pid for p in b.space.points]:
-        return False
-    if [p.coords for p in a.space.points] != [p.coords for p in b.space.points]:
-        return False
-    if len(a.family.coverings) != len(b.family.coverings):
-        return False
-    for ca, cb in zip(a.family.coverings, b.family.coverings):
-        if ca.members != cb.members:
-            return False
-    if a.filter_basis.depth != b.filter_basis.depth:
-        return False
-    for k in a.filter_basis.levels():
-        if a.filter_basis.sampler(k) != b.filter_basis.sampler(k):
-            return False
-        for el in a.filter_basis.sampler(k):
-            for p in a.space.points:
-                if a.action.apply(el, p).pid != b.action.apply(el, b.space.points[p.index]).pid:
-                    return False
-    if set(a.testsets) != set(b.testsets):
-        return False
-    for name in a.testsets:
-        if {p.pid for p in a.testsets[name]} != {p.pid for p in b.testsets[name]}:
-            return False
-    return a.expected.attractor == b.expected.attractor

@@ -130,15 +130,6 @@ class Space:
         self.require_metric()
         return float(self.dist[a.index, b.index])
 
-    def diameter(self) -> float:
-        self.require_metric()
-        return float(self.dist.max())
-
-    def min_positive_distance(self) -> float:
-        self.require_metric()
-        d = self.dist[self.dist > 0]
-        return float(d.min()) if d.size else 0.0
-
     def nearest_index(self, coords: Sequence[float]) -> int:
         """Index of the sample point nearest to raw coordinates (ties: lowest index)."""
         self.require_metric()
@@ -149,18 +140,6 @@ class Space:
         else:
             d = np.sqrt(((pts - c) ** 2).sum(axis=1))
         return int(d.argmin())
-
-    def topology_closure(self, mask: int) -> int:
-        """Topological closure from the opens alone (independent of any covering family)."""
-        if self.opens is None:
-            raise NotMetricSpace("topological closure needs a finite-topology space")
-        full = self.full_mask
-        out = full
-        for o in self.opens:
-            closed = full & ~o
-            if mask & ~closed == 0:
-                out &= closed
-        return out
 
 
 def iter_bits(mask: int):
@@ -306,16 +285,6 @@ def build_metric_space(
         Point(pid=ids[i], index=i, coords=tuple(arr[i])) for i in range(len(ids))
     )
     return Space(points=points, metric_name=metric, dist=dist)
-
-
-def space_from_distance_matrix(dist: Sequence[Sequence[float]], ids: Sequence[str]) -> Space:
-    """Build a metric space from an explicit distance matrix (axioms validated)."""
-    d = np.asarray(dist, dtype=float)
-    if d.shape[0] == 0:
-        raise EmptyInput("a space needs at least one point")
-    _validate_metric(d, ids)
-    points = tuple(Point(pid=ids[i], index=i) for i in range(len(ids)))
-    return Space(points=points, metric_name="explicit", dist=d)
 
 
 def line_grid(start: float, stop: float, count: int, metric: str = "euclidean") -> Space:

@@ -3,7 +3,8 @@
 These are the bit-walk bodies the packed bit-matrix kernel replaced: point
 rows and stars from one bit per Python step, refinement and double
 refinement from per-member row loops, and relation rows and chain
-certification one covering pair at a time.
+certification one covering pair at a time. The topological closure from
+the opens alone is here too: it is the oracle for the family closure.
 """
 
 from coverdyn.covering import DegenerateChain
@@ -94,3 +95,14 @@ def certify_chain(coverings):
                 f"level {i} ({coverings[i].label}) does not double-refine "
                 f"level {i - 1} ({coverings[i - 1].label})"
             )
+
+
+def topology_closure(space, mask):
+    """Topological closure from the opens alone (independent of any covering family)."""
+    full = space.full_mask
+    out = full
+    for o in space.opens:
+        closed = full & ~o
+        if mask & ~closed == 0:
+            out &= closed
+    return out

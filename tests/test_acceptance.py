@@ -124,7 +124,7 @@ def test_criterion_4_decay_counterexample():
     norm_ok = False
     if not rep.attracted and fail_idx in rep.failures:
         el, z, img = rep.failures[fail_idx]
-        norm = math.hypot(*sc.model.value(img, 1))
+        norm = math.hypot(*sc.model.tables[img.index][1])
         norm_ok = abs(norm - 2.0 * math.sqrt(2.0)) < 1e-12 and norm > 2.0
     eq = check_equivalence(sc)
     taxonomy_ok = not eq.taxonomy.passed("asymptotically_compact")
@@ -148,7 +148,7 @@ def _spread_bound_holds(sc, testset) -> bool:
     for i, f in enumerate(pts):
         for g in pts[i:]:
             for j, z in enumerate(model.args):
-                spread = abs(model.value(f, j)[0] - model.value(g, j)[0])
+                spread = abs(model.tables[f.index][j][0] - model.tables[g.index][j][0])
                 if not spread < 2 * K * abs(z[0] - first) + 4 * d1:
                     return False
     return True

@@ -28,7 +28,7 @@ def test_construct_candidate_decay(grid_sc):
 
 def test_construct_candidate_unbounded():
     sc = get_scenario("decay_grid")
-    fine_only = chain_family(sc.space, sc.family.coverings[2:], label="fine")
+    fine_only = chain_family(sc.space, sc.family.coverings[2:])
     with pytest.raises(UnboundedTestset):
         construct_candidate(
             {"whole": sc.testsets["whole"]}, sc.filter_basis, sc.action, fine_only

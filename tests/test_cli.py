@@ -406,3 +406,38 @@ def test_axiom_battery_script_reports_error_without_traceback(monkeypatch, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cover search exceeded 400000 nodes\n"
+
+
+def test_scenario_and_config_together_is_usage_error(tmp_path, capsys):
+    # the config used to be ignored in favour of the built-in scenario
+    path = tmp_path / "system.ini"
+    path.write_text(CUSTOM, encoding="utf-8")
+    code = main(["scenario", "--scenario", "composition", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "argument --config: not allowed with argument --scenario" in err
+
+
+@pytest.mark.parametrize("flag", ["--scenario", "--config"])
+def test_scenario_name_conflicting_with_flag_is_usage_error(tmp_path, capsys, flag):
+    # `scenario decay_grid --scenario composition` used to report composition
+    path = tmp_path / "system.ini"
+    path.write_text(CUSTOM, encoding="utf-8")
+    value = "composition" if flag == "--scenario" else str(path)
+    code = main(["scenario", "decay_grid", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "scenario name 'decay_grid' conflicts with --scenario/--config" in captured.err
+    assert main(["scenario", "decay_grid", "--scenario", "decay_grid"]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--resolution", "--max-level"])
+def test_verify_axioms_truncation_without_system_is_usage_error(capsys, flag):
+    # the default battery runs at its own resolution and filter depth, so the
+    # flag used to be echoed in the report and ignored
+    code = main(["verify-axioms", flag, "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: needs --scenario or --config" in captured.err

@@ -83,7 +83,7 @@ def test_bounded_whole_grid(grid, fam):
 def test_unbounded_under_fine_only_family(grid):
     # drop the coarse levels: far points never share a member
     full = metric_chain_family(grid, 2.0, 5)
-    fine_only = chain_family(grid, full.coverings[3:], label="fine-only")
+    fine_only = chain_family(grid, full.coverings[3:])
     assert not is_bounded(pickset(grid, 0, 100), fine_only)
     assert is_bounded(pickset(grid, 50, 51), fine_only)
 
@@ -320,7 +320,7 @@ def reference_measure(ymask, family, cap, candidate_sets):
         for i in range(family.depth, -1, -1):
             if coverable_within(ymask, candidate_sets(family.coverings[i]), cap):
                 return CoverCollection.chain(family, i)
-        return CoverCollection.infinity(family)
+        return CoverCollection(family, 0)
     idx = [
         i
         for i, cov in enumerate(family.coverings)

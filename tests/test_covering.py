@@ -9,7 +9,6 @@ from coverdyn.covering import (
     CHAIN,
     FINITE,
     AdmissibleFamily,
-    ChainKindUnsupported,
     DegenerateChain,
     TooManyOpens,
     chain_family,
@@ -20,9 +19,8 @@ from coverdyn.covering import (
     first_failure,
     make_covering,
     metric_chain_family,
-    n_refines,
     refines,
-    replete_closure,
+    relation_rows,
     star,
     verify_admissible,
 )
@@ -128,26 +126,21 @@ def test_double_refines_quarter_balls_bruteforce():
 
 
 def test_n_refines_reduces_to_double(line3):
+    # one-step reach rows are the double-refinement rows
     singles = cov(line3, {0}, {1}, {2})
     pairs = cov(line3, {0, 1}, {1, 2})
-    assert n_refines(singles, pairs, 1) == double_refines(singles, pairs)
+    fam = AdmissibleFamily(space=line3, kind=FINITE, coverings=(singles, pairs))
+    assert fam.reach_rows(1) == fam.double_refine_rows
+    assert (fam.reach_rows(1)[0] >> 1) & 1 == double_refines(singles, pairs)
 
 
 def test_n_refines_chain_witnesses():
+    # level i + n reaches level i in n steps through the levels between them
     grid = line_grid(0.0, 1.0, 21)
     fam = metric_chain_family(grid, 2.0, 4)
-    covs = fam.coverings
-    pool = list(covs)
     for n in (1, 2, 3):
-        for i in range(len(covs) - n):
-            assert n_refines(covs[i + n], covs[i], n, pool)
-
-
-def test_n_refines_empty_pool(line3):
-    pairs = cov(line3, {0, 1}, {1, 2})
-    whole = cov(line3, {0, 1, 2})
-    # no intermediate witness available
-    assert not n_refines(pairs, whole, 2, [])
+        for i in range(fam.size - n):
+            assert (fam.reach_rows(n)[i + n] >> i) & 1
 
 
 def test_metric_chain_grid_structure():
@@ -238,8 +231,8 @@ def test_prefix_reads_the_parent_rows():
     fam = get_scenario("decay_grid").family
     for level in range(fam.size):
         prefix = fam.prefix(level)
-        fresh = chain_family(fam.space, fam.coverings[: level + 1], label=fam.label)
-        assert (prefix.kind, prefix.label) == (fam.kind, fam.label)
+        fresh = chain_family(fam.space, fam.coverings[: level + 1])
+        assert prefix.kind == fam.kind
         assert prefix.coverings == fresh.coverings
         assert prefix.refine_rows == fresh.refine_rows
         assert prefix.double_refine_rows == fresh.double_refine_rows
@@ -341,8 +334,6 @@ def test_closure_sierpinski():
 
 def test_closure_matches_topological_closure_when_admissible():
     # dual route: family closure vs closure computed from the opens alone
-    from coverdyn.space import Space, enumerate_topologies, Point
-
     for opens in enumerate_topologies(3):
         pts = tuple(Point(pid=f"p{i}", index=i) for i in range(3))
         s = Space(points=pts, opens=opens)
@@ -351,7 +342,7 @@ def test_closure_matches_topological_closure_when_admissible():
             continue
         for mask in range(1, 8):
             Y = s.points_of(mask)
-            assert closure(Y, fam) == s.points_of(s.topology_closure(mask)), opens
+            assert closure(Y, fam) == s.points_of(row_forms.topology_closure(s, mask)), opens
 
 
 def test_closure_grid_singleton_at_depth():
@@ -378,30 +369,23 @@ def test_closure_properties_on_topologies():
 
 
 def test_replete_closure_fixed_point():
+    # the all-open-coverings family is replete: refinement from its members
+    # into a fresh listing of every open covering reaches no covering beyond
+    # the family's own refine rows
     s = build_finite_topology(["a", "b"], [[], ["a"], ["b"], ["a", "b"]])
     fam = finite_all_coverings_family(s)
-    grown = replete_closure(fam)
-    assert {c.members for c in grown.coverings} == {c.members for c in fam.coverings}
+    universe = enumerate_open_coverings(s)
+    assert [U.members for U in universe] == [c.members for c in fam.coverings]
+    refine, _ = relation_rows(fam.coverings, universe)
+    assert refine == fam.refine_rows
 
 
 def test_replete_closure_grows_from_finest():
+    # the singleton covering refines every open covering
     s = build_finite_topology(["a", "b"], [[], ["a"], ["b"], ["a", "b"]])
-    finest = make_covering(s, [[s.points[0]], [s.points[1]]])
-    from coverdyn.covering import FINITE, AdmissibleFamily
-
-    fam = AdmissibleFamily(space=s, kind=FINITE, coverings=(finest,))
-    grown = replete_closure(fam)
-    # every covering refined by the singleton covering appears
-    assert {c.members for c in grown.coverings} == {
-        c.members for c in finite_all_coverings_family(s).coverings
-    }
-
-
-def test_replete_closure_chain_unsupported():
-    grid = line_grid(0.0, 1.0, 5)
-    fam = metric_chain_family(grid, 2.0, 1)
-    with pytest.raises(ChainKindUnsupported):
-        replete_closure(fam)
+    fam = finite_all_coverings_family(s)
+    finest = next(i for i, c in enumerate(fam.coverings) if c.members == (1, 2))
+    assert fam.refine_rows[finest] == (1 << fam.size) - 1
 
 
 def test_double_refines_implies_refines_exhaustive():

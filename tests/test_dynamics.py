@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from coverdyn.compactness import default_cap, is_bounded, star_measure
@@ -56,7 +58,6 @@ def decay(grid):
         semigroup=nat_add(),
         space=grid,
         apply_fn=apply_fn,
-        label="halving-decay",
     )
 
 
@@ -66,7 +67,6 @@ def identity_action(grid):
         semigroup=nat_add(),
         space=grid,
         apply_fn=lambda t, p: p,
-        label="identity",
     )
 
 
@@ -81,8 +81,8 @@ def test_action_associativity(decay, grid):
 def test_semigroup_associativity_samples():
     for sem in (nat_add(), nat_mul(), vector_add(2)):
         els = sem.sample(4)
-        triples = [(a, b, c) for a in els for b in els for c in els]
-        assert sem.check_associativity(triples) is None
+        for a, b, c in itertools.product(els, repeat=3):
+            assert sem.compose(sem.compose(a, b), c) == sem.compose(a, sem.compose(b, c))
 
 
 def test_orbit_identity_level_contains_y(identity_action, grid, tails):

@@ -6,10 +6,27 @@ from coverdyn.covering import double_refines, star
 from coverdyn.funcspace import (
     build_function_model,
     constraint,
-    in_pointwise_star,
     pointwise_chain,
     pointwise_covering,
 )
+
+
+def _dist2(a, b):
+    return sum((x - y) ** 2 for x, y in zip(a, b))
+
+
+def in_pointwise_star(model, f, g, constraints):
+    """Direct membership formula: per constrained argument, some center holds
+    both function values within the radius (arguments are independent)."""
+    for c in constraints:
+        fv = model.tables[f.index][c.arg_index]
+        gv = model.tables[g.index][c.arg_index]
+        r2 = c.radius * c.radius
+        if not any(
+            _dist2(fv, ctr) < r2 and _dist2(gv, ctr) < r2 for ctr in c.centers
+        ):
+            return False
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +47,9 @@ def model():
 def test_model_basics(model):
     assert model.space.n == 5
     zero = model.space.by_id("zero")
-    assert model.table(zero) == ((0.0,), (0.0,), (0.0,))
-    assert model.lookup(((0.0,), (0.0,), (0.0,))) == zero
-    assert model.lookup(((9.0,), (9.0,), (9.0,))) is None
+    assert model.tables[zero.index] == ((0.0,), (0.0,), (0.0,))
+    assert model.space.points[model.tables.index(((0.0,), (0.0,), (0.0,)))] == zero
+    assert ((9.0,), (9.0,), (9.0,)) not in model.tables
     assert model.observed_values(1) == ((0.0,), (0.5,))
 
 

@@ -78,7 +78,7 @@ def test_zero_precedes_everything(fam):
 
 
 def test_empty_is_upper_bound(fam):
-    top = CoverCollection.infinity(fam)
+    top = CoverCollection(fam, 0)
     for t in (-1, 0, 2, INF):
         assert precedes(CoverCollection.chain(fam, t), top)
 
@@ -117,7 +117,7 @@ def test_coarsen_shifts_thresholds(fam):
 
 
 def test_coarsen_empty(fam):
-    top = CoverCollection.infinity(fam)
+    top = CoverCollection(fam, 0)
     assert coarsen(top, 1) == top
 
 
@@ -131,7 +131,7 @@ def test_coarsen_order_preserving(fam):
 def test_coarsen_finite_kind(tiny):
     zero = CoverCollection.zero(tiny)
     assert coarsen(zero, 1) == zero
-    top = CoverCollection.infinity(tiny)
+    top = CoverCollection(tiny, 0)
     assert coarsen(top, 1) == top
 
 

@@ -12,7 +12,6 @@ from coverdyn.scenarios import (
     get_scenario,
     load_system,
     scenario_to_config,
-    scenarios_equal,
 )
 
 
@@ -42,13 +41,13 @@ def test_exp_decay_witness_values():
     sc = get_scenario("exp_decay")
     f5 = sc.space.by_id("f5")
     # witnesses carry the doubled scaled-up values
-    assert sc.model.value(f5, 1) == (64.0, 64.0)
-    assert sc.model.value(f5, 0) == (0.0, 0.0)
+    assert sc.model.tables[f5.index][1] == (64.0, 64.0)
+    assert sc.model.tables[f5.index][0] == (0.0, 0.0)
     zero = sc.space.by_id("zero")
     img = sc.action.apply((5, 5), f5)
     # scaling a witness by its own index lands on the doubled identity sample
-    assert sc.model.value(img, 1) == (2.0, 2.0)
-    assert math.hypot(*sc.model.value(img, 1)) == pytest.approx(
+    assert sc.model.tables[img.index][1] == (2.0, 2.0)
+    assert math.hypot(*sc.model.tables[img.index][1]) == pytest.approx(
         2 * math.sqrt(2), abs=1e-15
     )
     deep = sc.action.apply((40, 40), f5)
@@ -83,7 +82,7 @@ def test_composition_shifted_variant():
     sc = get_scenario("composition", x0=0.5)
     assert sc.expected.attractor == ("i[0.5]",)
     att = sc.space.by_id("i[0.5]")
-    assert sc.model.table(att) == (((0.5,),) * 3)
+    assert sc.model.tables[att.index] == (((0.5,),) * 3)
     # the shifted scalings fix the shifted constant
     assert sc.action.apply(0.25, att) == att
 
@@ -91,6 +90,34 @@ def test_composition_shifted_variant():
 def test_unknown_scenario():
     with pytest.raises(SchemaError):
         get_scenario("nope")
+
+
+def scenarios_equal(a, b):
+    """Structural equality: spaces, families, filters, actions, and test sets."""
+    if [p.pid for p in a.space.points] != [p.pid for p in b.space.points]:
+        return False
+    if [p.coords for p in a.space.points] != [p.coords for p in b.space.points]:
+        return False
+    if len(a.family.coverings) != len(b.family.coverings):
+        return False
+    for ca, cb in zip(a.family.coverings, b.family.coverings):
+        if ca.members != cb.members:
+            return False
+    if a.filter_basis.depth != b.filter_basis.depth:
+        return False
+    for k in a.filter_basis.levels():
+        if a.filter_basis.sampler(k) != b.filter_basis.sampler(k):
+            return False
+        for el in a.filter_basis.sampler(k):
+            for p in a.space.points:
+                if a.action.apply(el, p).pid != b.action.apply(el, b.space.points[p.index]).pid:
+                    return False
+    if set(a.testsets) != set(b.testsets):
+        return False
+    for name in a.testsets:
+        if {p.pid for p in a.testsets[name]} != {p.pid for p in b.testsets[name]}:
+            return False
+    return a.expected.attractor == b.expected.attractor
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))

@@ -23,9 +23,10 @@ from coverdyn.space import (
     build_metric_space,
     enumerate_topologies,
     line_grid,
-    space_from_distance_matrix,
     transpose_masks,
 )
+
+import row_forms
 
 
 def test_three_point_line():
@@ -37,8 +38,8 @@ def test_three_point_line():
 def test_grid_101_points():
     s = line_grid(0.0, 1.0, 101)
     assert s.n == 101
-    assert s.min_positive_distance() == pytest.approx(0.01)
-    assert s.diameter() == pytest.approx(1.0)
+    assert s.dist[s.dist > 0].min() == pytest.approx(0.01)
+    assert s.dist.max() == pytest.approx(1.0)
 
 
 def test_duplicate_coordinates_rejected():
@@ -52,16 +53,16 @@ def test_empty_rejected():
 
 
 def test_bad_distance_matrix_symmetry():
-    d = [[0.0, 1.0], [2.0, 0.0]]
+    d = np.array([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(MetricAxiomViolation) as e:
-        space_from_distance_matrix(d, ["a", "b"])
+        space._validate_metric(d, ["a", "b"])
     assert e.value.axiom == "symmetry"
 
 
 def test_bad_distance_matrix_triangle():
-    d = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
+    d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     with pytest.raises(MetricAxiomViolation) as e:
-        space_from_distance_matrix(d, ["a", "b", "c"])
+        space._validate_metric(d, ["a", "b", "c"])
     assert e.value.axiom == "triangle"
     assert e.value.witness == ("a", "c", "b")
 
@@ -174,8 +175,8 @@ def test_topology_closure():
     s = build_finite_topology(["a", "b"], [[], ["a"], ["a", "b"]])
     a, b = s.points
     # the only open containing b is the whole space, which meets {a}
-    assert s.topology_closure(s.mask_of([a])) == s.full_mask
-    assert s.topology_closure(s.mask_of([b])) == s.mask_of([b])
+    assert row_forms.topology_closure(s, s.mask_of([a])) == s.full_mask
+    assert row_forms.topology_closure(s, s.mask_of([b])) == s.mask_of([b])
 
 
 # Bit-matrix helpers against bit-walk references, at byte boundaries.
