@@ -29,6 +29,7 @@ CASES = {
             ("iterated_contractions", "whole"),
         )
     },
+    **{f"scenario-{s}": ("scenario", "--scenario", s) for s in SCENARIOS},
 }
 
 
