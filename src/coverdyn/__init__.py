@@ -8,7 +8,6 @@ global uniform attractors for semigroup actions, at desk scale.
 from .space import (
     Point,
     Space,
-    ball,
     build_finite_topology,
     build_metric_space,
     line_grid,
@@ -17,13 +16,11 @@ from .covering import (
     AdmissibleFamily,
     Covering,
     chain_family,
-    closure,
     double_refines,
     finite_all_coverings_family,
     make_covering,
     metric_chain_family,
     refines,
-    star,
     verify_admissible,
 )
 from .proximity import (

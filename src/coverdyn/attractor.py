@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .compactness import is_bounded, star_measure_mask
+from .compactness import is_bounded, star_measure
 from .covering import AdmissibleFamily, CheckList, CheckResult, first_failure
 from .dynamics import (
     Action,
@@ -24,11 +24,7 @@ from .dynamics import (
     prolongational_limit,
     verify_eventual_compactness,
 )
-from .proximity import (
-    sets_equal_at_resolution,
-    sets_equal_at_resolution_mask,
-    subset_at_resolution,
-)
+from .proximity import sets_equal_at_resolution, subset_at_resolution
 from .space import CoverdynError, EmptyInput, Point
 
 
@@ -38,12 +34,12 @@ class UnboundedTestset(CoverdynError):
 
 @dataclass(frozen=True)
 class AttractorVerdict(CheckList):
-    candidate: frozenset[Point]
+    candidate: tuple[str, ...]  # sorted point ids
     kind: str  # "global", "global-uniform", "both", "neither"
 
     def to_dict(self) -> dict:
         return {
-            "candidate": sorted(p.pid for p in self.candidate),
+            "candidate": list(self.candidate),
             "kind": self.kind,
             "checks": [c.to_dict() for c in self.checks],
         }
@@ -54,48 +50,46 @@ def construct_candidate(
     F: FilterBasis,
     action: Action,
     family: AdmissibleFamily,
-) -> frozenset[Point]:
+) -> int:
     """Union of the limit sets of the supplied bounded test sets."""
     if not testsets:
         raise EmptyInput("candidate construction needs test sets")
-    out: frozenset[Point] = frozenset()
+    out = 0
     for name in sorted(testsets):
-        Y = testsets[name]
-        if not is_bounded(Y, family):
+        ymask = testsets[name]
+        if not is_bounded(ymask, family):
             raise UnboundedTestset(f"test set {name!r} is not bounded")
-        out |= omega_limit(Y, F, action, family).points
+        out |= omega_limit(ymask, F, action, family).mask
     return out
 
 
 def _core_checks(
-    candidate: frozenset[Point],
+    cmask: int,
     action: Action,
     family: AdmissibleFamily,
     cap: int,
     elements: Sequence,
 ) -> list[CheckResult]:
-    checks = [CheckResult("nonempty", bool(candidate))]
-    if not candidate:
+    checks = [CheckResult("nonempty", bool(cmask))]
+    if not cmask:
         checks.append(CheckResult("closed", False, "empty candidate"))
         checks.append(CheckResult("compact", False, "empty candidate"))
         checks.append(CheckResult("invariant", False, "empty candidate"))
         return checks
 
-    space = action.space
-    cmask = space.mask_of(candidate)
     cl = family.closure_mask(cmask)
-    closed_ok = sets_equal_at_resolution_mask(cl, cmask, family)
+    closed_ok = sets_equal_at_resolution(cl, cmask, family)
     checks.append(
         CheckResult(
             "closed",
             closed_ok,
             None
             if closed_ok
-            else f"closure adds {sorted(p.pid for p in space.point_list(cl & ~cmask))[:4]}",
+            else f"closure adds {action.space.pids(cl & ~cmask)[:4]}",
         )
     )
 
-    compact_ok = star_measure_mask(cmask, family, cap).is_zero
+    compact_ok = star_measure(cmask, family, cap).is_zero
     checks.append(
         CheckResult(
             "compact",
@@ -107,14 +101,14 @@ def _core_checks(
     checks.append(first_failure("invariant", (
         f"element {s!r} moves the candidate"
         for s in elements
-        if not sets_equal_at_resolution_mask(action.image_mask(s, cmask), cmask, family)
+        if not sets_equal_at_resolution(action.image_mask(s, cmask), cmask, family)
     )))
     return checks
 
 
 def verify_global(
-    candidate: frozenset[Point],
-    testsets: dict,
+    candidate: int,
+    testsets: dict[str, int],
     F: FilterBasis,
     action: Action,
     family: AdmissibleFamily,
@@ -139,14 +133,14 @@ def verify_global(
     checks.append(first_failure("attracts", unattracted()))
     passed = all(c.passed for c in checks)
     return AttractorVerdict(
-        candidate=candidate,
+        candidate=tuple(action.space.pids(candidate)),
         checks=tuple(checks),
         kind="global" if passed else "neither",
     )
 
 
 def verify_uniform(
-    candidate: frozenset[Point],
+    candidate: int,
     points_sample: Sequence[Point],
     F: FilterBasis,
     action: Action,
@@ -163,16 +157,15 @@ def verify_uniform(
             return
         for x in points_sample:
             rep = prolongational_limit(x, F, action, family)
-            if not rep.points:
+            if not rep.mask:
                 yield f"prolongational limit of {x.pid} is empty"
-            elif not subset_at_resolution(rep.points, candidate, family):
-                stray = sorted(p.pid for p in rep.points)[:4]
-                yield f"limit of {x.pid} leaves the candidate: {stray}"
+            elif not subset_at_resolution(rep.mask, candidate, family):
+                yield f"limit of {x.pid} leaves the candidate: {rep.pids()[:4]}"
 
     checks.append(first_failure("prolongational_limits_inside", limits_outside()))
     passed = all(c.passed for c in checks)
     return AttractorVerdict(
-        candidate=candidate,
+        candidate=tuple(action.space.pids(candidate)),
         checks=tuple(checks),
         kind="global-uniform" if passed else "neither",
     )
@@ -207,9 +200,9 @@ class UniquenessReport:
 
 
 def check_uniqueness(
-    A1: frozenset[Point],
-    A2: frozenset[Point],
-    invariant_sets: dict,
+    A1: int,
+    A2: int,
+    invariant_sets: dict[str, int],
     family: AdmissibleFamily,
 ) -> UniquenessReport:
     """Two verified attractors coincide at resolution, and every supplied
@@ -260,7 +253,7 @@ class EquivalenceReport:
         }
 
 
-def check_equivalence(scenario, candidate: Optional[frozenset[Point]] = None) -> EquivalenceReport:
+def check_equivalence(scenario, candidate: Optional[int] = None) -> EquivalenceReport:
     """Run both verifications plus the taxonomy and hypothesis checks on a
     scenario, and relate them: a global attractor must verify uniformly; the
     converse is asserted only when its hypotheses all tested true, and when it

@@ -23,11 +23,9 @@ from .compactness import (
 from .covering import (
     AdmissibleFamily,
     CheckResult,
-    closure,
     finite_all_coverings_family,
     first_failure,
     metric_chain_family,
-    star,
 )
 from .proximity import (
     CoverCollection,
@@ -167,20 +165,18 @@ def closure_criteria_suite(
 
     def random_set():
         k = rng.randint(1, min(12, space.n))
-        return frozenset(rng.sample(pts, k))
+        return space.mask_of(rng.sample(pts, k))
 
     sets = [random_set() for _ in range(trials)]
     if space.n <= 3:
-        sets = [
-            space.points_of(m) for m in range(1, space.full_mask + 1)
-        ]
+        sets = list(range(1, space.full_mask + 1))
 
     def zero_off_closure():
         for A in sets:
-            cl = closure(A, family)
+            cl = family.closure_mask(A)
             for x in pts:
-                if prox_to_set(x, A, family).is_zero != (x in cl):
-                    yield f"x={x.pid} A={sorted(q.pid for q in A)[:4]}"
+                if prox_to_set(x, A, family).is_zero != bool((cl >> x.index) & 1):
+                    yield f"x={x.pid} A={space.pids(A)[:4]}"
 
     out.append(first_failure("prox_zero_iff_in_closure", zero_off_closure()))
 
@@ -188,7 +184,7 @@ def closure_criteria_suite(
 
         def closure_moves_prox():
             for A in sets:
-                cl = closure(A, family)
+                cl = family.closure_mask(A)
                 for x in pts[:: max(1, len(pts) // 10)]:
                     if prox_to_set(x, A, family) != prox_to_set(x, cl, family):
                         yield f"x={x.pid}"
@@ -197,19 +193,19 @@ def closure_criteria_suite(
 
         def closure_moves_semi_prox():
             for A in sets[:40]:
-                cl = closure(A, family)
-                B = frozenset(rng.sample(pts, rng.randint(1, min(6, space.n))))
+                cl = family.closure_mask(A)
+                B = space.mask_of(rng.sample(pts, rng.randint(1, min(6, space.n))))
                 if semi_prox(A, B, family) != semi_prox(cl, B, family):
-                    yield f"A={sorted(q.pid for q in A)[:4]}"
+                    yield f"A={space.pids(A)[:4]}"
 
         out.append(first_failure("semi_prox_closure_invariant", closure_moves_semi_prox()))
 
     def zero_off_subset():
         for A in sets[:60]:
-            cl = closure(A, family)
-            B = frozenset(rng.sample(pts, rng.randint(1, min(6, space.n))))
-            if semi_prox(A, B, family).is_zero != (B <= cl):
-                yield f"A={sorted(q.pid for q in A)[:4]} B={sorted(q.pid for q in B)[:4]}"
+            cl = family.closure_mask(A)
+            B = space.mask_of(rng.sample(pts, rng.randint(1, min(6, space.n))))
+            if semi_prox(A, B, family).is_zero != (B & ~cl == 0):
+                yield f"A={space.pids(A)[:4]} B={space.pids(B)[:4]}"
 
     out.append(first_failure("semi_prox_zero_iff_subset_closure", zero_off_subset()))
 
@@ -217,9 +213,9 @@ def closure_criteria_suite(
         for A in sets[:40]:
             x = rng.choice(pts)
             walk = [rng.choice(pts) for _ in range(4)] + [x] * 4
-            traj = [semi_prox(A, frozenset({q}), family) for q in walk]
-            if converges_to_zero(traj) != (x in closure(A, family)):
-                yield f"x={x.pid} A={sorted(q.pid for q in A)[:4]}"
+            traj = [semi_prox(A, 1 << q.index, family) for q in walk]
+            if converges_to_zero(traj) != bool((family.closure_mask(A) >> x.index) & 1):
+                yield f"x={x.pid} A={space.pids(A)[:4]}"
 
     out.append(first_failure("convergent_sequence_closure_criterion", criterion_misses()))
     return out
@@ -238,20 +234,20 @@ def boundedness_suite(
 
     def totally_bounded_unbounded():
         for _ in range(trials):
-            Y = frozenset(rng.sample(pts, rng.randint(1, min(40, space.n))))
+            Y = space.mask_of(rng.sample(pts, rng.randint(1, min(40, space.n))))
             if is_totally_bounded(Y, family) and not is_bounded(Y, family):
-                yield str(sorted(q.pid for q in Y)[:4])
+                yield str(space.pids(Y)[:4])
 
     out.append(first_failure("totally_bounded_implies_bounded", totally_bounded_unbounded()))
 
     def unbounded_stars():
         for _ in range(trials):
-            Y = frozenset(rng.sample(pts, rng.randint(1, min(25, space.n))))
+            Y = space.mask_of(rng.sample(pts, rng.randint(1, min(25, space.n))))
             if not is_bounded(Y, family):
                 continue
             U = family.coverings[rng.randint(0, family.depth)]
-            if not is_bounded(star(Y, U), family):
-                yield str(sorted(q.pid for q in Y)[:4])
+            if not is_bounded(U.star_mask(Y), family):
+                yield str(space.pids(Y)[:4])
 
     out.append(first_failure("star_of_bounded_is_bounded", unbounded_stars()))
     return out
@@ -273,17 +269,17 @@ def measure_suite(
     out = []
 
     if space.n <= 3:
-        pool = [space.points_of(m) for m in range(1, space.full_mask + 1)]
+        pool = list(range(1, space.full_mask + 1))
         pairs = [(A, B) for A in pool for B in pool]
     else:
         pool = [
-            frozenset(rng.sample(pts, rng.randint(1, min(15, space.n))))
+            space.mask_of(rng.sample(pts, rng.randint(1, min(15, space.n))))
             for _ in range(trials)
         ]
         pairs = [(pool[i], pool[(i * 7 + 3) % len(pool)]) for i in range(len(pool))]
 
     out.append(first_failure("measure_monotone", (
-        f"A={sorted(q.pid for q in A)[:3]}"
+        f"A={space.pids(A)[:3]}"
         for A, B in pairs
         if not precedes(star_measure(A, family, cap), star_measure(A | B, family, cap))
     )))
@@ -291,27 +287,23 @@ def measure_suite(
 
     def union_bracket_breaks():
         for A, B in head:
-            u = star_measure(A | B, family, cap).index_set()
-            meet = (
-                star_measure(A, family, cap) & star_measure(B, family, cap)
-            ).index_set()
-            wide = star_measure(A | B, family, 2 * cap).index_set()
-            ample = len(A | B)
-            exact_l = star_measure(A | B, family, ample).index_set()
-            exact_r = (
-                star_measure(A, family, ample) & star_measure(B, family, ample)
-            ).index_set()
-            if not (u <= meet <= wide) or exact_l != exact_r:
-                yield f"A={sorted(q.pid for q in A)[:3]} B={sorted(q.pid for q in B)[:3]}"
+            u = star_measure(A | B, family, cap)
+            meet = star_measure(A, family, cap) & star_measure(B, family, cap)
+            wide = star_measure(A | B, family, 2 * cap)
+            ample = (A | B).bit_count()
+            exact_l = star_measure(A | B, family, ample)
+            exact_r = star_measure(A, family, ample) & star_measure(B, family, ample)
+            if not (precedes(meet, u) and precedes(wide, meet)) or exact_l != exact_r:
+                yield f"A={space.pids(A)[:3]} B={space.pids(B)[:3]}"
 
     out.append(first_failure("measure_union_bracket", union_bracket_breaks()))
 
     def closure_bracket_breaks():
         for A, _ in head:
             a = star_measure(A, family, cap)
-            ac = star_measure(closure(A, family), family, cap)
+            ac = star_measure(family.closure_mask(A), family, cap)
             if not (precedes(a, ac) and precedes(ac, coarsen(a, 1))):
-                yield f"A={sorted(q.pid for q in A)[:3]}"
+                yield f"A={space.pids(A)[:3]}"
 
     out.append(first_failure("measure_closure_bracket", closure_bracket_breaks()))
 
@@ -320,7 +312,7 @@ def measure_suite(
             a = star_measure(A, family, cap)
             b = member_measure(A, family, cap)
             if not (precedes(a, b) and precedes(b, coarsen(a, 1))):
-                yield f"A={sorted(q.pid for q in A)[:3]}"
+                yield f"A={space.pids(A)[:3]}"
 
     out.append(first_failure("measure_member_cover_bracket", member_bracket_breaks()))
     return out
@@ -356,12 +348,12 @@ def nested_chain_suite(
                         near = q == center
                     if near:
                         m |= 1 << q.index
-                chain.append(space.points_of(family.closure_mask(m)))
+                chain.append(family.closure_mask(m))
                 radius /= 4
             rep = cantor_kuratowski_check(chain, family, cap)
-            if not rep.hypothesis_met or not rep.intersection:
+            if not rep.hypothesis_met or not rep.intersection_mask:
                 yield f"trial {t} center {center.pid}: {rep.claim}"
-            elif center not in rep.intersection:
+            elif not (rep.intersection_mask >> center.index) & 1:
                 yield f"trial {t}: intersection misses the center"
 
     out.append(first_failure("nested_chain_positive_runs", positive_misses()))
@@ -371,8 +363,7 @@ def nested_chain_suite(
         for t in range(negatives):
             stride = rng.randint(3, 5)
             offset = rng.randint(0, stride - 1)
-            spread = frozenset(pts[offset::stride])
-            spread = space.points_of(family.closure_mask(space.mask_of(spread)))
+            spread = family.closure_mask(space.mask_of(pts[offset::stride]))
             rep = cantor_kuratowski_check([spread] * 4, family, starved_cap)
             if rep.hypothesis_met or rep.claim != "hypothesis not met":
                 yield f"trial {t}: claimed {rep.claim!r} under a starved cap"

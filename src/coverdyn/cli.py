@@ -253,7 +253,7 @@ def cmd_attractor(rc: RunConfig) -> int:
         "kind": report.kind,
         "expected_kind": sc.expected.kind,
         "equivalence": report.to_dict(),
-        "constructed_candidate": sorted(p.pid for p in constructed),
+        "constructed_candidate": sc.space.pids(constructed),
         "constructed_verdict": built_verdict.to_dict(),
         "uniqueness": uniqueness.to_dict() if uniqueness else None,
         "expectations_met": expectations_met,
@@ -272,7 +272,7 @@ def cmd_scenario(rc: RunConfig) -> int:
         "points": sc.space.n,
         "coverings": [len(c.members) for c in sc.family.coverings],
         "filter_depth": sc.filter_basis.depth,
-        "testsets": {k: sorted(p.pid for p in v)[:10] for k, v in sorted(sc.testsets.items())},
+        "testsets": {k: sc.space.pids(v)[:10] for k, v in sorted(sc.testsets.items())},
         "expected": {
             "attractor": list(sc.expected.attractor),
             "kind": sc.expected.kind,
@@ -316,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--resolution", type=_at_least(0), help="covering index truncation")
         p.add_argument("--cap", type=_at_least(1), help="measure cardinality cap")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized test sets")
-        p.add_argument("--budget", type=_at_least(0), default=32, help="sample budget")
+        p.add_argument(
+            "--budget", type=_at_least(0), help="random test sets for attractor (default 32, at most 50)"
+        )
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="write the report to a file instead of stdout")
 
@@ -346,10 +348,17 @@ def _reject_ignored_flags(ap: argparse.ArgumentParser, ns: argparse.Namespace) -
     name = getattr(ns, "name", None)
     if name and (ns.config_path or ns.scenario not in (None, name)):
         ap.error(f"scenario name {name!r} conflicts with --scenario/--config")
-    if ns.command == "verify-axioms" and not (ns.scenario or ns.config_path):
+    system = ns.scenario or ns.config_path
+    if ns.command == "verify-axioms" and not system:
         for flag, value in (("--max-level", ns.max_level), ("--resolution", ns.resolution)):
             if value is not None:
                 ap.error(f"argument {flag}: needs --scenario or --config")
+    if ns.budget is not None and ns.command != "attractor":
+        ap.error(f"argument --budget: {ns.command} does not use it")
+    if ns.cap is not None and ns.command in ("omega", "scenario"):
+        ap.error(f"argument --cap: {ns.command} does not use it")
+    if ns.cap is not None and getattr(ns, "mutate", None) and not system:
+        ap.error("argument --cap: --mutate without --scenario or --config does not use it")
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -368,7 +377,7 @@ def main(argv: Optional[list] = None) -> int:
         resolution=ns.resolution,
         cap=ns.cap,
         seed=ns.seed,
-        budget=ns.budget,
+        budget=RunConfig.budget if ns.budget is None else ns.budget,
         format=ns.format,
         out=ns.out,
         mutate=getattr(ns, "mutate", None),

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .covering import CHAIN, AdmissibleFamily
 from .proximity import CoverCollection, converges_to_zero
-from .space import CoverdynError, EmptyInput, Point, Space, iter_bits
+from .space import CoverdynError, EmptyInput, Point, iter_bits
 
 
 class NotDecreasing(CoverdynError):
@@ -40,14 +40,8 @@ def default_cap(space_size: int) -> int:
     return max(1, -(-space_size // 4))
 
 
-def is_bounded(
-    Y: frozenset[Point] | set[Point], family: AdmissibleFamily
-) -> bool:
+def is_bounded(ymask: int, family: AdmissibleFamily) -> bool:
     """True iff some covering of the family relates every pair of Y."""
-    return is_bounded_mask(family.space.mask_of(Y), family)
-
-
-def is_bounded_mask(ymask: int, family: AdmissibleFamily) -> bool:
     if ymask == 0:
         raise EmptyInput("boundedness of the empty set is undefined")
     return any(
@@ -56,13 +50,10 @@ def is_bounded_mask(ymask: int, family: AdmissibleFamily) -> bool:
     )
 
 
-def is_totally_bounded(
-    Y: frozenset[Point] | set[Point], family: AdmissibleFamily
-) -> bool:
+def is_totally_bounded(ymask: int, family: AdmissibleFamily) -> bool:
     """True iff every covering admits a finite star cover of Y (always, on finite samples)."""
-    if not Y:
+    if not ymask:
         raise EmptyInput("total boundedness of the empty set is undefined")
-    ymask = family.space.mask_of(Y)
     for cov in family.coverings:
         covered = 0
         for i in iter_bits(ymask):
@@ -160,25 +151,13 @@ def _measure(ymask: int, family: AdmissibleFamily, cap: int, candidates: str) ->
     return CoverCollection(family, cache[key])
 
 
-def star_measure(
-    Y: frozenset[Point] | set[Point], family: AdmissibleFamily, cap: int
-) -> CoverCollection:
+def star_measure(ymask: int, family: AdmissibleFamily, cap: int) -> CoverCollection:
     """Coverings at which Y admits a cover by at most `cap` point stars."""
-    return star_measure_mask(family.space.mask_of(Y), family, cap)
-
-
-def star_measure_mask(ymask: int, family: AdmissibleFamily, cap: int) -> CoverCollection:
     return _measure(ymask, family, cap, "point_star")
 
 
-def member_measure(
-    Y: frozenset[Point] | set[Point], family: AdmissibleFamily, cap: int
-) -> CoverCollection:
+def member_measure(ymask: int, family: AdmissibleFamily, cap: int) -> CoverCollection:
     """Coverings at which Y admits a cover by at most `cap` covering members."""
-    return member_measure_mask(family.space.mask_of(Y), family, cap)
-
-
-def member_measure_mask(ymask: int, family: AdmissibleFamily, cap: int) -> CoverCollection:
     return _measure(ymask, family, cap, "members")
 
 
@@ -207,28 +186,19 @@ class NestedChainReport:
     """Outcome of the nested-closed-chain (Cantor-style) harness."""
 
     hypothesis_met: bool
-    space: Space
     intersection_mask: int
     measure_trace: tuple[CoverCollection, ...]
     claim: str
 
-    @property
-    def intersection(self) -> frozenset[Point]:
-        return self.space.points_of(self.intersection_mask)
-
 
 def cantor_kuratowski_check(
-    chain: Sequence[frozenset[Point] | set[Point]],
-    family: AdmissibleFamily,
-    cap: int,
+    masks: Sequence[int], family: AdmissibleFamily, cap: int
 ) -> NestedChainReport:
     """Check a decreasing chain of nonempty closed sets: when the star measures
     converge to zero, assert and report the nonempty intersection; otherwise
     report that the hypothesis is not met (no claim)."""
-    if not chain:
+    if not masks:
         raise EmptyInput("the chain must be nonempty")
-    space = family.space
-    masks = [space.mask_of(F) for F in chain]
     for k, m in enumerate(masks):
         if m == 0:
             raise EmptyInput(f"chain element {k} is empty")
@@ -237,7 +207,7 @@ def cantor_kuratowski_check(
     for k in range(1, len(masks)):
         if masks[k] & ~masks[k - 1]:
             raise NotDecreasing(f"element {k} is not contained in element {k - 1}")
-    trace = tuple(star_measure_mask(m, family, cap) for m in masks)
+    trace = tuple(star_measure(m, family, cap) for m in masks)
     met = converges_to_zero(trace)
     inter = masks[-1]
     for m in masks:
@@ -251,7 +221,6 @@ def cantor_kuratowski_check(
         claim = "hypothesis not met"
     return NestedChainReport(
         hypothesis_met=met,
-        space=space,
         intersection_mask=inter,
         measure_trace=trace,
         claim=claim,

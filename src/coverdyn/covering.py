@@ -70,6 +70,7 @@ class Covering:
         return bool_product(self.point_rows, self.point_rows, len(self.members))
 
     def star_mask(self, ymask: int) -> int:
+        """Union of the members meeting the point set `ymask`."""
         if ymask == 0:
             raise EmptyInput("star of the empty set is undefined")
         s = 0
@@ -104,21 +105,13 @@ def make_covering_masks(space: Space, masks: Iterable[int], label: str = "") -> 
         opens = set(space.opens)
         for m in members:
             if m not in opens:
-                raise CoveringError(
-                    f"member {sorted(p.pid for p in space.points_of(m))} is not open"
-                )
+                raise CoveringError(f"member {space.pids(m)} is not open")
     return Covering(space=space, members=members, label=label)
 
 
 def _check_same_space(a: Covering, b: Covering) -> None:
     if a.space is not b.space:
         raise SpaceMismatch("coverings belong to different spaces")
-
-
-def star(Y: frozenset[Point] | set[Point], U: Covering) -> frozenset[Point]:
-    """Union of covering members meeting Y."""
-    mask = U.space.mask_of(Y)
-    return U.space.points_of(U.star_mask(mask))
 
 
 def relation_rows(
@@ -323,6 +316,11 @@ class AdmissibleFamily:
         return cache[n]
 
     def closure_mask(self, ymask: int) -> int:
+        """Family closure: the intersection of the stars of `ymask` over every covering.
+
+        On finite-topology spaces whose family satisfies the star-basis axiom this
+        equals the topological closure computed from the opens alone.
+        """
         if ymask == 0:
             raise EmptyInput("closure of the empty set is undefined")
         out = self.space.full_mask
@@ -395,18 +393,6 @@ def finite_all_coverings_family(space: Space) -> AdmissibleFamily:
     return AdmissibleFamily(
         space=space, kind=FINITE, coverings=tuple(enumerate_open_coverings(space))
     )
-
-
-def closure(
-    Y: frozenset[Point] | set[Point], family: AdmissibleFamily
-) -> frozenset[Point]:
-    """Family closure: the intersection of the stars of Y over every covering.
-
-    On finite-topology spaces whose family satisfies the star-basis axiom this
-    equals the topological closure computed from the opens alone.
-    """
-    mask = family.space.mask_of(Y)
-    return family.space.points_of(family.closure_mask(mask))
 
 
 @dataclass(frozen=True)
@@ -507,8 +493,7 @@ def verify_admissible(family: AdmissibleFamily) -> AxiomReport:
             if not (refined >> j) & 1
         )),
         first_failure("star_basis", (
-            f"no star of {space.points[x].pid} fits inside open "
-            f"{sorted(p.pid for p in space.points_of(o))}"
+            f"no star of {space.points[x].pid} fits inside open {space.pids(o)}"
             for x in range(space.n)
             for o in targets
             if (o >> x) & 1 and not any(cov.point_star[x] & ~o == 0 for cov in covs)

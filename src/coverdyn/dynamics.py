@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .compactness import is_bounded_mask, member_measure_mask, star_measure_mask
+from .compactness import is_bounded, member_measure, star_measure
 from .covering import AdmissibleFamily, CheckList, CheckResult, first_failure
 from .proximity import CoverCollection, converges_to_zero, stars_containing
 from .space import CoverdynError, EmptyInput, Point, Space, iter_bits
@@ -227,16 +227,8 @@ class Action:
         return None
 
 
-def orbit(
-    level: int, Y: frozenset[Point] | set[Point], action: Action, F: FilterBasis
-) -> frozenset[Point]:
-    """Image of Y under the sampled elements of filter level `level`."""
-    if not Y:
-        raise EmptyInput("orbit of the empty set is undefined")
-    return action.space.points_of(orbit_mask(level, action.space.mask_of(Y), action, F))
-
-
 def orbit_mask(level: int, ymask: int, action: Action, F: FilterBasis) -> int:
+    """Image of the point set `ymask` under the sampled elements of filter level `level`."""
     out = 0
     for el in F.sampler(level):
         out |= action.image_mask(el, ymask)
@@ -258,13 +250,14 @@ def divergent_sequence(F: FilterBasis, length: Optional[int] = None) -> list[tup
 class LimitSetReport:
     """A computed limit set with the certification data that produced it."""
 
-    points: frozenset[Point]
+    mask: int
+    space: Space
     resolution: int
     truncation: int
     witnesses: dict
 
     def pids(self) -> list[str]:
-        return sorted(p.pid for p in self.points)
+        return self.space.pids(self.mask)
 
     def to_dict(self) -> dict:
         return {
@@ -300,7 +293,8 @@ def _limit_set(
                 witnesses[space.points[i]] = (el, src)
                 break
     return LimitSetReport(
-        points=space.points_of(acc),
+        mask=acc,
+        space=space,
         resolution=family.finest_index,
         truncation=F.depth,
         witnesses=witnesses,
@@ -308,15 +302,12 @@ def _limit_set(
 
 
 def omega_limit(
-    Y: frozenset[Point] | set[Point],
-    F: FilterBasis,
-    action: Action,
-    family: AdmissibleFamily,
+    ymask: int, F: FilterBasis, action: Action, family: AdmissibleFamily
 ) -> LimitSetReport:
     """Intersection over filter levels of the closures of the level orbits."""
-    if not Y:
+    if not ymask:
         raise EmptyInput("limit set of the empty set is undefined")
-    return _limit_set([action.space.mask_of(Y)] * (F.depth + 1), F, action, family)
+    return _limit_set([ymask] * (F.depth + 1), F, action, family)
 
 
 def prolongational_limit(
@@ -342,18 +333,13 @@ class AttractionReport:
 
 
 def attracts(
-    Y: frozenset[Point] | set[Point],
-    Z: frozenset[Point] | set[Point],
-    F: FilterBasis,
-    action: Action,
-    family: AdmissibleFamily,
+    ymask: int, zmask: int, F: FilterBasis, action: Action, family: AdmissibleFamily
 ) -> AttractionReport:
     """Level search per covering index, cross-validated against the proximity
     formulation (set proximities along a divergent sequence converge to zero)."""
-    if not Y or not Z:
+    if not ymask or not zmask:
         raise EmptyInput("attraction needs nonempty sets")
     space = action.space
-    ymask, zmask = space.mask_of(Y), space.mask_of(Z)
     stars = [cov.star_mask(ymask) for cov in family.coverings]
     # per filter level: the covering indices whose star of Y holds the orbit of Z
     inside = [stars_containing(orbit_mask(k, zmask, action, F), stars) for k in F.levels()]
@@ -385,20 +371,10 @@ def attracts(
     )
 
 
-def absorbs(
-    Y: frozenset[Point] | set[Point],
-    Z: frozenset[Point] | set[Point],
-    F: FilterBasis,
-    action: Action,
-) -> Optional[int]:
+def absorbs(ymask: int, zmask: int, F: FilterBasis, action: Action) -> Optional[int]:
     """Least sampled filter level whose orbit of Z lies inside Y, if any."""
-    if not Y or not Z:
+    if not ymask or not zmask:
         raise EmptyInput("absorption needs nonempty sets")
-    space = action.space
-    return absorbs_mask(space.mask_of(Y), space.mask_of(Z), F, action)
-
-
-def absorbs_mask(ymask: int, zmask: int, F: FilterBasis, action: Action) -> Optional[int]:
     for k in F.levels():
         if orbit_mask(k, zmask, action, F) & ~ymask == 0:
             return k
@@ -515,10 +491,10 @@ def check_dissipativity(
     action: Action,
     F: FilterBasis,
     family: AdmissibleFamily,
-    testsets: dict[str, frozenset[Point]],
+    testsets: dict[str, int],
     cap: int,
     points_sample: Optional[Sequence[Point]] = None,
-    absorb_candidate: Optional[frozenset[Point]] = None,
+    absorb_candidate: Optional[int] = None,
 ) -> TaxonomyReport:
     """Verdicts with witnesses for the five dissipativity/compactness notions,
     evaluated on the supplied bounded test sets up to the sampling budget."""
@@ -526,7 +502,7 @@ def check_dissipativity(
         raise EmptyInput("the taxonomy needs at least one test set")
     space = action.space
     outcomes = []
-    masks = {name: space.mask_of(Y) for name, Y in sorted(testsets.items())}
+    masks = dict(sorted(testsets.items()))
     orbits = {
         name: [orbit_mask(k, m, action, F) for k in F.levels()] for name, m in masks.items()
     }
@@ -534,17 +510,16 @@ def check_dissipativity(
     outcomes.append(first_failure("eventually_bounded", (
         f"orbit of {name} never becomes bounded"
         for name, per_level in orbits.items()
-        if not any(is_bounded_mask(om, family) for om in per_level)
+        if not any(is_bounded(om, family) for om in per_level)
     )))
 
     candidates = []
     if absorb_candidate:
-        amask = space.mask_of(absorb_candidate)
-        candidates.append(("declared", amask))
+        candidates.append(("declared", absorb_candidate))
         for i, cov in enumerate(family.coverings):
-            candidates.append((f"declared-star-{i}", cov.star_mask(amask)))
+            candidates.append((f"declared-star-{i}", cov.star_mask(absorb_candidate)))
     candidates.append(("whole-space", space.full_mask))
-    bounded = [(cname, D) for cname, D in candidates if is_bounded_mask(D, family)]
+    bounded = [(cname, D) for cname, D in candidates if is_bounded(D, family)]
     ok, wit = False, "no bounded absorbing candidate"
     for cname, D in bounded:
         if all(any(om & ~D == 0 for om in per_level) for per_level in orbits.values()):
@@ -557,7 +532,7 @@ def check_dissipativity(
     sample = list(points_sample) if points_sample is not None else list(space.points)
     ok, wit = False, "no bounded candidate absorbs every sampled point"
     for cname, D in bounded:
-        if all(absorbs_mask(D, 1 << x.index, F, action) is not None for x in sample):
+        if all(absorbs(D, 1 << x.index, F, action) is not None for x in sample):
             ok, wit = True, f"absorbing set: {cname}"
             break
     outcomes.append(CheckResult("point_dissipative", ok, wit))
@@ -583,7 +558,7 @@ def check_dissipativity(
             # the coverings kept by the member measure at some level
             kept = 0
             for om in per_level:
-                kept |= member_measure_mask(om, family, cap).mask
+                kept |= member_measure(om, family, cap).mask
                 if kept == every:
                     break
             if kept != every:
@@ -598,16 +573,15 @@ def check_dissipativity(
 def verify_eventual_compactness(
     action: Action,
     witness_element,
-    testsets: dict[str, frozenset[Point]],
+    testsets: dict[str, int],
     family: AdmissibleFamily,
     cap: int,
 ) -> CheckResult:
     """Check a declared witness: images of the test sets under it close to
     measure-zero sets at the configured cap."""
-    space = action.space
-    for name, Y in sorted(testsets.items()):
-        img = family.closure_mask(action.image_mask(witness_element, space.mask_of(Y)))
-        if not star_measure_mask(img, family, cap).is_zero:
+    for name, ymask in sorted(testsets.items()):
+        img = family.closure_mask(action.image_mask(witness_element, ymask))
+        if not star_measure(img, family, cap).is_zero:
             return CheckResult(
                 "eventually_compact",
                 False,

@@ -110,9 +110,7 @@ def _slabs(model: FunctionSpaceModel, c: ArgConstraint) -> list[int]:
 
 
 def pointwise_covering(
-    model: FunctionSpaceModel,
-    constraints: Sequence[ArgConstraint],
-    label: str = "",
+    model: FunctionSpaceModel, constraints: Sequence[ArgConstraint]
 ) -> Covering:
     """Members are all nonempty products of per-argument value balls."""
     members = [model.space.full_mask]
@@ -123,10 +121,8 @@ def pointwise_covering(
         )
         if not members:
             raise ValueError(f"constraint at arg {c.arg_index} empties every member")
-    if not label:
-        parts = ",".join(f"{c.arg_index}@{c.radius:g}" for c in constraints)
-        label = f"pw[{parts}]"
-    return make_covering_masks(model.space, members, label=label)
+    parts = ",".join(f"{c.arg_index}@{c.radius:g}" for c in constraints)
+    return make_covering_masks(model.space, members, label=f"pw[{parts}]")
 
 
 def pointwise_chain(

@@ -68,9 +68,6 @@ class CoverCollection:
             raise ChainKindUnsupported("thresholds read chain-kind collections only")
         return INF if self.is_zero else self.mask.bit_length() - 1
 
-    def index_set(self) -> frozenset[int]:
-        return frozenset(iter_bits(self.mask))
-
     def contains_index(self, i: int) -> bool:
         return bool((self.mask >> i) & 1)
 
@@ -96,7 +93,7 @@ class CoverCollection:
         return CoverCollection(self.family, self.mask | other.mask)
 
     def __repr__(self) -> str:
-        return f"CoverCollection({sorted(self.index_set())})"
+        return f"CoverCollection({list(iter_bits(self.mask))})"
 
 
 def _check_family(a: CoverCollection, b: CoverCollection) -> None:
@@ -157,13 +154,10 @@ def prox(x: Point, y: Point, family: AdmissibleFamily) -> CoverCollection:
     return CoverCollection(family, mask)
 
 
-def prox_to_set(
-    x: Point, A: frozenset[Point] | set[Point], family: AdmissibleFamily
-) -> CoverCollection:
+def prox_to_set(x: Point, amask: int, family: AdmissibleFamily) -> CoverCollection:
     """Union of prox(x, a) over a in A: coverings whose star at x meets A."""
-    if not A:
+    if not amask:
         raise EmptyInput("prox to the empty set is undefined")
-    amask = family.space.mask_of(A)
     mask = 0
     for i, cov in enumerate(family.coverings):
         if cov.point_star[x.index] & amask:
@@ -171,18 +165,12 @@ def prox_to_set(
     return CoverCollection(family, mask)
 
 
-def semi_prox(
-    A: frozenset[Point] | set[Point],
-    B: frozenset[Point] | set[Point],
-    family: AdmissibleFamily,
-) -> CoverCollection:
+def semi_prox(amask: int, bmask: int, family: AdmissibleFamily) -> CoverCollection:
     """One-sided set proximity: coverings at which every point of B is star-close to A."""
-    if not A or not B:
+    if not amask or not bmask:
         raise EmptyInput("semi_prox needs nonempty sets")
-    space = family.space
-    amask = space.mask_of(A)
     stars = [cov.star_mask(amask) for cov in family.coverings]
-    return CoverCollection(family, stars_containing(space.mask_of(B), stars))
+    return CoverCollection(family, stars_containing(bmask, stars))
 
 
 def stars_containing(bmask: int, stars: Sequence[int]) -> int:
@@ -215,17 +203,8 @@ def point_sequence_converges(
     return True
 
 
-def sets_equal_at_resolution(
-    A: frozenset[Point] | set[Point],
-    B: frozenset[Point] | set[Point],
-    family: AdmissibleFamily,
-) -> bool:
+def sets_equal_at_resolution(amask: int, bmask: int, family: AdmissibleFamily) -> bool:
     """Set equality up to the family's resolution: each set lies in the other's closure."""
-    space = family.space
-    return sets_equal_at_resolution_mask(space.mask_of(A), space.mask_of(B), family)
-
-
-def sets_equal_at_resolution_mask(amask: int, bmask: int, family: AdmissibleFamily) -> bool:
     if not amask or not bmask:
         return amask == bmask
     return (
@@ -234,18 +213,13 @@ def sets_equal_at_resolution_mask(amask: int, bmask: int, family: AdmissibleFami
     )
 
 
-def subset_at_resolution(
-    A: frozenset[Point] | set[Point],
-    B: frozenset[Point] | set[Point],
-    family: AdmissibleFamily,
-) -> bool:
+def subset_at_resolution(amask: int, bmask: int, family: AdmissibleFamily) -> bool:
     """A is contained in B up to resolution: A lies inside the family closure of B.
 
     Equivalently, every point of A is star-close to B at every covering.
     """
-    if not A:
+    if not amask:
         return True
-    if not B:
+    if not bmask:
         return False
-    space = family.space
-    return space.mask_of(A) & ~family.closure_mask(space.mask_of(B)) == 0
+    return amask & ~family.closure_mask(bmask) == 0

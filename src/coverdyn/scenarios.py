@@ -84,24 +84,23 @@ class Scenario:
     family: AdmissibleFamily
     action: Action
     filter_basis: FilterBasis
-    testsets: dict
+    testsets: dict[str, int]
     declared: Declared
     expected: Expected
     points_sample: tuple[Point, ...]
     model: Optional[FunctionSpaceModel] = None
     params: dict = field(default_factory=dict)
 
-    def attractor_points(self) -> frozenset[Point]:
-        return frozenset(self.space.by_id(pid) for pid in self.expected.attractor)
+    def attractor_points(self) -> int:
+        return self.space.mask_of(self.space.by_id(pid) for pid in self.expected.attractor)
 
-    def random_bounded_testsets(self, rng, count: int, max_size: int = 6) -> dict:
+    def random_bounded_testsets(self, rng, count: int, max_size: int = 6) -> dict[str, int]:
         """Seeded random subsets of the space's points."""
         out = {}
         pool = self.space.points
         for i in range(count):
             size = rng.randint(1, max_size)
-            pick = frozenset(rng.sample(pool, min(size, len(pool))))
-            out[f"rand{i}"] = pick
+            out[f"rand{i}"] = self.space.mask_of(rng.sample(pool, min(size, len(pool))))
         return out
 
 
@@ -181,13 +180,11 @@ def scenario_iterated_contractions(
     F = integer_tails(nat_mul(), depth=depth, window=4, start=1)
 
     attractor_pids = tuple(f"i[{xf:g}]" for xf in fixed)
-    attractor = frozenset(space.points[i] for i in range(len(fixed)))
-    whole = frozenset(space.points)
     testsets = {
-        "whole": whole,
-        "attractor": attractor,
-        "seed": frozenset({lookup[("pow", 0.75, 1)]}),
-        "pair": frozenset({lookup[("pow", 0.0, 1)], lookup[("pow", 1.0, 2)]}),
+        "whole": space.full_mask,
+        "attractor": space.mask_of(space.points[: len(fixed)]),
+        "seed": space.mask_of([lookup[("pow", 0.75, 1)]]),
+        "pair": space.mask_of([lookup[("pow", 0.0, 1)], lookup[("pow", 1.0, 2)]]),
     }
     # closed-form attraction bound: least n with L**n * delta < eps
     delta = max(abs(z - xf) for z in args for xf in fixed)
@@ -284,13 +281,11 @@ def scenario_composition(
     action = Action(semigroup=scaling_maps(L), space=space, apply_fn=apply_fn)
     F = scaling_tails(depth=depth, window=3, L=L)
 
-    whole = frozenset(space.points)
-    attractor = frozenset({space.points[0]})
     testsets = {
-        "whole": whole,
-        "attractor": attractor,
-        "seed": frozenset({lookup[("seed", "id", 0)]}),
-        "pair": frozenset({lookup[("seed", "vee", 1)], lookup[("seed", "shift", 0)]}),
+        "whole": space.full_mask,
+        "attractor": space.mask_of(space.points[:1]),
+        "seed": space.mask_of([lookup[("seed", "id", 0)]]),
+        "pair": space.mask_of([lookup[("seed", "vee", 1)], lookup[("seed", "shift", 0)]]),
     }
     declared = Declared(
         cap=default_cap(space.n),
@@ -378,12 +373,11 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
     action = Action(semigroup=vector_add(2), space=space, apply_fn=apply_fn)
     F = vector_tails(2, depth=depth, window=window)
 
-    star_cov = pointwise_covering(model, [constraint(model, 0, 1.0)], label="pw[0@1]")
-    Y = space.points_of(star_cov.star_mask(space.mask_of({zero})))
+    star_cov = pointwise_covering(model, [constraint(model, 0, 1.0)])
     testsets = {
-        "orbit-star": frozenset(Y),
-        "seed": frozenset({by_exp[3]}),
-        "small": frozenset({zero, by_exp[-7], by_exp[-6], by_exp[-5]}),
+        "orbit-star": star_cov.star_mask(space.mask_of([zero])),
+        "seed": space.mask_of([by_exp[3]]),
+        "small": space.mask_of([zero, by_exp[-7], by_exp[-6], by_exp[-5]]),
     }
     sample = tuple(
         p for p in space.points if meta[p.index] is None or meta[p.index] <= 16
@@ -436,13 +430,10 @@ def scenario_decay_grid(
     F = integer_tails(nat_add(), depth=depth, window=window)
     zero = space.points[0]
     step = 1.0 / (count - 1)
-    ball_mask = sum(
-        1 << p.index for p in space.points if abs(p.coords[0]) < 0.15
-    )
     testsets = {
-        "whole": frozenset(space.points),
-        "seed": frozenset({space.points[count - 1]}),
-        "low-ball": space.points_of(ball_mask),
+        "whole": space.full_mask,
+        "seed": space.mask_of(space.points[-1:]),
+        "low-ball": space.mask_of(p for p in space.points if abs(p.coords[0]) < 0.15),
     }
     declared = Declared(
         cap=default_cap(space.n),
@@ -634,12 +625,12 @@ def _load_custom(cp) -> Scenario:
         for name in cp.options("testsets"):
             raw = _jget(cp, "testsets", name, required=True)
             if raw == "all":
-                testsets[name] = frozenset(space.points)
+                testsets[name] = space.full_mask
             else:
                 where = f"[testsets] {name}"
-                testsets[name] = frozenset(_config_point(i, space, where) for i in raw)
+                testsets[name] = space.mask_of(_config_point(i, space, where) for i in raw)
     if not testsets:
-        testsets = {"whole": frozenset(space.points)}
+        testsets = {"whole": space.full_mask}
 
     cap = _config_int(cp, "declared", "cap", default_cap(space.n))
     if cap < 1:

@@ -2,8 +2,9 @@
 
 A Space is a finite set of points carrying either a validated metric (as a
 distance matrix) or a validated finite topology (as a list of open sets).
-Point subsets are handled internally as integer bitmasks; public helpers
-convert between masks and frozensets of points.
+Every point set, in every signature of the package, is an int mask: bit i is
+the point with index i. `Space.mask_of` builds one from points, and
+`Space.pids` reads one back as the sorted point ids.
 """
 
 from __future__ import annotations
@@ -114,8 +115,9 @@ class Space:
             mask |= 1 << p.index
         return mask
 
-    def points_of(self, mask: int) -> frozenset[Point]:
-        return frozenset(self.points[i] for i in iter_bits(mask))
+    def pids(self, mask: int) -> list[str]:
+        """The ids of the points in `mask`, sorted."""
+        return sorted(self.points[i].pid for i in iter_bits(mask))
 
     def point_list(self, mask: int) -> list[Point]:
         return [self.points[i] for i in iter_bits(mask)]
@@ -294,15 +296,11 @@ def line_grid(start: float, stop: float, count: int, metric: str = "euclidean") 
 
 
 def ball_mask(space: Space, center: Point, radius: float) -> int:
+    """Open metric ball: points strictly closer than `radius` to the center."""
     space.require_metric()
     if radius <= 0:
         raise ValueError("radius must be positive")
     return _pack(space.dist[center.index, None] < radius)[0]
-
-
-def ball(space: Space, center: Point, radius: float) -> frozenset[Point]:
-    """Open metric ball: points strictly closer than `radius` to the center."""
-    return space.points_of(ball_mask(space, center, radius))
 
 
 def build_finite_topology(

@@ -47,12 +47,13 @@ def test_verify_global_decay(grid_sc):
     )
     assert v.all_passed, [c for c in v.checks if not c.passed]
     assert v.kind == "global"
+    assert v.candidate == ("(0)",)
 
 
 def test_verify_global_empty_candidate(grid_sc):
     sc = grid_sc
     v = verify_global(
-        frozenset(), sc.testsets, sc.filter_basis, sc.action, sc.family, 10
+        0, sc.testsets, sc.filter_basis, sc.action, sc.family, 10
     )
     assert not v.passed("nonempty")
     assert v.kind == "neither"
@@ -75,7 +76,7 @@ def test_verify_uniform_missing_limit_point():
     # dropping one fixed point from the candidate leaves some sampled
     # prolongational limit outside it
     sc = get_scenario("iterated_contractions")
-    cand = sc.attractor_points() - {sc.space.by_id("i[0.5]")}
+    cand = sc.attractor_points() & ~sc.space.mask_of([sc.space.by_id("i[0.5]")])
     v = verify_uniform(
         cand,
         (sc.space.by_id("pow[0.5]e1"),),
@@ -94,7 +95,7 @@ def test_verify_global_noncompact_candidate(grid_sc):
     sc = grid_sc
     sharp = metric_chain_family(sc.space, 2.0, 5)
     v = verify_global(
-        frozenset(sc.space.points),
+        sc.space.full_mask,
         sc.testsets,
         sc.filter_basis,
         sc.action,
@@ -108,7 +109,7 @@ def test_uniqueness_independent_constructions():
     sc = get_scenario("iterated_contractions")
     fam_a = {"whole": sc.testsets["whole"]}
     seeds = {
-        f"seed{x}": frozenset({sc.space.by_id(f"pow[{x}]e1")})
+        f"seed{x}": sc.space.mask_of([sc.space.by_id(f"pow[{x}]e1")])
         for x in ("0", "0.25", "0.5", "0.75", "1")
     }
     A1 = construct_candidate(fam_a, sc.filter_basis, sc.action, sc.family)
@@ -120,7 +121,7 @@ def test_uniqueness_independent_constructions():
 def test_uniqueness_negative_control(grid_sc):
     # a "bounded invariant" set that escapes the attractor must be reported
     sc = grid_sc
-    runaway = frozenset({sc.space.points[80]})
+    runaway = sc.space.mask_of([sc.space.points[80]])
     rep = check_uniqueness(
         sc.attractor_points(),
         sc.attractor_points(),

@@ -441,3 +441,44 @@ def test_verify_axioms_truncation_without_system_is_usage_error(capsys, flag):
     assert code == 2
     assert captured.out == ""
     assert f"argument {flag}: needs --scenario or --config" in captured.err
+
+
+OMEGA = ("omega", "--scenario", "decay_grid", "--target", "seed")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ("verify-axioms", "--budget", "32"),
+            "argument --budget: verify-axioms does not use it",
+            id="verify-axioms-budget",
+        ),
+        pytest.param(
+            (*OMEGA, "--budget", "32"), "argument --budget: omega does not use it", id="omega-budget"
+        ),
+        pytest.param(
+            ("scenario", "decay_grid", "--budget", "32"),
+            "argument --budget: scenario does not use it",
+            id="scenario-budget",
+        ),
+        pytest.param((*OMEGA, "--cap", "3"), "argument --cap: omega does not use it", id="omega-cap"),
+        pytest.param(
+            ("scenario", "decay_grid", "--cap", "3"),
+            "argument --cap: scenario does not use it",
+            id="scenario-cap",
+        ),
+        pytest.param(
+            ("verify-axioms", "--mutate", "prox-asymmetry", "--cap", "3"),
+            "argument --cap: --mutate without --scenario or --config does not use it",
+            id="mutate-cap",
+        ),
+    ],
+)
+def test_flag_the_command_does_not_read_is_usage_error(capsys, argv, message):
+    # each flag used to be echoed in the report's config and then ignored
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err

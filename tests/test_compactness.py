@@ -22,10 +22,8 @@ from coverdyn.compactness import (
 from coverdyn.covering import (
     CHAIN,
     chain_family,
-    closure,
     finite_all_coverings_family,
     metric_chain_family,
-    star,
 )
 from coverdyn.proximity import CoverCollection, coarsen, converges_to_zero, precedes
 from coverdyn.space import EmptyInput, build_finite_topology, line_grid
@@ -43,7 +41,7 @@ def fam(grid):
 
 
 def pickset(grid, *idx):
-    return frozenset(grid.points[i] for i in idx)
+    return grid.mask_of(grid.points[i] for i in idx)
 
 
 def naive_min_cover(target, candidates):
@@ -77,7 +75,7 @@ def test_bounded_singleton(grid, fam):
 
 def test_bounded_whole_grid(grid, fam):
     # the coarsest covering has radius above the diameter
-    assert is_bounded(frozenset(grid.points), fam)
+    assert is_bounded(grid.full_mask, fam)
 
 
 def test_unbounded_under_fine_only_family(grid):
@@ -90,15 +88,15 @@ def test_unbounded_under_fine_only_family(grid):
 
 def test_empty_inputs(grid, fam):
     with pytest.raises(EmptyInput):
-        is_bounded(frozenset(), fam)
+        is_bounded(0, fam)
     with pytest.raises(EmptyInput):
-        star_measure(frozenset(), fam, 4)
+        star_measure(0, fam, 4)
 
 
 def test_totally_bounded_always_on_finite(grid, fam):
     rng = random.Random(5)
     for _ in range(20):
-        Y = frozenset(rng.sample(grid.points, rng.randint(1, 30)))
+        Y = grid.mask_of(rng.sample(grid.points, rng.randint(1, 30)))
         assert is_totally_bounded(Y, fam)
 
 
@@ -106,7 +104,7 @@ def test_totally_bounded_implies_bounded(grid, fam):
     # property run over 100 random subsets
     rng = random.Random(17)
     for _ in range(100):
-        Y = frozenset(rng.sample(grid.points, rng.randint(1, 40)))
+        Y = grid.mask_of(rng.sample(grid.points, rng.randint(1, 40)))
         if is_totally_bounded(Y, fam):
             assert is_bounded(Y, fam)
 
@@ -114,18 +112,18 @@ def test_totally_bounded_implies_bounded(grid, fam):
 def test_star_of_bounded_is_bounded(grid, fam):
     rng = random.Random(23)
     for _ in range(100):
-        Y = frozenset(rng.sample(grid.points, rng.randint(1, 25)))
+        Y = grid.mask_of(rng.sample(grid.points, rng.randint(1, 25)))
         if not is_bounded(Y, fam):
             continue
         U = fam.coverings[rng.randint(0, fam.depth)]
-        assert is_bounded(star(Y, U), fam)
+        assert is_bounded(U.star_mask(Y), fam)
 
 
 def test_small_sets_have_zero_measure(grid, fam):
     cap = default_cap(grid.n)
     rng = random.Random(2)
     for _ in range(20):
-        Y = frozenset(rng.sample(grid.points, rng.randint(1, cap)))
+        Y = grid.mask_of(rng.sample(grid.points, rng.randint(1, cap)))
         assert star_measure(Y, fam, cap).is_zero
 
 
@@ -133,8 +131,8 @@ def test_measure_monotone_under_inclusion(grid, fam):
     cap = 6
     rng = random.Random(9)
     for _ in range(60):
-        Y = frozenset(rng.sample(grid.points, rng.randint(1, 20)))
-        Z = Y | frozenset(rng.sample(grid.points, rng.randint(1, 20)))
+        Y = grid.mask_of(rng.sample(grid.points, rng.randint(1, 20)))
+        Z = Y | grid.mask_of(rng.sample(grid.points, rng.randint(1, 20)))
         assert precedes(star_measure(Y, fam, cap), star_measure(Z, fam, cap))
 
 
@@ -145,14 +143,14 @@ def test_measure_union_law_bracket(grid, fam):
     rng = random.Random(13)
     seen_equal = 0
     for _ in range(40):
-        Y = frozenset(rng.sample(grid.points, rng.randint(1, 15)))
-        Z = frozenset(rng.sample(grid.points, rng.randint(1, 15)))
+        Y = grid.mask_of(rng.sample(grid.points, rng.randint(1, 15)))
+        Z = grid.mask_of(rng.sample(grid.points, rng.randint(1, 15)))
         lhs = star_measure(Y | Z, fam, cap)
         rhs = star_measure(Y, fam, cap) & star_measure(Z, fam, cap)
         wide = star_measure(Y | Z, fam, 2 * cap)
-        assert lhs.index_set() <= rhs.index_set()
-        assert rhs.index_set() <= wide.index_set()
-        seen_equal += lhs.index_set() == rhs.index_set()
+        assert precedes(rhs, lhs)
+        assert precedes(wide, rhs)
+        seen_equal += lhs == rhs
     assert seen_equal > 0
 
 
@@ -160,12 +158,12 @@ def test_measure_union_law_exact_with_ample_cap(grid, fam):
     # with cap at least the two cover sizes combined, the law is an equality
     rng = random.Random(14)
     for _ in range(25):
-        Y = frozenset(rng.sample(grid.points, rng.randint(1, 12)))
-        Z = frozenset(rng.sample(grid.points, rng.randint(1, 12)))
-        cap = len(Y | Z)
+        Y = grid.mask_of(rng.sample(grid.points, rng.randint(1, 12)))
+        Z = grid.mask_of(rng.sample(grid.points, rng.randint(1, 12)))
+        cap = (Y | Z).bit_count()
         lhs = star_measure(Y | Z, fam, cap)
         rhs = star_measure(Y, fam, cap) & star_measure(Z, fam, cap)
-        assert lhs.index_set() == rhs.index_set()
+        assert lhs == rhs
 
 
 def test_measure_closure_bracket(grid):
@@ -176,9 +174,9 @@ def test_measure_closure_bracket(grid):
     cap = 5
     rng = random.Random(31)
     for _ in range(200):
-        Y = frozenset(rng.sample(g40.points, rng.randint(1, 12)))
+        Y = g40.mask_of(rng.sample(g40.points, rng.randint(1, 12)))
         aY = star_measure(Y, fam40, cap)
-        aC = star_measure(closure(Y, fam40), fam40, cap)
+        aC = star_measure(fam40.closure_mask(Y), fam40, cap)
         assert precedes(aY, aC)
         assert precedes(aC, coarsen(aY, 1))
 
@@ -188,7 +186,7 @@ def test_member_cover_bracket(grid, fam):
     cap = 6
     rng = random.Random(37)
     for _ in range(60):
-        Y = frozenset(rng.sample(grid.points, rng.randint(1, 15)))
+        Y = grid.mask_of(rng.sample(grid.points, rng.randint(1, 15)))
         a = star_measure(Y, fam, cap)
         b = member_measure(Y, fam, cap)
         assert precedes(a, b)
@@ -198,16 +196,15 @@ def test_member_cover_bracket(grid, fam):
 def test_measures_on_finite_kind():
     s = build_finite_topology(["a", "b"], [[], ["a"], ["b"], ["a", "b"]])
     fam = finite_all_coverings_family(s)
-    both = frozenset(s.points)
-    assert star_measure(both, fam, 2).is_zero
-    one = star_measure(both, fam, 1)
+    assert star_measure(s.full_mask, fam, 2).is_zero
+    one = star_measure(s.full_mask, fam, 1)
     # with one star allowed, only coverings whose star at a point is everything qualify
     expected = {
         i
         for i, cov in enumerate(fam.coverings)
         if any(cov.point_star[x] == s.full_mask for x in range(2))
     }
-    assert one.index_set() == frozenset(expected)
+    assert one.mask == sum(1 << i for i in expected)
 
 
 def test_cauchy_eventually_constant(grid, fam):
@@ -251,7 +248,7 @@ def shrinking_chain(grid, fam, center_idx, count):
         for p in grid.points:
             if abs(p.coords[0] - grid.points[center_idx].coords[0]) < radius:
                 m |= 1 << p.index
-        out.append(frozenset(grid.points_of(fam.closure_mask(m))))
+        out.append(fam.closure_mask(m))
         radius /= 4
     return out
 
@@ -262,22 +259,22 @@ def test_nested_chain_positive(grid, fam):
     rep = cantor_kuratowski_check(chain, fam, cap)
     assert rep.hypothesis_met
     assert rep.claim == "nonempty compact intersection"
-    assert grid.points[50] in rep.intersection
+    assert (rep.intersection_mask >> 50) & 1
 
 
 def test_nested_chain_constant_whole_space(grid, fam):
     # the whole space stays measure-zero only when the cap covers it outright
     cap = grid.n
-    chain = [frozenset(grid.points)] * 4
+    chain = [grid.full_mask] * 4
     rep = cantor_kuratowski_check(chain, fam, cap)
     assert rep.hypothesis_met
-    assert rep.intersection == frozenset(grid.points)
+    assert rep.intersection_mask == grid.full_mask
     assert all(v.is_zero for v in rep.measure_trace)
 
 
 def test_nested_chain_hypothesis_not_met(grid, fam):
     # a tiny cap keeps the measure away from zero: no claim is made
-    spread = frozenset(grid.points[::10])
+    spread = grid.mask_of(grid.points[::10])
     chain = [spread] * 4
     rep = cantor_kuratowski_check(chain, fam, cap=2)
     assert not rep.hypothesis_met
@@ -304,8 +301,8 @@ def test_measure_monotone_hypothesis(data):
     y = data.draw(st.sets(st.integers(0, 12), min_size=1, max_size=13))
     extra = data.draw(st.sets(st.integers(0, 12), max_size=13))
     cap = data.draw(st.integers(1, 5))
-    Y = frozenset(g.points[i] for i in y)
-    Z = Y | frozenset(g.points[i] for i in extra)
+    Y = g.mask_of(g.points[i] for i in y)
+    Z = Y | g.mask_of(g.points[i] for i in extra)
     assert precedes(star_measure(Y, f, cap), star_measure(Z, f, cap))
 
 
@@ -339,11 +336,10 @@ def _check_against_reference(family, masks, caps):
     # the second pass is answered from the memo
     for _ in range(2):
         for ymask in masks:
-            Y = family.space.points_of(ymask)
             for cap in caps:
                 for measure, candidate_sets in MEASURES.values():
                     want = reference_measure(ymask, family, cap, candidate_sets)
-                    assert measure(Y, family, cap).mask == want.mask, (ymask, cap, measure)
+                    assert measure(ymask, family, cap).mask == want.mask, (ymask, cap, measure)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
@@ -380,12 +376,12 @@ def test_interleaved_queries_match_a_fresh_family(make):
     rng = random.Random(47)
     seen = {"cap": 0, "kind": 0}
     for _ in range(25):
-        Y = shared.space.points_of(rng.randint(1, (1 << n) - 1))
+        Y = rng.randint(1, (1 << n) - 1)
         answers = {}
         for name, cap in (("star", 1), ("star", 2), ("member", 1), ("member", 2), ("star", 1)):
             measure = MEASURES[name][0]
-            got = measure(Y, shared, cap).index_set()
-            assert got == measure(Y, make(), cap).index_set(), (Y, name, cap)
+            got = measure(Y, shared, cap).mask
+            assert got == measure(Y, make(), cap).mask, (Y, name, cap)
             answers[name, cap] = got
         seen["cap"] += answers["star", 1] != answers["star", 2]
         seen["kind"] += answers["star", 1] != answers["member", 1]
@@ -400,7 +396,7 @@ def test_measured_family_is_freed_without_cyclic_gc(make):
     gc.disable()
     try:
         family = make()
-        Y = frozenset(family.space.points)
+        Y = family.space.full_mask
         for measure, _ in MEASURES.values():
             assert measure(Y, family, 1).family is family
         ref = weakref.ref(family)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -12,7 +13,6 @@ from coverdyn.covering import (
     DegenerateChain,
     TooManyOpens,
     chain_family,
-    closure,
     double_refines,
     enumerate_open_coverings,
     finite_all_coverings_family,
@@ -21,7 +21,6 @@ from coverdyn.covering import (
     metric_chain_family,
     refines,
     relation_rows,
-    star,
     verify_admissible,
 )
 from coverdyn.scenarios import get_scenario
@@ -48,40 +47,40 @@ def cov(space, *sets):
 
 
 def picks(space, *idx):
-    return frozenset(space.points[i] for i in idx)
+    return space.mask_of(space.points[i] for i in idx)
 
 
 def test_star_enumerated_example(line3):
     U = cov(line3, {0, 1}, {1, 2})
-    assert star(picks(line3, 0), U) == picks(line3, 0, 1)
+    assert U.star_mask(picks(line3, 0)) == picks(line3, 0, 1)
 
 
 def test_star_whole_space_cover(line3):
     U = cov(line3, {0, 1, 2})
     for i in range(3):
-        assert star(picks(line3, i), U) == frozenset(line3.points)
+        assert U.star_mask(picks(line3, i)) == line3.full_mask
 
 
 def test_star_of_whole_space(line3):
     U = cov(line3, {0, 1}, {1, 2})
-    assert star(frozenset(line3.points), U) == frozenset(line3.points)
+    assert U.star_mask(line3.full_mask) == line3.full_mask
 
 
 def test_star_empty_input(line3):
     U = cov(line3, {0, 1, 2})
     with pytest.raises(EmptyInput):
-        star(frozenset(), U)
+        U.star_mask(0)
 
 
 def test_star_union_of_point_stars(line3):
     # St[Y,U] equals the union of the point stars over Y, exhaustively
     U = cov(line3, {0, 1}, {1, 2}, {2})
-    pts = line3.points
     for r in range(1, 4):
         for combo in itertools.combinations(range(3), r):
-            Y = picks(line3, *combo)
-            expected = frozenset().union(*(star(picks(line3, i), U) for i in combo))
-            assert star(Y, U) == expected
+            expected = 0
+            for i in combo:
+                expected |= U.star_mask(picks(line3, i))
+            assert U.star_mask(picks(line3, *combo)) == expected
 
 
 def test_refines_examples(line3):
@@ -328,8 +327,8 @@ def test_closure_sierpinski():
     s = build_finite_topology(["a", "b"], [[], ["a"], ["a", "b"]])
     fam = finite_all_coverings_family(s)
     a, b = s.points
-    assert closure(frozenset({a}), fam) == frozenset({a, b})
-    assert closure(frozenset(s.points), fam) == frozenset(s.points)
+    assert fam.closure_mask(s.mask_of([a])) == s.mask_of([a, b])
+    assert fam.closure_mask(s.full_mask) == s.full_mask
 
 
 def test_closure_matches_topological_closure_when_admissible():
@@ -341,15 +340,14 @@ def test_closure_matches_topological_closure_when_admissible():
         if not fam.admissibility_report.check("star_basis").passed:
             continue
         for mask in range(1, 8):
-            Y = s.points_of(mask)
-            assert closure(Y, fam) == s.points_of(row_forms.topology_closure(s, mask)), opens
+            assert fam.closure_mask(mask) == row_forms.topology_closure(s, mask), opens
 
 
 def test_closure_grid_singleton_at_depth():
     grid = line_grid(0.0, 1.0, 21)
     fam = metric_chain_family(grid, 2.0, 4)
-    p = grid.points[7]
-    assert closure(frozenset({p}), fam) == frozenset({p})
+    p = grid.mask_of([grid.points[7]])
+    assert fam.closure_mask(p) == p
 
 
 def test_closure_properties_on_topologies():
@@ -359,13 +357,12 @@ def test_closure_properties_on_topologies():
     )
     fam = finite_all_coverings_family(s)
     for mask in range(1, 8):
-        Y = s.points_of(mask)
-        cl = closure(Y, fam)
-        assert Y <= cl
-        assert closure(cl, fam) == cl
+        cl = fam.closure_mask(mask)
+        assert mask & ~cl == 0
+        assert fam.closure_mask(cl) == cl
         for other in range(1, 8):
             if mask & ~other == 0:
-                assert cl <= closure(s.points_of(other), fam)
+                assert cl & ~fam.closure_mask(other) == 0
 
 
 def test_replete_closure_fixed_point():
@@ -413,9 +410,9 @@ def test_star_monotone_random(data):
     U = data.draw(st.sampled_from(fam.coverings))
     y = data.draw(st.sets(st.integers(0, 8), min_size=1, max_size=9))
     extra = data.draw(st.sets(st.integers(0, 8), max_size=9))
-    Y = frozenset(grid.points[i] for i in y)
-    Z = Y | frozenset(grid.points[i] for i in extra)
-    assert star(Y, U) <= star(Z, U)
+    Y = grid.mask_of(grid.points[i] for i in y)
+    Z = Y | grid.mask_of(grid.points[i] for i in extra)
+    assert U.star_mask(Y) & ~U.star_mask(Z) == 0
 
 
 def test_space_mismatch_errors(line3):
@@ -451,14 +448,13 @@ def admissible_oracle(fam):
         (x, o)
         for x in pts
         for o in targets
-        if x in space.points_of(o)
-        and not any(star({x}, U) <= space.points_of(o) for U in covs)
+        if (o >> x.index) & 1
+        and not any(U.star_mask(1 << x.index) & ~o == 0 for U in covs)
     )
     checks.append(
         ("star_basis", bad is None,
          None if bad is None else
-         f"no star of {bad[0].pid} fits inside open "
-         f"{sorted(p.pid for p in space.points_of(bad[1]))}")
+         f"no star of {bad[0].pid} fits inside open {space.pids(bad[1])}")
     )
 
     pair = _first(
@@ -471,7 +467,10 @@ def admissible_oracle(fam):
          None if pair is None else f"no common refinement of ({pair[0]},{pair[1]})")
     )
 
-    x = _first(x for x in pts if frozenset().union(*(star({x}, U) for U in covs)) != set(pts))
+    x = _first(
+        x for x in pts
+        if functools.reduce(int.__or__, (U.star_mask(1 << x.index) for U in covs)) != space.full_mask
+    )
     checks.append(
         ("stars_exhaust_space", x is None,
          None if x is None else f"stars of {x.pid} do not exhaust the space")

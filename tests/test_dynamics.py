@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from coverdyn.compactness import default_cap, is_bounded, star_measure
-from coverdyn.covering import closure, metric_chain_family
+from coverdyn.covering import metric_chain_family
 from coverdyn.dynamics import (
     Action,
     FilterBasis,
@@ -17,7 +17,7 @@ from coverdyn.dynamics import (
     nat_add,
     nat_mul,
     omega_limit,
-    orbit,
+    orbit_mask,
     prolongational_limit,
     scaling_tails,
     vector_add,
@@ -29,7 +29,7 @@ from coverdyn.proximity import (
     subset_at_resolution,
 )
 from coverdyn.scenarios import BUILTIN_SCENARIOS, get_scenario
-from coverdyn.space import EmptyInput, ball, iter_bits, line_grid
+from coverdyn.space import ball_mask, iter_bits, line_grid
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def identity_action(grid):
 
 
 def pick(grid, *idx):
-    return frozenset(grid.points[i] for i in idx)
+    return grid.mask_of(grid.points[i] for i in idx)
 
 
 def test_action_associativity(decay, grid):
@@ -87,24 +87,18 @@ def test_semigroup_associativity_samples():
 
 def test_orbit_identity_level_contains_y(identity_action, grid, tails):
     Y = pick(grid, 3, 9)
-    assert Y <= orbit(0, Y, identity_action, tails)
+    assert Y & ~orbit_mask(0, Y, identity_action, tails) == 0
 
 
 def test_orbit_decay_values(decay, grid, tails):
-    got = orbit(4, pick(grid, 100), decay, tails)
-    expected = {grid.points[100 >> t] for t in range(4, 12)}
-    assert got == frozenset(expected)
+    got = orbit_mask(4, pick(grid, 100), decay, tails)
+    assert got == pick(grid, *{100 >> t for t in range(4, 12)})
 
 
 def test_orbit_invariant_set(decay, grid, tails):
     zero = pick(grid, 0)
     for k in tails.levels():
-        assert orbit(k, zero, decay, tails) == zero
-
-
-def test_orbit_empty_input(decay, tails):
-    with pytest.raises(EmptyInput):
-        orbit(0, frozenset(), decay, tails)
+        assert orbit_mask(k, zero, decay, tails) == zero
 
 
 def test_divergent_sequence_blocks(tails):
@@ -133,7 +127,7 @@ def test_filter_nesting_violation():
 
 def test_omega_decay_singleton_is_zero(decay, grid, fam, tails):
     rep = omega_limit(pick(grid, 100), tails, decay, fam)
-    assert sets_equal_at_resolution(rep.points, pick(grid, 0), fam)
+    assert sets_equal_at_resolution(rep.mask, pick(grid, 0), fam)
     assert rep.resolution == fam.finest_index
     assert rep.truncation == tails.depth
     # every reported point carries a witness landing in its finest star
@@ -141,46 +135,46 @@ def test_omega_decay_singleton_is_zero(decay, grid, fam, tails):
     for p, (el, src) in rep.witnesses.items():
         img = decay.apply(el, src)
         assert (fine.point_star[p.index] >> img.index) & 1
-    assert set(rep.witnesses) == set(rep.points)
+    assert grid.mask_of(rep.witnesses) == rep.mask
 
 
 def test_omega_invariant_closed_set(identity_action, grid, tails):
     # a closed invariant set is its own limit set (exact, with a resolving family)
     sharp = metric_chain_family(grid, 2.0, 5)
-    Y = closure(pick(grid, 10, 11, 40), sharp)
+    Y = sharp.closure_mask(pick(grid, 10, 11, 40))
     rep = omega_limit(Y, tails, identity_action, sharp)
-    assert rep.points == Y
+    assert rep.mask == Y
 
 
 def test_prolongational_contains_fixed_point(decay, grid, fam, tails):
     rep = prolongational_limit(grid.points[0], tails, decay, fam)
-    assert grid.points[0] in rep.points
+    assert rep.mask & 1
 
 
 def test_omega_subset_of_prolongational(decay, grid, fam, tails):
     for i in (0, 30, 100):
         x = grid.points[i]
-        om = omega_limit(frozenset({x}), tails, decay, fam)
+        om = omega_limit(1 << x.index, tails, decay, fam)
         jl = prolongational_limit(x, tails, decay, fam)
-        assert om.points <= jl.points
+        assert om.mask & ~jl.mask == 0
 
 
 def test_compact_vs_open_limit_inclusions(decay, grid, fam, tails):
     # for a finite set K: omega(K) within J(K); for an open star U: J(U) within
     # omega(U), both at resolution
-    K = pick(grid, 20, 60)
-    omK = omega_limit(K, tails, decay, fam).points
-    jK = frozenset().union(
-        *(prolongational_limit(x, tails, decay, fam).points for x in K)
-    )
-    assert subset_at_resolution(omK, jK, fam)
+    def prolongational_union(mask):
+        out = 0
+        for x in grid.point_list(mask):
+            out |= prolongational_limit(x, tails, decay, fam).mask
+        return out
 
-    U = ball(grid, grid.points[40], 0.03125)
-    omU = omega_limit(U, tails, decay, fam).points
-    jU = frozenset().union(
-        *(prolongational_limit(x, tails, decay, fam).points for x in U)
-    )
-    assert subset_at_resolution(jU, omU, fam)
+    K = pick(grid, 20, 60)
+    omK = omega_limit(K, tails, decay, fam).mask
+    assert subset_at_resolution(omK, prolongational_union(K), fam)
+
+    U = ball_mask(grid, grid.points[40], 0.03125)
+    omU = omega_limit(U, tails, decay, fam).mask
+    assert subset_at_resolution(prolongational_union(U), omU, fam)
 
 
 def test_attracts_invariant_subset(decay, grid, fam, tails):
@@ -192,7 +186,7 @@ def test_attracts_invariant_subset(decay, grid, fam, tails):
 
 
 def test_attracts_decay_whole_grid(decay, grid, fam, tails):
-    rep = attracts(pick(grid, 0), frozenset(grid.points), tails, decay, fam)
+    rep = attracts(pick(grid, 0), grid.full_mask, tails, decay, fam)
     assert rep.attracted
     assert rep.prox_form_agrees
 
@@ -208,7 +202,7 @@ def test_attracts_failure_witness(identity_action, grid, fam, tails):
 
 def test_absorbs_decay_arithmetic(decay, grid, fam, tails):
     # least level pulling {1} inside the open 0.1-ball around 0
-    Y = ball(grid, grid.points[0], 0.1)
+    Y = ball_mask(grid, grid.points[0], 0.1)
     assert absorbs(Y, pick(grid, 100), tails, decay) == 4
     assert absorbs(pick(grid, 0), pick(grid, 0), tails, decay) == 0
 
@@ -249,10 +243,10 @@ def test_hypotheses_vector_tails():
 def test_taxonomy_decay(decay, grid, fam, tails):
     cap = default_cap(grid.n)
     testsets = {
-        "whole": frozenset(grid.points),
+        "whole": grid.full_mask,
         "seed": pick(grid, 100),
     }
-    D = ball(grid, grid.points[0], 0.15)
+    D = ball_mask(grid, grid.points[0], 0.15)
     rep = check_dissipativity(
         decay, tails, fam, testsets, cap=cap, absorb_candidate=D
     )
@@ -272,27 +266,25 @@ def test_taxonomy_identity(identity_action, grid, fam, tails):
         identity_action,
         tails,
         fam,
-        {"whole": frozenset(grid.points)},
+        {"whole": grid.full_mask},
         cap=cap,
     )
     # the whole space is bounded under this family, so orbits stay bounded
     assert rep.passed("eventually_bounded")
     # but nothing is pulled into a small absorbing set
-    assert not rep.passed("point_dissipative") or is_bounded(
-        frozenset(grid.points), fam
-    )
+    assert not rep.passed("point_dissipative") or is_bounded(grid.full_mask, fam)
 
 
 def test_eventual_compactness_witness(decay, grid, fam):
     cap = default_cap(grid.n)
     out = verify_eventual_compactness(
-        decay, 7, {"whole": frozenset(grid.points)}, fam, cap
+        decay, 7, {"whole": grid.full_mask}, fam, cap
     )
     assert out.passed
     # identity element is no witness once the family resolves single points
     sharp = metric_chain_family(grid, 2.0, 5)
     bad = verify_eventual_compactness(
-        decay, 0, {"whole": frozenset(grid.points)}, sharp, cap
+        decay, 0, {"whole": grid.full_mask}, sharp, cap
     )
     assert not bad.passed
 
@@ -341,7 +333,7 @@ def reference_prolongational_limit(x, F, action, family):
             if (star >> img.index) & 1:
                 witnesses[space.points[i]] = (el, src)
                 break
-    return space.points_of(acc), witnesses
+    return acc, witnesses
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
@@ -349,10 +341,10 @@ def test_prolongational_limit_matches_reference(name):
     sc = get_scenario(name)
     for x in sc.points_sample:
         rep = prolongational_limit(x, sc.filter_basis, sc.action, sc.family)
-        points, witnesses = reference_prolongational_limit(
+        mask, witnesses = reference_prolongational_limit(
             x, sc.filter_basis, sc.action, sc.family
         )
-        assert rep.points == points, x.pid
+        assert rep.mask == mask, x.pid
         assert rep.witnesses == witnesses, x.pid
 
 
@@ -363,8 +355,8 @@ def test_prolongational_limit_matches_reference_on_shallow_filters(decay, grid, 
     F = integer_tails(nat_add(), depth=depth, window=8)
     for x in grid.points[::5]:
         rep = prolongational_limit(x, F, decay, fam)
-        points, witnesses = reference_prolongational_limit(x, F, decay, fam)
-        assert rep.points == points, x.pid
+        mask, witnesses = reference_prolongational_limit(x, F, decay, fam)
+        assert rep.mask == mask, x.pid
         assert rep.witnesses == witnesses, x.pid
 
 
@@ -372,8 +364,8 @@ def test_prolongational_limit_matches_reference_on_shallow_filters(decay, grid, 
 def test_image_mask_cache_keeps_sets_apart(decay, grid, order):
     # a fresh action per order, so that each order starts from an empty cache
     action = Action(semigroup=nat_add(), space=grid, apply_fn=decay.apply_fn)
-    masks = [grid.mask_of(pick(grid, 7, 50, 100)), grid.mask_of(pick(grid, 3, 64))]
+    masks = [pick(grid, 7, 50, 100), pick(grid, 3, 64)]
     for el in (1, 3):
         for m in [masks[j] for j in order for _ in range(2)]:
-            want = grid.mask_of(action.apply(el, p) for p in grid.points_of(m))
+            want = grid.mask_of(action.apply(el, p) for p in grid.point_list(m))
             assert action.image_mask(el, m) == want

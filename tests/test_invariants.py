@@ -5,8 +5,7 @@ import random
 import pytest
 
 from coverdyn.attractor import check_equivalence, construct_candidate
-from coverdyn.covering import closure
-from coverdyn.dynamics import attracts, check_hypotheses, omega_limit, orbit
+from coverdyn.dynamics import attracts, check_hypotheses, omega_limit, orbit_mask
 from coverdyn.proximity import sets_equal_at_resolution, subset_at_resolution
 from coverdyn.scenarios import get_scenario
 
@@ -32,10 +31,10 @@ def test_omega_forward_invariant_under_h1(name, scenarios, hypothesis_reports):
     if not hypothesis_reports[name].verdicts["left_translate_into"]:
         pytest.skip("left-translation hypothesis not verified")
     for tname, Y in sc.testsets.items():
-        om = omega_limit(Y, sc.filter_basis, sc.action, sc.family).points
+        om = omega_limit(Y, sc.filter_basis, sc.action, sc.family).mask
         if not om:
             continue
-        image = orbit(0, om, sc.action, sc.filter_basis)
+        image = orbit_mask(0, om, sc.action, sc.filter_basis)
         assert subset_at_resolution(image, om, sc.family), (name, tname)
 
 
@@ -52,11 +51,11 @@ def test_omega_invariant_under_h1_h4(name, scenarios, hypothesis_reports):
     if not check_equivalence(sc).taxonomy.passed("asymptotically_compact"):
         pytest.skip("asymptotic compactness not verified")
     for tname, Y in sc.testsets.items():
-        om = omega_limit(Y, sc.filter_basis, sc.action, sc.family).points
+        om = omega_limit(Y, sc.filter_basis, sc.action, sc.family).mask
         if not om:
             continue
         for s in sc.filter_basis.sampler(0)[:3]:
-            image = frozenset(sc.action.apply(s, p) for p in om)
+            image = sc.space.mask_of(sc.action.apply(s, p) for p in sc.space.point_list(om))
             assert sets_equal_at_resolution(image, om, sc.family), (name, tname, s)
 
 
@@ -68,10 +67,10 @@ def test_limit_set_minimality(name, scenarios):
     if not eq.taxonomy.passed("asymptotically_compact"):
         pytest.skip("minimality is asserted for asymptotically compact runs")
     candidates = {
-        "attractor-closure": closure(sc.attractor_points(), sc.family),
+        "attractor-closure": sc.family.closure_mask(sc.attractor_points()),
     }
     for tname, Y in sc.testsets.items():
-        om = omega_limit(Y, sc.filter_basis, sc.action, sc.family).points
+        om = omega_limit(Y, sc.filter_basis, sc.action, sc.family).mask
         for kname, K in candidates.items():
             rep = attracts(K, Y, sc.filter_basis, sc.action, sc.family)
             if not rep.attracted:
@@ -115,7 +114,7 @@ def test_omega_limit_respects_random_bounded_sets():
         sc = get_scenario(name)
         A = sc.attractor_points()
         for tname, Y in sc.random_bounded_testsets(rng, count=8).items():
-            om = omega_limit(Y, sc.filter_basis, sc.action, sc.family).points
+            om = omega_limit(Y, sc.filter_basis, sc.action, sc.family).mask
             assert subset_at_resolution(om, A, sc.family), (name, tname)
 
 
@@ -124,12 +123,9 @@ def test_omega_matches_cluster_point_oracle(name):
     # second route: a point belongs to the limit set exactly when every
     # level's sampled orbit meets one of its stars at every covering index
     sc = get_scenario(name)
-    from coverdyn.dynamics import orbit_mask
-
     space, fam, F = sc.space, sc.family, sc.filter_basis
-    for Y in (sc.testsets["seed"],):
-        ymask = space.mask_of(Y)
-        rep = omega_limit(Y, F, sc.action, fam)
+    for ymask in (sc.testsets["seed"],):
+        rep = omega_limit(ymask, F, sc.action, fam)
         oracle = 0
         for p in space.points:
             ok = True
@@ -142,7 +138,7 @@ def test_omega_matches_cluster_point_oracle(name):
                     break
             if ok:
                 oracle |= 1 << p.index
-        assert space.mask_of(rep.points) == oracle
+        assert rep.mask == oracle
 
 
 def test_prolongational_witnesses_certified():
@@ -153,8 +149,8 @@ def test_prolongational_witnesses_certified():
     rep = prolongational_limit(
         sc.space.points[50], sc.filter_basis, sc.action, sc.family
     )
-    assert rep.points
-    assert set(rep.witnesses) == set(rep.points)
+    assert rep.mask
+    assert sc.space.mask_of(rep.witnesses) == rep.mask
     for p, (el, src) in rep.witnesses.items():
         img = sc.action.apply(el, src)
         assert (fine.point_star[p.index] >> img.index) & 1

@@ -10,7 +10,6 @@ from coverdyn.compactness import is_bounded, is_cauchy
 from coverdyn.covering import (
     DegenerateChain,
     chain_family,
-    closure,
     double_refines,
     finite_all_coverings_family,
     make_covering,
@@ -69,6 +68,11 @@ def naive_prox_indices(x, y, family):
         if any((m >> x.index) & 1 and (m >> y.index) & 1 for m in cov.members):
             out.add(i)
     return frozenset(out)
+
+
+def indices(v):
+    """The covering indices of a collection value, as a set."""
+    return frozenset(iter_bits(v.mask))
 
 
 def test_zero_precedes_everything(fam):
@@ -155,13 +159,13 @@ def test_prox_matches_oracle_exhaustive():
     grid = line_grid(0.0, 1.0, 31)
     fam31 = metric_chain_family(grid, 2.0, 4)
     for x, y in itertools.product(grid.points, repeat=2):
-        assert prox(x, y, fam31).index_set() == naive_prox_indices(x, y, fam31)
+        assert indices(prox(x, y, fam31)) == naive_prox_indices(x, y, fam31)
 
 
 def test_prox_matches_oracle_finite(tiny):
     pts = tiny.space.points
     for x, y in itertools.product(pts, repeat=2):
-        assert prox(x, y, tiny).index_set() == naive_prox_indices(x, y, tiny)
+        assert indices(prox(x, y, tiny)) == naive_prox_indices(x, y, tiny)
 
 
 def test_prox_symmetry_exhaustive(grid, fam):
@@ -243,33 +247,32 @@ def test_sequence_convergence_iff_prox_converges(grid, fam):
 
 def test_prox_to_set_membership(grid, fam):
     x = grid.points[0]
-    A = frozenset({grid.points[0], grid.points[50]})
+    A = grid.mask_of([grid.points[0], grid.points[50]])
     assert prox_to_set(x, A, fam).is_zero  # x in A
-    B = frozenset({grid.points[50]})
+    B = grid.mask_of([grid.points[50]])
     assert not prox_to_set(x, B, fam).is_zero
 
 
 def test_prox_to_set_closure_criterion(tiny):
     # distance zero to a set exactly on its closure, cross-checked per point
     s = tiny.space
-    for mask in range(1, 4):
-        A = s.points_of(mask)
-        cl = closure(A, tiny)
+    for A in range(1, 4):
+        cl = tiny.closure_mask(A)
         for x in s.points:
-            assert prox_to_set(x, A, tiny).is_zero == (x in cl)
+            assert prox_to_set(x, A, tiny).is_zero == bool((cl >> x.index) & 1)
 
 
 def test_prox_to_set_closure_invariant(grid, fam):
     # prox to a set equals prox to its closure
-    A = frozenset(grid.points[10:20])
-    cl = closure(A, fam)
+    A = grid.mask_of(grid.points[10:20])
+    cl = fam.closure_mask(A)
     for x in grid.points[::7]:
         assert prox_to_set(x, A, fam) == prox_to_set(x, cl, fam)
 
 
 def test_semi_prox_examples(grid, fam):
-    A = frozenset({grid.points[0]})
-    B = frozenset({grid.points[0], grid.points[10]})
+    A = grid.mask_of([grid.points[0]])
+    B = grid.mask_of([grid.points[0], grid.points[10]])
     one = semi_prox(A, B, fam)
     # bounded by the worst point: equals prox(0.1, {0})
     assert one == prox_to_set(grid.points[10], A, fam)
@@ -278,11 +281,10 @@ def test_semi_prox_examples(grid, fam):
 
 def test_semi_prox_zero_iff_subset_of_closure(tiny):
     s = tiny.space
-    for am in range(1, 4):
-        for bm in range(1, 4):
-            A, B = s.points_of(am), s.points_of(bm)
+    for A in range(1, 4):
+        for B in range(1, 4):
             lhs = semi_prox(A, B, tiny).is_zero
-            rhs = B <= closure(A, tiny)
+            rhs = B & ~tiny.closure_mask(A) == 0
             assert lhs == rhs
 
 
@@ -292,12 +294,12 @@ def test_convergent_net_closure_criterion(grid, fam):
     x = grid.points[0]
     seq = [grid.points[k] for k in (30, 12, 5, 2, 1, 0, 0, 0)]
     for A in (
-        frozenset({grid.points[0], grid.points[70]}),
-        frozenset({grid.points[40]}),
-        frozenset(grid.points[0:3]),
+        grid.mask_of([grid.points[0], grid.points[70]]),
+        grid.mask_of([grid.points[40]]),
+        grid.mask_of(grid.points[0:3]),
     ):
-        in_closure = x in closure(A, fam)
-        traj = [semi_prox(A, frozenset({p}), fam) for p in seq]
+        in_closure = bool((fam.closure_mask(A) >> x.index) & 1)
+        traj = [semi_prox(A, 1 << p.index, fam) for p in seq]
         assert converges_to_zero(traj) == in_closure
 
 
@@ -309,8 +311,8 @@ def test_prox_to_set_monotone(data):
     a = data.draw(st.sets(st.integers(0, 8), min_size=1, max_size=9))
     extra = data.draw(st.sets(st.integers(0, 8), max_size=9))
     x = grid9.points[data.draw(st.integers(0, 8))]
-    A = frozenset(grid9.points[i] for i in a)
-    B = A | frozenset(grid9.points[i] for i in extra)
+    A = grid9.mask_of(grid9.points[i] for i in a)
+    B = A | grid9.mask_of(grid9.points[i] for i in extra)
     assert precedes(prox_to_set(x, B, fam9), prox_to_set(x, A, fam9))
 
 
@@ -323,21 +325,21 @@ def test_lattice_laws_chain(t1, t2):
     grid5 = line_grid(0.0, 1.0, 5)
     fam5 = metric_chain_family(grid5, 2.0, 3)
     a, b = CoverCollection.chain(fam5, t1), CoverCollection.chain(fam5, t2)
-    assert (a & b).index_set() == a.index_set() & b.index_set()
-    assert (a | b).index_set() == a.index_set() | b.index_set()
+    assert indices(a & b) == indices(a) & indices(b)
+    assert indices(a | b) == indices(a) | indices(b)
     # reverse inclusion: the union is closer to zero, the intersection farther
     assert precedes(a | b, a)
     assert precedes(a, a & b)
 
 
 def test_sets_equal_at_resolution(grid, fam):
-    A = frozenset({grid.points[5]})
+    A = grid.mask_of([grid.points[5]])
     assert sets_equal_at_resolution(A, A, fam)
-    B = frozenset({grid.points[5], grid.points[80]})
+    B = grid.mask_of([grid.points[5], grid.points[80]])
     assert not sets_equal_at_resolution(A, B, fam)
     # a coarse family cannot tell near neighbors apart
     coarse = metric_chain_family(grid, 2.0, 1)
-    C = frozenset({grid.points[5], grid.points[6]})
+    C = grid.mask_of([grid.points[5], grid.points[6]])
     assert sets_equal_at_resolution(A, C, coarse)
 
 
@@ -345,9 +347,9 @@ def test_empty_inputs_raise(grid, fam):
     from coverdyn.space import EmptyInput
 
     with pytest.raises(EmptyInput):
-        prox_to_set(grid.points[0], frozenset(), fam)
+        prox_to_set(grid.points[0], 0, fam)
     with pytest.raises(EmptyInput):
-        semi_prox(frozenset(), frozenset({grid.points[0]}), fam)
+        semi_prox(0, 1 << grid.points[0].index, fam)
     with pytest.raises(EmptyInput):
         convergence_trace([])
 
@@ -400,7 +402,7 @@ def test_finite_upward_closure_matches_refinement(fam, data):
     expected = {
         j for j in range(fam.size) if any(row_forms.refines(covs[i], covs[j]) for i in S)
     }
-    assert CoverCollection.finite(fam, S).index_set() == expected
+    assert indices(CoverCollection.finite(fam, S)) == expected
 
 
 @functools.cache
@@ -494,8 +496,8 @@ def test_coarsen_matches_reach_matrix(fam, data):
     E = _collection(data, fam)
     for n in (1, 2):
         reach = reach_pairs(fam)[n]
-        expected = {j for j in range(fam.size) if any((i, j) in reach for i in E.index_set())}
-        assert coarsen(E, n).index_set() == expected
+        expected = {j for j in range(fam.size) if any((i, j) in reach for i in indices(E))}
+        assert indices(coarsen(E, n)) == expected
 
 
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
@@ -506,7 +508,8 @@ def test_semi_prox_matches_oracle(fam, data):
     expected = frozenset(range(fam.size))
     for b in B:
         expected &= frozenset().union(*(naive_prox_indices(b, a, fam) for a in A))
-    assert semi_prox(A, B, fam).index_set() == expected
+    mask_of = fam.space.mask_of
+    assert indices(semi_prox(mask_of(A), mask_of(B), fam)) == expected
 
 
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
@@ -517,7 +520,7 @@ def test_is_bounded_matches_oracle(fam, data):
     expected = any(
         all(_share_member(cov, a, b) for a in Y for b in Y) for cov in fam.coverings
     )
-    assert is_bounded(Y, fam) == expected
+    assert is_bounded(fam.space.mask_of(Y), fam) == expected
 
 
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
@@ -552,8 +555,9 @@ def test_resolution_comparisons_match_oracle(fam, data):
             for s in S
         )
 
-    assert subset_at_resolution(A, B, fam) == inside(A, B)
-    assert sets_equal_at_resolution(A, B, fam) == (inside(A, B) and inside(B, A))
+    a, b = fam.space.mask_of(A), fam.space.mask_of(B)
+    assert subset_at_resolution(a, b, fam) == inside(A, B)
+    assert sets_equal_at_resolution(a, b, fam) == (inside(A, B) and inside(B, A))
 
 
 def _certification(certify, coverings):

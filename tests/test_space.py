@@ -15,7 +15,6 @@ from coverdyn.space import (
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
     NotMetricSpace,
-    ball,
     ball_mask,
     bool_product,
     bool_products,
@@ -70,22 +69,29 @@ def test_bad_distance_matrix_triangle():
 def test_ball_basic():
     s = build_metric_space([[0.0], [1.0], [2.0]])
     p0 = s.points[0]
-    assert {p.pid for p in ball(s, p0, 1.5)} == {"(0)", "(1)"}
+    assert s.pids(ball_mask(s, p0, 1.5)) == ["(0)", "(1)"]
     # radius above the diameter captures everything
-    assert ball(s, p0, 10.0) == frozenset(s.points)
+    assert ball_mask(s, p0, 10.0) == s.full_mask
     # radius below the smallest positive distance captures only the center
-    assert ball(s, p0, 0.5) == frozenset({p0})
+    assert ball_mask(s, p0, 0.5) == s.mask_of([p0])
 
 
 def test_ball_is_open_strict():
     s = build_metric_space([[0.0], [1.0], [2.0]])
-    assert {p.pid for p in ball(s, s.points[0], 1.0)} == {"(0)"}
+    assert s.pids(ball_mask(s, s.points[0], 1.0)) == ["(0)"]
 
 
 def test_ball_needs_metric():
     t = build_finite_topology(["a", "b"], [[], ["a"], ["a", "b"]])
     with pytest.raises(NotMetricSpace):
-        ball(t, t.points[0], 1.0)
+        ball_mask(t, t.points[0], 1.0)
+
+
+def test_pids_are_sorted_by_id_not_by_index():
+    s = build_metric_space([[0.0], [1.0], [2.0]], ids=["c", "a", "b"])
+    assert s.pids(s.full_mask) == ["a", "b", "c"]
+    assert s.pids(0b101) == ["b", "c"]
+    assert s.pids(0) == []
 
 
 @settings(max_examples=60)
@@ -98,7 +104,7 @@ def test_ball_monotone_in_radius(r1, r2, center):
     s = line_grid(0.0, 1.0, 21)
     lo, hi = sorted([r1, r2])
     c = s.points[center]
-    assert ball(s, c, lo) <= ball(s, c, hi)
+    assert ball_mask(s, c, lo) & ~ball_mask(s, c, hi) == 0
 
 
 def test_sierpinski_style_topology():
