@@ -274,7 +274,7 @@ def check_equivalence(scenario, candidate: Optional[int] = None) -> EquivalenceR
         absorb_candidate=scenario.testsets.get(scenario.declared.absorbing_name),
     )
     hyp = check_hypotheses(F, max_level=max(0, F.depth - 6))
-    if scenario.declared.eventually_compact:
+    if scenario.declared.compact_witness is not None:
         evc = verify_eventual_compactness(
             action, scenario.declared.compact_witness, scenario.testsets, family, cap
         )

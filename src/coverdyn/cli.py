@@ -136,16 +136,17 @@ def _broken_prox(x, y, family):
 def cmd_verify_axioms(rc: RunConfig) -> int:
     if rc.scenario or rc.config_path:
         sc = _load_scenario(rc)
+        star_basis = sc.family.admissibility_report.passed("star_basis")
         rng = random.Random(rc.seed)
         results = []
         results += proximity_suite(
             sc.family,
-            resolving=sc.declared.resolving,
+            resolving=star_basis,
             rng=rng,
             prox_fn=_broken_prox if rc.mutate == "prox-asymmetry" else None,
         )
         results += closure_criteria_suite(
-            sc.family, rng=rng, trials=40, star_basis_holds=sc.declared.resolving
+            sc.family, rng=rng, trials=40, star_basis_holds=star_basis
         )
         results += boundedness_suite(sc.family, rng=rng, trials=40)
         results += measure_suite(sc.family, cap=rc.cap or sc.declared.cap, rng=rng, trials=60)

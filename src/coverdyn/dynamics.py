@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 from .compactness import is_bounded, member_measure, star_measure
 from .covering import AdmissibleFamily, CheckList, CheckResult, first_failure
-from .proximity import CoverCollection, converges_to_zero, stars_containing
+from .proximity import stars_containing
 from .space import CoverdynError, EmptyInput, Point, Space, iter_bits
 
 
@@ -235,17 +235,6 @@ def orbit_mask(level: int, ymask: int, action: Action, F: FilterBasis) -> int:
     return out
 
 
-def divergent_sequence(F: FilterBasis, length: Optional[int] = None) -> list[tuple[int, object]]:
-    """A canonical divergent sequence: the k-th block is drawn from level k."""
-    out = []
-    for k in F.levels():
-        for el in F.sampler(k):
-            out.append((k, el))
-            if length is not None and len(out) >= length:
-                return out
-    return out
-
-
 @dataclass(frozen=True)
 class LimitSetReport:
     """A computed limit set with the certification data that produced it."""
@@ -326,17 +315,19 @@ def prolongational_limit(
 class AttractionReport:
     """Per covering index: the absorbing filter level, or a failure witness."""
 
-    attracted: bool
     levels: dict
     failures: dict
-    prox_form_agrees: bool
+
+    @property
+    def attracted(self) -> bool:
+        return not self.failures
 
 
 def attracts(
     ymask: int, zmask: int, F: FilterBasis, action: Action, family: AdmissibleFamily
 ) -> AttractionReport:
-    """Level search per covering index, cross-validated against the proximity
-    formulation (set proximities along a divergent sequence converge to zero)."""
+    """Level search per covering index: the least filter level whose orbit of Z
+    lies in the star of Y, or an image of the deepest orbit that leaves it."""
     if not ymask or not zmask:
         raise EmptyInput("attraction needs nonempty sets")
     space = action.space
@@ -357,18 +348,7 @@ def attracts(
                 for img in (action.apply(el, z),)
                 if not (stars[i] >> img.index) & 1
             )
-    attracted = not failures
-
-    traj = [
-        CoverCollection(family, stars_containing(action.image_mask(el, zmask), stars))
-        for _, el in divergent_sequence(F)
-    ]
-    return AttractionReport(
-        attracted=attracted,
-        levels=levels,
-        failures=failures,
-        prox_form_agrees=(attracted == converges_to_zero(traj)),
-    )
+    return AttractionReport(levels=levels, failures=failures)
 
 
 def absorbs(ymask: int, zmask: int, F: FilterBasis, action: Action) -> Optional[int]:

@@ -55,11 +55,9 @@ class Declared:
 
     cap: int
     hypothesis_expect: dict
-    eventually_compact: bool = False
     compact_witness: Optional[object] = None
     absorbing_name: Optional[str] = None
     snap_error: float = 0.0
-    resolving: bool = True
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,6 @@ class Expected:
 
     attractor: tuple[str, ...]
     kind: str  # "both" or "uniform-only"
-    global_ok: bool
     attraction_index: Optional[int] = None
     attraction_bound: Optional[int] = None
     failure_index: Optional[int] = None
@@ -118,12 +115,6 @@ def _validate(sc: Scenario, finest_radius: float, assoc_elements: Sequence) -> S
             raise SchemaError(f"test set {name!r} is empty")
         if not is_bounded(Y, sc.family):
             raise SchemaError(f"test set {name!r} is not bounded")
-    # hold the family's axiom report to the declared resolution: a scenario
-    # claiming to resolve single points must actually do so
-    if sc.family.admissibility_report.check("star_basis").passed != sc.declared.resolving:
-        raise SchemaError(
-            "declared resolution flag disagrees with the star-basis verdict"
-        )
     return sc
 
 
@@ -198,16 +189,13 @@ def scenario_iterated_contractions(
             "within_right_translate": False,
             "within_left_translate": False,
         },
-        eventually_compact=True,
         compact_witness=esnap,
         absorbing_name="attractor",
         snap_error=_pow2(-esnap) * delta,
-        resolving=False,
     )
     expected = Expected(
         attractor=attractor_pids,
         kind="both",
-        global_ok=True,
         attraction_index=radii.index(eps_target) if eps_target in radii else 4,
         attraction_bound=bound,
     )
@@ -290,16 +278,13 @@ def scenario_composition(
     declared = Declared(
         cap=default_cap(space.n),
         hypothesis_expect=dict.fromkeys(HYPOTHESIS_NAMES, True),
-        eventually_compact=True,
         compact_witness=_pow2(-esnap),
         absorbing_name="attractor",
         snap_error=_pow2(-esnap) * max(abs(v - x0) for t in tables for (v,) in t),
-        resolving=False,
     )
     expected = Expected(
         attractor=(f"i[{x0:g}]",),
         kind="both",
-        global_ok=True,
         spread_first_arg=args[0],
         spread_delta1=radii[1],
         spread_lipschitz=lip,
@@ -385,15 +370,12 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
     declared = Declared(
         cap=6,
         hypothesis_expect=dict.fromkeys(HYPOTHESIS_NAMES, True),
-        eventually_compact=False,
         absorbing_name="orbit-star",
         snap_error=_pow2(floor - 1) * math.sqrt(2.0),
-        resolving=False,
     )
     expected = Expected(
         attractor=("zero",),
         kind="global-uniform-only",
-        global_ok=False,
         failure_index=2,
     )
     sc = Scenario(
@@ -438,16 +420,13 @@ def scenario_decay_grid(
     declared = Declared(
         cap=default_cap(space.n),
         hypothesis_expect=dict.fromkeys(HYPOTHESIS_NAMES, True),
-        eventually_compact=True,
         compact_witness=7,
         absorbing_name="low-ball",
         snap_error=step,
-        resolving=False,
     )
     expected = Expected(
         attractor=(zero.pid,),
         kind="both",
-        global_ok=True,
     )
     sc = Scenario(
         name="decay_grid",
@@ -642,18 +621,15 @@ def _load_custom(cp) -> Scenario:
     declared = Declared(
         cap=cap,
         hypothesis_expect={},
-        eventually_compact=witness is not None,
         compact_witness=witness,
         absorbing_name=next(iter(testsets)),
         snap_error=snap_error,
-        resolving=False,
     )
     expected = Expected(
         attractor=tuple(
             _config_point(i, space, "[expectations] attractor").pid for i in attractor_idx
         ),
         kind=kind_expect,
-        global_ok=(kind_expect == "both"),
     )
     name = _jget(cp, "scenario", "name", "custom")
     sc = Scenario(

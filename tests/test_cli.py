@@ -314,6 +314,19 @@ def test_attractor_on_filter_without_levels_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_config_whose_chain_resolves_points_loads(tmp_path, capsys):
+    # a custom config cannot declare resolution, and used to be rejected when
+    # its chain separated the grid points; separation now follows the chain
+    path = tmp_path / "system.ini"
+    text = CUSTOM.replace('"halving_decay"', '"identity"')
+    path.write_text(text.replace("eps0 = 2.0\ndepth = 2", "eps0 = 2.0\ndepth = 5"), encoding="utf-8")
+    assert main(["scenario", "--config", str(path)]) == 0
+    capsys.readouterr()
+    main(["verify-axioms", "--config", str(path)])
+    names = [r["name"] for r in json.loads(capsys.readouterr().out)["results"]]
+    assert "prox_separates_points" in names
+
+
 KINDS = ("custom", "decay_grid", "line_grid", "metric_chain", "identity", "explicit", "wat")
 BUILTINS = ("decay_grid", "exp_decay", "composition", "iterated_contractions")
 BUILTIN_PARAMS = ("count", "chain_depth", "depth", "window", "eps0", "x0", "bogus")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,7 +13,6 @@ from coverdyn.dynamics import (
     attracts,
     check_dissipativity,
     check_hypotheses,
-    divergent_sequence,
     integer_tails,
     nat_add,
     nat_mul,
@@ -30,6 +30,7 @@ from coverdyn.proximity import (
 )
 from coverdyn.scenarios import BUILTIN_SCENARIOS, get_scenario
 from coverdyn.space import ball_mask, iter_bits, line_grid
+from reference import divergent_sequence, prox_form_attracts
 
 
 @pytest.fixture(scope="module")
@@ -110,10 +111,6 @@ def test_divergent_sequence_blocks(tails):
     assert ks == sorted(ks)
 
 
-def test_divergent_sequence_truncated(tails):
-    assert len(divergent_sequence(tails, length=5)) == 5
-
-
 def test_filter_nesting_violation():
     sem = nat_add()
     with pytest.raises(NestingViolation):
@@ -182,22 +179,51 @@ def test_attracts_invariant_subset(decay, grid, fam, tails):
     rep = attracts(zero, zero, tails, decay, fam)
     assert rep.attracted
     assert set(rep.levels.values()) == {0}
-    assert rep.prox_form_agrees
+    assert prox_form_attracts(zero, zero, tails, decay, fam)
 
 
 def test_attracts_decay_whole_grid(decay, grid, fam, tails):
     rep = attracts(pick(grid, 0), grid.full_mask, tails, decay, fam)
     assert rep.attracted
-    assert rep.prox_form_agrees
+    assert prox_form_attracts(pick(grid, 0), grid.full_mask, tails, decay, fam)
 
 
 def test_attracts_failure_witness(identity_action, grid, fam, tails):
     # the identity action never pulls a far point into fine stars of {0}
     rep = attracts(pick(grid, 0), pick(grid, 80), tails, identity_action, fam)
     assert not rep.attracted
-    assert rep.prox_form_agrees
+    assert not prox_form_attracts(pick(grid, 0), pick(grid, 80), tails, identity_action, fam)
     idx, (el, z, img) = sorted(rep.failures.items())[0]
     assert img == grid.points[80]
+
+
+@pytest.mark.parametrize("action_name", ["decay", "identity_action"])
+def test_attracts_matches_prox_form_on_grid(request, action_name, grid, fam, tails):
+    action = request.getfixturevalue(action_name)
+    sets = [
+        pick(grid, 0),
+        pick(grid, 80),
+        pick(grid, 100),
+        pick(grid, 20, 60),
+        ball_mask(grid, grid.points[0], 0.1),
+        grid.full_mask,
+    ]
+    for Y, Z in itertools.product(sets, repeat=2):
+        rep = attracts(Y, Z, tails, action, fam)
+        assert rep.attracted == prox_form_attracts(Y, Z, tails, action, fam), (Y, Z)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_attracts_matches_prox_form_on_scenarios(name):
+    # the declared attractor and each declared test set against the declared
+    # test sets and eight seeded random ones
+    sc = get_scenario(name)
+    F, action, family = sc.filter_basis, sc.action, sc.family
+    targets = {**sc.testsets, **sc.random_bounded_testsets(random.Random(0), count=8)}
+    attractors = {"attractor": sc.attractor_points(), **sc.testsets}
+    for (yname, Y), (zname, Z) in itertools.product(attractors.items(), targets.items()):
+        rep = attracts(Y, Z, F, action, family)
+        assert rep.attracted == prox_form_attracts(Y, Z, F, action, family), (yname, zname)
 
 
 def test_absorbs_decay_arithmetic(decay, grid, fam, tails):
