@@ -171,6 +171,9 @@ def verify_uniform(
     )
 
 
+KINDS = ("both", "global-only", "global-uniform-only", "neither")
+
+
 def combine_kinds(glob: AttractorVerdict, unif: AttractorVerdict) -> str:
     if glob.all_passed and unif.all_passed:
         return "both"

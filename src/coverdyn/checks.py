@@ -47,11 +47,12 @@ ProxFn = Callable[[Point, Point, AdmissibleFamily], CoverCollection]
 def proximity_suite(
     family: AdmissibleFamily,
     prox_fn: Optional[ProxFn] = None,
-    resolving: bool = True,
+    separates_points: bool = True,
     rng: Optional[random.Random] = None,
 ) -> list[CheckResult]:
-    """Pairwise proximity laws: symmetry, zero at the diagonal, separation on
-    resolving families, the coarsened triangle law (one and two intermediate
+    """Pairwise proximity laws: symmetry, zero at the diagonal, separation
+    when `separates_points` (families that resolve single points of a
+    Hausdorff space), the coarsened triangle law (one and two intermediate
     points), and sequence convergence.
 
     The prox is read once per ordered pair, into the table `vals[x][y]` of
@@ -80,7 +81,7 @@ def proximity_suite(
     out.append(first_failure("prox_zero_at_diagonal", (
         pts[x].pid for x in ix if vals[x][x] != zero
     )))
-    if resolving:
+    if separates_points:
         out.append(first_failure("prox_separates_points", (
             f"{pts[x].pid},{pts[y].pid}"
             for x, y in itertools.combinations(ix, 2)
@@ -387,7 +388,7 @@ def grid_battery(
         CheckResult(f"admissibility:{c.name}", c.passed, c.witness)
         for c in fam.admissibility_report.checks
     ]
-    results += proximity_suite(fam, resolving=True, rng=rng)
+    results += proximity_suite(fam, separates_points=True, rng=rng)
     results += closure_criteria_suite(fam, rng=rng)
     results += boundedness_suite(fam, rng=rng)
     results += measure_suite(fam, cap=cap, rng=rng)
@@ -417,7 +418,7 @@ def tiny_topology_battery(rng: Optional[random.Random] = None) -> list[CheckResu
             star_basis = fam.admissibility_report.check("star_basis").passed
             # separation presupposes a Hausdorff space: discrete, when finite
             hausdorff = all((1 << i) in opens for i in range(n))
-            fold(proximity_suite(fam, resolving=star_basis and hausdorff, rng=rng))
+            fold(proximity_suite(fam, separates_points=star_basis and hausdorff, rng=rng))
             fold(
                 closure_criteria_suite(
                     fam, rng=rng, trials=10, star_basis_holds=star_basis

@@ -141,7 +141,7 @@ def cmd_verify_axioms(rc: RunConfig) -> int:
         results = []
         results += proximity_suite(
             sc.family,
-            resolving=star_basis,
+            separates_points=star_basis,
             rng=rng,
             prox_fn=_broken_prox if rc.mutate == "prox-asymmetry" else None,
         )
@@ -156,7 +156,7 @@ def cmd_verify_axioms(rc: RunConfig) -> int:
             grid = line_grid(0.0, 1.0, 101)
             fam = metric_chain_family(grid, 2.0, 6)
             results = proximity_suite(
-                fam, resolving=True, rng=random.Random(rc.seed), prox_fn=_broken_prox
+                fam, separates_points=True, rng=random.Random(rc.seed), prox_fn=_broken_prox
             )
             resolution = fam.finest_index
         else:
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--resolution", type=_at_least(0), help="covering index truncation")
         p.add_argument("--cap", type=_at_least(1), help="measure cardinality cap")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized test sets")
+        p.add_argument("--seed", type=int, help="seed for randomized test sets (default 0)")
         p.add_argument(
             "--budget", type=_at_least(0), help="random test sets for attractor (default 32, at most 50)"
         )
@@ -356,8 +356,9 @@ def _reject_ignored_flags(ap: argparse.ArgumentParser, ns: argparse.Namespace) -
                 ap.error(f"argument {flag}: needs --scenario or --config")
     if ns.budget is not None and ns.command != "attractor":
         ap.error(f"argument --budget: {ns.command} does not use it")
-    if ns.cap is not None and ns.command in ("omega", "scenario"):
-        ap.error(f"argument --cap: {ns.command} does not use it")
+    for flag, value in (("--cap", ns.cap), ("--seed", ns.seed)):
+        if value is not None and ns.command in ("omega", "scenario"):
+            ap.error(f"argument {flag}: {ns.command} does not use it")
     if ns.cap is not None and getattr(ns, "mutate", None) and not system:
         ap.error("argument --cap: --mutate without --scenario or --config does not use it")
 
@@ -377,7 +378,7 @@ def main(argv: Optional[list] = None) -> int:
         max_level=ns.max_level,
         resolution=ns.resolution,
         cap=ns.cap,
-        seed=ns.seed,
+        seed=RunConfig.seed if ns.seed is None else ns.seed,
         budget=RunConfig.budget if ns.budget is None else ns.budget,
         format=ns.format,
         out=ns.out,

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from .attractor import KINDS
 from .covering import AdmissibleFamily, metric_chain_family
 from .compactness import default_cap, is_bounded
 from .dynamics import (
@@ -65,7 +66,7 @@ class Expected:
     """Expected end-to-end verdicts and named witnesses."""
 
     attractor: tuple[str, ...]
-    kind: str  # "both" or "uniform-only"
+    kind: str  # one of attractor.KINDS
     attraction_index: Optional[int] = None
     attraction_bound: Optional[int] = None
     failure_index: Optional[int] = None
@@ -515,6 +516,14 @@ def _config_point(value, space: Space, where: str) -> Point:
     return space.points[value]
 
 
+def _config_element(value, where: str) -> int:
+    # the custom semigroup is nat_add: bool is an int subclass, and a float,
+    # a negative or a string shift fails only once the action runs
+    if type(value) is not int or value < 0:
+        raise SchemaError(f"{where}: {value!r} is not a nonnegative integer")
+    return value
+
+
 def load_system(cfg_text: str) -> Scenario:
     """Build a scenario from sectioned config text (snap checks enforced).
 
@@ -589,7 +598,9 @@ def _load_custom(cp) -> Scenario:
         )
     elif tkind == "explicit":
         levels = _jget(cp, "filter", "levels", required=True)
-        level_sets = [frozenset(lv) for lv in levels]
+        level_sets = [
+            frozenset(_config_element(el, "[filter] levels") for el in lv) for lv in levels
+        ]
         F = FilterBasis(
             semigroup=sem,
             depth=len(level_sets) - 1,
@@ -615,8 +626,12 @@ def _load_custom(cp) -> Scenario:
     if cap < 1:
         raise SchemaError(f"[declared] cap must be at least 1; got {cap}")
     witness = _jget(cp, "declared", "eventually_compact_witness") if cp.has_section("declared") else None
+    if witness is not None:
+        _config_element(witness, "[declared] eventually_compact_witness")
     attractor_idx = _jget(cp, "expectations", "attractor", [0]) if cp.has_section("expectations") else [0]
     kind_expect = _jget(cp, "expectations", "kind", "both") if cp.has_section("expectations") else "both"
+    if kind_expect not in KINDS:
+        raise SchemaError(f"[expectations] kind: {kind_expect!r} is not one of {list(KINDS)}")
 
     declared = Declared(
         cap=cap,

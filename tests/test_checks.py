@@ -23,7 +23,7 @@ def fam():
 
 
 def test_proximity_suite_green(fam):
-    results = proximity_suite(fam, resolving=True)
+    results = proximity_suite(fam, separates_points=True)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
@@ -35,7 +35,7 @@ def broken(x, y, family):
 
 
 def test_proximity_suite_catches_broken_symmetry(fam):
-    results = proximity_suite(fam, prox_fn=broken, resolving=True)
+    results = proximity_suite(fam, prox_fn=broken, separates_points=True)
     by_name = {r.name: r for r in results}
     assert not by_name["prox_symmetry"].passed
     assert by_name["prox_symmetry"].witness
@@ -43,7 +43,7 @@ def test_proximity_suite_catches_broken_symmetry(fam):
 
 def test_exhaustive_triangle_check_reads_the_injected_prox():
     grid_fam = metric_chain_family(line_grid(0.0, 1.0, 101), 2.0, 6)
-    results = proximity_suite(grid_fam, prox_fn=broken, resolving=True)
+    results = proximity_suite(grid_fam, prox_fn=broken, separates_points=True)
     triangle = {r.name: r for r in results}["prox_triangle_1_intermediate"]
     assert not triangle.passed
     assert triangle.witness == "(0),(0.99) via (0.01)"
@@ -91,7 +91,7 @@ def clear_one_bit(x, y, family):
     "family", ALL_FAMILIES + [GRID101_CHAIN], ids=lambda f: f"{f.kind}{f.space.n}-{f.size}"
 )
 def test_triangle_1_matches_the_triple_loop(family, p):
-    results = proximity_suite(family, prox_fn=p, resolving=False)
+    results = proximity_suite(family, prox_fn=p, separates_points=False)
     got = {r.name: r for r in results}["prox_triangle_1_intermediate"]
     assert got == reference_triangle_1(family, p)
 

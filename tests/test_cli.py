@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from coverdyn.cli import main
 from coverdyn.compactness import CoverSearchBudgetExceeded
+from coverdyn.scenarios import load_system
 
 
 def run(capsys, *argv):
@@ -281,6 +283,26 @@ CONFIGS = {
     "stop-bool": (CUSTOM.replace("count = 21", "stop = true\ncount = 21"), 2),
     "eps0-bool": (CUSTOM.replace("eps0 = 2.0\ndepth = 2", "eps0 = true\ndepth = 1"), 2),
     "eps0-string": (CUSTOM.replace("eps0 = 2.0", 'eps0 = "2.0"'), 2),
+    # semigroup elements used to load unchecked and fail once the action ran
+    **{
+        f"witness-{shape}": (CUSTOM + f"\n[declared]\neventually_compact_witness = {value}\n", 2)
+        for shape, value in (
+            ("string", '"x"'),
+            ("negative", "-1"),
+            ("float", "1.5"),
+            ("list", "[1]"),
+            ("bool", "true"),
+        )
+    },
+    "filter-levels-negative": (
+        CUSTOM.replace(INTEGER_TAILS, 'kind = "explicit"\nlevels = [[-1, 2], [2]]'),
+        2,
+    ),
+    "filter-levels-strings": (
+        CUSTOM.replace(INTEGER_TAILS, 'kind = "explicit"\nlevels = ["ab", "b"]'),
+        2,
+    ),
+    "expectations-kind-unknown": (CUSTOM + '\n[expectations]\nkind = "bogus"\n', 2),
     **{
         f"{kind}-{key}-bool": (f'[scenario]\nkind = "{kind}"\n{key} = {value}\n', 2)
         for kind, key, value in (
@@ -325,6 +347,20 @@ def test_config_whose_chain_resolves_points_loads(tmp_path, capsys):
     main(["verify-axioms", "--config", str(path)])
     names = [r["name"] for r in json.loads(capsys.readouterr().out)["results"]]
     assert "prox_separates_points" in names
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_config_examples_load(tmp_path, capsys):
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for text in blocks:
+        load_system(text)
+    custom = next(text for text in blocks if 'kind = "custom"' in text)
+    path = tmp_path / "system.ini"
+    path.write_text(custom, encoding="utf-8")
+    assert main(["attractor", "--config", str(path)]) == 0, capsys.readouterr().err
 
 
 KINDS = ("custom", "decay_grid", "line_grid", "metric_chain", "identity", "explicit", "wat")
@@ -385,7 +421,9 @@ def config_texts(draw):
 )
 @given(
     text=st.one_of(config_texts(), st.text(max_size=80)),
-    argv=st.sampled_from([("scenario",), ("omega", "--target", "whole")]),
+    argv=st.sampled_from(
+        [("scenario",), ("omega", "--target", "whole"), ("attractor", "--budget", "0")]
+    ),
 )
 def test_config_text_never_crashes(tmp_path, capsys, text, argv):
     # in process, an exception escaping main fails the test by itself
@@ -480,6 +518,12 @@ OMEGA = ("omega", "--scenario", "decay_grid", "--target", "seed")
             ("scenario", "decay_grid", "--cap", "3"),
             "argument --cap: scenario does not use it",
             id="scenario-cap",
+        ),
+        pytest.param((*OMEGA, "--seed", "0"), "argument --seed: omega does not use it", id="omega-seed"),
+        pytest.param(
+            ("scenario", "decay_grid", "--seed", "3"),
+            "argument --seed: scenario does not use it",
+            id="scenario-seed",
         ),
         pytest.param(
             ("verify-axioms", "--mutate", "prox-asymmetry", "--cap", "3"),

@@ -21,7 +21,7 @@ CASES = {
     "verify-axioms-prox-asymmetry": ("verify-axioms", "--seed", "0", "--mutate", "prox-asymmetry"),
     "verify-axioms-seed1-cap12": ("verify-axioms", "--seed", "1", "--cap", "12"),
     **{
-        f"omega-{s}": ("omega", "--scenario", s, "--target", t, "--seed", "0")
+        f"omega-{s}": ("omega", "--scenario", s, "--target", t)
         for s, t in (
             ("composition", "whole"),
             ("decay_grid", "seed"),
