@@ -38,7 +38,7 @@ from .proximity import (
     prox_to_set,
     semi_prox,
 )
-from .space import Point, Space, enumerate_topologies, iter_bits, line_grid
+from .space import Point, Space, ball_mask, enumerate_topologies, iter_bits, line_grid
 
 
 ProxFn = Callable[[Point, Point, AdmissibleFamily], CoverCollection]
@@ -341,14 +341,10 @@ def nested_chain_suite(
             chain = []
             radius = 1.3
             for _ in range(rng.randint(3, 6)):
-                m = 0
-                for q in pts:
-                    if space.dist is not None:
-                        near = space.distance(center, q) < radius
-                    else:
-                        near = q == center
-                    if near:
-                        m |= 1 << q.index
+                if space.dist is not None:
+                    m = ball_mask(space, center, radius)
+                else:
+                    m = 1 << center.index
                 chain.append(family.closure_mask(m))
                 radius /= 4
             rep = cantor_kuratowski_check(chain, family, cap)

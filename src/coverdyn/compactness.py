@@ -5,6 +5,12 @@ admits a cover by at most `cap` point stars; the cap is the desk-scale stand-in
 for "finitely many" against the ambient space. A member-cover variant (covers
 by at most `cap` covering members) backs the limit-compactness checks.
 
+Each measure is an exact `coverable_within` search. A counting bound rules
+out impossible covers: no k candidates hold more target points than the k
+largest do, so a target that outnumbers them needs more than k of them. The
+bound is tested once before the search, and at every search node against the
+points still uncovered.
+
 Each family memoizes its measures per (set mask, cap, candidate name), so a
 repeated query runs no second cover search. The memo holds int collection
 masks: a stored CoverCollection points back at its family, and that cycle
@@ -86,19 +92,25 @@ def coverable_within(
 ) -> bool:
     """Exact decision: can `target` be covered by at most `cap` candidate sets?
 
+    Counting rules out a cover first: when the `cap` largest candidates hold
+    fewer target points than the target has, no `cap` of them cover it.
     Greedy success certifies yes; otherwise an exhaustive branch-and-bound on
-    the least-covered point decides exactly (desk-scale sets only).
+    the least-covered point decides exactly (desk-scale sets only). A search
+    node at depth d stops when its uncovered points outnumber what cap - d
+    candidates of the widest kept size can hold. The bound drops only
+    branches that cannot reach a cover and keeps the node order, so the
+    search visits a subset of the unbounded tree.
     """
     if target == 0:
         return True
     cands = sorted({c & target for c in candidates if c & target}, key=lambda c: -c.bit_count())
+    if sum(c.bit_count() for c in cands[:max(cap, 0)]) < target.bit_count():
+        return False
     # drop dominated candidates
     kept: list[int] = []
     for c in cands:
         if not any(c & ~k == 0 for k in kept):
             kept.append(c)
-    if not kept:
-        return False
     union_all = 0
     for c in kept:
         union_all |= c
@@ -110,6 +122,7 @@ def coverable_within(
         return True
 
     per_point = {i: [c for c in kept if (c >> i) & 1] for i in iter_bits(target)}
+    widest = kept[0].bit_count()
     nodes = 0
 
     def search(remaining: int, depth: int) -> bool:
@@ -121,7 +134,7 @@ def coverable_within(
             )
         if remaining == 0:
             return True
-        if depth == cap:
+        if remaining.bit_count() > (cap - depth) * widest:
             return False
         pivot = min(iter_bits(remaining), key=lambda i: len(per_point[i]))
         for c in per_point[pivot]:

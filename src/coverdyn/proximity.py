@@ -124,8 +124,16 @@ def coarsen(E: CoverCollection, n: int) -> CoverCollection:
 
 def converges_to_zero(seq: Sequence[CoverCollection]) -> bool:
     """Truncated-net convergence: every covering index is present from some
-    position on (equivalently: present in every sufficiently late element)."""
-    return all(k is not None for k in convergence_trace(seq))
+    position on (equivalently: present in every sufficiently late element).
+
+    On a finite sequence "from some position on" includes the last element,
+    and the last element alone suffices, so this is `seq[-1].is_zero`.
+    """
+    if not seq:
+        raise EmptyInput("convergence needs at least one element")
+    for e in seq:
+        _check_family(seq[0], e)
+    return seq[-1].is_zero
 
 
 def convergence_trace(seq: Sequence[CoverCollection]) -> list[Optional[int]]:

@@ -1,4 +1,4 @@
-"""Reference forms of the dynamics verdicts, kept as test oracles.
+"""Reference forms of verdicts, kept as test oracles.
 
 `attracts` decides attraction by a level search per covering index. The
 proximity form below decides it the other way the theory states it: the
@@ -6,9 +6,14 @@ one-sided proximity of the images of Z to Y converges to zero along every
 divergent net. It computes every image point by point with `Action.apply`,
 so it shares neither the image cache nor the orbit masks with the level
 search.
+
+`unbounded_coverable_within` is the exact cover search without the counting
+bound of `coverable_within`: it stops a branch only at depth `cap`.
 """
 
+from coverdyn.compactness import CoverSearchBudgetExceeded
 from coverdyn.proximity import converges_to_zero, semi_prox
+from coverdyn.space import iter_bits
 
 
 def divergent_sequence(F):
@@ -40,3 +45,49 @@ def prox_form_attracts(ymask, zmask, F, action, family):
         ])
         for i in range(family.size)
     )
+
+
+def unbounded_coverable_within(target, candidates, cap, node_budget):
+    """Can `target` be covered by at most `cap` candidates? Dominance
+    pruning, then greedy, then branch-and-bound on the least-covered point,
+    each branch cut only at depth `cap`."""
+    if target == 0:
+        return True
+    cands = sorted({c & target for c in candidates if c & target}, key=lambda c: -c.bit_count())
+    kept = []
+    for c in cands:
+        if not any(c & ~k == 0 for k in kept):
+            kept.append(c)
+    if not kept:
+        return False
+    union_all = 0
+    for c in kept:
+        union_all |= c
+    if target & ~union_all:
+        return False
+    if cap >= len(kept):
+        return True
+    remaining, used = target, 0
+    while remaining and used <= cap:
+        best = max(kept, key=lambda c: (c & remaining).bit_count())
+        remaining &= ~best
+        used += 1
+    if used <= cap:
+        return True
+
+    per_point = {i: [c for c in kept if (c >> i) & 1] for i in iter_bits(target)}
+    nodes = 0
+
+    def search(remaining, depth):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise CoverSearchBudgetExceeded(f"cover search exceeded {node_budget} nodes")
+        if remaining == 0:
+            return True
+        if depth == cap:
+            return False
+        pivot = min(iter_bits(remaining), key=lambda i: len(per_point[i]))
+        return any(search(remaining & ~c, depth + 1) for c in per_point[pivot])
+
+    return search(target, 0)

@@ -444,8 +444,8 @@ def _load_script(name):
 
 
 def test_axiom_battery_script_reports_error_without_traceback(monkeypatch, capsys):
-    # `--seed 1 --cap 8` overflows the cover-search budget after seconds of
-    # search; a stub that raises at once exercises the same path
+    # no battery run is known to overflow the cover-search budget, so a stub
+    # that raises stands in for one
     script = _load_script("axiom_battery")
 
     def over_budget(**kwargs):
@@ -457,6 +457,16 @@ def test_axiom_battery_script_reports_error_without_traceback(monkeypatch, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cover search exceeded 400000 nodes\n"
+
+
+def test_axiom_battery_script_at_cap_8_fails_only_positive_chains(monkeypatch, capsys):
+    # at cap 8 the last ball of a positive chain needs more point stars than
+    # the cap, so that row reports an unmet hypothesis; every other row passes
+    script = _load_script("axiom_battery")
+    monkeypatch.setattr(sys, "argv", ["axiom_battery.py", "--seed", "1", "--cap", "8"])
+    assert script.main() == 1
+    failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if "  FAIL" in line]
+    assert failed == ["nested_chain_positive_runs"]
 
 
 def test_scenario_and_config_together_is_usage_error(tmp_path, capsys):

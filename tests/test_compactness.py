@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverdyn.compactness import (
+    CoverSearchBudgetExceeded,
     NotClosed,
     NotDecreasing,
     cantor_kuratowski_check,
@@ -27,6 +28,7 @@ from coverdyn.covering import (
 )
 from coverdyn.proximity import CoverCollection, coarsen, converges_to_zero, precedes
 from coverdyn.space import EmptyInput, build_finite_topology, line_grid
+from reference import unbounded_coverable_within
 from test_proximity import ALL_FAMILIES
 
 
@@ -67,6 +69,73 @@ def test_coverable_within_matches_oracle():
         for cap in range(1, 6):
             expected = best is not None and best <= cap
             assert coverable_within(target, candidates, cap) == expected
+
+
+def _random_instance(rng, n):
+    target = rng.randint(1, (1 << n) - 1)
+    candidates = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(rng.randint(5, 25))]
+    return target, candidates
+
+
+def _interval_instance(rng, n):
+    # a random union of runs against intervals of a few widths, the shape of
+    # metric balls on a line grid
+    target = 0
+    for _ in range(rng.randint(1, 4)):
+        lo = rng.randrange(n)
+        target |= ((1 << rng.randint(1, n - lo)) - 1) << lo
+    candidates = []
+    for _ in range(rng.randint(5, 30)):
+        lo, width = rng.randrange(n), rng.randint(1, 8)
+        candidates.append(((1 << width) - 1) << lo & ((1 << n) - 1))
+    return target, candidates
+
+
+def _tiling_instance(rng, n):
+    # runs of one width at every offset, over a target they tile exactly:
+    # the cover at cap n // width fills every slot to the widest size
+    width = rng.randint(2, 5)
+    n -= n % width
+    runs = [((1 << width) - 1) << lo for lo in range(n - width + 1)]
+    return (1 << n) - 1, rng.sample(runs, len(runs))
+
+
+@pytest.mark.parametrize("shape", [_random_instance, _interval_instance, _tiling_instance])
+def test_counting_bound_matches_unbounded_search(shape):
+    # wherever the unbounded search finishes within its budget, the bounded
+    # one gives the same answer within the same budget
+    rng = random.Random(17)
+    budget = 2_000
+    answers = {True: 0, False: 0}
+    for _ in range(150):
+        target, candidates = shape(rng, rng.randint(20, 40))
+        for cap in range(1, 9):
+            try:
+                want = unbounded_coverable_within(target, candidates, cap, budget)
+            except CoverSearchBudgetExceeded:
+                continue
+            assert coverable_within(target, candidates, cap, node_budget=budget) == want
+            answers[want] += 1
+    assert min(answers.values()) >= 100, answers
+
+
+def test_counting_bound_decides_no_without_search():
+    # ten 3-point runs cannot hold 31 points: answered before any search node,
+    # where the unbounded search needs one after greedy takes eleven runs
+    runs = [0b111 << i for i in range(29)]
+    target = (1 << 31) - 1
+    assert not coverable_within(target, runs, 10, node_budget=0)
+    with pytest.raises(CoverSearchBudgetExceeded):
+        unbounded_coverable_within(target, runs, 10, 0)
+
+
+def test_counting_bound_finds_grid_cover_the_unbounded_search_misses():
+    # the 101-point grid by the level-3 point stars of a depth-6 chain at cap 8
+    grid = line_grid(0.0, 1.0, 101)
+    stars = metric_chain_family(grid, 2.0, 6).coverings[3].point_star
+    assert coverable_within(grid.full_mask, stars, 8, node_budget=1_000)
+    with pytest.raises(CoverSearchBudgetExceeded):
+        unbounded_coverable_within(grid.full_mask, stars, 8, 10_000)
 
 
 def test_bounded_singleton(grid, fam):

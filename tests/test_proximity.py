@@ -374,6 +374,32 @@ CHAIN_FAMILIES = [
 ALL_FAMILIES = TOPOLOGY_FAMILIES + CHAIN_FAMILIES
 
 
+def _all_collections(fam):
+    """Every upward-hereditary collection: the unions of refinement rows."""
+    found, frontier = {0}, {0}
+    while frontier:
+        frontier = {m | r for m in frontier for r in fam.refine_rows} - found
+        found |= frontier
+    return [CoverCollection(fam, m) for m in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        max((f for f in TOPOLOGY_FAMILIES if f.space.n == 3), key=lambda f: f.size),
+        metric_chain_family(line_grid(0.0, 1.0, 13), 2.0, 3),
+    ],
+    ids=["discrete3", "chain13"],
+)
+def test_converges_to_zero_agrees_with_trace(fam):
+    collections = _all_collections(fam)
+    assert len(collections) > 4
+    for length in (1, 2, 3):
+        for seq in itertools.product(collections, repeat=length):
+            want = all(k is not None for k in convergence_trace(seq))
+            assert converges_to_zero(seq) == want, seq
+
+
 def _collection(data, fam):
     """A drawn collection: a threshold on chains, an upward closure otherwise."""
     if fam.kind == "chain":
