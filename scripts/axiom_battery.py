@@ -7,13 +7,14 @@ import sys
 import time
 
 from coverdyn.checks import grid_battery
+from coverdyn.cli import _at_least
 from coverdyn.space import CoverdynError
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--cap", type=int, default=None)
+    ap.add_argument("--cap", type=_at_least(1), default=None)
     ap.add_argument("--chain-depth", type=int, default=6)
     args = ap.parse_args()
 

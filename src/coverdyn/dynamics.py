@@ -28,7 +28,9 @@ class Semigroup:
 
     `divide_left(t, s)` returns a with s*a = t (None if no such element);
     `divide_right(t, s)` returns a with a*s = t. Division backs the exact
-    translation-hypothesis checks.
+    translation-hypothesis checks. `compose` and the divisions must be pure
+    functions of hashable elements: `check_hypotheses` memoises their results
+    by element value.
     """
 
     compose: Callable
@@ -108,7 +110,8 @@ class FilterBasis:
     `contains(el, k)` is the membership predicate of level k; `sampler(k)`
     returns a deterministic finite sample of level k. `enumerate_level`,
     when present, lists every element of level k up to a carrier bound and
-    backs exhaustive hypothesis checks.
+    backs exhaustive hypothesis checks. `contains` must be a pure function of
+    the element and the level: `check_hypotheses` memoises it by element value.
     """
 
     semigroup: Semigroup
@@ -388,50 +391,92 @@ def check_hypotheses(
     semigroup, per sampled element and level, using semigroup division.
 
     Levels are checked up to `max_level` (default: depth minus a headroom of 4)
-    so that witness levels can exist inside the truncation.
+    so that witness levels can exist inside the truncation. A hypothesis holds
+    at (s, k) when some filter level j has the element tested for each of its
+    elements b inside level k: s*b, b*s, or the a with a*s = b or with
+    s*a = b, one per hypothesis (a failed division fails every level). Each level is every element up to
+    `enumeration_bound` when the basis enumerates it, else its sample, so the
+    verdict is exact up to that bound.
+
+    One table pass decides every k at once: per (hypothesis, s) each element
+    b is mapped once to the element it is tested on, and that element to the
+    bitmask of checked levels that contain it (memoised by element value
+    across hypotheses and samples). Level j satisfies the AND of those masks
+    over its elements; the scan of a level stops once the AND holds no level
+    that is still unsatisfied. A failure at (s, k) reports the first element
+    of level 0 outside level k.
     """
     sem = F.semigroup
     if s_samples is None:
         s_samples = sem.sample(4)
     if max_level is None:
         max_level = max(0, F.depth - 4)
-    levels = range(min(max_level, F.depth) + 1)
+    checked = range(min(max_level, F.depth) + 1)
+    every = (1 << len(checked)) - 1
 
     def elements_of(j):
         if F.enumerate_level is not None:
             return F.enumerate_level(j, enumeration_bound)
         return F.sampler(j)
 
-    def holds(name, s, k, j) -> bool:
-        return all(_single_holds(name, F, s, k, b) for b in elements_of(j))
+    member: dict = {}  # tested element -> mask of the checked levels holding it
+
+    def levels_holding(a) -> int:
+        if a is None:
+            return 0
+        mask = member.get(a)
+        if mask is None:
+            mask = 0
+            for k in checked:
+                if F.contains(a, k):
+                    mask |= 1 << k
+            member[a] = mask
+        return mask
 
     verdicts, counterexamples = {}, {}
     for name in HYPOTHESIS_NAMES:
-        ok_all = True
+        tested = _tested_element(name, sem)
+        verdicts[name] = True
         for s in s_samples:
-            for k in levels:
-                if not any(holds(name, s, k, j) for j in F.levels()):
-                    ok_all = False
-                    # level 0 fails too, so it holds the first blocking element
+            row: dict = {}  # b -> levels_holding(tested(s, b))
+            satisfied = 0
+            for j in F.levels():
+                acc, open_levels = every, every & ~satisfied
+                for b in elements_of(j):
+                    mask = row.get(b)
+                    if mask is None:
+                        mask = row[b] = levels_holding(tested(s, b))
+                    acc &= mask
+                    if not acc & open_levels:
+                        break
+                satisfied |= acc
+                if satisfied == every:
+                    break
+            failed = every & ~satisfied
+            if failed:
+                verdicts[name] = False
+                if name not in counterexamples:
+                    k = (failed & -failed).bit_length() - 1
+                    # level 0 fails k too, so it holds the first blocking element
                     blocker = next(
-                        b for b in elements_of(0) if not _single_holds(name, F, s, k, b)
+                        b for b in elements_of(0)
+                        if not (levels_holding(tested(s, b)) >> k) & 1
                     )
-                    counterexamples.setdefault(name, (s, k, blocker))
-        verdicts[name] = ok_all
+                    counterexamples[name] = (s, k, blocker)
     return HypothesisReport(verdicts=verdicts, counterexamples=counterexamples)
 
 
-def _single_holds(name: str, F: FilterBasis, s, k, b) -> bool:
-    sem = F.semigroup
+def _tested_element(name: str, sem: Semigroup) -> Callable:
+    """The map (s, b) -> the element whose membership in level k decides
+    hypothesis `name` at (s, k, b); None fails every level."""
     if name == "left_translate_into":
-        return F.contains(sem.compose(s, b), k)
+        return sem.compose
     if name == "right_translate_into":
-        return F.contains(sem.compose(b, s), k)
-    if name == "within_right_translate":
-        a = sem.divide_right(b, s) if sem.divide_right else None
-        return a is not None and F.contains(a, k)
-    a = sem.divide_left(b, s) if sem.divide_left else None
-    return a is not None and F.contains(a, k)
+        return lambda s, b: sem.compose(b, s)
+    divide = sem.divide_right if name == "within_right_translate" else sem.divide_left
+    if divide is None:
+        return lambda s, b: None
+    return lambda s, b: divide(b, s)
 
 
 @dataclass(frozen=True)

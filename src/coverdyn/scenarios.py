@@ -506,6 +506,9 @@ def _config_number(cp, section, key, default=None, required=False) -> float:
     value = _jget(cp, section, key, default, required)
     if type(value) not in (int, float):
         raise SchemaError(f"[{section}] {key}: {value!r} is not a number")
+    # JSON reads Infinity and NaN as floats
+    if not math.isfinite(value):
+        raise SchemaError(f"[{section}] {key}: {value!r} is not a finite number")
     return value
 
 

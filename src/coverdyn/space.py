@@ -41,6 +41,10 @@ class MetricAxiomViolation(SpaceError):
         super().__init__(f"metric axiom {axiom!r} violated at {witness!r}")
 
 
+class NonFiniteValue(SpaceError):
+    """A coordinate or a distance is infinite or NaN."""
+
+
 class NotMetricSpace(SpaceError):
     """A metric-only operation was applied to a finite-topology space."""
 
@@ -278,10 +282,20 @@ def build_metric_space(
         raise ValueError("all coordinate vectors must have the same length")
     if ids is None:
         ids = [_fmt_coords(row) for row in coords]
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        i = int(np.argwhere(bad)[0][0])
+        raise NonFiniteValue(f"point {ids[i]} has a non-finite coordinate")
     if len(set(ids)) != len(ids):
         dup = next(i for i in ids if list(ids).count(i) > 1)
         raise DuplicatePoint(f"duplicate point id {dup!r}")
-    dist = _pairwise_distances(arr, metric)
+    # an overflow yields an infinite distance, reported below
+    with np.errstate(over="ignore"):
+        dist = _pairwise_distances(arr, metric)
+    bad = ~np.isfinite(dist)
+    if bad.any():
+        i, j = map(int, np.argwhere(bad)[0])
+        raise NonFiniteValue(f"the distance from point {ids[i]} to point {ids[j]} is not finite")
     _validate_metric(dist, ids)
     points = tuple(
         Point(pid=ids[i], index=i, coords=tuple(arr[i])) for i in range(len(ids))
@@ -291,7 +305,9 @@ def build_metric_space(
 
 def line_grid(start: float, stop: float, count: int, metric: str = "euclidean") -> Space:
     """Evenly spaced sample of the interval [start, stop] with `count` points."""
-    xs = np.linspace(start, stop, count)
+    # a span that overflows yields non-finite points, reported as such
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.linspace(start, stop, count)
     return build_metric_space([[x] for x in xs], metric=metric)
 
 

@@ -9,9 +9,16 @@ search.
 
 `unbounded_coverable_within` is the exact cover search without the counting
 bound of `coverable_within`: it stops a branch only at depth `cap`.
+
+`reference_check_hypotheses` decides the translation hypotheses by the nested
+any/all form, one division or composition and one membership call per
+(checked level, filter level, element), with no table and no memo.
 """
 
+from typing import Optional, Sequence
+
 from coverdyn.compactness import CoverSearchBudgetExceeded
+from coverdyn.dynamics import HYPOTHESIS_NAMES, FilterBasis, HypothesisReport
 from coverdyn.proximity import converges_to_zero, semi_prox
 from coverdyn.space import iter_bits
 
@@ -91,3 +98,59 @@ def unbounded_coverable_within(target, candidates, cap, node_budget):
         return any(search(remaining & ~c, depth + 1) for c in per_point[pivot])
 
     return search(target, 0)
+
+
+def reference_check_hypotheses(
+    F: FilterBasis,
+    s_samples: Optional[Sequence] = None,
+    enumeration_bound: int = 1000,
+    max_level: Optional[int] = None,
+) -> HypothesisReport:
+    """Exact translation-compatibility checks between the filter basis and the
+    semigroup, per sampled element and level, using semigroup division.
+
+    Levels are checked up to `max_level` (default: depth minus a headroom of 4)
+    so that witness levels can exist inside the truncation.
+    """
+    sem = F.semigroup
+    if s_samples is None:
+        s_samples = sem.sample(4)
+    if max_level is None:
+        max_level = max(0, F.depth - 4)
+    levels = range(min(max_level, F.depth) + 1)
+
+    def elements_of(j):
+        if F.enumerate_level is not None:
+            return F.enumerate_level(j, enumeration_bound)
+        return F.sampler(j)
+
+    def holds(name, s, k, j) -> bool:
+        return all(_single_holds(name, F, s, k, b) for b in elements_of(j))
+
+    verdicts, counterexamples = {}, {}
+    for name in HYPOTHESIS_NAMES:
+        ok_all = True
+        for s in s_samples:
+            for k in levels:
+                if not any(holds(name, s, k, j) for j in F.levels()):
+                    ok_all = False
+                    # level 0 fails too, so it holds the first blocking element
+                    blocker = next(
+                        b for b in elements_of(0) if not _single_holds(name, F, s, k, b)
+                    )
+                    counterexamples.setdefault(name, (s, k, blocker))
+        verdicts[name] = ok_all
+    return HypothesisReport(verdicts=verdicts, counterexamples=counterexamples)
+
+
+def _single_holds(name: str, F: FilterBasis, s, k, b) -> bool:
+    sem = F.semigroup
+    if name == "left_translate_into":
+        return F.contains(sem.compose(s, b), k)
+    if name == "right_translate_into":
+        return F.contains(sem.compose(b, s), k)
+    if name == "within_right_translate":
+        a = sem.divide_right(b, s) if sem.divide_right else None
+        return a is not None and F.contains(a, k)
+    a = sem.divide_left(b, s) if sem.divide_left else None
+    return a is not None and F.contains(a, k)

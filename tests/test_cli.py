@@ -2,6 +2,7 @@ import importlib.util
 import json
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -303,6 +304,14 @@ CONFIGS = {
         2,
     ),
     "expectations-kind-unknown": (CUSTOM + '\n[expectations]\nkind = "bogus"\n', 2),
+    # JSON reads these as floats; they used to fail later as a duplicate point id
+    **{
+        f"{key}-{value}": (CUSTOM.replace("count = 21", f"{key} = {value}\ncount = 21"), 2)
+        for key in ("start", "stop")
+        for value in ("Infinity", "-Infinity", "NaN")
+    },
+    "eps0-Infinity": (CUSTOM.replace("eps0 = 2.0", "eps0 = Infinity"), 2),
+    "span-overflows": (CUSTOM.replace("count = 21", "start = -1e308\nstop = 1e308\ncount = 21"), 2),
     **{
         f"{kind}-{key}-bool": (f'[scenario]\nkind = "{kind}"\n{key} = {value}\n', 2)
         for kind, key, value in (
@@ -324,6 +333,20 @@ def test_bad_config_is_config_error(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert code == expected, err
     assert err.startswith("error: ") if expected else err == ""
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_config_number_names_its_key(tmp_path, capsys, value):
+    path = tmp_path / "system.ini"
+    path.write_text(CUSTOM.replace("count = 21", f"stop = {value}\ncount = 21"), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["attractor", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: [space] stop: ")
+    assert captured.err.endswith(" is not a finite number\n")
 
 
 def test_attractor_on_filter_without_levels_is_config_error(tmp_path, capsys):
@@ -467,6 +490,18 @@ def test_axiom_battery_script_at_cap_8_fails_only_positive_chains(monkeypatch, c
     assert script.main() == 1
     failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if "  FAIL" in line]
     assert failed == ["nested_chain_positive_runs"]
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_axiom_battery_script_rejects_cap_below_one(monkeypatch, capsys, cap):
+    # the script used to run the whole battery at these caps
+    script = _load_script("axiom_battery")
+    monkeypatch.setattr(script, "grid_battery", None)
+    monkeypatch.setattr(sys, "argv", ["axiom_battery.py", "--cap", cap])
+    with pytest.raises(SystemExit) as e:
+        script.main()
+    assert e.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 def test_scenario_and_config_together_is_usage_error(tmp_path, capsys):

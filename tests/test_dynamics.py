@@ -1,7 +1,11 @@
+import collections
+import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverdyn.compactness import default_cap, is_bounded, star_measure
 from coverdyn.covering import metric_chain_family
@@ -28,9 +32,9 @@ from coverdyn.proximity import (
     sets_equal_at_resolution,
     subset_at_resolution,
 )
-from coverdyn.scenarios import BUILTIN_SCENARIOS, get_scenario
+from coverdyn.scenarios import BUILTIN_SCENARIOS, get_scenario, load_system
 from coverdyn.space import ball_mask, iter_bits, line_grid
-from reference import divergent_sequence, prox_form_attracts
+from reference import divergent_sequence, prox_form_attracts, reference_check_hypotheses
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +268,129 @@ def test_hypotheses_vector_tails():
     F = vector_tails(2, depth=10, window=4)
     rep = check_hypotheses(F, s_samples=((0, 0), (1, 1), (2, 1)), max_level=4)
     assert all(rep.verdicts.values())
+
+
+def assert_hypotheses_match_reference(F, **kwargs):
+    got = check_hypotheses(F, **kwargs)
+    want = reference_check_hypotheses(F, **kwargs)
+    assert got.verdicts == want.verdicts
+    assert got.counterexamples == want.counterexamples
+
+
+def explicit_basis(level_sets):
+    """A sampler-only basis over nat_add, built as the config `explicit` filter is."""
+    return FilterBasis(
+        semigroup=nat_add(),
+        depth=len(level_sets) - 1,
+        contains=lambda el, k: el in level_sets[k],
+        sampler=lambda k: tuple(sorted(level_sets[k])),
+    )
+
+
+@st.composite
+def nested_level_sets(draw, depth):
+    levels = [draw(st.frozensets(st.integers(0, 12), min_size=1))]
+    for _ in range(depth):
+        levels.append(draw(st.frozensets(st.sampled_from(sorted(levels[-1])), min_size=1)))
+    return levels
+
+
+@st.composite
+def hypothesis_inputs(draw):
+    kind = draw(st.sampled_from(["nat_add", "nat_mul", "vector", "scaling", "explicit", "listed"]))
+    depth = draw(st.integers(0, 8))
+    window = draw(st.integers(1, 4))
+    if kind in ("nat_add", "nat_mul"):
+        sem = nat_add() if kind == "nat_add" else nat_mul()
+        F = integer_tails(sem, depth=depth, window=window, start=draw(st.integers(0, 3)))
+        element = st.integers(0, 6)
+    elif kind == "vector":
+        dim = draw(st.integers(1, 3))
+        F = vector_tails(dim, depth=depth, window=window)
+        element = st.tuples(*[st.integers(0, 4)] * dim)
+    elif kind == "scaling":
+        L = draw(st.sampled_from([0.25, 0.5, 0.75]))
+        F = scaling_tails(depth=depth, window=window, L=L)
+        element = st.one_of(st.just(0.0), st.integers(0, 6).map(lambda j: L**j))
+    elif kind == "explicit":
+        F = explicit_basis(draw(nested_level_sets(depth)))
+        element = st.integers(0, 6)
+    else:
+        # listed levels need not nest, nor be sorted or free of repeats, so a
+        # deeper level can satisfy fewer checked levels than a shallower one
+        listed = draw(st.lists(st.lists(st.integers(0, 12)), min_size=depth + 1, max_size=depth + 1))
+        F = dataclasses.replace(
+            explicit_basis(draw(nested_level_sets(depth))),
+            enumerate_level=lambda j, bound: tuple(b for b in listed[j] if b <= bound),
+        )
+        element = st.integers(0, 6)
+    s_samples = draw(st.none() | st.lists(element, max_size=4).map(tuple))
+    max_level = draw(st.none() | st.integers(-1, depth + 1))
+    bound = draw(st.integers(0, 40))
+    return F, {"s_samples": s_samples, "max_level": max_level, "enumeration_bound": bound}
+
+
+@settings(max_examples=200, deadline=None)
+@given(hypothesis_inputs())
+def test_hypotheses_table_pass_matches_reference(inputs):
+    F, kwargs = inputs
+    assert_hypotheses_match_reference(F, **kwargs)
+
+
+def test_hypotheses_keep_levels_satisfied_by_a_shallower_filter_level():
+    # the listed filter levels do not nest: 0 + 2 lies in checked levels 0
+    # and 1, while 0 + 1 and 0 + 0 lie in level 0 only, so the deeper
+    # filter levels satisfy less and must not undo what level 0 satisfied
+    listed = [(2,), (1,), (0,)]
+    F = dataclasses.replace(
+        explicit_basis([frozenset({0, 1, 2, 3}), frozenset({2, 3}), frozenset({3})]),
+        enumerate_level=lambda j, bound: listed[j],
+    )
+    rep = check_hypotheses(F, s_samples=(0,), max_level=2)
+    assert rep.counterexamples["left_translate_into"] == (0, 2, 2)
+    assert_hypotheses_match_reference(F, s_samples=(0,), max_level=2)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_hypotheses_match_reference_on_builtins(name):
+    F = get_scenario(name).filter_basis
+    assert_hypotheses_match_reference(F)
+    assert_hypotheses_match_reference(F, max_level=max(0, F.depth - 6))
+
+
+def test_hypotheses_match_reference_on_grid_scale_config():
+    F = load_system('[scenario]\nkind = "decay_grid"\ncount = 201\n').filter_basis
+    assert_hypotheses_match_reference(F, max_level=max(0, F.depth - 6))
+
+
+def test_hypotheses_match_reference_on_explicit_config_filter():
+    sc = load_system(
+        '[scenario]\nkind = "custom"\n'
+        '[space]\nkind = "line_grid"\ncount = 21\n'
+        '[family]\nkind = "metric_chain"\neps0 = 2.0\ndepth = 2\n'
+        '[action]\nkind = "halving_decay"\n'
+        '[filter]\nkind = "explicit"\nlevels = [[0, 1, 2, 3, 5], [2, 3, 5], [3, 5], [5]]\n'
+    )
+    F = sc.filter_basis
+    assert F.enumerate_level is None
+    for max_level in (None, 0, 1, 3):
+        assert_hypotheses_match_reference(F, max_level=max_level, s_samples=(0, 1, 2, 3))
+
+
+def test_hypotheses_call_contains_once_per_tested_element_and_level():
+    base = integer_tails(nat_add(), depth=10)
+    calls = collections.Counter()
+
+    def counting(el, k):
+        calls[el, k] += 1
+        return base.contains(el, k)
+
+    F = dataclasses.replace(base, contains=counting)
+    calls.clear()  # the basis checks its samples when built
+    rep = check_hypotheses(F)
+    assert rep.verdicts == reference_check_hypotheses(base).verdicts
+    assert calls and max(calls.values()) == 1
+    assert {k for _, k in calls} == set(range(F.depth - 4 + 1))
 
 
 def test_taxonomy_decay(decay, grid, fam, tails):

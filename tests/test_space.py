@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from coverdyn.space import (
     EmptyInput,
     MetricAxiomViolation,
     MissingEmptyOrFull,
+    NonFiniteValue,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
     NotMetricSpace,
@@ -44,6 +46,28 @@ def test_grid_101_points():
 def test_duplicate_coordinates_rejected():
     with pytest.raises(DuplicatePoint):
         build_metric_space([[0.0, 0.0], [0.0, 0.0]])
+
+
+def test_nan_coordinate_rejected_by_name():
+    # a NaN distance used to read as a violation of zero-on-diagonal
+    with pytest.raises(NonFiniteValue, match=r"point \(nan\) has a non-finite coordinate"):
+        build_metric_space([[0], [float("nan")]])
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "sup"])
+def test_infinite_distance_rejected_by_name(metric):
+    # 1e308 - (-1e308) overflows: this space used to load with an infinite distance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match=r"distance from point \(.*\) to point \(.*\) is not finite"):
+            build_metric_space([[0], [1e308], [-1e308]], metric=metric)
+
+
+def test_overflowing_grid_rejected_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="non-finite coordinate"):
+            line_grid(-1e308, 1e308, 5)
 
 
 def test_empty_rejected():
