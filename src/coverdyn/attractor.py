@@ -16,7 +16,6 @@ from .covering import AdmissibleFamily, CheckList, CheckResult, first_failure
 from .dynamics import (
     Action,
     FilterBasis,
-    TaxonomyReport,
     attracts,
     check_dissipativity,
     check_hypotheses,
@@ -35,14 +34,9 @@ class UnboundedTestset(CoverdynError):
 @dataclass(frozen=True)
 class AttractorVerdict(CheckList):
     candidate: tuple[str, ...]  # sorted point ids
-    kind: str  # "global", "global-uniform", "both", "neither"
 
     def to_dict(self) -> dict:
-        return {
-            "candidate": list(self.candidate),
-            "kind": self.kind,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return {"candidate": list(self.candidate), **super().to_dict()}
 
 
 def construct_candidate(
@@ -131,11 +125,8 @@ def verify_global(
                 )
 
     checks.append(first_failure("attracts", unattracted()))
-    passed = all(c.passed for c in checks)
     return AttractorVerdict(
-        candidate=tuple(action.space.pids(candidate)),
-        checks=tuple(checks),
-        kind="global" if passed else "neither",
+        candidate=tuple(action.space.pids(candidate)), checks=tuple(checks)
     )
 
 
@@ -163,11 +154,8 @@ def verify_uniform(
                 yield f"limit of {x.pid} leaves the candidate: {rep.pids()[:4]}"
 
     checks.append(first_failure("prolongational_limits_inside", limits_outside()))
-    passed = all(c.passed for c in checks)
     return AttractorVerdict(
-        candidate=tuple(action.space.pids(candidate)),
-        checks=tuple(checks),
-        kind="global-uniform" if passed else "neither",
+        candidate=tuple(action.space.pids(candidate)), checks=tuple(checks)
     )
 
 
@@ -184,74 +172,51 @@ def combine_kinds(glob: AttractorVerdict, unif: AttractorVerdict) -> str:
     return "neither"
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
-    equal: bool
-    contained_invariants: dict
-    violations: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.equal and not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "equal": self.equal,
-            "contained_invariants": dict(self.contained_invariants),
-            "violations": list(self.violations),
-        }
-
-
 def check_uniqueness(
     A1: int,
     A2: int,
     invariant_sets: dict[str, int],
     family: AdmissibleFamily,
-) -> UniquenessReport:
+) -> CheckList:
     """Two verified attractors coincide at resolution, and every supplied
-    bounded invariant set is contained in the first."""
-    equal = sets_equal_at_resolution(A1, A2, family)
-    contained, violations = {}, []
+    bounded invariant set is contained in the first: one row per invariant
+    set, in sorted-name order, then one for the equality."""
+    rows = []
     for name in sorted(invariant_sets):
         inside = subset_at_resolution(invariant_sets[name], A1, family)
-        contained[name] = inside
-        if not inside:
-            violations.append(f"bounded invariant set {name!r} escapes the attractor")
-    if not equal:
-        violations.append("the two candidates differ at resolution")
-    return UniquenessReport(
-        equal=equal,
-        contained_invariants=contained,
-        violations=tuple(violations),
-    )
+        witness = None if inside else f"bounded invariant set {name!r} escapes the attractor"
+        rows.append(CheckResult(f"contains:{name}", inside, witness))
+    equal = sets_equal_at_resolution(A1, A2, family)
+    witness = None if equal else "the two candidates differ at resolution"
+    rows.append(CheckResult("equal_at_resolution", equal, witness))
+    return CheckList(checks=tuple(rows))
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Forward and (hypothesis-gated) converse links between the two notions."""
+    """Both verdicts, the taxonomy and hypothesis rows, and the two links
+    between the notions: `forward` (a global attractor verifies uniformly)
+    and the hypothesis-gated `converse`."""
 
     global_verdict: AttractorVerdict
     uniform_verdict: AttractorVerdict
-    taxonomy: TaxonomyReport
-    hypothesis_ok: dict
+    taxonomy: CheckList
+    hypotheses: CheckList
     eventually_compact: CheckResult
-    forward_holds: bool
-    converse_applicable: bool
-    converse_holds: Optional[bool]
-    failing_converse_hypothesis: Optional[str]
-    kind: str
+    links: CheckList
+
+    @property
+    def kind(self) -> str:
+        return combine_kinds(self.global_verdict, self.uniform_verdict)
 
     def to_dict(self) -> dict:
         return {
             "global": self.global_verdict.to_dict(),
             "uniform": self.uniform_verdict.to_dict(),
             "taxonomy": self.taxonomy.to_dict(),
-            "hypotheses": dict(self.hypothesis_ok),
+            "hypotheses": self.hypotheses.to_dict(),
             "eventually_compact": self.eventually_compact.to_dict(),
-            "forward_holds": self.forward_holds,
-            "converse_applicable": self.converse_applicable,
-            "converse_holds": self.converse_holds,
-            "failing_converse_hypothesis": self.failing_converse_hypothesis,
+            "links": self.links.to_dict(),
             "kind": self.kind,
         }
 
@@ -260,7 +225,7 @@ def check_equivalence(scenario, candidate: Optional[int] = None) -> EquivalenceR
     """Run both verifications plus the taxonomy and hypothesis checks on a
     scenario, and relate them: a global attractor must verify uniformly; the
     converse is asserted only when its hypotheses all tested true, and when it
-    cannot apply the blocking hypothesis is named."""
+    cannot apply it passes with the first failing hypothesis (sorted) named."""
     if candidate is None:
         candidate = scenario.attractor_points()
     F, action, family = scenario.filter_basis, scenario.action, scenario.family
@@ -284,28 +249,32 @@ def check_equivalence(scenario, candidate: Optional[int] = None) -> EquivalenceR
     else:
         evc = CheckResult("eventually_compact", False, "not declared")
 
-    forward_holds = (not glob.all_passed) or unif.all_passed
-    converse_hyps = {
-        "within_right_translate": hyp.verdicts["within_right_translate"],
-        "eventually_compact": evc.passed,
-        "asymptotically_compact": taxonomy.passed("asymptotically_compact"),
-    }
-    converse_applicable = all(converse_hyps.values())
-    converse_holds = None
-    failing = None
-    if converse_applicable:
-        converse_holds = (not unif.all_passed) or glob.all_passed
+    forward_ok = unif.all_passed or not glob.all_passed
+    forward = CheckResult(
+        "forward",
+        forward_ok,
+        None if forward_ok else "the global attractor does not verify uniformly",
+    )
+    converse_hyps = (
+        hyp.check("within_right_translate"),
+        evc,
+        taxonomy.check("asymptotically_compact"),
+    )
+    blocking = sorted(c.name for c in converse_hyps if not c.passed)
+    if blocking:
+        converse = CheckResult("converse", True, f"not applicable: {blocking[0]} fails")
     else:
-        failing = next(k for k, v in sorted(converse_hyps.items()) if not v)
+        converse_ok = glob.all_passed or not unif.all_passed
+        converse = CheckResult(
+            "converse",
+            converse_ok,
+            None if converse_ok else "the global uniform attractor does not verify globally",
+        )
     return EquivalenceReport(
         global_verdict=glob,
         uniform_verdict=unif,
         taxonomy=taxonomy,
-        hypothesis_ok=dict(hyp.verdicts),
+        hypotheses=hyp,
         eventually_compact=evc,
-        forward_holds=forward_holds,
-        converse_applicable=converse_applicable,
-        converse_holds=converse_holds,
-        failing_converse_hypothesis=failing,
-        kind=combine_kinds(glob, unif),
+        links=CheckList(checks=(forward, converse)),
     )

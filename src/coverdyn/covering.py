@@ -293,7 +293,7 @@ class AdmissibleFamily:
         return fam
 
     @cached_property
-    def admissibility_report(self) -> AxiomReport:
+    def admissibility_report(self) -> CheckList:
         """The family's axiom and repleteness report, computed on first read."""
         return verify_admissible(self)
 
@@ -422,7 +422,8 @@ def first_failure(name: str, witnesses: Iterable[str]) -> CheckResult:
 
 @dataclass(frozen=True)
 class CheckList:
-    """An ordered tuple of named pass/fail results, looked up by name."""
+    """An ordered tuple of named pass/fail results, looked up by name: the one
+    verdict type of every report."""
 
     checks: tuple[CheckResult, ...]
 
@@ -439,14 +440,8 @@ class CheckList:
     def passed(self, name: str) -> bool:
         return self.check(name).passed
 
-
-@dataclass(frozen=True)
-class AxiomReport(CheckList):
     def to_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return {"checks": [c.to_dict() for c in self.checks]}
 
 
 def _target_opens(family: AdmissibleFamily) -> list[int]:
@@ -457,7 +452,7 @@ def _target_opens(family: AdmissibleFamily) -> list[int]:
     return [1 << i for i in range(space.n)]
 
 
-def verify_admissible(family: AdmissibleFamily) -> AxiomReport:
+def verify_admissible(family: AdmissibleFamily) -> CheckList:
     """Check the admissibility axioms and both repleteness conditions, with witnesses.
 
     Axioms: (1) every covering admits a double-refinement in the family;
@@ -486,7 +481,7 @@ def verify_admissible(family: AdmissibleFamily) -> AxiomReport:
             if u != space.full_mask:
                 yield f"stars of {space.points[x].pid} do not exhaust the space"
 
-    return AxiomReport(checks=(
+    return CheckList(checks=(
         first_failure("double_refinement_exists", (
             f"no double-refinement of {covs[j].label or j}"
             for j in range(L)

@@ -372,39 +372,32 @@ HYPOTHESIS_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    verdicts: dict
-    counterexamples: dict
-
-    def passed(self, name: str) -> bool:
-        return self.verdicts[name]
-
-
 def check_hypotheses(
     F: FilterBasis,
     s_samples: Optional[Sequence] = None,
     enumeration_bound: int = 1000,
     max_level: Optional[int] = None,
-) -> HypothesisReport:
+) -> CheckList:
     """Exact translation-compatibility checks between the filter basis and the
-    semigroup, per sampled element and level, using semigroup division.
+    semigroup, per sampled element and level, using semigroup division: one
+    row per hypothesis, in sorted-name order.
 
     Levels are checked up to `max_level` (default: depth minus a headroom of 4)
     so that witness levels can exist inside the truncation. A hypothesis holds
     at (s, k) when some filter level j has the element tested for each of its
     elements b inside level k: s*b, b*s, or the a with a*s = b or with
-    s*a = b, one per hypothesis (a failed division fails every level). Each level is every element up to
-    `enumeration_bound` when the basis enumerates it, else its sample, so the
-    verdict is exact up to that bound.
+    s*a = b, one per hypothesis (a failed division fails every level). Each
+    level is every element up to `enumeration_bound` when the basis
+    enumerates it, else its sample, so the verdict is exact up to that bound.
 
     One table pass decides every k at once: per (hypothesis, s) each element
     b is mapped once to the element it is tested on, and that element to the
     bitmask of checked levels that contain it (memoised by element value
     across hypotheses and samples). Level j satisfies the AND of those masks
     over its elements; the scan of a level stops once the AND holds no level
-    that is still unsatisfied. A failure at (s, k) reports the first element
-    of level 0 outside level k.
+    that is still unsatisfied. A row fails at its first failing (s, k), in
+    sample order and then level order; its witness names s, k and the first
+    element of level 0 that blocks level k, and later samples go unchecked.
     """
     sem = F.semigroup
     if s_samples is None:
@@ -433,10 +426,8 @@ def check_hypotheses(
             member[a] = mask
         return mask
 
-    verdicts, counterexamples = {}, {}
-    for name in HYPOTHESIS_NAMES:
+    def failures(name):
         tested = _tested_element(name, sem)
-        verdicts[name] = True
         for s in s_samples:
             row: dict = {}  # b -> levels_holding(tested(s, b))
             satisfied = 0
@@ -454,16 +445,17 @@ def check_hypotheses(
                     break
             failed = every & ~satisfied
             if failed:
-                verdicts[name] = False
-                if name not in counterexamples:
-                    k = (failed & -failed).bit_length() - 1
-                    # level 0 fails k too, so it holds the first blocking element
-                    blocker = next(
-                        b for b in elements_of(0)
-                        if not (levels_holding(tested(s, b)) >> k) & 1
-                    )
-                    counterexamples[name] = (s, k, blocker)
-    return HypothesisReport(verdicts=verdicts, counterexamples=counterexamples)
+                k = (failed & -failed).bit_length() - 1
+                # level 0 fails k too, so it holds the first blocking element
+                blocker = next(
+                    b for b in elements_of(0)
+                    if not (levels_holding(tested(s, b)) >> k) & 1
+                )
+                yield f"s={s!r} level={k} blocker={blocker!r}"
+
+    return CheckList(checks=tuple(
+        first_failure(name, failures(name)) for name in sorted(HYPOTHESIS_NAMES)
+    ))
 
 
 def _tested_element(name: str, sem: Semigroup) -> Callable:
@@ -477,12 +469,6 @@ def _tested_element(name: str, sem: Semigroup) -> Callable:
     if divide is None:
         return lambda s, b: None
     return lambda s, b: divide(b, s)
-
-
-@dataclass(frozen=True)
-class TaxonomyReport(CheckList):
-    def to_dict(self) -> dict:
-        return {"outcomes": [o.to_dict() for o in self.checks]}
 
 
 TAIL_WINDOW = 4
@@ -520,7 +506,7 @@ def check_dissipativity(
     cap: int,
     points_sample: Optional[Sequence[Point]] = None,
     absorb_candidate: Optional[int] = None,
-) -> TaxonomyReport:
+) -> CheckList:
     """Verdicts with witnesses for the five dissipativity/compactness notions,
     evaluated on the supplied bounded test sets up to the sampling budget."""
     if not testsets:
@@ -592,7 +578,7 @@ def check_dissipativity(
 
     outcomes.append(first_failure("limit_compact", dropped_coverings()))
 
-    return TaxonomyReport(checks=tuple(outcomes))
+    return CheckList(checks=tuple(outcomes))
 
 
 def verify_eventual_compactness(

@@ -235,12 +235,18 @@ def bool_product(rows: Sequence[int], cols: Sequence[int], width: int) -> tuple[
 
 
 def _pairwise_distances(coords: np.ndarray, metric: str) -> np.ndarray:
+    """Distances between all coordinate rows. The euclidean norm scales each
+    difference by its sup norm before squaring, so no finite distance
+    overflows; in one dimension it equals |x - y| exactly. `metric` is
+    "sup" or "euclidean" (checked by the caller)."""
     diff = coords[:, None, :] - coords[None, :, :]
-    if metric == "euclidean":
-        return np.sqrt((diff**2).sum(axis=2))
+    np.abs(diff, out=diff)
+    scale = diff.max(axis=2)
     if metric == "sup":
-        return np.abs(diff).max(axis=2)
-    raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+        return scale
+    np.divide(diff, scale[:, :, None], out=diff, where=scale[:, :, None] > 0)
+    np.square(diff, out=diff)
+    return scale * np.sqrt(diff.sum(axis=2))
 
 
 def _validate_metric(dist: np.ndarray, ids: Sequence[str]) -> None:
@@ -289,8 +295,8 @@ def build_metric_space(
     if len(set(ids)) != len(ids):
         dup = next(i for i in ids if list(ids).count(i) > 1)
         raise DuplicatePoint(f"duplicate point id {dup!r}")
-    # an overflow yields an infinite distance, reported below
-    with np.errstate(over="ignore"):
+    # an overflowing difference yields a non-finite distance, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
         dist = _pairwise_distances(arr, metric)
     bad = ~np.isfinite(dist)
     if bad.any():

@@ -12,13 +12,16 @@ bound of `coverable_within`: it stops a branch only at depth `cap`.
 
 `reference_check_hypotheses` decides the translation hypotheses by the nested
 any/all form, one division or composition and one membership call per
-(checked level, filter level, element), with no table and no memo.
+(checked level, filter level, element), with no table and no memo. It
+returns the same `CheckList` as `check_hypotheses`: one row per hypothesis in
+sorted-name order, whose witness is the first failure (s, level, blocker).
 """
 
 from typing import Optional, Sequence
 
 from coverdyn.compactness import CoverSearchBudgetExceeded
-from coverdyn.dynamics import HYPOTHESIS_NAMES, FilterBasis, HypothesisReport
+from coverdyn.covering import CheckList, CheckResult
+from coverdyn.dynamics import HYPOTHESIS_NAMES, FilterBasis
 from coverdyn.proximity import converges_to_zero, semi_prox
 from coverdyn.space import iter_bits
 
@@ -105,7 +108,7 @@ def reference_check_hypotheses(
     s_samples: Optional[Sequence] = None,
     enumeration_bound: int = 1000,
     max_level: Optional[int] = None,
-) -> HypothesisReport:
+) -> CheckList:
     """Exact translation-compatibility checks between the filter basis and the
     semigroup, per sampled element and level, using semigroup division.
 
@@ -127,20 +130,20 @@ def reference_check_hypotheses(
     def holds(name, s, k, j) -> bool:
         return all(_single_holds(name, F, s, k, b) for b in elements_of(j))
 
-    verdicts, counterexamples = {}, {}
-    for name in HYPOTHESIS_NAMES:
-        ok_all = True
+    checks = []
+    for name in sorted(HYPOTHESIS_NAMES):
+        counterexamples = []
         for s in s_samples:
             for k in levels:
                 if not any(holds(name, s, k, j) for j in F.levels()):
-                    ok_all = False
                     # level 0 fails too, so it holds the first blocking element
                     blocker = next(
                         b for b in elements_of(0) if not _single_holds(name, F, s, k, b)
                     )
-                    counterexamples.setdefault(name, (s, k, blocker))
-        verdicts[name] = ok_all
-    return HypothesisReport(verdicts=verdicts, counterexamples=counterexamples)
+                    counterexamples.append(f"s={s!r} level={k} blocker={blocker!r}")
+        witness = counterexamples[0] if counterexamples else None
+        checks.append(CheckResult(name, not counterexamples, witness))
+    return CheckList(checks=tuple(checks))
 
 
 def _single_holds(name: str, F: FilterBasis, s, k, b) -> bool:

@@ -8,7 +8,7 @@ from coverdyn.attractor import (
     verify_global,
     verify_uniform,
 )
-from coverdyn.covering import chain_family, metric_chain_family
+from coverdyn.covering import CheckList, CheckResult, chain_family, metric_chain_family
 from coverdyn.proximity import sets_equal_at_resolution
 from coverdyn.scenarios import get_scenario
 
@@ -46,7 +46,6 @@ def test_verify_global_decay(grid_sc):
         sc.declared.cap,
     )
     assert v.all_passed, [c for c in v.checks if not c.passed]
-    assert v.kind == "global"
     assert v.candidate == ("(0)",)
 
 
@@ -56,7 +55,7 @@ def test_verify_global_empty_candidate(grid_sc):
         0, sc.testsets, sc.filter_basis, sc.action, sc.family, 10
     )
     assert not v.passed("nonempty")
-    assert v.kind == "neither"
+    assert not v.all_passed
 
 
 def test_verify_uniform_decay(grid_sc):
@@ -115,7 +114,9 @@ def test_uniqueness_independent_constructions():
     A1 = construct_candidate(fam_a, sc.filter_basis, sc.action, sc.family)
     A2 = construct_candidate(seeds, sc.filter_basis, sc.action, sc.family)
     rep = check_uniqueness(A1, A2, {"attractor": sc.attractor_points()}, sc.family)
-    assert rep.passed, rep.violations
+    assert rep == CheckList(
+        checks=(CheckResult("contains:attractor", True), CheckResult("equal_at_resolution", True))
+    )
 
 
 def test_uniqueness_negative_control(grid_sc):
@@ -128,8 +129,10 @@ def test_uniqueness_negative_control(grid_sc):
         {"runaway": runaway},
         sc.family,
     )
-    assert not rep.passed
-    assert any("runaway" in v for v in rep.violations)
+    assert rep == CheckList(checks=(
+        CheckResult("contains:runaway", False, "bounded invariant set 'runaway' escapes the attractor"),
+        CheckResult("equal_at_resolution", True),
+    ))
 
 
 @pytest.mark.parametrize(
@@ -139,14 +142,16 @@ def test_equivalence_matches_expected_kind(name):
     sc = get_scenario(name)
     rep = check_equivalence(sc)
     assert rep.kind == sc.expected.kind
-    assert rep.forward_holds
+    assert [c.name for c in rep.links.checks] == ["forward", "converse"]
+    assert rep.links.passed("forward")
     if name == "exp_decay":
-        assert not rep.converse_applicable
-        assert rep.failing_converse_hypothesis == "asymptotically_compact"
+        assert rep.links.check("converse") == CheckResult(
+            "converse", True, "not applicable: asymptotically_compact fails"
+        )
         assert not rep.taxonomy.passed("asymptotically_compact")
     if sc.declared.hypothesis_expect:
         for hname, expect in sc.declared.hypothesis_expect.items():
-            assert rep.hypothesis_ok[hname] == expect, hname
+            assert rep.hypotheses.passed(hname) == expect, hname
 
 
 def test_point_dissipative_existence_route():
@@ -156,7 +161,7 @@ def test_point_dissipative_existence_route():
     for name in ("decay_grid", "composition"):
         sc = get_scenario(name)
         rep = check_equivalence(sc)
-        assert all(rep.hypothesis_ok.values())
+        assert rep.hypotheses.all_passed
         assert rep.eventually_compact.passed
         assert rep.taxonomy.passed("eventually_bounded")
         assert rep.taxonomy.passed("point_dissipative")

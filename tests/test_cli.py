@@ -1,7 +1,5 @@
-import importlib.util
 import json
 import re
-import sys
 import warnings
 from pathlib import Path
 
@@ -458,50 +456,46 @@ def test_config_text_never_crashes(tmp_path, capsys, text, argv):
     assert "Traceback" not in err
 
 
-def _load_script(name):
-    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_axiom_battery_script_reports_error_without_traceback(monkeypatch, capsys):
+def test_verify_axioms_over_budget_reports_error_without_traceback(monkeypatch, capsys):
     # no battery run is known to overflow the cover-search budget, so a stub
     # that raises stands in for one
-    script = _load_script("axiom_battery")
-
     def over_budget(**kwargs):
         raise CoverSearchBudgetExceeded("cover search exceeded 400000 nodes")
 
-    monkeypatch.setattr(script, "grid_battery", over_budget)
-    monkeypatch.setattr(sys, "argv", ["axiom_battery.py", "--seed", "1", "--cap", "8"])
-    assert script.main() == 2
+    monkeypatch.setattr("coverdyn.cli.grid_battery", over_budget)
+    assert main(["verify-axioms", "--seed", "1", "--cap", "8"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cover search exceeded 400000 nodes\n"
 
 
-def test_axiom_battery_script_at_cap_8_fails_only_positive_chains(monkeypatch, capsys):
+def test_verify_axioms_at_cap_8_fails_only_positive_chains(capsys):
     # at cap 8 the last ball of a positive chain needs more point stars than
     # the cap, so that row reports an unmet hypothesis; every other row passes
-    script = _load_script("axiom_battery")
-    monkeypatch.setattr(sys, "argv", ["axiom_battery.py", "--seed", "1", "--cap", "8"])
-    assert script.main() == 1
-    failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if "  FAIL" in line]
+    code, out = run(capsys, "verify-axioms", "--seed", "1", "--cap", "8")
+    assert code == 1
+    failed = [r["name"] for r in json.loads(out)["results"] if r["verdict"] != "pass"]
     assert failed == ["nested_chain_positive_runs"]
 
 
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_axiom_battery_script_rejects_cap_below_one(monkeypatch, capsys, cap):
-    # the script used to run the whole battery at these caps
-    script = _load_script("axiom_battery")
-    monkeypatch.setattr(script, "grid_battery", None)
-    monkeypatch.setattr(sys, "argv", ["axiom_battery.py", "--cap", cap])
-    with pytest.raises(SystemExit) as e:
-        script.main()
-    assert e.value.code == 2
-    assert "must be at least 1" in capsys.readouterr().err
+def _bool_paths(node, path=""):
+    if isinstance(node, bool):
+        yield path
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _bool_paths(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _bool_paths(value, f"{path}[{i}]")
+
+
+@pytest.mark.parametrize("name", ["composition", "decay_grid", "exp_decay", "iterated_contractions"])
+def test_attractor_report_spells_every_verdict_as_a_row(capsys, name):
+    # every verdict is a check row with a pass/fail verdict; the one bare
+    # bool is the run's own summary
+    code, out = run(capsys, "attractor", "--scenario", name)
+    assert code == 0
+    assert list(_bool_paths(json.loads(out))) == ["expectations_met"]
 
 
 def test_scenario_and_config_together_is_usage_error(tmp_path, capsys):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverdyn.compactness import default_cap, is_bounded, star_measure
-from coverdyn.covering import metric_chain_family
+from coverdyn.covering import CheckResult, metric_chain_family
 from coverdyn.dynamics import (
+    HYPOTHESIS_NAMES,
     Action,
     FilterBasis,
     NestingViolation,
@@ -243,38 +244,38 @@ def test_absorbs_absent(identity_action, grid, tails):
 
 def test_hypotheses_additive_all_pass(tails):
     rep = check_hypotheses(tails)
-    assert all(rep.verdicts.values())
+    assert [c.name for c in rep.checks] == sorted(HYPOTHESIS_NAMES)
+    assert rep.all_passed
 
 
 def test_hypotheses_multiplicative_h3_fails():
     F = integer_tails(nat_mul(), depth=8, window=4, start=1)
     rep = check_hypotheses(F, s_samples=(1, 2, 3), enumeration_bound=1000)
-    assert rep.verdicts["left_translate_into"]
-    assert rep.verdicts["right_translate_into"]
-    assert not rep.verdicts["within_right_translate"]
-    assert not rep.verdicts["within_left_translate"]
-    s, level, blocker = rep.counterexamples["within_right_translate"]
-    assert s == 2
-    assert blocker % 2 == 1  # odd numbers never lie in a doubled tail
+    assert rep.passed("left_translate_into")
+    assert rep.passed("right_translate_into")
+    # odd numbers never lie in a doubled tail
+    assert rep.check("within_right_translate") == CheckResult(
+        "within_right_translate", False, "s=2 level=0 blocker=1"
+    )
+    assert rep.check("within_left_translate") == CheckResult(
+        "within_left_translate", False, "s=2 level=0 blocker=1"
+    )
 
 
 def test_hypotheses_scaling_basis():
     F = scaling_tails(depth=10, window=3)
     rep = check_hypotheses(F, s_samples=(0.5, 0.25), max_level=4)
-    assert all(rep.verdicts.values())
+    assert rep.all_passed
 
 
 def test_hypotheses_vector_tails():
     F = vector_tails(2, depth=10, window=4)
     rep = check_hypotheses(F, s_samples=((0, 0), (1, 1), (2, 1)), max_level=4)
-    assert all(rep.verdicts.values())
+    assert rep.all_passed
 
 
 def assert_hypotheses_match_reference(F, **kwargs):
-    got = check_hypotheses(F, **kwargs)
-    want = reference_check_hypotheses(F, **kwargs)
-    assert got.verdicts == want.verdicts
-    assert got.counterexamples == want.counterexamples
+    assert check_hypotheses(F, **kwargs) == reference_check_hypotheses(F, **kwargs)
 
 
 def explicit_basis(level_sets):
@@ -347,7 +348,7 @@ def test_hypotheses_keep_levels_satisfied_by_a_shallower_filter_level():
         enumerate_level=lambda j, bound: listed[j],
     )
     rep = check_hypotheses(F, s_samples=(0,), max_level=2)
-    assert rep.counterexamples["left_translate_into"] == (0, 2, 2)
+    assert rep.check("left_translate_into").witness == "s=0 level=2 blocker=2"
     assert_hypotheses_match_reference(F, s_samples=(0,), max_level=2)
 
 
@@ -388,7 +389,7 @@ def test_hypotheses_call_contains_once_per_tested_element_and_level():
     F = dataclasses.replace(base, contains=counting)
     calls.clear()  # the basis checks its samples when built
     rep = check_hypotheses(F)
-    assert rep.verdicts == reference_check_hypotheses(base).verdicts
+    assert rep == reference_check_hypotheses(base)
     assert calls and max(calls.values()) == 1
     assert {k for _, k in calls} == set(range(F.depth - 4 + 1))
 

@@ -28,7 +28,7 @@ def hypothesis_reports(scenarios):
 @pytest.mark.parametrize("name", NAMES)
 def test_omega_forward_invariant_under_h1(name, scenarios, hypothesis_reports):
     sc = scenarios[name]
-    if not hypothesis_reports[name].verdicts["left_translate_into"]:
+    if not hypothesis_reports[name].passed("left_translate_into"):
         pytest.skip("left-translation hypothesis not verified")
     for tname, Y in sc.testsets.items():
         om = omega_limit(Y, sc.filter_basis, sc.action, sc.family).mask
@@ -45,7 +45,7 @@ def test_omega_invariant_under_h1_h4(name, scenarios, hypothesis_reports):
     rep = hypothesis_reports[name]
     sc = scenarios[name]
     if not (
-        rep.verdicts["left_translate_into"] and rep.verdicts["within_left_translate"]
+        rep.passed("left_translate_into") and rep.passed("within_left_translate")
     ):
         pytest.skip("translation hypotheses not verified")
     if not check_equivalence(sc).taxonomy.passed("asymptotically_compact"):
@@ -89,7 +89,7 @@ def test_eventually_compact_route_implies_asymptotic_compactness(
         sc.declared.compact_witness is not None
         and eq.eventually_compact.passed
         and eq.taxonomy.passed("eventually_bounded")
-        and rep.verdicts["within_left_translate"]
+        and rep.passed("within_left_translate")
     ):
         pytest.skip("route hypotheses not all verified")
     assert eq.taxonomy.passed("asymptotically_compact"), name

@@ -41,6 +41,9 @@ def test_grid_101_points():
     assert s.n == 101
     assert s.dist[s.dist > 0].min() == pytest.approx(0.01)
     assert s.dist.max() == pytest.approx(1.0)
+    # the scaled euclidean norm is |x - y| exactly in one dimension
+    xs = np.array([p.coords[0] for p in s.points])
+    assert np.array_equal(s.dist, np.abs(xs[:, None] - xs[None, :]))
 
 
 def test_duplicate_coordinates_rejected():
@@ -61,6 +64,10 @@ def test_infinite_distance_rejected_by_name(metric):
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValue, match=r"distance from point \(.*\) to point \(.*\) is not finite"):
             build_metric_space([[0], [1e308], [-1e308]], metric=metric)
+        # a finite distance whose square overflows still loads: the euclidean
+        # form used to reject this space as non-finite
+        far = build_metric_space([[0], [1e200]], metric=metric)
+        assert far.dist[0, 1] == far.dist[1, 0] == 1e200
 
 
 def test_overflowing_grid_rejected_without_warning():
