@@ -335,12 +335,14 @@ def chain_family(space: Space, coverings: Sequence[Covering]) -> AdmissibleFamil
     return AdmissibleFamily(space=space, kind=CHAIN, coverings=tuple(coverings))
 
 
-def metric_chain_family(
-    space: Space, eps0: float, depth: int, ratio: float = 0.25
-) -> AdmissibleFamily:
-    """Chain of ball coverings with radii eps0 * ratio**i, one ball per sample point.
+# radius ratio of consecutive levels of a metric chain
+CHAIN_RATIO = 0.25
 
-    The default ratio 1/4 guarantees the double-refinement certificate: two
+
+def metric_chain_family(space: Space, eps0: float, depth: int) -> AdmissibleFamily:
+    """Chain of ball coverings with radii eps0 * CHAIN_RATIO**i, one ball per sample point.
+
+    The ratio 1/4 guarantees the double-refinement certificate: two
     intersecting radius-r balls have centers within 2r, so their union lies in
     the radius-4r ball around either center. Repeated member sets at
     consecutive levels are allowed (deep levels of a finite sample saturate).
@@ -350,11 +352,9 @@ def metric_chain_family(
         raise ValueError("eps0 must be positive")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if not 0 < ratio < 1:
-        raise ValueError("ratio must be in (0, 1)")
     coverings = []
     for i in range(depth + 1):
-        r = eps0 * ratio**i
+        r = eps0 * CHAIN_RATIO**i
         masks = {ball_mask(space, p, r) for p in space.points}
         coverings.append(make_covering_masks(space, masks, label=f"balls[r={r:.8g}]"))
     return chain_family(space, coverings)

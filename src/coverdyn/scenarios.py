@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .attractor import KINDS
-from .covering import AdmissibleFamily, metric_chain_family
+from .covering import CHAIN_RATIO, AdmissibleFamily, metric_chain_family
 from .compactness import default_cap, is_bounded
 from .dynamics import (
     HYPOTHESIS_NAMES,
@@ -404,7 +404,7 @@ def scenario_decay_grid(
 ) -> Scenario:
     space = line_grid(0.0, 1.0, count)
     family = metric_chain_family(space, 2.0, chain_depth)
-    finest_radius = 2.0 * 0.25**chain_depth
+    finest_radius = 2.0 * CHAIN_RATIO**chain_depth
 
     def apply_fn(t, p):
         return space.points[p.index >> t]
@@ -570,7 +570,7 @@ def _load_custom(cp) -> Scenario:
     eps0 = _config_number(cp, "family", "eps0", required=True)
     chain_depth = _config_int(cp, "family", "depth", required=True)
     family = metric_chain_family(space, eps0, chain_depth)
-    finest_radius = eps0 * 0.25**chain_depth
+    finest_radius = eps0 * CHAIN_RATIO**chain_depth
 
     akind = _jget(cp, "action", "kind", required=True)
     if akind == "halving_decay":

@@ -1,7 +1,10 @@
 """Finite discretized phase spaces: metric point samples and explicit finite topologies.
 
-A Space is a finite set of points carrying either a validated metric (as a
-distance matrix) or a validated finite topology (as a list of open sets).
+A Space is a finite set of points carrying either a metric, as the matrix of
+norm distances between coordinate vectors, or a validated finite topology, as
+a list of open sets. A metric space checks its input (finite coordinates,
+distinct ids and points); the metric axioms hold by construction, see
+`_pairwise_distances`.
 Every point set, in every signature of the package, is an int mask: bit i is
 the point with index i. `Space.mask_of` builds one from points, and
 `Space.pids` reads one back as the sorted point ids.
@@ -32,15 +35,6 @@ class DuplicatePoint(SpaceError):
     """Two points coincide (same coordinates or same id)."""
 
 
-class MetricAxiomViolation(SpaceError):
-    """A metric axiom failed; carries the axiom name and a witness tuple."""
-
-    def __init__(self, axiom: str, witness: tuple):
-        self.axiom = axiom
-        self.witness = witness
-        super().__init__(f"metric axiom {axiom!r} violated at {witness!r}")
-
-
 class NonFiniteValue(SpaceError):
     """A coordinate or a distance is infinite or NaN."""
 
@@ -64,10 +58,6 @@ class NotClosedUnderIntersection(SpaceError):
         self.witness = (a, b)
         super().__init__(f"opens not closed under intersection: {sorted(a)} & {sorted(b)}")
 
-
-# comparisons on computed distances are exact up to this slack; scenario radii
-# are always chosen away from realized distances
-TRIANGLE_SLACK = 1e-12
 
 METRICS = ("euclidean", "sup")
 
@@ -141,11 +131,7 @@ class Space:
         self.require_metric()
         c = np.asarray(coords, dtype=float)
         pts = np.array([p.coords for p in self.points], dtype=float)
-        if self.metric_name == "sup":
-            d = np.abs(pts - c).max(axis=1)
-        else:
-            d = np.sqrt(((pts - c) ** 2).sum(axis=1))
-        return int(d.argmin())
+        return int(_pairwise_distances(c[None, :], pts, self.metric_name)[0].argmin())
 
 
 def iter_bits(mask: int):
@@ -234,12 +220,26 @@ def bool_product(rows: Sequence[int], cols: Sequence[int], width: int) -> tuple[
     return bool_products([(rows, cols, width)])[0]
 
 
-def _pairwise_distances(coords: np.ndarray, metric: str) -> np.ndarray:
-    """Distances between all coordinate rows. The euclidean norm scales each
-    difference by its sup norm before squaring, so no finite distance
-    overflows; in one dimension it equals |x - y| exactly. `metric` is
-    "sup" or "euclidean" (checked by the caller)."""
-    diff = coords[:, None, :] - coords[None, :, :]
+def _pairwise_distances(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+    """Distances from each coordinate row of `a` to each row of `b`. `metric`
+    is "sup" or "euclidean" (checked by the caller).
+
+    The euclidean norm scales each difference by its sup norm before
+    squaring, so no finite distance overflows; in one dimension it equals
+    |x - y| exactly. With `a` and `b` the same rows the result is a metric
+    by construction, so `build_metric_space` checks none of these facts:
+
+    - the diagonal is exactly 0: every difference is 0, and a zero scale
+      skips the division;
+    - the matrix is exactly symmetric: fl(x - y) == -fl(y - x) in IEEE
+      arithmetic, so |a - b| == |b - a|, and both orders then run the same
+      operations on the same values;
+    - the triangle law holds for the norm of the float coordinates, and the
+      computed distances break it only by rounding: with m coordinates,
+      d[i, j] exceeds d[i, k] + d[k, j] by less than (m + 9) * eps / 2
+      relative to that sum, to first order in eps.
+    """
+    diff = a[:, None, :] - b[None, :, :]
     np.abs(diff, out=diff)
     scale = diff.max(axis=2)
     if metric == "sup":
@@ -249,36 +249,16 @@ def _pairwise_distances(coords: np.ndarray, metric: str) -> np.ndarray:
     return scale * np.sqrt(diff.sum(axis=2))
 
 
-def _validate_metric(dist: np.ndarray, ids: Sequence[str]) -> None:
-    n = dist.shape[0]
-    if np.any(np.diag(dist) != 0.0):
-        i = int(np.nonzero(np.diag(dist))[0][0])
-        raise MetricAxiomViolation("zero-on-diagonal", (ids[i],))
-    if np.any(dist != dist.T):
-        i, j = map(int, np.argwhere(dist != dist.T)[0])
-        raise MetricAxiomViolation("symmetry", (ids[i], ids[j]))
-    off = dist + np.eye(n)
-    if np.any(off <= 0):
-        i, j = map(int, np.argwhere(off <= 0)[0])
-        raise DuplicatePoint(f"points {ids[i]} and {ids[j]} are indistinguishable")
-    # one float and one bool buffer serve every k: via = (d[:, k] + d[k, :]) + slack
-    via = np.empty((n, n))
-    bad = np.empty((n, n), dtype=bool)
-    for k in range(n):
-        np.add(dist[:, k, None], dist[None, k, :], out=via)
-        via += TRIANGLE_SLACK
-        np.greater(dist, via, out=bad)
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            raise MetricAxiomViolation("triangle", (ids[i], ids[j], ids[k]))
-
-
 def build_metric_space(
     coords: Sequence[Sequence[float]],
     metric: str = "euclidean",
     ids: Optional[Sequence[str]] = None,
 ) -> Space:
-    """Build a metric space from coordinate vectors; validates all metric axioms."""
+    """Build a metric space from coordinate vectors.
+
+    Rejects an empty input, an unknown metric, ragged rows, a non-finite
+    coordinate or distance, duplicate ids and indistinguishable points.
+    """
     if len(coords) == 0:
         raise EmptyInput("a space needs at least one point")
     if metric not in METRICS:
@@ -297,24 +277,28 @@ def build_metric_space(
         raise DuplicatePoint(f"duplicate point id {dup!r}")
     # an overflowing difference yields a non-finite distance, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        dist = _pairwise_distances(arr, metric)
+        dist = _pairwise_distances(arr, arr, metric)
     bad = ~np.isfinite(dist)
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
         raise NonFiniteValue(f"the distance from point {ids[i]} to point {ids[j]} is not finite")
-    _validate_metric(dist, ids)
+    same = dist == 0
+    np.fill_diagonal(same, False)
+    if same.any():
+        i, j = map(int, np.argwhere(same)[0])
+        raise DuplicatePoint(f"points {ids[i]} and {ids[j]} are indistinguishable")
     points = tuple(
         Point(pid=ids[i], index=i, coords=tuple(arr[i])) for i in range(len(ids))
     )
     return Space(points=points, metric_name=metric, dist=dist)
 
 
-def line_grid(start: float, stop: float, count: int, metric: str = "euclidean") -> Space:
+def line_grid(start: float, stop: float, count: int) -> Space:
     """Evenly spaced sample of the interval [start, stop] with `count` points."""
     # a span that overflows yields non-finite points, reported as such
     with np.errstate(over="ignore", invalid="ignore"):
         xs = np.linspace(start, stop, count)
-    return build_metric_space([[x] for x in xs], metric=metric)
+    return build_metric_space([[x] for x in xs])
 
 
 def ball_mask(space: Space, center: Point, radius: float) -> int:

@@ -15,15 +15,51 @@ any/all form, one division or composition and one membership call per
 (checked level, filter level, element), with no table and no memo. It
 returns the same `CheckList` as `check_hypotheses`: one row per hypothesis in
 sorted-name order, whose witness is the first failure (s, level, blocker).
+
+`metric_axiom_violation` checks a distance matrix against the metric axioms
+by the exact O(n^3) loop, with the relative triangle slack that the
+`_pairwise_distances` docstring derives. `build_metric_space` checks none of
+them, because its norm distances satisfy them by construction.
 """
 
 from typing import Optional, Sequence
+
+import numpy as np
 
 from coverdyn.compactness import CoverSearchBudgetExceeded
 from coverdyn.covering import CheckList, CheckResult
 from coverdyn.dynamics import HYPOTHESIS_NAMES, FilterBasis
 from coverdyn.proximity import converges_to_zero, semi_prox
 from coverdyn.space import iter_bits
+
+
+def triangle_rtol(dim: int) -> float:
+    """Relative triangle slack for distances over `dim` coordinates: twice
+    the first-order rounding bound (dim + 9) * eps / 2, which also covers
+    the higher-order terms and the rounding of the comparison itself."""
+    return (dim + 9) * float(np.finfo(float).eps)
+
+
+def metric_axiom_violation(dist, ids, rtol):
+    """The first metric axiom `dist` breaks, as (axiom, witness ids), or None.
+
+    The diagonal must be exactly 0 and the matrix exactly symmetric; a
+    triangle (i, j, k) fails when d[i, j] > (d[i, k] + d[k, j]) * (1 + rtol),
+    and its witness is (ids[i], ids[j], ids[k]) for the first k, then i, j.
+    """
+    n = dist.shape[0]
+    if np.any(np.diag(dist) != 0.0):
+        i = int(np.nonzero(np.diag(dist))[0][0])
+        return "zero-on-diagonal", (ids[i],)
+    if np.any(dist != dist.T):
+        i, j = map(int, np.argwhere(dist != dist.T)[0])
+        return "symmetry", (ids[i], ids[j])
+    for k in range(n):
+        bad = dist > (dist[:, k, None] + dist[None, k, :]) * (1 + rtol)
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+            return "triangle", (ids[i], ids[j], ids[k])
+    return None
 
 
 def divergent_sequence(F):

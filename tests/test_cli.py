@@ -401,13 +401,14 @@ CUSTOM_SECTIONS = {
     "declared": ((), {"cap": "3", "eventually_compact_witness": "5"}),
     "expectations": ((), {"attractor": "[0]", "kind": '"both"'}),
 }
-# small numbers keep every drawn system desk-sized
+# small integers keep every drawn system desk-sized; large magnitudes are
+# floats, which no count, depth or index accepts
 VALUES = st.one_of(
     st.integers(-2, 12).map(str),
     st.floats(-3.0, 3.0, allow_nan=False).map(repr),
     st.sampled_from(
         ['"abc"', '"all"', "[]", "[0, 1]", "[99]", "[[1, 2], [2]]", "[[1]]", "null",
-         "true", "{}", "%", "not-json", "[1.5]"]
+         "true", "{}", "%", "not-json", "[1.5]", "1e6", "1e12", "1e200", "-1e200"]
     ),
 )
 
@@ -454,6 +455,86 @@ def test_config_text_never_crashes(tmp_path, capsys, text, argv):
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+WIDE_GRID = """
+[scenario]
+kind = "custom"
+
+[space]
+kind = "line_grid"
+start = 0.0
+stop = 1000000.0
+count = 61
+
+[family]
+kind = "metric_chain"
+eps0 = 4000000.0
+depth = 3
+
+[action]
+kind = "halving_decay"
+
+[filter]
+kind = "integer_tails"
+depth = 6
+"""
+
+
+ARGV_FLAGS = {
+    "--scenario": ("decay_grid", "composition", "exp_decay", "iterated_contractions", "wat"),
+    "--config": ("small.ini", "wide.ini", "missing.ini", "."),
+    "--max-level": ("0", "2", "-3", "1e6"),
+    "--resolution": ("0", "1", "-1", "1000000"),
+    "--cap": ("1", "3", "0", "1000000"),
+    "--seed": ("0", "7", "-1", "1e12"),
+    "--budget": ("0", "3", "-5", "1000000"),
+    "--format": ("json", "csv", "xml"),
+    "--out": ("report.txt", "."),
+    "--mutate": ("prox-asymmetry", "none"),
+    "--target": ("seed", "whole", "attractor", "bogus"),
+}
+ARGV_WORDS = ("decay_grid", "composition", "1e200", "-h", "--", "--bogus", "")
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, then flags with values and stray words in any order."""
+    words = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 4)) == 0:
+            words.append(draw(st.sampled_from(ARGV_WORDS)))
+        else:
+            flag = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+            words += [flag, draw(st.sampled_from(ARGV_FLAGS[flag]))]
+    command = draw(st.sampled_from(("verify-axioms", "omega", "attractor", "scenario")))
+    return [command, *words]
+
+
+# a legitimate run takes up to half a second, so 50 examples keep this near 6 s
+@settings(
+    max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=argvs())
+def test_argv_never_crashes(tmp_path, monkeypatch, capsys, argv):
+    # every relative path, --out included, lands in tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "small.ini").write_text(CUSTOM, encoding="utf-8")
+    (tmp_path / "wide.ini").write_text(WIDE_GRID, encoding="utf-8")
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+def test_wide_grid_config_verifies_both_attractors(tmp_path, capsys):
+    # an absolute triangle slack of 1e-12 used to reject this grid as a
+    # metric space, and the run exited 2
+    path = tmp_path / "system.ini"
+    path.write_text(WIDE_GRID, encoding="utf-8")
+    code, out = run(capsys, "attractor", "--config", str(path))
+    assert code == 0
+    assert json.loads(out)["kind"] == "both"
 
 
 def test_verify_axioms_over_budget_reports_error_without_traceback(monkeypatch, capsys):

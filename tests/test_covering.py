@@ -18,6 +18,7 @@ from coverdyn.covering import (
     finite_all_coverings_family,
     first_failure,
     make_covering,
+    make_covering_masks,
     metric_chain_family,
     refines,
     relation_rows,
@@ -28,6 +29,7 @@ from coverdyn.space import (
     EmptyInput,
     Point,
     Space,
+    ball_mask,
     build_finite_topology,
     build_metric_space,
     enumerate_topologies,
@@ -165,10 +167,14 @@ def test_metric_chain_single_point():
 
 
 def test_metric_chain_degenerate_ratio():
-    # wide ratio: two just-touching balls union to a set no parent ball contains
+    # ratio 0.8 in place of 1/4: two just-touching radius-0.4 balls union to a
+    # set no radius-0.5 ball contains
     grid = line_grid(0.0, 1.0, 101)
-    with pytest.raises(DegenerateChain):
-        metric_chain_family(grid, 0.5, 1, ratio=0.8)
+    balls = [
+        make_covering_masks(grid, {ball_mask(grid, p, r) for p in grid.points}) for r in (0.5, 0.4)
+    ]
+    with pytest.raises(DegenerateChain, match="level 1 .* does not double-refine level 0"):
+        chain_family(grid, balls)
 
 
 def test_chain_family_type_refuses_an_uncertified_chain():

@@ -11,7 +11,6 @@ from coverdyn import space
 from coverdyn.space import (
     DuplicatePoint,
     EmptyInput,
-    MetricAxiomViolation,
     MissingEmptyOrFull,
     NonFiniteValue,
     NotClosedUnderIntersection,
@@ -28,6 +27,7 @@ from coverdyn.space import (
 )
 
 import row_forms
+from reference import metric_axiom_violation, triangle_rtol
 
 
 def test_three_point_line():
@@ -84,17 +84,59 @@ def test_empty_rejected():
 
 def test_bad_distance_matrix_symmetry():
     d = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(MetricAxiomViolation) as e:
-        space._validate_metric(d, ["a", "b"])
-    assert e.value.axiom == "symmetry"
+    assert metric_axiom_violation(d, ["a", "b"], triangle_rtol(1)) == ("symmetry", ("a", "b"))
 
 
 def test_bad_distance_matrix_triangle():
     d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-    with pytest.raises(MetricAxiomViolation) as e:
-        space._validate_metric(d, ["a", "b", "c"])
-    assert e.value.axiom == "triangle"
-    assert e.value.witness == ("a", "c", "b")
+    assert metric_axiom_violation(d, ["a", "b", "c"], triangle_rtol(1)) == (
+        "triangle",
+        ("a", "c", "b"),
+    )
+
+
+@st.composite
+def coordinate_sets(draw):
+    """Distinct points in 1-3 dimensions at magnitudes from 1e-6 to 1e12:
+    free points, or near-collinear ones, where rounding of the distances
+    comes closest to breaking the triangle law."""
+    dim = draw(st.integers(1, 3))
+    magnitude = 10.0 ** draw(st.integers(-6, 12))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.tuples(*[unit] * dim), min_size=1, max_size=12))
+        rows = [[magnitude * x for x in row] for row in rows]
+    else:
+        base = [magnitude * x for x in draw(st.tuples(*[unit] * dim))]
+        step = [magnitude * x / 7 for x in draw(st.tuples(*[unit] * dim))]
+        ts = draw(st.lists(st.integers(-60, 60), min_size=1, max_size=24))
+        rows = [[b + t * v for b, v in zip(base, step)] for t in ts]
+    return dim, list(dict.fromkeys(map(tuple, rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=coordinate_sets(), metric=st.sampled_from(["euclidean", "sup"]))
+def test_built_distances_satisfy_the_metric_axioms(case, metric):
+    # build_metric_space checks no axiom: the norm must make every one hold
+    dim, rows = case
+    s = build_metric_space(rows, metric=metric)
+    assert np.array_equal(s.dist, s.dist.T)
+    assert not np.diag(s.dist).any()
+    assert metric_axiom_violation(s.dist, [p.pid for p in s.points], triangle_rtol(dim)) is None
+
+
+def test_valid_spaces_at_large_coordinates_load():
+    # an absolute triangle slack of 1e-12 used to reject both spaces
+    assert line_grid(0.0, 1e6, 61).n == 61
+    assert build_metric_space([[x * 1e4 / 7, 0] for x in range(60)], metric="sup").n == 60
+
+
+def test_nearest_index_does_not_overflow():
+    # sqrt(sum(diff**2)) overflowed here and answered index 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert line_grid(0.0, 1e200, 5).nearest_index([0.9e200]) == 4
+        assert build_metric_space([[0, 0], [1e200, 1e200]]).nearest_index([0.9e200, 1e200]) == 1
 
 
 def test_ball_basic():
