@@ -60,13 +60,7 @@ def is_totally_bounded(ymask: int, family: AdmissibleFamily) -> bool:
     """True iff every covering admits a finite star cover of Y (always, on finite samples)."""
     if not ymask:
         raise EmptyInput("total boundedness of the empty set is undefined")
-    for cov in family.coverings:
-        covered = 0
-        for i in iter_bits(ymask):
-            covered |= cov.point_star[i]
-        if ymask & ~covered:
-            return False
-    return True
+    return all(ymask & ~star == 0 for star in family.stars(ymask))
 
 
 def _greedy_cover(target: int, candidates: Sequence[int], cap: int) -> Optional[int]:

@@ -70,13 +70,17 @@ class Covering:
         return bool_product(self.point_rows, self.point_rows, len(self.members))
 
     def star_mask(self, ymask: int) -> int:
-        """Union of the members meeting the point set `ymask`."""
+        """Union of the members meeting the point set `ymask`: the union of
+        the point stars of its points, since a member meets Y exactly when it
+        holds some y in Y."""
         if ymask == 0:
             raise EmptyInput("star of the empty set is undefined")
+        rows = self.point_star
         s = 0
-        for m in self.members:
-            if m & ymask:
-                s |= m
+        while ymask:
+            low = ymask & -ymask
+            s |= rows[low.bit_length() - 1]
+            ymask ^= low
         return s
 
     def __repr__(self) -> str:
@@ -315,17 +319,28 @@ class AdmissibleFamily:
                 cache[n] = tuple(rows)
         return cache[n]
 
+    def stars(self, ymask: int) -> tuple[int, ...]:
+        """The star of `ymask` at every covering, in covering order."""
+        if ymask == 0:
+            raise EmptyInput("star of the empty set is undefined")
+        return tuple([cov.star_mask(ymask) for cov in self.coverings])
+
     def closure_mask(self, ymask: int) -> int:
-        """Family closure: the intersection of the stars of `ymask` over every covering.
+        """Family closure: the intersection of the stars of `ymask` over every covering,
+        cached per set for the life of the family.
 
         On finite-topology spaces whose family satisfies the star-basis axiom this
         equals the topological closure computed from the opens alone.
         """
-        if ymask == 0:
-            raise EmptyInput("closure of the empty set is undefined")
-        out = self.space.full_mask
-        for cov in self.coverings:
-            out &= cov.star_mask(ymask)
+        cache = self.__dict__.setdefault("_closure_cache", {})
+        out = cache.get(ymask)
+        if out is None:
+            if ymask == 0:
+                raise EmptyInput("closure of the empty set is undefined")
+            out = self.space.full_mask
+            for star in self.stars(ymask):
+                out &= star
+            cache[ymask] = out
         return out
 
 

@@ -112,6 +112,8 @@ class FilterBasis:
     when present, lists every element of level k up to a carrier bound and
     backs exhaustive hypothesis checks. `contains` must be a pure function of
     the element and the level: `check_hypotheses` memoises it by element value.
+    `sampler` must be a pure function of the level: `orbit_mask` memoises
+    level orbits on the action, keyed by the basis and the level.
     """
 
     semigroup: Semigroup
@@ -188,7 +190,8 @@ class Action:
     """A semigroup action on a finite space; every image is again a sample point.
 
     `apply_fn` must be a pure function of the element and the point: images
-    of points and of point sets are cached for the life of the action.
+    of points and of point sets, and the level orbits of `orbit_mask`, are
+    cached for the life of the action.
     """
 
     semigroup: Semigroup
@@ -231,10 +234,20 @@ class Action:
 
 
 def orbit_mask(level: int, ymask: int, action: Action, F: FilterBasis) -> int:
-    """Image of the point set `ymask` under the sampled elements of filter level `level`."""
-    out = 0
-    for el in F.sampler(level):
-        out |= action.image_mask(el, ymask)
+    """Image of the point set `ymask` under the sampled elements of filter level
+    `level`, cached on the action per (basis, level, set).
+
+    The key holds the basis itself: it hashes by its fields, and two bases
+    with different samplers never compare equal.
+    """
+    cache = action.__dict__.setdefault("_orbit_cache", {})
+    key = (F, level, ymask)
+    out = cache.get(key)
+    if out is None:
+        out = 0
+        for el in F.sampler(level):
+            out |= action.image_mask(el, ymask)
+        cache[key] = out
     return out
 
 
@@ -334,7 +347,7 @@ def attracts(
     if not ymask or not zmask:
         raise EmptyInput("attraction needs nonempty sets")
     space = action.space
-    stars = [cov.star_mask(ymask) for cov in family.coverings]
+    stars = family.stars(ymask)
     # per filter level: the covering indices whose star of Y holds the orbit of Z
     inside = [stars_containing(orbit_mask(k, zmask, action, F), stars) for k in F.levels()]
     levels, failures = {}, {}
@@ -527,8 +540,8 @@ def check_dissipativity(
     candidates = []
     if absorb_candidate:
         candidates.append(("declared", absorb_candidate))
-        for i, cov in enumerate(family.coverings):
-            candidates.append((f"declared-star-{i}", cov.star_mask(absorb_candidate)))
+        for i, star in enumerate(family.stars(absorb_candidate)):
+            candidates.append((f"declared-star-{i}", star))
     candidates.append(("whole-space", space.full_mask))
     bounded = [(cname, D) for cname, D in candidates if is_bounded(D, family)]
     ok, wit = False, "no bounded absorbing candidate"

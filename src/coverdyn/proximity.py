@@ -177,8 +177,7 @@ def semi_prox(amask: int, bmask: int, family: AdmissibleFamily) -> CoverCollecti
     """One-sided set proximity: coverings at which every point of B is star-close to A."""
     if not amask or not bmask:
         raise EmptyInput("semi_prox needs nonempty sets")
-    stars = [cov.star_mask(amask) for cov in family.coverings]
-    return CoverCollection(family, stars_containing(bmask, stars))
+    return CoverCollection(family, stars_containing(bmask, family.stars(amask)))
 
 
 def stars_containing(bmask: int, stars: Sequence[int]) -> int:

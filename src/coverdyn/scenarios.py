@@ -359,9 +359,9 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
     action = Action(semigroup=vector_add(2), space=space, apply_fn=apply_fn)
     F = vector_tails(2, depth=depth, window=window)
 
-    star_cov = pointwise_covering(model, [constraint(model, 0, 1.0)])
+    unit = pointwise_covering(model, [constraint(model, 0, 1.0)])
     testsets = {
-        "orbit-star": star_cov.star_mask(space.mask_of([zero])),
+        "orbit-star": unit.star_mask(space.mask_of([zero])),
         "seed": space.mask_of([by_exp[3]]),
         "small": space.mask_of([zero, by_exp[-7], by_exp[-6], by_exp[-5]]),
     }

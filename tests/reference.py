@@ -7,6 +7,9 @@ divergent net. It computes every image point by point with `Action.apply`,
 so it shares neither the image cache nor the orbit masks with the level
 search.
 
+`reference_star_mask` is the star by its definition, the union of the
+members that meet the set, with no point stars and no memo.
+
 `unbounded_coverable_within` is the exact cover search without the counting
 bound of `coverable_within`: it stops a branch only at depth `cap`.
 
@@ -91,6 +94,15 @@ def prox_form_attracts(ymask, zmask, F, action, family):
         ])
         for i in range(family.size)
     )
+
+
+def reference_star_mask(cov, ymask):
+    """Union of the members of `cov` that meet the point set `ymask`."""
+    s = 0
+    for m in cov.members:
+        if m & ymask:
+            s |= m
+    return s
 
 
 def unbounded_coverable_within(target, candidates, cap, node_budget):

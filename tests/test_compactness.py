@@ -26,6 +26,7 @@ from coverdyn.covering import (
     finite_all_coverings_family,
     metric_chain_family,
 )
+from coverdyn.dynamics import Action, integer_tails, nat_add, orbit_mask
 from coverdyn.proximity import CoverCollection, coarsen, converges_to_zero, precedes
 from coverdyn.space import EmptyInput, build_finite_topology, line_grid
 from reference import unbounded_coverable_within
@@ -460,16 +461,21 @@ def test_interleaved_queries_match_a_fresh_family(make):
 
 @pytest.mark.parametrize("make", [_small_chain, _three_point_topology])
 def test_measured_family_is_freed_without_cyclic_gc(make):
-    # the memo must not tie a family into a reference cycle: with the cyclic
-    # collector off, dropping the last reference frees it at once
+    # the memos must not tie a family or an action into a reference cycle:
+    # with the cyclic collector off, dropping the last reference frees it at once
     gc.disable()
     try:
         family = make()
-        Y = family.space.full_mask
+        space = family.space
+        Y = space.full_mask
         for measure, _ in MEASURES.values():
             assert measure(Y, family, 1).family is family
-        ref = weakref.ref(family)
-        del family
-        assert ref() is None
+        assert family.closure_mask(1) == family.closure_mask(1)
+        action = Action(semigroup=nat_add(), space=space, apply_fn=lambda t, p: space.points[0])
+        F = integer_tails(nat_add(), depth=2)
+        assert orbit_mask(1, Y, action, F) == orbit_mask(1, Y, action, F) == 1
+        refs = [weakref.ref(family), weakref.ref(action)]
+        del family, action
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()

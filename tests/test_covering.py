@@ -1,5 +1,7 @@
 import functools
 import itertools
+import operator
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,9 @@ from coverdyn.covering import (
     relation_rows,
     verify_admissible,
 )
-from coverdyn.scenarios import get_scenario
+from coverdyn.dynamics import attracts
+from coverdyn.proximity import semi_prox
+from coverdyn.scenarios import BUILTIN_SCENARIOS, get_scenario
 from coverdyn.space import (
     EmptyInput,
     Point,
@@ -37,6 +41,7 @@ from coverdyn.space import (
 )
 
 import row_forms
+from reference import reference_star_mask
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +88,71 @@ def test_star_union_of_point_stars(line3):
             for i in combo:
                 expected |= U.star_mask(picks(line3, i))
             assert U.star_mask(picks(line3, *combo)) == expected
+
+
+def _check_star_kernel(fam, queries):
+    """Per query set, in order: the star at each covering, the stars that
+    `attracts` and `semi_prox` read, and the family closure equal their
+    definitions. A set's first query meets an empty closure memo; a repeat
+    meets a memo that the other sets have written to in between."""
+    full = fam.space.full_mask
+    want = {Y: tuple(reference_star_mask(c, Y) for c in fam.coverings) for Y in queries}
+    for Y in queries:
+        assert tuple(c.star_mask(Y) for c in fam.coverings) == want[Y]
+        assert fam.stars(Y) == want[Y]
+        assert fam.closure_mask(Y) == functools.reduce(operator.and_, want[Y], full)
+    for A, B in zip(queries, reversed(queries)):
+        held = sum(1 << i for i, star in enumerate(want[A]) if B & ~star == 0)
+        assert semi_prox(A, B, fam).mask == held
+
+
+@st.composite
+def random_cover_families(draw):
+    """A finite-kind family of 1-4 arbitrary coverings of a 1-10 point space."""
+    space = line_grid(0.0, 1.0, draw(st.integers(1, 10)))
+    full = space.full_mask
+    coverings = []
+    for i in range(draw(st.integers(1, 4))):
+        masks = draw(st.lists(st.integers(1, full), min_size=1, max_size=6))
+        missing = full & ~functools.reduce(operator.or_, masks)
+        if missing:
+            masks.append(missing)
+        coverings.append(make_covering_masks(space, masks, label=f"c{i}"))
+    return AdmissibleFamily(space=space, kind=FINITE, coverings=tuple(coverings))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fam=random_cover_families(), data=st.data())
+def test_star_kernel_matches_definitions_on_random_coverings(fam, data):
+    sets = data.draw(st.lists(st.integers(1, fam.space.full_mask), min_size=1, max_size=5, unique=True))
+    _check_star_kernel(fam, sets + data.draw(st.permutations(sets)) + sets)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_star_kernel_matches_definitions_on_builtin_families(name):
+    sc = get_scenario(name)  # a fresh family: its closure memo starts empty
+    space, fam, F, action = sc.space, sc.family, sc.filter_basis, sc.action
+    rng = random.Random(19)
+    drawn = [
+        space.mask_of(rng.sample(space.points, rng.randint(1, 12))) for _ in range(8)
+    ]
+    sets = list(dict.fromkeys(sorted(sc.testsets.values()) + drawn))
+    _check_star_kernel(fam, sets + sets[::-1] + sets)
+    # attracts: covering i absorbs at the least level whose orbit lies in
+    # the star of Y by definition, with orbits taken point by point
+    for Y, Z in zip(sets, sets[1:4] + sets[:1]):
+        zs = space.point_list(Z)
+        orbits = [
+            space.mask_of(action.apply(el, z) for el in F.sampler(k) for z in zs)
+            for k in F.levels()
+        ]
+        rep = attracts(Y, Z, F, action, fam)
+        for i, cov in enumerate(fam.coverings):
+            star = reference_star_mask(cov, Y)
+            level = next((k for k, orbit in enumerate(orbits) if orbit & ~star == 0), None)
+            assert rep.levels.get(i) == level, (Y, Z, i)
+            if level is None:
+                assert not (star >> rep.failures[i][2].index) & 1
 
 
 def test_refines_examples(line3):

@@ -515,6 +515,26 @@ def test_prolongational_limit_matches_reference_on_shallow_filters(decay, grid, 
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_orbit_cache_keeps_filter_bases_apart(decay, grid, order):
+    # a fresh action per order, so that each order starts from an empty cache;
+    # the two bases differ only in the elements their samplers return
+    action = Action(semigroup=nat_add(), space=grid, apply_fn=decay.apply_fn)
+    bases = [integer_tails(nat_add(), depth=3, window=w) for w in (2, 6)]
+    Y = pick(grid, 7, 50, 100)
+    want = [
+        [
+            grid.mask_of(action.apply(el, p) for el in F.sampler(k) for p in grid.point_list(Y))
+            for k in F.levels()
+        ]
+        for F in bases
+    ]
+    assert want[0] != want[1]
+    for j in [j for j in order for _ in range(2)]:
+        F = bases[j]
+        assert [orbit_mask(k, Y, action, F) for k in F.levels()] == want[j]
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
 def test_image_mask_cache_keeps_sets_apart(decay, grid, order):
     # a fresh action per order, so that each order starts from an empty cache
     action = Action(semigroup=nat_add(), space=grid, apply_fn=decay.apply_fn)
