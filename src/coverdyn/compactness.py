@@ -136,7 +136,10 @@ def coverable_within(
                 return True
         return False
 
-    return search(target, 0)
+    try:
+        return search(target, 0)
+    finally:
+        del search  # it reaches itself through its closure cell: break that cycle
 
 
 def _measure(ymask: int, family: AdmissibleFamily, cap: int, candidates: str) -> CoverCollection:

@@ -112,8 +112,9 @@ class FilterBasis:
     when present, lists every element of level k up to a carrier bound and
     backs exhaustive hypothesis checks. `contains` must be a pure function of
     the element and the level: `check_hypotheses` memoises it by element value.
-    `sampler` must be a pure function of the level: `orbit_mask` memoises
-    level orbits on the action, keyed by the basis and the level.
+    `sampler` must be a pure function of the level: `orbit_rows` and
+    `orbit_mask` memoise per-point and per-set level orbits on the action,
+    keyed by the basis and the level.
     """
 
     semigroup: Semigroup
@@ -179,9 +180,8 @@ def scaling_tails(depth: int, window: int = 3, L: float = 0.5) -> FilterBasis:
         semigroup=scaling_maps(L),
         depth=depth,
         contains=lambda el, m: abs(el) <= L ** max(m, 1) + tol,
-        sampler=lambda m: tuple(
-            L**j for j in range(max(m, 1), max(depth, 1) + window)
-        ),
+        # from a list, as in vector_tails
+        sampler=lambda m: tuple([L**j for j in range(max(m, 1), max(depth, 1) + window)]),
     )
 
 
@@ -189,9 +189,9 @@ def scaling_tails(depth: int, window: int = 3, L: float = 0.5) -> FilterBasis:
 class Action:
     """A semigroup action on a finite space; every image is again a sample point.
 
-    `apply_fn` must be a pure function of the element and the point: images
-    of points and of point sets, and the level orbits of `orbit_mask`, are
-    cached for the life of the action.
+    `apply_fn` must be a pure function of the element and the point: element
+    image rows, per-point orbit rows (`orbit_rows`) and set orbits
+    (`orbit_mask`) are cached for the life of the action; `image_mask` is not.
     """
 
     semigroup: Semigroup
@@ -209,16 +209,12 @@ class Action:
         return cache[el]
 
     def image_mask(self, el, ymask: int) -> int:
-        """Image of a point set under one element, cached per (element, set)."""
-        cache = self.__dict__.setdefault("_mask_cache", {})
-        key = (el, ymask)
-        if key not in cache:
-            row = self.image_indices(el)
-            out = 0
-            for i in iter_bits(ymask):
-                out |= 1 << row[i]
-            cache[key] = out
-        return cache[key]
+        """Image of a point set under one element (not memoised)."""
+        row = self.image_indices(el)
+        out = 0
+        for i in iter_bits(ymask):
+            out |= 1 << row[i]
+        return out
 
     def check_associativity(
         self, elements: Sequence, points: Sequence[Point]
@@ -233,20 +229,35 @@ class Action:
         return None
 
 
+def orbit_rows(level: int, action: Action, F: FilterBasis) -> tuple[int, ...]:
+    """Per point, the mask of its images under the sampled elements of filter
+    level `level`, from the cached `image_indices` rows, memoised on the action
+    per (basis, level). A basis hashes by its fields, so bases with different
+    samplers never share a key."""
+    cache = action.__dict__.setdefault("_orbit_rows", {})
+    key = (F, level)
+    rows = cache.get(key)
+    if rows is None:
+        acc = [0] * action.space.n
+        for el in F.sampler(level):
+            for i, j in enumerate(action.image_indices(el)):
+                acc[i] |= 1 << j
+        rows = cache[key] = tuple(acc)
+    return rows
+
+
 def orbit_mask(level: int, ymask: int, action: Action, F: FilterBasis) -> int:
     """Image of the point set `ymask` under the sampled elements of filter level
-    `level`, cached on the action per (basis, level, set).
-
-    The key holds the basis itself: it hashes by its fields, and two bases
-    with different samplers never compare equal.
-    """
+    `level`: the union of the orbit rows of its points, cached on the action
+    per (basis, level, set)."""
     cache = action.__dict__.setdefault("_orbit_cache", {})
     key = (F, level, ymask)
     out = cache.get(key)
     if out is None:
+        rows = orbit_rows(level, action, F)
         out = 0
-        for el in F.sampler(level):
-            out |= action.image_mask(el, ymask)
+        for i in iter_bits(ymask):
+            out |= rows[i]
         cache[key] = out
     return out
 

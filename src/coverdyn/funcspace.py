@@ -4,7 +4,8 @@ A model holds finitely many functions sampled on a finite argument grid, each
 stored as a table of value vectors. Coverings constrain finitely many
 arguments to open value balls (all other arguments are free), mirroring the
 product-style base for pointwise convergence; member sets are materialized as
-explicit point sets over the model.
+explicit point sets over the model. Value balls are measured by the space's
+one euclidean norm kernel, `space.ball_rows`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .covering import AdmissibleFamily, Covering, chain_family, make_covering_masks
-from .space import Space, build_metric_space
+from .space import Space, ball_rows, build_metric_space
 
 Value = tuple[float, ...]
 Table = tuple[Value, ...]
@@ -69,10 +70,6 @@ def _arg_dim(a) -> int:
     return len(tuple(a))
 
 
-def _dist2(a: Value, b: Value) -> float:
-    return sum((x - y) ** 2 for x, y in zip(a, b))
-
-
 @dataclass(frozen=True)
 class ArgConstraint:
     """One constrained argument: open value balls of one radius around each center."""
@@ -96,17 +93,10 @@ def constraint(
 
 
 def _slabs(model: FunctionSpaceModel, c: ArgConstraint) -> list[int]:
-    """Distinct nonempty point masks of the per-center value balls at one argument."""
-    r2 = c.radius * c.radius
-    out = set()
-    for center in c.centers:
-        m = 0
-        for i, t in enumerate(model.tables):
-            if _dist2(t[c.arg_index], center) < r2:
-                m |= 1 << i
-        if m:
-            out.add(m)
-    return sorted(out)
+    """Distinct nonempty point masks of the per-center value balls at one
+    argument, measured with the space's euclidean norm kernel (`ball_rows`)."""
+    values = [t[c.arg_index] for t in model.tables]
+    return sorted({m for m in ball_rows(values, c.centers, c.radius) if m})
 
 
 def pointwise_covering(

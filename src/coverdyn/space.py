@@ -168,10 +168,12 @@ def _pack(bits: np.ndarray) -> tuple[int, ...]:
     packed = np.packbits(bits, axis=1, bitorder="little")
     nbytes = packed.shape[1]
     buf = packed.tobytes()
-    return tuple(
+    # from a list: a tuple built from a generator is resized as it grows, and
+    # each freed one stays on the tuple free list until a full collection
+    return tuple([
         int.from_bytes(buf[k * nbytes : (k + 1) * nbytes], "little")
         for k in range(packed.shape[0])
-    )
+    ])
 
 
 def transpose_masks(masks: Sequence[int], width: int) -> tuple[int, ...]:
@@ -312,6 +314,14 @@ def ball_mask(space: Space, center: Point, radius: float) -> int:
     if radius <= 0:
         raise ValueError("radius must be positive")
     return _pack(space.dist[center.index, None] < radius)[0]
+
+
+def ball_rows(coords: Sequence, centers: Sequence, radius: float) -> tuple[int, ...]:
+    """Per center, the mask of the coordinate rows strictly closer than `radius`
+    in the euclidean norm: the kernel and the strict `<` of `ball_mask`."""
+    rows = np.asarray(coords, dtype=float)
+    cs = np.asarray(centers, dtype=float).reshape(-1, rows.shape[1])
+    return _pack(_pairwise_distances(cs, rows, "euclidean") < radius)
 
 
 def build_finite_topology(

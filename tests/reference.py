@@ -19,6 +19,14 @@ any/all form, one division or composition and one membership call per
 returns the same `CheckList` as `check_hypotheses`: one row per hypothesis in
 sorted-name order, whose witness is the first failure (s, level, blocker).
 
+`reference_slabs` builds the pointwise value balls of a function model by
+the former loop of `funcspace._slabs`: per center, every table value whose
+squared euclidean distance is below the squared radius.
+
+`reference_orbit_mask` is the level orbit of a set by its definition, every
+sampled element applied to every point with `Action.apply`, with no image
+rows and no memo.
+
 `metric_axiom_violation` checks a distance matrix against the metric axioms
 by the exact O(n^3) loop, with the relative triangle slack that the
 `_pairwise_distances` docstring derives. `build_metric_space` checks none of
@@ -103,6 +111,30 @@ def reference_star_mask(cov, ymask):
         if m & ymask:
             s |= m
     return s
+
+
+def reference_slabs(model, c):
+    """Distinct nonempty point masks of the per-center value balls of the
+    constraint `c`, by squared distances in plain Python."""
+    r2 = c.radius * c.radius
+    out = set()
+    for center in c.centers:
+        m = 0
+        for i, t in enumerate(model.tables):
+            if sum((x - y) ** 2 for x, y in zip(t[c.arg_index], center)) < r2:
+                m |= 1 << i
+        if m:
+            out.add(m)
+    return sorted(out)
+
+
+def reference_orbit_mask(level, ymask, action, F):
+    """Union over the sampled elements of filter level `level` of the images
+    of the points of `ymask`, taken point by point."""
+    space = action.space
+    return space.mask_of(
+        action.apply(el, p) for el in F.sampler(level) for p in space.point_list(ymask)
+    )
 
 
 def unbounded_coverable_within(target, candidates, cap, node_budget):

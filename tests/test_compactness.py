@@ -26,7 +26,7 @@ from coverdyn.covering import (
     finite_all_coverings_family,
     metric_chain_family,
 )
-from coverdyn.dynamics import Action, integer_tails, nat_add, orbit_mask
+from coverdyn.dynamics import Action, integer_tails, nat_add, orbit_mask, orbit_rows
 from coverdyn.proximity import CoverCollection, coarsen, converges_to_zero, precedes
 from coverdyn.space import EmptyInput, build_finite_topology, line_grid
 from reference import unbounded_coverable_within
@@ -128,6 +128,26 @@ def test_counting_bound_decides_no_without_search():
     assert not coverable_within(target, runs, 10, node_budget=0)
     with pytest.raises(CoverSearchBudgetExceeded):
         unbounded_coverable_within(target, runs, 10, 0)
+
+
+def test_exact_cover_search_leaves_no_cyclic_garbage():
+    # greedy takes the 4-point candidate and then needs three, so the exact
+    # search runs; its recursive closure and per-point lists must be freed
+    # by reference counting alone, with the cyclic collector off
+    gc.disable()
+    try:
+        gc.collect()
+        assert coverable_within(0b111111, [0b000111, 0b111000, 0b011110], 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # freeing the search changes no node count: the grid cover below needs
+    # exactly 56 search nodes
+    grid = line_grid(0.0, 1.0, 101)
+    stars = metric_chain_family(grid, 2.0, 6).coverings[3].point_star
+    with pytest.raises(CoverSearchBudgetExceeded):
+        coverable_within(grid.full_mask, stars, 8, node_budget=55)
+    assert coverable_within(grid.full_mask, stars, 8, node_budget=56)
 
 
 def test_counting_bound_finds_grid_cover_the_unbounded_search_misses():
@@ -474,6 +494,7 @@ def test_measured_family_is_freed_without_cyclic_gc(make):
         action = Action(semigroup=nat_add(), space=space, apply_fn=lambda t, p: space.points[0])
         F = integer_tails(nat_add(), depth=2)
         assert orbit_mask(1, Y, action, F) == orbit_mask(1, Y, action, F) == 1
+        assert orbit_rows(2, action, F) == (1,) * space.n
         refs = [weakref.ref(family), weakref.ref(action)]
         del family, action
         assert [ref() for ref in refs] == [None, None]

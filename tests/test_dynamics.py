@@ -23,6 +23,7 @@ from coverdyn.dynamics import (
     nat_mul,
     omega_limit,
     orbit_mask,
+    orbit_rows,
     prolongational_limit,
     scaling_tails,
     vector_add,
@@ -35,7 +36,12 @@ from coverdyn.proximity import (
 )
 from coverdyn.scenarios import BUILTIN_SCENARIOS, get_scenario, load_system
 from coverdyn.space import ball_mask, iter_bits, line_grid
-from reference import divergent_sequence, prox_form_attracts, reference_check_hypotheses
+from reference import (
+    divergent_sequence,
+    prox_form_attracts,
+    reference_check_hypotheses,
+    reference_orbit_mask,
+)
 
 
 @pytest.fixture(scope="module")
@@ -532,6 +538,56 @@ def test_orbit_cache_keeps_filter_bases_apart(decay, grid, order):
     for j in [j for j in order for _ in range(2)]:
         F = bases[j]
         assert [orbit_mask(k, Y, action, F) for k in F.levels()] == want[j]
+    # the per-point rows are keyed by the basis too
+    rows = [[orbit_rows(k, action, F) for k in F.levels()] for F in bases]
+    for F, per_level in zip(bases, rows):
+        for k, row in zip(F.levels(), per_level):
+            assert row == tuple(reference_orbit_mask(k, 1 << i, action, F) for i in range(grid.n))
+    assert rows[0] != rows[1]
+
+
+@st.composite
+def self_map_orbit_queries(draw):
+    # a random self-map f of n points acts through nat_add as t -> f^t
+    n = draw(st.integers(1, 8))
+    f = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    bases = [
+        integer_tails(nat_add(), depth=draw(st.integers(0, 4)), window=draw(st.integers(1, 4)),
+                      start=draw(st.integers(0, 2)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    queries = draw(st.lists(
+        st.tuples(st.integers(0, len(bases) - 1), st.integers(0, 4), st.integers(0, (1 << n) - 1)),
+        min_size=1, max_size=12,
+    ))
+    return n, f, bases, [(bases[b], min(k, bases[b].depth), Y) for b, k, Y in queries]
+
+
+@given(self_map_orbit_queries())
+@settings(max_examples=150, deadline=None)
+def test_orbit_rows_match_point_by_point_images(case):
+    n, f, bases, queries = case
+    space = line_grid(0.0, 1.0, n)
+
+    def apply_fn(t, p):
+        i = p.index
+        for _ in range(t):
+            i = f[i]
+        return space.points[i]
+
+    def rows_ok(action, F, k):
+        want = tuple(reference_orbit_mask(k, 1 << i, action, F) for i in range(n))
+        return orbit_rows(k, action, F) == want
+
+    # one fresh action per order of the two memos; on each, the queries run
+    # cold, warm, then reversed on the warm memos
+    for rows_first in (False, True):
+        action = Action(semigroup=nat_add(), space=space, apply_fn=apply_fn)
+        for F, k, Y in [*queries, *queries, *reversed(queries)]:
+            if rows_first:
+                assert rows_ok(action, F, k)
+            assert orbit_mask(k, Y, action, F) == reference_orbit_mask(k, Y, action, F)
+            assert rows_ok(action, F, k)
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])

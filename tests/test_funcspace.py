@@ -1,14 +1,21 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from coverdyn import funcspace
 from coverdyn.covering import double_refines
 from coverdyn.funcspace import (
+    _slabs,
     build_function_model,
     constraint,
     pointwise_chain,
     pointwise_covering,
 )
+from coverdyn.scenarios import get_scenario
+from coverdyn.space import ball_rows
+from reference import reference_slabs
 
 
 def _dist2(a, b):
@@ -128,3 +135,70 @@ def test_vector_valued_model():
     zero, two, mix = m.space.points
     assert not in_star(cov, zero, two)
     assert in_star(cov, two, mix)
+
+
+# multiples of 1/8 in [-2, 2]: differences, their squares and sums of squares
+# are exact doubles, so the squared reference decides every tie exactly
+DYADIC = st.integers(-16, 16).map(lambda k: k / 8)
+
+
+def _value_case(values, centers, radius):
+    """A one-argument model whose tables are `values`, and a constraint on it."""
+    model = build_function_model(
+        (0.0,), [[v] for v in values], [str(i) for i in range(len(values))], len(values[0])
+    )
+    return model, constraint(model, 0, radius, centers or None)
+
+
+@st.composite
+def dyadic_cases(draw):
+    dim = draw(st.integers(1, 3))
+    value = st.tuples(*[DYADIC] * dim)
+    values = draw(st.lists(value, min_size=1, max_size=8, unique=True))
+    centers = draw(st.lists(value, max_size=4))
+    # a radius equal to a gap between two values' coordinates makes ties
+    gaps = sorted({abs(a[j] - b[j]) for a in values for b in values for j in range(dim)} - {0.0})
+    if gaps and draw(st.booleans()):
+        radius = draw(st.sampled_from(gaps))
+    else:
+        radius = abs(draw(DYADIC.filter(bool)))
+    return _value_case(values, centers, radius)
+
+
+@given(dyadic_cases())
+@settings(max_examples=200, deadline=None)
+# a 3-D tie: the exact distance of (2, 10, 11)/8 is 15/8, and the scaled
+# kernel rounds it one ulp below
+@example(_value_case([(0.0, 0.0, 0.0), (0.25, 1.25, 1.375)], [(0.0, 0.0, 0.0)], 1.875))
+def test_slabs_match_squared_reference_on_a_dyadic_grid(case):
+    model, c = case
+    values = [t[0] for t in model.tables]
+    r2 = c.radius * c.radius
+    ties = False
+    for center, row in zip(c.centers, ball_rows(values, c.centers, c.radius)):
+        for i, v in enumerate(values):
+            d2 = sum((x - y) ** 2 for x, y in zip(v, center))
+            if bool((row >> i) & 1) != (d2 < r2):
+                # in 1-D and 2-D the kernel is exact on this grid; in 3-D
+                # its rounding may put a value at exactly the radius inside
+                assert len(v) == 3 and d2 == r2, (v, center, c.radius)
+                ties = True
+    if not ties:
+        assert _slabs(model, c) == reference_slabs(model, c)
+
+
+@pytest.mark.parametrize("name", ["composition", "exp_decay", "iterated_contractions"])
+def test_builtin_families_match_reference_slabs(name, monkeypatch):
+    sc = get_scenario(name)
+    assert sc.model is not None
+    calls = []
+
+    def recording(model, c):
+        calls.append(c)
+        return reference_slabs(model, c)
+
+    monkeypatch.setattr(funcspace, "_slabs", recording)
+    ref = get_scenario(name)
+    assert calls
+    assert [cov.members for cov in sc.family.coverings] == [cov.members for cov in ref.family.coverings]
+    assert sc.testsets == ref.testsets
