@@ -150,7 +150,7 @@ def cmd_verify_axioms(rc: RunConfig) -> int:
         )
         results += boundedness_suite(sc.family, rng=rng, trials=40)
         results += measure_suite(sc.family, cap=rc.cap or sc.declared.cap, rng=rng, trials=60)
-        resolution = sc.family.finest_index
+        resolution = sc.family.depth
     else:
         if rc.mutate == "prox-asymmetry":
             grid = line_grid(0.0, 1.0, 101)
@@ -158,7 +158,7 @@ def cmd_verify_axioms(rc: RunConfig) -> int:
             results = proximity_suite(
                 fam, separates_points=True, rng=random.Random(rc.seed), prox_fn=_broken_prox
             )
-            resolution = fam.finest_index
+            resolution = fam.depth
         else:
             results = grid_battery(seed=rc.seed, cap=rc.cap)
             resolution = 6
@@ -257,7 +257,7 @@ def cmd_attractor(rc: RunConfig) -> int:
         "constructed_verdict": built_verdict.to_dict(),
         "uniqueness": uniqueness.to_dict() if uniqueness else None,
         "expectations_met": expectations_met,
-        "results": _decorate(rows, rc.budget, sc.family.finest_index),
+        "results": _decorate(rows, rc.budget, sc.family.depth),
     }
     _write(rc, _emit(rc, payload))
     return 0 if expectations_met else 1
@@ -280,7 +280,7 @@ def cmd_scenario(rc: RunConfig) -> int:
         "results": _decorate(
             [{"name": "scenario", "verdict": "loaded", "witness": sc.name}],
             rc.budget,
-            sc.family.finest_index,
+            sc.family.depth,
         ),
     }
     _write(rc, _emit(rc, payload))

@@ -11,6 +11,12 @@ largest do, so a target that outnumbers them needs more than k of them. The
 bound is tested once before the search, and at every search node against the
 points still uncovered.
 
+A measure is one scan over the coverings, finest index first. A covering
+already implied by one that fits is not searched: a cover by members or
+stars of V gives one of every U that V refines, so the coverings that fit
+are upward closed and each fit adds its whole refinement row. On a chain the
+scan stops searching at the finest level that fits.
+
 Each family memoizes its measures per (set mask, cap, candidate name), so a
 repeated query runs no second cover search. The memo holds int collection
 masks: a stored CoverCollection points back at its family, and that cycle
@@ -22,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .covering import CHAIN, AdmissibleFamily
+from .covering import AdmissibleFamily
 from .proximity import CoverCollection, converges_to_zero
 from .space import CoverdynError, EmptyInput, Point, iter_bits
 
@@ -149,15 +155,15 @@ def _measure(ymask: int, family: AdmissibleFamily, cap: int, candidates: str) ->
     cache = family.__dict__.setdefault("_measure_cache", {})
     key = (ymask, cap, candidates)
     if key not in cache:
-        def fits(i: int) -> bool:
-            return coverable_within(ymask, getattr(family.coverings[i], candidates), cap)
-
-        if family.kind == CHAIN:
-            # qualifying levels are downward closed: the finest one decides
-            level = next((i for i in range(family.depth, -1, -1) if fits(i)), -1)
-            cache[key] = CoverCollection.chain(family, level).mask
-        else:
-            cache[key] = CoverCollection.finite(family, filter(fits, range(family.size))).mask
+        # a covering that fits decides every covering it refines (module docstring)
+        rows = family.refine_rows
+        mask = 0
+        for i in range(family.size - 1, -1, -1):
+            if not (mask >> i) & 1 and coverable_within(
+                ymask, getattr(family.coverings[i], candidates), cap
+            ):
+                mask |= rows[i]
+        cache[key] = mask
     return CoverCollection(family, cache[key])
 
 

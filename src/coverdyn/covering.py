@@ -2,8 +2,9 @@
 
 A covering is a finite set of nonempty member sets (bitmasks) whose union is
 the whole space. Coverings are compared by refinement and double-refinement;
-an admissible family is an indexed list of coverings that is either a chain
-(each level double-refines its predecessor) or a finite directed collection.
+an admissible family is an indexed list of coverings. A chain (each level
+double-refines its predecessor) is one way to build such a list, and
+`chain_family` certifies it; every family has the same interface.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class DegenerateChain(CoveringError):
 
 class TooManyOpens(CoveringError):
     """Exhaustive covering enumeration is guarded to small finite topologies."""
-
-
-class ChainKindUnsupported(CoveringError):
-    """The operation is defined for finite-kind families only."""
 
 
 MAX_OPENS_FOR_ENUMERATION = 12
@@ -211,44 +208,26 @@ def double_refines(V: Covering, U: Covering) -> bool:
     return relation_rows((V,), (U,))[1][0] == 1
 
 
-CHAIN = "chain"
-FINITE = "finite"
-
-
 @dataclass(frozen=True, eq=False)
 class AdmissibleFamily:
-    """An indexed family of coverings: a double-refinement chain or a finite directed set.
+    """An indexed list of coverings of one space.
 
-    Chain families are indexed coarse-to-fine, and construction certifies
-    that each level double-refines its predecessor (`DegenerateChain`
-    otherwise), so no uncertified chain exists. The certificate is the
-    sub-diagonal of `double_refine_rows`, which one `relation_rows` call
-    computes with `refine_rows` for every pair of coverings. Finite families
-    are arbitrary listings (typically every open covering of a finite
-    topology).
+    Chains are indexed coarse-to-fine and certified by `chain_family`: the
+    certificate is the sub-diagonal of `double_refine_rows`, which one
+    `relation_rows` call computes with `refine_rows` for every pair of
+    coverings. Other families are arbitrary listings (typically every open
+    covering of a finite topology).
     """
 
     space: Space
-    kind: str
     coverings: tuple[Covering, ...]
 
     def __post_init__(self):
-        if self.kind not in (CHAIN, FINITE):
-            raise ValueError(f"unknown family kind {self.kind!r}")
         if not self.coverings:
             raise EmptyInput("a family needs at least one covering")
         for c in self.coverings:
             if c.space is not self.space:
                 raise SpaceMismatch("family coverings must share one space")
-        if self.kind == CHAIN:
-            covs = self.coverings
-            rows = self.double_refine_rows
-            for i in range(1, len(covs)):
-                if not (rows[i] >> (i - 1)) & 1:
-                    raise DegenerateChain(
-                        f"level {i} ({covs[i].label}) does not double-refine "
-                        f"level {i - 1} ({covs[i - 1].label})"
-                    )
 
     @property
     def depth(self) -> int:
@@ -257,11 +236,6 @@ class AdmissibleFamily:
     @property
     def size(self) -> int:
         return len(self.coverings)
-
-    @property
-    def finest_index(self) -> int:
-        """Index of the designated finest covering (last level for chains)."""
-        return self.depth
 
     @cached_property
     def _relations(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -278,22 +252,16 @@ class AdmissibleFamily:
         return self._relations[1]
 
     def prefix(self, level: int) -> AdmissibleFamily:
-        """The family of levels 0..level, with the same kind.
+        """The family of levels 0..level.
 
         Its relation rows are the top-left block of this family's rows, so
         nothing is recomputed; a prefix of a certified chain is certified.
         """
         keep = (1 << (level + 1)) - 1
-        fam = object.__new__(AdmissibleFamily)
-        fam.__dict__.update(
-            space=self.space,
-            kind=self.kind,
-            coverings=self.coverings[: level + 1],
-            _relations=tuple(
-                tuple(row & keep for row in rows[: level + 1]) for rows in self._relations
-            ),
+        fam = AdmissibleFamily(space=self.space, coverings=self.coverings[: level + 1])
+        fam.__dict__["_relations"] = tuple(
+            tuple(row & keep for row in rows[: level + 1]) for rows in self._relations
         )
-        fam.__post_init__()
         return fam
 
     @cached_property
@@ -345,9 +313,17 @@ class AdmissibleFamily:
 
 
 def chain_family(space: Space, coverings: Sequence[Covering]) -> AdmissibleFamily:
-    """Assemble a chain family; construction certifies every consecutive
-    double-refinement and raises `DegenerateChain` at the first that fails."""
-    return AdmissibleFamily(space=space, kind=CHAIN, coverings=tuple(coverings))
+    """Assemble a chain family, certifying every consecutive double-refinement;
+    raises `DegenerateChain` at the first that fails."""
+    fam = AdmissibleFamily(space=space, coverings=tuple(coverings))
+    covs, rows = fam.coverings, fam.double_refine_rows
+    for i in range(1, len(covs)):
+        if not (rows[i] >> (i - 1)) & 1:
+            raise DegenerateChain(
+                f"level {i} ({covs[i].label}) does not double-refine "
+                f"level {i - 1} ({covs[i - 1].label})"
+            )
+    return fam
 
 
 # radius ratio of consecutive levels of a metric chain
@@ -378,7 +354,7 @@ def metric_chain_family(space: Space, eps0: float, depth: int) -> AdmissibleFami
 def enumerate_open_coverings(space: Space) -> list[Covering]:
     """All coverings by open sets of a finite-topology space (guarded)."""
     if space.opens is None:
-        raise ChainKindUnsupported("covering enumeration needs a finite topology")
+        raise CoveringError("covering enumeration needs a finite topology")
     nonempty = [o for o in space.opens if o != 0]
     if len(nonempty) > MAX_OPENS_FOR_ENUMERATION:
         raise TooManyOpens(
@@ -405,9 +381,7 @@ def enumerate_open_coverings(space: Space) -> list[Covering]:
 
 def finite_all_coverings_family(space: Space) -> AdmissibleFamily:
     """The family of all open coverings of a finite topology."""
-    return AdmissibleFamily(
-        space=space, kind=FINITE, coverings=tuple(enumerate_open_coverings(space))
-    )
+    return AdmissibleFamily(space=space, coverings=tuple(enumerate_open_coverings(space)))
 
 
 @dataclass(frozen=True)

@@ -300,7 +300,7 @@ def _limit_set(
     for k in F.levels():
         acc &= family.closure_mask(orbit_mask(k, seeds[k], action, F))
     deepest = [(el, src) for el in F.sampler(F.depth) for src in space.point_list(seeds[F.depth])]
-    fine = family.coverings[family.finest_index]
+    fine = family.coverings[-1]
     witnesses = {}
     for i in iter_bits(acc):
         star = fine.point_star[i]
@@ -311,7 +311,7 @@ def _limit_set(
     return LimitSetReport(
         mask=acc,
         space=space,
-        resolution=family.finest_index,
+        resolution=family.depth,
         truncation=F.depth,
         witnesses=witnesses,
     )
@@ -333,7 +333,7 @@ def prolongational_limit(
     family: AdmissibleFamily,
 ) -> LimitSetReport:
     """Limit points of divergent orbits started from shrinking stars around x."""
-    finest = family.finest_index
+    finest = family.depth
     seeds = [family.coverings[min(k, finest)].point_star[x.index] for k in F.levels()]
     return _limit_set(seeds, F, action, family)
 
@@ -501,7 +501,7 @@ TAIL_WINDOW = 4
 def _stable_cluster_exists(tail: Sequence[Point], family: AdmissibleFamily) -> Optional[Point]:
     """A point whose finest star is hit at least twice among the tail block
     images (truncated stand-in for a cluster point)."""
-    fine = family.coverings[family.finest_index]
+    fine = family.coverings[-1]
     for cand in family.space.points:
         star = fine.point_star[cand.index]
         hits = sum(1 for img in tail if (star >> img.index) & 1)

@@ -3,53 +3,37 @@
 Distances between points are measured by which coverings place them in a
 common star. Values are upward-hereditary collections of covering indices,
 ordered by reverse inclusion: the full family plays the role of distance
-zero, the empty collection the role of infinity. Every collection is a
-bitmask over covering indices; on chains it is a prefix, read as a threshold.
+zero, the empty collection the role of infinity. Every collection is an
+upward-closed bitmask over covering indices, whatever the family; on a chain
+that is a prefix of its levels.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-from .covering import CHAIN, FINITE, AdmissibleFamily, ChainKindUnsupported
+from .covering import AdmissibleFamily
 from .space import CoverdynError, EmptyInput, Point, iter_bits
-
-INF = math.inf
 
 
 class FamilyMismatch(CoverdynError):
     """Two collection values refer to different covering families."""
 
 
-Threshold = Union[int, float]
-
-
 @dataclass(frozen=True, eq=False)
 class CoverCollection:
     """An upward-hereditary set of covering indices of one family, as a bitmask.
 
-    Bit i is set when covering i belongs to the collection. On chain families
-    the set bits are levels 0..t, read back through `threshold`.
+    Bit i is set when covering i belongs to the collection.
     """
 
     family: AdmissibleFamily
     mask: int
 
     @staticmethod
-    def chain(family: AdmissibleFamily, threshold: Threshold) -> "CoverCollection":
-        """Levels 0..threshold of a chain; -1 is empty, inf or >= depth is the whole family."""
-        if family.kind != CHAIN:
-            raise ChainKindUnsupported("threshold encoding needs a chain family")
-        t = family.depth if threshold == INF else min(max(int(threshold), -1), family.depth)
-        return CoverCollection(family, (1 << (t + 1)) - 1)
-
-    @staticmethod
     def finite(family: AdmissibleFamily, indices: Iterable[int]) -> "CoverCollection":
         """The upward closure of `indices` along the refinement order."""
-        if family.kind != FINITE:
-            raise ChainKindUnsupported("index-set encoding needs a finite family")
         rows = family.refine_rows
         mask = 0
         for i in indices:
@@ -60,13 +44,6 @@ class CoverCollection:
     def zero(family: AdmissibleFamily) -> "CoverCollection":
         """The whole family: the least element, playing the role of distance zero."""
         return CoverCollection(family, (1 << family.size) - 1)
-
-    @property
-    def threshold(self) -> Threshold:
-        """Chain kind: the finest level t of levels 0..t; -1 when empty, inf when whole."""
-        if self.family.kind != CHAIN:
-            raise ChainKindUnsupported("thresholds read chain-kind collections only")
-        return INF if self.is_zero else self.mask.bit_length() - 1
 
     def contains_index(self, i: int) -> bool:
         return bool((self.mask >> i) & 1)

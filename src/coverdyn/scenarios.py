@@ -576,10 +576,6 @@ def _load_custom(cp) -> Scenario:
     if akind == "halving_decay":
         apply_fn = lambda t, p: space.points[p.index >> t]
         snap_error = step
-    elif akind == "pow2_decay":
-        def apply_fn(t, p):
-            return space.points[space.nearest_index([p.coords[0] * _pow2(-t)])]
-        snap_error = step / 2
     elif akind == "identity":
         apply_fn = lambda t, p: p
         snap_error = 0.0

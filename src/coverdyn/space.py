@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -126,17 +125,6 @@ class Space:
     def distance(self, a: Point, b: Point) -> float:
         self.require_metric()
         return float(self.dist[a.index, b.index])
-
-    @cached_property
-    def _coords(self) -> np.ndarray:
-        """The n x d array of point coordinates, built on first use."""
-        return np.array([p.coords for p in self.points], dtype=float)
-
-    def nearest_index(self, coords: Sequence[float]) -> int:
-        """Index of the sample point nearest to raw coordinates (ties: lowest index)."""
-        self.require_metric()
-        c = np.asarray(coords, dtype=float)
-        return int(_pairwise_distances(c[None, :], self._coords, self.metric_name)[0].argmin())
 
 
 def iter_bits(mask: int):

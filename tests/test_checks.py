@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from test_proximity import ALL_FAMILIES, GRID101_CHAIN
+from test_proximity import ALL_FAMILIES, GRID101_CHAIN, family_id
 
 from coverdyn.checks import (
     boundedness_suite,
@@ -88,7 +88,7 @@ def clear_one_bit(x, y, family):
 
 @pytest.mark.parametrize("p", [prox, broken, clear_one_bit], ids=lambda p: p.__name__)
 @pytest.mark.parametrize(
-    "family", ALL_FAMILIES + [GRID101_CHAIN], ids=lambda f: f"{f.kind}{f.space.n}-{f.size}"
+    "family", ALL_FAMILIES + [GRID101_CHAIN], ids=family_id
 )
 def test_triangle_1_matches_the_triple_loop(family, p):
     results = proximity_suite(family, prox_fn=p, separates_points=False)

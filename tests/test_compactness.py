@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverdyn import compactness
 from coverdyn.compactness import (
     CoverSearchBudgetExceeded,
     NotClosed,
@@ -21,7 +22,6 @@ from coverdyn.compactness import (
     star_measure,
 )
 from coverdyn.covering import (
-    CHAIN,
     chain_family,
     finite_all_coverings_family,
     metric_chain_family,
@@ -30,7 +30,7 @@ from coverdyn.dynamics import Action, integer_tails, nat_add, orbit_mask, orbit_
 from coverdyn.proximity import CoverCollection, coarsen, converges_to_zero, precedes
 from coverdyn.space import EmptyInput, build_finite_topology, line_grid
 from reference import unbounded_coverable_within
-from test_proximity import ALL_FAMILIES
+from test_proximity import ALL_FAMILIES, CHAIN_ROW_CASES, TOPOLOGY_FAMILIES, family_id
 
 
 @pytest.fixture(scope="module")
@@ -396,24 +396,18 @@ def test_measure_monotone_hypothesis(data):
     assert precedes(star_measure(Y, f, cap), star_measure(Z, f, cap))
 
 
-# The measures are memoized on the family per (set, cap, candidate name); these
-# tests hold them to the cache-free body they replaced.
+# The measures are memoized on the family per (set, cap, candidate name) and
+# skip the coverings a fit already implies; these tests hold them to the
+# definition.
 def reference_measure(ymask, family, cap, candidate_sets):
-    """Oracle: the measure body as it stood before the memo, deciding every query."""
+    """Oracle: the definition, deciding every covering and collecting those that fit."""
     if ymask == 0:
         raise EmptyInput("measure of the empty set is undefined")
-    if family.kind == CHAIN:
-        # qualifying levels are downward closed: the finest one decides
-        for i in range(family.depth, -1, -1):
-            if coverable_within(ymask, candidate_sets(family.coverings[i]), cap):
-                return CoverCollection.chain(family, i)
-        return CoverCollection(family, 0)
-    idx = [
-        i
-        for i, cov in enumerate(family.coverings)
-        if coverable_within(ymask, candidate_sets(cov), cap)
-    ]
-    return CoverCollection.finite(family, idx)
+    mask = 0
+    for i, cov in enumerate(family.coverings):
+        if coverable_within(ymask, candidate_sets(cov), cap):
+            mask |= 1 << i
+    return CoverCollection(family, mask)
 
 
 MEASURES = {
@@ -432,7 +426,7 @@ def _check_against_reference(family, masks, caps):
                     assert measure(ymask, family, cap).mask == want.mask, (ymask, cap, measure)
 
 
-@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=family_id)
 def test_memoized_measures_match_reference(family):
     # every nonempty subset on the small spaces, random subsets on the rest
     n = family.space.n
@@ -445,6 +439,68 @@ def test_memoized_measures_match_reference_on_grid_chain(grid, fam):
     rng = random.Random(43)
     masks = [grid.mask_of(rng.sample(grid.points, rng.randint(1, 40))) for _ in range(30)]
     _check_against_reference(fam, masks, caps=(1, 2, 3, default_cap(grid.n)))
+
+
+def _searches_per_fresh_measure(monkeypatch, family, ymask, cap, name):
+    """The coverable_within calls of one measure query on an empty memo, and
+    the reference mask of the coverings that fit."""
+    measure, candidate_sets = MEASURES[name]
+    want = reference_measure(ymask, family, cap, candidate_sets).mask
+    searched = []
+
+    def counted(target, candidates, cap):
+        searched.append(candidates)
+        return coverable_within(target, candidates, cap)
+
+    monkeypatch.setattr(compactness, "coverable_within", counted)
+    family.__dict__.pop("_measure_cache", None)
+    try:
+        assert measure(ymask, family, cap).mask == want
+    finally:
+        monkeypatch.undo()
+    return searched, want
+
+
+@pytest.mark.parametrize("case", list(CHAIN_ROW_CASES))
+def test_chain_measures_search_from_the_finest_level_to_the_first_fit(monkeypatch, case):
+    # a chain's measure searches levels depth, depth - 1, ..., L, where L is
+    # the finest level that fits, and all of them when none fits
+    rng = random.Random(53)
+    for family in CHAIN_ROW_CASES[case]():
+        n = family.space.n
+        for _ in range(4):
+            Y = rng.randint(1, (1 << n) - 1) & rng.randint(1, (1 << n) - 1) or 1
+            for cap in (1, 3):
+                for name in MEASURES:
+                    searched, want = _searches_per_fresh_measure(monkeypatch, family, Y, cap, name)
+                    finest = want.bit_length() - 1
+                    assert len(searched) == family.depth + 1 - max(finest, 0), (Y, cap, name)
+
+
+def test_tiny_topology_measures_skip_implied_coverings(monkeypatch):
+    # a covering is searched exactly when no covering of larger index that
+    # fits refines it; so no query searches more than every covering, and
+    # some search fewer
+    fewer = 0
+    for family in TOPOLOGY_FAMILIES:
+        rows = family.refine_rows
+        for Y in range(1, 1 << family.space.n):
+            for cap in (1, 2, 3):
+                for name in MEASURES:
+                    searched, want = _searches_per_fresh_measure(monkeypatch, family, Y, cap, name)
+                    implied = [
+                        any((want >> j) & 1 and (rows[j] >> i) & 1 for j in range(i + 1, family.size))
+                        for i in range(family.size)
+                    ]
+                    candidate_sets = MEASURES[name][1]
+                    assert [id(c) for c in searched] == [
+                        id(candidate_sets(family.coverings[i]))
+                        for i in reversed(range(family.size))
+                        if not implied[i]
+                    ]
+                    assert len(searched) <= family.size
+                    fewer += len(searched) < family.size
+    assert fewer
 
 
 def _small_chain():

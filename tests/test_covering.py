@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from coverdyn import covering
 from coverdyn.covering import (
-    CHAIN,
-    FINITE,
     AdmissibleFamily,
+    CoveringError,
     DegenerateChain,
     TooManyOpens,
     chain_family,
@@ -108,7 +107,7 @@ def _check_star_kernel(fam, queries):
 
 @st.composite
 def random_cover_families(draw):
-    """A finite-kind family of 1-4 arbitrary coverings of a 1-10 point space."""
+    """A family of 1-4 arbitrary coverings of a 1-10 point space."""
     space = line_grid(0.0, 1.0, draw(st.integers(1, 10)))
     full = space.full_mask
     coverings = []
@@ -118,7 +117,7 @@ def random_cover_families(draw):
         if missing:
             masks.append(missing)
         coverings.append(make_covering_masks(space, masks, label=f"c{i}"))
-    return AdmissibleFamily(space=space, kind=FINITE, coverings=tuple(coverings))
+    return AdmissibleFamily(space=space, coverings=tuple(coverings))
 
 
 @settings(max_examples=150, deadline=None)
@@ -200,7 +199,7 @@ def test_n_refines_reduces_to_double(line3):
     # one-step reach rows are the double-refinement rows
     singles = cov(line3, {0}, {1}, {2})
     pairs = cov(line3, {0, 1}, {1, 2})
-    fam = AdmissibleFamily(space=line3, kind=FINITE, coverings=(singles, pairs))
+    fam = AdmissibleFamily(space=line3, coverings=(singles, pairs))
     assert fam.reach_rows(1) == fam.double_refine_rows
     assert (fam.reach_rows(1)[0] >> 1) & 1 == double_refines(singles, pairs)
 
@@ -251,9 +250,13 @@ def test_chain_family_type_refuses_an_uncertified_chain():
     grid = line_grid(0.0, 1.0, 101)
     halves = make_covering(grid, [grid.points[:60], grid.points[40:]])
     whole = make_covering(grid, [grid.points])
-    # the whole space fits in neither half, so the finer level fails
+    # the whole space fits in neither half, so the finer level fails; the
+    # same coverings still form a (non-chain) family
     with pytest.raises(DegenerateChain, match=r"level 1 \(\) does not double-refine level 0"):
-        AdmissibleFamily(space=grid, kind=CHAIN, coverings=(halves, whole))
+        chain_family(grid, (halves, whole))
+    fam = AdmissibleFamily(space=grid, coverings=(halves, whole))
+    assert fam.coverings == (halves, whole)
+    assert not (fam.double_refine_rows[1] & 1)
 
 
 def test_certification_names_the_first_failing_level_like_the_row_form():
@@ -307,7 +310,6 @@ def test_prefix_reads_the_parent_rows():
     for level in range(fam.size):
         prefix = fam.prefix(level)
         fresh = chain_family(fam.space, fam.coverings[: level + 1])
-        assert prefix.kind == fam.kind
         assert prefix.coverings == fresh.coverings
         assert prefix.refine_rows == fresh.refine_rows
         assert prefix.double_refine_rows == fresh.double_refine_rows
@@ -365,6 +367,11 @@ def test_admissibility_report_is_one_verify_admissible_call(monkeypatch, build):
     assert fam.admissibility_report is first
     assert calls == [fam]
     assert first.checks == real(fam).checks
+
+
+def test_enumeration_needs_a_finite_topology():
+    with pytest.raises(CoveringError, match="covering enumeration needs a finite topology"):
+        enumerate_open_coverings(line_grid(0.0, 1.0, 3))
 
 
 def test_too_many_opens_guard():
@@ -579,7 +586,7 @@ def test_verify_admissible_matches_oracle_on_small_subfamilies():
             covs = enumerate_open_coverings(space)
             for k in (1, 2):
                 for sub in itertools.combinations(covs, k):
-                    fam = AdmissibleFamily(space=space, kind=FINITE, coverings=sub)
+                    fam = AdmissibleFamily(space=space, coverings=sub)
                     got = [(c.name, c.passed, c.witness) for c in verify_admissible(fam).checks]
                     assert got == admissible_oracle(fam), sub
                     for name, ok, _ in got:

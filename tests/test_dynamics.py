@@ -136,10 +136,10 @@ def test_filter_nesting_violation():
 def test_omega_decay_singleton_is_zero(decay, grid, fam, tails):
     rep = omega_limit(pick(grid, 100), tails, decay, fam)
     assert sets_equal_at_resolution(rep.mask, pick(grid, 0), fam)
-    assert rep.resolution == fam.finest_index
+    assert rep.resolution == fam.depth
     assert rep.truncation == tails.depth
     # every reported point carries a witness landing in its finest star
-    fine = fam.coverings[fam.finest_index]
+    fine = fam.coverings[-1]
     for p, (el, src) in rep.witnesses.items():
         img = decay.apply(el, src)
         assert (fine.point_star[p.index] >> img.index) & 1
@@ -468,7 +468,7 @@ def reference_prolongational_limit(x, F, action, family):
     """The former stand-alone body of `prolongational_limit`: its own orbit
     loop, deepest pairs built inside the level loop, then the witness scan."""
     space = action.space
-    finest = family.finest_index
+    finest = family.depth
     acc = space.full_mask
     deepest_pairs = []
     for k in F.levels():
@@ -484,7 +484,7 @@ def reference_prolongational_limit(x, F, action, family):
                 for el in F.sampler(k)
                 for src in space.point_list(pmask)
             ]
-    fine = family.coverings[family.finest_index]
+    fine = family.coverings[-1]
     witnesses = {}
     for i in iter_bits(acc):
         star = fine.point_star[i]

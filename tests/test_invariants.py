@@ -145,7 +145,7 @@ def test_prolongational_witnesses_certified():
     sc = get_scenario("decay_grid")
     from coverdyn.dynamics import prolongational_limit
 
-    fine = sc.family.coverings[sc.family.finest_index]
+    fine = sc.family.coverings[-1]
     rep = prolongational_limit(
         sc.space.points[50], sc.filter_basis, sc.action, sc.family
     )

@@ -16,7 +16,6 @@ from coverdyn.covering import (
     metric_chain_family,
 )
 from coverdyn.proximity import (
-    INF,
     CoverCollection,
     FamilyMismatch,
     coarsen,
@@ -75,20 +74,31 @@ def indices(v):
     return frozenset(iter_bits(v.mask))
 
 
+def levels(fam, t):
+    """Levels 0..t of a chain as a collection: the prefix mask; -1 is empty."""
+    return CoverCollection(fam, (1 << (t + 1)) - 1)
+
+
+def family_id(f):
+    """Test id: "chain" for the metric chains, "finite" for the families of
+    every open covering of a finite topology, then points and coverings."""
+    return f"{'chain' if f.space.opens is None else 'finite'}{f.space.n}-{f.size}"
+
+
 def test_zero_precedes_everything(fam):
     zero = CoverCollection.zero(fam)
-    for t in (-1, 0, 2, INF):
-        assert precedes(zero, CoverCollection.chain(fam, t))
+    for t in (-1, 0, 2, fam.depth):
+        assert precedes(zero, levels(fam, t))
 
 
 def test_empty_is_upper_bound(fam):
     top = CoverCollection(fam, 0)
-    for t in (-1, 0, 2, INF):
-        assert precedes(CoverCollection.chain(fam, t), top)
+    for t in (-1, 0, 2, fam.depth):
+        assert precedes(levels(fam, t), top)
 
 
 def test_precedes_reflexive_antisymmetric(fam):
-    vals = [CoverCollection.chain(fam, t) for t in (-1, 0, 3, INF)]
+    vals = [levels(fam, t) for t in (-1, 0, 3, fam.depth)]
     for a in vals:
         assert precedes(a, a)
     for a, b in itertools.combinations(vals, 2):
@@ -100,12 +110,6 @@ def test_family_mismatch(fam, tiny):
         precedes(CoverCollection.zero(fam), CoverCollection.zero(tiny))
 
 
-def test_chain_threshold_canonical(fam):
-    # a threshold at full depth is the whole family, canonicalized to inf
-    assert CoverCollection.chain(fam, fam.depth).threshold == INF
-    assert CoverCollection.chain(fam, fam.depth) == CoverCollection.zero(fam)
-
-
 def test_coarsen_zero_fixed_point(fam):
     zero = CoverCollection.zero(fam)
     for n in range(1, fam.depth + 1):
@@ -113,11 +117,12 @@ def test_coarsen_zero_fixed_point(fam):
 
 
 def test_coarsen_shifts_thresholds(fam):
-    # mid thresholds move down by n on this chain (witnesses are consecutive levels)
+    # mid prefixes move down by n on this chain (witnesses are consecutive levels)
     for t in range(1, fam.depth - 1):
         for n in range(1, t + 1):
-            out = coarsen(CoverCollection.chain(fam, t), n)
-            assert out.threshold == t - n
+            out = coarsen(levels(fam, t), n)
+            assert out == levels(fam, t - n)
+            assert out.mask.bit_length() - 1 == t - n
 
 
 def test_coarsen_empty(fam):
@@ -126,7 +131,7 @@ def test_coarsen_empty(fam):
 
 
 def test_coarsen_order_preserving(fam):
-    vals = [CoverCollection.chain(fam, t) for t in (-1, 0, 1, 3, INF)]
+    vals = [levels(fam, t) for t in (-1, 0, 1, 3, fam.depth)]
     for a, b in itertools.product(vals, repeat=2):
         if precedes(a, b):
             assert precedes(coarsen(a, 1), coarsen(b, 1))
@@ -144,14 +149,14 @@ def test_converges_constant_zero(fam):
 
 
 def test_converges_increasing_thresholds(fam):
-    seq = [CoverCollection.chain(fam, t) for t in range(fam.depth + 1)]
+    seq = [levels(fam, t) for t in range(fam.depth + 1)]
     assert converges_to_zero(seq)
     trace = convergence_trace(seq)
     assert trace == [i for i in range(fam.size)]
 
 
 def test_converges_stuck_threshold(fam):
-    seq = [CoverCollection.chain(fam, 0)] * 4
+    seq = [levels(fam, 0)] * 4
     assert not converges_to_zero(seq)
 
 
@@ -187,7 +192,7 @@ def test_prox_hausdorff_separation(grid, fam):
 
 
 def test_prox_grid_threshold_bruteforce(grid):
-    # threshold of (0, 0.1) on the quarter chain with eps0=1: brute force over centers
+    # finest level of prox(0, 0.1) on the quarter chain with eps0=1: brute force over centers
     fam1 = metric_chain_family(grid, 1.0, 5)
     x, y = grid.points[0], grid.points[10]
     expected = -1
@@ -198,7 +203,8 @@ def test_prox_grid_threshold_bruteforce(grid):
         ):
             expected = i
     got = prox(x, y, fam1)
-    assert got.threshold == expected
+    assert got == levels(fam1, expected)
+    assert got.mask.bit_length() - 1 == expected
 
 
 def test_prox_triangle_single_intermediate():
@@ -318,13 +324,13 @@ def test_prox_to_set_monotone(data):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    t1=st.one_of(st.integers(-1, 2), st.just(INF)),
-    t2=st.one_of(st.integers(-1, 2), st.just(INF)),
+    t1=st.integers(-1, 3),
+    t2=st.integers(-1, 3),
 )
 def test_lattice_laws_chain(t1, t2):
     grid5 = line_grid(0.0, 1.0, 5)
     fam5 = metric_chain_family(grid5, 2.0, 3)
-    a, b = CoverCollection.chain(fam5, t1), CoverCollection.chain(fam5, t2)
+    a, b = levels(fam5, t1), levels(fam5, t2)
     assert indices(a & b) == indices(a) & indices(b)
     assert indices(a | b) == indices(a) | indices(b)
     # reverse inclusion: the union is closer to zero, the intersection farther
@@ -401,9 +407,7 @@ def test_converges_to_zero_agrees_with_trace(fam):
 
 
 def _collection(data, fam):
-    """A drawn collection: a threshold on chains, an upward closure otherwise."""
-    if fam.kind == "chain":
-        return CoverCollection.chain(fam, data.draw(st.integers(-1, fam.depth)))
+    """A drawn collection: the upward closure of drawn covering indices."""
     return CoverCollection.finite(fam, data.draw(st.sets(st.integers(0, fam.size - 1))))
 
 
@@ -458,7 +462,7 @@ GRID101_CHAIN = metric_chain_family(line_grid(0.0, 1.0, 101), 2.0, 6)
 
 
 @pytest.mark.parametrize(
-    "fam", ALL_FAMILIES + [GRID101_CHAIN], ids=lambda f: f"{f.kind}{f.space.n}-{f.size}"
+    "fam", ALL_FAMILIES + [GRID101_CHAIN], ids=family_id
 )
 def test_double_refines_matches_pair_set_oracle(fam):
     for V, U in itertools.product(fam.coverings, repeat=2):
@@ -490,7 +494,7 @@ CHAIN_ROW_CASES = {
 @pytest.mark.parametrize("case", list(CHAIN_ROW_CASES))
 def test_chain_rows_match_direct_rows(case):
     for fam in CHAIN_ROW_CASES[case]():
-        assert fam.kind == "chain"
+        assert all((fam.double_refine_rows[i] >> (i - 1)) & 1 for i in range(1, fam.size))
         assert fam.refine_rows == row_forms.relation_rows(fam.coverings, row_forms.refines)
         assert fam.double_refine_rows == row_forms.relation_rows(
             fam.coverings, pair_set_double_refines
@@ -515,7 +519,7 @@ def reach_pairs(fam):
     return {1: one, 2: two}
 
 
-@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=family_id)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_coarsen_matches_reach_matrix(fam, data):
@@ -526,7 +530,7 @@ def test_coarsen_matches_reach_matrix(fam, data):
         assert indices(coarsen(E, n)) == expected
 
 
-@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=family_id)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_semi_prox_matches_oracle(fam, data):
@@ -538,7 +542,7 @@ def test_semi_prox_matches_oracle(fam, data):
     assert indices(semi_prox(mask_of(A), mask_of(B), fam)) == expected
 
 
-@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=family_id)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_is_bounded_matches_oracle(fam, data):
@@ -549,7 +553,7 @@ def test_is_bounded_matches_oracle(fam, data):
     assert is_bounded(fam.space.mask_of(Y), fam) == expected
 
 
-@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=family_id)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_is_cauchy_matches_oracle(fam, data):
@@ -567,7 +571,7 @@ def test_is_cauchy_matches_oracle(fam, data):
     assert is_cauchy(seq, fam, min_tail=min_tail) == expected
 
 
-@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=family_id)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_resolution_comparisons_match_oracle(fam, data):
@@ -604,7 +608,7 @@ KERNEL_CASES = ALL_FAMILIES + [
 ]
 
 
-@pytest.mark.parametrize("fam", KERNEL_CASES, ids=lambda f: f"{f.kind}{f.space.n}-{f.size}")
+@pytest.mark.parametrize("fam", KERNEL_CASES, ids=family_id)
 def test_kernel_matches_row_forms(fam):
     covs = fam.coverings
     for cov in covs:

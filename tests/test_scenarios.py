@@ -205,7 +205,7 @@ eps0 = 2.0
 depth = 3
 
 [action]
-kind = "pow2_decay"
+kind = "halving_decay"
 
 [filter]
 kind = "integer_tails"
@@ -223,6 +223,10 @@ def test_load_schema_errors():
         load_system("[other]\nx = 1\n")
     with pytest.raises(SchemaError):
         load_system("[scenario]\nkind = not-json\n")
+    custom = '[scenario]\nkind = "custom"\n[space]\nkind = "line_grid"\ncount = 21\n'
+    custom += '[family]\nkind = "metric_chain"\neps0 = 2.0\ndepth = 2\n'
+    with pytest.raises(SchemaError, match="unsupported action kind 'pow2_decay'"):
+        load_system(custom + '[action]\nkind = "pow2_decay"\n')
 
 
 def test_random_bounded_testsets_deterministic():

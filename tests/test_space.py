@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import warnings
 
@@ -68,6 +69,11 @@ def test_infinite_distance_rejected_by_name(metric):
         # form used to reject this space as non-finite
         far = build_metric_space([[0], [1e200]], metric=metric)
         assert far.dist[0, 1] == far.dist[1, 0] == 1e200
+        # in 2-D the summed squares overflow too
+        far = build_metric_space([[0, 0], [1e200, 1e200]], metric=metric)
+        want = {"euclidean": math.sqrt(2) * 1e200, "sup": 1e200}[metric]
+        assert far.dist[0, 1] == far.dist[1, 0]
+        assert math.isclose(far.dist[0, 1], want, rel_tol=1e-15)
 
 
 def test_overflowing_grid_rejected_without_warning():
@@ -129,14 +135,6 @@ def test_valid_spaces_at_large_coordinates_load():
     # an absolute triangle slack of 1e-12 used to reject both spaces
     assert line_grid(0.0, 1e6, 61).n == 61
     assert build_metric_space([[x * 1e4 / 7, 0] for x in range(60)], metric="sup").n == 60
-
-
-def test_nearest_index_does_not_overflow():
-    # sqrt(sum(diff**2)) overflowed here and answered index 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert line_grid(0.0, 1e200, 5).nearest_index([0.9e200]) == 4
-        assert build_metric_space([[0, 0], [1e200, 1e200]]).nearest_index([0.9e200, 1e200]) == 1
 
 
 def test_ball_basic():
