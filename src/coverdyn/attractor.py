@@ -24,7 +24,7 @@ from .dynamics import (
     verify_eventual_compactness,
 )
 from .proximity import sets_equal_at_resolution, subset_at_resolution
-from .space import CoverdynError, EmptyInput, Point
+from .space import CoverdynError, EmptyInput, iter_bits
 
 
 class UnboundedTestset(CoverdynError):
@@ -119,9 +119,10 @@ def verify_global(
             rep = attracts(candidate, testsets[name], F, action, family)
             if not rep.attracted:
                 idx, (el, z, img) = sorted(rep.failures.items())[0]
+                pts = action.space.points
                 yield (
                     f"{name}: covering {idx} never absorbed; witness element "
-                    f"{el!r} sends {z.pid} to {img.pid}"
+                    f"{el!r} sends {pts[z].pid} to {pts[img].pid}"
                 )
 
     checks.append(first_failure("attracts", unattracted()))
@@ -132,26 +133,28 @@ def verify_global(
 
 def verify_uniform(
     candidate: int,
-    points_sample: Sequence[Point],
+    points_sample: int,
     F: FilterBasis,
     action: Action,
     family: AdmissibleFamily,
     cap: int,
 ) -> AttractorVerdict:
-    """Compact invariant set containing every sampled prolongational limit set,
-    each of which must be nonempty."""
+    """Compact invariant set containing the prolongational limit set of every
+    point of the mask `points_sample` (in index order), each of which must be
+    nonempty."""
     checks = _core_checks(candidate, action, family, cap, F.sampler(0)[:4])
 
     def limits_outside():
         if not candidate:
             yield "empty candidate"
             return
-        for x in points_sample:
+        for x in iter_bits(points_sample):
             rep = prolongational_limit(x, F, action, family)
+            pid = action.space.points[x].pid
             if not rep.mask:
-                yield f"prolongational limit of {x.pid} is empty"
+                yield f"prolongational limit of {pid} is empty"
             elif not subset_at_resolution(rep.mask, candidate, family):
-                yield f"limit of {x.pid} leaves the candidate: {rep.pids()[:4]}"
+                yield f"limit of {pid} leaves the candidate: {rep.pids()[:4]}"
 
     checks.append(first_failure("prolongational_limits_inside", limits_outside()))
     return AttractorVerdict(

@@ -100,7 +100,7 @@ def make_covering_masks(space: Space, masks: Iterable[int], label: str = "") -> 
     for m in members:
         union |= m
     if union != space.full_mask:
-        missing = space.point_list(space.full_mask & ~union)
+        missing = space.pids(space.full_mask & ~union)
         raise CoveringError(f"members do not cover the space; missing {missing[:4]}")
     if space.opens is not None:
         opens = set(space.opens)

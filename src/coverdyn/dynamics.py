@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 from .compactness import is_bounded, member_measure, star_measure
 from .covering import AdmissibleFamily, CheckList, CheckResult, first_failure
 from .proximity import stars_containing
-from .space import CoverdynError, EmptyInput, Point, Space, iter_bits
+from .space import CoverdynError, EmptyInput, Space, iter_bits
 
 
 class NestingViolation(CoverdynError):
@@ -189,24 +189,33 @@ def scaling_tails(depth: int, window: int = 3, L: float = 0.5) -> FilterBasis:
 class Action:
     """A semigroup action on a finite space; every image is again a sample point.
 
-    `apply_fn` must be a pure function of the element and the point: element
-    image rows, per-point orbit rows (`orbit_rows`) and set orbits
+    Points are indices: `apply_fn(el, i)` returns the index of the image of
+    point i as a Python int. It must be pure: element image rows
+    (`image_indices`), per-point orbit rows (`orbit_rows`) and set orbits
     (`orbit_mask`) are cached for the life of the action; `image_mask` is not.
+    Every image read, witnesses included, comes from the image rows.
     """
 
     semigroup: Semigroup
     space: Space
-    apply_fn: Callable[[object, Point], Point]
-
-    def apply(self, el, p: Point) -> Point:
-        return self.apply_fn(el, p)
+    apply_fn: Callable[[object, int], int]
 
     def image_indices(self, el) -> tuple[int, ...]:
-        """Image of every point under one element, cached per element."""
+        """Image index of every point under one element, cached per element;
+        an image that is not a Python int in [0, n) raises a `CoverdynError`."""
         cache = self.__dict__.setdefault("_image_cache", {})
-        if el not in cache:
-            cache[el] = tuple([self.apply(el, p).index for p in self.space.points])
-        return cache[el]
+        row = cache.get(el)
+        if row is None:
+            n = self.space.n
+            row = tuple([self.apply_fn(el, i) for i in range(n)])
+            # a bool or a numpy integer is no index; one past n sets bits outside the space
+            bad = next((i for i, j in enumerate(row) if type(j) is not int or not 0 <= j < n), None)
+            if bad is not None:
+                raise CoverdynError(
+                    f"element {el!r} sends point {bad} to {row[bad]!r}, not a point index"
+                )
+            cache[el] = row
+        return row
 
     def image_mask(self, el, ymask: int) -> int:
         """Image of a point set under one element (not memoised)."""
@@ -216,15 +225,16 @@ class Action:
             out |= 1 << row[i]
         return out
 
-    def check_associativity(
-        self, elements: Sequence, points: Sequence[Point]
-    ) -> Optional[tuple]:
-        """Return a violating (s, t, x), or None when all sampled triples pass."""
+    def check_associativity(self, elements: Sequence) -> Optional[tuple]:
+        """Return the first (s, t, x), x a point index, with s(t(x)) != (s*t)(x),
+        in element, element, index order; None when every sampled pair passes."""
         for s in elements:
+            rs = self.image_indices(s)
             for t in elements:
-                st = self.semigroup.compose(s, t)
-                for x in points:
-                    if self.apply(s, self.apply(t, x)) != self.apply(st, x):
+                rt = self.image_indices(t)
+                rst = self.image_indices(self.semigroup.compose(s, t))
+                for x in range(self.space.n):
+                    if rs[rt[x]] != rst[x]:
                         return (s, t, x)
         return None
 
@@ -264,7 +274,10 @@ def orbit_mask(level: int, ymask: int, action: Action, F: FilterBasis) -> int:
 
 @dataclass(frozen=True)
 class LimitSetReport:
-    """A computed limit set with the certification data that produced it."""
+    """A computed limit set with the certification data that produced it:
+    `witnesses` maps each limit point's index to the (element, source index)
+    whose deepest-level image, read from the element's image row, lies in the
+    point's finest star."""
 
     mask: int
     space: Space
@@ -276,15 +289,14 @@ class LimitSetReport:
         return self.space.pids(self.mask)
 
     def to_dict(self) -> dict:
+        pts = self.space.points
         return {
             "points": self.pids(),
             "resolution": self.resolution,
             "truncation": self.truncation,
             "witnesses": {
-                p.pid: {"element": repr(el), "source": src.pid}
-                for p, (el, src) in sorted(
-                    self.witnesses.items(), key=lambda kv: kv[0].pid
-                )
+                pts[i].pid: {"element": repr(el), "source": pts[src].pid}
+                for i, (el, src) in self.witnesses.items()
             },
         }
 
@@ -299,15 +311,17 @@ def _limit_set(
     acc = space.full_mask
     for k in F.levels():
         acc &= family.closure_mask(orbit_mask(k, seeds[k], action, F))
-    deepest = [(el, src) for el in F.sampler(F.depth) for src in space.point_list(seeds[F.depth])]
-    fine = family.coverings[-1]
-    witnesses = {}
-    for i in iter_bits(acc):
-        star = fine.point_star[i]
-        for el, src in deepest:
-            if (star >> action.apply(el, src).index) & 1:
-                witnesses[space.points[i]] = (el, src)
-                break
+    rows = [(el, action.image_indices(el)) for el in F.sampler(F.depth)]
+    stars = family.coverings[-1].point_star
+    # a point of acc lies in the finest star of the deepest orbit, and point
+    # stars are symmetric, so some deepest image lies in its star
+    witnesses = {
+        i: next(
+            (el, src) for el, row in rows for src in iter_bits(seeds[F.depth])
+            if (stars[i] >> row[src]) & 1
+        )
+        for i in iter_bits(acc)
+    }
     return LimitSetReport(
         mask=acc,
         space=space,
@@ -327,20 +341,17 @@ def omega_limit(
 
 
 def prolongational_limit(
-    x: Point,
-    F: FilterBasis,
-    action: Action,
-    family: AdmissibleFamily,
+    x: int, F: FilterBasis, action: Action, family: AdmissibleFamily
 ) -> LimitSetReport:
     """Limit points of divergent orbits started from shrinking stars around x."""
     finest = family.depth
-    seeds = [family.coverings[min(k, finest)].point_star[x.index] for k in F.levels()]
+    seeds = [family.coverings[min(k, finest)].point_star[x] for k in F.levels()]
     return _limit_set(seeds, F, action, family)
 
 
 @dataclass(frozen=True)
 class AttractionReport:
-    """Per covering index: the absorbing filter level, or a failure witness."""
+    """Per covering index: the absorbing filter level, or a failure witness (el, z, image)."""
 
     levels: dict
     failures: dict
@@ -357,7 +368,6 @@ def attracts(
     lies in the star of Y, or an image of the deepest orbit that leaves it."""
     if not ymask or not zmask:
         raise EmptyInput("attraction needs nonempty sets")
-    space = action.space
     stars = family.stars(ymask)
     # per filter level: the covering indices whose star of Y holds the orbit of Z
     inside = [stars_containing(orbit_mask(k, zmask, action, F), stars) for k in F.levels()]
@@ -369,11 +379,11 @@ def attracts(
         else:
             # the deepest orbit leaves the star, so one of its images does
             failures[i] = next(
-                (el, z, img)
+                (el, z, row[z])
                 for el in F.sampler(F.depth)
-                for z in space.point_list(zmask)
-                for img in (action.apply(el, z),)
-                if not (stars[i] >> img.index) & 1
+                for row in (action.image_indices(el),)
+                for z in iter_bits(zmask)
+                if not (stars[i] >> row[z]) & 1
             )
     return AttractionReport(levels=levels, failures=failures)
 
@@ -498,20 +508,8 @@ def _tested_element(name: str, sem: Semigroup) -> Callable:
 TAIL_WINDOW = 4
 
 
-def _stable_cluster_exists(tail: Sequence[Point], family: AdmissibleFamily) -> Optional[Point]:
-    """A point whose finest star is hit at least twice among the tail block
-    images (truncated stand-in for a cluster point)."""
-    fine = family.coverings[-1]
-    for cand in family.space.points:
-        star = fine.point_star[cand.index]
-        hits = sum(1 for img in tail if (star >> img.index) & 1)
-        if hits >= 2:
-            return cand
-    return None
-
-
-def _sequence_patterns(B: Sequence[Point], n_blocks: int) -> list[tuple[str, list[Point]]]:
-    pts = sorted(B, key=lambda p: p.index)
+def _sequence_patterns(ymask: int, n_blocks: int) -> list[tuple[str, list[int]]]:
+    pts = list(iter_bits(ymask))
     big = max(3, (len(pts) + max(1, n_blocks // 2) - 1) // max(1, n_blocks // 2))
     patterns = []
     for stride in sorted({1, 2, big}):
@@ -528,11 +526,11 @@ def check_dissipativity(
     family: AdmissibleFamily,
     testsets: dict[str, int],
     cap: int,
-    points_sample: Optional[Sequence[Point]] = None,
+    points_sample: Optional[int] = None,
     absorb_candidate: Optional[int] = None,
 ) -> CheckList:
     """Verdicts with witnesses for the five dissipativity/compactness notions,
-    evaluated on the supplied bounded test sets up to the sampling budget."""
+    on the bounded test sets and the mask `points_sample` (default: every point)."""
     if not testsets:
         raise EmptyInput("the taxonomy needs at least one test set")
     space = action.space
@@ -564,25 +562,24 @@ def check_dissipativity(
         wit = "no candidate absorbs every test set"
     outcomes.append(CheckResult("bounded_dissipative", ok, wit))
 
-    sample = list(points_sample) if points_sample is not None else list(space.points)
+    sample = space.full_mask if points_sample is None else points_sample
     ok, wit = False, "no bounded candidate absorbs every sampled point"
     for cname, D in bounded:
-        if all(absorbs(D, 1 << x.index, F, action) is not None for x in sample):
+        if all(absorbs(D, 1 << x, F, action) is not None for x in iter_bits(sample)):
             ok, wit = True, f"absorbing set: {cname}"
             break
     outcomes.append(CheckResult("point_dissipative", ok, wit))
 
     def clusterless_tails():
-        n_blocks = F.depth + 1
+        fine = family.coverings[-1].point_star
+        levels = F.levels()[-TAIL_WINDOW:]
         for name, m in masks.items():
-            for pname, xs in _sequence_patterns(space.point_list(m), n_blocks):
-                images = []
-                for k in F.levels():
-                    el = F.sampler(k)[0]
-                    images.append(action.apply(el, xs[min(k, len(xs) - 1)]))
-                tail = images[-TAIL_WINDOW:]
-                if _stable_cluster_exists(tail, family) is None:
-                    trail = ",".join(p.pid for p in tail)
+            for pname, xs in _sequence_patterns(m, F.depth + 1):
+                tail = [action.image_indices(F.sampler(k)[0])[xs[k]] for k in levels]
+                # a stable cluster, the truncated stand-in for a cluster point:
+                # some point's finest star holds two of the tail images
+                if not any(sum((star >> i) & 1 for i in tail) >= 2 for star in fine):
+                    trail = ",".join(space.points[i].pid for i in tail)
                     yield f"{name}/{pname}: tail images [{trail}] admit no cluster"
 
     outcomes.append(first_failure("asymptotically_compact", clusterless_tails()))

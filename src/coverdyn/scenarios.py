@@ -14,6 +14,7 @@ import inspect
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -77,6 +78,9 @@ class Expected:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
+    """A system and its expectations. `testsets` and `points_sample` are int
+    masks; the points of `points_sample` are read in index order."""
+
     name: str
     space: Space
     family: AdmissibleFamily
@@ -85,7 +89,7 @@ class Scenario:
     testsets: dict[str, int]
     declared: Declared
     expected: Expected
-    points_sample: tuple[Point, ...]
+    points_sample: int
     model: Optional[FunctionSpaceModel] = None
     params: dict = field(default_factory=dict)
 
@@ -94,12 +98,11 @@ class Scenario:
 
     def random_bounded_testsets(self, rng, count: int, max_size: int = 6) -> dict[str, int]:
         """Seeded random subsets of the space's points."""
-        out = {}
-        pool = self.space.points
-        for i in range(count):
-            size = rng.randint(1, max_size)
-            out[f"rand{i}"] = self.space.mask_of(rng.sample(pool, min(size, len(pool))))
-        return out
+        n = self.space.n
+        return {
+            f"rand{i}": sum(1 << j for j in rng.sample(range(n), min(rng.randint(1, max_size), n)))
+            for i in range(count)
+        }
 
 
 def _validate(sc: Scenario, finest_radius: float, assoc_elements: Sequence) -> Scenario:
@@ -108,9 +111,11 @@ def _validate(sc: Scenario, finest_radius: float, assoc_elements: Sequence) -> S
             f"snap error {sc.declared.snap_error:g} is not below half the finest "
             f"star radius {finest_radius / 2:g}"
         )
-    bad = sc.action.check_associativity(assoc_elements, sc.space.points)
+    bad = sc.action.check_associativity(assoc_elements)
     if bad is not None:
-        raise SchemaError(f"action is not associative at {bad!r}")
+        s, t, x = bad
+        pid = sc.space.points[x].pid
+        raise SchemaError(f"action is not associative at s={s!r}, t={t!r}, point {pid}")
     for name, Y in sc.testsets.items():
         if not Y:
             raise SchemaError(f"test set {name!r} is empty")
@@ -151,12 +156,12 @@ def scenario_iterated_contractions(
             meta.append(("pow", xf, e))
     model = build_function_model(args, tables, labels, value_dim=1)
     space = model.space
-    lookup = {(kind, xf, e): space.points[i] for i, (kind, xf, e) in enumerate(meta)}
+    lookup = {m: i for i, m in enumerate(meta)}
 
-    def apply_fn(n, p):
-        kind, xf, e = meta[p.index]
+    def apply_fn(n, i):
+        kind, xf, e = meta[i]
         if kind == "fix":
-            return p
+            return i
         e2 = e * n
         if e2 >= esnap:
             return lookup[("fix", xf, 0)]
@@ -174,9 +179,9 @@ def scenario_iterated_contractions(
     attractor_pids = tuple(f"i[{xf:g}]" for xf in fixed)
     testsets = {
         "whole": space.full_mask,
-        "attractor": space.mask_of(space.points[: len(fixed)]),
-        "seed": space.mask_of([lookup[("pow", 0.75, 1)]]),
-        "pair": space.mask_of([lookup[("pow", 0.0, 1)], lookup[("pow", 1.0, 2)]]),
+        "attractor": (1 << len(fixed)) - 1,
+        "seed": 1 << lookup[("pow", 0.75, 1)],
+        "pair": 1 << lookup[("pow", 0.0, 1)] | 1 << lookup[("pow", 1.0, 2)],
     }
     # closed-form attraction bound: least n with L**n * delta < eps
     delta = max(abs(z - xf) for z in args for xf in fixed)
@@ -209,7 +214,7 @@ def scenario_iterated_contractions(
         testsets=testsets,
         declared=declared,
         expected=expected,
-        points_sample=tuple(space.points),
+        points_sample=space.full_mask,
         model=model,
         params={"depth": depth, "eps0": eps0, "chain_depth": chain_depth},
     )
@@ -249,12 +254,12 @@ def scenario_composition(
             meta.append(("seed", sname, e))
     model = build_function_model(args, tables, labels, value_dim=1)
     space = model.space
-    lookup = {m: space.points[i] for i, m in enumerate(meta)}
+    lookup = {m: i for i, m in enumerate(meta)}
 
-    def apply_fn(c, p):
-        kind, sname, e = meta[p.index]
+    def apply_fn(c, i):
+        kind, sname, e = meta[i]
         if kind == "fix":
-            return p
+            return i
         j = round(-math.log2(abs(c)))
         e2 = e + j
         if e2 >= esnap:
@@ -272,9 +277,9 @@ def scenario_composition(
 
     testsets = {
         "whole": space.full_mask,
-        "attractor": space.mask_of(space.points[:1]),
-        "seed": space.mask_of([lookup[("seed", "id", 0)]]),
-        "pair": space.mask_of([lookup[("seed", "vee", 1)], lookup[("seed", "shift", 0)]]),
+        "attractor": 1,
+        "seed": 1 << lookup[("seed", "id", 0)],
+        "pair": 1 << lookup[("seed", "vee", 1)] | 1 << lookup[("seed", "shift", 0)],
     }
     declared = Declared(
         cap=default_cap(space.n),
@@ -299,7 +304,7 @@ def scenario_composition(
         testsets=testsets,
         declared=declared,
         expected=expected,
-        points_sample=tuple(space.points),
+        points_sample=space.full_mask,
         model=model,
         params={"x0": x0, "depth": depth, "eps0": eps0, "chain_depth": chain_depth},
     )
@@ -336,18 +341,17 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
         meta.append(k + 1)
     model = build_function_model(args, tables, labels, value_dim=2)
     space = model.space
-    by_exp = {j: space.points[i] for i, j in enumerate(meta) if j is not None}
-    zero = space.points[0]
+    by_exp = {j: i for i, j in enumerate(meta) if j is not None}
 
-    def apply_fn(t, p):
+    def apply_fn(t, i):
         if t[0] != t[1]:
             raise SchemaError("the decay sample is tuned to diagonal elements")
-        j = meta[p.index]
+        j = meta[i]
         if j is None:
-            return p
+            return i
         j2 = j - t[0]
         if j2 < floor:
-            return zero
+            return 0  # the zero function
         return by_exp[j2]
 
     radii = [16.0, 4.0, 1.0, 0.25, 0.0625, 0.015625]
@@ -361,13 +365,11 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
 
     unit = pointwise_covering(model, [constraint(model, 0, 1.0)])
     testsets = {
-        "orbit-star": unit.star_mask(space.mask_of([zero])),
-        "seed": space.mask_of([by_exp[3]]),
-        "small": space.mask_of([zero, by_exp[-7], by_exp[-6], by_exp[-5]]),
+        "orbit-star": unit.star_mask(1),
+        "seed": 1 << by_exp[3],
+        "small": 1 | 1 << by_exp[-7] | 1 << by_exp[-6] | 1 << by_exp[-5],
     }
-    sample = tuple(
-        p for p in space.points if meta[p.index] is None or meta[p.index] <= 16
-    )
+    sample = sum(1 << i for i, j in enumerate(meta) if j is None or j <= 16)
     declared = Declared(
         cap=6,
         hypothesis_expect=dict.fromkeys(HYPOTHESIS_NAMES, True),
@@ -406,16 +408,12 @@ def scenario_decay_grid(
     family = metric_chain_family(space, 2.0, chain_depth)
     finest_radius = 2.0 * CHAIN_RATIO**chain_depth
 
-    def apply_fn(t, p):
-        return space.points[p.index >> t]
-
-    action = Action(semigroup=nat_add(), space=space, apply_fn=apply_fn)
+    action = Action(semigroup=nat_add(), space=space, apply_fn=lambda t, i: i >> t)
     F = integer_tails(nat_add(), depth=depth, window=window)
-    zero = space.points[0]
     step = 1.0 / (count - 1)
     testsets = {
         "whole": space.full_mask,
-        "seed": space.mask_of(space.points[-1:]),
+        "seed": 1 << (space.n - 1),
         "low-ball": space.mask_of(p for p in space.points if abs(p.coords[0]) < 0.15),
     }
     declared = Declared(
@@ -426,7 +424,7 @@ def scenario_decay_grid(
         snap_error=step,
     )
     expected = Expected(
-        attractor=(zero.pid,),
+        attractor=(space.points[0].pid,),
         kind="both",
     )
     sc = Scenario(
@@ -438,7 +436,7 @@ def scenario_decay_grid(
         testsets=testsets,
         declared=declared,
         expected=expected,
-        points_sample=tuple(space.points[::10]),
+        points_sample=space.mask_of(space.points[::10]),
         model=None,
         params={
             "count": count,
@@ -574,10 +572,10 @@ def _load_custom(cp) -> Scenario:
 
     akind = _jget(cp, "action", "kind", required=True)
     if akind == "halving_decay":
-        apply_fn = lambda t, p: space.points[p.index >> t]
+        apply_fn = lambda t, i: i >> t
         snap_error = step
     elif akind == "identity":
-        apply_fn = lambda t, p: p
+        apply_fn = lambda t, i: i
         snap_error = 0.0
     else:
         raise SchemaError(f"unsupported action kind {akind!r}")
@@ -612,6 +610,8 @@ def _load_custom(cp) -> Scenario:
     testsets = {}
     if cp.has_section("testsets"):
         for name in cp.options("testsets"):
+            if re.fullmatch("rand[0-9]+", name):
+                raise SchemaError(f"[testsets] {name}: the name is reserved for random test sets")
             raw = _jget(cp, "testsets", name, required=True)
             if raw == "all":
                 testsets[name] = space.full_mask
@@ -655,7 +655,7 @@ def _load_custom(cp) -> Scenario:
         testsets=testsets,
         declared=declared,
         expected=expected,
-        points_sample=tuple(space.points[:: max(1, space.n // 10)]),
+        points_sample=space.mask_of(space.points[:: max(1, space.n // 10)]),
         model=None,
         params={},
     )

@@ -113,9 +113,6 @@ class Space:
         """The ids of the points in `mask`, sorted."""
         return sorted(self.points[i].pid for i in iter_bits(mask))
 
-    def point_list(self, mask: int) -> list[Point]:
-        return [self.points[i] for i in iter_bits(mask)]
-
     def by_id(self, pid: str) -> Point:
         for p in self.points:
             if p.pid == pid:

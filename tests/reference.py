@@ -3,9 +3,8 @@
 `attracts` decides attraction by a level search per covering index. The
 proximity form below decides it the other way the theory states it: the
 one-sided proximity of the images of Z to Y converges to zero along every
-divergent net. It computes every image point by point with `Action.apply`,
-so it shares neither the image cache nor the orbit masks with the level
-search.
+divergent net. It computes every image point by point with `apply_fn`, so
+it shares neither the image rows nor the orbit masks with the level search.
 
 `reference_star_mask` is the star by its definition, the union of the
 members that meet the set, with no point stars and no memo.
@@ -24,8 +23,12 @@ the former loop of `funcspace._slabs`: per center, every table value whose
 squared euclidean distance is below the squared radius.
 
 `reference_orbit_mask` is the level orbit of a set by its definition, every
-sampled element applied to every point with `Action.apply`, with no image
-rows and no memo.
+sampled element applied to every point with `apply_fn`, with no image rows
+and no memo.
+
+`reference_check_associativity` is the triple loop over (s, t, x) that
+`Action.check_associativity` replaced, calling `apply_fn` point by point: it
+returns the first (s, t, x) with s(t(x)) != (s*t)(x), x a point index.
 
 `metric_axiom_violation` checks a distance matrix against the metric axioms
 by the exact O(n^3) loop, with the relative triangle slack that the
@@ -89,11 +92,11 @@ def prox_form_attracts(ymask, zmask, F, action, family):
     walks the worst sequence, whose k-th term leaves the star of Y at that
     index whenever some term of level k does.
     """
-    space = action.space
-    zs = space.point_list(zmask)
     blocks = [[] for _ in F.levels()]
     for k, el in divergent_sequence(F):
-        image = space.mask_of(action.apply(el, z) for z in zs)
+        image = 0
+        for z in iter_bits(zmask):
+            image |= 1 << action.apply_fn(el, z)
         blocks[k].append(semi_prox(ymask, image, family))
     return all(
         converges_to_zero([
@@ -131,10 +134,23 @@ def reference_slabs(model, c):
 def reference_orbit_mask(level, ymask, action, F):
     """Union over the sampled elements of filter level `level` of the images
     of the points of `ymask`, taken point by point."""
-    space = action.space
-    return space.mask_of(
-        action.apply(el, p) for el in F.sampler(level) for p in space.point_list(ymask)
-    )
+    out = 0
+    for el in F.sampler(level):
+        for i in iter_bits(ymask):
+            out |= 1 << action.apply_fn(el, i)
+    return out
+
+
+def reference_check_associativity(action, elements):
+    """The first (s, t, x) over the sampled elements and every point index
+    with s(t(x)) != (s*t)(x), or None."""
+    for s in elements:
+        for t in elements:
+            st = action.semigroup.compose(s, t)
+            for x in range(action.space.n):
+                if action.apply_fn(s, action.apply_fn(t, x)) != action.apply_fn(st, x):
+                    return (s, t, x)
+    return None
 
 
 def unbounded_coverable_within(target, candidates, cap, node_budget):

@@ -27,7 +27,7 @@ from coverdyn.dynamics import (
 )
 from coverdyn.proximity import sets_equal_at_resolution
 from coverdyn.scenarios import get_scenario
-from coverdyn.space import line_grid
+from coverdyn.space import iter_bits, line_grid
 from reference import prox_form_attracts
 
 SCENARIO_NAMES = ("decay_grid", "iterated_contractions", "composition", "exp_decay")
@@ -129,7 +129,7 @@ def test_criterion_4_decay_counterexample():
     norm_ok = False
     if not rep.attracted and fail_idx in rep.failures:
         el, z, img = rep.failures[fail_idx]
-        norm = math.hypot(*sc.model.tables[img.index][1])
+        norm = math.hypot(*sc.model.tables[img][1])
         norm_ok = abs(norm - 2.0 * math.sqrt(2.0)) < 1e-12 and norm > 2.0
     eq = check_equivalence(sc)
     taxonomy_ok = not eq.taxonomy.passed("asymptotically_compact")
@@ -144,7 +144,7 @@ def _spread_bound_holds(sc, testset) -> bool:
     first = exp.spread_first_arg
     d1 = exp.spread_delta1
     K = exp.spread_lipschitz
-    pts = sc.space.point_list(testset)
+    pts = list(iter_bits(testset))
     # the derivation needs the test set inside a star of the declared center
     h = sc.attractor_points()
     level1 = sc.family.coverings[1]
@@ -153,7 +153,7 @@ def _spread_bound_holds(sc, testset) -> bool:
     for i, f in enumerate(pts):
         for g in pts[i:]:
             for j, z in enumerate(model.args):
-                spread = abs(model.tables[f.index][j][0] - model.tables[g.index][j][0])
+                spread = abs(model.tables[f][j][0] - model.tables[g][j][0])
                 if not spread < 2 * K * abs(z[0] - first) + 4 * d1:
                     return False
     return True

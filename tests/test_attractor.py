@@ -78,7 +78,7 @@ def test_verify_uniform_missing_limit_point():
     cand = sc.attractor_points() & ~sc.space.mask_of([sc.space.by_id("i[0.5]")])
     v = verify_uniform(
         cand,
-        (sc.space.by_id("pow[0.5]e1"),),
+        sc.space.mask_of([sc.space.by_id("pow[0.5]e1")]),
         sc.filter_basis,
         sc.action,
         sc.family,

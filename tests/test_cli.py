@@ -248,6 +248,9 @@ CONFIGS = {
     "snap-tolerance": ('[scenario]\nkind = "decay_grid"\nchain_depth = 9\n', 2),
     "negative-eps0": (CUSTOM.replace("eps0 = 2.0", "eps0 = -1.0"), 2),
     "test-set-index": (CUSTOM + "\n[testsets]\nbad = [99]\n", 2),
+    # the attractor command adds random test sets rand0, rand1, ... over the
+    # config's, and replaced one of the same name, the absorbing set included
+    "test-set-name-rand": (CUSTOM + "\n[testsets]\nrand0 = [20]\n", 2),
     "filter-not-nested": (
         CUSTOM.replace(INTEGER_TAILS, 'kind = "explicit"\nlevels = [[1, 2], [3]]'),
         2,
@@ -334,6 +337,16 @@ def test_bad_config_is_config_error(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert code == expected, err
     assert err.startswith("error: ") if expected else err == ""
+
+
+def test_random_test_set_name_names_its_key(tmp_path, capsys):
+    path = tmp_path / "system.ini"
+    path.write_text(CUSTOM + "\n[testsets]\nrand12 = [20]\nlow = [0]\n", encoding="utf-8")
+    code = main(["attractor", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: [testsets] rand12: ")
 
 
 @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])

@@ -547,7 +547,7 @@ def test_measured_family_is_freed_without_cyclic_gc(make):
         for measure, _ in MEASURES.values():
             assert measure(Y, family, 1).family is family
         assert family.closure_mask(1) == family.closure_mask(1)
-        action = Action(semigroup=nat_add(), space=space, apply_fn=lambda t, p: space.points[0])
+        action = Action(semigroup=nat_add(), space=space, apply_fn=lambda t, i: 0)
         F = integer_tails(nat_add(), depth=2)
         assert orbit_mask(1, Y, action, F) == orbit_mask(1, Y, action, F) == 1
         assert orbit_rows(2, action, F) == (1,) * space.n

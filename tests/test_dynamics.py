@@ -35,10 +35,11 @@ from coverdyn.proximity import (
     subset_at_resolution,
 )
 from coverdyn.scenarios import BUILTIN_SCENARIOS, get_scenario, load_system
-from coverdyn.space import ball_mask, iter_bits, line_grid
+from coverdyn.space import CoverdynError, ball_mask, iter_bits, line_grid
 from reference import (
     divergent_sequence,
     prox_form_attracts,
+    reference_check_associativity,
     reference_check_hypotheses,
     reference_orbit_mask,
 )
@@ -63,14 +64,7 @@ def tails():
 @pytest.fixture(scope="module")
 def decay(grid):
     # geometric decay realized as exact index halving: associative on the grid
-    def apply_fn(t, p):
-        return grid.points[p.index >> t]
-
-    return Action(
-        semigroup=nat_add(),
-        space=grid,
-        apply_fn=apply_fn,
-    )
+    return Action(semigroup=nat_add(), space=grid, apply_fn=lambda t, i: i >> t)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +72,7 @@ def identity_action(grid):
     return Action(
         semigroup=nat_add(),
         space=grid,
-        apply_fn=lambda t, p: p,
+        apply_fn=lambda t, i: i,
     )
 
 
@@ -86,8 +80,58 @@ def pick(grid, *idx):
     return grid.mask_of(grid.points[i] for i in idx)
 
 
-def test_action_associativity(decay, grid):
-    assert decay.check_associativity(range(6), grid.points[::5]) is None
+def test_action_associativity(decay):
+    assert decay.check_associativity(range(6)) is None
+
+
+def test_associativity_reports_first_violating_triple(grid):
+    # element 1 sends every point to 0, element 2 is the identity, so 1 + 1
+    # disagrees with 1 applied twice first at point 1
+    action = Action(semigroup=nat_add(), space=grid, apply_fn=lambda t, i: 0 if t == 1 else i)
+    assert action.check_associativity((0, 1)) == (1, 1, 1)
+    assert reference_check_associativity(action, (0, 1)) == (1, 1, 1)
+
+
+@st.composite
+def self_map_actions(draw):
+    # nat_add acts on n points as t -> f^t, an action, or through one drawn
+    # map per element up to 6, the largest sum of two sampled elements
+    n = draw(st.integers(1, 6))
+    maps = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    associative = draw(st.booleans())
+    if associative:
+        f = draw(maps)
+
+        def apply_fn(t, i):
+            for _ in range(t):
+                i = f[i]
+            return i
+    else:
+        table = draw(st.lists(maps, min_size=7, max_size=7))
+        apply_fn = lambda t, i: table[t][i]
+    elements = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    return n, apply_fn, elements, associative
+
+
+@given(self_map_actions())
+@settings(max_examples=200, deadline=None)
+def test_associativity_rows_match_point_by_point_triples(case):
+    n, apply_fn, elements, associative = case
+    action = Action(semigroup=nat_add(), space=line_grid(0.0, 1.0, n), apply_fn=apply_fn)
+    got = action.check_associativity(elements)
+    assert got == reference_check_associativity(action, elements)
+    if associative:
+        assert got is None
+
+
+@pytest.mark.parametrize("image", [101, -1, True])
+def test_image_row_rejects_a_value_that_is_no_point_index(grid, image):
+    # 101 is one past the last point of the grid; a bool is an int subclass
+    action = Action(semigroup=nat_add(), space=grid, apply_fn=lambda t, i: image if i == 7 else i)
+    with pytest.raises(CoverdynError, match=f"element 3 sends point 7 to {image!r}"):
+        action.image_indices(3)
+    with pytest.raises(CoverdynError):
+        orbit_mask(0, 1, action, integer_tails(nat_add(), depth=0, window=4))
 
 
 def test_semigroup_associativity_samples():
@@ -140,10 +184,10 @@ def test_omega_decay_singleton_is_zero(decay, grid, fam, tails):
     assert rep.truncation == tails.depth
     # every reported point carries a witness landing in its finest star
     fine = fam.coverings[-1]
-    for p, (el, src) in rep.witnesses.items():
-        img = decay.apply(el, src)
-        assert (fine.point_star[p.index] >> img.index) & 1
-    assert grid.mask_of(rep.witnesses) == rep.mask
+    for i, (el, src) in rep.witnesses.items():
+        img = decay.apply_fn(el, src)
+        assert (fine.point_star[i] >> img) & 1
+    assert sum(1 << i for i in rep.witnesses) == rep.mask
 
 
 def test_omega_invariant_closed_set(identity_action, grid, tails):
@@ -155,14 +199,13 @@ def test_omega_invariant_closed_set(identity_action, grid, tails):
 
 
 def test_prolongational_contains_fixed_point(decay, grid, fam, tails):
-    rep = prolongational_limit(grid.points[0], tails, decay, fam)
+    rep = prolongational_limit(0, tails, decay, fam)
     assert rep.mask & 1
 
 
 def test_omega_subset_of_prolongational(decay, grid, fam, tails):
-    for i in (0, 30, 100):
-        x = grid.points[i]
-        om = omega_limit(1 << x.index, tails, decay, fam)
+    for x in (0, 30, 100):
+        om = omega_limit(1 << x, tails, decay, fam)
         jl = prolongational_limit(x, tails, decay, fam)
         assert om.mask & ~jl.mask == 0
 
@@ -172,7 +215,7 @@ def test_compact_vs_open_limit_inclusions(decay, grid, fam, tails):
     # omega(U), both at resolution
     def prolongational_union(mask):
         out = 0
-        for x in grid.point_list(mask):
+        for x in iter_bits(mask):
             out |= prolongational_limit(x, tails, decay, fam).mask
         return out
 
@@ -205,7 +248,7 @@ def test_attracts_failure_witness(identity_action, grid, fam, tails):
     assert not rep.attracted
     assert not prox_form_attracts(pick(grid, 0), pick(grid, 80), tails, identity_action, fam)
     idx, (el, z, img) = sorted(rep.failures.items())[0]
-    assert img == grid.points[80]
+    assert img == 80
 
 
 @pytest.mark.parametrize("action_name", ["decay", "identity_action"])
@@ -466,32 +509,34 @@ def test_divergent_sequence_scaling_powers():
 
 def reference_prolongational_limit(x, F, action, family):
     """The former stand-alone body of `prolongational_limit`: its own orbit
-    loop, deepest pairs built inside the level loop, then the witness scan."""
+    loop, deepest pairs built inside the level loop, then the witness scan,
+    every image taken point by point with `apply_fn`."""
     space = action.space
     finest = family.depth
     acc = space.full_mask
     deepest_pairs = []
     for k in F.levels():
         i = min(k, finest)
-        pmask = family.coverings[i].point_star[x.index]
+        pmask = family.coverings[i].point_star[x]
         block = 0
         for el in F.sampler(k):
-            block |= action.image_mask(el, pmask)
+            for src in iter_bits(pmask):
+                block |= 1 << action.apply_fn(el, src)
         acc &= family.closure_mask(block)
         if k == F.depth:
             deepest_pairs = [
                 (el, src)
                 for el in F.sampler(k)
-                for src in space.point_list(pmask)
+                for src in iter_bits(pmask)
             ]
     fine = family.coverings[-1]
     witnesses = {}
     for i in iter_bits(acc):
         star = fine.point_star[i]
         for el, src in deepest_pairs:
-            img = action.apply(el, src)
-            if (star >> img.index) & 1:
-                witnesses[space.points[i]] = (el, src)
+            img = action.apply_fn(el, src)
+            if (star >> img) & 1:
+                witnesses[i] = (el, src)
                 break
     return acc, witnesses
 
@@ -499,13 +544,13 @@ def reference_prolongational_limit(x, F, action, family):
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_prolongational_limit_matches_reference(name):
     sc = get_scenario(name)
-    for x in sc.points_sample:
+    for x in iter_bits(sc.points_sample):
         rep = prolongational_limit(x, sc.filter_basis, sc.action, sc.family)
         mask, witnesses = reference_prolongational_limit(
             x, sc.filter_basis, sc.action, sc.family
         )
-        assert rep.mask == mask, x.pid
-        assert rep.witnesses == witnesses, x.pid
+        assert rep.mask == mask, x
+        assert rep.witnesses == witnesses, x
 
 
 @pytest.mark.parametrize("depth", range(5))
@@ -513,11 +558,11 @@ def test_prolongational_limit_matches_reference_on_shallow_filters(decay, grid, 
     # the built-in filters run deeper than their families, so every level past
     # the finest covering seeds the same star; shallow filters end on coarser ones
     F = integer_tails(nat_add(), depth=depth, window=8)
-    for x in grid.points[::5]:
+    for x in range(0, grid.n, 5):
         rep = prolongational_limit(x, F, decay, fam)
         mask, witnesses = reference_prolongational_limit(x, F, decay, fam)
-        assert rep.mask == mask, x.pid
-        assert rep.witnesses == witnesses, x.pid
+        assert rep.mask == mask, x
+        assert rep.witnesses == witnesses, x
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
@@ -529,7 +574,7 @@ def test_orbit_cache_keeps_filter_bases_apart(decay, grid, order):
     Y = pick(grid, 7, 50, 100)
     want = [
         [
-            grid.mask_of(action.apply(el, p) for el in F.sampler(k) for p in grid.point_list(Y))
+            grid.mask_of(grid.points[action.apply_fn(el, i)] for el in F.sampler(k) for i in iter_bits(Y))
             for k in F.levels()
         ]
         for F in bases
@@ -569,11 +614,10 @@ def test_orbit_rows_match_point_by_point_images(case):
     n, f, bases, queries = case
     space = line_grid(0.0, 1.0, n)
 
-    def apply_fn(t, p):
-        i = p.index
+    def apply_fn(t, i):
         for _ in range(t):
             i = f[i]
-        return space.points[i]
+        return i
 
     def rows_ok(action, F, k):
         want = tuple(reference_orbit_mask(k, 1 << i, action, F) for i in range(n))
@@ -597,5 +641,5 @@ def test_image_mask_cache_keeps_sets_apart(decay, grid, order):
     masks = [pick(grid, 7, 50, 100), pick(grid, 3, 64)]
     for el in (1, 3):
         for m in [masks[j] for j in order for _ in range(2)]:
-            want = grid.mask_of(action.apply(el, p) for p in grid.point_list(m))
+            want = grid.mask_of(grid.points[action.apply_fn(el, i)] for i in iter_bits(m))
             assert action.image_mask(el, m) == want

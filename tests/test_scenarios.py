@@ -44,38 +44,40 @@ def test_exp_decay_witness_values():
     assert sc.model.tables[f5.index][1] == (64.0, 64.0)
     assert sc.model.tables[f5.index][0] == (0.0, 0.0)
     zero = sc.space.by_id("zero")
-    img = sc.action.apply((5, 5), f5)
+    img = sc.action.apply_fn((5, 5), f5.index)
     # scaling a witness by its own index lands on the doubled identity sample
-    assert sc.model.tables[img.index][1] == (2.0, 2.0)
-    assert math.hypot(*sc.model.tables[img.index][1]) == pytest.approx(
+    assert sc.model.tables[img][1] == (2.0, 2.0)
+    assert math.hypot(*sc.model.tables[img][1]) == pytest.approx(
         2 * math.sqrt(2), abs=1e-15
     )
-    deep = sc.action.apply((40, 40), f5)
-    assert deep == zero
+    deep = sc.action.apply_fn((40, 40), f5.index)
+    assert deep == zero.index
 
 
 def test_exp_decay_rejects_mixed_elements():
     sc = get_scenario("exp_decay")
     with pytest.raises(SchemaError):
-        sc.action.apply((1, 2), sc.space.by_id("f3"))
+        sc.action.apply_fn((1, 2), sc.space.by_id("f3").index)
 
 
 def test_contraction_action_exactness():
     sc = get_scenario("iterated_contractions")
+    pts = sc.space.points
     p = sc.space.by_id("pow[0.25]e2")
-    q = sc.action.apply(3, p)
-    assert q.pid == "pow[0.25]e6"
-    assert sc.action.apply(6, q).pid == "i[0.25]"
-    assert sc.action.apply(5, sc.space.by_id("i[1]")).pid == "i[1]"
+    q = sc.action.apply_fn(3, p.index)
+    assert pts[q].pid == "pow[0.25]e6"
+    assert pts[sc.action.apply_fn(6, q)].pid == "i[0.25]"
+    assert pts[sc.action.apply_fn(5, sc.space.by_id("i[1]").index)].pid == "i[1]"
 
 
 def test_composition_action_exactness():
     sc = get_scenario("composition")
+    pts = sc.space.points
     p = sc.space.by_id("vee.e1")
-    q = sc.action.apply(0.25, p)
-    assert q.pid == "vee.e3"
-    deep = sc.action.apply(0.5**11, p)
-    assert deep.pid == "i[0]"
+    q = sc.action.apply_fn(0.25, p.index)
+    assert pts[q].pid == "vee.e3"
+    deep = sc.action.apply_fn(0.5**11, p.index)
+    assert pts[deep].pid == "i[0]"
 
 
 def test_composition_shifted_variant():
@@ -84,7 +86,7 @@ def test_composition_shifted_variant():
     att = sc.space.by_id("i[0.5]")
     assert sc.model.tables[att.index] == (((0.5,),) * 3)
     # the shifted scalings fix the shifted constant
-    assert sc.action.apply(0.25, att) == att
+    assert sc.action.apply_fn(0.25, att.index) == att.index
 
 
 def test_unknown_scenario():
@@ -110,7 +112,8 @@ def scenarios_equal(a, b):
             return False
         for el in a.filter_basis.sampler(k):
             for p in a.space.points:
-                if a.action.apply(el, p).pid != b.action.apply(el, b.space.points[p.index]).pid:
+                ia, ib = a.action.apply_fn(el, p.index), b.action.apply_fn(el, p.index)
+                if a.space.points[ia].pid != b.space.points[ib].pid:
                     return False
     if set(a.testsets) != set(b.testsets):
         return False
