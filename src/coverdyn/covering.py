@@ -19,7 +19,7 @@ from .space import (
     EmptyInput,
     Point,
     Space,
-    ball_mask,
+    ball_masks,
     bool_product,
     bool_products,
     iter_bits,
@@ -331,7 +331,8 @@ CHAIN_RATIO = 0.25
 
 
 def metric_chain_family(space: Space, eps0: float, depth: int) -> AdmissibleFamily:
-    """Chain of ball coverings with radii eps0 * CHAIN_RATIO**i, one ball per sample point.
+    """Chain of ball coverings with radii eps0 * CHAIN_RATIO**i, one ball per
+    sample point; each level's balls come from one `ball_masks` comparison.
 
     The ratio 1/4 guarantees the double-refinement certificate: two
     intersecting radius-r balls have centers within 2r, so their union lies in
@@ -346,8 +347,8 @@ def metric_chain_family(space: Space, eps0: float, depth: int) -> AdmissibleFami
     coverings = []
     for i in range(depth + 1):
         r = eps0 * CHAIN_RATIO**i
-        masks = {ball_mask(space, p, r) for p in space.points}
-        coverings.append(make_covering_masks(space, masks, label=f"balls[r={r:.8g}]"))
+        label = f"balls[r={r:.8g}]"
+        coverings.append(make_covering_masks(space, ball_masks(space, r), label=label))
     return chain_family(space, coverings)
 
 

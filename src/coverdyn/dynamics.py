@@ -29,8 +29,8 @@ class Semigroup:
     `divide_left(t, s)` returns a with s*a = t (None if no such element);
     `divide_right(t, s)` returns a with a*s = t. Division backs the exact
     translation-hypothesis checks. `compose` and the divisions must be pure
-    functions of hashable elements: `check_hypotheses` memoises their results
-    by element value.
+    functions, and elements hashable: `check_hypotheses` memoises filter-level
+    membership by element value.
     """
 
     compose: Callable
@@ -425,13 +425,19 @@ def check_hypotheses(
     enumerates it, else its sample, so the verdict is exact up to that bound.
 
     One table pass decides every k at once: per (hypothesis, s) each element
-    b is mapped once to the element it is tested on, and that element to the
-    bitmask of checked levels that contain it (memoised by element value
-    across hypotheses and samples). Level j satisfies the AND of those masks
-    over its elements; the scan of a level stops once the AND holds no level
-    that is still unsatisfied. A row fails at its first failing (s, k), in
-    sample order and then level order; its witness names s, k and the first
-    element of level 0 that blocks level k, and later samples go unchecked.
+    b of a filter level is mapped to the element it is tested on, and that
+    element to the bitmask of checked levels that contain it (memoised by
+    element value across hypotheses and samples). Level j satisfies the AND
+    of those masks over its elements, and the satisfied levels are the OR of
+    those ANDs over j. An OR does not depend on the order of its terms, so
+    the scan runs from the deepest filter level up to level 0: with nested
+    levels the deepest one satisfies every checked level whenever the row
+    passes, and the scan stops after it. The scan of a level stops once its
+    AND holds no level that is still unsatisfied, which leaves the OR as it
+    is. Each filter level is listed at most once per call. A row fails at its
+    first failing (s, k), in sample order and then level order; its witness
+    names s, k and the first element of level 0 that blocks level k, and
+    later samples go unchecked.
     """
     sem = F.semigroup
     if s_samples is None:
@@ -441,10 +447,17 @@ def check_hypotheses(
     checked = range(min(max_level, F.depth) + 1)
     every = (1 << len(checked)) - 1
 
+    listed: dict = {}  # filter level -> its elements
+
     def elements_of(j):
-        if F.enumerate_level is not None:
-            return F.enumerate_level(j, enumeration_bound)
-        return F.sampler(j)
+        out = listed.get(j)
+        if out is None:
+            if F.enumerate_level is not None:
+                out = F.enumerate_level(j, enumeration_bound)
+            else:
+                out = F.sampler(j)
+            listed[j] = out
+        return out
 
     member: dict = {}  # tested element -> mask of the checked levels holding it
 
@@ -463,15 +476,11 @@ def check_hypotheses(
     def failures(name):
         tested = _tested_element(name, sem)
         for s in s_samples:
-            row: dict = {}  # b -> levels_holding(tested(s, b))
             satisfied = 0
-            for j in F.levels():
+            for j in reversed(F.levels()):
                 acc, open_levels = every, every & ~satisfied
                 for b in elements_of(j):
-                    mask = row.get(b)
-                    if mask is None:
-                        mask = row[b] = levels_holding(tested(s, b))
-                    acc &= mask
+                    acc &= levels_holding(tested(s, b))
                     if not acc & open_levels:
                         break
                 satisfied |= acc

@@ -74,8 +74,21 @@ class Point:
         return f"Point({self.pid})"
 
 
-def _fmt_coords(coords: Sequence[float]) -> str:
-    return "(" + ",".join(f"{c:.10g}" for c in coords) + ")"
+def _fmt_coords(coords: Sequence[float], exact: bool = False) -> str:
+    return "(" + ",".join(repr(float(c)) if exact else f"{c:.10g}" for c in coords) + ")"
+
+
+def _default_ids(rows: np.ndarray) -> list[str]:
+    """Point ids from coordinates: 10 significant digits when those tell
+    every row apart, else the shortest round-trip form of each float, which
+    tells distinct coordinates apart. Equal rows keep their equal 10-digit
+    ids, which `build_metric_space` rejects."""
+    ids = [_fmt_coords(row) for row in rows]
+    if len(set(ids)) != len(ids):
+        exact = [_fmt_coords(row, exact=True) for row in rows]
+        if len(set(exact)) == len(exact):
+            return exact
+    return ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,7 +272,7 @@ def build_metric_space(
     if arr.ndim != 2:
         raise ValueError("all coordinate vectors must have the same length")
     if ids is None:
-        ids = [_fmt_coords(row) for row in coords]
+        ids = _default_ids(arr)
     bad = ~np.isfinite(arr)
     if bad.any():
         i = int(np.argwhere(bad)[0][0])
@@ -293,17 +306,27 @@ def line_grid(start: float, stop: float, count: int) -> Space:
     return build_metric_space([[x] for x in xs])
 
 
-def ball_mask(space: Space, center: Point, radius: float) -> int:
-    """Open metric ball: points strictly closer than `radius` to the center."""
+def ball_masks(
+    space: Space, radius: float, centers: Optional[Sequence[int]] = None
+) -> tuple[int, ...]:
+    """Open metric balls: per center index (default: every point, in index
+    order), the mask of the points strictly closer than `radius`, from one
+    comparison of the distance rows."""
     space.require_metric()
     if radius <= 0:
         raise ValueError("radius must be positive")
-    return _pack(space.dist[center.index, None] < radius)[0]
+    rows = space.dist if centers is None else space.dist[list(centers)]
+    return _pack(rows < radius)
+
+
+def ball_mask(space: Space, center: Point, radius: float) -> int:
+    """Open metric ball: points strictly closer than `radius` to the center."""
+    return ball_masks(space, radius, (center.index,))[0]
 
 
 def ball_rows(coords: Sequence, centers: Sequence, radius: float) -> tuple[int, ...]:
     """Per center, the mask of the coordinate rows strictly closer than `radius`
-    in the euclidean norm: the kernel and the strict `<` of `ball_mask`."""
+    in the euclidean norm: the kernel and the strict `<` of `ball_masks`."""
     rows = np.asarray(coords, dtype=float)
     cs = np.asarray(centers, dtype=float).reshape(-1, rows.shape[1])
     return _pack(_pairwise_distances(cs, rows, "euclidean") < radius)

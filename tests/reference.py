@@ -30,6 +30,10 @@ and no memo.
 `Action.check_associativity` replaced, calling `apply_fn` point by point: it
 returns the first (s, t, x) with s(t(x)) != (s*t)(x), x a point index.
 
+`reference_point_balls` is the per-point loop that built a metric chain
+level before `ball_masks` compared the whole distance matrix at once: one
+comparison of a center's distance row per point, read back bit by bit.
+
 `metric_axiom_violation` checks a distance matrix against the metric axioms
 by the exact O(n^3) loop, with the relative triangle slack that the
 `_pairwise_distances` docstring derives. `build_metric_space` checks none of
@@ -253,3 +257,14 @@ def _single_holds(name: str, F: FilterBasis, s, k, b) -> bool:
         return a is not None and F.contains(a, k)
     a = sem.divide_left(b, s) if sem.divide_left else None
     return a is not None and F.contains(a, k)
+
+
+def reference_point_balls(space, radius: float) -> tuple[int, ...]:
+    """Per point, in index order, the points strictly closer than `radius`."""
+    out = []
+    for p in space.points:
+        mask = 0
+        for i in np.nonzero(space.dist[p.index] < radius)[0]:
+            mask |= 1 << int(i)
+        out.append(mask)
+    return tuple(out)

@@ -386,6 +386,18 @@ def test_config_whose_chain_resolves_points_loads(tmp_path, capsys):
     assert "prox_separates_points" in names
 
 
+def test_config_grid_whose_points_share_ten_digits_loads(tmp_path, capsys):
+    # distinct points of this grid share their 10-digit ids, which used to
+    # be rejected as duplicates
+    path = tmp_path / "system.ini"
+    text = CUSTOM.replace("count = 21", "start = 1000000.0\nstop = 1000000.001\ncount = 11")
+    path.write_text(text.replace("eps0 = 2.0", "eps0 = 0.004"), encoding="utf-8")
+    code = main(["attractor", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "(1000000.0001000001)" in captured.out
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -443,6 +443,52 @@ def test_hypotheses_call_contains_once_per_tested_element_and_level():
     assert {k for _, k in calls} == set(range(F.depth - 4 + 1))
 
 
+def test_hypotheses_scan_the_grid_scale_basis_from_its_deepest_level():
+    # the 201-point grid basis nests, so its deepest level alone satisfies
+    # every checked level of each passing row; a scan from level 0 reads
+    # level 0 in full for every s and then the levels below it
+    base = load_system('[scenario]\nkind = "decay_grid"\ncount = 201\n').filter_basis
+    sem = base.semigroup
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    class CountedLevel(tuple):
+        def __iter__(self):
+            for b in tuple.__iter__(self):
+                calls["reads"] += 1
+                yield b
+
+    def listing(j, bound):
+        calls["enumerate", j] += 1
+        return CountedLevel(base.enumerate_level(j, bound))
+
+    F = dataclasses.replace(
+        base,
+        semigroup=dataclasses.replace(
+            sem,
+            compose=counted("compose", sem.compose),
+            divide_left=counted("divide", sem.divide_left),
+            divide_right=counted("divide", sem.divide_right),
+        ),
+        enumerate_level=listing,
+    )
+    kwargs = {"max_level": max(0, F.depth - 6)}
+    calls.clear()  # the basis checks its samples when built
+    rep = check_hypotheses(F, **kwargs)
+    assert rep == reference_check_hypotheses(base, **kwargs)
+    assert rep.all_passed
+    assert max(n for key, n in calls.items() if key[0] == "enumerate") == 1
+    rows, s_count = len(rep.checks), len(sem.sample(4))
+    deepest = len(base.enumerate_level(F.depth, 1000))
+    assert calls["compose"] + calls["divide"] <= rows * 2 * s_count * deepest
+    assert calls["reads"] <= rows * s_count * deepest
+
+
 def test_taxonomy_decay(decay, grid, fam, tails):
     cap = default_cap(grid.n)
     testsets = {

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coverdyn import space
@@ -18,6 +18,7 @@ from coverdyn.space import (
     NotClosedUnderUnion,
     NotMetricSpace,
     ball_mask,
+    ball_masks,
     bool_product,
     bool_products,
     build_finite_topology,
@@ -28,7 +29,7 @@ from coverdyn.space import (
 )
 
 import row_forms
-from reference import metric_axiom_violation, triangle_rtol
+from reference import metric_axiom_violation, reference_point_balls, triangle_rtol
 
 
 def test_three_point_line():
@@ -122,6 +123,8 @@ def coordinate_sets(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(case=coordinate_sets(), metric=st.sampled_from(["euclidean", "sup"]))
+# distinct points whose 10-digit ids coincide
+@example(case=(1, [(1.0,), (1.0000000000001428,)]), metric="euclidean")
 def test_built_distances_satisfy_the_metric_axioms(case, metric):
     # build_metric_space checks no axiom: the norm must make every one hold
     dim, rows = case
@@ -135,6 +138,20 @@ def test_valid_spaces_at_large_coordinates_load():
     # an absolute triangle slack of 1e-12 used to reject both spaces
     assert line_grid(0.0, 1e6, 61).n == 61
     assert build_metric_space([[x * 1e4 / 7, 0] for x in range(60)], metric="sup").n == 60
+
+
+def test_points_that_share_ten_digits_get_exact_ids():
+    s = line_grid(1e6, 1e6 + 1e-3, 11)
+    ids = [p.pid for p in s.points]
+    assert len(set(ids)) == 11
+    assert ids[0] == "(1000000.0)"
+    # every id reads back as its coordinate
+    assert all(float(p.pid[1:-1]) == p.coords[0] for p in s.points)
+
+
+def test_equal_coordinates_still_raise():
+    with pytest.raises(DuplicatePoint, match=r"duplicate point id '\(1\)'"):
+        build_metric_space([[1.0], [1.0000000000001428], [1.0]])
 
 
 def test_ball_basic():
@@ -268,14 +285,6 @@ def walk_product(rows, cols):
     return tuple(sum(1 << j for j, c in enumerate(cols) if r & c) for r in rows)
 
 
-def walk_ball_mask(s, center, radius):
-    """The loop the packed ball mask replaced: one bit per step."""
-    mask = 0
-    for i in np.nonzero(s.dist[center.index] < radius)[0]:
-        mask |= 1 << int(i)
-    return mask
-
-
 def _masks(rng, count, width):
     # the full mask first: it sets the top bit of a partial last byte
     return ([(1 << width) - 1] + [rng.getrandbits(width) for _ in range(count - 1)])[:count]
@@ -325,5 +334,39 @@ BALL_RADII = sorted(
 @pytest.mark.parametrize("grid", BALL_GRIDS, ids=lambda g: f"grid{g.n}")
 def test_ball_mask_matches_the_bit_loop(grid):
     for r in BALL_RADII:
+        balls = reference_point_balls(grid, r)
         for p in grid.points:
-            assert ball_mask(grid, p, r) == walk_ball_mask(grid, p, r), (p, r)
+            assert ball_mask(grid, p, r) == balls[p.index], (p, r)
+
+
+@st.composite
+def spaces_and_radii(draw):
+    """A 1-3-D space under either metric, and radii read off its distance
+    matrix, so that some points lie exactly at the radius."""
+    _, rows = draw(coordinate_sets())
+    s = build_metric_space(rows, metric=draw(st.sampled_from(["euclidean", "sup"])))
+    dists = sorted({float(d) for d in s.dist.flat if d > 0}) or [1.0]
+    radii = draw(st.lists(st.sampled_from(dists), min_size=1, max_size=4))
+    return s, radii
+
+
+@settings(max_examples=100, deadline=None)
+@given(spaces_and_radii())
+def test_ball_masks_match_the_per_point_loop(case):
+    s, radii = case
+    for r in radii:
+        balls = ball_masks(s, r)
+        assert balls == reference_point_balls(s, r)
+        assert balls == tuple(ball_mask(s, p, r) for p in s.points)
+        centers = list(range(s.n))[::2]
+        assert ball_masks(s, r, centers) == tuple(balls[i] for i in centers)
+
+
+def test_ball_masks_check_the_radius_and_the_metric():
+    s = line_grid(0.0, 1.0, 3)
+    for r in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            ball_masks(s, r)
+    t = build_finite_topology(["a", "b"], [[], ["a"], ["a", "b"]])
+    with pytest.raises(NotMetricSpace):
+        ball_masks(t, 1.0)
