@@ -18,7 +18,7 @@ from .covering import (
     chain_family,
     double_refines,
     finite_all_coverings_family,
-    make_covering,
+    make_covering_masks,
     metric_chain_family,
     refines,
     verify_admissible,

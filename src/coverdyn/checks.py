@@ -1,7 +1,8 @@
 """Labeled property suites over a covering family: proximity laws, boundedness
 laws, measure-of-noncompactness laws, and the nested-chain harness.
 
-Each check returns a named pass/fail result with a witness on failure. The
+Each check returns a named pass/fail result with a witness on failure. Points
+are indices, drawn from `range(n)`; only witnesses name them by id. The
 proximity checks accept an injectable prox function so harness wiring can be
 negative-controlled against a deliberately broken implementation.
 """
@@ -38,10 +39,10 @@ from .proximity import (
     prox_to_set,
     semi_prox,
 )
-from .space import Point, Space, ball_mask, enumerate_topologies, iter_bits, line_grid
+from .space import Point, Space, ball_masks, enumerate_topologies, iter_bits, line_grid
 
 
-ProxFn = Callable[[Point, Point, AdmissibleFamily], CoverCollection]
+ProxFn = Callable[[int, int, AdmissibleFamily], CoverCollection]
 
 
 def proximity_suite(
@@ -56,21 +57,21 @@ def proximity_suite(
     points), and sequence convergence.
 
     The prox is read once per ordered pair, into the table `vals[x][y]` of
-    collection masks (indexed by position in the space) that every law reads.
+    collection masks that every law reads.
     """
     p = prox_fn or prox
     pts = family.space.points
     rng = rng or random.Random(0)
 
-    def read(x: Point, y: Point) -> int:
+    def read(x: int, y: int) -> int:
         v = p(x, y, family)
         if v.family is not family:
             raise FamilyMismatch("the prox returned a value of another family")
         return v.mask
 
-    vals = [[read(x, y) for y in pts] for x in pts]
-    zero = CoverCollection.zero(family).mask
     ix = range(len(pts))
+    vals = [[read(x, y) for y in ix] for x in ix]
+    zero = CoverCollection.zero(family).mask
     out = []
 
     out.append(first_failure("prox_symmetry", (
@@ -105,7 +106,7 @@ def proximity_suite(
         for x in sample
         for y in sample
         for seq in ([y] * 3 + [x] * 4, [x, y] * 4, [y] * 6)
-        if point_sequence_converges([pts[q] for q in seq], pts[x], family)
+        if point_sequence_converges(seq, x, family)
         != converges_to_zero([CoverCollection(family, vals[q][x]) for q in seq])
     )))
     return out
@@ -161,12 +162,12 @@ def closure_criteria_suite(
     proved for admissible families); they are skipped when it fails."""
     rng = rng or random.Random(2)
     space = family.space
-    pts = space.points
+    ix = range(space.n)
     out = []
 
     def random_set():
         k = rng.randint(1, min(12, space.n))
-        return space.mask_of(rng.sample(pts, k))
+        return space.mask_of(rng.sample(ix, k))
 
     sets = [random_set() for _ in range(trials)]
     if space.n <= 3:
@@ -175,9 +176,9 @@ def closure_criteria_suite(
     def zero_off_closure():
         for A in sets:
             cl = family.closure_mask(A)
-            for x in pts:
-                if prox_to_set(x, A, family).is_zero != bool((cl >> x.index) & 1):
-                    yield f"x={x.pid} A={space.pids(A)[:4]}"
+            for x in ix:
+                if prox_to_set(x, A, family).is_zero != bool((cl >> x) & 1):
+                    yield f"x={space.points[x].pid} A={space.pids(A)[:4]}"
 
     out.append(first_failure("prox_zero_iff_in_closure", zero_off_closure()))
 
@@ -186,16 +187,16 @@ def closure_criteria_suite(
         def closure_moves_prox():
             for A in sets:
                 cl = family.closure_mask(A)
-                for x in pts[:: max(1, len(pts) // 10)]:
+                for x in ix[:: max(1, space.n // 10)]:
                     if prox_to_set(x, A, family) != prox_to_set(x, cl, family):
-                        yield f"x={x.pid}"
+                        yield f"x={space.points[x].pid}"
 
         out.append(first_failure("prox_to_closure_invariant", closure_moves_prox()))
 
         def closure_moves_semi_prox():
             for A in sets[:40]:
                 cl = family.closure_mask(A)
-                B = space.mask_of(rng.sample(pts, rng.randint(1, min(6, space.n))))
+                B = space.mask_of(rng.sample(ix, rng.randint(1, min(6, space.n))))
                 if semi_prox(A, B, family) != semi_prox(cl, B, family):
                     yield f"A={space.pids(A)[:4]}"
 
@@ -204,7 +205,7 @@ def closure_criteria_suite(
     def zero_off_subset():
         for A in sets[:60]:
             cl = family.closure_mask(A)
-            B = space.mask_of(rng.sample(pts, rng.randint(1, min(6, space.n))))
+            B = space.mask_of(rng.sample(ix, rng.randint(1, min(6, space.n))))
             if semi_prox(A, B, family).is_zero != (B & ~cl == 0):
                 yield f"A={space.pids(A)[:4]} B={space.pids(B)[:4]}"
 
@@ -212,11 +213,11 @@ def closure_criteria_suite(
 
     def criterion_misses():
         for A in sets[:40]:
-            x = rng.choice(pts)
-            walk = [rng.choice(pts) for _ in range(4)] + [x] * 4
-            traj = [semi_prox(A, 1 << q.index, family) for q in walk]
-            if converges_to_zero(traj) != bool((family.closure_mask(A) >> x.index) & 1):
-                yield f"x={x.pid} A={space.pids(A)[:4]}"
+            x = rng.choice(ix)
+            walk = [rng.choice(ix) for _ in range(4)] + [x] * 4
+            traj = [semi_prox(A, 1 << q, family) for q in walk]
+            if converges_to_zero(traj) != bool((family.closure_mask(A) >> x) & 1):
+                yield f"x={space.points[x].pid} A={space.pids(A)[:4]}"
 
     out.append(first_failure("convergent_sequence_closure_criterion", criterion_misses()))
     return out
@@ -230,12 +231,12 @@ def boundedness_suite(
     """Totally bounded sets are bounded; stars of bounded sets are bounded."""
     rng = rng or random.Random(3)
     space = family.space
-    pts = space.points
+    ix = range(space.n)
     out = []
 
     def totally_bounded_unbounded():
         for _ in range(trials):
-            Y = space.mask_of(rng.sample(pts, rng.randint(1, min(40, space.n))))
+            Y = space.mask_of(rng.sample(ix, rng.randint(1, min(40, space.n))))
             if is_totally_bounded(Y, family) and not is_bounded(Y, family):
                 yield str(space.pids(Y)[:4])
 
@@ -243,7 +244,7 @@ def boundedness_suite(
 
     def unbounded_stars():
         for _ in range(trials):
-            Y = space.mask_of(rng.sample(pts, rng.randint(1, min(25, space.n))))
+            Y = space.mask_of(rng.sample(ix, rng.randint(1, min(25, space.n))))
             if not is_bounded(Y, family):
                 continue
             U = family.coverings[rng.randint(0, family.depth)]
@@ -265,7 +266,7 @@ def measure_suite(
     bracket standing in for the auxiliary measure."""
     rng = rng or random.Random(4)
     space = family.space
-    pts = space.points
+    ix = range(space.n)
     cap = cap if cap is not None else default_cap(space.n)
     out = []
 
@@ -274,7 +275,7 @@ def measure_suite(
         pairs = [(A, B) for A in pool for B in pool]
     else:
         pool = [
-            space.mask_of(rng.sample(pts, rng.randint(1, min(15, space.n))))
+            space.mask_of(rng.sample(ix, rng.randint(1, min(15, space.n))))
             for _ in range(trials)
         ]
         pairs = [(pool[i], pool[(i * 7 + 3) % len(pool)]) for i in range(len(pool))]
@@ -331,26 +332,26 @@ def nested_chain_suite(
     hypothesis and never claim the conclusion."""
     rng = rng or random.Random(5)
     space = family.space
-    pts = space.points
+    ix = range(space.n)
     cap = cap if cap is not None else default_cap(space.n)
     out = []
 
     def positive_misses():
         for t in range(positives):
-            center = rng.choice(pts)
+            center = rng.choice(ix)
             chain = []
             radius = 1.3
             for _ in range(rng.randint(3, 6)):
                 if space.dist is not None:
-                    m = ball_mask(space, center, radius)
+                    m = ball_masks(space, radius, (center,))[0]
                 else:
-                    m = 1 << center.index
+                    m = 1 << center
                 chain.append(family.closure_mask(m))
                 radius /= 4
             rep = cantor_kuratowski_check(chain, family, cap)
             if not rep.hypothesis_met:
-                yield f"trial {t} center {center.pid}: {rep.claim}"
-            elif not (rep.intersection_mask >> center.index) & 1:
+                yield f"trial {t} center {space.points[center].pid}: {rep.claim}"
+            elif not (rep.intersection_mask >> center) & 1:
                 yield f"trial {t}: intersection misses the center"
 
     out.append(first_failure("nested_chain_positive_runs", positive_misses()))
@@ -360,7 +361,7 @@ def nested_chain_suite(
         for t in range(negatives):
             stride = rng.randint(3, 5)
             offset = rng.randint(0, stride - 1)
-            spread = family.closure_mask(space.mask_of(pts[offset::stride]))
+            spread = family.closure_mask(space.mask_of(ix[offset::stride]))
             rep = cantor_kuratowski_check([spread] * 4, family, starved_cap)
             if rep.hypothesis_met or rep.claim != "hypothesis not met":
                 yield f"trial {t}: claimed {rep.claim!r} under a starved cap"

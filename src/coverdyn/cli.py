@@ -128,7 +128,7 @@ def _write(rc: RunConfig, text: str) -> None:
 def _broken_prox(x, y, family):
     # deliberately asymmetric: drops the finest level on ordered pairs
     v = prox(x, y, family)
-    if x.index < y.index:
+    if x < y:
         return CoverCollection(family, v.mask >> 1)
     return v
 

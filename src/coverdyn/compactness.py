@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .covering import AdmissibleFamily
 from .proximity import CoverCollection, converges_to_zero
-from .space import CoverdynError, EmptyInput, Point, iter_bits
+from .space import CoverdynError, EmptyInput, iter_bits
 
 
 class NotDecreasing(CoverdynError):
@@ -177,9 +177,7 @@ def member_measure(ymask: int, family: AdmissibleFamily, cap: int) -> CoverColle
     return _measure(ymask, family, cap, "members")
 
 
-def is_cauchy(
-    seq: Sequence[Point], family: AdmissibleFamily, min_tail: int = 2
-) -> bool:
+def is_cauchy(seq: Sequence[int], family: AdmissibleFamily, min_tail: int = 2) -> bool:
     """For every covering there is a tail whose pairs all share a member.
 
     Only tails with at least `min_tail` elements count: a one-element tail is
@@ -192,7 +190,7 @@ def is_cauchy(
     tail = seq[max(len(seq) - max(min_tail, 1), 0):]
     tmask = family.space.mask_of(tail)
     return all(
-        all(tmask & ~cov.point_star[p.index] == 0 for p in tail)
+        all(tmask & ~cov.point_star[p] == 0 for p in tail)
         for cov in family.coverings
     )
 

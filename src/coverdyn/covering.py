@@ -17,7 +17,6 @@ from typing import Iterable, Optional, Sequence
 from .space import (
     CoverdynError,
     EmptyInput,
-    Point,
     Space,
     ball_masks,
     bool_product,
@@ -84,15 +83,8 @@ class Covering:
         return f"Covering({self.label or len(self.members)})"
 
 
-def make_covering(
-    space: Space, member_sets: Iterable[Iterable[Point]], label: str = ""
-) -> Covering:
-    """Validate and build a covering from explicit member point sets."""
-    masks = sorted({space.mask_of(m) for m in member_sets})
-    return make_covering_masks(space, masks, label)
-
-
 def make_covering_masks(space: Space, masks: Iterable[int], label: str = "") -> Covering:
+    """Validate and build a covering from member masks."""
     members = tuple(sorted(set(masks)))
     if not members or members[0] == 0:
         raise EmptyInput("covering members must be nonempty")

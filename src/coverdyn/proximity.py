@@ -5,7 +5,7 @@ common star. Values are upward-hereditary collections of covering indices,
 ordered by reverse inclusion: the full family plays the role of distance
 zero, the empty collection the role of infinity. Every collection is an
 upward-closed bitmask over covering indices, whatever the family; on a chain
-that is a prefix of its levels.
+that is a prefix of its levels. A point is its index in the family's space.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .covering import AdmissibleFamily
-from .space import CoverdynError, EmptyInput, Point, iter_bits
+from .space import CoverdynError, EmptyInput, iter_bits
 
 
 class FamilyMismatch(CoverdynError):
@@ -130,22 +130,22 @@ def convergence_trace(seq: Sequence[CoverCollection]) -> list[Optional[int]]:
     return out
 
 
-def prox(x: Point, y: Point, family: AdmissibleFamily) -> CoverCollection:
+def prox(x: int, y: int, family: AdmissibleFamily) -> CoverCollection:
     """The collection of coverings whose star at x captures y."""
     mask = 0
     for i, cov in enumerate(family.coverings):
-        if (cov.point_star[x.index] >> y.index) & 1:
+        if (cov.point_star[x] >> y) & 1:
             mask |= 1 << i
     return CoverCollection(family, mask)
 
 
-def prox_to_set(x: Point, amask: int, family: AdmissibleFamily) -> CoverCollection:
+def prox_to_set(x: int, amask: int, family: AdmissibleFamily) -> CoverCollection:
     """Union of prox(x, a) over a in A: coverings whose star at x meets A."""
     if not amask:
         raise EmptyInput("prox to the empty set is undefined")
     mask = 0
     for i, cov in enumerate(family.coverings):
-        if cov.point_star[x.index] & amask:
+        if cov.point_star[x] & amask:
             mask |= 1 << i
     return CoverCollection(family, mask)
 
@@ -170,21 +170,15 @@ def stars_containing(bmask: int, stars: Sequence[int]) -> int:
     return mask
 
 
-def point_sequence_converges(
-    seq: Sequence[Point], x: Point, family: AdmissibleFamily
-) -> bool:
-    """Truncated convergence of a point sequence: eventually inside every star of x."""
+def point_sequence_converges(seq: Sequence[int], x: int, family: AdmissibleFamily) -> bool:
+    """Truncated convergence of a point sequence: eventually inside every star of x.
+
+    As in `converges_to_zero`, the last term alone decides: it must lie in
+    the star of x at every covering, i.e. in the closure of {x}.
+    """
     if not seq:
         raise EmptyInput("convergence needs at least one point")
-    for i in range(family.size):
-        star = family.coverings[i].point_star[x.index]
-        k0 = 0
-        for k, p in enumerate(seq):
-            if not (star >> p.index) & 1:
-                k0 = k + 1
-        if k0 >= len(seq):
-            return False
-    return True
+    return bool((family.closure_mask(1 << x) >> seq[-1]) & 1)
 
 
 def sets_equal_at_resolution(amask: int, bmask: int, family: AdmissibleFamily) -> bool:

@@ -40,7 +40,7 @@ from .funcspace import (
     pointwise_chain,
     pointwise_covering,
 )
-from .space import CoverdynError, Point, Space, line_grid
+from .space import CoverdynError, Space, line_grid
 
 
 class SchemaError(CoverdynError):
@@ -76,6 +76,9 @@ class Expected:
     spread_lipschitz: Optional[float] = None
 
 
+RANDOM_TESTSET_MAX_SIZE = 6
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A system and its expectations. `testsets` and `points_sample` are int
@@ -94,15 +97,21 @@ class Scenario:
     params: dict = field(default_factory=dict)
 
     def attractor_points(self) -> int:
-        return self.space.mask_of(self.space.by_id(pid) for pid in self.expected.attractor)
+        return self.space.mask_of(self.space.index_of(pid) for pid in self.expected.attractor)
 
-    def random_bounded_testsets(self, rng, count: int, max_size: int = 6) -> dict[str, int]:
-        """Seeded random subsets of the space's points."""
+    def random_bounded_testsets(self, rng, count: int) -> dict[str, int]:
+        """Seeded random bounded subsets of the space's points. An unbounded
+        draw keeps its points in the first covering's member that holds most
+        of them, which relates any two of them; this draws no random numbers."""
         n = self.space.n
-        return {
-            f"rand{i}": sum(1 << j for j in rng.sample(range(n), min(rng.randint(1, max_size), n)))
-            for i in range(count)
-        }
+        out = {}
+        for i in range(count):
+            k = min(rng.randint(1, RANDOM_TESTSET_MAX_SIZE), n)
+            draw = self.space.mask_of(rng.sample(range(n), k))
+            if not is_bounded(draw, self.family):
+                draw &= max(self.family.coverings[0].members, key=lambda m: (m & draw).bit_count())
+            out[f"rand{i}"] = draw
+        return out
 
 
 def _validate(sc: Scenario, finest_radius: float, assoc_elements: Sequence) -> Scenario:
@@ -414,7 +423,7 @@ def scenario_decay_grid(
     testsets = {
         "whole": space.full_mask,
         "seed": 1 << (space.n - 1),
-        "low-ball": space.mask_of(p for p in space.points if abs(p.coords[0]) < 0.15),
+        "low-ball": space.mask_of(i for i, p in enumerate(space.points) if abs(p.coords[0]) < 0.15),
     }
     declared = Declared(
         cap=default_cap(space.n),
@@ -436,7 +445,7 @@ def scenario_decay_grid(
         testsets=testsets,
         declared=declared,
         expected=expected,
-        points_sample=space.mask_of(space.points[::10]),
+        points_sample=space.mask_of(range(0, space.n, 10)),
         model=None,
         params={
             "count": count,
@@ -510,11 +519,11 @@ def _config_number(cp, section, key, default=None, required=False) -> float:
     return value
 
 
-def _config_point(value, space: Space, where: str) -> Point:
+def _config_point(value, space: Space, where: str) -> int:
     # bool is an int subclass; a float or negative index would truncate or wrap
     if type(value) is not int or not 0 <= value < space.n:
         raise SchemaError(f"{where}: {value!r} is not a point index in [0, {space.n})")
-    return space.points[value]
+    return value
 
 
 def _config_element(value, where: str) -> int:
@@ -641,7 +650,8 @@ def _load_custom(cp) -> Scenario:
     )
     expected = Expected(
         attractor=tuple(
-            _config_point(i, space, "[expectations] attractor").pid for i in attractor_idx
+            space.points[_config_point(i, space, "[expectations] attractor")].pid
+            for i in attractor_idx
         ),
         kind=kind_expect,
     )
@@ -655,7 +665,7 @@ def _load_custom(cp) -> Scenario:
         testsets=testsets,
         declared=declared,
         expected=expected,
-        points_sample=space.mask_of(space.points[:: max(1, space.n // 10)]),
+        points_sample=space.mask_of(range(0, space.n, max(1, space.n // 10))),
         model=None,
         params={},
     )

@@ -5,9 +5,11 @@ norm distances between coordinate vectors, or a validated finite topology, as
 a list of open sets. A metric space checks its input (finite coordinates,
 distinct ids and points); the metric axioms hold by construction, see
 `_pairwise_distances`.
-Every point set, in every signature of the package, is an int mask: bit i is
-the point with index i. `Space.mask_of` builds one from points, and
-`Space.pids` reads one back as the sorted point ids.
+Every point, in every signature of the package, is its index in
+`Space.points`, and every point set is an int mask: bit i is the point with
+index i. `Point` is the id and coordinate record behind an index;
+`Space.index_of` finds the index of an id, `Space.mask_of` builds a mask from
+indices, and `Space.pids` reads one back as the sorted point ids.
 """
 
 from __future__ import annotations
@@ -116,25 +118,21 @@ class Space:
         if not self.is_metric:
             raise NotMetricSpace("operation requires a metric space")
 
-    def mask_of(self, pts: Iterable[Point]) -> int:
+    def mask_of(self, indices: Iterable[int]) -> int:
         mask = 0
-        for p in pts:
-            mask |= 1 << p.index
+        for i in indices:
+            mask |= 1 << i
         return mask
 
     def pids(self, mask: int) -> list[str]:
         """The ids of the points in `mask`, sorted."""
         return sorted(self.points[i].pid for i in iter_bits(mask))
 
-    def by_id(self, pid: str) -> Point:
-        for p in self.points:
+    def index_of(self, pid: str) -> int:
+        for i, p in enumerate(self.points):
             if p.pid == pid:
-                return p
+                return i
         raise KeyError(pid)
-
-    def distance(self, a: Point, b: Point) -> float:
-        self.require_metric()
-        return float(self.dist[a.index, b.index])
 
 
 def iter_bits(mask: int):
@@ -243,6 +241,10 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray
       computed distances break it only by rounding: with m coordinates,
       d[i, j] exceeds d[i, k] + d[k, j] by less than (m + 9) * eps / 2
       relative to that sum, to first order in eps.
+
+    In three or more dimensions a distance can round below an exact tie: the
+    difference (2, 10, 11)/8 has norm 15/8 but can compute to
+    1.8749999999999998, so an open ball of radius 15/8 then holds its point.
     """
     diff = a[:, None, :] - b[None, :, :]
     np.abs(diff, out=diff)
@@ -319,14 +321,11 @@ def ball_masks(
     return _pack(rows < radius)
 
 
-def ball_mask(space: Space, center: Point, radius: float) -> int:
-    """Open metric ball: points strictly closer than `radius` to the center."""
-    return ball_masks(space, radius, (center.index,))[0]
-
-
 def ball_rows(coords: Sequence, centers: Sequence, radius: float) -> tuple[int, ...]:
     """Per center, the mask of the coordinate rows strictly closer than `radius`
-    in the euclidean norm: the kernel and the strict `<` of `ball_masks`."""
+    in the euclidean norm: the kernel and the strict `<` of `ball_masks`. In
+    three or more dimensions a row at exactly the radius can round to inside
+    (see `_pairwise_distances`)."""
     rows = np.asarray(coords, dtype=float)
     cs = np.asarray(centers, dtype=float).reshape(-1, rows.shape[1])
     return _pack(_pairwise_distances(cs, rows, "euclidean") < radius)

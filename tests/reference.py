@@ -34,6 +34,11 @@ returns the first (s, t, x) with s(t(x)) != (s*t)(x), x a point index.
 level before `ball_masks` compared the whole distance matrix at once: one
 comparison of a center's distance row per point, read back bit by bit.
 
+`reference_point_sequence_converges` is truncated convergence of a point
+sequence by its definition, one loop per covering: the first position after
+which the sequence stays in the star of x must exist. `point_sequence_converges`
+reads the last term against the memoised closure of {x} instead.
+
 `metric_axiom_violation` checks a distance matrix against the metric axioms
 by the exact O(n^3) loop, with the relative triangle slack that the
 `_pairwise_distances` docstring derives. `build_metric_space` checks none of
@@ -262,9 +267,23 @@ def _single_holds(name: str, F: FilterBasis, s, k, b) -> bool:
 def reference_point_balls(space, radius: float) -> tuple[int, ...]:
     """Per point, in index order, the points strictly closer than `radius`."""
     out = []
-    for p in space.points:
+    for c in range(space.n):
         mask = 0
-        for i in np.nonzero(space.dist[p.index] < radius)[0]:
+        for i in np.nonzero(space.dist[c] < radius)[0]:
             mask |= 1 << int(i)
         out.append(mask)
     return tuple(out)
+
+
+def reference_point_sequence_converges(seq, x, family) -> bool:
+    """Eventually inside every star of x: per covering, the sequence must
+    stay in the star from some position on."""
+    for cov in family.coverings:
+        star = cov.point_star[x]
+        k0 = 0
+        for k, p in enumerate(seq):
+            if not (star >> p) & 1:
+                k0 = k + 1
+        if k0 >= len(seq):
+            return False
+    return True

@@ -75,10 +75,10 @@ def test_verify_uniform_missing_limit_point():
     # dropping one fixed point from the candidate leaves some sampled
     # prolongational limit outside it
     sc = get_scenario("iterated_contractions")
-    cand = sc.attractor_points() & ~sc.space.mask_of([sc.space.by_id("i[0.5]")])
+    cand = sc.attractor_points() & ~sc.space.mask_of([sc.space.index_of("i[0.5]")])
     v = verify_uniform(
         cand,
-        sc.space.mask_of([sc.space.by_id("pow[0.5]e1")]),
+        sc.space.mask_of([sc.space.index_of("pow[0.5]e1")]),
         sc.filter_basis,
         sc.action,
         sc.family,
@@ -108,7 +108,7 @@ def test_uniqueness_independent_constructions():
     sc = get_scenario("iterated_contractions")
     fam_a = {"whole": sc.testsets["whole"]}
     seeds = {
-        f"seed{x}": sc.space.mask_of([sc.space.by_id(f"pow[{x}]e1")])
+        f"seed{x}": sc.space.mask_of([sc.space.index_of(f"pow[{x}]e1")])
         for x in ("0", "0.25", "0.5", "0.75", "1")
     }
     A1 = construct_candidate(fam_a, sc.filter_basis, sc.action, sc.family)
@@ -122,7 +122,7 @@ def test_uniqueness_independent_constructions():
 def test_uniqueness_negative_control(grid_sc):
     # a "bounded invariant" set that escapes the attractor must be reported
     sc = grid_sc
-    runaway = sc.space.mask_of([sc.space.points[80]])
+    runaway = sc.space.mask_of([80])
     rep = check_uniqueness(
         sc.attractor_points(),
         sc.attractor_points(),

@@ -398,6 +398,19 @@ def test_config_grid_whose_points_share_ten_digits_loads(tmp_path, capsys):
     assert "(1000000.0001000001)" in captured.out
 
 
+def test_unbounded_random_draws_are_not_a_config_error(tmp_path, capsys):
+    # the radius-0.5 balls of the coarsest level do not hold the whole grid,
+    # so some random test sets are drawn unbounded; none may exit 2
+    text = CUSTOM.replace('"halving_decay"', '"identity"').replace("eps0 = 2.0", "eps0 = 0.5")
+    text = text.replace("depth = 4", "depth = 6") + "\n[testsets]\na = [0]\n"
+    path = tmp_path / "system.ini"
+    path.write_text(text, encoding="utf-8")
+    code = main(["attractor", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert captured.err == ""
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

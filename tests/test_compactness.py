@@ -44,7 +44,7 @@ def fam(grid):
 
 
 def pickset(grid, *idx):
-    return grid.mask_of(grid.points[i] for i in idx)
+    return grid.mask_of(idx)
 
 
 def naive_min_cover(target, candidates):
@@ -186,7 +186,7 @@ def test_empty_inputs(grid, fam):
 def test_totally_bounded_always_on_finite(grid, fam):
     rng = random.Random(5)
     for _ in range(20):
-        Y = grid.mask_of(rng.sample(grid.points, rng.randint(1, 30)))
+        Y = grid.mask_of(rng.sample(range(grid.n), rng.randint(1, 30)))
         assert is_totally_bounded(Y, fam)
 
 
@@ -194,7 +194,7 @@ def test_totally_bounded_implies_bounded(grid, fam):
     # property run over 100 random subsets
     rng = random.Random(17)
     for _ in range(100):
-        Y = grid.mask_of(rng.sample(grid.points, rng.randint(1, 40)))
+        Y = grid.mask_of(rng.sample(range(grid.n), rng.randint(1, 40)))
         if is_totally_bounded(Y, fam):
             assert is_bounded(Y, fam)
 
@@ -202,7 +202,7 @@ def test_totally_bounded_implies_bounded(grid, fam):
 def test_star_of_bounded_is_bounded(grid, fam):
     rng = random.Random(23)
     for _ in range(100):
-        Y = grid.mask_of(rng.sample(grid.points, rng.randint(1, 25)))
+        Y = grid.mask_of(rng.sample(range(grid.n), rng.randint(1, 25)))
         if not is_bounded(Y, fam):
             continue
         U = fam.coverings[rng.randint(0, fam.depth)]
@@ -213,7 +213,7 @@ def test_small_sets_have_zero_measure(grid, fam):
     cap = default_cap(grid.n)
     rng = random.Random(2)
     for _ in range(20):
-        Y = grid.mask_of(rng.sample(grid.points, rng.randint(1, cap)))
+        Y = grid.mask_of(rng.sample(range(grid.n), rng.randint(1, cap)))
         assert star_measure(Y, fam, cap).is_zero
 
 
@@ -221,8 +221,8 @@ def test_measure_monotone_under_inclusion(grid, fam):
     cap = 6
     rng = random.Random(9)
     for _ in range(60):
-        Y = grid.mask_of(rng.sample(grid.points, rng.randint(1, 20)))
-        Z = Y | grid.mask_of(rng.sample(grid.points, rng.randint(1, 20)))
+        Y = grid.mask_of(rng.sample(range(grid.n), rng.randint(1, 20)))
+        Z = Y | grid.mask_of(rng.sample(range(grid.n), rng.randint(1, 20)))
         assert precedes(star_measure(Y, fam, cap), star_measure(Z, fam, cap))
 
 
@@ -233,8 +233,8 @@ def test_measure_union_law_bracket(grid, fam):
     rng = random.Random(13)
     seen_equal = 0
     for _ in range(40):
-        Y = grid.mask_of(rng.sample(grid.points, rng.randint(1, 15)))
-        Z = grid.mask_of(rng.sample(grid.points, rng.randint(1, 15)))
+        Y = grid.mask_of(rng.sample(range(grid.n), rng.randint(1, 15)))
+        Z = grid.mask_of(rng.sample(range(grid.n), rng.randint(1, 15)))
         lhs = star_measure(Y | Z, fam, cap)
         rhs = star_measure(Y, fam, cap) & star_measure(Z, fam, cap)
         wide = star_measure(Y | Z, fam, 2 * cap)
@@ -248,8 +248,8 @@ def test_measure_union_law_exact_with_ample_cap(grid, fam):
     # with cap at least the two cover sizes combined, the law is an equality
     rng = random.Random(14)
     for _ in range(25):
-        Y = grid.mask_of(rng.sample(grid.points, rng.randint(1, 12)))
-        Z = grid.mask_of(rng.sample(grid.points, rng.randint(1, 12)))
+        Y = grid.mask_of(rng.sample(range(grid.n), rng.randint(1, 12)))
+        Z = grid.mask_of(rng.sample(range(grid.n), rng.randint(1, 12)))
         cap = (Y | Z).bit_count()
         lhs = star_measure(Y | Z, fam, cap)
         rhs = star_measure(Y, fam, cap) & star_measure(Z, fam, cap)
@@ -264,7 +264,7 @@ def test_measure_closure_bracket(grid):
     cap = 5
     rng = random.Random(31)
     for _ in range(200):
-        Y = g40.mask_of(rng.sample(g40.points, rng.randint(1, 12)))
+        Y = g40.mask_of(rng.sample(range(g40.n), rng.randint(1, 12)))
         aY = star_measure(Y, fam40, cap)
         aC = star_measure(fam40.closure_mask(Y), fam40, cap)
         assert precedes(aY, aC)
@@ -276,7 +276,7 @@ def test_member_cover_bracket(grid, fam):
     cap = 6
     rng = random.Random(37)
     for _ in range(60):
-        Y = grid.mask_of(rng.sample(grid.points, rng.randint(1, 15)))
+        Y = grid.mask_of(rng.sample(range(grid.n), rng.randint(1, 15)))
         a = star_measure(Y, fam, cap)
         b = member_measure(Y, fam, cap)
         assert precedes(a, b)
@@ -298,20 +298,19 @@ def test_measures_on_finite_kind():
 
 
 def test_cauchy_eventually_constant(grid, fam):
-    seq = [grid.points[40], grid.points[7], grid.points[3]] + [grid.points[3]] * 5
+    seq = [40, 7, 3] + [3] * 5
     assert is_cauchy(seq, fam)
 
 
 def test_cauchy_alternating_fails(grid, fam):
-    seq = [grid.points[0], grid.points[40]] * 5
+    seq = [0, 40] * 5
     assert not is_cauchy(seq, fam)
 
 
 def test_cauchy_geometric_decay(grid, fam):
     # 2^-k snapped onto the hundredths grid: 0.50, 0.25, 0.13, 0.06, 0.03, ...
     snapped = [50, 25, 13, 6, 3, 2, 1, 0, 0, 0]
-    seq = [grid.points[k] for k in snapped]
-    assert is_cauchy(seq, fam)
+    assert is_cauchy(snapped, fam)
 
 
 def test_cauchy_clusters_at_resolution(grid, fam):
@@ -319,14 +318,14 @@ def test_cauchy_clusters_at_resolution(grid, fam):
     # at every resolution
     rng = random.Random(41)
     for _ in range(20):
-        tail = grid.points[rng.randint(0, 100)]
-        seq = [rng.choice(grid.points) for _ in range(4)] + [tail] * 6
+        tail = rng.randint(0, 100)
+        seq = [rng.choice(range(grid.n)) for _ in range(4)] + [tail] * 6
         assert is_cauchy(seq, fam)
         for level in range(fam.size):
             star_masks = fam.coverings[level].point_star
             assert any(
-                sum((star_masks[p.index] >> q.index) & 1 for q in seq[-3:]) >= 2
-                for p in grid.points
+                sum((star_masks[p] >> q) & 1 for q in seq[-3:]) >= 2
+                for p in range(grid.n)
             )
 
 
@@ -335,9 +334,9 @@ def shrinking_chain(grid, fam, center_idx, count):
     radius = 1.1
     for _ in range(count):
         m = 0
-        for p in grid.points:
+        for i, p in enumerate(grid.points):
             if abs(p.coords[0] - grid.points[center_idx].coords[0]) < radius:
-                m |= 1 << p.index
+                m |= 1 << i
         out.append(fam.closure_mask(m))
         radius /= 4
     return out
@@ -364,7 +363,7 @@ def test_nested_chain_constant_whole_space(grid, fam):
 
 def test_nested_chain_hypothesis_not_met(grid, fam):
     # a tiny cap keeps the measure away from zero: no claim is made
-    spread = grid.mask_of(grid.points[::10])
+    spread = grid.mask_of(range(0, grid.n, 10))
     chain = [spread] * 4
     rep = cantor_kuratowski_check(chain, fam, cap=2)
     assert not rep.hypothesis_met
@@ -391,8 +390,8 @@ def test_measure_monotone_hypothesis(data):
     y = data.draw(st.sets(st.integers(0, 12), min_size=1, max_size=13))
     extra = data.draw(st.sets(st.integers(0, 12), max_size=13))
     cap = data.draw(st.integers(1, 5))
-    Y = g.mask_of(g.points[i] for i in y)
-    Z = Y | g.mask_of(g.points[i] for i in extra)
+    Y = g.mask_of(y)
+    Z = Y | g.mask_of(extra)
     assert precedes(star_measure(Y, f, cap), star_measure(Z, f, cap))
 
 
@@ -437,7 +436,7 @@ def test_memoized_measures_match_reference(family):
 
 def test_memoized_measures_match_reference_on_grid_chain(grid, fam):
     rng = random.Random(43)
-    masks = [grid.mask_of(rng.sample(grid.points, rng.randint(1, 40))) for _ in range(30)]
+    masks = [grid.mask_of(rng.sample(range(grid.n), rng.randint(1, 40))) for _ in range(30)]
     _check_against_reference(fam, masks, caps=(1, 2, 3, default_cap(grid.n)))
 
 

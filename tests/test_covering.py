@@ -18,7 +18,6 @@ from coverdyn.covering import (
     enumerate_open_coverings,
     finite_all_coverings_family,
     first_failure,
-    make_covering,
     make_covering_masks,
     metric_chain_family,
     refines,
@@ -32,7 +31,7 @@ from coverdyn.space import (
     EmptyInput,
     Point,
     Space,
-    ball_mask,
+    ball_masks,
     build_finite_topology,
     build_metric_space,
     enumerate_topologies,
@@ -50,11 +49,11 @@ def line3():
 
 
 def cov(space, *sets):
-    return make_covering(space, [[space.points[i] for i in s] for s in sets])
+    return make_covering_masks(space, [space.mask_of(s) for s in sets])
 
 
 def picks(space, *idx):
-    return space.mask_of(space.points[i] for i in idx)
+    return space.mask_of(idx)
 
 
 def test_star_enumerated_example(line3):
@@ -134,7 +133,7 @@ def test_star_kernel_matches_definitions_on_builtin_families(name):
     space, fam, F, action = sc.space, sc.family, sc.filter_basis, sc.action
     rng = random.Random(19)
     drawn = [
-        space.mask_of(rng.sample(space.points, rng.randint(1, 12))) for _ in range(8)
+        space.mask_of(rng.sample(range(space.n), rng.randint(1, 12))) for _ in range(8)
     ]
     sets = list(dict.fromkeys(sorted(sc.testsets.values()) + drawn))
     _check_star_kernel(fam, sets + sets[::-1] + sets)
@@ -142,9 +141,7 @@ def test_star_kernel_matches_definitions_on_builtin_families(name):
     # the star of Y by definition, with orbits taken point by point
     for Y, Z in zip(sets, sets[1:4] + sets[:1]):
         orbits = [
-            space.mask_of(
-                space.points[action.apply_fn(el, z)] for el in F.sampler(k) for z in iter_bits(Z)
-            )
+            space.mask_of(action.apply_fn(el, z) for el in F.sampler(k) for z in iter_bits(Z))
             for k in F.levels()
         ]
         rep = attracts(Y, Z, F, action, fam)
@@ -186,15 +183,15 @@ def test_double_refines_quarter_balls_bruteforce():
     U, V = fam.coverings
     assert double_refines(V, U)
     r = eps / 4
-    for a, b in itertools.combinations_with_replacement(grid.points, 2):
-        va = frozenset(p for p in grid.points if grid.distance(a, p) < r)
-        vb = frozenset(p for p in grid.points if grid.distance(b, p) < r)
+    for a, b in itertools.combinations_with_replacement(range(grid.n), 2):
+        va = frozenset(p for p in range(grid.n) if grid.dist[a, p] < r)
+        vb = frozenset(p for p in range(grid.n) if grid.dist[b, p] < r)
         if not va & vb:
             continue
         union = va | vb
         assert any(
-            all(grid.distance(c, p) < eps for p in union) for c in grid.points
-        ), f"no witness ball for centers {a.pid}, {b.pid}"
+            all(grid.dist[c, p] < eps for p in union) for c in range(grid.n)
+        ), f"no witness ball for centers {grid.points[a].pid}, {grid.points[b].pid}"
 
 
 def test_n_refines_reduces_to_double(line3):
@@ -241,17 +238,15 @@ def test_metric_chain_degenerate_ratio():
     # ratio 0.8 in place of 1/4: two just-touching radius-0.4 balls union to a
     # set no radius-0.5 ball contains
     grid = line_grid(0.0, 1.0, 101)
-    balls = [
-        make_covering_masks(grid, {ball_mask(grid, p, r) for p in grid.points}) for r in (0.5, 0.4)
-    ]
+    balls = [make_covering_masks(grid, ball_masks(grid, r)) for r in (0.5, 0.4)]
     with pytest.raises(DegenerateChain, match="level 1 .* does not double-refine level 0"):
         chain_family(grid, balls)
 
 
 def test_chain_family_type_refuses_an_uncertified_chain():
     grid = line_grid(0.0, 1.0, 101)
-    halves = make_covering(grid, [grid.points[:60], grid.points[40:]])
-    whole = make_covering(grid, [grid.points])
+    halves = make_covering_masks(grid, [grid.mask_of(range(60)), grid.mask_of(range(40, grid.n))])
+    whole = make_covering_masks(grid, [grid.full_mask])
     # the whole space fits in neither half, so the finer level fails; the
     # same coverings still form a (non-chain) family
     with pytest.raises(DegenerateChain, match=r"level 1 \(\) does not double-refine level 0"):
@@ -265,10 +260,11 @@ def test_certification_names_the_first_failing_level_like_the_row_form():
     # level 1 fails, level 2 would pass on its own, and a second chain fails
     # only at level 2: the verdict and message match the pairwise reference
     grid = line_grid(0.0, 1.0, 101)
-    pts = grid.points
-    halves = make_covering(grid, [pts[:60], pts[40:]], label="halves")
-    whole = make_covering(grid, [pts], label="whole")
-    singles = make_covering(grid, [[p] for p in pts], label="singles")
+    halves = make_covering_masks(
+        grid, [grid.mask_of(range(60)), grid.mask_of(range(40, grid.n))], label="halves"
+    )
+    whole = make_covering_masks(grid, [grid.full_mask], label="whole")
+    singles = make_covering_masks(grid, [1 << i for i in range(grid.n)], label="singles")
     for covs in [(halves, whole, singles), (whole, halves, whole)]:
         with pytest.raises(DegenerateChain) as reference:
             row_forms.certify_chain(covs)
@@ -336,9 +332,9 @@ def test_finite_all_coverings_sierpinski_style():
     # stars of b are always the whole space, so the star basis fails at b
     rep = fam.admissibility_report
     assert not rep.check("star_basis").passed
-    b = s.points[1]
+    b = 1
     for c in fam.coverings:
-        assert c.point_star[b.index] == s.full_mask
+        assert c.point_star[b] == s.full_mask
 
 
 def test_finite_all_coverings_single_point():
@@ -411,7 +407,7 @@ def test_verify_admissible_truncated_chain_fails_star_basis():
 def test_closure_sierpinski():
     s = build_finite_topology(["a", "b"], [[], ["a"], ["a", "b"]])
     fam = finite_all_coverings_family(s)
-    a, b = s.points
+    a, b = range(s.n)
     assert fam.closure_mask(s.mask_of([a])) == s.mask_of([a, b])
     assert fam.closure_mask(s.full_mask) == s.full_mask
 
@@ -431,7 +427,7 @@ def test_closure_matches_topological_closure_when_admissible():
 def test_closure_grid_singleton_at_depth():
     grid = line_grid(0.0, 1.0, 21)
     fam = metric_chain_family(grid, 2.0, 4)
-    p = grid.mask_of([grid.points[7]])
+    p = grid.mask_of([7])
     assert fam.closure_mask(p) == p
 
 
@@ -495,15 +491,15 @@ def test_star_monotone_random(data):
     U = data.draw(st.sampled_from(fam.coverings))
     y = data.draw(st.sets(st.integers(0, 8), min_size=1, max_size=9))
     extra = data.draw(st.sets(st.integers(0, 8), max_size=9))
-    Y = grid.mask_of(grid.points[i] for i in y)
-    Z = Y | grid.mask_of(grid.points[i] for i in extra)
+    Y = grid.mask_of(y)
+    Z = Y | grid.mask_of(extra)
     assert U.star_mask(Y) & ~U.star_mask(Z) == 0
 
 
 def test_space_mismatch_errors(line3):
     other = build_metric_space([[0.0], [5.0]])
     U = cov(line3, {0, 1, 2})
-    V = make_covering(other, [other.points])
+    V = make_covering_masks(other, [other.full_mask])
     from coverdyn.covering import SpaceMismatch
 
     with pytest.raises(SpaceMismatch):
@@ -531,15 +527,15 @@ def admissible_oracle(fam):
     targets = [o for o in space.opens if o != 0]
     bad = _first(
         (x, o)
-        for x in pts
+        for x in range(space.n)
         for o in targets
-        if (o >> x.index) & 1
-        and not any(U.star_mask(1 << x.index) & ~o == 0 for U in covs)
+        if (o >> x) & 1
+        and not any(U.star_mask(1 << x) & ~o == 0 for U in covs)
     )
     checks.append(
         ("star_basis", bad is None,
          None if bad is None else
-         f"no star of {bad[0].pid} fits inside open {space.pids(bad[1])}")
+         f"no star of {pts[bad[0]].pid} fits inside open {space.pids(bad[1])}")
     )
 
     pair = _first(
@@ -553,12 +549,12 @@ def admissible_oracle(fam):
     )
 
     x = _first(
-        x for x in pts
-        if functools.reduce(int.__or__, (U.star_mask(1 << x.index) for U in covs)) != space.full_mask
+        x for x in range(space.n)
+        if functools.reduce(int.__or__, (U.star_mask(1 << x) for U in covs)) != space.full_mask
     )
     checks.append(
         ("stars_exhaust_space", x is None,
-         None if x is None else f"stars of {x.pid} do not exhaust the space")
+         None if x is None else f"stars of {pts[x].pid} do not exhaust the space")
     )
 
     pair = _first(

@@ -35,7 +35,7 @@ from coverdyn.proximity import (
     subset_at_resolution,
 )
 from coverdyn.scenarios import BUILTIN_SCENARIOS, get_scenario, load_system
-from coverdyn.space import CoverdynError, ball_mask, iter_bits, line_grid
+from coverdyn.space import CoverdynError, ball_masks, iter_bits, line_grid
 from reference import (
     divergent_sequence,
     prox_form_attracts,
@@ -77,7 +77,7 @@ def identity_action(grid):
 
 
 def pick(grid, *idx):
-    return grid.mask_of(grid.points[i] for i in idx)
+    return grid.mask_of(idx)
 
 
 def test_action_associativity(decay):
@@ -223,7 +223,7 @@ def test_compact_vs_open_limit_inclusions(decay, grid, fam, tails):
     omK = omega_limit(K, tails, decay, fam).mask
     assert subset_at_resolution(omK, prolongational_union(K), fam)
 
-    U = ball_mask(grid, grid.points[40], 0.03125)
+    U = ball_masks(grid, 0.03125, (40,))[0]
     omU = omega_limit(U, tails, decay, fam).mask
     assert subset_at_resolution(prolongational_union(U), omU, fam)
 
@@ -259,7 +259,7 @@ def test_attracts_matches_prox_form_on_grid(request, action_name, grid, fam, tai
         pick(grid, 80),
         pick(grid, 100),
         pick(grid, 20, 60),
-        ball_mask(grid, grid.points[0], 0.1),
+        ball_masks(grid, 0.1, (0,))[0],
         grid.full_mask,
     ]
     for Y, Z in itertools.product(sets, repeat=2):
@@ -282,7 +282,7 @@ def test_attracts_matches_prox_form_on_scenarios(name):
 
 def test_absorbs_decay_arithmetic(decay, grid, fam, tails):
     # least level pulling {1} inside the open 0.1-ball around 0
-    Y = ball_mask(grid, grid.points[0], 0.1)
+    Y = ball_masks(grid, 0.1, (0,))[0]
     assert absorbs(Y, pick(grid, 100), tails, decay) == 4
     assert absorbs(pick(grid, 0), pick(grid, 0), tails, decay) == 0
 
@@ -495,7 +495,7 @@ def test_taxonomy_decay(decay, grid, fam, tails):
         "whole": grid.full_mask,
         "seed": pick(grid, 100),
     }
-    D = ball_mask(grid, grid.points[0], 0.15)
+    D = ball_masks(grid, 0.15, (0,))[0]
     rep = check_dissipativity(
         decay, tails, fam, testsets, cap=cap, absorb_candidate=D
     )
@@ -620,7 +620,7 @@ def test_orbit_cache_keeps_filter_bases_apart(decay, grid, order):
     Y = pick(grid, 7, 50, 100)
     want = [
         [
-            grid.mask_of(grid.points[action.apply_fn(el, i)] for el in F.sampler(k) for i in iter_bits(Y))
+            grid.mask_of(action.apply_fn(el, i) for el in F.sampler(k) for i in iter_bits(Y))
             for k in F.levels()
         ]
         for F in bases
@@ -687,5 +687,5 @@ def test_image_mask_cache_keeps_sets_apart(decay, grid, order):
     masks = [pick(grid, 7, 50, 100), pick(grid, 3, 64)]
     for el in (1, 3):
         for m in [masks[j] for j in order for _ in range(2)]:
-            want = grid.mask_of(grid.points[action.apply_fn(el, i)] for i in iter_bits(m))
+            want = grid.mask_of(action.apply_fn(el, i) for i in iter_bits(m))
             assert action.image_mask(el, m) == want

@@ -26,8 +26,8 @@ def in_pointwise_star(model, f, g, constraints):
     """Direct membership formula: per constrained argument, some center holds
     both function values within the radius (arguments are independent)."""
     for c in constraints:
-        fv = model.tables[f.index][c.arg_index]
-        gv = model.tables[g.index][c.arg_index]
+        fv = model.tables[f][c.arg_index]
+        gv = model.tables[g][c.arg_index]
         r2 = c.radius * c.radius
         if not any(
             _dist2(fv, ctr) < r2 and _dist2(gv, ctr) < r2 for ctr in c.centers
@@ -38,7 +38,7 @@ def in_pointwise_star(model, f, g, constraints):
 
 def in_star(cov, f, g):
     """g lies in the covering star of the point f."""
-    return bool((cov.star_mask(1 << f.index) >> g.index) & 1)
+    return bool((cov.star_mask(1 << f) >> g) & 1)
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +58,9 @@ def model():
 
 def test_model_basics(model):
     assert model.space.n == 5
-    zero = model.space.by_id("zero")
-    assert model.tables[zero.index] == ((0.0,), (0.0,), (0.0,))
-    assert model.space.points[model.tables.index(((0.0,), (0.0,), (0.0,)))] == zero
+    zero = model.space.index_of("zero")
+    assert model.tables[zero] == ((0.0,), (0.0,), (0.0,))
+    assert model.tables.index(((0.0,), (0.0,), (0.0,))) == zero
     assert ((9.0,), (9.0,), (9.0,)) not in model.tables
     assert model.observed_values(1) == ((0.0,), (0.5,))
 
@@ -90,23 +90,23 @@ def test_star_membership_two_routes(model):
     for radii in ((0.6,), (0.3, 0.6), (1.2, 0.8, 0.4)):
         cons = [constraint(model, a, r) for a, r in enumerate(radii)]
         cov = pointwise_covering(model, cons)
-        for f, g in itertools.product(model.space.points, repeat=2):
+        for f, g in itertools.product(range(model.space.n), repeat=2):
             via_star = in_star(cov, f, g)
             via_formula = in_pointwise_star(model, f, g, cons)
-            assert via_star == via_formula, (f.pid, g.pid, radii)
+            assert via_star == via_formula, (f, g, radii)
 
 
 def test_unconstrained_argument_is_free(model):
     # constraining only the first argument ignores differences elsewhere
     cons = [constraint(model, 0, 0.2)]
     cov = pointwise_covering(model, cons)
-    idf = model.space.by_id("id")
-    vee = model.space.by_id("vee")
-    zero = model.space.by_id("zero")
+    idf = model.space.index_of("id")
+    vee = model.space.index_of("vee")
+    zero = model.space.index_of("zero")
     # id(-1) = -1 and vee(-1) = 1 are far apart at the constrained argument
     assert not in_star(cov, idf, vee)
     # half(-1) = -0.5 and zero(-1) = 0: no common 0.2-ball center among values
-    half = model.space.by_id("half")
+    half = model.space.index_of("half")
     assert in_pointwise_star(model, half, zero, cons) == (
         in_star(cov, zero, half)
     )
@@ -132,7 +132,7 @@ def test_vector_valued_model():
     # holds both (2,2) and (2,1), while (0,0) stays separated
     cons = [constraint(m, 1, 1.2)]
     cov = pointwise_covering(m, cons)
-    zero, two, mix = m.space.points
+    zero, two, mix = range(m.space.n)
     assert not in_star(cov, zero, two)
     assert in_star(cov, two, mix)
 

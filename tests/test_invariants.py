@@ -130,17 +130,17 @@ def test_omega_matches_cluster_point_oracle(name):
     for ymask in (sc.testsets["seed"],):
         rep = omega_limit(ymask, F, sc.action, fam)
         oracle = 0
-        for p in space.points:
+        for p in range(space.n):
             ok = True
             for k in F.levels():
                 om = orbit_mask(k, ymask, sc.action, F)
                 if not all(
-                    om & fam.coverings[i].point_star[p.index] for i in range(fam.size)
+                    om & fam.coverings[i].point_star[p] for i in range(fam.size)
                 ):
                     ok = False
                     break
             if ok:
-                oracle |= 1 << p.index
+                oracle |= 1 << p
         assert rep.mask == oracle
 
 

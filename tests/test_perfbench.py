@@ -31,7 +31,9 @@ def _resolve(layer):
 
 def test_every_traced_layer_resolves():
     # a deletion or rename under src/ that a LAYERS entry names fails here,
-    # not only in a traced benchmark run
+    # not only in a traced benchmark run. The tracer rebinds names only in
+    # modules already loaded, so load the CLI first, as the benchmark does.
+    importlib.import_module("coverdyn.cli")
     spans = _load_spans()
     tracer = spans.Tracer()
     tracer.install()

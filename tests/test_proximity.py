@@ -12,7 +12,6 @@ from coverdyn.covering import (
     chain_family,
     double_refines,
     finite_all_coverings_family,
-    make_covering,
     metric_chain_family,
 )
 from coverdyn.proximity import (
@@ -41,6 +40,7 @@ from coverdyn.space import (
 )
 
 import row_forms
+from reference import reference_point_sequence_converges
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def naive_prox_indices(x, y, family):
     """Independent oracle: direct membership scan over every covering."""
     out = set()
     for i, cov in enumerate(family.coverings):
-        if any((m >> x.index) & 1 and (m >> y.index) & 1 for m in cov.members):
+        if any((m >> x) & 1 and (m >> y) & 1 for m in cov.members):
             out.add(i)
     return frozenset(out)
 
@@ -163,13 +163,12 @@ def test_converges_stuck_threshold(fam):
 def test_prox_matches_oracle_exhaustive():
     grid = line_grid(0.0, 1.0, 31)
     fam31 = metric_chain_family(grid, 2.0, 4)
-    for x, y in itertools.product(grid.points, repeat=2):
+    for x, y in itertools.product(range(grid.n), repeat=2):
         assert indices(prox(x, y, fam31)) == naive_prox_indices(x, y, fam31)
 
 
 def test_prox_matches_oracle_finite(tiny):
-    pts = tiny.space.points
-    for x, y in itertools.product(pts, repeat=2):
+    for x, y in itertools.product(range(tiny.space.n), repeat=2):
         assert indices(prox(x, y, tiny)) == naive_prox_indices(x, y, tiny)
 
 
@@ -181,26 +180,24 @@ def test_prox_symmetry_exhaustive(grid, fam):
 
 
 def test_prox_self_is_zero(grid, fam):
-    for x in grid.points[::10]:
+    for x in range(0, grid.n, 10):
         assert prox(x, x, fam).is_zero
 
 
 def test_prox_hausdorff_separation(grid, fam):
     # finest covering resolves singletons: distinct points never at distance zero
-    for x, y in itertools.combinations(grid.points[::10], 2):
+    for x, y in itertools.combinations(range(0, grid.n, 10), 2):
         assert not prox(x, y, fam).is_zero
 
 
 def test_prox_grid_threshold_bruteforce(grid):
     # finest level of prox(0, 0.1) on the quarter chain with eps0=1: brute force over centers
     fam1 = metric_chain_family(grid, 1.0, 5)
-    x, y = grid.points[0], grid.points[10]
+    x, y = 0, 10
     expected = -1
     for i in range(6):
         r = 1.0 * 0.25**i
-        if any(
-            grid.distance(c, x) < r and grid.distance(c, y) < r for c in grid.points
-        ):
+        if any(grid.dist[c, x] < r and grid.dist[c, y] < r for c in range(grid.n)):
             expected = i
     got = prox(x, y, fam1)
     assert got == levels(fam1, expected)
@@ -210,17 +207,17 @@ def test_prox_grid_threshold_bruteforce(grid):
 def test_prox_triangle_single_intermediate():
     grid = line_grid(0.0, 1.0, 30)
     fam30 = metric_chain_family(grid, 2.0, 4)
-    pts = grid.points
-    for x, y, z in itertools.product(pts[::3], pts[::3], pts[::3]):
+    pts = range(0, grid.n, 3)
+    for x, y, z in itertools.product(pts, pts, pts):
         lhs = prox(x, y, fam30)
         rhs = coarsen(prox(x, z, fam30) & prox(z, y, fam30), 1)
-        assert precedes(lhs, rhs), (x.pid, y.pid, z.pid)
+        assert precedes(lhs, rhs), (x, y, z)
 
 
 def test_prox_triangle_two_intermediates():
     grid = line_grid(0.0, 1.0, 16)
     fam16 = metric_chain_family(grid, 2.0, 3)
-    pts = grid.points
+    pts = range(grid.n)
     rng = random.Random(7)
     for _ in range(300):
         x, y, z1, z2 = (rng.choice(pts) for _ in range(4))
@@ -232,12 +229,12 @@ def test_prox_triangle_two_intermediates():
 
 
 def test_sequence_convergence_iff_prox_converges(grid, fam):
-    x = grid.points[0]
+    x = 0
     rng = random.Random(3)
     # convergent: walk down to x and stay
-    walk = [grid.points[k] for k in (50, 30, 14, 6, 2, 1, 0, 0, 0, 0, 0, 0)]
+    walk = [50, 30, 14, 6, 2, 1, 0, 0, 0, 0, 0, 0]
     # non-convergent: alternate between two separated points
-    flip = [grid.points[k] for k in (0, 40)] * 6
+    flip = [0, 40] * 6
     for seq in (walk, flip):
         lhs = point_sequence_converges(seq, x, fam)
         rhs = converges_to_zero([prox(p, x, fam) for p in seq])
@@ -245,17 +242,17 @@ def test_sequence_convergence_iff_prox_converges(grid, fam):
     assert point_sequence_converges(walk, x, fam)
     assert not point_sequence_converges(flip, x, fam)
     for _ in range(20):
-        seq = [rng.choice(grid.points) for _ in range(6)] + [x] * 4
+        seq = [rng.choice(range(grid.n)) for _ in range(6)] + [x] * 4
         assert point_sequence_converges(seq, x, fam) == converges_to_zero(
             [prox(p, x, fam) for p in seq]
         )
 
 
 def test_prox_to_set_membership(grid, fam):
-    x = grid.points[0]
-    A = grid.mask_of([grid.points[0], grid.points[50]])
+    x = 0
+    A = grid.mask_of([0, 50])
     assert prox_to_set(x, A, fam).is_zero  # x in A
-    B = grid.mask_of([grid.points[50]])
+    B = grid.mask_of([50])
     assert not prox_to_set(x, B, fam).is_zero
 
 
@@ -264,24 +261,24 @@ def test_prox_to_set_closure_criterion(tiny):
     s = tiny.space
     for A in range(1, 4):
         cl = tiny.closure_mask(A)
-        for x in s.points:
-            assert prox_to_set(x, A, tiny).is_zero == bool((cl >> x.index) & 1)
+        for x in range(s.n):
+            assert prox_to_set(x, A, tiny).is_zero == bool((cl >> x) & 1)
 
 
 def test_prox_to_set_closure_invariant(grid, fam):
     # prox to a set equals prox to its closure
-    A = grid.mask_of(grid.points[10:20])
+    A = grid.mask_of(range(10, 20))
     cl = fam.closure_mask(A)
-    for x in grid.points[::7]:
+    for x in range(0, grid.n, 7):
         assert prox_to_set(x, A, fam) == prox_to_set(x, cl, fam)
 
 
 def test_semi_prox_examples(grid, fam):
-    A = grid.mask_of([grid.points[0]])
-    B = grid.mask_of([grid.points[0], grid.points[10]])
+    A = grid.mask_of([0])
+    B = grid.mask_of([0, 10])
     one = semi_prox(A, B, fam)
     # bounded by the worst point: equals prox(0.1, {0})
-    assert one == prox_to_set(grid.points[10], A, fam)
+    assert one == prox_to_set(10, A, fam)
     assert semi_prox(B, A, fam).is_zero  # A inside B
 
 
@@ -297,15 +294,15 @@ def test_semi_prox_zero_iff_subset_of_closure(tiny):
 def test_convergent_net_closure_criterion(grid, fam):
     # for a sequence converging to x: x lies in cls(A) iff the set proximities
     # of the sequence to A converge to zero
-    x = grid.points[0]
-    seq = [grid.points[k] for k in (30, 12, 5, 2, 1, 0, 0, 0)]
+    x = 0
+    seq = [30, 12, 5, 2, 1, 0, 0, 0]
     for A in (
-        grid.mask_of([grid.points[0], grid.points[70]]),
-        grid.mask_of([grid.points[40]]),
-        grid.mask_of(grid.points[0:3]),
+        grid.mask_of([0, 70]),
+        grid.mask_of([40]),
+        grid.mask_of(range(0, 3)),
     ):
-        in_closure = bool((fam.closure_mask(A) >> x.index) & 1)
-        traj = [semi_prox(A, 1 << p.index, fam) for p in seq]
+        in_closure = bool((fam.closure_mask(A) >> x) & 1)
+        traj = [semi_prox(A, 1 << p, fam) for p in seq]
         assert converges_to_zero(traj) == in_closure
 
 
@@ -316,9 +313,9 @@ def test_prox_to_set_monotone(data):
     fam9 = metric_chain_family(grid9, 2.0, 2)
     a = data.draw(st.sets(st.integers(0, 8), min_size=1, max_size=9))
     extra = data.draw(st.sets(st.integers(0, 8), max_size=9))
-    x = grid9.points[data.draw(st.integers(0, 8))]
-    A = grid9.mask_of(grid9.points[i] for i in a)
-    B = A | grid9.mask_of(grid9.points[i] for i in extra)
+    x = data.draw(st.integers(0, 8))
+    A = grid9.mask_of(a)
+    B = A | grid9.mask_of(extra)
     assert precedes(prox_to_set(x, B, fam9), prox_to_set(x, A, fam9))
 
 
@@ -339,13 +336,13 @@ def test_lattice_laws_chain(t1, t2):
 
 
 def test_sets_equal_at_resolution(grid, fam):
-    A = grid.mask_of([grid.points[5]])
+    A = grid.mask_of([5])
     assert sets_equal_at_resolution(A, A, fam)
-    B = grid.mask_of([grid.points[5], grid.points[80]])
+    B = grid.mask_of([5, 80])
     assert not sets_equal_at_resolution(A, B, fam)
     # a coarse family cannot tell near neighbors apart
     coarse = metric_chain_family(grid, 2.0, 1)
-    C = grid.mask_of([grid.points[5], grid.points[6]])
+    C = grid.mask_of([5, 6])
     assert sets_equal_at_resolution(A, C, coarse)
 
 
@@ -353,9 +350,11 @@ def test_empty_inputs_raise(grid, fam):
     from coverdyn.space import EmptyInput
 
     with pytest.raises(EmptyInput):
-        prox_to_set(grid.points[0], 0, fam)
+        prox_to_set(0, 0, fam)
     with pytest.raises(EmptyInput):
-        semi_prox(0, 1 << grid.points[0].index, fam)
+        semi_prox(0, 1 << 0, fam)
+    with pytest.raises(EmptyInput):
+        point_sequence_converges([], 0, fam)
     with pytest.raises(EmptyInput):
         convergence_trace([])
 
@@ -413,14 +412,11 @@ def _collection(data, fam):
 
 def _point_set(data, fam, min_size=1):
     n = fam.space.n
-    return frozenset(
-        fam.space.points[i]
-        for i in data.draw(st.sets(st.integers(0, n - 1), min_size=min_size))
-    )
+    return frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=min_size)))
 
 
 def _share_member(cov, a, b):
-    return bool(cov.point_rows[a.index] & cov.point_rows[b.index])
+    return bool(cov.point_rows[a] & cov.point_rows[b])
 
 
 @pytest.mark.parametrize("fam", TOPOLOGY_FAMILIES, ids=lambda f: f"opens{f.space.opens}")
@@ -557,8 +553,7 @@ def test_is_bounded_matches_oracle(fam, data):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_is_cauchy_matches_oracle(fam, data):
-    pts = fam.space.points
-    seq = data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=8))
+    seq = data.draw(st.lists(st.integers(0, fam.space.n - 1), min_size=1, max_size=8))
     min_tail = data.draw(st.integers(0, 4))
     last_start = max(len(seq) - max(min_tail, 1), 0)
     expected = all(
@@ -569,6 +564,17 @@ def test_is_cauchy_matches_oracle(fam, data):
         for cov in fam.coverings
     )
     assert is_cauchy(seq, fam, min_tail=min_tail) == expected
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=family_id)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_point_sequence_converges_matches_reference(fam, data):
+    n = fam.space.n
+    seq = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    x = data.draw(st.integers(0, n - 1))
+    want = reference_point_sequence_converges(seq, x, fam)
+    assert point_sequence_converges(seq, x, fam) == want
 
 
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=family_id)

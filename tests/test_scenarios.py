@@ -7,6 +7,7 @@ from coverdyn.compactness import is_bounded
 from coverdyn.dynamics import NestingViolation
 from coverdyn.scenarios import (
     BUILTIN_SCENARIOS,
+    RANDOM_TESTSET_MAX_SIZE,
     SchemaError,
     SnapToleranceExceeded,
     get_scenario,
@@ -39,54 +40,54 @@ def min_radius(sc):
 
 def test_exp_decay_witness_values():
     sc = get_scenario("exp_decay")
-    f5 = sc.space.by_id("f5")
+    f5 = sc.space.index_of("f5")
     # witnesses carry the doubled scaled-up values
-    assert sc.model.tables[f5.index][1] == (64.0, 64.0)
-    assert sc.model.tables[f5.index][0] == (0.0, 0.0)
-    zero = sc.space.by_id("zero")
-    img = sc.action.apply_fn((5, 5), f5.index)
+    assert sc.model.tables[f5][1] == (64.0, 64.0)
+    assert sc.model.tables[f5][0] == (0.0, 0.0)
+    zero = sc.space.index_of("zero")
+    img = sc.action.apply_fn((5, 5), f5)
     # scaling a witness by its own index lands on the doubled identity sample
     assert sc.model.tables[img][1] == (2.0, 2.0)
     assert math.hypot(*sc.model.tables[img][1]) == pytest.approx(
         2 * math.sqrt(2), abs=1e-15
     )
-    deep = sc.action.apply_fn((40, 40), f5.index)
-    assert deep == zero.index
+    deep = sc.action.apply_fn((40, 40), f5)
+    assert deep == zero
 
 
 def test_exp_decay_rejects_mixed_elements():
     sc = get_scenario("exp_decay")
     with pytest.raises(SchemaError):
-        sc.action.apply_fn((1, 2), sc.space.by_id("f3").index)
+        sc.action.apply_fn((1, 2), sc.space.index_of("f3"))
 
 
 def test_contraction_action_exactness():
     sc = get_scenario("iterated_contractions")
     pts = sc.space.points
-    p = sc.space.by_id("pow[0.25]e2")
-    q = sc.action.apply_fn(3, p.index)
+    p = sc.space.index_of("pow[0.25]e2")
+    q = sc.action.apply_fn(3, p)
     assert pts[q].pid == "pow[0.25]e6"
     assert pts[sc.action.apply_fn(6, q)].pid == "i[0.25]"
-    assert pts[sc.action.apply_fn(5, sc.space.by_id("i[1]").index)].pid == "i[1]"
+    assert pts[sc.action.apply_fn(5, sc.space.index_of("i[1]"))].pid == "i[1]"
 
 
 def test_composition_action_exactness():
     sc = get_scenario("composition")
     pts = sc.space.points
-    p = sc.space.by_id("vee.e1")
-    q = sc.action.apply_fn(0.25, p.index)
+    p = sc.space.index_of("vee.e1")
+    q = sc.action.apply_fn(0.25, p)
     assert pts[q].pid == "vee.e3"
-    deep = sc.action.apply_fn(0.5**11, p.index)
+    deep = sc.action.apply_fn(0.5**11, p)
     assert pts[deep].pid == "i[0]"
 
 
 def test_composition_shifted_variant():
     sc = get_scenario("composition", x0=0.5)
     assert sc.expected.attractor == ("i[0.5]",)
-    att = sc.space.by_id("i[0.5]")
-    assert sc.model.tables[att.index] == (((0.5,),) * 3)
+    att = sc.space.index_of("i[0.5]")
+    assert sc.model.tables[att] == (((0.5,),) * 3)
     # the shifted scalings fix the shifted constant
-    assert sc.action.apply_fn(0.25, att.index) == att.index
+    assert sc.action.apply_fn(0.25, att) == att
 
 
 def test_unknown_scenario():
@@ -111,8 +112,8 @@ def scenarios_equal(a, b):
         if a.filter_basis.sampler(k) != b.filter_basis.sampler(k):
             return False
         for el in a.filter_basis.sampler(k):
-            for p in a.space.points:
-                ia, ib = a.action.apply_fn(el, p.index), b.action.apply_fn(el, p.index)
+            for p in range(a.space.n):
+                ia, ib = a.action.apply_fn(el, p), b.action.apply_fn(el, p)
                 if a.space.points[ia].pid != b.space.points[ib].pid:
                     return False
     if set(a.testsets) != set(b.testsets):
@@ -230,6 +231,48 @@ def test_load_schema_errors():
     custom += '[family]\nkind = "metric_chain"\neps0 = 2.0\ndepth = 2\n'
     with pytest.raises(SchemaError, match="unsupported action kind 'pow2_decay'"):
         load_system(custom + '[action]\nkind = "pow2_decay"\n')
+
+
+COARSE_GRID = """
+[scenario]
+kind = "custom"
+[space]
+kind = "line_grid"
+count = 21
+[family]
+kind = "metric_chain"
+eps0 = 0.5
+depth = 2
+[action]
+kind = "identity"
+[filter]
+kind = "integer_tails"
+depth = 6
+[testsets]
+a = [0]
+"""
+
+
+def test_random_testsets_repair_only_unbounded_draws():
+    # the coarsest balls of this grid have radius 0.5, so some draws are
+    # unbounded; each is cut to a bounded subset, and every other draw and
+    # the random state after it stay as drawn
+    sc = load_system(COARSE_GRID)
+    n = sc.space.n
+    repaired = 0
+    for seed in range(5):
+        got = sc.random_bounded_testsets(random.Random(seed), count=50)
+        rng = random.Random(seed)
+        for ymask in got.values():
+            k = min(rng.randint(1, RANDOM_TESTSET_MAX_SIZE), n)
+            draw = sc.space.mask_of(rng.sample(range(n), k))
+            assert ymask and is_bounded(ymask, sc.family)
+            if is_bounded(draw, sc.family):
+                assert ymask == draw
+            else:
+                assert ymask & ~draw == 0
+                repaired += 1
+    assert repaired
 
 
 def test_random_bounded_testsets_deterministic():

@@ -17,7 +17,6 @@ from coverdyn.space import (
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
     NotMetricSpace,
-    ball_mask,
     ball_masks,
     bool_product,
     bool_products,
@@ -35,7 +34,7 @@ from reference import metric_axiom_violation, reference_point_balls, triangle_rt
 def test_three_point_line():
     s = build_metric_space([[0.0], [1.0], [2.0]])
     assert s.n == 3
-    assert s.distance(s.points[0], s.points[2]) == 2.0
+    assert s.dist[0, 2] == 2.0
 
 
 def test_grid_101_points():
@@ -156,23 +155,23 @@ def test_equal_coordinates_still_raise():
 
 def test_ball_basic():
     s = build_metric_space([[0.0], [1.0], [2.0]])
-    p0 = s.points[0]
-    assert s.pids(ball_mask(s, p0, 1.5)) == ["(0)", "(1)"]
+    p0 = (0,)
+    assert s.pids(ball_masks(s, 1.5, p0)[0]) == ["(0)", "(1)"]
     # radius above the diameter captures everything
-    assert ball_mask(s, p0, 10.0) == s.full_mask
+    assert ball_masks(s, 10.0, p0)[0] == s.full_mask
     # radius below the smallest positive distance captures only the center
-    assert ball_mask(s, p0, 0.5) == s.mask_of([p0])
+    assert ball_masks(s, 0.5, p0)[0] == s.mask_of(p0)
 
 
 def test_ball_is_open_strict():
     s = build_metric_space([[0.0], [1.0], [2.0]])
-    assert s.pids(ball_mask(s, s.points[0], 1.0)) == ["(0)"]
+    assert s.pids(ball_masks(s, 1.0, (0,))[0]) == ["(0)"]
 
 
 def test_ball_needs_metric():
     t = build_finite_topology(["a", "b"], [[], ["a"], ["a", "b"]])
     with pytest.raises(NotMetricSpace):
-        ball_mask(t, t.points[0], 1.0)
+        ball_masks(t, 1.0, (0,))
 
 
 def test_pids_are_sorted_by_id_not_by_index():
@@ -191,8 +190,8 @@ def test_pids_are_sorted_by_id_not_by_index():
 def test_ball_monotone_in_radius(r1, r2, center):
     s = line_grid(0.0, 1.0, 21)
     lo, hi = sorted([r1, r2])
-    c = s.points[center]
-    assert ball_mask(s, c, lo) & ~ball_mask(s, c, hi) == 0
+    c = (center,)
+    assert ball_masks(s, lo, c)[0] & ~ball_masks(s, hi, c)[0] == 0
 
 
 def test_sierpinski_style_topology():
@@ -267,7 +266,7 @@ def test_enumerate_topologies_counts():
 
 def test_topology_closure():
     s = build_finite_topology(["a", "b"], [[], ["a"], ["a", "b"]])
-    a, b = s.points
+    a, b = range(s.n)
     # the only open containing b is the whole space, which meets {a}
     assert row_forms.topology_closure(s, s.mask_of([a])) == s.full_mask
     assert row_forms.topology_closure(s, s.mask_of([b])) == s.mask_of([b])
@@ -335,8 +334,8 @@ BALL_RADII = sorted(
 def test_ball_mask_matches_the_bit_loop(grid):
     for r in BALL_RADII:
         balls = reference_point_balls(grid, r)
-        for p in grid.points:
-            assert ball_mask(grid, p, r) == balls[p.index], (p, r)
+        for p in range(grid.n):
+            assert ball_masks(grid, r, (p,))[0] == balls[p], (p, r)
 
 
 @st.composite
@@ -357,7 +356,7 @@ def test_ball_masks_match_the_per_point_loop(case):
     for r in radii:
         balls = ball_masks(s, r)
         assert balls == reference_point_balls(s, r)
-        assert balls == tuple(ball_mask(s, p, r) for p in s.points)
+        assert balls == tuple(ball_masks(s, r, (p,))[0] for p in range(s.n))
         centers = list(range(s.n))[::2]
         assert ball_masks(s, r, centers) == tuple(balls[i] for i in centers)
 
