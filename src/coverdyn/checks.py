@@ -39,7 +39,15 @@ from .proximity import (
     prox_to_set,
     semi_prox,
 )
-from .space import Point, Space, ball_masks, enumerate_topologies, iter_bits, line_grid
+from .space import (
+    Point,
+    Space,
+    ball_masks,
+    bool_products,
+    enumerate_topologies,
+    iter_bits,
+    line_grid,
+)
 
 
 ProxFn = Callable[[int, int, AdmissibleFamily], CoverCollection]
@@ -49,19 +57,18 @@ def proximity_suite(
     family: AdmissibleFamily,
     prox_fn: Optional[ProxFn] = None,
     separates_points: bool = True,
-    rng: Optional[random.Random] = None,
 ) -> list[CheckResult]:
     """Pairwise proximity laws: symmetry, zero at the diagonal, separation
     when `separates_points` (families that resolve single points of a
     Hausdorff space), the coarsened triangle law (one and two intermediate
-    points), and sequence convergence.
+    points, both checked on every triple and quadruple), and sequence
+    convergence.
 
     The prox is read once per ordered pair, into the table `vals[x][y]` of
-    collection masks that every law reads.
+    collection masks that every law reads. No law draws random numbers.
     """
     p = prox_fn or prox
     pts = family.space.points
-    rng = rng or random.Random(0)
 
     def read(x: int, y: int) -> int:
         v = p(x, y, family)
@@ -89,16 +96,7 @@ def proximity_suite(
             if vals[x][y] == zero
         )))
 
-    out.append(_triangle_1(family, vals))
-    # the one sampled law: all 400 quadruples (x, y, a, b) are drawn up front,
-    # so the suites after this one see the same random state whatever fails
-    quads = [tuple(rng.choice(ix) for _ in range(4)) for _ in range(400)]
-    out.append(first_failure("prox_triangle_2_intermediate", (
-        ",".join(pts[q].pid for q in (x, y, a, b))
-        for x, y, a, b in quads
-        if coarsen(CoverCollection(family, vals[x][a] & vals[a][b] & vals[b][y]), 2).mask
-        & ~vals[x][y]
-    )))
+    out += _triangles(family, vals)
 
     sample = ix[:: max(1, len(pts) // 12)]
     out.append(first_failure("sequence_convergence_matches_prox", (
@@ -112,41 +110,96 @@ def proximity_suite(
     return out
 
 
-def _triangle_1(family: AdmissibleFamily, vals: list[list[int]]) -> CheckResult:
-    """vals[x][y] precedes the coarsening of vals[x][z] & vals[z][y], on every
-    triple; the witness is the first failure in (z, x, y) order.
+def _triangles(family: AdmissibleFamily, vals: list[list[int]]) -> list[CheckResult]:
+    """The coarsened triangle law with one and with two intermediate points,
+    each on every tuple of points.
 
-    Coarsening ORs the rows of the collection's members, so the law splits per
-    covering i: when i lies in vals[x][z] and vals[z][y], vals[x][y] must hold
-    the coarsening of {i}. P[i][x] is the mask of the y with i in vals[x][y],
-    Q[i][x] the mask of the y whose vals[x][y] holds the coarsening of {i}.
+    One intermediate: vals[x][y] precedes the coarsening of
+    vals[x][z] & vals[z][y]; the witness is the first failure in (z, x, y)
+    order. Two intermediates: vals[x][y] precedes the 2-step coarsening of
+    vals[x][a] & vals[a][b] & vals[b][y]; the witness is the least failing
+    (x, y, a, b).
+
+    Coarsening ORs the rows of the collection's members, so both laws split
+    per covering i: when i lies in every hop of a path from x to y,
+    vals[x][y] must hold the coarsening of {i}. P[i][x] is the mask of the y
+    with i in vals[x][y], and cols[i][y] the mask of those x. R2[i] and R3[i]
+    compose P[i] with itself two and three times: R3[i][x] is the mask of the
+    y that x reaches in three hops of P[i]. Qk[i][x] is the mask of the y
+    whose vals[x][y] holds `family.reach_rows(k)[i]`, the k-step coarsening
+    of {i}. The k-intermediate law holds iff R(k+1)[i][x] & ~Qk[i][x] is
+    empty for every i and x.
     """
     pts = family.space.points
     n = len(pts)
-    P = [[0] * n for _ in range(family.size)]
-    for x, row in enumerate(vals):
-        for y, v in enumerate(row):
-            for i in iter_bits(v):
-                P[i][x] |= 1 << y
-    full = family.space.full_mask
-    Q = []
-    for i in range(family.size):
-        Qi = [full] * n
-        for j in iter_bits(coarsen(CoverCollection(family, 1 << i), 1).mask):
-            Qi = [q & pj for q, pj in zip(Qi, P[j])]
-        Q.append(Qi)
+    size = family.size
 
-    def violations():
+    def by_value(rows) -> list[dict[int, int]]:
+        # per row, the mask of the columns that hold each value
+        out = []
+        for row in rows:
+            g: dict[int, int] = {}
+            for y, v in enumerate(row):
+                g[v] = g.get(v, 0) | 1 << y
+            out.append(g)
+        return out
+
+    row_groups = by_value(vals)
+    values = {v for g in row_groups for v in g}
+
+    def held(k: int) -> dict[int, int]:
+        # per value v of the table, the coverings whose k-step coarsening v holds
+        reach = family.reach_rows(k)
+        return {v: sum(1 << i for i in range(size) if not reach[i] & ~v) for v in values}
+
+    held1, held2 = held(1), held(2)
+
+    def spread(groups, covers) -> list[list[int]]:
+        # T[i][x]: the columns of row x whose value v has i in covers(v)
+        T = [[0] * n for _ in range(size)]
+        for x, g in enumerate(groups):
+            for v, m in g.items():
+                for i in iter_bits(covers(v)):
+                    T[i][x] |= m
+        return T
+
+    P = spread(row_groups, lambda v: v)
+    cols = spread(by_value(zip(*vals)), lambda v: v)
+    Q1 = spread(row_groups, held1.__getitem__)
+    Q2 = spread(row_groups, held2.__getitem__)
+    R2 = bool_products([(P[i], cols[i], n) for i in range(size)])
+    R3 = bool_products([(R2[i], cols[i], n) for i in range(size)])
+
+    def one_violations():
+        # R2 decides the verdict; the (z, x) scan only orders the witness
+        if not any(R2[i][x] & ~Q1[i][x] for i in range(size) for x in range(n)):
+            return
         for z in range(n):
             for x in range(n):
                 bad = 0
                 for i in iter_bits(vals[x][z]):
-                    bad |= P[i][z] & ~Q[i][x]
+                    bad |= P[i][z] & ~Q1[i][x]
                 if bad:
                     y = (bad & -bad).bit_length() - 1
                     yield f"{pts[x].pid},{pts[y].pid} via {pts[z].pid}"
 
-    return first_failure("prox_triangle_1_intermediate", violations())
+    def two_violations():
+        for x in range(n):
+            bad = 0
+            for i in range(size):
+                bad |= R3[i][x] & ~Q2[i][x]
+            if bad:
+                y = (bad & -bad).bit_length() - 1
+                cut = ~held2[vals[x][y]]
+                for a, b in itertools.product(range(n), repeat=2):
+                    if vals[x][a] & vals[a][b] & vals[b][y] & cut:
+                        yield ",".join(pts[q].pid for q in (x, y, a, b))
+                        return
+
+    return [
+        first_failure("prox_triangle_1_intermediate", one_violations()),
+        first_failure("prox_triangle_2_intermediate", two_violations()),
+    ]
 
 
 def closure_criteria_suite(
@@ -169,9 +222,10 @@ def closure_criteria_suite(
         k = rng.randint(1, min(12, space.n))
         return space.mask_of(rng.sample(ix, k))
 
-    sets = [random_set() for _ in range(trials)]
     if space.n <= 3:
         sets = list(range(1, space.full_mask + 1))
+    else:
+        sets = [random_set() for _ in range(trials)]
 
     def zero_off_closure():
         for A in sets:
@@ -380,7 +434,7 @@ def grid_battery(seed: int = 0, cap: Optional[int] = None) -> list[CheckResult]:
         CheckResult(f"admissibility:{c.name}", c.passed, c.witness)
         for c in fam.admissibility_report.checks
     ]
-    results += proximity_suite(fam, separates_points=True, rng=rng)
+    results += proximity_suite(fam, separates_points=True)
     results += closure_criteria_suite(fam, rng=rng)
     results += boundedness_suite(fam, rng=rng)
     results += measure_suite(fam, cap=cap, rng=rng)
@@ -409,7 +463,7 @@ def tiny_topology_battery(rng: Optional[random.Random] = None) -> list[CheckResu
             star_basis = fam.admissibility_report.check("star_basis").passed
             # separation presupposes a Hausdorff space: discrete, when finite
             hausdorff = all((1 << i) in opens for i in range(n))
-            fold(proximity_suite(fam, separates_points=star_basis and hausdorff, rng=rng))
+            fold(proximity_suite(fam, separates_points=star_basis and hausdorff))
             fold(
                 closure_criteria_suite(
                     fam, rng=rng, trials=10, star_basis_holds=star_basis

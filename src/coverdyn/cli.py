@@ -142,7 +142,6 @@ def cmd_verify_axioms(rc: RunConfig) -> int:
         results += proximity_suite(
             sc.family,
             separates_points=star_basis,
-            rng=rng,
             prox_fn=_broken_prox if rc.mutate == "prox-asymmetry" else None,
         )
         results += closure_criteria_suite(
@@ -155,9 +154,7 @@ def cmd_verify_axioms(rc: RunConfig) -> int:
         if rc.mutate == "prox-asymmetry":
             grid = line_grid(0.0, 1.0, 101)
             fam = metric_chain_family(grid, 2.0, 6)
-            results = proximity_suite(
-                fam, separates_points=True, rng=random.Random(rc.seed), prox_fn=_broken_prox
-            )
+            results = proximity_suite(fam, separates_points=True, prox_fn=_broken_prox)
             resolution = fam.depth
         else:
             results = grid_battery(seed=rc.seed, cap=rc.cap)

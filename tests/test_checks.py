@@ -44,9 +44,13 @@ def test_proximity_suite_catches_broken_symmetry(fam):
 def test_exhaustive_triangle_check_reads_the_injected_prox():
     grid_fam = metric_chain_family(line_grid(0.0, 1.0, 101), 2.0, 6)
     results = proximity_suite(grid_fam, prox_fn=broken, separates_points=True)
-    triangle = {r.name: r for r in results}["prox_triangle_1_intermediate"]
+    by_name = {r.name: r for r in results}
+    triangle = by_name["prox_triangle_1_intermediate"]
     assert not triangle.passed
     assert triangle.witness == "(0),(0.99) via (0.01)"
+    triangle = by_name["prox_triangle_2_intermediate"]
+    assert not triangle.passed
+    assert triangle.witness == "(0),(0.99),(0),(0.01)"
 
 
 def test_proximity_suite_rejects_a_prox_of_another_family(fam):
@@ -77,6 +81,27 @@ def reference_triangle_1(family, p):
     return CheckResult("prox_triangle_1_intermediate", True)
 
 
+def reference_triangle_2(family, p):
+    """The two-intermediate triangle law as a plain quadruple loop in
+    (x, y, a, b) order: prox(x, y) precedes the 2-step coarsening of
+    prox(x, a) & prox(a, b) & prox(b, y)."""
+    pts = family.space.points
+    ix = range(family.space.n)
+    val = {(x, y): p(x, y, family) for x in ix for y in ix}
+    coarsened = {}
+    for x, y, a, b in itertools.product(ix, repeat=4):
+        acc = val[x, a] & val[a, b] & val[b, y]
+        if acc.mask not in coarsened:
+            coarsened[acc.mask] = coarsen(acc, 2)
+        if not precedes(val[x, y], coarsened[acc.mask]):
+            return CheckResult(
+                "prox_triangle_2_intermediate",
+                False,
+                ",".join(pts[q].pid for q in (x, y, a, b)),
+            )
+    return CheckResult("prox_triangle_2_intermediate", True)
+
+
 def clear_one_bit(x, y, family):
     # drops covering 0 (the coarsest: the trivial covering of a finite
     # family, the first level of a chain) from one ordered pair
@@ -99,6 +124,50 @@ def test_triangle_1_matches_the_triple_loop(family, p):
 @pytest.mark.parametrize("p", [broken, clear_one_bit], ids=lambda p: p.__name__)
 def test_triangle_1_mutants_fail_somewhere(p):
     assert any(not reference_triangle_1(f, p).passed for f in ALL_FAMILIES)
+
+
+@pytest.mark.parametrize("p", [prox, broken, clear_one_bit], ids=lambda p: p.__name__)
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=family_id)
+def test_triangle_2_matches_the_quadruple_loop(family, p):
+    results = proximity_suite(family, prox_fn=p, separates_points=False)
+    got = {r.name: r for r in results}["prox_triangle_2_intermediate"]
+    assert got == reference_triangle_2(family, p)
+
+
+@pytest.mark.parametrize("p", [broken, clear_one_bit], ids=lambda p: p.__name__)
+def test_triangle_2_mutants_fail_somewhere(p):
+    assert any(not reference_triangle_2(f, p).passed for f in ALL_FAMILIES)
+
+
+def next_only(x, y, family):
+    # the prox from each index to the next and the empty collection
+    # elsewhere, the diagonal too: not symmetric, and k hops lead exactly k
+    # steps on, so three hops find failures that two hops do not
+    return prox(x, y, family) if y == x + 1 else CoverCollection(family, 0)
+
+
+def drop_one_without_two(x, y, family):
+    # covering 1 only where covering 2 is. On chain17-5 the one-step
+    # coarsening of covering 2 holds covering 1 and the two-step one does
+    # not, so this breaks the one-intermediate law and keeps the other.
+    v = prox(x, y, family).mask
+    return CoverCollection(family, v if v >> 2 & 1 else v & ~2)
+
+
+@pytest.mark.parametrize(
+    "p, family, passed",
+    [
+        (next_only, metric_chain_family(line_grid(0.0, 1.0, 9), 2.0, 4), False),
+        (drop_one_without_two, metric_chain_family(line_grid(0.0, 1.0, 17), 2.0, 4), True),
+    ],
+    ids=["three-hops", "two-step-coarsening"],
+)
+def test_triangle_2_reads_three_hops_and_two_step_coarsening(p, family, passed):
+    by_name = {r.name: r for r in proximity_suite(family, prox_fn=p, separates_points=False)}
+    assert not by_name["prox_triangle_1_intermediate"].passed
+    got = by_name["prox_triangle_2_intermediate"]
+    assert got == reference_triangle_2(family, p)
+    assert got.passed == passed
 
 
 def test_closure_and_boundedness_suites_green(fam):
