@@ -389,6 +389,7 @@ def nested_chain_suite(
     ix = range(space.n)
     cap = cap if cap is not None else default_cap(space.n)
     out = []
+    balls: dict[float, tuple[int, ...]] = {}  # every center's ball, per radius
 
     def positive_misses():
         for t in range(positives):
@@ -397,7 +398,9 @@ def nested_chain_suite(
             radius = 1.3
             for _ in range(rng.randint(3, 6)):
                 if space.dist is not None:
-                    m = ball_masks(space, radius, (center,))[0]
+                    if radius not in balls:
+                        balls[radius] = ball_masks(space, radius)
+                    m = balls[radius][center]
                 else:
                     m = 1 << center
                 chain.append(family.closure_mask(m))

@@ -5,11 +5,16 @@ admits a cover by at most `cap` point stars; the cap is the desk-scale stand-in
 for "finitely many" against the ambient space. A member-cover variant (covers
 by at most `cap` covering members) backs the limit-compactness checks.
 
-Each measure is an exact `coverable_within` search. A counting bound rules
-out impossible covers: no k candidates hold more target points than the k
-largest do, so a target that outnumbers them needs more than k of them. The
-bound is tested once before the search, and at every search node against the
-points still uncovered.
+Each measure is an exact `coverable_within` search. Candidates are first cut
+to their distinct traces on the target. When the cap is at least the number
+of traces, all of them together are a cover within the cap if any cover is,
+so the query is answered by their union alone, with no sort and no search.
+Otherwise a counting bound rules out impossible covers: no k candidates hold more target
+points than the k largest do, so a target that outnumbers them needs more
+than k of them. The bound is tested once before the search, and at every
+search node against the points still uncovered. Dominance pruning compares a
+trace only with the kept traces of a strictly larger size: two distinct sets
+of one size never contain one another.
 
 A measure is one scan over the coverings, finest index first. A covering
 already implied by one that fits is not searched: a cover by members or
@@ -84,6 +89,22 @@ def _greedy_cover(target: int, candidates: Sequence[int], cap: int) -> Optional[
     return used
 
 
+def _undominated(cands: Sequence[int]) -> list[int]:
+    """The sets of `cands` (distinct, sorted by size, largest first) that no
+    earlier kept set contains, in order. A set can only lie inside a strictly
+    larger one, so each set is tested against the kept sets of the size
+    classes before its own."""
+    kept: list[int] = []
+    larger: list[int] = []
+    size = 0
+    for c in cands:
+        if c.bit_count() != size:
+            size, larger = c.bit_count(), kept[:]
+        if not any(c & ~k == 0 for k in larger):
+            kept.append(c)
+    return kept
+
+
 def coverable_within(
     target: int,
     candidates: Sequence[int],
@@ -92,8 +113,14 @@ def coverable_within(
 ) -> bool:
     """Exact decision: can `target` be covered by at most `cap` candidate sets?
 
-    Counting rules out a cover first: when the `cap` largest candidates hold
-    fewer target points than the target has, no `cap` of them cover it.
+    Only the distinct traces `c & target` matter. When their union misses a
+    target point the answer is no; otherwise, when `cap` is at least their
+    number, it is yes, as all of them are a cover within the cap. Both are
+    decided with no sort and no search node. Then counting rules out a cover:
+    when the `cap` largest traces hold fewer target points than the target
+    has, no `cap` of them cover it. Dominated traces are dropped (each is
+    tested only against the kept traces of a strictly larger size, which
+    keeps the same list in the same order as testing every kept trace).
     Greedy success certifies yes; otherwise an exhaustive branch-and-bound on
     the least-covered point decides exactly (desk-scale sets only). A search
     node at depth d stops when its uncovered points outnumber what cap - d
@@ -103,19 +130,18 @@ def coverable_within(
     """
     if target == 0:
         return True
-    cands = sorted({c & target for c in candidates if c & target}, key=lambda c: -c.bit_count())
-    if sum(c.bit_count() for c in cands[:max(cap, 0)]) < target.bit_count():
-        return False
-    # drop dominated candidates
-    kept: list[int] = []
-    for c in cands:
-        if not any(c & ~k == 0 for k in kept):
-            kept.append(c)
+    distinct = {c & target for c in candidates if c & target}
     union_all = 0
-    for c in kept:
+    for c in distinct:
         union_all |= c
     if target & ~union_all:
         return False
+    if cap >= len(distinct):
+        return True
+    cands = sorted(distinct, key=int.bit_count, reverse=True)
+    if sum(c.bit_count() for c in cands[:max(cap, 0)]) < target.bit_count():
+        return False
+    kept = _undominated(cands)
     if cap >= len(kept):
         return True
     if _greedy_cover(target, kept, cap) is not None:

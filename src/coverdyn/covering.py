@@ -279,11 +279,22 @@ class AdmissibleFamily:
                 cache[n] = tuple(rows)
         return cache[n]
 
-    def stars(self, ymask: int) -> tuple[int, ...]:
-        """The star of `ymask` at every covering, in covering order."""
+    def _star_row(self, ymask: int) -> tuple[int, ...]:
+        # the star of ymask at every covering, unmemoised
         if ymask == 0:
             raise EmptyInput("star of the empty set is undefined")
         return tuple([cov.star_mask(ymask) for cov in self.coverings])
+
+    def stars(self, ymask: int) -> tuple[int, ...]:
+        """The star of `ymask` at every covering, in covering order, cached
+        per set for the life of the family. The memo holds int tuples only,
+        so it ties the family into no reference cycle; `closure_mask` does
+        not fill it."""
+        cache = self.__dict__.setdefault("_stars_cache", {})
+        out = cache.get(ymask)
+        if out is None:
+            out = cache[ymask] = self._star_row(ymask)
+        return out
 
     def closure_mask(self, ymask: int) -> int:
         """Family closure: the intersection of the stars of `ymask` over every covering,
@@ -298,7 +309,7 @@ class AdmissibleFamily:
             if ymask == 0:
                 raise EmptyInput("closure of the empty set is undefined")
             out = self.space.full_mask
-            for star in self.stars(ymask):
+            for star in self._star_row(ymask):
                 out &= star
             cache[ymask] = out
         return out

@@ -114,7 +114,9 @@ class FilterBasis:
     the element and the level: `check_hypotheses` memoises it by element value.
     `sampler` must be a pure function of the level: `orbit_rows` and
     `orbit_mask` memoise per-point and per-set level orbits on the action,
-    keyed by the basis and the level.
+    keyed by the basis and the level. A basis compares by its fields, and it
+    hashes them (its semigroup's with them) once, on the first lookup: the
+    fields are frozen, so every later lookup reads the stored hash.
     """
 
     semigroup: Semigroup
@@ -137,6 +139,14 @@ class FilterBasis:
                     raise NestingViolation(
                         f"sample {el!r} of level {k} escapes level {k - 1}"
                     )
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            fields = (self.semigroup, self.depth, self.contains, self.sampler, self.enumerate_level)
+            h = hash(fields)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def levels(self) -> range:
         return range(self.depth + 1)

@@ -12,6 +12,12 @@ members that meet the set, with no point stars and no memo.
 `unbounded_coverable_within` is the exact cover search without the counting
 bound of `coverable_within`: it stops a branch only at depth `cap`.
 
+`reference_coverable_within` is `coverable_within` as it was before the trace
+shortcut and the size-class dominance filter: it always sorts the traces,
+applies the counting bound, and tests each trace against every kept one.
+It answers the same and needs the same least node budget.
+`reference_undominated` is its quadratic dominance loop alone.
+
 `reference_check_hypotheses` decides the translation hypotheses by the nested
 any/all form, one division or composition and one membership call per
 (checked level, filter level, element), with no table and no memo. It
@@ -287,3 +293,83 @@ def reference_point_sequence_converges(seq, x, family) -> bool:
         if k0 >= len(seq):
             return False
     return True
+
+
+def reference_undominated(cands: Sequence[int]) -> list[int]:
+    """The sets of `cands` that no earlier kept set contains, each tested
+    against every kept set."""
+    kept: list[int] = []
+    for c in cands:
+        if not any(c & ~k == 0 for k in kept):
+            kept.append(c)
+    return kept
+
+
+def _reference_greedy_cover(target: int, candidates: Sequence[int], cap: int) -> Optional[int]:
+    remaining = target
+    used = 0
+    while remaining:
+        best = max(candidates, key=lambda c: (c & remaining).bit_count())
+        gain = best & remaining
+        if not gain:
+            return None
+        remaining &= ~best
+        used += 1
+        if used > cap:
+            return None
+    return used
+
+
+def reference_coverable_within(
+    target: int,
+    candidates: Sequence[int],
+    cap: int,
+    node_budget: int,
+) -> bool:
+    """Counting bound, quadratic dominance filter, greedy, then the bounded
+    branch-and-bound on the least-covered point."""
+    if target == 0:
+        return True
+    cands = sorted({c & target for c in candidates if c & target}, key=lambda c: -c.bit_count())
+    if sum(c.bit_count() for c in cands[:max(cap, 0)]) < target.bit_count():
+        return False
+    # drop dominated candidates
+    kept: list[int] = []
+    for c in cands:
+        if not any(c & ~k == 0 for k in kept):
+            kept.append(c)
+    union_all = 0
+    for c in kept:
+        union_all |= c
+    if target & ~union_all:
+        return False
+    if cap >= len(kept):
+        return True
+    if _reference_greedy_cover(target, kept, cap) is not None:
+        return True
+
+    per_point = {i: [c for c in kept if (c >> i) & 1] for i in iter_bits(target)}
+    widest = kept[0].bit_count()
+    nodes = 0
+
+    def search(remaining: int, depth: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise CoverSearchBudgetExceeded(
+                f"cover search exceeded {node_budget} nodes"
+            )
+        if remaining == 0:
+            return True
+        if remaining.bit_count() > (cap - depth) * widest:
+            return False
+        pivot = min(iter_bits(remaining), key=lambda i: len(per_point[i]))
+        for c in per_point[pivot]:
+            if search(remaining & ~c, depth + 1):
+                return True
+        return False
+
+    try:
+        return search(target, 0)
+    finally:
+        del search  # it reaches itself through its closure cell: break that cycle

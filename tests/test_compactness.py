@@ -29,7 +29,11 @@ from coverdyn.covering import (
 from coverdyn.dynamics import Action, integer_tails, nat_add, orbit_mask, orbit_rows
 from coverdyn.proximity import CoverCollection, coarsen, converges_to_zero, precedes
 from coverdyn.space import EmptyInput, build_finite_topology, line_grid
-from reference import unbounded_coverable_within
+from reference import (
+    reference_coverable_within,
+    reference_undominated,
+    unbounded_coverable_within,
+)
 from test_proximity import ALL_FAMILIES, CHAIN_ROW_CASES, TOPOLOGY_FAMILIES, family_id
 
 
@@ -118,6 +122,66 @@ def test_counting_bound_matches_unbounded_search(shape):
             assert coverable_within(target, candidates, cap, node_budget=budget) == want
             answers[want] += 1
     assert min(answers.values()) >= 100, answers
+
+
+def _least_budget(decide, target, candidates, cap, limit):
+    """The answer of `decide` and the least node budget at which it answers,
+    or (None, None) when it needs more than `limit` nodes."""
+    def answer(budget):
+        try:
+            return decide(target, candidates, cap, node_budget=budget)
+        except CoverSearchBudgetExceeded:
+            return None
+
+    want = answer(limit)
+    if want is None:
+        return None, None
+    lo, hi = 0, limit  # the search answers at hi and at every larger budget
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if answer(mid) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    return want, lo
+
+
+@pytest.mark.parametrize("shape", [_random_instance, _interval_instance, _tiling_instance])
+def test_cover_decision_matches_reference_answer_and_least_budget(shape):
+    # the trace shortcut and the size-class dominance filter change neither
+    # the answer nor the least node budget that answers, at any cap
+    rng = random.Random(23)
+    limit = 2_000
+    searched = 0
+    for _ in range(60):
+        target, candidates = shape(rng, rng.randint(20, 40))
+        for cap in range(1, 9):
+            got = _least_budget(coverable_within, target, candidates, cap, limit)
+            assert got == _least_budget(reference_coverable_within, target, candidates, cap, limit)
+            searched += (got[1] or 0) > 0
+    assert searched >= 10, searched
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cap_at_least_the_traces_answers_without_search(data):
+    n = data.draw(st.integers(1, 10))
+    target = data.draw(st.integers(1, (1 << n) - 1))
+    candidates = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    traces = {c & target for c in candidates if c & target}
+    cap = data.draw(st.integers(len(traces), len(traces) + 3))
+    best = naive_min_cover(target, candidates)
+    want = best is not None and best <= cap
+    assert coverable_within(target, candidates, cap, node_budget=0) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets=st.sets(st.integers(1, (1 << 7) - 1), max_size=40), data=st.data())
+def test_size_class_dominance_filter_matches_quadratic_loop(sets, data):
+    # on 7 points most sizes hold many sets, so each size class is long;
+    # within a class the drawn order is kept, as a stable sort keeps it
+    cands = sorted(data.draw(st.permutations(sorted(sets))), key=int.bit_count, reverse=True)
+    assert compactness._undominated(cands) == reference_undominated(cands)
 
 
 def test_counting_bound_decides_no_without_search():
@@ -546,6 +610,7 @@ def test_measured_family_is_freed_without_cyclic_gc(make):
         for measure, _ in MEASURES.values():
             assert measure(Y, family, 1).family is family
         assert family.closure_mask(1) == family.closure_mask(1)
+        assert family.stars(Y) == family.stars(Y) == tuple(c.star_mask(Y) for c in family.coverings)
         action = Action(semigroup=nat_add(), space=space, apply_fn=lambda t, i: 0)
         F = integer_tails(nat_add(), depth=2)
         assert orbit_mask(1, Y, action, F) == orbit_mask(1, Y, action, F) == 1

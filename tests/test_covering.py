@@ -92,14 +92,23 @@ def test_star_union_of_point_stars(line3):
 def _check_star_kernel(fam, queries):
     """Per query set, in order: the star at each covering, the stars that
     `attracts` and `semi_prox` read, and the family closure equal their
-    definitions. A set's first query meets an empty closure memo; a repeat
-    meets a memo that the other sets have written to in between."""
+    definitions. A set's first query meets empty stars and closure memos; a
+    repeat meets memos that the other sets have written to in between. The
+    stars are read cold and then warm, with the closure read before them on
+    every other query, and the closure leaves the stars memo as it was."""
     full = fam.space.full_mask
     want = {Y: tuple(reference_star_mask(c, Y) for c in fam.coverings) for Y in queries}
-    for Y in queries:
+    starred = set()
+    for j, Y in enumerate(queries):
+        closure = functools.reduce(operator.and_, want[Y], full)
         assert tuple(c.star_mask(Y) for c in fam.coverings) == want[Y]
+        if j % 2:
+            assert fam.closure_mask(Y) == closure
+            assert set(fam.__dict__.get("_stars_cache", ())) == starred
         assert fam.stars(Y) == want[Y]
-        assert fam.closure_mask(Y) == functools.reduce(operator.and_, want[Y], full)
+        starred.add(Y)
+        assert fam.closure_mask(Y) == closure
+        assert fam.stars(Y) == want[Y]
     for A, B in zip(queries, reversed(queries)):
         held = sum(1 << i for i, star in enumerate(want[A]) if B & ~star == 0)
         assert semi_prox(A, B, fam).mask == held

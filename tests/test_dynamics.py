@@ -637,6 +637,41 @@ def test_orbit_cache_keeps_filter_bases_apart(decay, grid, order):
     assert rows[0] != rows[1]
 
 
+class _HashCountingSampler:
+    """A sampler that counts how often it is hashed."""
+
+    def __init__(self, sampler):
+        self.sampler = sampler
+        self.hashes = 0
+
+    def __call__(self, k):
+        return self.sampler(k)
+
+    def __hash__(self):
+        self.hashes += 1
+        return object.__hash__(self)
+
+
+def test_filter_basis_hashes_its_fields_once(decay, grid):
+    # every orbit_rows and orbit_mask lookup keys its memo by the basis, and
+    # only the first one hashes the basis's fields
+    sampler = _HashCountingSampler(integer_tails(nat_add(), depth=3).sampler)
+    F = dataclasses.replace(integer_tails(nat_add(), depth=3), sampler=sampler)
+    assert sampler.hashes == 0
+    action = Action(semigroup=nat_add(), space=grid, apply_fn=decay.apply_fn)
+    for _ in range(3):
+        for k in F.levels():
+            assert orbit_rows(k, action, F) == orbit_rows(k, action, F)
+            for Y in (pick(grid, 7, 50), pick(grid, 100), grid.full_mask):
+                assert orbit_mask(k, Y, action, F) == reference_orbit_mask(k, Y, action, F)
+    assert sampler.hashes == 1
+    # a basis with the same fields is equal and hashes equal: the memos are
+    # shared between them, as with the field hash of a frozen dataclass
+    twin = dataclasses.replace(F)
+    assert twin == F and hash(twin) == hash(F) and twin is not F
+    assert sampler.hashes == 2
+
+
 @st.composite
 def self_map_orbit_queries(draw):
     # a random self-map f of n points acts through nat_add as t -> f^t
