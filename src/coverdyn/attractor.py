@@ -9,7 +9,7 @@ iterates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .compactness import is_bounded, star_measure
 from .covering import AdmissibleFamily, CheckList, CheckResult, first_failure
@@ -224,13 +224,13 @@ class EquivalenceReport:
         }
 
 
-def check_equivalence(scenario, candidate: Optional[int] = None) -> EquivalenceReport:
-    """Run both verifications plus the taxonomy and hypothesis checks on a
-    scenario, and relate them: a global attractor must verify uniformly; the
-    converse is asserted only when its hypotheses all tested true, and when it
-    cannot apply it passes with the first failing hypothesis (sorted) named."""
-    if candidate is None:
-        candidate = scenario.attractor_points()
+def check_equivalence(scenario) -> EquivalenceReport:
+    """Run both verifications of the scenario's expected attractor plus the
+    taxonomy and hypothesis checks, and relate them: a global attractor must
+    verify uniformly; the converse is asserted only when its hypotheses all
+    tested true, and when it cannot apply it passes with the first failing
+    hypothesis (sorted) named."""
+    candidate = scenario.attractor_points()
     F, action, family = scenario.filter_basis, scenario.action, scenario.family
     cap = scenario.declared.cap
     glob = verify_global(candidate, scenario.testsets, F, action, family, cap)

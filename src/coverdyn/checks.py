@@ -427,12 +427,20 @@ def nested_chain_suite(
     return out
 
 
+BATTERY_DEPTH = 6
+
+
+def battery_family() -> AdmissibleFamily:
+    """The default battery's family: the 101-point unit grid with the
+    quarter-ratio chain of `BATTERY_DEPTH` refinements."""
+    return metric_chain_family(line_grid(0.0, 1.0, 101), 2.0, BATTERY_DEPTH)
+
+
 def grid_battery(seed: int = 0, cap: Optional[int] = None) -> list[CheckResult]:
-    """The default verification battery: the 101-point unit grid with the
-    quarter-ratio chain, plus every finite topology on up to three points."""
+    """The default verification battery: `battery_family()`, plus every
+    finite topology on up to three points."""
     rng = random.Random(seed)
-    grid = line_grid(0.0, 1.0, 101)
-    fam = metric_chain_family(grid, 2.0, 6)
+    fam = battery_family()
     results = [
         CheckResult(f"admissibility:{c.name}", c.passed, c.witness)
         for c in fam.admissibility_report.checks

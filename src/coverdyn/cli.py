@@ -24,13 +24,14 @@ from .attractor import (
     verify_global,
 )
 from .checks import (
+    BATTERY_DEPTH,
+    battery_family,
     boundedness_suite,
     closure_criteria_suite,
     grid_battery,
     measure_suite,
     proximity_suite,
 )
-from .covering import metric_chain_family
 from .dynamics import omega_limit
 from .proximity import CoverCollection, prox
 from .scenarios import (
@@ -40,7 +41,7 @@ from .scenarios import (
     get_scenario,
     load_system,
 )
-from .space import CoverdynError, line_grid
+from .space import CoverdynError
 
 
 @dataclass(frozen=True)
@@ -152,13 +153,12 @@ def cmd_verify_axioms(rc: RunConfig) -> int:
         resolution = sc.family.depth
     else:
         if rc.mutate == "prox-asymmetry":
-            grid = line_grid(0.0, 1.0, 101)
-            fam = metric_chain_family(grid, 2.0, 6)
-            results = proximity_suite(fam, separates_points=True, prox_fn=_broken_prox)
-            resolution = fam.depth
+            results = proximity_suite(
+                battery_family(), separates_points=True, prox_fn=_broken_prox
+            )
         else:
             results = grid_battery(seed=rc.seed, cap=rc.cap)
-            resolution = 6
+        resolution = BATTERY_DEPTH
     rows = _decorate([r.to_dict() for r in results], rc.budget, resolution)
     payload = {"command": "verify-axioms", "config": rc.to_dict(), "results": rows}
     _write(rc, _emit(rc, payload))

@@ -11,7 +11,7 @@ one euclidean norm kernel, `space.ball_rows`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .covering import AdmissibleFamily, Covering, chain_family, make_covering_masks
 from .space import Space, ball_rows, build_metric_space
@@ -25,7 +25,6 @@ class FunctionSpaceModel:
     """Functions on a finite argument grid, one sample point per function table."""
 
     args: tuple[Value, ...]
-    value_dim: int
     space: Space
     tables: tuple[Table, ...]
 
@@ -58,7 +57,6 @@ def build_function_model(
     space = build_metric_space(coords, metric="sup", ids=list(labels))
     return FunctionSpaceModel(
         args=arg_tuples,
-        value_dim=value_dim,
         space=space,
         tables=tuple(norm_tables),
     )
@@ -79,17 +77,12 @@ class ArgConstraint:
     centers: tuple[Value, ...]
 
 
-def constraint(
-    model: FunctionSpaceModel,
-    arg_index: int,
-    radius: float,
-    centers: Optional[Sequence] = None,
-) -> ArgConstraint:
-    if centers is None:
-        cs = model.observed_values(arg_index)
-    else:
-        cs = tuple(sorted(as_value(c, model.value_dim) for c in centers))
-    return ArgConstraint(arg_index=arg_index, radius=float(radius), centers=cs)
+def constraint(model: FunctionSpaceModel, arg_index: int, radius: float) -> ArgConstraint:
+    """Value balls of `radius` at one argument, centered at every value the
+    model's functions take there."""
+    return ArgConstraint(
+        arg_index=arg_index, radius=float(radius), centers=model.observed_values(arg_index)
+    )
 
 
 def _slabs(model: FunctionSpaceModel, c: ArgConstraint) -> list[int]:

@@ -11,7 +11,7 @@ that is a prefix of its levels. A point is its index in the family's space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .covering import AdmissibleFamily
 from .space import CoverdynError, EmptyInput, iter_bits
@@ -44,9 +44,6 @@ class CoverCollection:
     def zero(family: AdmissibleFamily) -> "CoverCollection":
         """The whole family: the least element, playing the role of distance zero."""
         return CoverCollection(family, (1 << family.size) - 1)
-
-    def contains_index(self, i: int) -> bool:
-        return bool((self.mask >> i) & 1)
 
     @property
     def is_zero(self) -> bool:
@@ -111,23 +108,6 @@ def converges_to_zero(seq: Sequence[CoverCollection]) -> bool:
     for e in seq:
         _check_family(seq[0], e)
     return seq[-1].is_zero
-
-
-def convergence_trace(seq: Sequence[CoverCollection]) -> list[Optional[int]]:
-    """Per covering index: the first position after which it is always present."""
-    if not seq:
-        raise EmptyInput("convergence needs at least one element")
-    fam = seq[0].family
-    for e in seq:
-        _check_family(seq[0], e)
-    out = []
-    for i in range(fam.size):
-        k0 = 0
-        for k, e in enumerate(seq):
-            if not e.contains_index(i):
-                k0 = k + 1
-        out.append(k0 if k0 < len(seq) else None)
-    return out
 
 
 def prox(x: int, y: int, family: AdmissibleFamily) -> CoverCollection:

@@ -98,7 +98,6 @@ class Space:
     """A finite point set with either metric or finite-topology geometry."""
 
     points: tuple[Point, ...]
-    metric_name: Optional[str] = None
     dist: Optional[np.ndarray] = None
     opens: Optional[tuple[int, ...]] = None
 
@@ -297,7 +296,7 @@ def build_metric_space(
     points = tuple(
         Point(pid=ids[i], index=i, coords=tuple(arr[i])) for i in range(len(ids))
     )
-    return Space(points=points, metric_name=metric, dist=dist)
+    return Space(points=points, dist=dist)
 
 
 def line_grid(start: float, stop: float, count: int) -> Space:
@@ -308,17 +307,14 @@ def line_grid(start: float, stop: float, count: int) -> Space:
     return build_metric_space([[x] for x in xs])
 
 
-def ball_masks(
-    space: Space, radius: float, centers: Optional[Sequence[int]] = None
-) -> tuple[int, ...]:
-    """Open metric balls: per center index (default: every point, in index
-    order), the mask of the points strictly closer than `radius`, from one
-    comparison of the distance rows."""
+def ball_masks(space: Space, radius: float) -> tuple[int, ...]:
+    """Open metric balls: per point, in index order, the mask of the points
+    strictly closer than `radius`, from one comparison of the distance
+    matrix."""
     space.require_metric()
     if radius <= 0:
         raise ValueError("radius must be positive")
-    rows = space.dist if centers is None else space.dist[list(centers)]
-    return _pack(rows < radius)
+    return _pack(space.dist < radius)
 
 
 def ball_rows(coords: Sequence, centers: Sequence, radius: float) -> tuple[int, ...]:

@@ -6,6 +6,10 @@ one-sided proximity of the images of Z to Y converges to zero along every
 divergent net. It computes every image point by point with `apply_fn`, so
 it shares neither the image rows nor the orbit masks with the level search.
 
+`convergence_trace` is truncated convergence of a collection sequence by
+its definition: per covering index, the first position after which the index
+is always present. `converges_to_zero` reads the last element instead.
+
 `reference_star_mask` is the star by its definition, the union of the
 members that meet the set, with no point stars and no memo.
 
@@ -58,8 +62,8 @@ import numpy as np
 from coverdyn.compactness import CoverSearchBudgetExceeded
 from coverdyn.covering import CheckList, CheckResult
 from coverdyn.dynamics import HYPOTHESIS_NAMES, FilterBasis
-from coverdyn.proximity import converges_to_zero, semi_prox
-from coverdyn.space import iter_bits
+from coverdyn.proximity import FamilyMismatch, converges_to_zero, semi_prox
+from coverdyn.space import EmptyInput, iter_bits
 
 
 def triangle_rtol(dim: int) -> float:
@@ -115,11 +119,29 @@ def prox_form_attracts(ymask, zmask, F, action, family):
         blocks[k].append(semi_prox(ymask, image, family))
     return all(
         converges_to_zero([
-            next((v for v in block if not v.contains_index(i)), block[0])
+            next((v for v in block if not (v.mask >> i) & 1), block[0])
             for block in blocks
         ])
         for i in range(family.size)
     )
+
+
+def convergence_trace(seq):
+    """Per covering index: the first position after which it is always present."""
+    if not seq:
+        raise EmptyInput("convergence needs at least one element")
+    fam = seq[0].family
+    for e in seq:
+        if e.family is not fam:
+            raise FamilyMismatch("values belong to different families")
+    out = []
+    for i in range(fam.size):
+        k0 = 0
+        for k, e in enumerate(seq):
+            if not (e.mask >> i) & 1:
+                k0 = k + 1
+        out.append(k0 if k0 < len(seq) else None)
+    return out
 
 
 def reference_star_mask(cov, ymask):

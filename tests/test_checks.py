@@ -194,3 +194,76 @@ def test_tiny_topology_battery_green():
     results = tiny_topology_battery(random.Random(3))
     assert results
     assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+def table_prox(table):
+    """A prox that reads a fixed table of collection masks."""
+
+    def p(x, y, family):
+        return CoverCollection(family, table[x][y])
+
+    return p
+
+
+# The two-intermediate law reads the 2-step coarsening. chain17-5 has the
+# 1-step coarsening rows (1, 1, 3, 63, 63, 63) and the 2-step ones
+# (1, 1, 1, 63, 63, 63), so a value {0} holds the 2-step coarsening of
+# covering 2 and not its 1-step one. The tables below place paths of three
+# hops in an otherwise empty prox table.
+CHAIN17_5 = metric_chain_family(line_grid(0.0, 1.0, 17), 2.0, 5)
+
+
+def path_table(n, entries):
+    table = [[0] * n for _ in range(n)]
+    for (x, y), v in entries.items():
+        table[x][y] = v
+    return table
+
+
+# 0 -> 1 -> 2 -> 3 through values that hold covering 2, and prox(0, 3) = {0}:
+# the law holds, read with 1-step coarsening it would fail
+SHORT = {(0, 1): 7, (1, 2): 7, (2, 3): 7, (0, 3): 1}
+# and 0 -> 4 -> 5 -> 3 through the whole family: the law fails at (0, 3) via
+# (4, 5); the earlier (1, 2) fails only with 1-step coarsening
+FALSE_FIRST_WITNESS = {**SHORT, (0, 4): 63, (4, 5): 63, (5, 3): 63}
+# and 0 -> 4 -> 5 -> 6 through the whole family: the law fails at (0, 6); the
+# lesser y = 3 fails only with 1-step coarsening
+FALSE_FIRST_Y = {**SHORT, (0, 4): 63, (4, 5): 63, (5, 6): 63}
+
+
+def random_tables(family, count):
+    """`count` seeded tables whose entries are empty or, with even odds, the
+    upward closure of one or two random covering indices."""
+    rng = random.Random(0)
+    n = family.space.n
+    for _ in range(count):
+        yield [
+            [
+                0 if rng.random() < 0.5
+                else CoverCollection.finite(family, rng.sample(range(family.size), rng.randint(1, 2))).mask
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+
+
+# on ten points the 1- and 2-step coarsenings differ too
+TEN_POINT_CHAINS = [
+    metric_chain_family(line_grid(0.0, 1.0, 10), eps0, depth)
+    for eps0, depth in [(2.0, 2), (2.0, 4), (0.5, 3)]
+]
+
+
+@pytest.mark.parametrize(
+    "family, tables",
+    [
+        (CHAIN17_5, [path_table(17, t) for t in (SHORT, FALSE_FIRST_WITNESS, FALSE_FIRST_Y)]),
+        *[(f, list(random_tables(f, 40))) for f in TEN_POINT_CHAINS],
+    ],
+    ids=["chain17-5-paths", *map(family_id, TEN_POINT_CHAINS)],
+)
+def test_triangle_2_on_injected_tables_matches_the_quadruple_loop(family, tables):
+    for table in tables:
+        p = table_prox(table)
+        got = {r.name: r for r in proximity_suite(family, prox_fn=p, separates_points=False)}
+        assert got["prox_triangle_2_intermediate"] == reference_triangle_2(family, p), table

@@ -223,7 +223,7 @@ def test_compact_vs_open_limit_inclusions(decay, grid, fam, tails):
     omK = omega_limit(K, tails, decay, fam).mask
     assert subset_at_resolution(omK, prolongational_union(K), fam)
 
-    U = ball_masks(grid, 0.03125, (40,))[0]
+    U = ball_masks(grid, 0.03125)[40]
     omU = omega_limit(U, tails, decay, fam).mask
     assert subset_at_resolution(prolongational_union(U), omU, fam)
 
@@ -259,7 +259,7 @@ def test_attracts_matches_prox_form_on_grid(request, action_name, grid, fam, tai
         pick(grid, 80),
         pick(grid, 100),
         pick(grid, 20, 60),
-        ball_masks(grid, 0.1, (0,))[0],
+        ball_masks(grid, 0.1)[0],
         grid.full_mask,
     ]
     for Y, Z in itertools.product(sets, repeat=2):
@@ -282,7 +282,7 @@ def test_attracts_matches_prox_form_on_scenarios(name):
 
 def test_absorbs_decay_arithmetic(decay, grid, fam, tails):
     # least level pulling {1} inside the open 0.1-ball around 0
-    Y = ball_masks(grid, 0.1, (0,))[0]
+    Y = ball_masks(grid, 0.1)[0]
     assert absorbs(Y, pick(grid, 100), tails, decay) == 4
     assert absorbs(pick(grid, 0), pick(grid, 0), tails, decay) == 0
 
@@ -495,7 +495,7 @@ def test_taxonomy_decay(decay, grid, fam, tails):
         "whole": grid.full_mask,
         "seed": pick(grid, 100),
     }
-    D = ball_masks(grid, 0.15, (0,))[0]
+    D = ball_masks(grid, 0.15)[0]
     rep = check_dissipativity(
         decay, tails, fam, testsets, cap=cap, absorb_candidate=D
     )

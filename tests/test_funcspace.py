@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from coverdyn import funcspace
 from coverdyn.covering import double_refines
 from coverdyn.funcspace import (
+    ArgConstraint,
     _slabs,
     build_function_model,
     constraint,
@@ -143,11 +144,14 @@ DYADIC = st.integers(-16, 16).map(lambda k: k / 8)
 
 
 def _value_case(values, centers, radius):
-    """A one-argument model whose tables are `values`, and a constraint on it."""
+    """A one-argument model whose tables are `values`, and a constraint on
+    it: balls around `centers`, or around the observed values when none."""
     model = build_function_model(
         (0.0,), [[v] for v in values], [str(i) for i in range(len(values))], len(values[0])
     )
-    return model, constraint(model, 0, radius, centers or None)
+    if not centers:
+        return model, constraint(model, 0, radius)
+    return model, ArgConstraint(0, float(radius), tuple(sorted(centers)))
 
 
 @st.composite

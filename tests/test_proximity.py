@@ -19,7 +19,6 @@ from coverdyn.proximity import (
     FamilyMismatch,
     coarsen,
     converges_to_zero,
-    convergence_trace,
     point_sequence_converges,
     precedes,
     prox,
@@ -40,7 +39,7 @@ from coverdyn.space import (
 )
 
 import row_forms
-from reference import reference_point_sequence_converges
+from reference import convergence_trace, reference_point_sequence_converges
 
 
 @pytest.fixture(scope="module")

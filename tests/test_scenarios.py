@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 
@@ -124,11 +125,30 @@ def scenarios_equal(a, b):
     return a.expected.attractor == b.expected.attractor
 
 
-@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
-def test_config_round_trip(name):
-    sc = get_scenario(name)
-    text = scenario_to_config(sc)
-    sc2 = load_system(text)
+# one non-default value per builder, so that the config carries more than
+# the defaults
+ROUND_TRIP_OVERRIDES = {
+    "composition": {"x0": 0.5},
+    "decay_grid": {"count": 201, "depth": 11},
+    "exp_decay": {"window": 5},
+    "iterated_contractions": {"chain_depth": 4},
+}
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [(n, o) for n in sorted(BUILTIN_SCENARIOS) for o in ({}, ROUND_TRIP_OVERRIDES[n])],
+    ids=[f"{n}{suffix}" for n in sorted(BUILTIN_SCENARIOS) for suffix in ("", "-overrides")],
+)
+def test_config_round_trip(name, overrides):
+    sc = get_scenario(name, **overrides)
+    # the params are the builder's whole signature, overrides included
+    assert set(sc.params) == set(inspect.signature(BUILTIN_SCENARIOS[name]).parameters)
+    assert {k: sc.params[k] for k in overrides} == overrides
+    if overrides:
+        assert not scenarios_equal(sc, get_scenario(name))
+    sc2 = load_system(scenario_to_config(sc))
+    assert sc2.params == sc.params
     assert scenarios_equal(sc, sc2)
 
 

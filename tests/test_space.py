@@ -155,23 +155,22 @@ def test_equal_coordinates_still_raise():
 
 def test_ball_basic():
     s = build_metric_space([[0.0], [1.0], [2.0]])
-    p0 = (0,)
-    assert s.pids(ball_masks(s, 1.5, p0)[0]) == ["(0)", "(1)"]
+    assert s.pids(ball_masks(s, 1.5)[0]) == ["(0)", "(1)"]
     # radius above the diameter captures everything
-    assert ball_masks(s, 10.0, p0)[0] == s.full_mask
+    assert ball_masks(s, 10.0)[0] == s.full_mask
     # radius below the smallest positive distance captures only the center
-    assert ball_masks(s, 0.5, p0)[0] == s.mask_of(p0)
+    assert ball_masks(s, 0.5)[0] == s.mask_of((0,))
 
 
 def test_ball_is_open_strict():
     s = build_metric_space([[0.0], [1.0], [2.0]])
-    assert s.pids(ball_masks(s, 1.0, (0,))[0]) == ["(0)"]
+    assert s.pids(ball_masks(s, 1.0)[0]) == ["(0)"]
 
 
 def test_ball_needs_metric():
     t = build_finite_topology(["a", "b"], [[], ["a"], ["a", "b"]])
     with pytest.raises(NotMetricSpace):
-        ball_masks(t, 1.0, (0,))
+        ball_masks(t, 1.0)
 
 
 def test_pids_are_sorted_by_id_not_by_index():
@@ -190,8 +189,7 @@ def test_pids_are_sorted_by_id_not_by_index():
 def test_ball_monotone_in_radius(r1, r2, center):
     s = line_grid(0.0, 1.0, 21)
     lo, hi = sorted([r1, r2])
-    c = (center,)
-    assert ball_masks(s, lo, c)[0] & ~ball_masks(s, hi, c)[0] == 0
+    assert ball_masks(s, lo)[center] & ~ball_masks(s, hi)[center] == 0
 
 
 def test_sierpinski_style_topology():
@@ -334,8 +332,9 @@ BALL_RADII = sorted(
 def test_ball_mask_matches_the_bit_loop(grid):
     for r in BALL_RADII:
         balls = reference_point_balls(grid, r)
+        got = ball_masks(grid, r)
         for p in range(grid.n):
-            assert ball_masks(grid, r, (p,))[0] == balls[p], (p, r)
+            assert got[p] == balls[p], (p, r)
 
 
 @st.composite
@@ -356,9 +355,6 @@ def test_ball_masks_match_the_per_point_loop(case):
     for r in radii:
         balls = ball_masks(s, r)
         assert balls == reference_point_balls(s, r)
-        assert balls == tuple(ball_masks(s, r, (p,))[0] for p in range(s.n))
-        centers = list(range(s.n))[::2]
-        assert ball_masks(s, r, centers) == tuple(balls[i] for i in centers)
 
 
 def test_ball_masks_check_the_radius_and_the_metric():
