@@ -53,22 +53,26 @@ from .space import (
 ProxFn = Callable[[int, int, AdmissibleFamily], CoverCollection]
 
 
+def _star_basis(family: AdmissibleFamily) -> bool:
+    return family.admissibility_report.passed("star_basis")
+
+
 def proximity_suite(
-    family: AdmissibleFamily,
-    prox_fn: Optional[ProxFn] = None,
-    separates_points: bool = True,
+    family: AdmissibleFamily, prox_fn: Optional[ProxFn] = None
 ) -> list[CheckResult]:
     """Pairwise proximity laws: symmetry, zero at the diagonal, separation
-    when `separates_points` (families that resolve single points of a
-    Hausdorff space), the coarsened triangle law (one and two intermediate
-    points, both checked on every triple and quadruple), and sequence
-    convergence.
+    when the family resolves points (it passes the star-basis axiom and
+    every singleton is open, so the finite space is Hausdorff; metric spaces
+    resolve to the discrete topology), the coarsened triangle law (one and
+    two intermediate points, both checked on every triple and quadruple),
+    and sequence convergence.
 
     The prox is read once per ordered pair, into the table `vals[x][y]` of
     collection masks that every law reads. No law draws random numbers.
     """
     p = prox_fn or prox
-    pts = family.space.points
+    space = family.space
+    pts = space.points
 
     def read(x: int, y: int) -> int:
         v = p(x, y, family)
@@ -89,7 +93,9 @@ def proximity_suite(
     out.append(first_failure("prox_zero_at_diagonal", (
         pts[x].pid for x in ix if vals[x][x] != zero
     )))
-    if separates_points:
+    # separation presupposes a Hausdorff space: discrete, when finite
+    discrete = space.opens is None or all(1 << x in space.opens for x in ix)
+    if discrete and _star_basis(family):
         out.append(first_failure("prox_separates_points", (
             f"{pts[x].pid},{pts[y].pid}"
             for x, y in itertools.combinations(ix, 2)
@@ -170,9 +176,20 @@ def _triangles(family: AdmissibleFamily, vals: list[list[int]]) -> list[CheckRes
     R2 = bool_products([(P[i], cols[i], n) for i in range(size)])
     R3 = bool_products([(R2[i], cols[i], n) for i in range(size)])
 
+    def table_fault(law: str, x: int, bad: int):
+        y = (bad & -bad).bit_length() - 1
+        return RuntimeError(
+            f"internal error: the product tables fail the {law} law at "
+            f"({pts[x].pid},{pts[y].pid}) and the witness scan finds no path"
+        )
+
     def one_violations():
         # R2 decides the verdict; the (z, x) scan only orders the witness
-        if not any(R2[i][x] & ~Q1[i][x] for i in range(size) for x in range(n)):
+        flagged = next((
+            (x, R2[i][x] & ~Q1[i][x])
+            for i in range(size) for x in range(n) if R2[i][x] & ~Q1[i][x]
+        ), None)
+        if flagged is None:
             return
         for z in range(n):
             for x in range(n):
@@ -182,6 +199,7 @@ def _triangles(family: AdmissibleFamily, vals: list[list[int]]) -> list[CheckRes
                 if bad:
                     y = (bad & -bad).bit_length() - 1
                     yield f"{pts[x].pid},{pts[y].pid} via {pts[z].pid}"
+        raise table_fault("one-intermediate", *flagged)
 
     def two_violations():
         for x in range(n):
@@ -195,6 +213,7 @@ def _triangles(family: AdmissibleFamily, vals: list[list[int]]) -> list[CheckRes
                     if vals[x][a] & vals[a][b] & vals[b][y] & cut:
                         yield ",".join(pts[q].pid for q in (x, y, a, b))
                         return
+                raise table_fault("two-intermediate", x, bad)
 
     return [
         first_failure("prox_triangle_1_intermediate", one_violations()),
@@ -203,17 +222,14 @@ def _triangles(family: AdmissibleFamily, vals: list[list[int]]) -> list[CheckRes
 
 
 def closure_criteria_suite(
-    family: AdmissibleFamily,
-    rng: Optional[random.Random] = None,
-    trials: int = 120,
-    star_basis_holds: bool = True,
+    family: AdmissibleFamily, rng: random.Random, trials: int = 120
 ) -> list[CheckResult]:
     """Set-proximity laws against the family closure: membership criteria,
     closure invariance, and the convergent-sequence criterion.
 
     The two closure-invariance laws presuppose the star-basis axiom (they are
-    proved for admissible families); they are skipped when it fails."""
-    rng = rng or random.Random(2)
+    proved for admissible families); they are skipped when the family fails
+    it."""
     space = family.space
     ix = range(space.n)
     out = []
@@ -236,7 +252,7 @@ def closure_criteria_suite(
 
     out.append(first_failure("prox_zero_iff_in_closure", zero_off_closure()))
 
-    if star_basis_holds:
+    if _star_basis(family):
 
         def closure_moves_prox():
             for A in sets:
@@ -278,12 +294,9 @@ def closure_criteria_suite(
 
 
 def boundedness_suite(
-    family: AdmissibleFamily,
-    rng: Optional[random.Random] = None,
-    trials: int = 100,
+    family: AdmissibleFamily, rng: random.Random, trials: int = 100
 ) -> list[CheckResult]:
     """Totally bounded sets are bounded; stars of bounded sets are bounded."""
-    rng = rng or random.Random(3)
     space = family.space
     ix = range(space.n)
     out = []
@@ -311,14 +324,13 @@ def boundedness_suite(
 
 def measure_suite(
     family: AdmissibleFamily,
+    rng: random.Random,
     cap: Optional[int] = None,
-    rng: Optional[random.Random] = None,
     trials: int = 200,
 ) -> list[CheckResult]:
     """Star-measure laws: monotonicity, the capped union bracket (with exact
     equality at an ample cap), the closure bracket, and the member-cover
     bracket standing in for the auxiliary measure."""
-    rng = rng or random.Random(4)
     space = family.space
     ix = range(space.n)
     cap = cap if cap is not None else default_cap(space.n)
@@ -374,17 +386,16 @@ def measure_suite(
     return out
 
 
+# trials of each kind in the nested-chain harness
+NESTED_CHAIN_TRIALS = 100
+
+
 def nested_chain_suite(
-    family: AdmissibleFamily,
-    cap: Optional[int] = None,
-    rng: Optional[random.Random] = None,
-    positives: int = 100,
-    negatives: int = 100,
+    family: AdmissibleFamily, rng: random.Random, cap: Optional[int] = None
 ) -> list[CheckResult]:
     """Randomized nested-closed-chain harness: measure-converging chains must
     report nonempty intersections; starved-cap controls must report the unmet
     hypothesis and never claim the conclusion."""
-    rng = rng or random.Random(5)
     space = family.space
     ix = range(space.n)
     cap = cap if cap is not None else default_cap(space.n)
@@ -392,7 +403,7 @@ def nested_chain_suite(
     balls: dict[float, tuple[int, ...]] = {}  # every center's ball, per radius
 
     def positive_misses():
-        for t in range(positives):
+        for t in range(NESTED_CHAIN_TRIALS):
             center = rng.choice(ix)
             chain = []
             radius = 1.3
@@ -415,7 +426,7 @@ def nested_chain_suite(
 
     def starved_claims():
         starved_cap = 2
-        for t in range(negatives):
+        for t in range(NESTED_CHAIN_TRIALS):
             stride = rng.randint(3, 5)
             offset = rng.randint(0, stride - 1)
             spread = family.closure_mask(space.mask_of(ix[offset::stride]))
@@ -445,7 +456,7 @@ def grid_battery(seed: int = 0, cap: Optional[int] = None) -> list[CheckResult]:
         CheckResult(f"admissibility:{c.name}", c.passed, c.witness)
         for c in fam.admissibility_report.checks
     ]
-    results += proximity_suite(fam, separates_points=True)
+    results += proximity_suite(fam)
     results += closure_criteria_suite(fam, rng=rng)
     results += boundedness_suite(fam, rng=rng)
     results += measure_suite(fam, cap=cap, rng=rng)
@@ -454,10 +465,9 @@ def grid_battery(seed: int = 0, cap: Optional[int] = None) -> list[CheckResult]:
     return results
 
 
-def tiny_topology_battery(rng: Optional[random.Random] = None) -> list[CheckResult]:
+def tiny_topology_battery(rng: random.Random) -> list[CheckResult]:
     """Exhaustive suites over the all-coverings family of every topology on
     one, two, and three points."""
-    rng = rng or random.Random(6)
     merged: dict[str, CheckResult] = {}
 
     def fold(results):
@@ -471,15 +481,8 @@ def tiny_topology_battery(rng: Optional[random.Random] = None) -> list[CheckResu
             pts = tuple(Point(pid=f"p{i}", index=i) for i in range(n))
             space = Space(points=pts, opens=opens)
             fam = finite_all_coverings_family(space)
-            star_basis = fam.admissibility_report.check("star_basis").passed
-            # separation presupposes a Hausdorff space: discrete, when finite
-            hausdorff = all((1 << i) in opens for i in range(n))
-            fold(proximity_suite(fam, separates_points=star_basis and hausdorff))
-            fold(
-                closure_criteria_suite(
-                    fam, rng=rng, trials=10, star_basis_holds=star_basis
-                )
-            )
+            fold(proximity_suite(fam))
+            fold(closure_criteria_suite(fam, rng=rng, trials=10))
             fold(boundedness_suite(fam, rng=rng, trials=10))
             fold(measure_suite(fam, cap=2, rng=rng, trials=10))
     return list(merged.values())

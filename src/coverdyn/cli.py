@@ -137,25 +137,18 @@ def _broken_prox(x, y, family):
 def cmd_verify_axioms(rc: RunConfig) -> int:
     if rc.scenario or rc.config_path:
         sc = _load_scenario(rc)
-        star_basis = sc.family.admissibility_report.passed("star_basis")
         rng = random.Random(rc.seed)
         results = []
         results += proximity_suite(
-            sc.family,
-            separates_points=star_basis,
-            prox_fn=_broken_prox if rc.mutate == "prox-asymmetry" else None,
+            sc.family, prox_fn=_broken_prox if rc.mutate == "prox-asymmetry" else None
         )
-        results += closure_criteria_suite(
-            sc.family, rng=rng, trials=40, star_basis_holds=star_basis
-        )
+        results += closure_criteria_suite(sc.family, rng=rng, trials=40)
         results += boundedness_suite(sc.family, rng=rng, trials=40)
         results += measure_suite(sc.family, cap=rc.cap or sc.declared.cap, rng=rng, trials=60)
         resolution = sc.family.depth
     else:
         if rc.mutate == "prox-asymmetry":
-            results = proximity_suite(
-                battery_family(), separates_points=True, prox_fn=_broken_prox
-            )
+            results = proximity_suite(battery_family(), prox_fn=_broken_prox)
         else:
             results = grid_battery(seed=rc.seed, cap=rc.cap)
         resolution = BATTERY_DEPTH

@@ -416,23 +416,23 @@ HYPOTHESIS_NAMES = {
 }
 
 
-def check_hypotheses(
-    F: FilterBasis,
-    s_samples: Optional[Sequence] = None,
-    enumeration_bound: int = 1000,
-    max_level: Optional[int] = None,
-) -> CheckList:
-    """Exact translation-compatibility checks between the filter basis and the
-    semigroup, per sampled element and level, using semigroup division: one
-    row per hypothesis, in sorted-name order.
+# carrier bound up to which `check_hypotheses` lists an enumerable filter level
+ENUMERATION_BOUND = 1000
 
-    Levels are checked up to `max_level` (default: depth minus a headroom of 4)
-    so that witness levels can exist inside the truncation. A hypothesis holds
-    at (s, k) when some filter level j has the element tested for each of its
-    elements b inside level k: s*b, b*s, or the a with a*s = b or with
-    s*a = b, one per hypothesis (a failed division fails every level). Each
-    level is every element up to `enumeration_bound` when the basis
-    enumerates it, else its sample, so the verdict is exact up to that bound.
+
+def check_hypotheses(F: FilterBasis, max_level: int) -> CheckList:
+    """Exact translation-compatibility checks between the filter basis and the
+    semigroup, per element s of `F.semigroup.sample(4)` and level, using
+    semigroup division: one row per hypothesis, in sorted-name order.
+
+    Levels are checked up to `max_level`, which callers leave below the
+    depth so that witness levels can exist inside the truncation. A
+    hypothesis holds at (s, k) when some filter level j has the element
+    tested for each of its elements b inside level k: s*b, b*s, or the a
+    with a*s = b or with s*a = b, one per hypothesis (a failed division
+    fails every level). Each level is every element up to
+    `ENUMERATION_BOUND` when the basis enumerates it, else its sample, so the
+    verdict is exact up to that bound.
 
     One table pass decides every k at once: per (hypothesis, s) each element
     b of a filter level is mapped to the element it is tested on, and that
@@ -450,10 +450,7 @@ def check_hypotheses(
     later samples go unchecked.
     """
     sem = F.semigroup
-    if s_samples is None:
-        s_samples = sem.sample(4)
-    if max_level is None:
-        max_level = max(0, F.depth - 4)
+    s_samples = sem.sample(4)
     checked = range(min(max_level, F.depth) + 1)
     every = (1 << len(checked)) - 1
 
@@ -463,7 +460,7 @@ def check_hypotheses(
         out = listed.get(j)
         if out is None:
             if F.enumerate_level is not None:
-                out = F.enumerate_level(j, enumeration_bound)
+                out = F.enumerate_level(j, ENUMERATION_BOUND)
             else:
                 out = F.sampler(j)
             listed[j] = out
@@ -545,11 +542,13 @@ def check_dissipativity(
     family: AdmissibleFamily,
     testsets: dict[str, int],
     cap: int,
-    points_sample: Optional[int] = None,
-    absorb_candidate: Optional[int] = None,
+    points_sample: int,
+    absorb_candidate: Optional[int],
 ) -> CheckList:
     """Verdicts with witnesses for the five dissipativity/compactness notions,
-    on the bounded test sets and the mask `points_sample` (default: every point)."""
+    on the bounded test sets and the points of the mask `points_sample`. The
+    bounded absorbing candidates are `absorb_candidate`, when given, its
+    stars, and the whole space."""
     if not testsets:
         raise EmptyInput("the taxonomy needs at least one test set")
     space = action.space
@@ -574,17 +573,16 @@ def check_dissipativity(
     bounded = [(cname, D) for cname, D in candidates if is_bounded(D, family)]
     ok, wit = False, "no bounded absorbing candidate"
     for cname, D in bounded:
-        if all(any(om & ~D == 0 for om in per_level) for per_level in orbits.values()):
+        if all(absorbs(D, m, F, action) is not None for m in masks.values()):
             ok, wit = True, f"absorbing set: {cname}"
             break
     if not ok and (absorb_candidate or bounded):
         wit = "no candidate absorbs every test set"
     outcomes.append(CheckResult("bounded_dissipative", ok, wit))
 
-    sample = space.full_mask if points_sample is None else points_sample
     ok, wit = False, "no bounded candidate absorbs every sampled point"
     for cname, D in bounded:
-        if all(absorbs(D, 1 << x, F, action) is not None for x in iter_bits(sample)):
+        if all(absorbs(D, 1 << x, F, action) is not None for x in iter_bits(points_sample)):
             ok, wit = True, f"absorbing set: {cname}"
             break
     outcomes.append(CheckResult("point_dissipative", ok, wit))

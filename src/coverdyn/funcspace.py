@@ -22,9 +22,9 @@ Table = tuple[Value, ...]
 
 @dataclass(frozen=True, eq=False)
 class FunctionSpaceModel:
-    """Functions on a finite argument grid, one sample point per function table."""
+    """Functions on a finite argument grid, one sample point per function
+    table: `tables[i][j]` is the value of function i at argument j."""
 
-    args: tuple[Value, ...]
     space: Space
     tables: tuple[Table, ...]
 
@@ -44,10 +44,9 @@ def as_value(v, dim: int) -> Value:
 
 
 def build_function_model(
-    args: Sequence, tables: Sequence[Sequence], labels: Sequence[str], value_dim: int = 1
+    tables: Sequence[Sequence], labels: Sequence[str], value_dim: int = 1
 ) -> FunctionSpaceModel:
     """Build the model space; point coordinates are the flattened tables."""
-    arg_tuples = tuple(as_value(a, _arg_dim(a)) for a in args)
     norm_tables = []
     for t in tables:
         norm_tables.append(tuple(as_value(v, value_dim) for v in t))
@@ -55,17 +54,7 @@ def build_function_model(
         raise ValueError("duplicate function tables")
     coords = [[x for v in t for x in v] for t in norm_tables]
     space = build_metric_space(coords, metric="sup", ids=list(labels))
-    return FunctionSpaceModel(
-        args=arg_tuples,
-        space=space,
-        tables=tuple(norm_tables),
-    )
-
-
-def _arg_dim(a) -> int:
-    if isinstance(a, (int, float)):
-        return 1
-    return len(tuple(a))
+    return FunctionSpaceModel(space=space, tables=tuple(norm_tables))
 
 
 @dataclass(frozen=True)

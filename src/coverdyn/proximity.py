@@ -163,12 +163,7 @@ def point_sequence_converges(seq: Sequence[int], x: int, family: AdmissibleFamil
 
 def sets_equal_at_resolution(amask: int, bmask: int, family: AdmissibleFamily) -> bool:
     """Set equality up to the family's resolution: each set lies in the other's closure."""
-    if not amask or not bmask:
-        return amask == bmask
-    return (
-        amask & ~family.closure_mask(bmask) == 0
-        and bmask & ~family.closure_mask(amask) == 0
-    )
+    return subset_at_resolution(amask, bmask, family) and subset_at_resolution(bmask, amask, family)
 
 
 def subset_at_resolution(amask: int, bmask: int, family: AdmissibleFamily) -> bool:

@@ -34,7 +34,6 @@ from .dynamics import (
     vector_tails,
 )
 from .funcspace import (
-    FunctionSpaceModel,
     build_function_model,
     constraint,
     pointwise_chain,
@@ -88,7 +87,6 @@ class Scenario:
     declared: Declared
     expected: Expected
     points_sample: int
-    model: Optional[FunctionSpaceModel] = None
     params: dict = field(default_factory=dict)
 
     def attractor_points(self) -> int:
@@ -158,7 +156,7 @@ def scenario_iterated_contractions(
             labels.append(f"pow[{xf:g}]e{e}")
             tables.append([(xf + L**e * (z - xf),) for z in args])
             meta.append(("pow", xf, e))
-    model = build_function_model(args, tables, labels, value_dim=1)
+    model = build_function_model(tables, labels, value_dim=1)
     space = model.space
     lookup = {m: i for i, m in enumerate(meta)}
 
@@ -211,7 +209,6 @@ def scenario_iterated_contractions(
         declared=declared,
         expected=expected,
         points_sample=space.full_mask,
-        model=model,
         params={"depth": depth, "eps0": eps0, "chain_depth": chain_depth},
     )
     return _validate(sc, radii[-1], assoc_elements=(1, 2, 3, 5))
@@ -248,7 +245,7 @@ def scenario_composition(
             labels.append(f"{sname}.e{e}")
             tables.append([(x0 + L**e * (v - x0),) for v in vals])
             meta.append(("seed", sname, e))
-    model = build_function_model(args, tables, labels, value_dim=1)
+    model = build_function_model(tables, labels, value_dim=1)
     space = model.space
     lookup = {m: i for i, m in enumerate(meta)}
 
@@ -295,7 +292,6 @@ def scenario_composition(
         declared=declared,
         expected=expected,
         points_sample=space.full_mask,
-        model=model,
         params={"x0": x0, "depth": depth, "eps0": eps0, "chain_depth": chain_depth},
     )
     return _validate(sc, radii[-1], assoc_elements=(0.5, 0.25, 0.125))
@@ -312,7 +308,7 @@ DECAY_WITNESS_MAX = 22
 
 
 def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
-    args = ((0.0, 0.0), (1.0, 1.0))
+    # each table holds the values at the arguments (0, 0) and (1, 1)
     floor = DECAY_FLOOR_EXP
     kmax = DECAY_WITNESS_MAX
     if depth != kmax:
@@ -329,7 +325,7 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
         labels.append(f"f{k}")
         tables.append([(0.0, 0.0), (v, v)])
         meta.append(k + 1)
-    model = build_function_model(args, tables, labels, value_dim=2)
+    model = build_function_model(tables, labels, value_dim=2)
     space = model.space
     by_exp = {j: i for i, j in enumerate(meta) if j is not None}
 
@@ -377,7 +373,6 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
         declared=declared,
         expected=expected,
         points_sample=sample,
-        model=model,
         params={"depth": depth, "window": window},
     )
     return _validate(sc, radii[-1], assoc_elements=((0, 0), (1, 1), (2, 2)))
@@ -423,7 +418,6 @@ def scenario_decay_grid(
         declared=declared,
         expected=expected,
         points_sample=space.mask_of(range(0, space.n, 10)),
-        model=None,
         params={
             "count": count,
             "chain_depth": chain_depth,
@@ -643,7 +637,6 @@ def _load_custom(cp) -> Scenario:
         declared=declared,
         expected=expected,
         points_sample=space.mask_of(range(0, space.n, max(1, space.n // 10))),
-        model=None,
         params={},
     )
     return _validate(sc, finest_radius, assoc_elements=(0, 1, 2))

@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints a
 pass/fail line (visible with `pytest -s`)."""
 
+import dataclasses
 import math
 import random
 import time
@@ -86,9 +87,7 @@ def test_criterion_2_nested_chain_harness():
     t0 = time.monotonic()
     grid = line_grid(0.0, 1.0, 101)
     fam = metric_chain_family(grid, 2.0, 6)
-    results = nested_chain_suite(
-        fam, cap=26, rng=random.Random(0), positives=100, negatives=100
-    )
+    results = nested_chain_suite(fam, cap=26, rng=random.Random(0))
     elapsed = time.monotonic() - t0
     ok = all(r.passed for r in results) and elapsed < 30.0
     report(f"2 nested-chain harness (100+100 runs, {elapsed:.1f}s)", ok)
@@ -104,10 +103,12 @@ def test_criterion_3_iterated_contractions():
     rep = attracts(A, sc.testsets["whole"], sc.filter_basis, sc.action, sc.family)
     # closed-form attraction bound: least n with L**n * delta < eps, where L
     # is the contraction factor and delta the largest distance from an
-    # argument value to a fixed point; idx is the chain level of radius eps
+    # argument value to a fixed point; idx is the chain level of radius eps.
+    # A point's coordinates are its table, one value per argument.
     L = 0.5
-    fixed = [sc.model.tables[i][0][0] for i in iter_bits(A)]
-    delta = max(abs(z - xf) for (z,) in sc.model.args for xf in fixed)
+    args = (-1.0, 1.0)  # the builder's argument grid
+    fixed = [sc.space.points[i].coords[0] for i in iter_bits(A)]
+    delta = max(abs(z - xf) for z in args for xf in fixed)
     eps_target = 0.01
     bound = next(n for n in range(1, 64) if L**n * delta < eps_target)
     radii = [sc.params["eps0"] * 0.25**i for i in range(sc.params["chain_depth"] + 1)]
@@ -139,7 +140,9 @@ def test_criterion_4_decay_counterexample():
     norm_ok = False
     if not rep.attracted and fail_idx in rep.failures:
         el, z, img = rep.failures[fail_idx]
-        norm = math.hypot(*sc.model.tables[img][1])
+        # the coordinates are the flattened table: the value at argument 1 is
+        # the second pair
+        norm = math.hypot(*sc.space.points[img].coords[2:])
         norm_ok = abs(norm - 2.0 * math.sqrt(2.0)) < 1e-12 and norm > 2.0
     eq = check_equivalence(sc)
     taxonomy_ok = not eq.taxonomy.passed("asymptotically_compact")
@@ -149,10 +152,12 @@ def test_criterion_4_decay_counterexample():
 
 
 def _spread_bound_holds(sc, testset) -> bool:
-    model = sc.model
-    # the first argument, the level-1 chain radius and the seeds' Lipschitz
-    # constant
-    first = model.args[0][0]
+    # the builder's argument grid, the first argument, the level-1 chain
+    # radius and the seeds' Lipschitz constant; a point's coordinates are its
+    # table, one value per argument
+    args = (-1.0, 0.0, 1.0)
+    tables = [p.coords for p in sc.space.points]
+    first = args[0]
     d1 = sc.params["eps0"] * 0.25
     K = 1.0
     pts = list(iter_bits(testset))
@@ -163,9 +168,9 @@ def _spread_bound_holds(sc, testset) -> bool:
         return False
     for i, f in enumerate(pts):
         for g in pts[i:]:
-            for j, z in enumerate(model.args):
-                spread = abs(model.tables[f][j][0] - model.tables[g][j][0])
-                if not spread < 2 * K * abs(z[0] - first) + 4 * d1:
+            for j, z in enumerate(args):
+                spread = abs(tables[f][j] - tables[g][j])
+                if not spread < 2 * K * abs(z - first) + 4 * d1:
                     return False
     return True
 
@@ -247,15 +252,15 @@ def test_criterion_6_theorem_consistency():
 
 
 def test_criterion_7_hypothesis_checker():
-    additive = check_hypotheses(
-        integer_tails(nat_add(), depth=10, window=4), enumeration_bound=1000
-    )
+    F = integer_tails(nat_add(), depth=10, window=4)
+    additive = check_hypotheses(F, max_level=max(0, F.depth - 4))
     additive_ok = additive.all_passed
 
+    F = integer_tails(nat_mul(), depth=10, window=4, start=1)
+    # the checker tests the elements the semigroup samples
+    sem = dataclasses.replace(F.semigroup, sample=lambda _: (1, 2, 3))
     multiplicative = check_hypotheses(
-        integer_tails(nat_mul(), depth=10, window=4, start=1),
-        s_samples=(1, 2, 3),
-        enumeration_bound=1000,
+        dataclasses.replace(F, semigroup=sem), max_level=max(0, F.depth - 4)
     )
     # the blocker is odd: odd numbers never lie in a doubled tail
     mult_ok = multiplicative.check("within_right_translate") == CheckResult(

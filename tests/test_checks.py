@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
-from test_proximity import ALL_FAMILIES, GRID101_CHAIN, family_id
+from test_proximity import ALL_FAMILIES, GRID101_CHAIN, TOPOLOGY_FAMILIES, family_id
 
+from coverdyn import checks
 from coverdyn.checks import (
+    battery_family,
     boundedness_suite,
     closure_criteria_suite,
     measure_suite,
@@ -12,8 +14,9 @@ from coverdyn.checks import (
     proximity_suite,
     tiny_topology_battery,
 )
-from coverdyn.covering import CheckResult, metric_chain_family
+from coverdyn.covering import CheckResult, metric_chain_family, verify_admissible
 from coverdyn.proximity import CoverCollection, FamilyMismatch, coarsen, precedes, prox
+from coverdyn.scenarios import BUILTIN_SCENARIOS, get_scenario
 from coverdyn.space import line_grid
 
 
@@ -23,8 +26,52 @@ def fam():
 
 
 def test_proximity_suite_green(fam):
-    results = proximity_suite(fam, separates_points=True)
+    results = proximity_suite(fam)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [battery_family]
+    + [lambda name=name: get_scenario(name).family for name in sorted(BUILTIN_SCENARIOS)]
+    + [lambda f=f: f for f in TOPOLOGY_FAMILIES],
+    ids=["battery", *sorted(BUILTIN_SCENARIOS), *(f"topology{i}" for i in range(len(TOPOLOGY_FAMILIES)))],
+)
+def test_suites_derive_their_preconditions_from_the_family(make):
+    # separation needs the star-basis axiom and a Hausdorff space (every
+    # singleton open; a metric space resolves to the discrete topology), the
+    # closure-invariance laws the star-basis axiom alone
+    fam = make()
+    space = fam.space
+    star_basis = verify_admissible(fam).passed("star_basis")
+    discrete = space.opens is None or all(1 << i in space.opens for i in range(space.n))
+    prox_rows = {r.name for r in proximity_suite(fam)}
+    assert ("prox_separates_points" in prox_rows) == (star_basis and discrete)
+    closure_rows = {r.name for r in closure_criteria_suite(fam, rng=random.Random(0))}
+    for name in ("prox_to_closure_invariant", "semi_prox_closure_invariant"):
+        assert (name in closure_rows) == star_basis
+
+
+@pytest.mark.parametrize("call, law", [(0, "one-intermediate"), (1, "two-intermediate")], ids=["R2", "R3"])
+def test_triangle_laws_fail_loudly_when_the_tables_and_the_scan_disagree(monkeypatch, call, law):
+    # one stray bit in R2 (the first product call) or R3 (the second) flags
+    # the pair of the grid ends at the finest covering, where no path of
+    # the correct prox fails either law, so the witness scan finds nothing
+    family = metric_chain_family(line_grid(0.0, 1.0, 9), 2.0, 4)
+    n, finest = family.space.n, family.size - 1
+    assert all(r.passed for r in proximity_suite(family))
+    real, calls = checks.bool_products, []
+
+    def stray(products):
+        out = real(products)
+        if len(calls) == call:
+            out[finest] = (out[finest][0] | 1 << (n - 1), *out[finest][1:])
+        calls.append(products)
+        return out
+
+    monkeypatch.setattr(checks, "bool_products", stray)
+    with pytest.raises(RuntimeError, match=rf"the {law} law at \(\(0\),\(1\)\)"):
+        proximity_suite(family)
 
 
 def broken(x, y, family):
@@ -35,7 +82,7 @@ def broken(x, y, family):
 
 
 def test_proximity_suite_catches_broken_symmetry(fam):
-    results = proximity_suite(fam, prox_fn=broken, separates_points=True)
+    results = proximity_suite(fam, prox_fn=broken)
     by_name = {r.name: r for r in results}
     assert not by_name["prox_symmetry"].passed
     assert by_name["prox_symmetry"].witness
@@ -43,7 +90,7 @@ def test_proximity_suite_catches_broken_symmetry(fam):
 
 def test_exhaustive_triangle_check_reads_the_injected_prox():
     grid_fam = metric_chain_family(line_grid(0.0, 1.0, 101), 2.0, 6)
-    results = proximity_suite(grid_fam, prox_fn=broken, separates_points=True)
+    results = proximity_suite(grid_fam, prox_fn=broken)
     by_name = {r.name: r for r in results}
     triangle = by_name["prox_triangle_1_intermediate"]
     assert not triangle.passed
@@ -116,7 +163,7 @@ def clear_one_bit(x, y, family):
     "family", ALL_FAMILIES + [GRID101_CHAIN], ids=family_id
 )
 def test_triangle_1_matches_the_triple_loop(family, p):
-    results = proximity_suite(family, prox_fn=p, separates_points=False)
+    results = proximity_suite(family, prox_fn=p)
     got = {r.name: r for r in results}["prox_triangle_1_intermediate"]
     assert got == reference_triangle_1(family, p)
 
@@ -129,7 +176,7 @@ def test_triangle_1_mutants_fail_somewhere(p):
 @pytest.mark.parametrize("p", [prox, broken, clear_one_bit], ids=lambda p: p.__name__)
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=family_id)
 def test_triangle_2_matches_the_quadruple_loop(family, p):
-    results = proximity_suite(family, prox_fn=p, separates_points=False)
+    results = proximity_suite(family, prox_fn=p)
     got = {r.name: r for r in results}["prox_triangle_2_intermediate"]
     assert got == reference_triangle_2(family, p)
 
@@ -163,7 +210,7 @@ def drop_one_without_two(x, y, family):
     ids=["three-hops", "two-step-coarsening"],
 )
 def test_triangle_2_reads_three_hops_and_two_step_coarsening(p, family, passed):
-    by_name = {r.name: r for r in proximity_suite(family, prox_fn=p, separates_points=False)}
+    by_name = {r.name: r for r in proximity_suite(family, prox_fn=p)}
     assert not by_name["prox_triangle_1_intermediate"].passed
     got = by_name["prox_triangle_2_intermediate"]
     assert got == reference_triangle_2(family, p)
@@ -183,10 +230,9 @@ def test_measure_suite_green(fam):
         assert r.passed, r
 
 
-def test_nested_chain_suite_counts(fam):
-    results = nested_chain_suite(
-        fam, cap=8, rng=random.Random(2), positives=20, negatives=20
-    )
+def test_nested_chain_suite_counts(fam, monkeypatch):
+    monkeypatch.setattr(checks, "NESTED_CHAIN_TRIALS", 20)
+    results = nested_chain_suite(fam, cap=8, rng=random.Random(2))
     assert all(r.passed for r in results), results
 
 
@@ -265,5 +311,5 @@ TEN_POINT_CHAINS = [
 def test_triangle_2_on_injected_tables_matches_the_quadruple_loop(family, tables):
     for table in tables:
         p = table_prox(table)
-        got = {r.name: r for r in proximity_suite(family, prox_fn=p, separates_points=False)}
+        got = {r.name: r for r in proximity_suite(family, prox_fn=p)}
         assert got["prox_triangle_2_intermediate"] == reference_triangle_2(family, p), table

@@ -291,15 +291,34 @@ def test_absorbs_absent(identity_action, grid, tails):
     assert absorbs(pick(grid, 0), pick(grid, 80), tails, identity_action) is None
 
 
+def basis_with(F, s_samples=None, enumeration_bound=None):
+    """F with the inputs `check_hypotheses` reads from it replaced: its
+    semigroup samples `s_samples`, and an enumerable level is listed up to
+    `enumeration_bound` in place of `ENUMERATION_BOUND`."""
+    if s_samples is not None:
+        F = dataclasses.replace(
+            F, semigroup=dataclasses.replace(F.semigroup, sample=lambda _: s_samples)
+        )
+    if enumeration_bound is not None and F.enumerate_level is not None:
+        listing = F.enumerate_level
+        F = dataclasses.replace(F, enumerate_level=lambda j, _: listing(j, enumeration_bound))
+    return F
+
+
+def default_level(F):
+    # the headroom of 4 below the depth that these tests check up to
+    return max(0, F.depth - 4)
+
+
 def test_hypotheses_additive_all_pass(tails):
-    rep = check_hypotheses(tails)
+    rep = check_hypotheses(tails, max_level=default_level(tails))
     assert [c.name for c in rep.checks] == sorted(HYPOTHESIS_NAMES)
     assert rep.all_passed
 
 
 def test_hypotheses_multiplicative_h3_fails():
     F = integer_tails(nat_mul(), depth=8, window=4, start=1)
-    rep = check_hypotheses(F, s_samples=(1, 2, 3), enumeration_bound=1000)
+    rep = check_hypotheses(basis_with(F, s_samples=(1, 2, 3)), max_level=default_level(F))
     assert rep.passed("left_translate_into")
     assert rep.passed("right_translate_into")
     # odd numbers never lie in a doubled tail
@@ -313,18 +332,27 @@ def test_hypotheses_multiplicative_h3_fails():
 
 def test_hypotheses_scaling_basis():
     F = scaling_tails(depth=10, window=3)
-    rep = check_hypotheses(F, s_samples=(0.5, 0.25), max_level=4)
+    rep = check_hypotheses(basis_with(F, s_samples=(0.5, 0.25)), max_level=4)
     assert rep.all_passed
 
 
 def test_hypotheses_vector_tails():
     F = vector_tails(2, depth=10, window=4)
-    rep = check_hypotheses(F, s_samples=((0, 0), (1, 1), (2, 1)), max_level=4)
+    rep = check_hypotheses(basis_with(F, s_samples=((0, 0), (1, 1), (2, 1))), max_level=4)
     assert rep.all_passed
 
 
-def assert_hypotheses_match_reference(F, **kwargs):
-    assert check_hypotheses(F, **kwargs) == reference_check_hypotheses(F, **kwargs)
+def assert_hypotheses_match_reference(F, s_samples=None, enumeration_bound=1000, max_level=None):
+    """`check_hypotheses` on F with these inputs equals the reference, which
+    takes them as parameters; a `max_level` of None is the reference's
+    default, depth minus 4."""
+    got = check_hypotheses(
+        basis_with(F, s_samples, enumeration_bound),
+        max_level=default_level(F) if max_level is None else max_level,
+    )
+    assert got == reference_check_hypotheses(
+        F, s_samples=s_samples, enumeration_bound=enumeration_bound, max_level=max_level
+    )
 
 
 def explicit_basis(level_sets):
@@ -396,7 +424,7 @@ def test_hypotheses_keep_levels_satisfied_by_a_shallower_filter_level():
         explicit_basis([frozenset({0, 1, 2, 3}), frozenset({2, 3}), frozenset({3})]),
         enumerate_level=lambda j, bound: listed[j],
     )
-    rep = check_hypotheses(F, s_samples=(0,), max_level=2)
+    rep = check_hypotheses(basis_with(F, s_samples=(0,)), max_level=2)
     assert rep.check("left_translate_into").witness == "s=0 level=2 blocker=2"
     assert_hypotheses_match_reference(F, s_samples=(0,), max_level=2)
 
@@ -437,7 +465,7 @@ def test_hypotheses_call_contains_once_per_tested_element_and_level():
 
     F = dataclasses.replace(base, contains=counting)
     calls.clear()  # the basis checks its samples when built
-    rep = check_hypotheses(F)
+    rep = check_hypotheses(F, max_level=default_level(F))
     assert rep == reference_check_hypotheses(base)
     assert calls and max(calls.values()) == 1
     assert {k for _, k in calls} == set(range(F.depth - 4 + 1))
@@ -497,7 +525,7 @@ def test_taxonomy_decay(decay, grid, fam, tails):
     }
     D = ball_masks(grid, 0.15)[0]
     rep = check_dissipativity(
-        decay, tails, fam, testsets, cap=cap, absorb_candidate=D
+        decay, tails, fam, testsets, cap=cap, points_sample=grid.full_mask, absorb_candidate=D
     )
     for name in (
         "eventually_bounded",
@@ -517,6 +545,8 @@ def test_taxonomy_identity(identity_action, grid, fam, tails):
         fam,
         {"whole": grid.full_mask},
         cap=cap,
+        points_sample=grid.full_mask,
+        absorb_candidate=None,
     )
     # the whole space is bounded under this family, so orbits stay bounded
     assert rep.passed("eventually_bounded")

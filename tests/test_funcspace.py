@@ -44,8 +44,7 @@ def in_star(cov, f, g):
 
 @pytest.fixture(scope="module")
 def model():
-    # scalar functions on three arguments
-    args = (-1.0, 0.0, 1.0)
+    # scalar functions at the three arguments -1, 0 and 1
     tables = [
         [(0.0,), (0.0,), (0.0,)],
         [(-1.0,), (0.0,), (1.0,)],
@@ -54,7 +53,7 @@ def model():
         [(0.5,), (0.5,), (0.5,)],
     ]
     labels = ["zero", "id", "half", "vee", "const"]
-    return build_function_model(args, tables, labels)
+    return build_function_model(tables, labels)
 
 
 def test_model_basics(model):
@@ -68,9 +67,7 @@ def test_model_basics(model):
 
 def test_duplicate_tables_rejected():
     with pytest.raises(ValueError):
-        build_function_model(
-            (0.0,), [[(1.0,)], [(1.0,)]], ["a", "b"]
-        )
+        build_function_model([[(1.0,)], [(1.0,)]], ["a", "b"])
 
 
 def test_pointwise_covering_members_cover(model):
@@ -122,13 +119,13 @@ def test_pointwise_chain_certifies(model):
 
 
 def test_vector_valued_model():
-    args = ((0.0, 0.0), (1.0, 1.0))
+    # values at the arguments (0, 0) and (1, 1)
     tables = [
         [(0.0, 0.0), (0.0, 0.0)],
         [(0.0, 0.0), (2.0, 2.0)],
         [(0.0, 0.0), (2.0, 1.0)],
     ]
-    m = build_function_model(args, tables, ["zero", "two", "mix"], value_dim=2)
+    m = build_function_model(tables, ["zero", "two", "mix"], value_dim=2)
     # centers default to observed values; at radius 1.2 the ball at (2,1)
     # holds both (2,2) and (2,1), while (0,0) stays separated
     cons = [constraint(m, 1, 1.2)]
@@ -147,7 +144,7 @@ def _value_case(values, centers, radius):
     """A one-argument model whose tables are `values`, and a constraint on
     it: balls around `centers`, or around the observed values when none."""
     model = build_function_model(
-        (0.0,), [[v] for v in values], [str(i) for i in range(len(values))], len(values[0])
+        [[v] for v in values], [str(i) for i in range(len(values))], len(values[0])
     )
     if not centers:
         return model, constraint(model, 0, radius)
@@ -194,7 +191,6 @@ def test_slabs_match_squared_reference_on_a_dyadic_grid(case):
 @pytest.mark.parametrize("name", ["composition", "exp_decay", "iterated_contractions"])
 def test_builtin_families_match_reference_slabs(name, monkeypatch):
     sc = get_scenario(name)
-    assert sc.model is not None
     calls = []
 
     def recording(model, c):

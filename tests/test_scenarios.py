@@ -42,14 +42,17 @@ def min_radius(sc):
 def test_exp_decay_witness_values():
     sc = get_scenario("exp_decay")
     f5 = sc.space.index_of("f5")
+    # a point's coordinates are its flattened table: the value at the
+    # argument (0, 0), then the value at (1, 1)
+    coords = [p.coords for p in sc.space.points]
     # witnesses carry the doubled scaled-up values
-    assert sc.model.tables[f5][1] == (64.0, 64.0)
-    assert sc.model.tables[f5][0] == (0.0, 0.0)
+    assert coords[f5][2:] == (64.0, 64.0)
+    assert coords[f5][:2] == (0.0, 0.0)
     zero = sc.space.index_of("zero")
     img = sc.action.apply_fn((5, 5), f5)
     # scaling a witness by its own index lands on the doubled identity sample
-    assert sc.model.tables[img][1] == (2.0, 2.0)
-    assert math.hypot(*sc.model.tables[img][1]) == pytest.approx(
+    assert coords[img][2:] == (2.0, 2.0)
+    assert math.hypot(*coords[img][2:]) == pytest.approx(
         2 * math.sqrt(2), abs=1e-15
     )
     deep = sc.action.apply_fn((40, 40), f5)
@@ -86,7 +89,8 @@ def test_composition_shifted_variant():
     sc = get_scenario("composition", x0=0.5)
     assert sc.expected.attractor == ("i[0.5]",)
     att = sc.space.index_of("i[0.5]")
-    assert sc.model.tables[att] == (((0.5,),) * 3)
+    # its coordinates are its table: the value 0.5 at each of the three arguments
+    assert sc.space.points[att].coords == (0.5,) * 3
     # the shifted scalings fix the shifted constant
     assert sc.action.apply_fn(0.25, att) == att
 

@@ -167,12 +167,6 @@ def test_ball_is_open_strict():
     assert s.pids(ball_masks(s, 1.0)[0]) == ["(0)"]
 
 
-def test_ball_needs_metric():
-    t = build_finite_topology(["a", "b"], [[], ["a"], ["a", "b"]])
-    with pytest.raises(NotMetricSpace):
-        ball_masks(t, 1.0)
-
-
 def test_pids_are_sorted_by_id_not_by_index():
     s = build_metric_space([[0.0], [1.0], [2.0]], ids=["c", "a", "b"])
     assert s.pids(s.full_mask) == ["a", "b", "c"]
