@@ -42,7 +42,7 @@ from .proximity import (
 from .space import (
     Point,
     Space,
-    ball_masks,
+    ball_rows,
     bool_products,
     enumerate_topologies,
     iter_bits,
@@ -393,29 +393,23 @@ NESTED_CHAIN_TRIALS = 100
 def nested_chain_suite(
     family: AdmissibleFamily, rng: random.Random, cap: Optional[int] = None
 ) -> list[CheckResult]:
-    """Randomized nested-closed-chain harness: measure-converging chains must
-    report nonempty intersections; starved-cap controls must report the unmet
-    hypothesis and never claim the conclusion."""
+    """Randomized nested-closed-chain harness on a metric space: closures of
+    shrinking balls about one center must report nonempty intersections;
+    starved-cap controls must report the unmet hypothesis and never claim the
+    conclusion."""
     space = family.space
+    space.require_metric()
     ix = range(space.n)
     cap = cap if cap is not None else default_cap(space.n)
     out = []
-    balls: dict[float, tuple[int, ...]] = {}  # every center's ball, per radius
+    coords = [p.coords for p in space.points]
+    # every center's ball at the radii of a chain of at most 6 links
+    balls = ball_rows(coords, coords, [1.3 / 4**k for k in range(6)])
 
     def positive_misses():
         for t in range(NESTED_CHAIN_TRIALS):
             center = rng.choice(ix)
-            chain = []
-            radius = 1.3
-            for _ in range(rng.randint(3, 6)):
-                if space.dist is not None:
-                    if radius not in balls:
-                        balls[radius] = ball_masks(space, radius)
-                    m = balls[radius][center]
-                else:
-                    m = 1 << center
-                chain.append(family.closure_mask(m))
-                radius /= 4
+            chain = [family.closure_mask(balls[k][center]) for k in range(rng.randint(3, 6))]
             rep = cantor_kuratowski_check(chain, family, cap)
             if not rep.hypothesis_met:
                 yield f"trial {t} center {space.points[center].pid}: {rep.claim}"

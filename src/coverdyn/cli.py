@@ -47,17 +47,18 @@ from .space import CoverdynError
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    scenario: Optional[str] = None
-    config_path: Optional[str] = None
-    target: Optional[str] = None
-    max_level: Optional[int] = None
-    resolution: Optional[int] = None
-    cap: Optional[int] = None
+    scenario: Optional[str]
+    config_path: Optional[str]
+    target: Optional[str]
+    max_level: Optional[int]
+    resolution: Optional[int]
+    cap: Optional[int]
+    format: str
+    out: Optional[str]
+    mutate: Optional[str]
+    # the defaults `main` reads as class attributes when no flag sets them
     seed: int = 0
     budget: int = 32
-    format: str = "json"
-    out: Optional[str] = None
-    mutate: Optional[str] = None
 
     def to_dict(self) -> dict:
         return {

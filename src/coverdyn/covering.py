@@ -18,7 +18,7 @@ from .space import (
     CoverdynError,
     EmptyInput,
     Space,
-    ball_masks,
+    ball_rows,
     bool_product,
     bool_products,
     iter_bits,
@@ -51,7 +51,7 @@ class Covering:
 
     space: Space
     members: tuple[int, ...]
-    label: str = ""
+    label: str
 
     @cached_property
     def point_rows(self) -> tuple[int, ...]:
@@ -335,7 +335,8 @@ CHAIN_RATIO = 0.25
 
 def metric_chain_family(space: Space, eps0: float, depth: int) -> AdmissibleFamily:
     """Chain of ball coverings with radii eps0 * CHAIN_RATIO**i, one ball per
-    sample point; each level's balls come from one `ball_masks` comparison.
+    sample point; every level's balls come from one `ball_rows` pass over the
+    point coordinates, one comparison per level.
 
     The ratio 1/4 guarantees the double-refinement certificate: two
     intersecting radius-r balls have centers within 2r, so their union lies in
@@ -347,11 +348,12 @@ def metric_chain_family(space: Space, eps0: float, depth: int) -> AdmissibleFami
         raise ValueError("eps0 must be positive")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    coverings = []
-    for i in range(depth + 1):
-        r = eps0 * CHAIN_RATIO**i
-        label = f"balls[r={r:.8g}]"
-        coverings.append(make_covering_masks(space, ball_masks(space, r), label=label))
+    coords = [p.coords for p in space.points]
+    radii = [eps0 * CHAIN_RATIO**i for i in range(depth + 1)]
+    coverings = [
+        make_covering_masks(space, balls, label=f"balls[r={r:.8g}]")
+        for r, balls in zip(radii, ball_rows(coords, coords, radii))
+    ]
     return chain_family(space, coverings)
 
 

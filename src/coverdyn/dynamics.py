@@ -24,7 +24,7 @@ class NestingViolation(CoverdynError):
 
 @dataclass(frozen=True)
 class Semigroup:
-    """An enumerable semigroup carrier with composition and optional division.
+    """An enumerable semigroup carrier with composition and division.
 
     `divide_left(t, s)` returns a with s*a = t (None if no such element);
     `divide_right(t, s)` returns a with a*s = t. Division backs the exact
@@ -35,8 +35,8 @@ class Semigroup:
 
     compose: Callable
     sample: Callable[[int], tuple]
-    divide_left: Optional[Callable] = None
-    divide_right: Optional[Callable] = None
+    divide_left: Callable
+    divide_right: Callable
 
 
 def nat_add() -> Semigroup:
@@ -516,8 +516,6 @@ def _tested_element(name: str, sem: Semigroup) -> Callable:
     if name == "right_translate_into":
         return lambda s, b: sem.compose(b, s)
     divide = sem.divide_right if name == "within_right_translate" else sem.divide_left
-    if divide is None:
-        return lambda s, b: None
     return lambda s, b: divide(b, s)
 
 

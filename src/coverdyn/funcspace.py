@@ -1,11 +1,13 @@
 """Finite function-space models with pointwise-convergence covering families.
 
-A model holds finitely many functions sampled on a finite argument grid, each
-stored as a table of value vectors. Coverings constrain finitely many
-arguments to open value balls (all other arguments are free), mirroring the
-product-style base for pointwise convergence; member sets are materialized as
-explicit point sets over the model. Value balls are measured by the space's
-one euclidean norm kernel, `space.ball_rows`.
+A model holds finitely many functions sampled on a finite argument grid. Each
+function is one point of a metric space whose coordinates are its table of
+value vectors, flattened; the coordinates are the only copy of the tables.
+Coverings constrain finitely many arguments to open value balls (all other
+arguments are free), mirroring the product-style base for pointwise
+convergence; member sets are materialized as explicit point sets over the
+model. Value balls are measured on each argument's slice of the coordinates
+by the space's one euclidean ball kernel, `space.ball_rows`.
 """
 
 from __future__ import annotations
@@ -17,19 +19,24 @@ from .covering import AdmissibleFamily, Covering, chain_family, make_covering_ma
 from .space import Space, ball_rows, build_metric_space
 
 Value = tuple[float, ...]
-Table = tuple[Value, ...]
 
 
 @dataclass(frozen=True, eq=False)
 class FunctionSpaceModel:
-    """Functions on a finite argument grid, one sample point per function
-    table: `tables[i][j]` is the value of function i at argument j."""
+    """Functions on a finite argument grid, one sample point per function:
+    the value of function i at argument j is the `value_dim` coordinates of
+    point i from j * value_dim on."""
 
     space: Space
-    tables: tuple[Table, ...]
+    value_dim: int
+
+    def values_at(self, arg_index: int) -> list[Value]:
+        """Every function's value at one argument, in point order."""
+        lo = arg_index * self.value_dim
+        return [p.coords[lo : lo + self.value_dim] for p in self.space.points]
 
     def observed_values(self, arg_index: int) -> tuple[Value, ...]:
-        return tuple(sorted({t[arg_index] for t in self.tables}))
+        return tuple(sorted(set(self.values_at(arg_index))))
 
 
 def as_value(v, dim: int) -> Value:
@@ -53,8 +60,8 @@ def build_function_model(
     if len(set(norm_tables)) != len(norm_tables):
         raise ValueError("duplicate function tables")
     coords = [[x for v in t for x in v] for t in norm_tables]
-    space = build_metric_space(coords, metric="sup", ids=list(labels))
-    return FunctionSpaceModel(space=space, tables=tuple(norm_tables))
+    space = build_metric_space(coords, ids=list(labels))
+    return FunctionSpaceModel(space=space, value_dim=value_dim)
 
 
 @dataclass(frozen=True)
@@ -76,9 +83,9 @@ def constraint(model: FunctionSpaceModel, arg_index: int, radius: float) -> ArgC
 
 def _slabs(model: FunctionSpaceModel, c: ArgConstraint) -> list[int]:
     """Distinct nonempty point masks of the per-center value balls at one
-    argument, measured with the space's euclidean norm kernel (`ball_rows`)."""
-    values = [t[c.arg_index] for t in model.tables]
-    return sorted({m for m in ball_rows(values, c.centers, c.radius) if m})
+    argument, measured with the space's euclidean ball kernel (`ball_rows`)."""
+    (balls,) = ball_rows(model.values_at(c.arg_index), c.centers, [c.radius])
+    return sorted({m for m in balls if m})
 
 
 def pointwise_covering(

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .attractor import KINDS
@@ -56,9 +56,9 @@ class Declared:
 
     cap: int
     hypothesis_expect: dict
+    absorbing_name: str
+    snap_error: float
     compact_witness: Optional[object] = None
-    absorbing_name: Optional[str] = None
-    snap_error: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class Scenario:
     declared: Declared
     expected: Expected
     points_sample: int
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def attractor_points(self) -> int:
         return self.space.mask_of(self.space.index_of(pid) for pid in self.expected.attractor)

@@ -1,10 +1,12 @@
 """Finite discretized phase spaces: metric point samples and explicit finite topologies.
 
-A Space is a finite set of points carrying either a metric, as the matrix of
-norm distances between coordinate vectors, or a validated finite topology, as
-a list of open sets. A metric space checks its input (finite coordinates,
-distinct ids and points); the metric axioms hold by construction, see
-`_pairwise_distances`.
+A Space is a finite set of points carrying either coordinates, whose
+euclidean norm distances make it a metric space, or a validated finite
+topology, as a list of open sets. The coordinates in `Space.points` are the
+only stored geometry of a metric space: `ball_rows` measures balls from them,
+and nothing keeps a distance table. A metric space checks its input (finite
+coordinates and distances, distinct ids and points); the metric axioms hold
+by construction, see `_pairwise_distances`.
 Every point, in every signature of the package, is its index in
 `Space.points`, and every point set is an int mask: bit i is the point with
 index i. `Point` is the id and coordinate record behind an index;
@@ -61,9 +63,6 @@ class NotClosedUnderIntersection(SpaceError):
         super().__init__(f"opens not closed under intersection: {sorted(a)} & {sorted(b)}")
 
 
-METRICS = ("euclidean", "sup")
-
-
 @dataclass(frozen=True)
 class Point:
     """A sample point: opaque id, index within its space, optional coordinates."""
@@ -98,7 +97,6 @@ class Space:
     """A finite point set with either metric or finite-topology geometry."""
 
     points: tuple[Point, ...]
-    dist: Optional[np.ndarray] = None
     opens: Optional[tuple[int, ...]] = None
 
     @property
@@ -111,7 +109,7 @@ class Space:
 
     @property
     def is_metric(self) -> bool:
-        return self.dist is not None
+        return self.opens is None
 
     def require_metric(self) -> None:
         if not self.is_metric:
@@ -222,14 +220,14 @@ def bool_product(rows: Sequence[int], cols: Sequence[int], width: int) -> tuple[
     return bool_products([(rows, cols, width)])[0]
 
 
-def _pairwise_distances(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
-    """Distances from each coordinate row of `a` to each row of `b`. `metric`
-    is "sup" or "euclidean" (checked by the caller).
+def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances from each coordinate row of `a` to each row of `b`.
 
-    The euclidean norm scales each difference by its sup norm before
-    squaring, so no finite distance overflows; in one dimension it equals
-    |x - y| exactly. With `a` and `b` the same rows the result is a metric
-    by construction, so `build_metric_space` checks none of these facts:
+    The norm scales each difference by its sup norm before squaring, so no
+    finite distance overflows; in one dimension it equals |x - y| exactly,
+    and it is 0 exactly when the difference is 0. With `a` and `b` the same
+    rows the result is a metric by construction, so `build_metric_space`
+    checks none of these facts:
 
     - the diagonal is exactly 0: every difference is 0, and a zero scale
       skips the division;
@@ -248,27 +246,23 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray
     diff = a[:, None, :] - b[None, :, :]
     np.abs(diff, out=diff)
     scale = diff.max(axis=2)
-    if metric == "sup":
-        return scale
     np.divide(diff, scale[:, :, None], out=diff, where=scale[:, :, None] > 0)
     np.square(diff, out=diff)
     return scale * np.sqrt(diff.sum(axis=2))
 
 
 def build_metric_space(
-    coords: Sequence[Sequence[float]],
-    metric: str = "euclidean",
-    ids: Optional[Sequence[str]] = None,
+    coords: Sequence[Sequence[float]], ids: Optional[Sequence[str]] = None
 ) -> Space:
     """Build a metric space from coordinate vectors.
 
-    Rejects an empty input, an unknown metric, ragged rows, a non-finite
-    coordinate or distance, duplicate ids and indistinguishable points.
+    Rejects an empty input, ragged rows, a non-finite coordinate or
+    distance, duplicate ids and indistinguishable points, naming the first
+    offending pair in row-major order. The checks take O(n * m) time and
+    memory for n points of m coordinates; no n x n table is built.
     """
     if len(coords) == 0:
         raise EmptyInput("a space needs at least one point")
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     arr = np.array([[float(c) for c in row] for row in coords], dtype=float)
     if arr.ndim != 2:
         raise ValueError("all coordinate vectors must have the same length")
@@ -281,22 +275,31 @@ def build_metric_space(
     if len(set(ids)) != len(ids):
         dup = next(i for i in ids if list(ids).count(i) > 1)
         raise DuplicatePoint(f"duplicate point id {dup!r}")
-    # an overflowing difference yields a non-finite distance, reported below
+    # a distance is at most sqrt(m) times the widest coordinate difference,
+    # so only a row whose reach overflows that bound is measured; a span
+    # that overflows gives an infinite reach
     with np.errstate(over="ignore", invalid="ignore"):
-        dist = _pairwise_distances(arr, arr, metric)
-    bad = ~np.isfinite(dist)
-    if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
-        raise NonFiniteValue(f"the distance from point {ids[i]} to point {ids[j]} is not finite")
-    same = dist == 0
-    np.fill_diagonal(same, False)
-    if same.any():
-        i, j = map(int, np.argwhere(same)[0])
-        raise DuplicatePoint(f"points {ids[i]} and {ids[j]} are indistinguishable")
+        reach = np.maximum(arr.max(axis=0) - arr, arr - arr.min(axis=0)).max(axis=1)
+        for i in np.flatnonzero(~np.isfinite(reach * np.sqrt(arr.shape[1]))):
+            bad = ~np.isfinite(_pairwise_distances(arr[i : i + 1], arr)[0])
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise NonFiniteValue(
+                    f"the distance from point {ids[i]} to point {ids[j]} is not finite"
+                )
+    # a distance is 0 exactly when the rows are equal (0.0 == -0.0)
+    first: dict[tuple, int] = {}
+    pair = None
+    for j, row in enumerate(map(tuple, arr.tolist())):
+        i = first.setdefault(row, j)
+        if i != j and (pair is None or i < pair[0]):
+            pair = (i, j)
+    if pair:
+        raise DuplicatePoint(f"points {ids[pair[0]]} and {ids[pair[1]]} are indistinguishable")
     points = tuple(
         Point(pid=ids[i], index=i, coords=tuple(arr[i])) for i in range(len(ids))
     )
-    return Space(points=points, dist=dist)
+    return Space(points=points)
 
 
 def line_grid(start: float, stop: float, count: int) -> Space:
@@ -307,24 +310,18 @@ def line_grid(start: float, stop: float, count: int) -> Space:
     return build_metric_space([[x] for x in xs])
 
 
-def ball_masks(space: Space, radius: float) -> tuple[int, ...]:
-    """Open metric balls: per point, in index order, the mask of the points
-    strictly closer than `radius`, from one comparison of the distance
-    matrix."""
-    space.require_metric()
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return _pack(space.dist < radius)
-
-
-def ball_rows(coords: Sequence, centers: Sequence, radius: float) -> tuple[int, ...]:
-    """Per center, the mask of the coordinate rows strictly closer than `radius`
-    in the euclidean norm: the kernel and the strict `<` of `ball_masks`. In
-    three or more dimensions a row at exactly the radius can round to inside
-    (see `_pairwise_distances`)."""
+def ball_rows(
+    coords: Sequence, centers: Sequence, radii: Sequence[float]
+) -> list[tuple[int, ...]]:
+    """Open euclidean balls from coordinates: per radius, per center, the
+    mask of the coordinate rows strictly closer than the radius. One kernel
+    pass measures every distance, then each radius is one `<`; the distance
+    table is dropped on return. In three or more dimensions a row at exactly
+    the radius can round to inside (see `_pairwise_distances`)."""
     rows = np.asarray(coords, dtype=float)
     cs = np.asarray(centers, dtype=float).reshape(-1, rows.shape[1])
-    return _pack(_pairwise_distances(cs, rows, "euclidean") < radius)
+    dist = _pairwise_distances(cs, rows)
+    return [_pack(dist < r) for r in radii]
 
 
 def build_finite_topology(

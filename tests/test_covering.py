@@ -31,7 +31,6 @@ from coverdyn.space import (
     EmptyInput,
     Point,
     Space,
-    ball_masks,
     build_finite_topology,
     build_metric_space,
     enumerate_topologies,
@@ -40,7 +39,7 @@ from coverdyn.space import (
 )
 
 import row_forms
-from reference import reference_star_mask
+from reference import reference_distance, reference_point_balls, reference_star_mask
 
 
 @pytest.fixture(scope="module")
@@ -193,13 +192,13 @@ def test_double_refines_quarter_balls_bruteforce():
     assert double_refines(V, U)
     r = eps / 4
     for a, b in itertools.combinations_with_replacement(range(grid.n), 2):
-        va = frozenset(p for p in range(grid.n) if grid.dist[a, p] < r)
-        vb = frozenset(p for p in range(grid.n) if grid.dist[b, p] < r)
+        va = frozenset(p for p in range(grid.n) if reference_distance(grid, a, p) < r)
+        vb = frozenset(p for p in range(grid.n) if reference_distance(grid, b, p) < r)
         if not va & vb:
             continue
         union = va | vb
         assert any(
-            all(grid.dist[c, p] < eps for p in union) for c in range(grid.n)
+            all(reference_distance(grid, c, p) < eps for p in union) for c in range(grid.n)
         ), f"no witness ball for centers {grid.points[a].pid}, {grid.points[b].pid}"
 
 
@@ -247,7 +246,7 @@ def test_metric_chain_degenerate_ratio():
     # ratio 0.8 in place of 1/4: two just-touching radius-0.4 balls union to a
     # set no radius-0.5 ball contains
     grid = line_grid(0.0, 1.0, 101)
-    balls = [make_covering_masks(grid, ball_masks(grid, r)) for r in (0.5, 0.4)]
+    balls = [make_covering_masks(grid, reference_point_balls(grid, r)) for r in (0.5, 0.4)]
     with pytest.raises(DegenerateChain, match="level 1 .* does not double-refine level 0"):
         chain_family(grid, balls)
 

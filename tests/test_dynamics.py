@@ -35,13 +35,14 @@ from coverdyn.proximity import (
     subset_at_resolution,
 )
 from coverdyn.scenarios import BUILTIN_SCENARIOS, get_scenario, load_system
-from coverdyn.space import CoverdynError, ball_masks, iter_bits, line_grid
+from coverdyn.space import CoverdynError, iter_bits, line_grid
 from reference import (
     divergent_sequence,
     prox_form_attracts,
     reference_check_associativity,
     reference_check_hypotheses,
     reference_orbit_mask,
+    reference_point_balls,
 )
 
 
@@ -223,7 +224,7 @@ def test_compact_vs_open_limit_inclusions(decay, grid, fam, tails):
     omK = omega_limit(K, tails, decay, fam).mask
     assert subset_at_resolution(omK, prolongational_union(K), fam)
 
-    U = ball_masks(grid, 0.03125)[40]
+    U = reference_point_balls(grid, 0.03125)[40]
     omU = omega_limit(U, tails, decay, fam).mask
     assert subset_at_resolution(prolongational_union(U), omU, fam)
 
@@ -259,7 +260,7 @@ def test_attracts_matches_prox_form_on_grid(request, action_name, grid, fam, tai
         pick(grid, 80),
         pick(grid, 100),
         pick(grid, 20, 60),
-        ball_masks(grid, 0.1)[0],
+        reference_point_balls(grid, 0.1)[0],
         grid.full_mask,
     ]
     for Y, Z in itertools.product(sets, repeat=2):
@@ -282,7 +283,7 @@ def test_attracts_matches_prox_form_on_scenarios(name):
 
 def test_absorbs_decay_arithmetic(decay, grid, fam, tails):
     # least level pulling {1} inside the open 0.1-ball around 0
-    Y = ball_masks(grid, 0.1)[0]
+    Y = reference_point_balls(grid, 0.1)[0]
     assert absorbs(Y, pick(grid, 100), tails, decay) == 4
     assert absorbs(pick(grid, 0), pick(grid, 0), tails, decay) == 0
 
@@ -523,7 +524,7 @@ def test_taxonomy_decay(decay, grid, fam, tails):
         "whole": grid.full_mask,
         "seed": pick(grid, 100),
     }
-    D = ball_masks(grid, 0.15)[0]
+    D = reference_point_balls(grid, 0.15)[0]
     rep = check_dissipativity(
         decay, tails, fam, testsets, cap=cap, points_sample=grid.full_mask, absorb_candidate=D
     )

@@ -23,12 +23,18 @@ def _dist2(a, b):
     return sum((x - y) ** 2 for x, y in zip(a, b))
 
 
+def table(model, f):
+    """The value table of function f, read off its point coordinates."""
+    coords, d = model.space.points[f].coords, model.value_dim
+    return tuple(tuple(coords[k : k + d]) for k in range(0, len(coords), d))
+
+
 def in_pointwise_star(model, f, g, constraints):
     """Direct membership formula: per constrained argument, some center holds
     both function values within the radius (arguments are independent)."""
     for c in constraints:
-        fv = model.tables[f][c.arg_index]
-        gv = model.tables[g][c.arg_index]
+        fv = table(model, f)[c.arg_index]
+        gv = table(model, g)[c.arg_index]
         r2 = c.radius * c.radius
         if not any(
             _dist2(fv, ctr) < r2 and _dist2(gv, ctr) < r2 for ctr in c.centers
@@ -59,10 +65,14 @@ def model():
 def test_model_basics(model):
     assert model.space.n == 5
     zero = model.space.index_of("zero")
-    assert model.tables[zero] == ((0.0,), (0.0,), (0.0,))
-    assert model.tables.index(((0.0,), (0.0,), (0.0,))) == zero
-    assert ((9.0,), (9.0,), (9.0,)) not in model.tables
+    assert model.value_dim == 1
+    assert model.space.points[zero].coords == (0.0, 0.0, 0.0)
+    assert table(model, model.space.index_of("id")) == ((-1.0,), (0.0,), (1.0,))
+    assert model.values_at(2) == [(0.0,), (1.0,), (0.5,), (1.0,), (0.5,)]
     assert model.observed_values(1) == ((0.0,), (0.5,))
+    assert model.observed_values(2) == ((0.0,), (0.5,), (1.0,))
+    # the coordinates are the one copy of the tables
+    assert not hasattr(model, "tables")
 
 
 def test_duplicate_tables_rejected():
@@ -126,6 +136,7 @@ def test_vector_valued_model():
         [(0.0, 0.0), (2.0, 1.0)],
     ]
     m = build_function_model(tables, ["zero", "two", "mix"], value_dim=2)
+    assert m.values_at(1) == [(0.0, 0.0), (2.0, 2.0), (2.0, 1.0)]
     # centers default to observed values; at radius 1.2 the ball at (2,1)
     # holds both (2,2) and (2,1), while (0,0) stays separated
     cons = [constraint(m, 1, 1.2)]
@@ -173,10 +184,11 @@ def dyadic_cases(draw):
 @example(_value_case([(0.0, 0.0, 0.0), (0.25, 1.25, 1.375)], [(0.0, 0.0, 0.0)], 1.875))
 def test_slabs_match_squared_reference_on_a_dyadic_grid(case):
     model, c = case
-    values = [t[0] for t in model.tables]
+    values = [p.coords for p in model.space.points]
     r2 = c.radius * c.radius
     ties = False
-    for center, row in zip(c.centers, ball_rows(values, c.centers, c.radius)):
+    (balls,) = ball_rows(values, c.centers, [c.radius])
+    for center, row in zip(c.centers, balls):
         for i, v in enumerate(values):
             d2 = sum((x - y) ** 2 for x, y in zip(v, center))
             if bool((row >> i) & 1) != (d2 < r2):

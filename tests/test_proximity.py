@@ -39,7 +39,11 @@ from coverdyn.space import (
 )
 
 import row_forms
-from reference import convergence_trace, reference_point_sequence_converges
+from reference import (
+    convergence_trace,
+    reference_distance,
+    reference_point_sequence_converges,
+)
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +200,10 @@ def test_prox_grid_threshold_bruteforce(grid):
     expected = -1
     for i in range(6):
         r = 1.0 * 0.25**i
-        if any(grid.dist[c, x] < r and grid.dist[c, y] < r for c in range(grid.n)):
+        if any(
+            reference_distance(grid, c, x) < r and reference_distance(grid, c, y) < r
+            for c in range(grid.n)
+        ):
             expected = i
     got = prox(x, y, fam1)
     assert got == levels(fam1, expected)

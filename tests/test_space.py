@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coverdyn import space
+from coverdyn.checks import nested_chain_suite
+from coverdyn.covering import finite_all_coverings_family, metric_chain_family
 from coverdyn.space import (
     DuplicatePoint,
     EmptyInput,
@@ -17,7 +20,7 @@ from coverdyn.space import (
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
     NotMetricSpace,
-    ball_masks,
+    ball_rows,
     bool_product,
     bool_products,
     build_finite_topology,
@@ -28,23 +31,64 @@ from coverdyn.space import (
 )
 
 import row_forms
-from reference import metric_axiom_violation, reference_point_balls, triangle_rtol
+from reference import (
+    metric_axiom_violation,
+    reference_distance,
+    reference_point_balls,
+    triangle_rtol,
+)
+
+
+def kernel_distances(s):
+    """The distance table of a space as the ball kernel measures it."""
+    rows = np.array([p.coords for p in s.points])
+    return space._pairwise_distances(rows, rows)
+
+
+def balls(s, radius):
+    """Every point's open ball of `radius`, in index order, from `ball_rows`."""
+    coords = [p.coords for p in s.points]
+    return ball_rows(coords, coords, [radius])[0]
 
 
 def test_three_point_line():
     s = build_metric_space([[0.0], [1.0], [2.0]])
     assert s.n == 3
-    assert s.dist[0, 2] == 2.0
+    assert kernel_distances(s)[0, 2] == 2.0
+    assert reference_distance(s, 0, 2) == 2.0
 
 
 def test_grid_101_points():
     s = line_grid(0.0, 1.0, 101)
     assert s.n == 101
-    assert s.dist[s.dist > 0].min() == pytest.approx(0.01)
-    assert s.dist.max() == pytest.approx(1.0)
+    dist = kernel_distances(s)
+    assert dist[dist > 0].min() == pytest.approx(0.01)
+    assert dist.max() == pytest.approx(1.0)
     # the scaled euclidean norm is |x - y| exactly in one dimension
     xs = np.array([p.coords[0] for p in s.points])
-    assert np.array_equal(s.dist, np.abs(xs[:, None] - xs[None, :]))
+    assert np.array_equal(dist, np.abs(xs[:, None] - xs[None, :]))
+    assert all(
+        dist[i, j] == reference_distance(s, i, j) for i in range(0, 101, 7) for j in range(101)
+    )
+
+
+def test_a_metric_space_stores_only_its_coordinates():
+    # the coordinates are the one stored geometry: no n x n distance table
+    # is kept, so a 3201-point grid retains about a megabyte (a dense
+    # float64 table alone is 82 MB)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        s = line_grid(0.0, 1.0, 3201)
+        retained = sum(
+            d.size_diff for d in tracemalloc.take_snapshot().compare_to(before, "filename")
+        )
+    finally:
+        tracemalloc.stop()
+    assert s.n == 3201
+    assert retained < 8 * 2**20, f"{retained / 2**20:.1f} MB retained"
+    assert not [k for k, v in vars(s).items() if isinstance(v, np.ndarray)]
+    assert not any(isinstance(v, np.ndarray) for p in s.points for v in vars(p).values())
 
 
 def test_duplicate_coordinates_rejected():
@@ -58,22 +102,31 @@ def test_nan_coordinate_rejected_by_name():
         build_metric_space([[0], [float("nan")]])
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "sup"])
-def test_infinite_distance_rejected_by_name(metric):
-    # 1e308 - (-1e308) overflows: this space used to load with an infinite distance
+def test_infinite_distance_rejected_by_name():
+    # 1e308 - (-1e308) overflows: this space used to load with an infinite
+    # distance; the first pair in row-major order is named
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteValue, match=r"distance from point \(.*\) to point \(.*\) is not finite"):
-            build_metric_space([[0], [1e308], [-1e308]], metric=metric)
+        with pytest.raises(
+            NonFiniteValue,
+            match=r"^the distance from point \(1e\+308\) to point \(-1e\+308\) is not finite$",
+        ):
+            build_metric_space([[0], [1e308], [-1e308]])
+        # every span is finite, but the norm of (1.7e308, 1.7e308) is not
+        with pytest.raises(
+            NonFiniteValue, match=r"^the distance from point b to point c is not finite$"
+        ):
+            build_metric_space([[1.7e308, 0], [0, 0], [1.7e308, 1.7e308]], ids="abc")
         # a finite distance whose square overflows still loads: the euclidean
         # form used to reject this space as non-finite
-        far = build_metric_space([[0], [1e200]], metric=metric)
-        assert far.dist[0, 1] == far.dist[1, 0] == 1e200
+        far = kernel_distances(build_metric_space([[0], [1e200]]))
+        assert far[0, 1] == far[1, 0] == 1e200
         # in 2-D the summed squares overflow too
-        far = build_metric_space([[0, 0], [1e200, 1e200]], metric=metric)
-        want = {"euclidean": math.sqrt(2) * 1e200, "sup": 1e200}[metric]
-        assert far.dist[0, 1] == far.dist[1, 0]
-        assert math.isclose(far.dist[0, 1], want, rel_tol=1e-15)
+        far = kernel_distances(build_metric_space([[0, 0], [1e200, 1e200]]))
+        assert far[0, 1] == far[1, 0]
+        assert math.isclose(far[0, 1], math.sqrt(2) * 1e200, rel_tol=1e-15)
+        # a norm just inside the largest double loads
+        assert build_metric_space([[0, 0], [1.2e308, 1.2e308]]).n == 2
 
 
 def test_overflowing_grid_rejected_without_warning():
@@ -121,22 +174,26 @@ def coordinate_sets(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=coordinate_sets(), metric=st.sampled_from(["euclidean", "sup"]))
+@given(case=coordinate_sets())
 # distinct points whose 10-digit ids coincide
-@example(case=(1, [(1.0,), (1.0000000000001428,)]), metric="euclidean")
-def test_built_distances_satisfy_the_metric_axioms(case, metric):
-    # build_metric_space checks no axiom: the norm must make every one hold
+@example(case=(1, [(1.0,), (1.0000000000001428,)]))
+def test_built_distances_satisfy_the_metric_axioms(case):
+    # build_metric_space checks no axiom: the ball kernel's norm must make
+    # every one hold on the rows of a space that loads
     dim, rows = case
-    s = build_metric_space(rows, metric=metric)
-    assert np.array_equal(s.dist, s.dist.T)
-    assert not np.diag(s.dist).any()
-    assert metric_axiom_violation(s.dist, [p.pid for p in s.points], triangle_rtol(dim)) is None
+    s = build_metric_space(rows)
+    arr = np.array([p.coords for p in s.points])
+    dist = space._pairwise_distances(arr, arr)
+    assert np.array_equal(dist, dist.T)
+    assert not np.diag(dist).any()
+    assert (dist[~np.eye(s.n, dtype=bool)] > 0).all()
+    assert metric_axiom_violation(dist, [p.pid for p in s.points], triangle_rtol(dim)) is None
 
 
 def test_valid_spaces_at_large_coordinates_load():
     # an absolute triangle slack of 1e-12 used to reject both spaces
     assert line_grid(0.0, 1e6, 61).n == 61
-    assert build_metric_space([[x * 1e4 / 7, 0] for x in range(60)], metric="sup").n == 60
+    assert build_metric_space([[x * 1e4 / 7, 0] for x in range(60)]).n == 60
 
 
 def test_points_that_share_ten_digits_get_exact_ids():
@@ -153,18 +210,47 @@ def test_equal_coordinates_still_raise():
         build_metric_space([[1.0], [1.0000000000001428], [1.0]])
 
 
+@pytest.mark.parametrize(
+    "rows, pair",
+    [
+        # rows A B B A: the first equal pair in row-major order is (0, 3)
+        ([[0.0, 1.0], [2.0, 3.0], [2.0, 3.0], [0.0, 1.0]], "a and d"),
+        ([[5.0], [1.0], [2.0], [1.0], [5.0]], "a and e"),
+        ([[1.0], [2.0], [3.0], [2.0]], "b and d"),
+        ([[1.0], [1.0], [2.0], [2.0]], "a and b"),
+        ([[1.0], [2.0], [1.0], [1.0]], "a and c"),
+        # a zero difference is a zero distance: 0.0 and -0.0 coincide
+        ([[0.0, 1.0], [-0.0, 1.0]], "a and b"),
+    ],
+)
+def test_indistinguishable_points_named_by_the_first_pair(rows, pair):
+    with pytest.raises(DuplicatePoint, match=rf"^points {pair} are indistinguishable$"):
+        build_metric_space(rows, ids="abcde"[: len(rows)])
+
+
 def test_ball_basic():
     s = build_metric_space([[0.0], [1.0], [2.0]])
-    assert s.pids(ball_masks(s, 1.5)[0]) == ["(0)", "(1)"]
+    assert s.pids(balls(s, 1.5)[0]) == ["(0)", "(1)"]
     # radius above the diameter captures everything
-    assert ball_masks(s, 10.0)[0] == s.full_mask
+    assert balls(s, 10.0)[0] == s.full_mask
     # radius below the smallest positive distance captures only the center
-    assert ball_masks(s, 0.5)[0] == s.mask_of((0,))
+    assert balls(s, 0.5)[0] == s.mask_of((0,))
 
 
 def test_ball_is_open_strict():
     s = build_metric_space([[0.0], [1.0], [2.0]])
-    assert s.pids(ball_masks(s, 1.0)[0]) == ["(0)"]
+    assert s.pids(balls(s, 1.0)[0]) == ["(0)"]
+
+
+def test_ball_rows_measure_every_radius_in_one_call():
+    # one list of balls per radius, each ball centered at one center row
+    coords = [(0.0,), (1.0,), (2.0,), (4.0,)]
+    assert ball_rows(coords, [(1.0,), (4.0,)], [0.5, 1.5, 3.5]) == [
+        (0b0010, 0b1000),
+        (0b0111, 0b1000),
+        (0b1111, 0b1110),
+    ]
+    assert ball_rows(coords, coords, []) == []
 
 
 def test_pids_are_sorted_by_id_not_by_index():
@@ -183,7 +269,8 @@ def test_pids_are_sorted_by_id_not_by_index():
 def test_ball_monotone_in_radius(r1, r2, center):
     s = line_grid(0.0, 1.0, 21)
     lo, hi = sorted([r1, r2])
-    assert ball_masks(s, lo)[center] & ~ball_masks(s, hi)[center] == 0
+    small, large = ball_rows([p.coords for p in s.points], [s.points[center].coords], [lo, hi])
+    assert small[0] & ~large[0] == 0
 
 
 def test_sierpinski_style_topology():
@@ -324,38 +411,60 @@ BALL_RADII = sorted(
 
 @pytest.mark.parametrize("grid", BALL_GRIDS, ids=lambda g: f"grid{g.n}")
 def test_ball_mask_matches_the_bit_loop(grid):
-    for r in BALL_RADII:
-        balls = reference_point_balls(grid, r)
-        got = ball_masks(grid, r)
+    coords = [p.coords for p in grid.points]
+    for r, got in zip(BALL_RADII, ball_rows(coords, coords, BALL_RADII)):
+        want = reference_point_balls(grid, r)
         for p in range(grid.n):
-            assert got[p] == balls[p], (p, r)
+            assert got[p] == want[p], (p, r)
+
+
+# multiples of 1/8 in [0, 4]: every difference and square is exact
+EIGHTHS = st.integers(0, 32).map(lambda k: k / 8)
 
 
 @st.composite
 def spaces_and_radii(draw):
-    """A 1-3-D space under either metric, and radii read off its distance
-    matrix, so that some points lie exactly at the radius."""
-    _, rows = draw(coordinate_sets())
-    s = build_metric_space(rows, metric=draw(st.sampled_from(["euclidean", "sup"])))
-    dists = sorted({float(d) for d in s.dist.flat if d > 0}) or [1.0]
-    radii = draw(st.lists(st.sampled_from(dists), min_size=1, max_size=4))
-    return s, radii
+    """A space and radii where the plain-Python distance decides every ball:
+    1-D points at any magnitude with radii read off their distances, so
+    that some points lie exactly at the radius; 2-D points in eighths with
+    radii at multiples of 1/8, ties included; or 3-D points in eighths with
+    radii at odd multiples of 1/16, which no distance of the space equals."""
+    dim = draw(st.integers(1, 3))
+    if dim == 1:
+        rows = draw(coordinate_sets().filter(lambda case: case[0] == 1))[1]
+    else:
+        rows = draw(st.lists(st.tuples(*[EIGHTHS] * dim), min_size=1, max_size=12, unique=True))
+    s = build_metric_space(rows)
+    if dim == 1:
+        grid = sorted(
+            {reference_distance(s, i, j) for i in range(s.n) for j in range(i)} or {1.0}
+        )
+    elif dim == 2:
+        grid = [k / 8 for k in range(1, 48)]
+    else:
+        grid = [(2 * k + 1) / 16 for k in range(48)]
+    return s, draw(st.lists(st.sampled_from(grid), min_size=1, max_size=4))
 
 
 @settings(max_examples=100, deadline=None)
 @given(spaces_and_radii())
 def test_ball_masks_match_the_per_point_loop(case):
     s, radii = case
-    for r in radii:
-        balls = ball_masks(s, r)
-        assert balls == reference_point_balls(s, r)
+    coords = [p.coords for p in s.points]
+    for r, got in zip(radii, ball_rows(coords, coords, radii)):
+        assert got == reference_point_balls(s, r), r
 
 
 def test_ball_masks_check_the_radius_and_the_metric():
+    # ball_rows measures any radius; the callers that build balls of a
+    # space check the radius and that the space is metric
     s = line_grid(0.0, 1.0, 3)
     for r in (0.0, -1.0):
         with pytest.raises(ValueError):
-            ball_masks(s, r)
+            metric_chain_family(s, r, 2)
+        assert balls(s, r) == (0, 0, 0)
     t = build_finite_topology(["a", "b"], [[], ["a"], ["a", "b"]])
     with pytest.raises(NotMetricSpace):
-        ball_masks(t, 1.0)
+        metric_chain_family(t, 1.0, 2)
+    with pytest.raises(NotMetricSpace):
+        nested_chain_suite(finite_all_coverings_family(t), rng=random.Random(0))
