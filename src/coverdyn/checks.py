@@ -3,15 +3,18 @@ laws, measure-of-noncompactness laws, and the nested-chain harness.
 
 Each check returns a named pass/fail result with a witness on failure. Points
 are indices, drawn from `range(n)`; only witnesses name them by id. The
-proximity checks accept an injectable prox function so harness wiring can be
-negative-controlled against a deliberately broken implementation.
+proximity laws read per-covering tables (bit y of `stars[i][x]` is set when
+covering i lies in prox(x, y)); injecting broken tables negative-controls the
+harness wiring.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
-from typing import Callable, Optional
+from typing import Optional, Sequence
 
 from .compactness import (
     cantor_kuratowski_check,
@@ -30,12 +33,10 @@ from .covering import (
 )
 from .proximity import (
     CoverCollection,
-    FamilyMismatch,
     coarsen,
     converges_to_zero,
     point_sequence_converges,
     precedes,
-    prox,
     prox_to_set,
     semi_prox,
 )
@@ -47,10 +48,8 @@ from .space import (
     enumerate_topologies,
     iter_bits,
     line_grid,
+    transpose_masks,
 )
-
-
-ProxFn = Callable[[int, int, AdmissibleFamily], CoverCollection]
 
 
 def _star_basis(family: AdmissibleFamily) -> bool:
@@ -58,7 +57,7 @@ def _star_basis(family: AdmissibleFamily) -> bool:
 
 
 def proximity_suite(
-    family: AdmissibleFamily, prox_fn: Optional[ProxFn] = None
+    family: AdmissibleFamily, stars: Optional[Sequence[Sequence[int]]] = None
 ) -> list[CheckResult]:
     """Pairwise proximity laws: symmetry, zero at the diagonal, separation
     when the family resolves points (it passes the star-basis axiom and
@@ -67,112 +66,97 @@ def proximity_suite(
     two intermediate points, both checked on every triple and quadruple),
     and sequence convergence.
 
-    The prox is read once per ordered pair, into the table `vals[x][y]` of
-    collection masks that every law reads. No law draws random numbers.
+    Every law reads the per-covering tables `stars`: bit y of `stars[i][x]`
+    is set when covering i lies in prox(x, y). By default they are the
+    coverings' point stars, the tables that `prox` reads. No law draws
+    random numbers.
     """
-    p = prox_fn or prox
     space = family.space
     pts = space.points
+    n, size = space.n, family.size
+    P = stars if stars is not None else [cov.point_star for cov in family.coverings]
+    ix = range(n)
+    # cols[i][y]: the x with covering i in prox(x, y), from one transpose of
+    # the tables laid side by side
+    T = transpose_masks([sum(P[i][x] << i * n for i in range(size)) for x in ix], size * n)
+    cols = [T[i * n : (i + 1) * n] for i in range(size)]
 
-    def read(x: int, y: int) -> int:
-        v = p(x, y, family)
-        if v.family is not family:
-            raise FamilyMismatch("the prox returned a value of another family")
-        return v.mask
+    @functools.cache
+    def val(x: int, y: int) -> int:
+        # the collection mask of prox(x, y)
+        return sum(1 << i for i in range(size) if P[i][x] >> y & 1)
 
-    ix = range(len(pts))
-    vals = [[read(x, y) for y in ix] for x in ix]
-    zero = CoverCollection.zero(family).mask
-    out = []
+    # meet[x]: the y with prox(x, y) the whole family; asym[x]: the y with
+    # prox(x, y) != prox(y, x)
+    meet = [functools.reduce(operator.and_, (rows[x] for rows in P), space.full_mask) for x in ix]
+    asym = [functools.reduce(operator.or_, (P[i][x] ^ cols[i][x] for i in range(size)), 0) for x in ix]
 
-    out.append(first_failure("prox_symmetry", (
-        f"{pts[x].pid},{pts[y].pid}"
-        for x, y in itertools.combinations(ix, 2)
-        if vals[x][y] != vals[y][x]
-    )))
-    out.append(first_failure("prox_zero_at_diagonal", (
-        pts[x].pid for x in ix if vals[x][x] != zero
-    )))
+    def pairs_above(rows):
+        # per row x, the pair (x, y) of the least y > x in it
+        for x, row in enumerate(rows):
+            row >>= x + 1
+            if row:
+                yield f"{pts[x].pid},{pts[x + (row & -row).bit_length()].pid}"
+
+    out = [
+        first_failure("prox_symmetry", pairs_above(asym)),
+        first_failure("prox_zero_at_diagonal", (pts[x].pid for x in ix if not meet[x] >> x & 1)),
+    ]
     # separation presupposes a Hausdorff space: discrete, when finite
     discrete = space.opens is None or all(1 << x in space.opens for x in ix)
     if discrete and _star_basis(family):
-        out.append(first_failure("prox_separates_points", (
-            f"{pts[x].pid},{pts[y].pid}"
-            for x, y in itertools.combinations(ix, 2)
-            if vals[x][y] == zero
-        )))
+        out.append(first_failure("prox_separates_points", pairs_above(meet)))
 
-    out += _triangles(family, vals)
+    out += _triangles(family, P, cols, val)
 
-    sample = ix[:: max(1, len(pts) // 12)]
+    sample = ix[:: max(1, n // 12)]
     out.append(first_failure("sequence_convergence_matches_prox", (
         f"x={pts[x].pid} seq via {pts[y].pid}"
         for x in sample
         for y in sample
         for seq in ([y] * 3 + [x] * 4, [x, y] * 4, [y] * 6)
         if point_sequence_converges(seq, x, family)
-        != converges_to_zero([CoverCollection(family, vals[q][x]) for q in seq])
+        != converges_to_zero([CoverCollection(family, val(q, x)) for q in seq])
     )))
     return out
 
 
-def _triangles(family: AdmissibleFamily, vals: list[list[int]]) -> list[CheckResult]:
+def _triangles(family: AdmissibleFamily, P, cols, val) -> list[CheckResult]:
     """The coarsened triangle law with one and with two intermediate points,
-    each on every tuple of points.
+    each on every tuple of points, read off the tables of `proximity_suite`:
+    P[i][x] is the mask of the y with covering i in prox(x, y), cols[i][y]
+    the mask of those x, and val(x, y) the collection mask of prox(x, y).
 
-    One intermediate: vals[x][y] precedes the coarsening of
-    vals[x][z] & vals[z][y]; the witness is the first failure in (z, x, y)
-    order. Two intermediates: vals[x][y] precedes the 2-step coarsening of
-    vals[x][a] & vals[a][b] & vals[b][y]; the witness is the least failing
+    One intermediate: prox(x, y) precedes the coarsening of
+    prox(x, z) & prox(z, y); the witness is the first failure in (z, x, y)
+    order. Two intermediates: prox(x, y) precedes the 2-step coarsening of
+    prox(x, a) & prox(a, b) & prox(b, y); the witness is the least failing
     (x, y, a, b).
 
     Coarsening ORs the rows of the collection's members, so both laws split
     per covering i: when i lies in every hop of a path from x to y,
-    vals[x][y] must hold the coarsening of {i}. P[i][x] is the mask of the y
-    with i in vals[x][y], and cols[i][y] the mask of those x. R2[i] and R3[i]
-    compose P[i] with itself two and three times: R3[i][x] is the mask of the
-    y that x reaches in three hops of P[i]. Qk[i][x] is the mask of the y
-    whose vals[x][y] holds `family.reach_rows(k)[i]`, the k-step coarsening
-    of {i}. The k-intermediate law holds iff R(k+1)[i][x] & ~Qk[i][x] is
-    empty for every i and x.
+    prox(x, y) must hold the coarsening of {i}. R2[i] and R3[i] compose P[i]
+    with itself two and three times: R3[i][x] is the mask of the y that x
+    reaches in three hops of P[i]. Qk[i][x] is the mask of the y whose
+    prox(x, y) holds `family.reach_rows(k)[i]`, the k-step coarsening of
+    {i}: the AND of P[j][x] over its members j. The k-intermediate law holds
+    iff R(k+1)[i][x] & ~Qk[i][x] is empty for every i and x.
     """
     pts = family.space.points
     n = len(pts)
     size = family.size
 
-    def by_value(rows) -> list[dict[int, int]]:
-        # per row, the mask of the columns that hold each value
-        out = []
-        for row in rows:
-            g: dict[int, int] = {}
-            for y, v in enumerate(row):
-                g[v] = g.get(v, 0) | 1 << y
-            out.append(g)
-        return out
+    def held(k: int) -> list[list[int]]:
+        # Qk, one AND of the tables per distinct reach row
+        memo = {}
+        for r in set(family.reach_rows(k)):
+            q = [(1 << n) - 1] * n
+            for j in iter_bits(r):
+                q = [a & b for a, b in zip(q, P[j])]
+            memo[r] = q
+        return [memo[r] for r in family.reach_rows(k)]
 
-    row_groups = by_value(vals)
-    values = {v for g in row_groups for v in g}
-
-    def held(k: int) -> dict[int, int]:
-        # per value v of the table, the coverings whose k-step coarsening v holds
-        reach = family.reach_rows(k)
-        return {v: sum(1 << i for i in range(size) if not reach[i] & ~v) for v in values}
-
-    held1, held2 = held(1), held(2)
-
-    def spread(groups, covers) -> list[list[int]]:
-        # T[i][x]: the columns of row x whose value v has i in covers(v)
-        T = [[0] * n for _ in range(size)]
-        for x, g in enumerate(groups):
-            for v, m in g.items():
-                for i in iter_bits(covers(v)):
-                    T[i][x] |= m
-        return T
-
-    P = spread(row_groups, lambda v: v)
-    cols = spread(by_value(zip(*vals)), lambda v: v)
-    Q1 = spread(row_groups, held1.__getitem__)
-    Q2 = spread(row_groups, held2.__getitem__)
+    Q1, Q2 = held(1), held(2)
     R2 = bool_products([(P[i], cols[i], n) for i in range(size)])
     R3 = bool_products([(R2[i], cols[i], n) for i in range(size)])
 
@@ -194,7 +178,7 @@ def _triangles(family: AdmissibleFamily, vals: list[list[int]]) -> list[CheckRes
         for z in range(n):
             for x in range(n):
                 bad = 0
-                for i in iter_bits(vals[x][z]):
+                for i in iter_bits(val(x, z)):
                     bad |= P[i][z] & ~Q1[i][x]
                 if bad:
                     y = (bad & -bad).bit_length() - 1
@@ -202,15 +186,17 @@ def _triangles(family: AdmissibleFamily, vals: list[list[int]]) -> list[CheckRes
         raise table_fault("one-intermediate", *flagged)
 
     def two_violations():
+        reach2 = family.reach_rows(2)
         for x in range(n):
             bad = 0
             for i in range(size):
                 bad |= R3[i][x] & ~Q2[i][x]
             if bad:
                 y = (bad & -bad).bit_length() - 1
-                cut = ~held2[vals[x][y]]
+                # the coverings whose 2-step coarsening prox(x, y) does not hold
+                cut = sum(1 << i for i in range(size) if reach2[i] & ~val(x, y))
                 for a, b in itertools.product(range(n), repeat=2):
-                    if vals[x][a] & vals[a][b] & vals[b][y] & cut:
+                    if val(x, a) & val(a, b) & val(b, y) & cut:
                         yield ",".join(pts[q].pid for q in (x, y, a, b))
                         return
                 raise table_fault("two-intermediate", x, bad)
@@ -476,7 +462,7 @@ def tiny_topology_battery(rng: random.Random) -> list[CheckResult]:
             space = Space(points=pts, opens=opens)
             fam = finite_all_coverings_family(space)
             fold(proximity_suite(fam))
-            fold(closure_criteria_suite(fam, rng=rng, trials=10))
+            fold(closure_criteria_suite(fam, rng=rng))
             fold(boundedness_suite(fam, rng=rng, trials=10))
-            fold(measure_suite(fam, cap=2, rng=rng, trials=10))
+            fold(measure_suite(fam, cap=2, rng=rng))
     return list(merged.values())

@@ -33,7 +33,6 @@ from .checks import (
     proximity_suite,
 )
 from .dynamics import omega_limit
-from .proximity import CoverCollection, prox
 from .scenarios import (
     BUILTIN_SCENARIOS,
     Scenario,
@@ -127,29 +126,32 @@ def _write(rc: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _broken_prox(x, y, family):
-    # deliberately asymmetric: drops the finest level on ordered pairs
-    v = prox(x, y, family)
-    if x < y:
-        return CoverCollection(family, v.mask >> 1)
-    return v
+def _asymmetric_stars(family):
+    # deliberately asymmetric: for x < y, covering i reads covering i + 1's
+    # row, which drops the finest level of prox(x, y) on ordered pairs
+    n = family.space.n
+    P = [cov.point_star for cov in family.coverings] + [[0] * n]
+    above = [-1 << (x + 1) for x in range(n)]
+    return [
+        [(P[i + 1][x] & above[x]) | (P[i][x] & ~above[x]) for x in range(n)]
+        for i in range(family.size)
+    ]
 
 
 def cmd_verify_axioms(rc: RunConfig) -> int:
     if rc.scenario or rc.config_path:
         sc = _load_scenario(rc)
         rng = random.Random(rc.seed)
-        results = []
-        results += proximity_suite(
-            sc.family, prox_fn=_broken_prox if rc.mutate == "prox-asymmetry" else None
-        )
+        stars = _asymmetric_stars(sc.family) if rc.mutate == "prox-asymmetry" else None
+        results = proximity_suite(sc.family, stars=stars)
         results += closure_criteria_suite(sc.family, rng=rng, trials=40)
         results += boundedness_suite(sc.family, rng=rng, trials=40)
         results += measure_suite(sc.family, cap=rc.cap or sc.declared.cap, rng=rng, trials=60)
         resolution = sc.family.depth
     else:
         if rc.mutate == "prox-asymmetry":
-            results = proximity_suite(battery_family(), prox_fn=_broken_prox)
+            fam = battery_family()
+            results = proximity_suite(fam, stars=_asymmetric_stars(fam))
         else:
             results = grid_battery(seed=rc.seed, cap=rc.cap)
         resolution = BATTERY_DEPTH

@@ -40,13 +40,9 @@ class CoverCollection:
             mask |= rows[i]
         return CoverCollection(family, mask)
 
-    @staticmethod
-    def zero(family: AdmissibleFamily) -> "CoverCollection":
-        """The whole family: the least element, playing the role of distance zero."""
-        return CoverCollection(family, (1 << family.size) - 1)
-
     @property
     def is_zero(self) -> bool:
+        """The whole family: the least element, playing the role of distance zero."""
         return self.mask == (1 << self.family.size) - 1
 
     def __eq__(self, other) -> bool:

@@ -248,7 +248,8 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     scale = diff.max(axis=2)
     np.divide(diff, scale[:, :, None], out=diff, where=scale[:, :, None] > 0)
     np.square(diff, out=diff)
-    return scale * np.sqrt(diff.sum(axis=2))
+    dist = diff.sum(axis=2)
+    return np.multiply(scale, np.sqrt(dist, out=dist), out=dist)
 
 
 def build_metric_space(

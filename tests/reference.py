@@ -63,18 +63,33 @@ them, because its norm distances satisfy them by construction.
 
 `reference_slabs` and `reference_point_balls` read a function's values and a
 point's position from the point coordinates, the one stored copy.
+
+`reference_proximity_suite` is `proximity_suite` as it was when it read a
+prox function: `p(x, y, family)` once per ordered pair into an n×n table of
+collection masks, then the per-covering tables of the triangle laws
+regrouped from that table by value. `stars_of` turns such a prox function
+into the per-covering tables that `proximity_suite` reads now.
+
+`zero_collection` is the whole family, the least collection: distance zero.
 """
 
+import itertools
 import math
 from typing import Optional, Sequence
 
 import numpy as np
 
 from coverdyn.compactness import CoverSearchBudgetExceeded
-from coverdyn.covering import CheckList, CheckResult
+from coverdyn.covering import CheckList, CheckResult, first_failure
 from coverdyn.dynamics import HYPOTHESIS_NAMES, FilterBasis
-from coverdyn.proximity import FamilyMismatch, converges_to_zero, semi_prox
-from coverdyn.space import EmptyInput, iter_bits
+from coverdyn.proximity import (
+    CoverCollection,
+    FamilyMismatch,
+    converges_to_zero,
+    point_sequence_converges,
+    semi_prox,
+)
+from coverdyn.space import EmptyInput, bool_products, iter_bits
 
 
 def triangle_rtol(dim: int) -> float:
@@ -412,3 +427,131 @@ def reference_coverable_within(
         return search(target, 0)
     finally:
         del search  # it reaches itself through its closure cell: break that cycle
+
+
+def zero_collection(family) -> CoverCollection:
+    return CoverCollection(family, (1 << family.size) - 1)
+
+
+def stars_of(p, family) -> list[tuple[int, ...]]:
+    """The per-covering tables of a prox function: bit y of `stars[i][x]` is
+    set when covering i lies in p(x, y, family)."""
+    ix = range(family.space.n)
+    vals = [[p(x, y, family).mask for y in ix] for x in ix]
+    return [
+        tuple(sum(1 << y for y in ix if vals[x][y] >> i & 1) for x in ix)
+        for i in range(family.size)
+    ]
+
+
+def reference_proximity_suite(family, p) -> list[CheckResult]:
+    """The proximity laws read off `p`, called once per ordered pair into the
+    table `vals[x][y]` of collection masks; the rows, names and witnesses of
+    `proximity_suite` on `stars_of(p, family)`."""
+    space = family.space
+    pts = space.points
+    ix = range(len(pts))
+    vals = [[p(x, y, family).mask for y in ix] for x in ix]
+    zero = (1 << family.size) - 1
+    out = []
+
+    out.append(first_failure("prox_symmetry", (
+        f"{pts[x].pid},{pts[y].pid}"
+        for x, y in itertools.combinations(ix, 2)
+        if vals[x][y] != vals[y][x]
+    )))
+    out.append(first_failure("prox_zero_at_diagonal", (
+        pts[x].pid for x in ix if vals[x][x] != zero
+    )))
+    discrete = space.opens is None or all(1 << x in space.opens for x in ix)
+    if discrete and family.admissibility_report.passed("star_basis"):
+        out.append(first_failure("prox_separates_points", (
+            f"{pts[x].pid},{pts[y].pid}"
+            for x, y in itertools.combinations(ix, 2)
+            if vals[x][y] == zero
+        )))
+
+    out += _reference_triangles(family, vals)
+
+    sample = ix[:: max(1, len(pts) // 12)]
+    out.append(first_failure("sequence_convergence_matches_prox", (
+        f"x={pts[x].pid} seq via {pts[y].pid}"
+        for x in sample
+        for y in sample
+        for seq in ([y] * 3 + [x] * 4, [x, y] * 4, [y] * 6)
+        if point_sequence_converges(seq, x, family)
+        != converges_to_zero([CoverCollection(family, vals[q][x]) for q in seq])
+    )))
+    return out
+
+
+def _reference_triangles(family, vals) -> list[CheckResult]:
+    # both triangle laws from per-covering tables regrouped by value: P[i][x]
+    # the y with i in vals[x][y], cols[i][y] those x, Qk[i][x] the y whose
+    # value holds the k-step coarsening of {i}
+    pts = family.space.points
+    n = len(pts)
+    size = family.size
+
+    def by_value(rows) -> list[dict[int, int]]:
+        out = []
+        for row in rows:
+            g: dict[int, int] = {}
+            for y, v in enumerate(row):
+                g[v] = g.get(v, 0) | 1 << y
+            out.append(g)
+        return out
+
+    row_groups = by_value(vals)
+    values = {v for g in row_groups for v in g}
+
+    def held(k: int) -> dict[int, int]:
+        reach = family.reach_rows(k)
+        return {v: sum(1 << i for i in range(size) if not reach[i] & ~v) for v in values}
+
+    held1, held2 = held(1), held(2)
+
+    def spread(groups, covers) -> list[list[int]]:
+        T = [[0] * n for _ in range(size)]
+        for x, g in enumerate(groups):
+            for v, m in g.items():
+                for i in iter_bits(covers(v)):
+                    T[i][x] |= m
+        return T
+
+    P = spread(row_groups, lambda v: v)
+    cols = spread(by_value(zip(*vals)), lambda v: v)
+    Q1 = spread(row_groups, held1.__getitem__)
+    Q2 = spread(row_groups, held2.__getitem__)
+    R2 = bool_products([(P[i], cols[i], n) for i in range(size)])
+    R3 = bool_products([(R2[i], cols[i], n) for i in range(size)])
+
+    def one_violations():
+        if not any(R2[i][x] & ~Q1[i][x] for i in range(size) for x in range(n)):
+            return
+        for z in range(n):
+            for x in range(n):
+                bad = 0
+                for i in iter_bits(vals[x][z]):
+                    bad |= P[i][z] & ~Q1[i][x]
+                if bad:
+                    y = (bad & -bad).bit_length() - 1
+                    yield f"{pts[x].pid},{pts[y].pid} via {pts[z].pid}"
+
+    def two_violations():
+        for x in range(n):
+            bad = 0
+            for i in range(size):
+                bad |= R3[i][x] & ~Q2[i][x]
+            if bad:
+                y = (bad & -bad).bit_length() - 1
+                cut = ~held2[vals[x][y]]
+                for a, b in itertools.product(range(n), repeat=2):
+                    if vals[x][a] & vals[a][b] & vals[b][y] & cut:
+                        yield ",".join(pts[q].pid for q in (x, y, a, b))
+                        return
+
+    return [
+        first_failure("prox_triangle_1_intermediate", one_violations()),
+        first_failure("prox_triangle_2_intermediate", two_violations()),
+    ]

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from reference import reference_proximity_suite, stars_of
 from test_proximity import ALL_FAMILIES, GRID101_CHAIN, TOPOLOGY_FAMILIES, family_id
 
 from coverdyn import checks
@@ -14,8 +15,9 @@ from coverdyn.checks import (
     proximity_suite,
     tiny_topology_battery,
 )
+from coverdyn.cli import _asymmetric_stars
 from coverdyn.covering import CheckResult, metric_chain_family, verify_admissible
-from coverdyn.proximity import CoverCollection, FamilyMismatch, coarsen, precedes, prox
+from coverdyn.proximity import CoverCollection, coarsen, precedes, prox
 from coverdyn.scenarios import BUILTIN_SCENARIOS, get_scenario
 from coverdyn.space import line_grid
 
@@ -82,7 +84,7 @@ def broken(x, y, family):
 
 
 def test_proximity_suite_catches_broken_symmetry(fam):
-    results = proximity_suite(fam, prox_fn=broken)
+    results = proximity_suite(fam, stars_of(broken, fam))
     by_name = {r.name: r for r in results}
     assert not by_name["prox_symmetry"].passed
     assert by_name["prox_symmetry"].witness
@@ -90,7 +92,7 @@ def test_proximity_suite_catches_broken_symmetry(fam):
 
 def test_exhaustive_triangle_check_reads_the_injected_prox():
     grid_fam = metric_chain_family(line_grid(0.0, 1.0, 101), 2.0, 6)
-    results = proximity_suite(grid_fam, prox_fn=broken)
+    results = proximity_suite(grid_fam, stars_of(broken, grid_fam))
     by_name = {r.name: r for r in results}
     triangle = by_name["prox_triangle_1_intermediate"]
     assert not triangle.passed
@@ -98,16 +100,6 @@ def test_exhaustive_triangle_check_reads_the_injected_prox():
     triangle = by_name["prox_triangle_2_intermediate"]
     assert not triangle.passed
     assert triangle.witness == "(0),(0.99),(0),(0.01)"
-
-
-def test_proximity_suite_rejects_a_prox_of_another_family(fam):
-    other = metric_chain_family(fam.space, 2.0, 4)
-
-    def foreign(x, y, family):
-        return prox(x, y, other)
-
-    with pytest.raises(FamilyMismatch):
-        proximity_suite(fam, prox_fn=foreign)
 
 
 def reference_triangle_1(family, p):
@@ -163,7 +155,7 @@ def clear_one_bit(x, y, family):
     "family", ALL_FAMILIES + [GRID101_CHAIN], ids=family_id
 )
 def test_triangle_1_matches_the_triple_loop(family, p):
-    results = proximity_suite(family, prox_fn=p)
+    results = proximity_suite(family, stars_of(p, family))
     got = {r.name: r for r in results}["prox_triangle_1_intermediate"]
     assert got == reference_triangle_1(family, p)
 
@@ -176,7 +168,7 @@ def test_triangle_1_mutants_fail_somewhere(p):
 @pytest.mark.parametrize("p", [prox, broken, clear_one_bit], ids=lambda p: p.__name__)
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=family_id)
 def test_triangle_2_matches_the_quadruple_loop(family, p):
-    results = proximity_suite(family, prox_fn=p)
+    results = proximity_suite(family, stars_of(p, family))
     got = {r.name: r for r in results}["prox_triangle_2_intermediate"]
     assert got == reference_triangle_2(family, p)
 
@@ -210,7 +202,7 @@ def drop_one_without_two(x, y, family):
     ids=["three-hops", "two-step-coarsening"],
 )
 def test_triangle_2_reads_three_hops_and_two_step_coarsening(p, family, passed):
-    by_name = {r.name: r for r in proximity_suite(family, prox_fn=p)}
+    by_name = {r.name: r for r in proximity_suite(family, stars_of(p, family))}
     assert not by_name["prox_triangle_1_intermediate"].passed
     got = by_name["prox_triangle_2_intermediate"]
     assert got == reference_triangle_2(family, p)
@@ -311,5 +303,27 @@ TEN_POINT_CHAINS = [
 def test_triangle_2_on_injected_tables_matches_the_quadruple_loop(family, tables):
     for table in tables:
         p = table_prox(table)
-        got = {r.name: r for r in proximity_suite(family, prox_fn=p)}
+        got = {r.name: r for r in proximity_suite(family, stars_of(p, family))}
         assert got["prox_triangle_2_intermediate"] == reference_triangle_2(family, p), table
+
+
+PROX_MUTANTS = [prox, broken, clear_one_bit, next_only, drop_one_without_two]
+
+
+@pytest.mark.parametrize("p", PROX_MUTANTS, ids=lambda p: p.__name__)
+@pytest.mark.parametrize("family", ALL_FAMILIES + [GRID101_CHAIN], ids=family_id)
+def test_proximity_suite_matches_the_per_pair_reference(family, p):
+    # every row, in order, with its name, verdict and witness
+    assert proximity_suite(family, stars_of(p, family)) == reference_proximity_suite(family, p)
+
+
+@pytest.mark.parametrize("family", [CHAIN17_5, *TEN_POINT_CHAINS], ids=family_id)
+def test_proximity_suite_matches_the_per_pair_reference_on_random_tables(family):
+    for table in random_tables(family, 40):
+        p = table_prox(table)
+        assert proximity_suite(family, stars_of(p, family)) == reference_proximity_suite(family, p), table
+
+
+def test_the_asymmetric_control_is_the_table_form_of_broken():
+    for family in [*ALL_FAMILIES, GRID101_CHAIN]:
+        assert list(map(tuple, _asymmetric_stars(family))) == stars_of(broken, family), family_id(family)

@@ -43,6 +43,7 @@ from reference import (
     convergence_trace,
     reference_distance,
     reference_point_sequence_converges,
+    zero_collection,
 )
 
 
@@ -89,7 +90,7 @@ def family_id(f):
 
 
 def test_zero_precedes_everything(fam):
-    zero = CoverCollection.zero(fam)
+    zero = zero_collection(fam)
     for t in (-1, 0, 2, fam.depth):
         assert precedes(zero, levels(fam, t))
 
@@ -110,11 +111,11 @@ def test_precedes_reflexive_antisymmetric(fam):
 
 def test_family_mismatch(fam, tiny):
     with pytest.raises(FamilyMismatch):
-        precedes(CoverCollection.zero(fam), CoverCollection.zero(tiny))
+        precedes(zero_collection(fam), zero_collection(tiny))
 
 
 def test_coarsen_zero_fixed_point(fam):
-    zero = CoverCollection.zero(fam)
+    zero = zero_collection(fam)
     for n in range(1, fam.depth + 1):
         assert coarsen(zero, n) == zero
 
@@ -141,14 +142,14 @@ def test_coarsen_order_preserving(fam):
 
 
 def test_coarsen_finite_kind(tiny):
-    zero = CoverCollection.zero(tiny)
+    zero = zero_collection(tiny)
     assert coarsen(zero, 1) == zero
     top = CoverCollection(tiny, 0)
     assert coarsen(top, 1) == top
 
 
 def test_converges_constant_zero(fam):
-    assert converges_to_zero([CoverCollection.zero(fam)] * 3)
+    assert converges_to_zero([zero_collection(fam)] * 3)
 
 
 def test_converges_increasing_thresholds(fam):

@@ -91,6 +91,19 @@ def test_a_metric_space_stores_only_its_coordinates():
     assert not any(isinstance(v, np.ndarray) for p in s.points for v in vars(p).values())
 
 
+def test_the_distance_kernel_holds_three_tables_at_most():
+    # the difference, its sup scale and the sum, into which the root and
+    # the product with the scale are written: 3 x 8 bytes per pair in 1-D
+    x = np.linspace(0.0, 1.0, 801)[:, None]
+    tracemalloc.start()
+    try:
+        space._pairwise_distances(x, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * 801**2, f"{peak / 801**2:.1f} bytes per pair"
+
+
 def test_duplicate_coordinates_rejected():
     with pytest.raises(DuplicatePoint):
         build_metric_space([[0.0, 0.0], [0.0, 0.0]])
