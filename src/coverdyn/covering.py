@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .space import (
     CoverdynError,
@@ -20,7 +20,6 @@ from .space import (
     Space,
     ball_rows,
     bool_product,
-    bool_products,
     iter_bits,
     transpose_masks,
 )
@@ -113,81 +112,74 @@ def relation_rows(
     """Refinement and double-refinement rows: bit j of row i is set when
     sources[i] refines (double-refines) targets[j].
 
-    The work is done once per distinct source member set, not per covering:
-    the sources are grouped into components linked by shared member sets
-    (the levels of a metric chain are mostly one component each; all the
-    open coverings of a finite topology are one). For a component and a
-    target U, the containment rows give, per member set s, the mask of the
-    U-members containing s: the complement of the boolean product of the
-    sets with U's complements. A source V refines U when all its members
-    have a nonempty row; the rows are not computed where every source of the
-    component has a member larger than all of U's, since such a member has
-    no container. V double-refines U when moreover any two intersecting
-    members of V lie in one common U-member, i.e. when the member incidence
-    of V (the component's product of sets with themselves, restricted to V)
-    lies inside the product of the containment rows with themselves. That
-    second product is taken only where some source refines U. All products
-    go through two batched `bool_products` calls.
+    Both relations reduce to one container test: does some member of the
+    target U hold the point set s? The only index is U's `point_rows`. A
+    member that holds s holds its lowest and its highest point, so the
+    members in both of their rows are the only candidates, and none is
+    missed. Each candidate is confirmed by a subset test, because a member
+    may hold both ends of s and miss a point between them; where members are
+    index intervals, as balls on a line grid are, the first candidate holds
+    s. A set wider than U's widest member fits nowhere.
+
+    V refines U when every member of V fits U. The distinct member sets of
+    all sources are tested once per target into one mask, and V refines U
+    when that mask holds all of V's sets. Only there is double refinement
+    tested: any two intersecting members of V must fit U together. Two such
+    members share a point x and lie in the star of x in V, so a star that
+    fits U settles every pair that meets at x. Where the star of x does not
+    fit, the pairs of V-members holding x are tested one by one, and the
+    first pair whose union does not fit decides that V does not
+    double-refine U. The stars are tested per source, and each distinct star
+    once per target.
     """
-    space = sources[0].space
     for c in itertools.chain(sources, targets):
         _check_same_space(c, sources[0])
-    n = space.n
-    outside = [[space.full_mask & ~u for u in U.members] for U in targets]
-    comps: list[tuple[set[int], list[int]]] = []
-    for i, V in enumerate(sources):
-        sets, idx = set(V.members), [i]
-        rest = []
-        for other, others in comps:
-            if sets.isdisjoint(other):
-                rest.append((other, others))
-            else:
-                sets |= other
-                idx += others
-        comps = rest + [(sets, idx)]
-    comps = [(sorted(sets), idx) for sets, idx in comps]
-    size = [max(m.bit_count() for m in cov.members) for cov in sources]
-    least = [min(size[i] for i in idx) for _, idx in comps]
-    widest = [max(u.bit_count() for u in U.members) for U in targets]
-    pairs = [
-        (ci, j)
-        for ci in range(len(comps))
-        for j in range(len(targets))
-        if least[ci] <= widest[j]
-    ]
-    escapes = bool_products([(comps[ci][0], outside[j], n) for ci, j in pairs])
-
-    # per source: the local indices of its member sets in its component, and their mask
-    local: list[list[int]] = [[] for _ in sources]
-    for sets, idx in comps:
-        pos = {m: k for k, m in enumerate(sets)}
-        for i in idx:
-            local[i] = [pos[m] for m in sources[i].members]
-    own = [sum(1 << k for k in ks) for ks in local]
-
+    index: dict[int, int] = {}
+    for V in sources:
+        for m in V.members:
+            index.setdefault(m, len(index))
+    own = [sum(1 << index[m] for m in V.members) for V in sources]
     refine = [0] * len(sources)
-    # the first len(comps) products are the components' member incidences
-    products = [(sets, sets, n) for sets, _ in comps]
-    tested = []
-    for (ci, j), esc in zip(pairs, escapes):
-        full = (1 << len(outside[j])) - 1
-        inside = [full & ~e for e in esc]
-        held = sum(1 << k for k, row in enumerate(inside) if row)
-        passing = [i for i in comps[ci][1] if not own[i] & ~held]
-        if passing:
-            for i in passing:
-                refine[i] |= 1 << j
-            tested.append((ci, j, passing))
-            products.append((inside, inside, len(outside[j])))
-    results = bool_products(products)
     double = [0] * len(sources)
-    for (ci, j, passing), fits in zip(tested, results[len(comps) :]):
-        # bad[s]: the sets meeting s that share no U-member with it
-        bad = [m & ~f for m, f in zip(results[ci], fits)]
-        for i in passing:
-            if not any(bad[k] & own[i] for k in local[i]):
+    for j, U in enumerate(targets):
+        fits = _container_test(U)
+        held = sum(1 << k for k, s in enumerate(index) if fits(s))
+        star_fits: dict[int, bool] = {}
+        for i, V in enumerate(sources):
+            if own[i] & ~held:
+                continue
+            refine[i] |= 1 << j
+            for x, star in enumerate(V.point_star):
+                ok = star_fits.get(star)
+                if ok is None:
+                    ok = star_fits[star] = fits(star)
+                if not ok and not all(
+                    fits(V.members[a] | V.members[b])
+                    for a, b in itertools.combinations(iter_bits(V.point_rows[x]), 2)
+                ):
+                    break
+            else:
                 double[i] |= 1 << j
     return tuple(refine), tuple(double)
+
+
+def _container_test(U: Covering) -> Callable[[int], bool]:
+    """The test "some member of U holds the point set s"."""
+    members, rows = U.members, U.point_rows
+    widest = max(u.bit_count() for u in members)
+
+    def fits(s: int) -> bool:
+        if s.bit_count() > widest:
+            return False
+        candidates = rows[(s & -s).bit_length() - 1] & rows[s.bit_length() - 1]
+        while candidates:
+            u = members[(candidates & -candidates).bit_length() - 1]
+            if u | s == u:
+                return True
+            candidates &= candidates - 1
+        return False
+
+    return fits
 
 
 def refines(V: Covering, U: Covering) -> bool:
@@ -205,10 +197,12 @@ class AdmissibleFamily:
     """An indexed list of coverings of one space.
 
     Chains are indexed coarse-to-fine and certified by `chain_family`: the
-    certificate is the sub-diagonal of `double_refine_rows`, which one
-    `relation_rows` call computes with `refine_rows` for every pair of
-    coverings. Other families are arbitrary listings (typically every open
-    covering of a finite topology).
+    certificate is the sub-diagonal of `double_refine_rows`. Both relation
+    rows come from one `relation_rows` call over the family's coverings, made
+    on first read; it looks sets up in each covering's point rows and tests
+    its point stars, the tables that the star and closure queries read too.
+    Other families are arbitrary listings (typically every open covering of a
+    finite topology).
     """
 
     space: Space

@@ -1,11 +1,16 @@
 """Reference row forms of the covering kernel, kept as test oracles.
 
-These are the bit-walk bodies the packed bit-matrix kernel replaced: point
-rows and stars from one bit per Python step, refinement and double
-refinement from per-member row loops, and relation rows and chain
-certification one covering pair at a time. The topological closure from
-the opens alone is here too: it is the oracle for the family closure.
+The kernel takes point rows and stars from packed bit matrices, and relation
+rows from container lookups in each target's point rows. The forms here walk
+one bit per Python step instead: point rows and stars member by member,
+refinement and double refinement from per-member row loops or from every
+intersecting member pair, and relation rows and chain certification one
+covering pair at a time. The topological closure from the opens alone is
+here too: it is the oracle for the family closure.
 """
+
+import functools
+import itertools
 
 from coverdyn.covering import DegenerateChain
 from coverdyn.space import iter_bits
@@ -75,6 +80,27 @@ def double_refines(V, U):
             if not meets & ~fits:
                 break
         if meets & ~fits:
+            return False
+    return True
+
+
+@functools.cache
+def intersecting_pairs(V):
+    """Every intersecting member pair of V, each once, with every (a, a)."""
+    pairs = set()
+    for row in V.point_rows:
+        for a, b in itertools.combinations(iter_bits(row), 2):
+            pairs.add((a, b))
+    pairs.update((i, i) for i in range(len(V.members)))
+    return frozenset(pairs)
+
+
+def pair_set_double_refines(V, U):
+    """Collect every intersecting member pair of V once, then test each."""
+    for a, b in intersecting_pairs(V):
+        union = V.members[a] | V.members[b]
+        anchor = next(iter_bits(union))
+        if not any(union & ~U.members[mi] == 0 for mi in iter_bits(U.point_rows[anchor])):
             return False
     return True
 

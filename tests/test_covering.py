@@ -2,12 +2,13 @@ import functools
 import itertools
 import operator
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverdyn import covering
+from coverdyn import covering, space as space_module
 from coverdyn.covering import (
     AdmissibleFamily,
     CoveringError,
@@ -135,6 +136,19 @@ def test_star_kernel_matches_definitions_on_random_coverings(fam, data):
     _check_star_kernel(fam, sets + data.draw(st.permutations(sets)) + sets)
 
 
+@settings(max_examples=300, deadline=None)
+@given(fam=random_cover_families())
+def test_relation_rows_match_the_row_forms_on_random_coverings(fam):
+    # arbitrary member masks: a member may hold both ends of a set and miss
+    # a point between them, so the container lookup meets candidates that
+    # its subset test must turn down
+    covs = fam.coverings
+    refine, double = relation_rows(covs, covs)
+    assert refine == row_forms.relation_rows(covs, row_forms.refines)
+    assert double == row_forms.relation_rows(covs, row_forms.double_refines)
+    assert double == row_forms.relation_rows(covs, row_forms.pair_set_double_refines)
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_star_kernel_matches_definitions_on_builtin_families(name):
     sc = get_scenario(name)  # a fresh family: its closure memo starts empty
@@ -180,6 +194,20 @@ def test_double_refines_self_failure(line3):
     # {0,1} and {1,2} intersect; their union is the whole space, absent from members
     pairs = cov(line3, {0, 1}, {1, 2})
     assert not double_refines(pairs, pairs)
+
+
+def test_double_refinement_through_the_pairs_when_no_star_fits():
+    # on points x, a, b, c: every pair of V = {xa, xb, xc} meets at x and
+    # fits in a member of U = {xab, xbc, xac}, but the star of x in V is the
+    # whole space and fits in none, so only the pair test can say yes
+    space = line_grid(0.0, 1.0, 4)
+    x, a, b, c = (1 << i for i in range(4))
+    V = make_covering_masks(space, [x | a, x | b, x | c])
+    U = make_covering_masks(space, [x | a | b, x | b | c, x | a | c])
+    assert V.point_star[0] == space.full_mask
+    assert row_forms.double_refines(V, U) and row_forms.pair_set_double_refines(V, U)
+    assert relation_rows((V,), (U,)) == ((1,), (1,))
+    assert relation_rows((V, U), (V, U)) == ((0b11, 0b10), (0b10, 0b00))
 
 
 def test_double_refines_quarter_balls_bruteforce():
@@ -309,6 +337,29 @@ def test_verify_admissible_makes_one_batched_relation_computation(monkeypatch):
         (chain.coverings, chain.coverings),
         (finite.coverings, finite.coverings),
     ]
+
+
+def test_relation_rows_of_a_1601_point_chain_take_no_dense_product(monkeypatch):
+    # the rows come from container lookups in the point rows: no boolean
+    # matrix product, and less memory than one n x n float32 table (10 MB)
+    fam = metric_chain_family(line_grid(0.0, 1.0, 1601), 2.0, 3)
+    covs = fam.coverings
+    for cov in covs:
+        cov.point_star
+
+    def dense(products):
+        raise AssertionError("relation rows took a dense boolean product")
+
+    monkeypatch.setattr(covering, "bool_products", dense, raising=False)
+    monkeypatch.setattr(space_module, "bool_products", dense)
+    tracemalloc.start()
+    try:
+        rows = relation_rows(covs, covs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == ((0b1, 0b11, 0b111, 0b1111), (0b1, 0b1, 0b11, 0b111))
+    assert peak < 4 << 20
 
 
 def test_prefix_reads_the_parent_rows():

@@ -438,27 +438,6 @@ def test_finite_upward_closure_matches_refinement(fam, data):
     assert indices(CoverCollection.finite(fam, S)) == expected
 
 
-@functools.cache
-def intersecting_pairs(V):
-    """Every intersecting member pair of V, each once, with every (a, a)."""
-    pairs = set()
-    for row in V.point_rows:
-        for a, b in itertools.combinations(iter_bits(row), 2):
-            pairs.add((a, b))
-    pairs.update((i, i) for i in range(len(V.members)))
-    return frozenset(pairs)
-
-
-def pair_set_double_refines(V, U):
-    """Oracle: collect every intersecting member pair of V once, then test each."""
-    for a, b in intersecting_pairs(V):
-        union = V.members[a] | V.members[b]
-        anchor = next(iter_bits(union))
-        if not any(union & ~U.members[mi] == 0 for mi in iter_bits(U.point_rows[anchor])):
-            return False
-    return True
-
-
 # On the 101-point grid chain most level pairs pass, so the row form's
 # passing path runs on many members; the small families mostly fail early.
 GRID101_CHAIN = metric_chain_family(line_grid(0.0, 1.0, 101), 2.0, 6)
@@ -469,7 +448,7 @@ GRID101_CHAIN = metric_chain_family(line_grid(0.0, 1.0, 101), 2.0, 6)
 )
 def test_double_refines_matches_pair_set_oracle(fam):
     for V, U in itertools.product(fam.coverings, repeat=2):
-        assert double_refines(V, U) == pair_set_double_refines(V, U), (V, U)
+        assert double_refines(V, U) == row_forms.pair_set_double_refines(V, U), (V, U)
 
 
 # Chains of every construction path: the metric chains of these tests, the
@@ -500,7 +479,7 @@ def test_chain_rows_match_direct_rows(case):
         assert all((fam.double_refine_rows[i] >> (i - 1)) & 1 for i in range(1, fam.size))
         assert fam.refine_rows == row_forms.relation_rows(fam.coverings, row_forms.refines)
         assert fam.double_refine_rows == row_forms.relation_rows(
-            fam.coverings, pair_set_double_refines
+            fam.coverings, row_forms.pair_set_double_refines
         )
         if case == "repeated-deep-levels":
             upper = [row >> (i + 1) for i, row in enumerate(fam.double_refine_rows)]
@@ -612,12 +591,18 @@ def _certification(certify, coverings):
     return None
 
 
-# Every all-coverings family on at most three points, the metric test chains
-# and the 101- and 201-point decay_grid chains.
+# Every all-coverings family on at most three points, the metric test chains,
+# the 101- and 201-point decay_grid chains, and the pointwise chains of the
+# function-space built-ins: their levels share member sets, and some levels
+# double-refine themselves while the point stars of others fit no member of
+# their own level.
 KERNEL_CASES = ALL_FAMILIES + [
     GRID101_CHAIN,
     get_scenario("decay_grid", count=101).family,
     get_scenario("decay_grid", count=201).family,
+    get_scenario("composition").family,
+    get_scenario("iterated_contractions").family,
+    get_scenario("exp_decay").family,
 ]
 
 
