@@ -273,12 +273,6 @@ class AdmissibleFamily:
                 cache[n] = tuple(rows)
         return cache[n]
 
-    def _star_row(self, ymask: int) -> tuple[int, ...]:
-        # the star of ymask at every covering, unmemoised
-        if ymask == 0:
-            raise EmptyInput("star of the empty set is undefined")
-        return tuple([cov.star_mask(ymask) for cov in self.coverings])
-
     def stars(self, ymask: int) -> tuple[int, ...]:
         """The star of `ymask` at every covering, in covering order, cached
         per set for the life of the family. The memo holds int tuples only,
@@ -287,12 +281,32 @@ class AdmissibleFamily:
         cache = self.__dict__.setdefault("_stars_cache", {})
         out = cache.get(ymask)
         if out is None:
-            out = cache[ymask] = self._star_row(ymask)
+            out = cache[ymask] = tuple([cov.star_mask(ymask) for cov in self.coverings])
         return out
+
+    @cached_property
+    def _minimal(self) -> tuple[Covering, ...]:
+        # the last covering of each refinement-minimal class: j is minimal
+        # when every covering that refines j is refined by j, and its class
+        # is then the set of coverings that refine it
+        R = self.refine_rows
+        T = transpose_masks(R, self.size)
+        return tuple(
+            cov for j, cov in enumerate(self.coverings)
+            if T[j] & ~R[j] == 0 and T[j] >> (j + 1) == 0
+        )
 
     def closure_mask(self, ymask: int) -> int:
         """Family closure: the intersection of the stars of `ymask` over every covering,
         cached per set for the life of the family.
+
+        Any base of the uniformity that the family generates gives the same
+        closure, and the refinement-minimal coverings are one: when V refines
+        U, a member of V that meets the set lies in a member of U that meets
+        it, so the star at V lies in the star at U. Coverings that refine each
+        other have equal stars. So the intersection reads one star per
+        refinement-minimal class, from the relation rows; on a chain that is
+        the finest level alone.
 
         On finite-topology spaces whose family satisfies the star-basis axiom this
         equals the topological closure computed from the opens alone.
@@ -303,8 +317,8 @@ class AdmissibleFamily:
             if ymask == 0:
                 raise EmptyInput("closure of the empty set is undefined")
             out = self.space.full_mask
-            for star in self._star_row(ymask):
-                out &= star
+            for cov in self._minimal:
+                out &= cov.star_mask(ymask)
             cache[ymask] = out
         return out
 

@@ -315,29 +315,35 @@ def _limit_set(
     seeds: Sequence[int], F: FilterBasis, action: Action, family: AdmissibleFamily
 ) -> LimitSetReport:
     """Intersection over filter levels k of the closures of the level-k orbits
-    of `seeds[k]`; each limit point is witnessed by a deepest-level image that
-    hits its finest star."""
+    of `seeds[k]`, each read from a base of the uniformity (`closure_mask`),
+    up to the first empty one. A limit point lies in the finest star of the
+    deepest orbit and is witnessed by the first deepest (element, seed point)
+    whose image hits that star. A point's star holds y iff y's star holds
+    the point, so one pass over those pairs lets each image claim the
+    unwitnessed points of its star."""
     space = action.space
     acc = space.full_mask
     for k in F.levels():
         acc &= family.closure_mask(orbit_mask(k, seeds[k], action, F))
-    rows = [(el, action.image_indices(el)) for el in F.sampler(F.depth)]
+        if not acc:
+            break
     stars = family.coverings[-1].point_star
-    # a point of acc lies in the finest star of the deepest orbit, and point
-    # stars are symmetric, so some deepest image lies in its star
-    witnesses = {
-        i: next(
-            (el, src) for el, row in rows for src in iter_bits(seeds[F.depth])
-            if (stars[i] >> row[src]) & 1
-        )
-        for i in iter_bits(acc)
-    }
+    found, todo = {}, acc
+    for el in F.sampler(F.depth):
+        if not todo:
+            break
+        row = action.image_indices(el)
+        for src in iter_bits(seeds[F.depth]):
+            claim = todo & stars[row[src]]
+            for i in iter_bits(claim):
+                found[i] = (el, src)
+            todo &= ~claim
     return LimitSetReport(
         mask=acc,
         space=space,
         resolution=family.depth,
         truncation=F.depth,
-        witnesses=witnesses,
+        witnesses={i: found[i] for i in iter_bits(acc)},
     )
 
 
@@ -375,26 +381,32 @@ def attracts(
     ymask: int, zmask: int, F: FilterBasis, action: Action, family: AdmissibleFamily
 ) -> AttractionReport:
     """Level search per covering index: the least filter level whose orbit of Z
-    lies in the star of Y, or an image of the deepest orbit that leaves it."""
+    lies in the star of Y, or an image of the deepest orbit that leaves it.
+    Each covering has its own verdict, so every star of Y is read, not only a
+    base's; the levels are walked until every covering has absorbed."""
     if not ymask or not zmask:
         raise EmptyInput("attraction needs nonempty sets")
     stars = family.stars(ymask)
-    # per filter level: the covering indices whose star of Y holds the orbit of Z
-    inside = [stars_containing(orbit_mask(k, zmask, action, F), stars) for k in F.levels()]
-    levels, failures = {}, {}
-    for i in range(family.size):
-        found = next((k for k, m in enumerate(inside) if (m >> i) & 1), None)
-        if found is not None:
-            levels[i] = found
-        else:
-            # the deepest orbit leaves the star, so one of its images does
-            failures[i] = next(
-                (el, z, row[z])
-                for el in F.sampler(F.depth)
-                for row in (action.image_indices(el),)
-                for z in iter_bits(zmask)
-                if not (stars[i] >> row[z]) & 1
-            )
+    levels, todo = {}, (1 << family.size) - 1
+    for k in F.levels():
+        # the open covering indices whose star of Y holds the orbit of Z
+        inside = todo & stars_containing(orbit_mask(k, zmask, action, F), stars)
+        for i in iter_bits(inside):
+            levels[i] = k
+        todo &= ~inside
+        if not todo:
+            break
+    # the deepest orbit leaves each open star, so one of its images does
+    failures = {
+        i: next(
+            (el, z, row[z])
+            for el in F.sampler(F.depth)
+            for row in (action.image_indices(el),)
+            for z in iter_bits(zmask)
+            if not (stars[i] >> row[z]) & 1
+        )
+        for i in iter_bits(todo)
+    }
     return AttractionReport(levels=levels, failures=failures)
 
 

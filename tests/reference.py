@@ -12,6 +12,18 @@ is always present. `converges_to_zero` reads the last element instead.
 
 `reference_star_mask` is the star by its definition, the union of the
 members that meet the set, with no point stars and no memo.
+`reference_closure_mask` is the family closure by its definition, the
+intersection of those stars over every covering; `closure_mask` reads one
+covering per refinement-minimal class instead.
+
+`reference_attracts` is `attracts` as a full level scan: the orbit of Z at
+every filter level, taken point by point, against the star of Y at every
+covering, with no early stop.
+
+`reference_limit_witnesses` witnesses each point of a limit set by a scan of
+its own: the first (deepest element, seed point) whose image, taken with
+`apply_fn`, lies in the point's finest star. `_limit_set` finds them all in
+one pass in which each image claims the unwitnessed points of its star.
 
 `unbounded_coverable_within` is the exact cover search without the counting
 bound of `coverable_within`: it stops a branch only at depth `cap`.
@@ -81,7 +93,7 @@ import numpy as np
 
 from coverdyn.compactness import CoverSearchBudgetExceeded
 from coverdyn.covering import CheckList, CheckResult, first_failure
-from coverdyn.dynamics import HYPOTHESIS_NAMES, FilterBasis
+from coverdyn.dynamics import HYPOTHESIS_NAMES, AttractionReport, FilterBasis
 from coverdyn.proximity import (
     CoverCollection,
     FamilyMismatch,
@@ -177,6 +189,51 @@ def reference_star_mask(cov, ymask):
         if m & ymask:
             s |= m
     return s
+
+
+def reference_closure_mask(family, ymask):
+    """Intersection over every covering of the family of the star of `ymask`."""
+    out = family.space.full_mask
+    for cov in family.coverings:
+        out &= reference_star_mask(cov, ymask)
+    return out
+
+
+def reference_attracts(ymask, zmask, F, action, family):
+    """Per covering index, the least filter level whose orbit of Z lies in
+    the star of Y; where none does, the first (element, z, image) of the
+    deepest level whose image leaves that star."""
+    stars = [reference_star_mask(cov, ymask) for cov in family.coverings]
+    orbits = [reference_orbit_mask(k, zmask, action, F) for k in F.levels()]
+    levels, failures = {}, {}
+    for i, star in enumerate(stars):
+        found = next((k for k, orbit in enumerate(orbits) if orbit & ~star == 0), None)
+        if found is not None:
+            levels[i] = found
+        else:
+            failures[i] = next(
+                (el, z, action.apply_fn(el, z))
+                for el in F.sampler(F.depth)
+                for z in iter_bits(zmask)
+                if not (star >> action.apply_fn(el, z)) & 1
+            )
+    return AttractionReport(levels=levels, failures=failures)
+
+
+def reference_limit_witnesses(mask, seed, F, action, family):
+    """Per point of `mask`, in index order, the first (element, seed point)
+    over the deepest filter level and the points of `seed` whose image lies
+    in the point's finest star."""
+    stars = family.coverings[-1].point_star
+    return {
+        i: next(
+            (el, src)
+            for el in F.sampler(F.depth)
+            for src in iter_bits(seed)
+            if (stars[i] >> action.apply_fn(el, src)) & 1
+        )
+        for i in iter_bits(mask)
+    }
 
 
 def reference_slabs(model, c):

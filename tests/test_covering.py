@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import operator
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from coverdyn import covering, space as space_module
 from coverdyn.covering import (
     AdmissibleFamily,
+    Covering,
     CoveringError,
     DegenerateChain,
     TooManyOpens,
@@ -40,7 +42,13 @@ from coverdyn.space import (
 )
 
 import row_forms
-from reference import reference_distance, reference_point_balls, reference_star_mask
+from reference import (
+    reference_closure_mask,
+    reference_distance,
+    reference_point_balls,
+    reference_star_mask,
+)
+from test_proximity import TOPOLOGY_FAMILIES
 
 
 @pytest.fixture(scope="module")
@@ -96,11 +104,10 @@ def _check_star_kernel(fam, queries):
     repeat meets memos that the other sets have written to in between. The
     stars are read cold and then warm, with the closure read before them on
     every other query, and the closure leaves the stars memo as it was."""
-    full = fam.space.full_mask
     want = {Y: tuple(reference_star_mask(c, Y) for c in fam.coverings) for Y in queries}
     starred = set()
     for j, Y in enumerate(queries):
-        closure = functools.reduce(operator.and_, want[Y], full)
+        closure = reference_closure_mask(fam, Y)
         assert tuple(c.star_mask(Y) for c in fam.coverings) == want[Y]
         if j % 2:
             assert fam.closure_mask(Y) == closure
@@ -481,6 +488,52 @@ def test_closure_matches_topological_closure_when_admissible():
             continue
         for mask in range(1, 8):
             assert fam.closure_mask(mask) == row_forms.topology_closure(s, mask), opens
+
+
+def counted_star_calls(monkeypatch) -> collections.Counter:
+    """Patch `Covering.star_mask` to count its calls per covering."""
+    calls = collections.Counter()
+    star_mask = Covering.star_mask
+
+    def counted(cov, ymask):
+        calls[cov] += 1
+        return star_mask(cov, ymask)
+
+    monkeypatch.setattr(Covering, "star_mask", counted)
+    return calls
+
+
+def test_closure_matches_the_definition_on_every_tiny_topology():
+    # each family lists every open covering of its topology, so coverings
+    # refine each other both ways and there are several minimal classes
+    assert len(TOPOLOGY_FAMILIES) == 34
+    for fam in TOPOLOGY_FAMILIES:
+        for mask in range(1, fam.space.full_mask + 1):
+            assert fam.closure_mask(mask) == reference_closure_mask(fam, mask), fam.space.opens
+
+
+def test_closure_of_a_saturated_chain_reads_its_finest_level(monkeypatch):
+    # on 5 points 0.25 apart every level from radius 0.125 on is the
+    # singletons: levels 2-8 refine each other both ways, one minimal class
+    grid = line_grid(0.0, 1.0, 5)
+    fam = metric_chain_family(grid, 2.0, 8)
+    singles = tuple(1 << i for i in range(grid.n))
+    assert [c.members for c in fam.coverings[2:]] == [singles] * 7
+    calls = counted_star_calls(monkeypatch)
+    for mask in range(1, grid.full_mask + 1):
+        assert fam.closure_mask(mask) == reference_closure_mask(fam, mask)
+    assert calls == {fam.coverings[-1]: grid.full_mask}  # once per nonempty set
+
+
+def test_closure_of_a_new_set_reads_one_star_on_the_grid_scale_family(monkeypatch):
+    # the 201-point chain of the benchmark's grid-scale workload: its finest
+    # level refines every other, so it alone is minimal
+    fam = get_scenario("decay_grid", count=201).family
+    Y = fam.space.mask_of([3, 100, 157])
+    assert Y not in fam.__dict__.get("_closure_cache", {})
+    calls = counted_star_calls(monkeypatch)
+    assert fam.closure_mask(Y) == reference_closure_mask(fam, Y)
+    assert calls == {fam.coverings[-1]: 1}
 
 
 def test_closure_grid_singleton_at_depth():

@@ -1,6 +1,8 @@
 import collections
 import dataclasses
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -39,11 +41,15 @@ from coverdyn.space import CoverdynError, iter_bits, line_grid
 from reference import (
     divergent_sequence,
     prox_form_attracts,
+    reference_attracts,
     reference_check_associativity,
     reference_check_hypotheses,
+    reference_closure_mask,
+    reference_limit_witnesses,
     reference_orbit_mask,
     reference_point_balls,
 )
+from test_covering import random_cover_families
 
 
 @pytest.fixture(scope="module")
@@ -755,3 +761,78 @@ def test_image_mask_cache_keeps_sets_apart(decay, grid, order):
         for m in [masks[j] for j in order for _ in range(2)]:
             want = grid.mask_of(action.apply_fn(el, i) for i in iter_bits(m))
             assert action.image_mask(el, m) == want
+
+
+def _check_scans(family, action, F, Y, Z, x):
+    """`attracts` of Z by Y, and the limit sets of Z and of the point x,
+    equal their full scans: every level, every covering, and each witness
+    found by a scan of its own. Witnesses are compared in order, since the
+    reports list them in index order."""
+    rep, want = attracts(Y, Z, F, action, family), reference_attracts(Y, Z, F, action, family)
+    assert rep.levels == want.levels, (Y, Z)
+    assert list(rep.failures.items()) == list(want.failures.items()), (Y, Z)
+    stars_of_x = [family.coverings[min(k, family.depth)].point_star[x] for k in F.levels()]
+    for seeds, lim in (
+        ([Z] * (F.depth + 1), omega_limit(Z, F, action, family)),
+        (stars_of_x, prolongational_limit(x, F, action, family)),
+    ):
+        mask = functools.reduce(operator.and_, (
+            reference_closure_mask(family, reference_orbit_mask(k, seeds[k], action, F))
+            for k in F.levels()
+        ))
+        assert lim.mask == mask, (Z, x)
+        witnesses = reference_limit_witnesses(mask, seeds[-1], F, action, family)
+        assert list(lim.witnesses.items()) == list(witnesses.items()), (Z, x)
+
+
+@st.composite
+def random_systems(draw):
+    """A family of random coverings, a random self-map f of its points
+    acting through nat_add as t -> f^t, and a tail basis of depth 0-4."""
+    family = draw(random_cover_families())
+    n = family.space.n
+    f = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+
+    def apply_fn(t, i):
+        for _ in range(t):
+            i = f[i]
+        return i
+
+    action = Action(semigroup=nat_add(), space=family.space, apply_fn=apply_fn)
+    F = integer_tails(
+        nat_add(), depth=draw(st.integers(0, 4)), window=draw(st.integers(1, 4)),
+        start=draw(st.integers(0, 2)),
+    )
+    return family, action, F
+
+
+@given(random_systems(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_scans_match_the_full_scans_on_random_systems(system, data):
+    family, action, F = system
+    sets = st.integers(1, family.space.full_mask)
+    Y, Z = data.draw(sets), data.draw(sets)
+    _check_scans(family, action, F, Y, Z, data.draw(st.integers(0, family.space.n - 1)))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_scans_match_the_full_scans_on_scenarios(name):
+    sc = get_scenario(name)
+    F, action, family = sc.filter_basis, sc.action, sc.family
+    attractors = [sc.attractor_points(), *sc.testsets.values()]
+    points = list(iter_bits(sc.points_sample))
+    for j, (Y, Z) in enumerate(itertools.product(attractors, sc.testsets.values())):
+        _check_scans(family, action, F, Y, Z, points[j % len(points)])
+
+
+def test_scans_match_the_full_scans_on_a_saturated_chain():
+    # on 9 points 0.125 apart every chain level from radius 0.125 on is the
+    # singletons, so the deep levels are equal coverings
+    grid9 = line_grid(0.0, 1.0, 9)
+    family = metric_chain_family(grid9, 2.0, 6)
+    assert len({c.members for c in family.coverings[2:]}) == 1
+    halving = Action(semigroup=nat_add(), space=grid9, apply_fn=lambda t, i: i >> t)
+    F = integer_tails(nat_add(), depth=5, window=3)
+    sets = [1, 1 << 8, 0b110, 0b1000_0001, grid9.full_mask]
+    for j, (Y, Z) in enumerate(itertools.product(sets, repeat=2)):
+        _check_scans(family, halving, F, Y, Z, j % grid9.n)

@@ -16,6 +16,8 @@ SCENARIOS = ("composition", "decay_grid", "exp_decay", "iterated_contractions")
 
 CASES = {
     **{f"attractor-{s}": ("attractor", "--scenario", s, "--seed", "0") for s in SCENARIOS},
+    # the argv of the benchmark's attractor-builtins workload at seed 1
+    **{f"attractor-{s}-seed1": ("attractor", "--scenario", s, "--seed", "1") for s in SCENARIOS},
     **{f"verify-axioms-{s}": ("verify-axioms", "--scenario", s, "--seed", "0") for s in SCENARIOS},
     "verify-axioms": ("verify-axioms", "--seed", "0"),
     "verify-axioms-prox-asymmetry": ("verify-axioms", "--seed", "0", "--mutate", "prox-asymmetry"),
