@@ -44,7 +44,7 @@ from .space import (
     Point,
     Space,
     ball_rows,
-    bool_products,
+    bool_product,
     enumerate_topologies,
     iter_bits,
     line_grid,
@@ -136,11 +136,12 @@ def _triangles(family: AdmissibleFamily, P, cols, val) -> list[CheckResult]:
     Coarsening ORs the rows of the collection's members, so both laws split
     per covering i: when i lies in every hop of a path from x to y,
     prox(x, y) must hold the coarsening of {i}. R2[i] and R3[i] compose P[i]
-    with itself two and three times: R3[i][x] is the mask of the y that x
-    reaches in three hops of P[i]. Qk[i][x] is the mask of the y whose
-    prox(x, y) holds `family.reach_rows(k)[i]`, the k-step coarsening of
-    {i}: the AND of P[j][x] over its members j. The k-intermediate law holds
-    iff R(k+1)[i][x] & ~Qk[i][x] is empty for every i and x.
+    with itself two and three times, each one `bool_product` of a table with
+    cols[i]: R3[i][x] is the mask of the y that x reaches in three hops of
+    P[i]. Qk[i][x] is the mask of the y whose prox(x, y) holds
+    `family.reach_rows(k)[i]`, the k-step coarsening of {i}: the AND of
+    P[j][x] over its members j. The k-intermediate law holds iff
+    R(k+1)[i][x] & ~Qk[i][x] is empty for every i and x.
     """
     pts = family.space.points
     n = len(pts)
@@ -157,8 +158,8 @@ def _triangles(family: AdmissibleFamily, P, cols, val) -> list[CheckResult]:
         return [memo[r] for r in family.reach_rows(k)]
 
     Q1, Q2 = held(1), held(2)
-    R2 = bool_products([(P[i], cols[i], n) for i in range(size)])
-    R3 = bool_products([(R2[i], cols[i], n) for i in range(size)])
+    R2 = [bool_product(P[i], cols[i], n) for i in range(size)]
+    R3 = [bool_product(R2[i], cols[i], n) for i in range(size)]
 
     def table_fault(law: str, x: int, bad: int):
         y = (bad & -bad).bit_length() - 1

@@ -22,6 +22,7 @@ from .space import (
     bool_product,
     iter_bits,
     transpose_masks,
+    union_rows,
 )
 
 
@@ -70,13 +71,7 @@ class Covering:
         holds some y in Y."""
         if ymask == 0:
             raise EmptyInput("star of the empty set is undefined")
-        rows = self.point_star
-        s = 0
-        while ymask:
-            low = ymask & -ymask
-            s |= rows[low.bit_length() - 1]
-            ymask ^= low
-        return s
+        return union_rows(self.point_star, ymask)
 
     def __repr__(self) -> str:
         return f"Covering({self.label or len(self.members)})"
@@ -264,13 +259,7 @@ class AdmissibleFamily:
             if n == 1:
                 cache[n] = D
             else:
-                rows = []
-                for prev in self.reach_rows(n - 1):
-                    row = 0
-                    for j in iter_bits(prev):
-                        row |= D[j]
-                    rows.append(row)
-                cache[n] = tuple(rows)
+                cache[n] = tuple([union_rows(D, prev) for prev in self.reach_rows(n - 1)])
         return cache[n]
 
     def stars(self, ymask: int) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 from .compactness import is_bounded, member_measure, star_measure
 from .covering import AdmissibleFamily, CheckList, CheckResult, first_failure
 from .proximity import stars_containing
-from .space import CoverdynError, EmptyInput, Space, iter_bits
+from .space import CoverdynError, EmptyInput, Space, iter_bits, union_rows
 
 
 class NestingViolation(CoverdynError):
@@ -274,11 +274,7 @@ def orbit_mask(level: int, ymask: int, action: Action, F: FilterBasis) -> int:
     key = (F, level, ymask)
     out = cache.get(key)
     if out is None:
-        rows = orbit_rows(level, action, F)
-        out = 0
-        for i in iter_bits(ymask):
-            out |= rows[i]
-        cache[key] = out
+        out = cache[key] = union_rows(orbit_rows(level, action, F), ymask)
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .covering import AdmissibleFamily
-from .space import CoverdynError, EmptyInput, iter_bits
+from .space import CoverdynError, EmptyInput, iter_bits, union_rows
 
 
 class FamilyMismatch(CoverdynError):
@@ -85,11 +85,7 @@ def coarsen(E: CoverCollection, n: int) -> CoverCollection:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    rows = E.family.reach_rows(n)
-    mask = 0
-    for j in iter_bits(E.mask):
-        mask |= rows[j]
-    return CoverCollection(E.family, mask)
+    return CoverCollection(E.family, union_rows(E.family.reach_rows(n), E.mask))
 
 
 def converges_to_zero(seq: Sequence[CoverCollection]) -> bool:

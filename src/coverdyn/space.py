@@ -141,11 +141,20 @@ def iter_bits(mask: int):
 
 # Bit matrices. The kernel keeps one set encoding, the int mask; the helpers
 # below take and return masks and go through numpy only inside. Bit i of a
-# mask is column i of its row (little bit order within each byte).
+# mask is column i of its row (little bit order within each byte). There are
+# two compositions: a mask picks rows of a table through `union_rows`, and a
+# table composes with a table through `bool_product`, one float32 matmul.
 
-# float32 bytes (operands and result) of one stack of boolean products; a
-# single product larger than this is taken alone
-PRODUCT_BATCH_BYTES = 1 << 18
+
+def union_rows(table: Sequence[int], mask: int) -> int:
+    """The OR of table[k] over the bits k of `mask`: a star from point stars,
+    an orbit from orbit rows, a coarsening from reach rows."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def _unpack(masks: Sequence[int], width: int) -> np.ndarray:
@@ -178,46 +187,14 @@ def transpose_masks(masks: Sequence[int], width: int) -> tuple[int, ...]:
     return _pack(_unpack(masks, width).T)
 
 
-def bool_products(
-    products: Sequence[tuple[Sequence[int], Sequence[int], int]],
-) -> list[tuple[int, ...]]:
-    """Boolean matrix products of masks, one per (rows, cols, width) triple.
-
-    Output row i of a product has bit j set iff rows[i] & cols[j] != 0, both
-    masks over `width` bits. Consecutive products are stacked, zero-padded to
-    common shapes, while the stack stays within PRODUCT_BATCH_BYTES of float32
-    operands and result, so many small products cost one matmul and a large
-    one holds no more than its own operands.
-    """
-    out: list[tuple[int, ...]] = []
-    start = 0
-    while start < len(products):
-        stop = start
-        r = c = w = 0
-        while stop < len(products):
-            rows, cols, width = products[stop]
-            r2, c2, w2 = max(r, len(rows)), max(c, len(cols)), max(w, width)
-            size = 4 * (stop + 1 - start) * (r2 * w2 + c2 * w2 + r2 * c2)
-            if stop > start and size > PRODUCT_BATCH_BYTES:
-                break
-            r, c, w, stop = r2, c2, w2, stop + 1
-        batch = products[start:stop]
-        g = len(batch)
-        lhs = _unpack([m for rows, _, _ in batch for m in (*rows, *[0] * (r - len(rows)))], w)
-        rhs = _unpack([m for _, cols, _ in batch for m in (*cols, *[0] * (c - len(cols)))], w)
-        hits = np.matmul(
-            lhs.reshape(g, r, w).astype(np.float32),
-            rhs.reshape(g, c, w).astype(np.float32).transpose(0, 2, 1),
-        )
-        masks = _pack(hits.reshape(g * r, c) > 0)
-        out.extend(masks[k * r : k * r + len(rows)] for k, (rows, _, _) in enumerate(batch))
-        start = stop
-    return out
-
-
 def bool_product(rows: Sequence[int], cols: Sequence[int], width: int) -> tuple[int, ...]:
-    """One boolean product: bit j of output row i iff rows[i] & cols[j] != 0."""
-    return bool_products([(rows, cols, width)])[0]
+    """The boolean matrix product of masks: bit j of output row i is set iff
+    rows[i] & cols[j] != 0, both masks over `width` bits. It is one float32
+    matmul of the unpacked operands; a sum of ones is 0 only where no bit is
+    shared."""
+    lhs = _unpack(rows, width).astype(np.float32)
+    rhs = _unpack(cols, width).astype(np.float32)
+    return _pack(lhs @ rhs.T > 0)
 
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -79,8 +79,10 @@ point's position from the point coordinates, the one stored copy.
 `reference_proximity_suite` is `proximity_suite` as it was when it read a
 prox function: `p(x, y, family)` once per ordered pair into an n×n table of
 collection masks, then the per-covering tables of the triangle laws
-regrouped from that table by value. `stars_of` turns such a prox function
-into the per-covering tables that `proximity_suite` reads now.
+regrouped from that table by value. It composes those tables by
+`walk_product`, the boolean matrix product by a bit walk, so it shares no
+kernel with `bool_product`. `stars_of` turns such a prox function into the
+per-covering tables that `proximity_suite` reads now.
 
 `zero_collection` is the whole family, the least collection: distance zero.
 """
@@ -101,7 +103,7 @@ from coverdyn.proximity import (
     point_sequence_converges,
     semi_prox,
 )
-from coverdyn.space import EmptyInput, bool_products, iter_bits
+from coverdyn.space import EmptyInput, iter_bits
 
 
 def triangle_rtol(dim: int) -> float:
@@ -542,6 +544,12 @@ def reference_proximity_suite(family, p) -> list[CheckResult]:
     return out
 
 
+def walk_product(rows, cols):
+    """The boolean matrix product by a bit walk: bit j of output row i is set
+    iff rows[i] & cols[j] != 0."""
+    return tuple(sum(1 << j for j, c in enumerate(cols) if r & c) for r in rows)
+
+
 def _reference_triangles(family, vals) -> list[CheckResult]:
     # both triangle laws from per-covering tables regrouped by value: P[i][x]
     # the y with i in vals[x][y], cols[i][y] those x, Qk[i][x] the y whose
@@ -580,8 +588,8 @@ def _reference_triangles(family, vals) -> list[CheckResult]:
     cols = spread(by_value(zip(*vals)), lambda v: v)
     Q1 = spread(row_groups, held1.__getitem__)
     Q2 = spread(row_groups, held2.__getitem__)
-    R2 = bool_products([(P[i], cols[i], n) for i in range(size)])
-    R3 = bool_products([(R2[i], cols[i], n) for i in range(size)])
+    R2 = [walk_product(P[i], cols[i]) for i in range(size)]
+    R3 = [walk_product(R2[i], cols[i]) for i in range(size)]
 
     def one_violations():
         if not any(R2[i][x] & ~Q1[i][x] for i in range(size) for x in range(n)):

@@ -56,22 +56,23 @@ def test_suites_derive_their_preconditions_from_the_family(make):
 
 @pytest.mark.parametrize("call, law", [(0, "one-intermediate"), (1, "two-intermediate")], ids=["R2", "R3"])
 def test_triangle_laws_fail_loudly_when_the_tables_and_the_scan_disagree(monkeypatch, call, law):
-    # one stray bit in R2 (the first product call) or R3 (the second) flags
-    # the pair of the grid ends at the finest covering, where no path of
-    # the correct prox fails either law, so the witness scan finds nothing
+    # one stray bit in the finest covering's R2 (its first product call) or
+    # R3 (its second) flags the pair of the grid ends, where no path of the
+    # correct prox fails either law, so the witness scan finds nothing
     family = metric_chain_family(line_grid(0.0, 1.0, 9), 2.0, 4)
     n, finest = family.space.n, family.size - 1
     assert all(r.passed for r in proximity_suite(family))
-    real, calls = checks.bool_products, []
+    real, calls = checks.bool_product, []
 
-    def stray(products):
-        out = real(products)
-        if len(calls) == call:
-            out[finest] = (out[finest][0] | 1 << (n - 1), *out[finest][1:])
-        calls.append(products)
+    def stray(rows, cols, width):
+        out = real(rows, cols, width)
+        # R2 of every covering is taken before any R3
+        if len(calls) == call * family.size + finest:
+            out = (out[0] | 1 << (n - 1), *out[1:])
+        calls.append(rows)
         return out
 
-    monkeypatch.setattr(checks, "bool_products", stray)
+    monkeypatch.setattr(checks, "bool_product", stray)
     with pytest.raises(RuntimeError, match=rf"the {law} law at \(\(0\),\(1\)\)"):
         proximity_suite(family)
 

@@ -354,11 +354,11 @@ def test_relation_rows_of_a_1601_point_chain_take_no_dense_product(monkeypatch):
     for cov in covs:
         cov.point_star
 
-    def dense(products):
+    def dense(rows, cols, width):
         raise AssertionError("relation rows took a dense boolean product")
 
-    monkeypatch.setattr(covering, "bool_products", dense, raising=False)
-    monkeypatch.setattr(space_module, "bool_products", dense)
+    monkeypatch.setattr(covering, "bool_product", dense)
+    monkeypatch.setattr(space_module, "bool_product", dense)
     tracemalloc.start()
     try:
         rows = relation_rows(covs, covs)

@@ -22,12 +22,12 @@ from coverdyn.space import (
     NotMetricSpace,
     ball_rows,
     bool_product,
-    bool_products,
     build_finite_topology,
     build_metric_space,
     enumerate_topologies,
     line_grid,
     transpose_masks,
+    union_rows,
 )
 
 import row_forms
@@ -36,6 +36,7 @@ from reference import (
     reference_distance,
     reference_point_balls,
     triangle_rtol,
+    walk_product,
 )
 
 
@@ -372,8 +373,12 @@ def walk_transpose(masks, width):
     return tuple(sum(((m >> j) & 1) << i for i, m in enumerate(masks)) for j in range(width))
 
 
-def walk_product(rows, cols):
-    return tuple(sum(1 << j for j, c in enumerate(cols) if r & c) for r in rows)
+def walk_union(table, mask):
+    out = 0
+    for k, row in enumerate(table):
+        if (mask >> k) & 1:
+            out |= row
+    return out
 
 
 def _masks(rng, count, width):
@@ -389,28 +394,32 @@ def test_transpose_masks_matches_bit_walk(width, count):
     assert transpose_masks(transpose_masks(masks, width), count) == tuple(masks)
 
 
-@pytest.mark.parametrize("budget", [space.PRODUCT_BATCH_BYTES, 64])
+# two independent draws of operands for every shape; the seeds are the
+# case IDs this test has always carried
+@pytest.mark.parametrize("seed", [1 << 18, 64])
 @pytest.mark.parametrize("width", WIDTHS)
-def test_bool_products_match_bit_walk(monkeypatch, width, budget):
-    # the small budget puts every product in a stack of its own
-    monkeypatch.setattr(space, "PRODUCT_BATCH_BYTES", budget)
-    rng = random.Random(width)
-    products = [
-        (_masks(rng, r, width), _masks(rng, c, width), width)
-        for r in (0, 1, 8, 9, 65)
-        for c in (0, 1, 7, 64)
-    ]
-    # products of every width stacked into one batch
-    products += [(_masks(rng, 3, w), _masks(rng, 5, w), w) for w in WIDTHS]
-    assert bool_products(products) == [walk_product(r, c) for r, c, _ in products]
-    rows, cols, _ = products[-1]
-    assert bool_product(rows, cols, 65) == walk_product(rows, cols)
+def test_bool_products_match_bit_walk(width, seed):
+    rng = random.Random(seed + width)
+    for r, c in [*itertools.product((0, 1, 8, 9, 65), (0, 1, 7, 64)), (3, 5)]:
+        rows, cols = _masks(rng, r, width), _masks(rng, c, width)
+        assert bool_product(rows, cols, width) == walk_product(rows, cols), (r, c)
+
+
+@pytest.mark.parametrize("width", (0, *WIDTHS))
+@pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 65])
+def test_union_rows_matches_bit_walk(width, size):
+    rng = random.Random(100 * width + size)
+    table = _masks(rng, size, width)
+    masks = [0, (1 << size) - 1, *(rng.getrandbits(size) for _ in range(20))]
+    # each single row, the highest one included
+    masks += [1 << k for k in range(size)]
+    for mask in masks:
+        assert union_rows(table, mask) == walk_union(table, mask), mask
 
 
 def test_bit_matrix_helpers_on_empty_input():
     assert transpose_masks([], 9) == (0,) * 9
     assert transpose_masks([0, 0], 0) == ()
-    assert bool_products([]) == []
     assert bool_product([], [1, 2], 2) == ()
     assert bool_product([3, 1], [], 2) == (0, 0)
     assert bool_product([0, 0], [0], 0) == (0, 0)
