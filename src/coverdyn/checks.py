@@ -137,8 +137,9 @@ def _triangles(family: AdmissibleFamily, P, cols, val) -> list[CheckResult]:
     per covering i: when i lies in every hop of a path from x to y,
     prox(x, y) must hold the coarsening of {i}. R2[i] and R3[i] compose P[i]
     with itself two and three times, each one `bool_product` of a table with
-    cols[i]: R3[i][x] is the mask of the y that x reaches in three hops of
-    P[i]. Qk[i][x] is the mask of the y whose prox(x, y) holds
+    cols[i], taken once per distinct table (the tables of a battery's tiny
+    families repeat): R3[i][x] is the mask of the y that x reaches in three
+    hops of P[i]. Qk[i][x] is the mask of the y whose prox(x, y) holds
     `family.reach_rows(k)[i]`, the k-step coarsening of {i}: the AND of
     P[j][x] over its members j. The k-intermediate law holds iff
     R(k+1)[i][x] & ~Qk[i][x] is empty for every i and x.
@@ -158,8 +159,15 @@ def _triangles(family: AdmissibleFamily, P, cols, val) -> list[CheckResult]:
         return [memo[r] for r in family.reach_rows(k)]
 
     Q1, Q2 = held(1), held(2)
-    R2 = [bool_product(P[i], cols[i], n) for i in range(size)]
-    R3 = [bool_product(R2[i], cols[i], n) for i in range(size)]
+    # R2 and R3, composed once per distinct table: cols[i] is the transpose
+    # of P[i], so the table decides both
+    tables = [tuple(P[i]) for i in range(size)]
+    composed = {}
+    for table, col in zip(tables, cols):
+        if table not in composed:
+            r2 = bool_product(table, col, n)
+            composed[table] = r2, bool_product(r2, col, n)
+    R2, R3 = zip(*(composed[table] for table in tables))
 
     def table_fault(law: str, x: int, bad: int):
         y = (bad & -bad).bit_length() - 1

@@ -554,7 +554,20 @@ def check_dissipativity(
     """Verdicts with witnesses for the five dissipativity/compactness notions,
     on the bounded test sets and the points of the mask `points_sample`. The
     bounded absorbing candidates are `absorb_candidate`, when given, its
-    stars, and the whole space."""
+    stars, and the whole space.
+
+    `limit_compact` is truncated: a test set passes when every covering lies
+    in the member measure of its orbit at some filter level, that is, when
+    the OR over the levels of those measures is the whole family; the
+    witness is the first test set, by name, and the least covering that no
+    level keeps. The scan reads the levels from the deepest orbit, nearest
+    the attractor, back to level 0, and stops once the OR is the whole
+    family. The order is free: an OR does not depend on it, the scan stops
+    only at the whole family, and a set that never fills it reads every
+    level either way, so the verdict and the witness are the same. The
+    order decides only which cover searches run, which would matter only
+    where a search exceeds its node budget (ROADMAP item 2); no CLI run
+    reaches that budget."""
     if not testsets:
         raise EmptyInput("the taxonomy needs at least one test set")
     space = action.space
@@ -610,9 +623,10 @@ def check_dissipativity(
     def dropped_coverings():
         every = (1 << family.size) - 1
         for name, per_level in orbits.items():
-            # the coverings kept by the member measure at some level
+            # the coverings kept by the member measure at some level, read
+            # from the deepest orbit, which lies nearest the attractor
             kept = 0
-            for om in per_level:
+            for om in reversed(per_level):
                 kept |= member_measure(om, family, cap).mask
                 if kept == every:
                     break

@@ -25,6 +25,13 @@ its own: the first (deepest element, seed point) whose image, taken with
 `apply_fn`, lies in the point's finest star. `_limit_set` finds them all in
 one pass in which each image claims the unwitnessed points of its star.
 
+`reference_limit_compact` is the `limit_compact` row of `check_dissipativity`
+by its definition: per test set, the OR over every filter level, read from
+level 0 with no early stop, of the coverings whose members cover the level
+orbit within the cap, each decided by `reference_coverable_within` on its
+own, with no refinement rows and no measure memo. `check_dissipativity`
+reads the deepest orbit first and stops at the whole family.
+
 `unbounded_coverable_within` is the exact cover search without the counting
 bound of `coverable_within`: it stops a branch only at depth `cap`.
 
@@ -93,7 +100,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from coverdyn.compactness import CoverSearchBudgetExceeded
+from coverdyn.compactness import DEFAULT_COVER_NODE_BUDGET, CoverSearchBudgetExceeded
 from coverdyn.covering import CheckList, CheckResult, first_failure
 from coverdyn.dynamics import HYPOTHESIS_NAMES, AttractionReport, FilterBasis
 from coverdyn.proximity import (
@@ -236,6 +243,28 @@ def reference_limit_witnesses(mask, seed, F, action, family):
         )
         for i in iter_bits(mask)
     }
+
+
+def reference_limit_compact(testsets, F, action, family, cap):
+    """The `limit_compact` row by its definition: per test set in name order,
+    the OR over every filter level, read from level 0, of the coverings whose
+    members cover the level orbit, taken point by point, with at most `cap`
+    of them; the witness is the first set and the least covering that no
+    level keeps."""
+
+    def dropped():
+        for name, m in sorted(testsets.items()):
+            kept = 0
+            for k in F.levels():
+                orbit = reference_orbit_mask(k, m, action, F)
+                for i, cov in enumerate(family.coverings):
+                    if reference_coverable_within(orbit, cov.members, cap, DEFAULT_COVER_NODE_BUDGET):
+                        kept |= 1 << i
+            missing = [i for i in range(family.size) if not (kept >> i) & 1]
+            if missing:
+                yield f"{name}: no level keeps covering {missing[0]} in the member measure"
+
+    return first_failure("limit_compact", dropped())
 
 
 def reference_slabs(model, c):

@@ -56,20 +56,26 @@ def test_suites_derive_their_preconditions_from_the_family(make):
 
 @pytest.mark.parametrize("call, law", [(0, "one-intermediate"), (1, "two-intermediate")], ids=["R2", "R3"])
 def test_triangle_laws_fail_loudly_when_the_tables_and_the_scan_disagree(monkeypatch, call, law):
-    # one stray bit in the finest covering's R2 (its first product call) or
-    # R3 (its second) flags the pair of the grid ends, where no path of the
-    # correct prox fails either law, so the witness scan finds nothing
+    # one stray bit in R2 or R3 of the finest covering's table flags the pair
+    # of the grid ends, where no path of the correct prox fails either law,
+    # so the witness scan finds nothing. Levels 2-4 of this chain have equal
+    # tables, composed once, so the product call is found by its operand.
+    # That table is the identity, so its R2 is the table itself: its R2 is
+    # the first call on that operand and its R3 the second
     family = metric_chain_family(line_grid(0.0, 1.0, 9), 2.0, 4)
-    n, finest = family.space.n, family.size - 1
+    n = family.space.n
+    fine = family.coverings[-1].point_star
+    assert fine == tuple(1 << x for x in range(n))
+    assert len({cov.point_star for cov in family.coverings[2:]}) == 1
     assert all(r.passed for r in proximity_suite(family))
-    real, calls = checks.bool_product, []
+    real, seen = checks.bool_product, []
 
     def stray(rows, cols, width):
         out = real(rows, cols, width)
-        # R2 of every covering is taken before any R3
-        if len(calls) == call * family.size + finest:
-            out = (out[0] | 1 << (n - 1), *out[1:])
-        calls.append(rows)
+        if tuple(rows) == fine:
+            if len(seen) == call:
+                out = (out[0] | 1 << (n - 1), *out[1:])
+            seen.append(rows)
         return out
 
     monkeypatch.setattr(checks, "bool_product", stray)

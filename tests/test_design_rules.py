@@ -5,8 +5,13 @@ A path is a file, a directory (every file under it, as `grep -r` reads it,
 except byte-code caches and build metadata) or a glob. A pattern is searched
 line by line, like `grep -E`. Each rule is checked on the repository and
 must fail on a violation planted in a temporary copy.
+
+One more rule reads the syntax trees of the package: it holds only what it
+reads (`unread` below). It is checked on `src/coverdyn` and must fail on
+small fixture packages, each clean but for one planted violation.
 """
 
+import ast
 import pathlib
 import re
 import shutil
@@ -286,3 +291,199 @@ def test_the_numpy_rule_fails_when_space_py_stops_importing_it(tmp_path):
     space = tmp_path / "src/coverdyn/space.py"
     space.write_text(re.sub(rule.pattern, "# numpy", space.read_text(), flags=re.M))
     assert violations(rule, tmp_path) != []
+
+
+# names the package keeps although nothing in it reads them, with the reason
+ALLOW = {
+    "CoverCollection.finite": "perfbench/spans.py traces it by this name",
+    "scenario_to_config": "the README documents it as the config round trip",
+    "Point.index": "perfbench/run.py _battery_setup builds Point(pid=..., index=i)",
+    "NestedChainReport.measure_trace": "the certificate behind hypothesis_met (ROADMAP item 2)",
+    "scenario_iterated_contractions": "get_scenario(name, **overrides) passes its parameters",
+    "scenario_composition": "get_scenario(name, **overrides) passes its parameters",
+    "scenario_exp_decay": "get_scenario(name, **overrides) passes its parameters",
+    "scenario_decay_grid": "get_scenario(name, **overrides) passes its parameters",
+    "main(argv)": "the command-line entry point reads sys.argv when argv is None",
+    "coverable_within(node_budget)": "the budget seam of the exact cover search (ROADMAP item 2)",
+}
+
+
+def unread(package: pathlib.Path, allow: dict[str, str]) -> list[str]:
+    """What the package defines and nothing in it reads, one entry each; an
+    empty list when it holds only what it reads. Test-only helpers, fields
+    and knobs live in tests/.
+
+    - Every top-level function and class, and every public method of a
+      top-level class, is read elsewhere in the package (a load or an
+      import) or exported by `__init__.py`.
+    - Every dataclass field is read there (an attribute load or a constant
+      getattr name).
+    - Every dataclass field default is used there: some constructor call
+      leaves the field out, or the default is read as Cls.field.
+    - Every defaulted parameter of a function that `__init__.py` does not
+      export is passed by some call there, by keyword or by position.
+    - Every name in `allow` is defined.
+    """
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(package.glob("*.py"))}
+    reads, attrs, calls, class_reads = {}, set(), {}, set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, set()).add(id(node))
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    class_reads.add((node.value.id, node.attr))
+            elif isinstance(node, ast.alias):
+                reads.setdefault(node.name, set()).add(id(node))
+            elif isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "getattr" and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+                    attrs.add(node.args[1].value)
+                calls.setdefault(name, []).append(node)
+    exported = {
+        a.name for node in ast.walk(trees["__init__.py"]) if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def is_dataclass(cls):
+        return any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+            for d in cls.decorator_list
+        )
+
+    def passed(fn, offset, pname, pos):
+        # a method called as obj.m(...) gets self from obj
+        for call in calls.get(fn.name, []):
+            shift = offset if isinstance(call.func, ast.Attribute) else 0
+            if any(kw.arg == pname for kw in call.keywords) or (pos is not None and len(call.args) > pos - shift):
+                return True
+        return False
+
+    seen, found = set(), []
+    for fname, tree in trees.items():
+        for top in (n for n in tree.body if isinstance(n, defs)):
+            named = [(top.name, top)]
+            if isinstance(top, ast.ClassDef):
+                named += [
+                    (f"{top.name}.{m.name}", m) for m in top.body
+                    if isinstance(m, defs) and not m.name.startswith("_")
+                ]
+            for qual, node in named:
+                seen.add(qual)
+                inside = {id(n) for n in ast.walk(node)}
+                if not (reads.get(node.name, set()) - inside or node.name in exported or qual in allow):
+                    found.append(f"{fname}: {qual}")
+            if isinstance(top, ast.ClassDef) and is_dataclass(top):
+                fields = [st for st in top.body if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)]
+                for pos, st in enumerate(fields):
+                    qual = f"{top.name}.{st.target.id}"
+                    seen.add(qual)
+                    if not (st.target.id in attrs or qual in allow):
+                        found.append(f"{fname}: field {qual} is never read")
+                    # a default is used when some call Cls(...) leaves the
+                    # field out, or when Cls.field is read
+                    if st.value is not None and not (
+                        qual in allow
+                        or (top.name, st.target.id) in class_reads
+                        or any(
+                            len(call.args) <= pos
+                            and all(kw.arg != st.target.id for kw in call.keywords)
+                            for call in calls.get(top.name, [])
+                        )
+                    ):
+                        found.append(f"{fname}: the default of field {qual} is never used")
+            owners = [(top, 0)] if isinstance(top, funcs) else []
+            if isinstance(top, ast.ClassDef) and top.name not in exported:
+                owners += [(m, 1) for m in top.body if isinstance(m, funcs)]
+            for fn, offset in owners:
+                if fn.name in exported:
+                    continue
+                seen.add(fn.name)
+                a = fn.args
+                params = a.posonlyargs + a.args
+                defaulted = [(p.arg, i) for i, p in enumerate(params) if i >= len(params) - len(a.defaults)]
+                defaulted += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                for pname, pos in defaulted:
+                    qual = f"{fn.name}({pname})"
+                    seen.add(qual)
+                    if not (fn.name in allow or qual in allow or passed(fn, offset, pname, pos)):
+                        found.append(f"{fname}: {qual} is never passed")
+    return found + [f"allowlist: {q} is not defined" for q in sorted(set(allow) - seen)]
+
+
+def test_the_package_holds_only_what_it_reads():
+    assert unread(ROOT / "src/coverdyn", ALLOW) == []
+
+
+# a package that reads all it defines: the fixtures below each plant one
+# violation in it
+CLEAN = {
+    "__init__.py": "from .core import build\n",
+    "core.py": """\
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Box:
+    size: int
+    label: str = "box"
+
+
+def build(n):
+    return describe(Box(n), scale=2)
+
+
+def describe(box, scale=1):
+    return box.size * scale, box.label
+""",
+}
+
+PLANTED = {
+    "unread-function": (
+        ("", "\n\ndef orphan():\n    return 0\n"),
+        "core.py: orphan",
+    ),
+    "unread-field": (
+        ('    label: str = "box"\n', '    label: str = "box"\n    weight: int = 0\n'),
+        "core.py: field Box.weight is never read",
+    ),
+    "unused-default": (
+        ("describe(Box(n), scale=2)", 'describe(Box(n, "crate"), scale=2)'),
+        "core.py: the default of field Box.label is never used",
+    ),
+    "unpassed-parameter": (
+        ("describe(Box(n), scale=2)", "describe(Box(n))"),
+        "core.py: describe(scale) is never passed",
+    ),
+}
+
+
+def _package(root: pathlib.Path, files: dict[str, str]) -> pathlib.Path:
+    root.mkdir()
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return root
+
+
+def test_the_clean_fixture_package_holds_only_what_it_reads(tmp_path):
+    assert unread(_package(tmp_path / "pkg", CLEAN), {}) == []
+
+
+@pytest.mark.parametrize("case", sorted(PLANTED))
+def test_the_read_rule_rejects_a_planted_violation(case, tmp_path):
+    (old, new), finding = PLANTED[case]
+    core = CLEAN["core.py"]
+    planted = core + new if old == "" else core.replace(old, new)
+    assert planted != core
+    assert unread(_package(tmp_path / "pkg", {**CLEAN, "core.py": planted}), {}) == [finding]
+
+
+def test_the_read_rule_rejects_an_undefined_allowlist_entry(tmp_path):
+    package = _package(tmp_path / "pkg", CLEAN)
+    assert unread(package, {"build": "exported anyway"}) == []
+    assert unread(package, {"ghost": "no such name"}) == ["allowlist: ghost is not defined"]

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverdyn import compactness
+from coverdyn.cli import RunConfig
 from coverdyn.compactness import default_cap, is_bounded, star_measure
-from coverdyn.covering import CheckResult, metric_chain_family
+from coverdyn.covering import AdmissibleFamily, CheckResult, make_covering_masks, metric_chain_family
 from coverdyn.dynamics import (
     HYPOTHESIS_NAMES,
     Action,
@@ -45,6 +47,7 @@ from reference import (
     reference_check_associativity,
     reference_check_hypotheses,
     reference_closure_mask,
+    reference_limit_compact,
     reference_limit_witnesses,
     reference_orbit_mask,
     reference_point_balls,
@@ -836,3 +839,104 @@ def test_scans_match_the_full_scans_on_a_saturated_chain():
     sets = [1, 1 << 8, 0b110, 0b1000_0001, grid9.full_mask]
     for j, (Y, Z) in enumerate(itertools.product(sets, repeat=2)):
         _check_scans(family, halving, F, Y, Z, j % grid9.n)
+
+
+def attractor_system(name, seed):
+    """The built-in scenario with the test sets of `attractor --seed seed`:
+    its own, and the random bounded ones that the command adds."""
+    sc = get_scenario(name)
+    testsets = dict(sc.testsets)
+    rng = random.Random(seed)
+    testsets.update(sc.random_bounded_testsets(rng, count=min(RunConfig.budget, 50)))
+    return dataclasses.replace(sc, testsets=testsets)
+
+
+def limit_compact(testsets, F, action, family, cap):
+    rep = check_dissipativity(
+        action, F, family, testsets, cap=cap, points_sample=family.space.full_mask,
+        absorb_candidate=None,
+    )
+    return rep.check("limit_compact")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_limit_compact_matches_the_definition_on_scenarios(name, seed):
+    sc = attractor_system(name, seed)
+    args = (sc.testsets, sc.filter_basis, sc.action, sc.family, sc.declared.cap)
+    assert limit_compact(*args) == reference_limit_compact(*args)
+
+
+@st.composite
+def loose_samples(draw, F):
+    """F with a sample per level of 1-3 elements of its tail, drawn apart,
+    so that the level samples, and the level orbits, need not nest."""
+    floor = [min(F.sampler(k)) for k in F.levels()]
+    samples = [
+        tuple(sorted({floor[k] + d for d in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))}))
+        for k in F.levels()
+    ]
+    return dataclasses.replace(F, sampler=lambda k: samples[k])
+
+
+def _check_limit_compact(system, data, loose):
+    family, action, F = system
+    if loose:
+        F = data.draw(loose_samples(F))
+    names = data.draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    testsets = {name: data.draw(st.integers(1, family.space.full_mask)) for name in names}
+    args = (testsets, F, action, family, data.draw(st.integers(1, family.space.n)))
+    assert limit_compact(*args) == reference_limit_compact(*args)
+
+
+@given(random_systems(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_limit_compact_matches_the_definition_on_random_systems(system, data):
+    _check_limit_compact(system, data, loose=False)
+
+
+@given(random_systems(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_limit_compact_matches_the_definition_on_loose_random_systems(system, data):
+    # nested samples give nested orbits, whose deepest member measure holds
+    # every other, so only loose samples can tell apart scans that read
+    # different levels
+    _check_limit_compact(system, data, loose=True)
+
+
+@pytest.mark.parametrize("Y, f", [(0b11, (2, 3, 2, 3)), (0b1100, (0, 1, 0, 1))], ids=["level-0", "level-1"])
+def test_limit_compact_keeps_a_covering_that_one_level_alone_fits(Y, f):
+    # one covering, members {0, 1}, {2} and {3}, at cap 1: the pair {0, 1}
+    # fits it and {2, 3} does not. The samples (0,) and (1,) give the orbits
+    # Y and f(Y), one of each pair, so one level alone keeps the covering
+    space = line_grid(0.0, 1.0, 4)
+    family = AdmissibleFamily(space=space, coverings=(make_covering_masks(space, [0b11, 0b100, 0b1000]),))
+    # f is idempotent, so t -> f^t is an action of nat_add
+    action = Action(semigroup=nat_add(), space=space, apply_fn=lambda t, i: f[i] if t else i)
+    F = dataclasses.replace(integer_tails(nat_add(), depth=1), sampler=lambda k: (k,))
+    args = ({"pair": Y}, F, action, family, 1)
+    assert limit_compact(*args) == reference_limit_compact(*args) == CheckResult("limit_compact", True, None)
+
+
+def test_limit_compact_reads_the_deepest_orbit_first(monkeypatch):
+    # the member-measure cover searches of the seed-1 taxonomy (the row's
+    # only cover searches): a scan from level 0 makes 64, 60, 122 and 35
+    real, calls = compactness.coverable_within, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(compactness, "coverable_within", counted)
+    searches = {}
+    for name in sorted(BUILTIN_SCENARIOS):
+        sc = attractor_system(name, 1)
+        calls.clear()
+        row = limit_compact(sc.testsets, sc.filter_basis, sc.action, sc.family, sc.declared.cap)
+        assert row.passed == (name != "exp_decay")
+        searches[name] = len(calls)
+    # every covering keeps the deepest orbits of composition and decay_grid;
+    # exp_decay fails the row, so it reads every level either way
+    assert searches["composition"] == searches["decay_grid"] == 1
+    assert searches["iterated_contractions"] <= 64
+    assert searches["exp_decay"] <= 122
