@@ -41,10 +41,9 @@ from .proximity import (
     semi_prox,
 )
 from .space import (
-    Point,
-    Space,
     ball_rows,
     bool_product,
+    build_finite_topology,
     enumerate_topologies,
     iter_bits,
     line_grid,
@@ -467,8 +466,8 @@ def tiny_topology_battery(rng: random.Random) -> list[CheckResult]:
 
     for n in (1, 2, 3):
         for opens in enumerate_topologies(n):
-            pts = tuple(Point(pid=f"p{i}", index=i) for i in range(n))
-            space = Space(points=pts, opens=opens)
+            ids = [f"p{i}" for i in range(n)]
+            space = build_finite_topology(ids, ([ids[i] for i in iter_bits(o)] for o in opens))
             fam = finite_all_coverings_family(space)
             fold(proximity_suite(fam))
             fold(closure_criteria_suite(fam, rng=rng))

@@ -3,8 +3,9 @@
 Limit behavior is directed by a filter basis given as a nested chain of
 semigroup subsets with per-level samplers. Nets are replaced by sequences
 indexed by the chain truncation; all verdicts are "verified up to budget".
-The limit sets ω(Y) and J(x) are one intersection of closures of level orbits,
-seeded by Y at every level for ω(Y) and by shrinking stars of x for J(x).
+The limit sets ω(Y) and J(x) intersect the closures of level orbits; level
+samples nest, so the orbits of one seed nest and, closures being monotone,
+the deepest orbit's closure is the intersection.
 """
 
 from __future__ import annotations
@@ -108,10 +109,12 @@ class FilterBasis:
     """A nested chain of semigroup subsets with per-level samplers.
 
     `contains(el, k)` is the membership predicate of level k; `sampler(k)`
-    returns a deterministic finite sample of level k. `enumerate_level`,
-    when present, lists every element of level k up to a carrier bound and
-    backs exhaustive hypothesis checks. `contains` must be a pure function of
-    the element and the level: `check_hypotheses` memoises it by element value.
+    returns a deterministic finite sample of level k, certified nonempty,
+    inside its level and a subset of the previous level's sample, so level
+    orbits nest. `enumerate_level`, when present, lists every element of
+    level k up to a carrier bound and backs exhaustive hypothesis checks.
+    `contains` must be a pure function of the element and the level:
+    `check_hypotheses` memoises it by element value.
     `sampler` must be a pure function of the level: `orbit_rows` and
     `orbit_mask` memoise per-point and per-set level orbits on the action,
     keyed by the basis and the level. A basis compares by its fields, and it
@@ -128,6 +131,7 @@ class FilterBasis:
     def __post_init__(self):
         if self.depth < 0:
             raise NestingViolation(f"a filter basis needs a level 0; got depth {self.depth}")
+        previous = None
         for k in range(self.depth + 1):
             sample = self.sampler(k)
             if not sample:
@@ -135,10 +139,9 @@ class FilterBasis:
             for el in sample:
                 if not self.contains(el, k):
                     raise NestingViolation(f"sample {el!r} is not in level {k}")
-                if k > 0 and not self.contains(el, k - 1):
-                    raise NestingViolation(
-                        f"sample {el!r} of level {k} escapes level {k - 1}"
-                    )
+                if previous is not None and el not in previous:
+                    raise NestingViolation(f"sample {el!r} of level {k} is not sampled at level {k - 1}")
+            previous = set(sample)
 
     def __hash__(self) -> int:
         h = self.__dict__.get("_hash")
@@ -308,38 +311,33 @@ class LimitSetReport:
 
 
 def _limit_set(
-    seeds: Sequence[int], F: FilterBasis, action: Action, family: AdmissibleFamily
+    seed: int, F: FilterBasis, action: Action, family: AdmissibleFamily
 ) -> LimitSetReport:
-    """Intersection over filter levels k of the closures of the level-k orbits
-    of `seeds[k]`, each read from a base of the uniformity (`closure_mask`),
-    up to the first empty one. A limit point lies in the finest star of the
-    deepest orbit and is witnessed by the first deepest (element, seed point)
-    whose image hits that star. A point's star holds y iff y's star holds
-    the point, so one pass over those pairs lets each image claim the
-    unwitnessed points of its star."""
-    space = action.space
-    acc = space.full_mask
-    for k in F.levels():
-        acc &= family.closure_mask(orbit_mask(k, seeds[k], action, F))
-        if not acc:
-            break
+    """The closure (`closure_mask`) of the deepest level orbit of `seed`, the
+    last of nested level seeds: the samples nest too, so each level orbit holds
+    it, and closures are monotone, so it is the intersection of the level
+    closures. A limit point lies in the finest star of the deepest orbit and is
+    witnessed by the first deepest (element, seed point) whose image hits that
+    star. A point's star holds y iff y's star holds the point, so one pass over
+    those pairs lets each image claim the unwitnessed points of its star."""
+    mask = family.closure_mask(orbit_mask(F.depth, seed, action, F))
     stars = family.coverings[-1].point_star
-    found, todo = {}, acc
+    found, todo = {}, mask
     for el in F.sampler(F.depth):
         if not todo:
             break
         row = action.image_indices(el)
-        for src in iter_bits(seeds[F.depth]):
+        for src in iter_bits(seed):
             claim = todo & stars[row[src]]
             for i in iter_bits(claim):
                 found[i] = (el, src)
             todo &= ~claim
     return LimitSetReport(
-        mask=acc,
-        space=space,
+        mask=mask,
+        space=action.space,
         resolution=family.depth,
         truncation=F.depth,
-        witnesses={i: found[i] for i in iter_bits(acc)},
+        witnesses={i: found[i] for i in iter_bits(mask)},
     )
 
 
@@ -349,16 +347,18 @@ def omega_limit(
     """Intersection over filter levels of the closures of the level orbits."""
     if not ymask:
         raise EmptyInput("limit set of the empty set is undefined")
-    return _limit_set([ymask] * (F.depth + 1), F, action, family)
+    return _limit_set(ymask, F, action, family)
 
 
 def prolongational_limit(
     x: int, F: FilterBasis, action: Action, family: AdmissibleFamily
 ) -> LimitSetReport:
-    """Limit points of divergent orbits started from shrinking stars around x."""
-    finest = family.depth
-    seeds = [family.coverings[min(k, finest)].point_star[x] for k in F.levels()]
-    return _limit_set(seeds, F, action, family)
+    """Limit points of divergent orbits from shrinking stars around x: level k
+    seeds with the AND of x's point stars over coverings 0..k."""
+    seed = family.space.full_mask
+    for cov in family.coverings[: F.depth + 1]:
+        seed &= cov.point_star[x]
+    return _limit_set(seed, F, action, family)
 
 
 @dataclass(frozen=True)

@@ -425,6 +425,16 @@ def test_readme_config_examples_load(tmp_path, capsys):
     assert main(["attractor", "--config", str(path)]) == 0, capsys.readouterr().err
 
 
+def test_readme_library_sketch_runs(capsys):
+    # the sketch is the documented API: the read rule of test_design_rules
+    # counts an export as read only when a ```python block imports it
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for text in blocks:
+        exec(compile(text, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "True"
+
+
 KINDS = ("custom", "decay_grid", "line_grid", "metric_chain", "identity", "explicit", "wat")
 BUILTINS = ("decay_grid", "exp_decay", "composition", "iterated_contractions")
 BUILTIN_PARAMS = ("count", "chain_depth", "depth", "window", "eps0", "x0", "bogus")

@@ -184,6 +184,15 @@ RULES = [
         "table through one unbatched bool_product",
         "PRODUCT_BATCH_BYTES = 1 << 18",
     ),
+    Rule(
+        "limit-set-closes-one-orbit",
+        r"F\.levels\(\)",
+        ("src/coverdyn/dynamics.py",),
+        "a filter basis certifies that its level samples nest, so the level "
+        "orbits nest and the closure of the deepest orbit decides a limit set",
+        "    for k in F.levels():",
+        within=(r"^def _limit_set\(", r"^def omega_limit\("),
+    ),
 ]
 
 
@@ -305,28 +314,42 @@ ALLOW = {
     "scenario_decay_grid": "get_scenario(name, **overrides) passes its parameters",
     "main(argv)": "the command-line entry point reads sys.argv when argv is None",
     "coverable_within(node_budget)": "the budget seam of the exact cover search (ROADMAP item 2)",
+    "refines": "perfbench/spans.py traces it by this name",
+    "double_refines": "perfbench/spans.py traces it by this name",
 }
 
 
-def unread(package: pathlib.Path, allow: dict[str, str]) -> list[str]:
+def documented(readme: str) -> set[str]:
+    """The names that the ```python blocks of a README import."""
+    return {
+        alias.name
+        for block in re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def unread(package: pathlib.Path, allow: dict[str, str], readme: str) -> list[str]:
     """What the package defines and nothing in it reads, one entry each; an
     empty list when it holds only what it reads. Test-only helpers, fields
-    and knobs live in tests/.
+    and knobs live in tests/. An export of `__init__.py` is read only when
+    a ```python block of `readme` imports it: that is the documented API.
 
     - Every top-level function and class, and every public method of a
-      top-level class, is read elsewhere in the package (a load or an
-      import) or exported by `__init__.py`.
+      top-level class, is read elsewhere in the package (a load, or an
+      import outside `__init__.py`) or is a documented export.
     - Every dataclass field is read there (an attribute load or a constant
       getattr name).
     - Every dataclass field default is used there: some constructor call
       leaves the field out, or the default is read as Cls.field.
-    - Every defaulted parameter of a function that `__init__.py` does not
+    - Every defaulted parameter of a function that is not a documented
       export is passed by some call there, by keyword or by position.
     - Every name in `allow` is defined.
     """
     trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(package.glob("*.py"))}
     reads, attrs, calls, class_reads = {}, set(), {}, set()
-    for tree in trees.values():
+    for fname, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads.setdefault(node.id, set()).add(id(node))
@@ -335,7 +358,7 @@ def unread(package: pathlib.Path, allow: dict[str, str]) -> list[str]:
                 attrs.add(node.attr)
                 if isinstance(node.value, ast.Name):
                     class_reads.add((node.value.id, node.attr))
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, ast.alias) and fname != "__init__.py":
                 reads.setdefault(node.name, set()).add(id(node))
             elif isinstance(node, ast.Call):
                 f = node.func
@@ -343,7 +366,7 @@ def unread(package: pathlib.Path, allow: dict[str, str]) -> list[str]:
                 if name == "getattr" and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
                     attrs.add(node.args[1].value)
                 calls.setdefault(name, []).append(node)
-    exported = {
+    exported = documented(readme) & {
         a.name for node in ast.walk(trees["__init__.py"]) if isinstance(node, ast.ImportFrom)
         for a in node.names
     }
@@ -417,7 +440,7 @@ def unread(package: pathlib.Path, allow: dict[str, str]) -> list[str]:
 
 
 def test_the_package_holds_only_what_it_reads():
-    assert unread(ROOT / "src/coverdyn", ALLOW) == []
+    assert unread(ROOT / "src/coverdyn", ALLOW, (ROOT / "README.md").read_text()) == []
 
 
 # a package that reads all it defines: the fixtures below each plant one
@@ -442,6 +465,14 @@ def describe(box, scale=1):
     return box.size * scale, box.label
 """,
 }
+# the README of the clean package: its sketch imports the one export
+README = """\
+`build(n)` makes a box:
+
+```python
+from pkg import build
+```
+"""
 
 PLANTED = {
     "unread-function": (
@@ -471,7 +502,7 @@ def _package(root: pathlib.Path, files: dict[str, str]) -> pathlib.Path:
 
 
 def test_the_clean_fixture_package_holds_only_what_it_reads(tmp_path):
-    assert unread(_package(tmp_path / "pkg", CLEAN), {}) == []
+    assert unread(_package(tmp_path / "pkg", CLEAN), {}, README) == []
 
 
 @pytest.mark.parametrize("case", sorted(PLANTED))
@@ -480,10 +511,22 @@ def test_the_read_rule_rejects_a_planted_violation(case, tmp_path):
     core = CLEAN["core.py"]
     planted = core + new if old == "" else core.replace(old, new)
     assert planted != core
-    assert unread(_package(tmp_path / "pkg", {**CLEAN, "core.py": planted}), {}) == [finding]
+    assert unread(_package(tmp_path / "pkg", {**CLEAN, "core.py": planted}), {}, README) == [finding]
+
+
+@pytest.mark.parametrize("readme", [
+    "",
+    # named in prose and in a shell block, but imported by no python block
+    README.replace("```python", "```sh"),
+    README.replace("from pkg import build", "from pkg.core import describe"),
+], ids=["no-readme", "shell-block", "other-import"])
+def test_the_read_rule_rejects_an_export_that_the_readme_does_not_import(readme, tmp_path):
+    # `build` is exported by __init__.py and read by nothing else
+    package = _package(tmp_path / "pkg", CLEAN)
+    assert unread(package, {}, readme) == ["core.py: build"]
 
 
 def test_the_read_rule_rejects_an_undefined_allowlist_entry(tmp_path):
     package = _package(tmp_path / "pkg", CLEAN)
-    assert unread(package, {"build": "exported anyway"}) == []
-    assert unread(package, {"ghost": "no such name"}) == ["allowlist: ghost is not defined"]
+    assert unread(package, {"build": "exported anyway"}, "") == []
+    assert unread(package, {"ghost": "no such name"}, README) == ["allowlist: ghost is not defined"]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from coverdyn import compactness
 from coverdyn.cli import RunConfig
 from coverdyn.compactness import default_cap, is_bounded, star_measure
-from coverdyn.covering import AdmissibleFamily, CheckResult, make_covering_masks, metric_chain_family
+from coverdyn.covering import CheckResult, metric_chain_family
 from coverdyn.dynamics import (
     HYPOTHESIS_NAMES,
     Action,
@@ -174,6 +174,44 @@ def test_divergent_sequence_blocks(tails):
         assert tails.contains(el, k)
     ks = [k for k, _ in seq]
     assert ks == sorted(ks)
+
+
+@st.composite
+def level_samples(draw):
+    """An integer tail basis, or None for an explicit basis, and one sample
+    per level, each nonempty and inside its level: 1-3 elements of the
+    level's tail, or of 0..12 for an explicit basis, whose levels are these
+    sets. Nested samples add each deeper sample to the one above it; loose
+    ones are drawn apart, and may nest or not."""
+    depth, nested = draw(st.integers(0, 4)), draw(st.booleans())
+    F, floor, offsets = None, [0] * (depth + 1), st.lists(st.integers(0, 12), min_size=1, max_size=3)
+    if draw(st.booleans()):
+        F = integer_tails(nat_add(), depth=depth, window=draw(st.integers(1, 4)), start=draw(st.integers(0, 2)))
+        floor = [min(F.sampler(k)) for k in F.levels()]
+        offsets = st.lists(st.integers(0, 3), min_size=1, max_size=3)
+    samples = [frozenset()] * (depth + 2)
+    for k in reversed(range(depth + 1)):
+        drawn = frozenset(floor[k] + d for d in draw(offsets))
+        samples[k] = drawn | samples[k + 1] if nested else drawn
+    return F, samples[:-1]
+
+
+@given(level_samples())
+@settings(max_examples=300, deadline=None)
+def test_filter_basis_rejects_exactly_the_samples_that_do_not_nest(case):
+    F, samples = case
+
+    def build():
+        if F is None:
+            return explicit_basis(samples)
+        return dataclasses.replace(F, sampler=lambda k: tuple(sorted(samples[k])))
+
+    loose = [k for k in range(1, len(samples)) if not samples[k] <= samples[k - 1]]
+    if loose:
+        with pytest.raises(NestingViolation, match=f"of level {loose[0]} is not sampled at level"):
+            build()
+    else:
+        assert build().depth == len(samples) - 1
 
 
 def test_filter_nesting_violation():
@@ -596,7 +634,9 @@ def test_divergent_sequence_scaling_powers():
 def reference_prolongational_limit(x, F, action, family):
     """The former stand-alone body of `prolongational_limit`: its own orbit
     loop, deepest pairs built inside the level loop, then the witness scan,
-    every image taken point by point with `apply_fn`."""
+    every image taken point by point with `apply_fn`. It seeds level k with
+    x's star at covering min(k, finest), which on the chains it is run on is
+    the AND of x's stars over coverings 0..k."""
     space = action.space
     finest = family.depth
     acc = space.full_mask
@@ -774,7 +814,9 @@ def _check_scans(family, action, F, Y, Z, x):
     rep, want = attracts(Y, Z, F, action, family), reference_attracts(Y, Z, F, action, family)
     assert rep.levels == want.levels, (Y, Z)
     assert list(rep.failures.items()) == list(want.failures.items()), (Y, Z)
-    stars_of_x = [family.coverings[min(k, family.depth)].point_star[x] for k in F.levels()]
+    # J(x) seeds level k with the AND of x's stars over coverings 0..min(k, f)
+    stars = [cov.point_star[x] for cov in family.coverings]
+    stars_of_x = [functools.reduce(operator.and_, stars[: k + 1]) for k in F.levels()]
     for seeds, lim in (
         ([Z] * (F.depth + 1), omega_limit(Z, F, action, family)),
         (stars_of_x, prolongational_limit(x, F, action, family)),
@@ -867,55 +909,14 @@ def test_limit_compact_matches_the_definition_on_scenarios(name, seed):
     assert limit_compact(*args) == reference_limit_compact(*args)
 
 
-@st.composite
-def loose_samples(draw, F):
-    """F with a sample per level of 1-3 elements of its tail, drawn apart,
-    so that the level samples, and the level orbits, need not nest."""
-    floor = [min(F.sampler(k)) for k in F.levels()]
-    samples = [
-        tuple(sorted({floor[k] + d for d in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))}))
-        for k in F.levels()
-    ]
-    return dataclasses.replace(F, sampler=lambda k: samples[k])
-
-
-def _check_limit_compact(system, data, loose):
+@given(random_systems(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_limit_compact_matches_the_definition_on_random_systems(system, data):
     family, action, F = system
-    if loose:
-        F = data.draw(loose_samples(F))
     names = data.draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
     testsets = {name: data.draw(st.integers(1, family.space.full_mask)) for name in names}
     args = (testsets, F, action, family, data.draw(st.integers(1, family.space.n)))
     assert limit_compact(*args) == reference_limit_compact(*args)
-
-
-@given(random_systems(), st.data())
-@settings(max_examples=200, deadline=None)
-def test_limit_compact_matches_the_definition_on_random_systems(system, data):
-    _check_limit_compact(system, data, loose=False)
-
-
-@given(random_systems(), st.data())
-@settings(max_examples=300, deadline=None)
-def test_limit_compact_matches_the_definition_on_loose_random_systems(system, data):
-    # nested samples give nested orbits, whose deepest member measure holds
-    # every other, so only loose samples can tell apart scans that read
-    # different levels
-    _check_limit_compact(system, data, loose=True)
-
-
-@pytest.mark.parametrize("Y, f", [(0b11, (2, 3, 2, 3)), (0b1100, (0, 1, 0, 1))], ids=["level-0", "level-1"])
-def test_limit_compact_keeps_a_covering_that_one_level_alone_fits(Y, f):
-    # one covering, members {0, 1}, {2} and {3}, at cap 1: the pair {0, 1}
-    # fits it and {2, 3} does not. The samples (0,) and (1,) give the orbits
-    # Y and f(Y), one of each pair, so one level alone keeps the covering
-    space = line_grid(0.0, 1.0, 4)
-    family = AdmissibleFamily(space=space, coverings=(make_covering_masks(space, [0b11, 0b100, 0b1000]),))
-    # f is idempotent, so t -> f^t is an action of nat_add
-    action = Action(semigroup=nat_add(), space=space, apply_fn=lambda t, i: f[i] if t else i)
-    F = dataclasses.replace(integer_tails(nat_add(), depth=1), sampler=lambda k: (k,))
-    args = ({"pair": Y}, F, action, family, 1)
-    assert limit_compact(*args) == reference_limit_compact(*args) == CheckResult("limit_compact", True, None)
 
 
 def test_limit_compact_reads_the_deepest_orbit_first(monkeypatch):
