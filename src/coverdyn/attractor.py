@@ -116,9 +116,9 @@ def verify_global(
             yield "empty candidate"
             return
         for name in sorted(testsets):
-            rep = attracts(candidate, testsets[name], F, action, family)
-            if not rep.attracted:
-                idx, (el, z, img) = sorted(rep.failures.items())[0]
+            failures = attracts(candidate, testsets[name], F, action, family)
+            if failures:
+                idx, (el, z, img) = min(failures.items())
                 pts = action.space.points
                 yield (
                     f"{name}: covering {idx} never absorbed; witness element "
@@ -140,8 +140,9 @@ def verify_uniform(
     cap: int,
 ) -> AttractorVerdict:
     """Compact invariant set containing the prolongational limit set of every
-    point of the mask `points_sample` (in index order), each of which must be
-    nonempty."""
+    point of the mask `points_sample` (in index order). J(x) is never empty:
+    its seed holds x and every level sample is certified nonempty, so its
+    orbit, and the closure of that orbit, hold a point."""
     checks = _core_checks(candidate, action, family, cap, F.sampler(0)[:4])
 
     def limits_outside():
@@ -150,10 +151,8 @@ def verify_uniform(
             return
         for x in iter_bits(points_sample):
             rep = prolongational_limit(x, F, action, family)
-            pid = action.space.points[x].pid
-            if not rep.mask:
-                yield f"prolongational limit of {pid} is empty"
-            elif not subset_at_resolution(rep.mask, candidate, family):
+            if not subset_at_resolution(rep.mask, candidate, family):
+                pid = action.space.points[x].pid
                 yield f"limit of {pid} leaves the candidate: {rep.pids()[:4]}"
 
     checks.append(first_failure("prolongational_limits_inside", limits_outside()))

@@ -5,7 +5,8 @@ semigroup subsets with per-level samplers. Nets are replaced by sequences
 indexed by the chain truncation; all verdicts are "verified up to budget".
 The limit sets ω(Y) and J(x) intersect the closures of level orbits; level
 samples nest, so the orbits of one seed nest and, closures being monotone,
-the deepest orbit's closure is the intersection.
+the deepest orbit's closure is the intersection. For the same reason the
+deepest orbit alone decides attraction and absorption.
 """
 
 from __future__ import annotations
@@ -361,39 +362,22 @@ def prolongational_limit(
     return _limit_set(seed, F, action, family)
 
 
-@dataclass(frozen=True)
-class AttractionReport:
-    """Per covering index: the absorbing filter level, or a failure witness (el, z, image)."""
-
-    levels: dict
-    failures: dict
-
-    @property
-    def attracted(self) -> bool:
-        return not self.failures
-
-
 def attracts(
     ymask: int, zmask: int, F: FilterBasis, action: Action, family: AdmissibleFamily
-) -> AttractionReport:
-    """Level search per covering index: the least filter level whose orbit of Z
-    lies in the star of Y, or an image of the deepest orbit that leaves it.
-    Each covering has its own verdict, so every star of Y is read, not only a
-    base's; the levels are walked until every covering has absorbed."""
+) -> dict:
+    """The coverings at which Y does not attract Z, each mapped to its
+    witness, the first (element, z, image) of the deepest filter level whose
+    image leaves the star of Y; empty when Y attracts Z. The level orbits
+    nest, and a subset of a star lies in it, so some level's orbit lies in a
+    star exactly when the deepest one does: one subset test on that orbit
+    decides every covering. Each covering has its own verdict, so every star
+    of Y is read, not only a base's."""
     if not ymask or not zmask:
         raise EmptyInput("attraction needs nonempty sets")
     stars = family.stars(ymask)
-    levels, todo = {}, (1 << family.size) - 1
-    for k in F.levels():
-        # the open covering indices whose star of Y holds the orbit of Z
-        inside = todo & stars_containing(orbit_mask(k, zmask, action, F), stars)
-        for i in iter_bits(inside):
-            levels[i] = k
-        todo &= ~inside
-        if not todo:
-            break
-    # the deepest orbit leaves each open star, so one of its images does
-    failures = {
+    held = stars_containing(orbit_mask(F.depth, zmask, action, F), stars)
+    # the deepest orbit leaves each other star, so one of its images does
+    return {
         i: next(
             (el, z, row[z])
             for el in F.sampler(F.depth)
@@ -401,19 +385,16 @@ def attracts(
             for z in iter_bits(zmask)
             if not (stars[i] >> row[z]) & 1
         )
-        for i in iter_bits(todo)
+        for i in iter_bits(~held & ((1 << family.size) - 1))
     }
-    return AttractionReport(levels=levels, failures=failures)
 
 
-def absorbs(ymask: int, zmask: int, F: FilterBasis, action: Action) -> Optional[int]:
-    """Least sampled filter level whose orbit of Z lies inside Y, if any."""
+def absorbs(ymask: int, zmask: int, F: FilterBasis, action: Action) -> bool:
+    """Whether some sampled filter level's orbit of Z lies inside Y: the level
+    orbits nest, so the deepest one decides."""
     if not ymask or not zmask:
         raise EmptyInput("absorption needs nonempty sets")
-    for k in F.levels():
-        if orbit_mask(k, zmask, action, F) & ~ymask == 0:
-            return k
-    return None
+    return orbit_mask(F.depth, zmask, action, F) & ~ymask == 0
 
 
 HYPOTHESIS_NAMES = {
@@ -592,7 +573,7 @@ def check_dissipativity(
     bounded = [(cname, D) for cname, D in candidates if is_bounded(D, family)]
     ok, wit = False, "no bounded absorbing candidate"
     for cname, D in bounded:
-        if all(absorbs(D, m, F, action) is not None for m in masks.values()):
+        if all(absorbs(D, m, F, action) for m in masks.values()):
             ok, wit = True, f"absorbing set: {cname}"
             break
     if not ok and (absorb_candidate or bounded):
@@ -601,7 +582,7 @@ def check_dissipativity(
 
     ok, wit = False, "no bounded candidate absorbs every sampled point"
     for cname, D in bounded:
-        if all(absorbs(D, 1 << x, F, action) is not None for x in iter_bits(points_sample)):
+        if all(absorbs(D, 1 << x, F, action) for x in iter_bits(points_sample)):
             ok, wit = True, f"absorbing set: {cname}"
             break
     outcomes.append(CheckResult("point_dissipative", ok, wit))

@@ -1,10 +1,11 @@
 """Reference forms of verdicts, kept as test oracles.
 
-`attracts` decides attraction by a level search per covering index. The
-proximity form below decides it the other way the theory states it: the
-one-sided proximity of the images of Z to Y converges to zero along every
-divergent net. It computes every image point by point with `apply_fn`, so
-it shares neither the image rows nor the orbit masks with the level search.
+`attracts` decides attraction per covering index by one subset test on the
+deepest level orbit. The proximity form below decides it the other way the
+theory states it: the one-sided proximity of the images of Z to Y converges
+to zero along every divergent net. It computes every image point by point
+with `apply_fn`, so it shares neither the image rows nor the orbit masks
+with `attracts`.
 
 `convergence_trace` is truncated convergence of a collection sequence by
 its definition: per covering index, the first position after which the index
@@ -16,9 +17,14 @@ members that meet the set, with no point stars and no memo.
 intersection of those stars over every covering; `closure_mask` reads one
 covering per refinement-minimal class instead.
 
-`reference_attracts` is `attracts` as a full level scan: the orbit of Z at
-every filter level, taken point by point, against the star of Y at every
-covering, with no early stop.
+`reference_attracts` is attraction by its definition, a full level scan:
+the orbit of Z at every filter level, taken point by point, against the star
+of Y at every covering, with no early stop. It returns the least absorbing
+level per covering besides the failures, so a test can check that
+`attracts` fails exactly the coverings that no level absorbs.
+`reference_absorption_level` is absorption by its definition: the least
+filter level whose pointwise orbit of Z lies in Y. `absorbs` tests the
+deepest orbit alone.
 
 `reference_limit_witnesses` witnesses each point of a limit set by a scan of
 its own: the first (deepest element, seed point) whose image, taken with
@@ -102,7 +108,7 @@ import numpy as np
 
 from coverdyn.compactness import DEFAULT_COVER_NODE_BUDGET, CoverSearchBudgetExceeded
 from coverdyn.covering import CheckList, CheckResult, first_failure
-from coverdyn.dynamics import HYPOTHESIS_NAMES, AttractionReport, FilterBasis
+from coverdyn.dynamics import HYPOTHESIS_NAMES, FilterBasis
 from coverdyn.proximity import (
     CoverCollection,
     FamilyMismatch,
@@ -209,9 +215,9 @@ def reference_closure_mask(family, ymask):
 
 
 def reference_attracts(ymask, zmask, F, action, family):
-    """Per covering index, the least filter level whose orbit of Z lies in
-    the star of Y; where none does, the first (element, z, image) of the
-    deepest level whose image leaves that star."""
+    """(levels, failures): per covering index, the least filter level whose
+    orbit of Z lies in the star of Y; where none does, the first
+    (element, z, image) of the deepest level whose image leaves that star."""
     stars = [reference_star_mask(cov, ymask) for cov in family.coverings]
     orbits = [reference_orbit_mask(k, zmask, action, F) for k in F.levels()]
     levels, failures = {}, {}
@@ -226,7 +232,16 @@ def reference_attracts(ymask, zmask, F, action, family):
                 for z in iter_bits(zmask)
                 if not (star >> action.apply_fn(el, z)) & 1
             )
-    return AttractionReport(levels=levels, failures=failures)
+    return levels, failures
+
+
+def reference_absorption_level(ymask, zmask, F, action):
+    """The least filter level whose orbit of Z, taken point by point, lies
+    in Y, or None."""
+    return next(
+        (k for k in F.levels() if reference_orbit_mask(k, zmask, action, F) & ~ymask == 0),
+        None,
+    )
 
 
 def reference_limit_witnesses(mask, seed, F, action, family):

@@ -160,6 +160,22 @@ def test_max_level_and_resolution_flags(capsys):
     assert payload["limit_set"]["resolution"] == 2
 
 
+def test_attractor_cap_overrides_the_declared_cap(capsys):
+    # at cap 3 the contraction attractor has no star cover, so the run that
+    # passes at its declared cap fails its compactness rows
+    code, out = run(capsys, "attractor", "--scenario", "iterated_contractions", "--cap", "3")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["config"]["cap"] == 3
+    rows = {r["name"]: r for r in payload["results"]}
+    assert rows["global.compact"]["verdict"] == "fail"
+    assert rows["global.compact"]["witness"] == "no star cover within cap 3"
+    # decay_grid's attractor is one point: cap 1 covers it
+    code, out = run(capsys, "attractor", "--scenario", "decay_grid", "--cap", "1")
+    assert code == 0
+    assert json.loads(out)["config"]["cap"] == 1
+
+
 @pytest.mark.parametrize("flags", [(), ("--resolution", "2")])
 def test_resolution_prefix_makes_no_second_relation_computation(capsys, monkeypatch, flags):
     # the --resolution prefix reads the top-left block of the chain's rows

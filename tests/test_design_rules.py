@@ -193,6 +193,15 @@ RULES = [
         "    for k in F.levels():",
         within=(r"^def _limit_set\(", r"^def omega_limit\("),
     ),
+    Rule(
+        "attraction-reads-one-orbit",
+        r"F\.levels\(\)",
+        ("src/coverdyn/dynamics.py",),
+        "the level orbits nest, so some level's orbit lies in a star of Y, or in "
+        "Y, exactly when the deepest orbit does: attraction and absorption test it alone",
+        "    for k in F.levels():",
+        within=(r"^def attracts\(", r"^HYPOTHESIS_NAMES"),
+    ),
 ]
 
 

@@ -43,6 +43,7 @@ from coverdyn.space import CoverdynError, iter_bits, line_grid
 from reference import (
     divergent_sequence,
     prox_form_attracts,
+    reference_absorption_level,
     reference_attracts,
     reference_check_associativity,
     reference_check_hypotheses,
@@ -278,24 +279,24 @@ def test_compact_vs_open_limit_inclusions(decay, grid, fam, tails):
 
 def test_attracts_invariant_subset(decay, grid, fam, tails):
     zero = pick(grid, 0)
-    rep = attracts(zero, zero, tails, decay, fam)
-    assert rep.attracted
-    assert set(rep.levels.values()) == {0}
+    levels, failures = reference_attracts(zero, zero, tails, decay, fam)
+    # every covering absorbs at level 0, so none fails
+    assert levels == dict.fromkeys(range(fam.size), 0)
+    assert attracts(zero, zero, tails, decay, fam) == failures == {}
     assert prox_form_attracts(zero, zero, tails, decay, fam)
 
 
 def test_attracts_decay_whole_grid(decay, grid, fam, tails):
-    rep = attracts(pick(grid, 0), grid.full_mask, tails, decay, fam)
-    assert rep.attracted
+    assert attracts(pick(grid, 0), grid.full_mask, tails, decay, fam) == {}
     assert prox_form_attracts(pick(grid, 0), grid.full_mask, tails, decay, fam)
 
 
 def test_attracts_failure_witness(identity_action, grid, fam, tails):
     # the identity action never pulls a far point into fine stars of {0}
-    rep = attracts(pick(grid, 0), pick(grid, 80), tails, identity_action, fam)
-    assert not rep.attracted
+    failures = attracts(pick(grid, 0), pick(grid, 80), tails, identity_action, fam)
+    assert failures
     assert not prox_form_attracts(pick(grid, 0), pick(grid, 80), tails, identity_action, fam)
-    idx, (el, z, img) = sorted(rep.failures.items())[0]
+    idx, (el, z, img) = min(failures.items())
     assert img == 80
 
 
@@ -311,8 +312,8 @@ def test_attracts_matches_prox_form_on_grid(request, action_name, grid, fam, tai
         grid.full_mask,
     ]
     for Y, Z in itertools.product(sets, repeat=2):
-        rep = attracts(Y, Z, tails, action, fam)
-        assert rep.attracted == prox_form_attracts(Y, Z, tails, action, fam), (Y, Z)
+        attracted = not attracts(Y, Z, tails, action, fam)
+        assert attracted == prox_form_attracts(Y, Z, tails, action, fam), (Y, Z)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
@@ -324,19 +325,22 @@ def test_attracts_matches_prox_form_on_scenarios(name):
     targets = {**sc.testsets, **sc.random_bounded_testsets(random.Random(0), count=8)}
     attractors = {"attractor": sc.attractor_points(), **sc.testsets}
     for (yname, Y), (zname, Z) in itertools.product(attractors.items(), targets.items()):
-        rep = attracts(Y, Z, F, action, family)
-        assert rep.attracted == prox_form_attracts(Y, Z, F, action, family), (yname, zname)
+        attracted = not attracts(Y, Z, F, action, family)
+        assert attracted == prox_form_attracts(Y, Z, F, action, family), (yname, zname)
 
 
 def test_absorbs_decay_arithmetic(decay, grid, fam, tails):
     # least level pulling {1} inside the open 0.1-ball around 0
     Y = reference_point_balls(grid, 0.1)[0]
-    assert absorbs(Y, pick(grid, 100), tails, decay) == 4
-    assert absorbs(pick(grid, 0), pick(grid, 0), tails, decay) == 0
+    assert reference_absorption_level(Y, pick(grid, 100), tails, decay) == 4
+    assert reference_absorption_level(pick(grid, 0), pick(grid, 0), tails, decay) == 0
+    assert absorbs(Y, pick(grid, 100), tails, decay) is True
+    assert absorbs(pick(grid, 0), pick(grid, 0), tails, decay) is True
 
 
 def test_absorbs_absent(identity_action, grid, tails):
-    assert absorbs(pick(grid, 0), pick(grid, 80), tails, identity_action) is None
+    assert reference_absorption_level(pick(grid, 0), pick(grid, 80), tails, identity_action) is None
+    assert absorbs(pick(grid, 0), pick(grid, 80), tails, identity_action) is False
 
 
 def basis_with(F, s_samples=None, enumeration_bound=None):
@@ -809,11 +813,13 @@ def test_image_mask_cache_keeps_sets_apart(decay, grid, order):
 def _check_scans(family, action, F, Y, Z, x):
     """`attracts` of Z by Y, and the limit sets of Z and of the point x,
     equal their full scans: every level, every covering, and each witness
-    found by a scan of its own. Witnesses are compared in order, since the
+    found by a scan of its own. `attracts` fails exactly the coverings at
+    which no level absorbs. Witnesses are compared in order, since the
     reports list them in index order."""
-    rep, want = attracts(Y, Z, F, action, family), reference_attracts(Y, Z, F, action, family)
-    assert rep.levels == want.levels, (Y, Z)
-    assert list(rep.failures.items()) == list(want.failures.items()), (Y, Z)
+    failures = attracts(Y, Z, F, action, family)
+    levels, want = reference_attracts(Y, Z, F, action, family)
+    assert set(failures) == set(range(family.size)) - set(levels), (Y, Z)
+    assert list(failures.items()) == list(want.items()), (Y, Z)
     # J(x) seeds level k with the AND of x's stars over coverings 0..min(k, f)
     stars = [cov.point_star[x] for cov in family.coverings]
     stars_of_x = [functools.reduce(operator.and_, stars[: k + 1]) for k in F.levels()]
@@ -858,6 +864,15 @@ def test_scans_match_the_full_scans_on_random_systems(system, data):
     sets = st.integers(1, family.space.full_mask)
     Y, Z = data.draw(sets), data.draw(sets)
     _check_scans(family, action, F, Y, Z, data.draw(st.integers(0, family.space.n - 1)))
+
+
+@given(random_systems(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_absorbs_matches_the_absorption_level_on_random_systems(system, data):
+    family, action, F = system
+    sets = st.integers(1, family.space.full_mask)
+    Y, Z = data.draw(sets), data.draw(sets)
+    assert absorbs(Y, Z, F, action) == (reference_absorption_level(Y, Z, F, action) is not None)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))

@@ -75,8 +75,7 @@ def test_limit_set_minimality(name, scenarios):
     for tname, Y in sc.testsets.items():
         om = omega_limit(Y, sc.filter_basis, sc.action, sc.family).mask
         for kname, K in candidates.items():
-            rep = attracts(K, Y, sc.filter_basis, sc.action, sc.family)
-            if not rep.attracted:
+            if attracts(K, Y, sc.filter_basis, sc.action, sc.family):
                 continue
             assert subset_at_resolution(om, K, sc.family), (name, tname, kname)
 
@@ -106,8 +105,7 @@ def test_constructed_candidate_attracts_its_testsets(name, scenarios):
         pytest.skip("limit sets attract their own sets under asymptotic compactness")
     cand = construct_candidate(sc.testsets, sc.filter_basis, sc.action, sc.family)
     for tname, Y in sc.testsets.items():
-        rep = attracts(cand, Y, sc.filter_basis, sc.action, sc.family)
-        assert rep.attracted, (name, tname)
+        assert attracts(cand, Y, sc.filter_basis, sc.action, sc.family) == {}, (name, tname)
 
 
 def test_omega_limit_respects_random_bounded_sets():

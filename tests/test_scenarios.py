@@ -156,8 +156,7 @@ def test_config_round_trip(name, overrides):
     assert scenarios_equal(sc, sc2)
 
 
-def test_load_custom_system():
-    cfg = """
+MINI_CONFIG = """
 [scenario]
 kind = "custom"
 name = "mini"
@@ -187,9 +186,18 @@ seed = [40]
 attractor = [0]
 kind = "both"
 """
-    sc = load_system(cfg)
+
+
+def test_load_custom_system():
+    sc = load_system(MINI_CONFIG)
     assert sc.space.n == 41
     assert set(sc.testsets) == {"whole", "seed"}
+
+
+def test_custom_scenario_does_not_serialize():
+    # only a built-in round-trips through its builder parameters
+    with pytest.raises(SchemaError, match="only built-in scenarios serialize; got 'mini'"):
+        scenario_to_config(load_system(MINI_CONFIG))
 
 
 def test_load_nesting_violation():
