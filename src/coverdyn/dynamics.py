@@ -6,11 +6,13 @@ indexed by the chain truncation; all verdicts are "verified up to budget".
 The limit sets ω(Y) and J(x) intersect the closures of level orbits; level
 samples nest, so the orbits of one seed nest and, closures being monotone,
 the deepest orbit's closure is the intersection. For the same reason the
-deepest orbit alone decides attraction and absorption.
+deepest orbit alone decides attraction, absorption, and the taxonomy's
+eventually-bounded and limit-compact rows.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -537,31 +539,30 @@ def check_dissipativity(
     bounded absorbing candidates are `absorb_candidate`, when given, its
     stars, and the whole space.
 
-    `limit_compact` is truncated: a test set passes when every covering lies
-    in the member measure of its orbit at some filter level, that is, when
-    the OR over the levels of those measures is the whole family; the
-    witness is the first test set, by name, and the least covering that no
-    level keeps. The scan reads the levels from the deepest orbit, nearest
-    the attractor, back to level 0, and stops once the OR is the whole
-    family. The order is free: an OR does not depend on it, the scan stops
-    only at the whole family, and a set that never fills it reads every
-    level either way, so the verdict and the witness are the same. The
-    order decides only which cover searches run, which would matter only
-    where a search exceeds its node budget (ROADMAP item 2); no CLI run
-    reaches that budget."""
+    The level orbits of a test set nest, O_0 ⊇ … ⊇ O_D, so each truncated
+    row that asks whether some level's orbit has a property that passes to
+    subsets reads the deepest orbit O_D alone. `eventually_bounded`: some
+    level's orbit is bounded exactly when O_D is. `limit_compact`: a test
+    set passes when every covering lies in the member measure of its orbit
+    at some filter level, and a subset's member measure holds the
+    superset's, so that is the member measure of O_D; the witness is the
+    first test set, by name, and the least covering that O_D's measure
+    drops. `asymptotically_compact` finds a cluster among the tail images
+    of each sampled sequence: some point's finest star holds two of them
+    exactly when the finest stars of two of them meet, since a point star
+    holds y iff y's star holds the point; a repeated image counts, since
+    each point lies in its own star."""
     if not testsets:
         raise EmptyInput("the taxonomy needs at least one test set")
     space = action.space
     outcomes = []
     masks = dict(sorted(testsets.items()))
-    orbits = {
-        name: [orbit_mask(k, m, action, F) for k in F.levels()] for name, m in masks.items()
-    }
+    deepest = {name: orbit_mask(F.depth, m, action, F) for name, m in masks.items()}
 
     outcomes.append(first_failure("eventually_bounded", (
         f"orbit of {name} never becomes bounded"
-        for name, per_level in orbits.items()
-        if not any(is_bounded(om, family) for om in per_level)
+        for name, om in deepest.items()
+        if not is_bounded(om, family)
     )))
 
     candidates = []
@@ -594,8 +595,9 @@ def check_dissipativity(
             for pname, xs in _sequence_patterns(m, F.depth + 1):
                 tail = [action.image_indices(F.sampler(k)[0])[xs[k]] for k in levels]
                 # a stable cluster, the truncated stand-in for a cluster point:
-                # some point's finest star holds two of the tail images
-                if not any(sum((star >> i) & 1 for i in tail) >= 2 for star in fine):
+                # some point's finest star holds two of the tail images, that
+                # is, the finest stars of two of them meet
+                if not any(fine[a] & fine[b] for a, b in itertools.combinations(tail, 2)):
                     trail = ",".join(space.points[i].pid for i in tail)
                     yield f"{name}/{pname}: tail images [{trail}] admit no cluster"
 
@@ -603,14 +605,8 @@ def check_dissipativity(
 
     def dropped_coverings():
         every = (1 << family.size) - 1
-        for name, per_level in orbits.items():
-            # the coverings kept by the member measure at some level, read
-            # from the deepest orbit, which lies nearest the attractor
-            kept = 0
-            for om in reversed(per_level):
-                kept |= member_measure(om, family, cap).mask
-                if kept == every:
-                    break
+        for name, om in deepest.items():
+            kept = member_measure(om, family, cap).mask
             if kept != every:
                 i = next(i for i in range(family.size) if not (kept >> i) & 1)
                 yield f"{name}: no level keeps covering {i} in the member measure"

@@ -36,7 +36,20 @@ by its definition: per test set, the OR over every filter level, read from
 level 0 with no early stop, of the coverings whose members cover the level
 orbit within the cap, each decided by `reference_coverable_within` on its
 own, with no refinement rows and no measure memo. `check_dissipativity`
-reads the deepest orbit first and stops at the whole family.
+measures the deepest orbit alone.
+
+`reference_eventually_bounded` is the `eventually_bounded` row by its
+definition: per test set in name order, `any` over every filter level,
+read from level 0, of whether the level orbit, taken point by point, is
+bounded, that is, some covering holds each of its points in the star of
+each other, the point stars built from the members by
+`reference_star_mask`. `check_dissipativity` tests the deepest orbit alone.
+
+`reference_tail_cluster` is the count scan that `asymptotically_compact`
+ran before it tested pairs of tail images: some point's finest star holds
+two of the tail images, a repeated image counted once per repeat.
+`reference_asymptotically_compact` is the row by it, with every tail image
+taken with `apply_fn` and the finest point stars built from the members.
 
 `unbounded_coverable_within` is the exact cover search without the counting
 bound of `coverable_within`: it stops a branch only at depth `cap`.
@@ -108,7 +121,7 @@ import numpy as np
 
 from coverdyn.compactness import DEFAULT_COVER_NODE_BUDGET, CoverSearchBudgetExceeded
 from coverdyn.covering import CheckList, CheckResult, first_failure
-from coverdyn.dynamics import HYPOTHESIS_NAMES, FilterBasis
+from coverdyn.dynamics import HYPOTHESIS_NAMES, TAIL_WINDOW, FilterBasis, _sequence_patterns
 from coverdyn.proximity import (
     CoverCollection,
     FamilyMismatch,
@@ -280,6 +293,55 @@ def reference_limit_compact(testsets, F, action, family, cap):
                 yield f"{name}: no level keeps covering {missing[0]} in the member measure"
 
     return first_failure("limit_compact", dropped())
+
+
+def reference_bounded(ymask, family):
+    """Whether some covering holds every point of Y in the star, by its
+    members, of every point of Y."""
+    return any(
+        all(ymask & ~reference_star_mask(cov, 1 << y) == 0 for y in iter_bits(ymask))
+        for cov in family.coverings
+    )
+
+
+def reference_eventually_bounded(testsets, F, action, family):
+    """The `eventually_bounded` row by its definition: per test set in name
+    order, whether some filter level's orbit, taken point by point, is
+    bounded; the witness is the first set whose orbits never are."""
+    return first_failure("eventually_bounded", (
+        f"orbit of {name} never becomes bounded"
+        for name, m in sorted(testsets.items())
+        if not any(
+            reference_bounded(reference_orbit_mask(k, m, action, F), family) for k in F.levels()
+        )
+    ))
+
+
+def reference_tail_cluster(tail, stars):
+    """Whether some star of `stars` holds two of the tail images, counted
+    with repeats."""
+    return any(sum((star >> i) & 1 for i in tail) >= 2 for star in stars)
+
+
+def reference_asymptotically_compact(testsets, F, action, family):
+    """The `asymptotically_compact` row by the count scan: per test set in
+    name order and sequence pattern, the images, taken with `apply_fn`, of
+    the pattern's points under the first sampled element of the last
+    `TAIL_WINDOW` filter levels must have a cluster in some finest star."""
+    finest = family.coverings[-1]
+    stars = [reference_star_mask(finest, 1 << x) for x in range(family.space.n)]
+    pts = family.space.points
+    levels = F.levels()[-TAIL_WINDOW:]
+
+    def clusterless():
+        for name, m in sorted(testsets.items()):
+            for pname, xs in _sequence_patterns(m, F.depth + 1):
+                tail = [action.apply_fn(F.sampler(k)[0], xs[k]) for k in levels]
+                if not reference_tail_cluster(tail, stars):
+                    trail = ",".join(pts[i].pid for i in tail)
+                    yield f"{name}/{pname}: tail images [{trail}] admit no cluster"
+
+    return first_failure("asymptotically_compact", clusterless())
 
 
 def reference_slabs(model, c):

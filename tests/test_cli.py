@@ -332,6 +332,18 @@ CONFIGS = {
     },
     "eps0-Infinity": (CUSTOM.replace("eps0 = 2.0", "eps0 = Infinity"), 2),
     "span-overflows": (CUSTOM.replace("count = 21", "start = -1e308\nstop = 1e308\ncount = 21"), 2),
+    "space-kind-unsupported": (CUSTOM.replace('kind = "line_grid"', 'kind = "circle"'), 2),
+    "family-kind-unsupported": (CUSTOM.replace('kind = "metric_chain"', 'kind = "open_coverings"'), 2),
+    "semigroup-kind-unsupported": (CUSTOM + '\n[semigroup]\nkind = "nat_mul"\n', 2),
+    "filter-kind-unsupported": (CUSTOM.replace(INTEGER_TAILS, 'kind = "vector_tails"\ndepth = 4'), 2),
+    "test-set-empty": (CUSTOM + "\n[testsets]\nnone = []\n", 2),
+    # at radius 0.2 no covering relates 0 and 1, and the identity moves nothing
+    "test-set-unbounded": (
+        CUSTOM.replace('kind = "halving_decay"', 'kind = "identity"')
+        .replace("eps0 = 2.0\ndepth = 2", "eps0 = 0.2\ndepth = 1")
+        + '\n[testsets]\nwide = "all"\n',
+        2,
+    ),
     **{
         f"{kind}-{key}-bool": (f'[scenario]\nkind = "{kind}"\n{key} = {value}\n', 2)
         for kind, key, value in (
@@ -352,7 +364,11 @@ def test_bad_config_is_config_error(tmp_path, capsys, name):
     code = main(["scenario", "--config", str(path)])
     err = capsys.readouterr().err
     assert code == expected, err
-    assert err.startswith("error: ") if expected else err == ""
+    if expected:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+    else:
+        assert err == ""
 
 
 def test_random_test_set_name_names_its_key(tmp_path, capsys):

@@ -39,6 +39,8 @@ class Rule:
     # search only from the line matching within[0] through the next line
     # matching within[1], like `sed -n '/a/,/b/p'`; an empty range fails
     within: Optional[tuple[str, str]] = None
+    # reported lines inside any of these ranges, read as `within`, pass
+    unless_within: tuple[tuple[str, str], ...] = ()
 
 
 RULES = [
@@ -185,22 +187,19 @@ RULES = [
         "PRODUCT_BATCH_BYTES = 1 << 18",
     ),
     Rule(
-        "limit-set-closes-one-orbit",
-        r"F\.levels\(\)",
-        ("src/coverdyn/dynamics.py",),
-        "a filter basis certifies that its level samples nest, so the level "
-        "orbits nest and the closure of the deepest orbit decides a limit set",
-        "    for k in F.levels():",
-        within=(r"^def _limit_set\(", r"^def omega_limit\("),
-    ),
-    Rule(
         "attraction-reads-one-orbit",
         r"F\.levels\(\)",
         ("src/coverdyn/dynamics.py",),
-        "the level orbits nest, so some level's orbit lies in a star of Y, or in "
-        "Y, exactly when the deepest orbit does: attraction and absorption test it alone",
+        "the level orbits nest, so the deepest orbit's closure is a limit set, "
+        "and a property that passes to subsets holds at some level's orbit exactly "
+        "when it holds at the deepest: attraction, absorption and the "
+        "eventually-bounded and limit-compact rows test that orbit alone. Only "
+        "the hypothesis checks and the tail images of asymptotic compactness read levels",
         "    for k in F.levels():",
-        within=(r"^def attracts\(", r"^HYPOTHESIS_NAMES"),
+        unless_within=(
+            (r"^def check_hypotheses\(", r"^def _tested_element\("),
+            (r"def clusterless_tails\(", r'first_failure\("asymptotically_compact"'),
+        ),
     ),
 ]
 
@@ -215,6 +214,18 @@ def _files(root: pathlib.Path, path: str) -> list[pathlib.Path]:
             if p.is_file() and not any(d.endswith(GENERATED) for d in p.relative_to(top).parts)
         )
     return [top]
+
+
+def _range(lines: list[str], span: tuple[str, str]) -> tuple[int, int]:
+    """(first, last): the index of the line matching span[0] and of the next
+    line matching span[1], or of the last line; first is len(lines) when no
+    line matches span[0]."""
+    start, stop = (re.compile(p) for p in span)
+    first = next((k for k, line in enumerate(lines) if start.search(line)), len(lines))
+    last = next(
+        (k for k in range(first + 1, len(lines)) if stop.search(lines[k])), len(lines) - 1
+    )
+    return first, last
 
 
 def violations(rule: Rule, root: pathlib.Path) -> list[str]:
@@ -235,18 +246,18 @@ def violations(rule: Rule, root: pathlib.Path) -> list[str]:
         lines = f.read_text(errors="replace").splitlines()
         first = 0
         if rule.within:
-            start, stop = (re.compile(p) for p in rule.within)
-            first = next((k for k, line in enumerate(lines) if start.search(line)), len(lines))
-            last = next(
-                (k for k in range(first + 1, len(lines)) if stop.search(lines[k])), len(lines) - 1
-            )
+            first, last = _range(lines, rule.within)
             lines = lines[: last + 1]
             if first == len(lines):
                 found.append(f"{rel}: the range {rule.within} is empty")
+        allowed = set()
+        for span in rule.unless_within:
+            a, b = _range(lines, span)
+            allowed.update(range(a, b + 1))
         hits = [
             f"{rel}:{k + 1}: {lines[k]}"
             for k in range(first, len(lines))
-            if re.search(rule.pattern, lines[k])
+            if k not in allowed and re.search(rule.pattern, lines[k])
         ]
         if rule.unless:
             hits = [h for h in hits if not re.search(rule.unless, h)]
@@ -293,6 +304,27 @@ def test_rule_rejects_a_planted_violation(rule, tree, tmp_path):
         lines.insert(at, rule.planted)
         target.write_text("\n".join(lines) + "\n")
     assert violations(rule, root) != []
+
+
+@pytest.mark.parametrize("anchor, held", [
+    (r"^    def dropped_coverings\(", False),
+    (r"^def check_dissipativity\(", False),
+    (r"^def _limit_set\(", False),
+    (r"^def attracts\(", False),
+    (r"^def check_hypotheses\(", True),
+    (r"^    def clusterless_tails\(", True),
+])
+def test_the_orbit_rule_allows_level_scans_in_the_hypotheses_and_tails_alone(
+    anchor, held, tree, tmp_path
+):
+    rule = next(r for r in RULES if r.name == "attraction-reads-one-orbit")
+    shutil.copytree(tree, tmp_path / "tree")
+    target = tmp_path / "tree" / rule.paths[0]
+    lines = target.read_text().splitlines()
+    at = next(k for k, line in enumerate(lines) if re.search(anchor, line)) + 1
+    lines.insert(at, rule.planted)
+    target.write_text("\n".join(lines) + "\n")
+    assert (violations(rule, tmp_path / "tree") == []) == held
 
 
 def test_a_range_rule_fails_when_its_range_is_gone(tmp_path):

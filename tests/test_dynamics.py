@@ -15,6 +15,7 @@ from coverdyn.compactness import default_cap, is_bounded, star_measure
 from coverdyn.covering import CheckResult, metric_chain_family
 from coverdyn.dynamics import (
     HYPOTHESIS_NAMES,
+    TAIL_WINDOW,
     Action,
     FilterBasis,
     NestingViolation,
@@ -44,14 +45,17 @@ from reference import (
     divergent_sequence,
     prox_form_attracts,
     reference_absorption_level,
+    reference_asymptotically_compact,
     reference_attracts,
     reference_check_associativity,
     reference_check_hypotheses,
     reference_closure_mask,
+    reference_eventually_bounded,
     reference_limit_compact,
     reference_limit_witnesses,
     reference_orbit_mask,
     reference_point_balls,
+    reference_tail_cluster,
 )
 from test_covering import random_cover_families
 
@@ -908,20 +912,34 @@ def attractor_system(name, seed):
     return dataclasses.replace(sc, testsets=testsets)
 
 
-def limit_compact(testsets, F, action, family, cap):
-    rep = check_dissipativity(
+def taxonomy(testsets, F, action, family, cap):
+    return check_dissipativity(
         action, F, family, testsets, cap=cap, points_sample=family.space.full_mask,
         absorb_candidate=None,
     )
-    return rep.check("limit_compact")
+
+
+def limit_compact(testsets, F, action, family, cap):
+    return taxonomy(testsets, F, action, family, cap).check("limit_compact")
+
+
+def assert_taxonomy_rows_match_the_definition(testsets, F, action, family, cap):
+    # limit_compact, and the two other rows that read the deepest orbit or
+    # the tail images
+    rep = taxonomy(testsets, F, action, family, cap)
+    args = (testsets, F, action, family)
+    assert rep.check("limit_compact") == reference_limit_compact(*args, cap)
+    assert rep.check("eventually_bounded") == reference_eventually_bounded(*args)
+    assert rep.check("asymptotically_compact") == reference_asymptotically_compact(*args)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_limit_compact_matches_the_definition_on_scenarios(name, seed):
     sc = attractor_system(name, seed)
-    args = (sc.testsets, sc.filter_basis, sc.action, sc.family, sc.declared.cap)
-    assert limit_compact(*args) == reference_limit_compact(*args)
+    assert_taxonomy_rows_match_the_definition(
+        sc.testsets, sc.filter_basis, sc.action, sc.family, sc.declared.cap
+    )
 
 
 @given(random_systems(), st.data())
@@ -930,13 +948,40 @@ def test_limit_compact_matches_the_definition_on_random_systems(system, data):
     family, action, F = system
     names = data.draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
     testsets = {name: data.draw(st.integers(1, family.space.full_mask)) for name in names}
-    args = (testsets, F, action, family, data.draw(st.integers(1, family.space.n)))
-    assert limit_compact(*args) == reference_limit_compact(*args)
+    assert_taxonomy_rows_match_the_definition(
+        testsets, F, action, family, data.draw(st.integers(1, family.space.n))
+    )
+
+
+def test_eventually_bounded_reads_the_deepest_orbit(decay, grid, tails):
+    # at radius 0.2 no covering relates 0 and 1, so the whole grid, its
+    # level-0 orbit, is unbounded; halving takes the deepest orbit to {0}
+    coarse = metric_chain_family(grid, 0.2, 1)
+    whole = {"whole": grid.full_mask}
+    assert not is_bounded(orbit_mask(0, grid.full_mask, decay, tails), coarse)
+    row = taxonomy(whole, tails, decay, coarse, 1).check("eventually_bounded")
+    assert row.passed
+    assert row == reference_eventually_bounded(whole, tails, decay, coarse)
+
+
+@given(random_cover_families(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_tail_pairs_meet_exactly_where_a_star_counts_two_images(family, data):
+    # point stars are symmetric, so some star holds a and b exactly when the
+    # stars of a and b meet; each point lies in its own star, so a repeated
+    # image is a cluster
+    n = family.space.n
+    pool = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    tail = data.draw(st.lists(st.sampled_from(pool), max_size=TAIL_WINDOW))
+    for cov in family.coverings:
+        stars = cov.point_star
+        pairs = any(stars[a] & stars[b] for a, b in itertools.combinations(tail, 2))
+        assert pairs == reference_tail_cluster(tail, stars), (tail, stars)
 
 
 def test_limit_compact_reads_the_deepest_orbit_first(monkeypatch):
-    # the member-measure cover searches of the seed-1 taxonomy (the row's
-    # only cover searches): a scan from level 0 makes 64, 60, 122 and 35
+    # the member-measure cover searches of the seed-1 taxonomy, the row's
+    # only cover searches: one member measure per deepest orbit
     real, calls = compactness.coverable_within, []
 
     def counted(*args):
@@ -951,8 +996,9 @@ def test_limit_compact_reads_the_deepest_orbit_first(monkeypatch):
         row = limit_compact(sc.testsets, sc.filter_basis, sc.action, sc.family, sc.declared.cap)
         assert row.passed == (name != "exp_decay")
         searches[name] = len(calls)
-    # every covering keeps the deepest orbits of composition and decay_grid;
-    # exp_decay fails the row, so it reads every level either way
-    assert searches["composition"] == searches["decay_grid"] == 1
-    assert searches["iterated_contractions"] <= 64
-    assert searches["exp_decay"] <= 122
+    # measures are memoised per set, and many test sets share a deepest
+    # orbit; a covering that fits decides every covering it refines; and
+    # exp_decay's row stops at its first failing set
+    assert searches == {
+        "composition": 1, "decay_grid": 1, "exp_decay": 2, "iterated_contractions": 24,
+    }

@@ -1,7 +1,8 @@
 """Golden reports: each CLI run must reproduce its recorded report byte for byte.
 
-The files under tests/golden/ hold the stdout of `coverdyn <argv>`; a change
-that alters any verdict, witness or formatting shows up here as a diff.
+The files under tests/golden/ hold the stdout of `coverdyn <argv>`, run from
+the repository root; a change that alters any verdict, witness or formatting
+shows up here as a diff.
 """
 
 import difflib
@@ -11,7 +12,8 @@ import pytest
 
 from coverdyn.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 SCENARIOS = ("composition", "decay_grid", "exp_decay", "iterated_contractions")
 
 CASES = {
@@ -32,11 +34,18 @@ CASES = {
         )
     },
     **{f"scenario-{s}": ("scenario", "--scenario", s) for s in SCENARIOS},
+    # the argv of the benchmark's grid-scale workload at seed 1, on its
+    # 201-point config; the path is relative to the repository root, so the
+    # report's config field does not depend on the checkout
+    "attractor-grid-scale-seed1": (
+        "attractor", "--config", "tests/golden/grid-scale.ini", "--seed", "1",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_matches_golden(name, capsys):
+def test_report_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
     main(list(CASES[name]))
     got = capsys.readouterr().out
     want = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
@@ -48,3 +57,9 @@ def test_report_matches_golden(name, capsys):
             tofile="current",
         )
         pytest.fail("report differs from golden:\n" + "".join(diff))
+
+
+def test_grid_scale_golden_reads_the_benchmark_config():
+    # perfbench/run.py writes this text as the grid-scale workload's config
+    text = (GOLDEN / "grid-scale.ini").read_text(encoding="utf-8")
+    assert f"GRID_CONFIG = {text!r}" in (ROOT / "perfbench" / "run.py").read_text(encoding="utf-8")
