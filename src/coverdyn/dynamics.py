@@ -7,7 +7,8 @@ The limit sets ω(Y) and J(x) intersect the closures of level orbits; level
 samples nest, so the orbits of one seed nest and, closures being monotone,
 the deepest orbit's closure is the intersection. For the same reason the
 deepest orbit alone decides attraction, absorption, and the taxonomy's
-eventually-bounded and limit-compact rows.
+eventually-bounded and limit-compact rows, and the deepest level's listing
+alone decides the translation hypotheses.
 """
 
 from __future__ import annotations
@@ -30,15 +31,16 @@ class NestingViolation(CoverdynError):
 class Semigroup:
     """An enumerable semigroup carrier with composition and division.
 
-    `divide_left(t, s)` returns a with s*a = t (None if no such element);
-    `divide_right(t, s)` returns a with a*s = t. Division backs the exact
-    translation-hypothesis checks. `compose` and the divisions must be pure
-    functions, and elements hashable: `check_hypotheses` memoises filter-level
-    membership by element value.
+    `samples` are the elements s that the translation hypotheses are
+    checked at. `divide_left(t, s)` returns a with s*a = t (None if no such
+    element); `divide_right(t, s)` returns a with a*s = t. Division backs the
+    exact translation-hypothesis checks. `compose` and the divisions must be
+    pure functions, and elements hashable: `check_hypotheses` memoises
+    filter-level membership by element value.
     """
 
     compose: Callable
-    sample: Callable[[int], tuple]
+    samples: tuple
     divide_left: Callable
     divide_right: Callable
 
@@ -47,7 +49,7 @@ def nat_add() -> Semigroup:
     """Nonnegative integers under addition."""
     return Semigroup(
         compose=lambda a, b: a + b,
-        sample=lambda count: tuple(range(count)),
+        samples=(0, 1, 2, 3),
         divide_left=lambda t, s: t - s if t - s >= 0 else None,
         divide_right=lambda t, s: t - s if t - s >= 0 else None,
     )
@@ -60,7 +62,7 @@ def nat_mul() -> Semigroup:
 
     return Semigroup(
         compose=lambda a, b: a * b,
-        sample=lambda count: tuple(range(1, count + 1)),
+        samples=(1, 2, 3, 4),
         divide_left=div,
         divide_right=div,
     )
@@ -68,24 +70,16 @@ def nat_mul() -> Semigroup:
 
 def vector_add(dim: int) -> Semigroup:
     """Nonnegative integer vectors under componentwise addition."""
-    def sample(count):
-        out = []
-        k = 0
-        while len(out) < count:
-            base = (k,) * dim
-            out.append(base)
-            if dim > 1 and len(out) < count:
-                out.append((k + 1,) + (k,) * (dim - 1))
-            k += 1
-        return tuple(out[:count])
-
     def div(t, s):
         a = tuple(x - y for x, y in zip(t, s))
         return a if all(v >= 0 for v in a) else None
 
     return Semigroup(
         compose=lambda a, b: tuple(x + y for x, y in zip(a, b)),
-        sample=sample,
+        samples=(
+            ((0,) * dim, (1,) + (0,) * (dim - 1), (1,) * dim, (2,) + (1,) * (dim - 1))
+            if dim > 1 else ((0,), (1,), (2,), (3,))
+        ),
         divide_left=div,
         divide_right=div,
     )
@@ -101,10 +95,14 @@ def scaling_maps(L: float = 0.5) -> Semigroup:
 
     return Semigroup(
         compose=lambda a, b: a * b,
-        sample=lambda count: tuple(L**j for j in range(1, count + 1)),
+        samples=tuple(L**j for j in range(1, 5)),
         divide_left=div,
         divide_right=div,
     )
+
+
+# carrier bound up to which `check_hypotheses` lists an enumerable filter level
+ENUMERATION_BOUND = 1000
 
 
 @dataclass(frozen=True)
@@ -115,14 +113,18 @@ class FilterBasis:
     returns a deterministic finite sample of level k, certified nonempty,
     inside its level and a subset of the previous level's sample, so level
     orbits nest. `enumerate_level`, when present, lists every element of
-    level k up to a carrier bound and backs exhaustive hypothesis checks.
+    level k up to a carrier bound and backs exhaustive hypothesis checks; its
+    listing up to `ENUMERATION_BOUND` is certified a subset of the previous
+    level's, so the deepest listing is the smallest. A basis that fails
+    either certificate raises `NestingViolation`, naming the first level
+    that fails. The level-k orbits are those of `replace(F, depth=k)`.
     `contains` must be a pure function of the element and the level:
     `check_hypotheses` memoises it by element value.
     `sampler` must be a pure function of the level: `orbit_rows` and
-    `orbit_mask` memoise per-point and per-set level orbits on the action,
-    keyed by the basis and the level. A basis compares by its fields, and it
-    hashes them (its semigroup's with them) once, on the first lookup: the
-    fields are frozen, so every later lookup reads the stored hash.
+    `orbit_mask` memoise per-point and per-set deepest orbits on the action,
+    keyed by the basis. A basis compares by its fields, and it hashes them
+    (its semigroup's with them) once, on the first lookup: the fields are
+    frozen, so every later lookup reads the stored hash.
     """
 
     semigroup: Semigroup
@@ -134,7 +136,7 @@ class FilterBasis:
     def __post_init__(self):
         if self.depth < 0:
             raise NestingViolation(f"a filter basis needs a level 0; got depth {self.depth}")
-        previous = None
+        previous = listed = None
         for k in range(self.depth + 1):
             sample = self.sampler(k)
             if not sample:
@@ -145,6 +147,12 @@ class FilterBasis:
                 if previous is not None and el not in previous:
                     raise NestingViolation(f"sample {el!r} of level {k} is not sampled at level {k - 1}")
             previous = set(sample)
+            if self.enumerate_level is not None:
+                listing = self.enumerate_level(k, ENUMERATION_BOUND)
+                if listed is not None and not listed.issuperset(listing):
+                    el = next(el for el in listing if el not in listed)
+                    raise NestingViolation(f"element {el!r} of level {k} is not listed at level {k - 1}")
+                listed = set(listing)
 
     def __hash__(self) -> int:
         h = self.__dict__.get("_hash")
@@ -255,32 +263,32 @@ class Action:
         return None
 
 
-def orbit_rows(level: int, action: Action, F: FilterBasis) -> tuple[int, ...]:
-    """Per point, the mask of its images under the sampled elements of filter
-    level `level`, from the cached `image_indices` rows, memoised on the action
-    per (basis, level). A basis hashes by its fields, so bases with different
-    samplers never share a key."""
+def orbit_rows(action: Action, F: FilterBasis) -> tuple[int, ...]:
+    """Per point, the mask of its images under the sampled elements of the
+    deepest filter level, from the cached `image_indices` rows, memoised on
+    the action per basis. A basis hashes by its fields, so bases with
+    different samplers or depths never share a key; the level-k rows are
+    those of `replace(F, depth=k)`."""
     cache = action.__dict__.setdefault("_orbit_rows", {})
-    key = (F, level)
-    rows = cache.get(key)
+    rows = cache.get(F)
     if rows is None:
         acc = [0] * action.space.n
-        for el in F.sampler(level):
+        for el in F.sampler(F.depth):
             for i, j in enumerate(action.image_indices(el)):
                 acc[i] |= 1 << j
-        rows = cache[key] = tuple(acc)
+        rows = cache[F] = tuple(acc)
     return rows
 
 
-def orbit_mask(level: int, ymask: int, action: Action, F: FilterBasis) -> int:
-    """Image of the point set `ymask` under the sampled elements of filter level
-    `level`: the union of the orbit rows of its points, cached on the action
-    per (basis, level, set)."""
+def orbit_mask(ymask: int, action: Action, F: FilterBasis) -> int:
+    """Image of the point set `ymask` under the sampled elements of the
+    deepest filter level: the union of the orbit rows of its points, cached
+    on the action per (basis, set)."""
     cache = action.__dict__.setdefault("_orbit_cache", {})
-    key = (F, level, ymask)
+    key = (F, ymask)
     out = cache.get(key)
     if out is None:
-        out = cache[key] = union_rows(orbit_rows(level, action, F), ymask)
+        out = cache[key] = union_rows(orbit_rows(action, F), ymask)
     return out
 
 
@@ -323,7 +331,7 @@ def _limit_set(
     witnessed by the first deepest (element, seed point) whose image hits that
     star. A point's star holds y iff y's star holds the point, so one pass over
     those pairs lets each image claim the unwitnessed points of its star."""
-    mask = family.closure_mask(orbit_mask(F.depth, seed, action, F))
+    mask = family.closure_mask(orbit_mask(seed, action, F))
     stars = family.coverings[-1].point_star
     found, todo = {}, mask
     for el in F.sampler(F.depth):
@@ -377,7 +385,7 @@ def attracts(
     if not ymask or not zmask:
         raise EmptyInput("attraction needs nonempty sets")
     stars = family.stars(ymask)
-    held = stars_containing(orbit_mask(F.depth, zmask, action, F), stars)
+    held = stars_containing(orbit_mask(zmask, action, F), stars)
     # the deepest orbit leaves each other star, so one of its images does
     return {
         i: next(
@@ -396,7 +404,7 @@ def absorbs(ymask: int, zmask: int, F: FilterBasis, action: Action) -> bool:
     orbits nest, so the deepest one decides."""
     if not ymask or not zmask:
         raise EmptyInput("absorption needs nonempty sets")
-    return orbit_mask(F.depth, zmask, action, F) & ~ymask == 0
+    return orbit_mask(zmask, action, F) & ~ymask == 0
 
 
 HYPOTHESIS_NAMES = {
@@ -407,13 +415,9 @@ HYPOTHESIS_NAMES = {
 }
 
 
-# carrier bound up to which `check_hypotheses` lists an enumerable filter level
-ENUMERATION_BOUND = 1000
-
-
 def check_hypotheses(F: FilterBasis, max_level: int) -> CheckList:
     """Exact translation-compatibility checks between the filter basis and the
-    semigroup, per element s of `F.semigroup.sample(4)` and level, using
+    semigroup, per element s of `F.semigroup.samples` and level, using
     semigroup division: one row per hypothesis, in sorted-name order.
 
     Levels are checked up to `max_level`, which callers leave below the
@@ -425,38 +429,27 @@ def check_hypotheses(F: FilterBasis, max_level: int) -> CheckList:
     `ENUMERATION_BOUND` when the basis enumerates it, else its sample, so the
     verdict is exact up to that bound.
 
-    One table pass decides every k at once: per (hypothesis, s) each element
-    b of a filter level is mapped to the element it is tested on, and that
-    element to the bitmask of checked levels that contain it (memoised by
-    element value across hypotheses and samples). Level j satisfies the AND
-    of those masks over its elements, and the satisfied levels are the OR of
-    those ANDs over j. An OR does not depend on the order of its terms, so
-    the scan runs from the deepest filter level up to level 0: with nested
-    levels the deepest one satisfies every checked level whenever the row
-    passes, and the scan stops after it. The scan of a level stops once its
-    AND holds no level that is still unsatisfied, which leaves the OR as it
-    is. Each filter level is listed at most once per call. A row fails at its
-    first failing (s, k), in sample order and then level order; its witness
-    names s, k and the first element of level 0 that blocks level k, and
-    later samples go unchecked.
+    The basis certifies that these listings nest, and what holds for every
+    element of a listing holds for every element of a sublisting, so some
+    level j passes exactly when the deepest one does. One table pass over the
+    deepest listing decides every k at once: per (hypothesis, s) each of its
+    elements b is mapped to the element it is tested on, and that element to
+    the bitmask of checked levels that contain it (memoised by element value
+    across hypotheses and samples); the AND of those masks holds the levels
+    that pass. A row fails at its first failing (s, k), in sample order and
+    then level order; its witness names s, k and the first element of level
+    0 that blocks level k, and later samples go unchecked.
     """
     sem = F.semigroup
-    s_samples = sem.sample(4)
     checked = range(min(max_level, F.depth) + 1)
     every = (1 << len(checked)) - 1
 
-    listed: dict = {}  # filter level -> its elements
+    def listing(j):
+        if F.enumerate_level is not None:
+            return F.enumerate_level(j, ENUMERATION_BOUND)
+        return F.sampler(j)
 
-    def elements_of(j):
-        out = listed.get(j)
-        if out is None:
-            if F.enumerate_level is not None:
-                out = F.enumerate_level(j, ENUMERATION_BOUND)
-            else:
-                out = F.sampler(j)
-            listed[j] = out
-        return out
-
+    deepest = listing(F.depth)
     member: dict = {}  # tested element -> mask of the checked levels holding it
 
     def levels_holding(a) -> int:
@@ -473,23 +466,18 @@ def check_hypotheses(F: FilterBasis, max_level: int) -> CheckList:
 
     def failures(name):
         tested = _tested_element(name, sem)
-        for s in s_samples:
-            satisfied = 0
-            for j in reversed(F.levels()):
-                acc, open_levels = every, every & ~satisfied
-                for b in elements_of(j):
-                    acc &= levels_holding(tested(s, b))
-                    if not acc & open_levels:
-                        break
-                satisfied |= acc
-                if satisfied == every:
+        for s in sem.samples:
+            held = every
+            for b in deepest:
+                held &= levels_holding(tested(s, b))
+                if not held:
                     break
-            failed = every & ~satisfied
+            failed = every & ~held
             if failed:
                 k = (failed & -failed).bit_length() - 1
-                # level 0 fails k too, so it holds the first blocking element
+                # the deepest listing lies in level 0's, so level 0 holds a blocker
                 blocker = next(
-                    b for b in elements_of(0)
+                    b for b in listing(0)
                     if not (levels_holding(tested(s, b)) >> k) & 1
                 )
                 yield f"s={s!r} level={k} blocker={blocker!r}"
@@ -557,7 +545,7 @@ def check_dissipativity(
     space = action.space
     outcomes = []
     masks = dict(sorted(testsets.items()))
-    deepest = {name: orbit_mask(F.depth, m, action, F) for name, m in masks.items()}
+    deepest = {name: orbit_mask(m, action, F) for name, m in masks.items()}
 
     outcomes.append(first_failure("eventually_bounded", (
         f"orbit of {name} never becomes bounded"

@@ -51,9 +51,6 @@ class CoverCollection:
         _check_family(self, other)
         return self.mask == other.mask
 
-    def __hash__(self) -> int:
-        return hash((id(self.family), self.mask))
-
     def __and__(self, other: "CoverCollection") -> "CoverCollection":
         _check_family(self, other)
         return CoverCollection(self.family, self.mask & other.mask)

@@ -627,6 +627,11 @@ def _load_custom(cp) -> Scenario:
         kind=kind_expect,
     )
     name = _jget(cp, "scenario", "name", "custom")
+    if type(name) is not str:
+        raise SchemaError(f"[scenario] name: {name!r} is not a string")
+    if name in BUILTIN_SCENARIOS:
+        # scenario_to_config would write it as that built-in's kind
+        raise SchemaError(f"[scenario] name: {name!r} names a built-in scenario")
     sc = Scenario(
         name=name,
         space=space,

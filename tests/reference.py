@@ -444,7 +444,7 @@ def reference_check_hypotheses(
     """
     sem = F.semigroup
     if s_samples is None:
-        s_samples = sem.sample(4)
+        s_samples = sem.samples
     if max_level is None:
         max_level = max(0, F.depth - 4)
     levels = range(min(max_level, F.depth) + 1)

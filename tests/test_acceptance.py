@@ -263,7 +263,7 @@ def test_criterion_7_hypothesis_checker():
 
     F = integer_tails(nat_mul(), depth=10, window=4, start=1)
     # the checker tests the elements the semigroup samples
-    sem = dataclasses.replace(F.semigroup, sample=lambda _: (1, 2, 3))
+    sem = dataclasses.replace(F.semigroup, samples=(1, 2, 3))
     multiplicative = check_hypotheses(
         dataclasses.replace(F, semigroup=sem), max_level=max(0, F.depth - 4)
     )

@@ -272,6 +272,12 @@ CONFIGS = {
         2,
     ),
     "not-utf-8": (b"\xff\xfe[scenario]\n", 2),
+    # a custom system named for a built-in serialized as that built-in
+    "custom-name-builtin": (CUSTOM.replace('kind = "custom"', 'kind = "custom"\nname = "composition"'), 2),
+    **{
+        f"custom-name-{label}": (CUSTOM.replace('kind = "custom"', f'kind = "custom"\nname = {value}'), 2)
+        for label, value in (("int", "5"), ("list", "[1]"), ("object", '{"a": 1}'))
+    },
     **{
         f"{kind}-depth-negative": (f'[scenario]\nkind = "{kind}"\ndepth = -1\n', 2)
         for kind in ("decay_grid", "iterated_contractions", "composition")

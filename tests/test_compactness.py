@@ -613,8 +613,8 @@ def test_measured_family_is_freed_without_cyclic_gc(make):
         assert family.stars(Y) == family.stars(Y) == tuple(c.star_mask(Y) for c in family.coverings)
         action = Action(semigroup=nat_add(), space=space, apply_fn=lambda t, i: 0)
         F = integer_tails(nat_add(), depth=2)
-        assert orbit_mask(1, Y, action, F) == orbit_mask(1, Y, action, F) == 1
-        assert orbit_rows(2, action, F) == (1,) * space.n
+        assert orbit_mask(Y, action, F) == orbit_mask(Y, action, F) == 1
+        assert orbit_rows(action, F) == (1,) * space.n
         refs = [weakref.ref(family), weakref.ref(action)]
         del family, action
         assert [ref() for ref in refs] == [None, None]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverdyn import compactness
+from coverdyn.attractor import construct_candidate
 from coverdyn.cli import RunConfig
 from coverdyn.compactness import default_cap, is_bounded, star_measure
 from coverdyn.covering import CheckResult, metric_chain_family
@@ -40,7 +41,7 @@ from coverdyn.proximity import (
     subset_at_resolution,
 )
 from coverdyn.scenarios import BUILTIN_SCENARIOS, get_scenario, load_system
-from coverdyn.space import CoverdynError, iter_bits, line_grid
+from coverdyn.space import CoverdynError, EmptyInput, iter_bits, line_grid
 from reference import (
     divergent_sequence,
     prox_form_attracts,
@@ -146,30 +147,60 @@ def test_image_row_rejects_a_value_that_is_no_point_index(grid, image):
     with pytest.raises(CoverdynError, match=f"element 3 sends point 7 to {image!r}"):
         action.image_indices(3)
     with pytest.raises(CoverdynError):
-        orbit_mask(0, 1, action, integer_tails(nat_add(), depth=0, window=4))
+        orbit_mask(1, action, integer_tails(nat_add(), depth=0, window=4))
 
 
 def test_semigroup_associativity_samples():
     for sem in (nat_add(), nat_mul(), vector_add(2)):
-        els = sem.sample(4)
+        els = sem.samples
         for a, b, c in itertools.product(els, repeat=3):
             assert sem.compose(sem.compose(a, b), c) == sem.compose(a, sem.compose(b, c))
 
 
+def truncated(F, k):
+    """F cut at level k: its deepest orbit is F's level-k orbit, as the
+    `--max-level` option builds it."""
+    return dataclasses.replace(F, depth=k)
+
+
 def test_orbit_identity_level_contains_y(identity_action, grid, tails):
     Y = pick(grid, 3, 9)
-    assert Y & ~orbit_mask(0, Y, identity_action, tails) == 0
+    assert Y & ~orbit_mask(Y, identity_action, truncated(tails, 0)) == 0
 
 
 def test_orbit_decay_values(decay, grid, tails):
-    got = orbit_mask(4, pick(grid, 100), decay, tails)
+    got = orbit_mask(pick(grid, 100), decay, truncated(tails, 4))
     assert got == pick(grid, *{100 >> t for t in range(4, 12)})
+    # the deepest level starts at 10, and 100 >> 7 is 0
+    assert orbit_mask(pick(grid, 100), decay, tails) == pick(grid, 0)
 
 
 def test_orbit_invariant_set(decay, grid, tails):
     zero = pick(grid, 0)
     for k in tails.levels():
-        assert orbit_mask(k, zero, decay, tails) == zero
+        assert orbit_mask(zero, decay, truncated(tails, k)) == zero
+
+
+EMPTY_INPUTS = {
+    "omega_limit": (lambda F, act, fam: omega_limit(0, F, act, fam), "limit set of the empty set"),
+    "attracts-empty-y": (lambda F, act, fam: attracts(0, 1, F, act, fam), "attraction needs nonempty sets"),
+    "attracts-empty-z": (lambda F, act, fam: attracts(1, 0, F, act, fam), "attraction needs nonempty sets"),
+    "absorbs-empty-y": (lambda F, act, fam: absorbs(0, 1, F, act), "absorption needs nonempty sets"),
+    "absorbs-empty-z": (lambda F, act, fam: absorbs(1, 0, F, act), "absorption needs nonempty sets"),
+    "check_dissipativity": (
+        lambda F, act, fam: taxonomy({}, F, act, fam, 1), "the taxonomy needs at least one test set"
+    ),
+    "construct_candidate": (
+        lambda F, act, fam: construct_candidate({}, F, act, fam), "candidate construction needs test sets"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_INPUTS))
+def test_public_entries_reject_empty_input(name, decay, fam, tails):
+    call, message = EMPTY_INPUTS[name]
+    with pytest.raises(EmptyInput, match=message):
+        call(tails, decay, fam)
 
 
 def test_divergent_sequence_blocks(tails):
@@ -183,11 +214,14 @@ def test_divergent_sequence_blocks(tails):
 
 @st.composite
 def level_samples(draw):
-    """An integer tail basis, or None for an explicit basis, and one sample
-    per level, each nonempty and inside its level: 1-3 elements of the
-    level's tail, or of 0..12 for an explicit basis, whose levels are these
-    sets. Nested samples add each deeper sample to the one above it; loose
-    ones are drawn apart, and may nest or not."""
+    """An integer tail basis, or None for an explicit basis, one sample per
+    level and maybe one listing per level. Each sample is nonempty and
+    inside its level: 1-3 elements of the level's tail, or of 0..12 for an
+    explicit basis, whose levels are these sets. A listing is 0-4 elements
+    of 0..12, repeats allowed, in any order. Nested samples add each deeper
+    sample to the one above it, and nested listings shuffle each deeper
+    listing into the one above it; loose ones are drawn apart, and may nest
+    or not."""
     depth, nested = draw(st.integers(0, 4)), draw(st.booleans())
     F, floor, offsets = None, [0] * (depth + 1), st.lists(st.integers(0, 12), min_size=1, max_size=3)
     if draw(st.booleans()):
@@ -198,22 +232,42 @@ def level_samples(draw):
     for k in reversed(range(depth + 1)):
         drawn = frozenset(floor[k] + d for d in draw(offsets))
         samples[k] = drawn | samples[k + 1] if nested else drawn
-    return F, samples[:-1]
+    listings = None
+    if draw(st.booleans()):
+        listings, nested = [()] * (depth + 2), draw(st.booleans())
+        for k in reversed(range(depth + 1)):
+            drawn = tuple(draw(st.lists(st.integers(0, 12), max_size=4)))
+            listings[k] = tuple(draw(st.permutations(drawn + listings[k + 1]))) if nested else drawn
+        listings = listings[:-1]
+    return F, samples[:-1], listings
+
+
+def first_loose_level(levels):
+    """The first level that is not a subset of the one above it, or None."""
+    return next((k for k in range(1, len(levels)) if not set(levels[k]) <= set(levels[k - 1])), None)
 
 
 @given(level_samples())
 @settings(max_examples=300, deadline=None)
 def test_filter_basis_rejects_exactly_the_samples_that_do_not_nest(case):
-    F, samples = case
+    # listings are certified too, each level's after its sample
+    F, samples, listings = case
+    listing = None if listings is None else lambda k, bound: listings[k]
 
     def build():
         if F is None:
-            return explicit_basis(samples)
-        return dataclasses.replace(F, sampler=lambda k: tuple(sorted(samples[k])))
+            return explicit_basis(samples, listing)
+        return dataclasses.replace(
+            F, sampler=lambda k: tuple(sorted(samples[k])), enumerate_level=listing or F.enumerate_level
+        )
 
-    loose = [k for k in range(1, len(samples)) if not samples[k] <= samples[k - 1]]
-    if loose:
-        with pytest.raises(NestingViolation, match=f"of level {loose[0]} is not sampled at level"):
+    loose = first_loose_level(samples)
+    unlisted = None if listings is None else first_loose_level(listings)
+    if loose is not None and (unlisted is None or loose <= unlisted):
+        with pytest.raises(NestingViolation, match=f"of level {loose} is not sampled at level {loose - 1}"):
+            build()
+    elif unlisted is not None:
+        with pytest.raises(NestingViolation, match=f"of level {unlisted} is not listed at level {unlisted - 1}"):
             build()
     else:
         assert build().depth == len(samples) - 1
@@ -353,7 +407,7 @@ def basis_with(F, s_samples=None, enumeration_bound=None):
     `enumeration_bound` in place of `ENUMERATION_BOUND`."""
     if s_samples is not None:
         F = dataclasses.replace(
-            F, semigroup=dataclasses.replace(F.semigroup, sample=lambda _: s_samples)
+            F, semigroup=dataclasses.replace(F.semigroup, samples=s_samples)
         )
     if enumeration_bound is not None and F.enumerate_level is not None:
         listing = F.enumerate_level
@@ -411,13 +465,15 @@ def assert_hypotheses_match_reference(F, s_samples=None, enumeration_bound=1000,
     )
 
 
-def explicit_basis(level_sets):
-    """A sampler-only basis over nat_add, built as the config `explicit` filter is."""
+def explicit_basis(level_sets, enumerate_level=None):
+    """A basis over nat_add built as the config `explicit` filter is, which
+    has no listing, or with the listing `enumerate_level`."""
     return FilterBasis(
         semigroup=nat_add(),
         depth=len(level_sets) - 1,
         contains=lambda el, k: el in level_sets[k],
         sampler=lambda k: tuple(sorted(level_sets[k])),
+        enumerate_level=enumerate_level,
     )
 
 
@@ -450,12 +506,15 @@ def hypothesis_inputs(draw):
         F = explicit_basis(draw(nested_level_sets(depth)))
         element = st.integers(0, 6)
     else:
-        # listed levels need not nest, nor be sorted or free of repeats, so a
-        # deeper level can satisfy fewer checked levels than a shallower one
-        listed = draw(st.lists(st.lists(st.integers(0, 12)), min_size=depth + 1, max_size=depth + 1))
-        F = dataclasses.replace(
-            explicit_basis(draw(nested_level_sets(depth))),
-            enumerate_level=lambda j, bound: tuple(b for b in listed[j] if b <= bound),
+        # listed levels nest, as the basis certifies, but need not be sorted,
+        # free of repeats, or made of their level's elements
+        listed = [()] * (depth + 2)
+        for j in reversed(range(depth + 1)):
+            drawn = tuple(draw(st.lists(st.integers(0, 12), max_size=4)))
+            listed[j] = tuple(draw(st.permutations(drawn + listed[j + 1])))
+        F = explicit_basis(
+            draw(nested_level_sets(depth)),
+            lambda j, bound: tuple(b for b in listed[j] if b <= bound),
         )
         element = st.integers(0, 6)
     s_samples = draw(st.none() | st.lists(element, max_size=4).map(tuple))
@@ -471,17 +530,25 @@ def test_hypotheses_table_pass_matches_reference(inputs):
     assert_hypotheses_match_reference(F, **kwargs)
 
 
-def test_hypotheses_keep_levels_satisfied_by_a_shallower_filter_level():
-    # the listed filter levels do not nest: 0 + 2 lies in checked levels 0
-    # and 1, while 0 + 1 and 0 + 0 lie in level 0 only, so the deeper
-    # filter levels satisfy less and must not undo what level 0 satisfied
-    listed = [(2,), (1,), (0,)]
-    F = dataclasses.replace(
-        explicit_basis([frozenset({0, 1, 2, 3}), frozenset({2, 3}), frozenset({3})]),
-        enumerate_level=lambda j, bound: listed[j],
+def test_hypotheses_read_the_deepest_listing_and_take_blockers_from_level_0():
+    # the listings nest: the deepest, (2,), decides every row, and 0 + 2
+    # lies in checked levels 0 and 1 only; each failing row names the first
+    # element of level 0's listing outside level 2, and level 1 goes unlisted
+    listed = [(1, 0, 2, 3), (2, 3, 2), (2,)]
+    reads = collections.Counter()
+
+    def listing(j, bound):
+        reads[j] += 1
+        return listed[j]
+
+    F = basis_with(
+        explicit_basis([frozenset({0, 1, 2, 3}), frozenset({2, 3}), frozenset({3})], listing),
+        s_samples=(0,),
     )
-    rep = check_hypotheses(basis_with(F, s_samples=(0,)), max_level=2)
-    assert rep.check("left_translate_into").witness == "s=0 level=2 blocker=2"
+    reads.clear()  # the basis certifies its listings when built
+    rep = check_hypotheses(F, max_level=2)
+    assert [c.witness for c in rep.checks] == ["s=0 level=2 blocker=1"] * 4
+    assert reads == {2: 1, 0: 4}
     assert_hypotheses_match_reference(F, s_samples=(0,), max_level=2)
 
 
@@ -528,9 +595,8 @@ def test_hypotheses_call_contains_once_per_tested_element_and_level():
 
 
 def test_hypotheses_scan_the_grid_scale_basis_from_its_deepest_level():
-    # the 201-point grid basis nests, so its deepest level alone satisfies
-    # every checked level of each passing row; a scan from level 0 reads
-    # level 0 in full for every s and then the levels below it
+    # the 201-point grid basis passes every row, so its deepest listing is
+    # the only one read: once per call, and in full once per row and sample
     base = load_system('[scenario]\nkind = "decay_grid"\ncount = 201\n').filter_basis
     sem = base.semigroup
     calls = collections.Counter()
@@ -566,11 +632,10 @@ def test_hypotheses_scan_the_grid_scale_basis_from_its_deepest_level():
     rep = check_hypotheses(F, **kwargs)
     assert rep == reference_check_hypotheses(base, **kwargs)
     assert rep.all_passed
-    assert max(n for key, n in calls.items() if key[0] == "enumerate") == 1
-    rows, s_count = len(rep.checks), len(sem.sample(4))
+    assert {key: n for key, n in calls.items() if key[0] == "enumerate"} == {("enumerate", F.depth): 1}
+    rows, s_count = len(rep.checks), len(sem.samples)
     deepest = len(base.enumerate_level(F.depth, 1000))
-    assert calls["compose"] + calls["divide"] <= rows * 2 * s_count * deepest
-    assert calls["reads"] <= rows * s_count * deepest
+    assert calls["compose"] + calls["divide"] == calls["reads"] == rows * s_count * deepest
 
 
 def test_taxonomy_decay(decay, grid, fam, tails):
@@ -716,9 +781,9 @@ def test_orbit_cache_keeps_filter_bases_apart(decay, grid, order):
     assert want[0] != want[1]
     for j in [j for j in order for _ in range(2)]:
         F = bases[j]
-        assert [orbit_mask(k, Y, action, F) for k in F.levels()] == want[j]
+        assert [orbit_mask(Y, action, truncated(F, k)) for k in F.levels()] == want[j]
     # the per-point rows are keyed by the basis too
-    rows = [[orbit_rows(k, action, F) for k in F.levels()] for F in bases]
+    rows = [[orbit_rows(action, truncated(F, k)) for k in F.levels()] for F in bases]
     for F, per_level in zip(bases, rows):
         for k, row in zip(F.levels(), per_level):
             assert row == tuple(reference_orbit_mask(k, 1 << i, action, F) for i in range(grid.n))
@@ -742,22 +807,24 @@ class _HashCountingSampler:
 
 def test_filter_basis_hashes_its_fields_once(decay, grid):
     # every orbit_rows and orbit_mask lookup keys its memo by the basis, and
-    # only the first one hashes the basis's fields
+    # only the first one on each basis hashes the basis's fields
     sampler = _HashCountingSampler(integer_tails(nat_add(), depth=3).sampler)
     F = dataclasses.replace(integer_tails(nat_add(), depth=3), sampler=sampler)
+    # F itself reads the deepest level
+    levels = [truncated(F, k) for k in range(F.depth)] + [F]
     assert sampler.hashes == 0
     action = Action(semigroup=nat_add(), space=grid, apply_fn=decay.apply_fn)
     for _ in range(3):
-        for k in F.levels():
-            assert orbit_rows(k, action, F) == orbit_rows(k, action, F)
+        for k, G in enumerate(levels):
+            assert orbit_rows(action, G) == orbit_rows(action, G)
             for Y in (pick(grid, 7, 50), pick(grid, 100), grid.full_mask):
-                assert orbit_mask(k, Y, action, F) == reference_orbit_mask(k, Y, action, F)
-    assert sampler.hashes == 1
+                assert orbit_mask(Y, action, G) == reference_orbit_mask(k, Y, action, F)
+    assert sampler.hashes == len(levels)
     # a basis with the same fields is equal and hashes equal: the memos are
     # shared between them, as with the field hash of a frozen dataclass
     twin = dataclasses.replace(F)
     assert twin == F and hash(twin) == hash(F) and twin is not F
-    assert sampler.hashes == 2
+    assert sampler.hashes == len(levels) + 1
 
 
 @st.composite
@@ -774,13 +841,14 @@ def self_map_orbit_queries(draw):
         st.tuples(st.integers(0, len(bases) - 1), st.integers(0, 4), st.integers(0, (1 << n) - 1)),
         min_size=1, max_size=12,
     ))
-    return n, f, bases, [(bases[b], min(k, bases[b].depth), Y) for b, k, Y in queries]
+    # a query cuts its basis at level k; equal cuts share the memos
+    return n, f, [(truncated(bases[b], min(k, bases[b].depth)), Y) for b, k, Y in queries]
 
 
 @given(self_map_orbit_queries())
 @settings(max_examples=150, deadline=None)
 def test_orbit_rows_match_point_by_point_images(case):
-    n, f, bases, queries = case
+    n, f, queries = case
     space = line_grid(0.0, 1.0, n)
 
     def apply_fn(t, i):
@@ -788,19 +856,19 @@ def test_orbit_rows_match_point_by_point_images(case):
             i = f[i]
         return i
 
-    def rows_ok(action, F, k):
-        want = tuple(reference_orbit_mask(k, 1 << i, action, F) for i in range(n))
-        return orbit_rows(k, action, F) == want
+    def rows_ok(action, F):
+        want = tuple(reference_orbit_mask(F.depth, 1 << i, action, F) for i in range(n))
+        return orbit_rows(action, F) == want
 
     # one fresh action per order of the two memos; on each, the queries run
     # cold, warm, then reversed on the warm memos
     for rows_first in (False, True):
         action = Action(semigroup=nat_add(), space=space, apply_fn=apply_fn)
-        for F, k, Y in [*queries, *queries, *reversed(queries)]:
+        for F, Y in [*queries, *queries, *reversed(queries)]:
             if rows_first:
-                assert rows_ok(action, F, k)
-            assert orbit_mask(k, Y, action, F) == reference_orbit_mask(k, Y, action, F)
-            assert rows_ok(action, F, k)
+                assert rows_ok(action, F)
+            assert orbit_mask(Y, action, F) == reference_orbit_mask(F.depth, Y, action, F)
+            assert rows_ok(action, F)
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
@@ -958,7 +1026,7 @@ def test_eventually_bounded_reads_the_deepest_orbit(decay, grid, tails):
     # level-0 orbit, is unbounded; halving takes the deepest orbit to {0}
     coarse = metric_chain_family(grid, 0.2, 1)
     whole = {"whole": grid.full_mask}
-    assert not is_bounded(orbit_mask(0, grid.full_mask, decay, tails), coarse)
+    assert not is_bounded(orbit_mask(grid.full_mask, decay, truncated(tails, 0)), coarse)
     row = taxonomy(whole, tails, decay, coarse, 1).check("eventually_bounded")
     assert row.passed
     assert row == reference_eventually_bounded(whole, tails, decay, coarse)

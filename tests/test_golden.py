@@ -34,6 +34,12 @@ CASES = {
         )
     },
     **{f"scenario-{s}": ("scenario", "--scenario", s) for s in SCENARIOS},
+    # truncated bases: at level 5 the report's kind is global-only, which no
+    # other case reaches, and level 2 fails two hypothesis rows of a nat_add basis
+    **{
+        f"attractor-decay_grid-max-level{k}": ("attractor", "--scenario", "decay_grid", "--max-level", str(k))
+        for k in (5, 2)
+    },
     # the argv of the benchmark's grid-scale workload at seed 1, on its
     # 201-point config; the path is relative to the repository root, so the
     # report's config field does not depend on the checkout

@@ -1,5 +1,6 @@
 """Cross-cutting limit-set invariants, exercised per scenario."""
 
+import dataclasses
 import random
 
 import pytest
@@ -35,7 +36,7 @@ def test_omega_forward_invariant_under_h1(name, scenarios, hypothesis_reports):
         om = omega_limit(Y, sc.filter_basis, sc.action, sc.family).mask
         if not om:
             continue
-        image = orbit_mask(0, om, sc.action, sc.filter_basis)
+        image = orbit_mask(om, sc.action, dataclasses.replace(sc.filter_basis, depth=0))
         assert subset_at_resolution(image, om, sc.family), (name, tname)
 
 
@@ -131,7 +132,7 @@ def test_omega_matches_cluster_point_oracle(name):
         for p in range(space.n):
             ok = True
             for k in F.levels():
-                om = orbit_mask(k, ymask, sc.action, F)
+                om = orbit_mask(ymask, sc.action, dataclasses.replace(F, depth=k))
                 if not all(
                     om & fam.coverings[i].point_star[p] for i in range(fam.size)
                 ):

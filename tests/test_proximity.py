@@ -95,6 +95,13 @@ def test_zero_precedes_everything(fam):
         assert precedes(zero, levels(fam, t))
 
 
+def test_collection_equality_leaves_a_non_collection_to_the_other_side(fam):
+    c = CoverCollection(fam, 1)
+    assert c.__eq__(1) is NotImplemented
+    # both sides decline, so == falls back to identity
+    assert c != 1 and c != "1" and not c == (fam, 1)
+
+
 def test_empty_is_upper_bound(fam):
     top = CoverCollection(fam, 0)
     for t in (-1, 0, 2, fam.depth):

@@ -200,6 +200,15 @@ def test_custom_scenario_does_not_serialize():
         scenario_to_config(load_system(MINI_CONFIG))
 
 
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_custom_scenario_may_not_take_a_builtin_name(name):
+    # scenario_to_config writes a scenario as the built-in of its name, so a
+    # custom system of that name would reload as the built-in
+    assert load_system(scenario_to_config(get_scenario(name))).name == name
+    with pytest.raises(SchemaError, match=f"name: '{name}' names a built-in scenario"):
+        load_system(MINI_CONFIG.replace('name = "mini"', f'name = "{name}"'))
+
+
 def test_load_nesting_violation():
     cfg = """
 [scenario]
