@@ -313,7 +313,7 @@ def test_rule_rejects_a_planted_violation(rule, tree, tmp_path):
     (r"^def attracts\(", False),
     (r"^def check_hypotheses\(", False),
     (r"^    def clusterless_tails\(", True),
-])
+], ids=["dropped_coverings", "dissipativity", "limit_set", "attracts", "hypotheses", "tails"])
 def test_the_orbit_rule_allows_level_scans_in_the_tails_alone(
     anchor, held, tree, tmp_path
 ):
