@@ -114,16 +114,16 @@ def verify_global(
     def unattracted():
         if not candidate:
             yield "empty candidate"
-            return
-        for name in sorted(testsets):
-            failures = attracts(candidate, testsets[name], F, action, family)
-            if failures:
-                idx, (el, z, img) = min(failures.items())
-                pts = action.space.points
-                yield (
-                    f"{name}: covering {idx} never absorbed; witness element "
-                    f"{el!r} sends {pts[z].pid} to {pts[img].pid}"
-                )
+        else:
+            for name in sorted(testsets):
+                failures = attracts(candidate, testsets[name], F, action, family)
+                if failures:
+                    idx, (el, z, img) = min(failures.items())
+                    pts = action.space.points
+                    yield (
+                        f"{name}: covering {idx} never absorbed; witness element "
+                        f"{el!r} sends {pts[z].pid} to {pts[img].pid}"
+                    )
 
     checks.append(first_failure("attracts", unattracted()))
     return AttractorVerdict(
@@ -148,12 +148,12 @@ def verify_uniform(
     def limits_outside():
         if not candidate:
             yield "empty candidate"
-            return
-        for x in iter_bits(points_sample):
-            rep = prolongational_limit(x, F, action, family)
-            if not subset_at_resolution(rep.mask, candidate, family):
-                pid = action.space.points[x].pid
-                yield f"limit of {pid} leaves the candidate: {rep.pids()[:4]}"
+        else:
+            for x in iter_bits(points_sample):
+                rep = prolongational_limit(x, F, action, family)
+                if not subset_at_resolution(rep.mask, candidate, family):
+                    pid = action.space.points[x].pid
+                    yield f"limit of {pid} leaves the candidate: {rep.pids()[:4]}"
 
     checks.append(first_failure("prolongational_limits_inside", limits_outside()))
     return AttractorVerdict(

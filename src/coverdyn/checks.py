@@ -203,11 +203,13 @@ def _triangles(family: AdmissibleFamily, P, cols, val) -> list[CheckResult]:
                 y = (bad & -bad).bit_length() - 1
                 # the coverings whose 2-step coarsening prox(x, y) does not hold
                 cut = sum(1 << i for i in range(size) if reach2[i] & ~val(x, y))
-                for a, b in itertools.product(range(n), repeat=2):
-                    if val(x, a) & val(a, b) & val(b, y) & cut:
-                        yield ",".join(pts[q].pid for q in (x, y, a, b))
-                        return
-                raise table_fault("two-intermediate", x, bad)
+                path = next((
+                    (a, b) for a, b in itertools.product(range(n), repeat=2)
+                    if val(x, a) & val(a, b) & val(b, y) & cut
+                ), None)
+                if path is None:
+                    raise table_fault("two-intermediate", x, bad)
+                yield ",".join(pts[q].pid for q in (x, y, *path))
 
     return [
         first_failure("prox_triangle_1_intermediate", one_violations()),

@@ -79,9 +79,6 @@ def _greedy_cover(target: int, candidates: Sequence[int], cap: int) -> Optional[
     used = 0
     while remaining:
         best = max(candidates, key=lambda c: (c & remaining).bit_count())
-        gain = best & remaining
-        if not gain:
-            return None
         remaining &= ~best
         used += 1
         if used > cap:
@@ -128,8 +125,6 @@ def coverable_within(
     branches that cannot reach a cover and keeps the node order, so the
     search visits a subset of the unbounded tree.
     """
-    if target == 0:
-        return True
     distinct = {c & target for c in candidates if c & target}
     union_all = 0
     for c in distinct:

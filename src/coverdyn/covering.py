@@ -73,9 +73,6 @@ class Covering:
             raise EmptyInput("star of the empty set is undefined")
         return union_rows(self.point_star, ymask)
 
-    def __repr__(self) -> str:
-        return f"Covering({self.label or len(self.members)})"
-
 
 def make_covering_masks(space: Space, masks: Iterable[int], label: str = "") -> Covering:
     """Validate and build a covering from member masks."""
@@ -365,7 +362,6 @@ def enumerate_open_coverings(space: Space) -> list[Covering]:
             f"({MAX_OPENS_FOR_ENUMERATION})"
         )
     out = []
-    seen = set()
     full = space.full_mask
     for r in range(1, len(nonempty) + 1):
         for combo in itertools.combinations(nonempty, r):
@@ -374,11 +370,7 @@ def enumerate_open_coverings(space: Space) -> list[Covering]:
                 union |= m
             if union != full:
                 continue
-            key = tuple(sorted(combo))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(make_covering_masks(space, key, label=f"cov{len(out)}"))
+            out.append(make_covering_masks(space, combo, label=f"cov{len(out)}"))
     return out
 
 

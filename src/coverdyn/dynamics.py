@@ -112,9 +112,9 @@ class FilterBasis:
     `contains(el, k)` is the membership predicate of level k; `sampler(k)`
     returns a deterministic finite sample of level k, certified nonempty,
     inside its level and a subset of the previous level's sample, so level
-    orbits nest. `enumerate_level`, when present, lists every element of
-    level k up to a carrier bound and backs exhaustive hypothesis checks; its
-    listing up to `ENUMERATION_BOUND` is certified a subset of the previous
+    orbits nest. `enumerate_level(k)`, when present, lists every element of
+    level k up to the carrier bound `ENUMERATION_BOUND` and backs exhaustive
+    hypothesis checks; each listing is certified a subset of the previous
     level's, so the deepest listing is the smallest. A basis that fails
     either certificate raises `NestingViolation`, naming the first level
     that fails. The level-k orbits are those of `replace(F, depth=k)`.
@@ -131,7 +131,7 @@ class FilterBasis:
     depth: int
     contains: Callable[[object, int], bool]
     sampler: Callable[[int], tuple]
-    enumerate_level: Optional[Callable[[int, int], tuple]] = None
+    enumerate_level: Optional[Callable[[int], tuple]] = None
 
     def __post_init__(self):
         if self.depth < 0:
@@ -148,7 +148,7 @@ class FilterBasis:
                     raise NestingViolation(f"sample {el!r} of level {k} is not sampled at level {k - 1}")
             previous = set(sample)
             if self.enumerate_level is not None:
-                listing = self.enumerate_level(k, ENUMERATION_BOUND)
+                listing = self.enumerate_level(k)
                 if listed is not None and not listed.issuperset(listing):
                     el = next(el for el in listing if el not in listed)
                     raise NestingViolation(f"element {el!r} of level {k} is not listed at level {k - 1}")
@@ -180,7 +180,7 @@ def integer_tails(
         depth=depth,
         contains=lambda el, k: el >= lo(k),
         sampler=lambda k: tuple(range(lo(k), lo(depth) + window)),
-        enumerate_level=lambda k, bound: tuple(range(lo(k), bound + 1)),
+        enumerate_level=lambda k: tuple(range(lo(k), ENUMERATION_BOUND + 1)),
     )
 
 
@@ -212,6 +212,7 @@ def scaling_tails(depth: int, window: int = 3, L: float = 0.5) -> FilterBasis:
 @dataclass(frozen=True, eq=False)
 class Action:
     """A semigroup action on a finite space; every image is again a sample point.
+    Its semigroup is the filter basis's, `FilterBasis.semigroup`.
 
     Points are indices: `apply_fn(el, i)` returns the index of the image of
     point i as a Python int. It must be pure: element image rows
@@ -220,7 +221,6 @@ class Action:
     Every image read, witnesses included, comes from the image rows.
     """
 
-    semigroup: Semigroup
     space: Space
     apply_fn: Callable[[object, int], int]
 
@@ -249,14 +249,15 @@ class Action:
             out |= 1 << row[i]
         return out
 
-    def check_associativity(self, elements: Sequence) -> Optional[tuple]:
+    def check_associativity(self, compose: Callable, elements: Sequence) -> Optional[tuple]:
         """Return the first (s, t, x), x a point index, with s(t(x)) != (s*t)(x),
-        in element, element, index order; None when every sampled pair passes."""
+        s*t being `compose(s, t)`, in element, element, index order; None when
+        every sampled pair passes."""
         for s in elements:
             rs = self.image_indices(s)
             for t in elements:
                 rt = self.image_indices(t)
-                rst = self.image_indices(self.semigroup.compose(s, t))
+                rst = self.image_indices(compose(s, t))
                 for x in range(self.space.n):
                     if rs[rt[x]] != rst[x]:
                         return (s, t, x)
@@ -425,9 +426,9 @@ def check_hypotheses(F: FilterBasis, max_level: int) -> CheckList:
     hypothesis holds at (s, k) when some filter level j has the element
     tested for each of its elements b inside level k: s*b, b*s, or the a
     with a*s = b or with s*a = b, one per hypothesis (a failed division
-    fails every level). Each level is every element up to
-    `ENUMERATION_BOUND` when the basis enumerates it, else its sample, so the
-    verdict is exact up to that bound.
+    fails every level). Each level is its listing `F.enumerate_level(k)`,
+    every element up to `ENUMERATION_BOUND`, when the basis has one, else its
+    sample, so the verdict is exact up to that bound.
 
     The basis certifies that these listings nest, and what holds for every
     element of a listing holds for every element of a sublisting, so some
@@ -446,7 +447,7 @@ def check_hypotheses(F: FilterBasis, max_level: int) -> CheckList:
 
     def listing(j):
         if F.enumerate_level is not None:
-            return F.enumerate_level(j, ENUMERATION_BOUND)
+            return F.enumerate_level(j)
         return F.sampler(j)
 
     deepest = listing(F.depth)

@@ -40,10 +40,6 @@ class FunctionSpaceModel:
 
 
 def as_value(v, dim: int) -> Value:
-    if isinstance(v, (int, float)):
-        if dim != 1:
-            raise ValueError("scalar value in a vector-valued model")
-        return (float(v),)
     out = tuple(float(x) for x in v)
     if len(out) != dim:
         raise ValueError(f"value {v!r} has dimension {len(out)}, expected {dim}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .covering import AdmissibleFamily
-from .space import CoverdynError, EmptyInput, iter_bits, union_rows
+from .space import CoverdynError, EmptyInput, union_rows
 
 
 class FamilyMismatch(CoverdynError):
@@ -58,9 +58,6 @@ class CoverCollection:
     def __or__(self, other: "CoverCollection") -> "CoverCollection":
         _check_family(self, other)
         return CoverCollection(self.family, self.mask | other.mask)
-
-    def __repr__(self) -> str:
-        return f"CoverCollection({list(iter_bits(self.mask))})"
 
 
 def _check_family(a: CoverCollection, b: CoverCollection) -> None:

@@ -71,9 +71,6 @@ class Point:
     index: int
     coords: Optional[tuple[float, ...]] = None
 
-    def __repr__(self) -> str:
-        return f"Point({self.pid})"
-
 
 def _fmt_coords(coords: Sequence[float], exact: bool = False) -> str:
     return "(" + ",".join(repr(float(c)) if exact else f"{c:.10g}" for c in coords) + ")"
@@ -241,9 +238,9 @@ def build_metric_space(
     """
     if len(coords) == 0:
         raise EmptyInput("a space needs at least one point")
-    arr = np.array([[float(c) for c in row] for row in coords], dtype=float)
-    if arr.ndim != 2:
+    if len({len(row) for row in coords}) > 1:
         raise ValueError("all coordinate vectors must have the same length")
+    arr = np.array([[float(c) for c in row] for row in coords], dtype=float)
     if ids is None:
         ids = _default_ids(arr)
     bad = ~np.isfinite(arr)

@@ -372,12 +372,12 @@ def reference_orbit_mask(level, ymask, action, F):
     return out
 
 
-def reference_check_associativity(action, elements):
+def reference_check_associativity(action, compose, elements):
     """The first (s, t, x) over the sampled elements and every point index
-    with s(t(x)) != (s*t)(x), or None."""
+    with s(t(x)) != (s*t)(x), s*t being `compose(s, t)`, or None."""
     for s in elements:
         for t in elements:
-            st = action.semigroup.compose(s, t)
+            st = compose(s, t)
             for x in range(action.space.n):
                 if action.apply_fn(s, action.apply_fn(t, x)) != action.apply_fn(st, x):
                     return (s, t, x)
@@ -451,7 +451,7 @@ def reference_check_hypotheses(
 
     def elements_of(j):
         if F.enumerate_level is not None:
-            return F.enumerate_level(j, enumeration_bound)
+            return tuple(b for b in F.enumerate_level(j) if b <= enumeration_bound)
         return F.sampler(j)
 
     def holds(name, s, k, j) -> bool:

@@ -359,6 +359,35 @@ CONFIGS = {
             ("iterated_contractions", "chain_depth", "true"),
         )
     },
+    "space-count-missing": (CUSTOM.replace("count = 21\n", ""), 2),
+    "exp_decay-depth-5": ('[scenario]\nkind = "exp_decay"\ndepth = 5\n', 2),
+    # window 0 empties the deepest level's sample
+    "filter-window-zero": (CUSTOM + "window = 0\n", 2),
+    "filter-levels-empty-level": (
+        CUSTOM.replace(INTEGER_TAILS, 'kind = "explicit"\nlevels = [[0, 1], []]'),
+        2,
+    ),
+    "family-depth-negative": (CUSTOM.replace("eps0 = 2.0\ndepth = 2", "eps0 = 2.0\ndepth = -1"), 2),
+    # negative radii leave every value ball empty
+    "composition-eps0-negative": ('[scenario]\nkind = "composition"\neps0 = -1\n', 2),
+    "test-set-int": (CUSTOM + "\n[testsets]\na = 3\n", 2),
+    "filter-levels-int": (CUSTOM.replace(INTEGER_TAILS, 'kind = "explicit"\nlevels = 3'), 2),
+    "filter-levels-int-level": (CUSTOM.replace(INTEGER_TAILS, 'kind = "explicit"\nlevels = [3]'), 2),
+}
+# the error line of each of these rows
+MESSAGES = {
+    "space-count-missing": "error: missing [space] count\n",
+    "exp_decay-depth-5": "error: the witness family is tuned to the filter truncation\n",
+    "filter-window-zero": "error: level 4 has an empty sample\n",
+    "filter-levels-empty-level": "error: level 1 has an empty sample\n",
+    "family-depth-negative": "error: bad config value: depth must be nonnegative\n",
+    "composition-eps0-negative": "error: bad config value: constraint at arg 0 empties every member\n",
+    "test-set-int": 'error: [testsets] a: 3 is not "all" or a list of point indices\n',
+    "filter-levels-int": "error: [filter] levels: 3 is not a list of lists of semigroup elements\n",
+    "filter-levels-int-level": "error: [filter] levels: [3] is not a list of lists of semigroup elements\n",
+    "filter-levels-strings": (
+        "error: [filter] levels: ['ab', 'b'] is not a list of lists of semigroup elements\n"
+    ),
 }
 
 
@@ -373,6 +402,7 @@ def test_bad_config_is_config_error(tmp_path, capsys, name):
     if expected:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+        assert err == MESSAGES.get(name, err)
     else:
         assert err == ""
 
@@ -447,6 +477,45 @@ def test_unbounded_random_draws_are_not_a_config_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code in (0, 1)
     assert captured.err == ""
+
+
+def test_empty_expected_attractor_fails_as_an_empty_candidate(tmp_path, capsys):
+    # the declared candidate is empty: every check of both verdicts fails,
+    # the last rows with the "empty candidate" witness
+    path = tmp_path / "system.ini"
+    path.write_text(CUSTOM + "\n[expectations]\nattractor = []\n", encoding="utf-8")
+    code = main(["attractor", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    rows = {r["name"]: r for r in json.loads(captured.out)["results"]}
+    for name in ("global.attracts", "uniform.prolongational_limits_inside"):
+        assert (rows[name]["verdict"], rows[name]["witness"]) == ("fail", "empty candidate")
+
+
+def test_boundedness_laws_fail_where_stars_do_not_exhaust_the_space(tmp_path, capsys):
+    # no star of this radius-0.2 chain holds the whole grid, so random draws
+    # are unbounded; every set is totally bounded on a finite sample, so
+    # both boundedness laws fail here, and they may presuppose a replete family
+    path = tmp_path / "system.ini"
+    text = CUSTOM.replace('"halving_decay"', '"identity"').replace("eps0 = 2.0\ndepth = 2", "eps0 = 0.2\ndepth = 1")
+    path.write_text(text + "\n[testsets]\na = [0]\n", encoding="utf-8")
+    code, out = run(capsys, "verify-axioms", "--config", str(path))
+    assert code == 1
+    failed = {r["name"]: r["witness"] for r in json.loads(out)["results"] if r["verdict"] != "pass"}
+    assert failed == {
+        "totally_bounded_implies_bounded": "['(0.2)', '(0.45)', '(0.65)', '(0.85)']",
+        "star_of_bounded_is_bounded": "['(0.1)', '(0.4)']",
+    }
+
+
+@pytest.mark.parametrize("command", ["attractor", "omega", "verify-axioms"])
+def test_one_point_decay_grid_loads(tmp_path, capsys, command):
+    # its grid step used to divide by count - 1
+    path = tmp_path / "system.ini"
+    path.write_text('[scenario]\nkind = "decay_grid"\ncount = 1\n', encoding="utf-8")
+    argv = [command, "--config", str(path)] + (["--target", "seed"] if command == "omega" else [])
+    code = main(argv)
+    assert (code, capsys.readouterr().err) == (0, "")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -611,7 +611,7 @@ def test_measured_family_is_freed_without_cyclic_gc(make):
             assert measure(Y, family, 1).family is family
         assert family.closure_mask(1) == family.closure_mask(1)
         assert family.stars(Y) == family.stars(Y) == tuple(c.star_mask(Y) for c in family.coverings)
-        action = Action(semigroup=nat_add(), space=space, apply_fn=lambda t, i: 0)
+        action = Action(space=space, apply_fn=lambda t, i: 0)
         F = integer_tails(nat_add(), depth=2)
         assert orbit_mask(Y, action, F) == orbit_mask(Y, action, F) == 1
         assert orbit_rows(action, F) == (1,) * space.n

@@ -9,9 +9,16 @@ must fail on a violation planted in a temporary copy.
 One more rule reads the syntax trees of the package: it holds only what it
 reads (`unread` below). It is checked on `src/coverdyn` and must fail on
 small fixture packages, each clean but for one planted violation.
+
+The line rule, that every line of the package runs under a test or is
+argued for, runs the whole suite under a tracer (`tests/line_coverage.py`),
+so it is a CI step of its own; its collector and its allowlist are checked
+here.
 """
 
 import ast
+import collections
+import importlib.util
 import pathlib
 import re
 import shutil
@@ -19,6 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import pytest
+
+import line_coverage
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = "src/coverdyn/*.py"
@@ -571,3 +580,36 @@ def test_the_read_rule_rejects_an_undefined_allowlist_entry(tmp_path):
     package = _package(tmp_path / "pkg", CLEAN)
     assert unread(package, {"build": "exported anyway"}, "") == []
     assert unread(package, {"ghost": "no such name"}, README) == ["allowlist: ghost is not defined"]
+
+
+def test_line_coverage_reports_the_branch_that_did_not_run(tmp_path):
+    (tmp_path / "fixture.py").write_text(
+        "def sign(x):\n"
+        "    if x < 0:\n"
+        "        return 'negative'\n"
+        "    return 'nonnegative'\n"
+    )
+
+    def run():
+        spec = importlib.util.spec_from_file_location("fixture", tmp_path / "fixture.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.sign(1) == "nonnegative"
+
+    missed = line_coverage.uncovered(line_coverage.collect(run, root=tmp_path), root=tmp_path)
+    assert missed == [("fixture.py", 3, "return 'negative'")]
+    allow = [("fixture.py", "return 'negative'", "planted")]
+    assert line_coverage.unallowed(missed, allow) == []
+    assert line_coverage.unallowed(missed, []) == ["fixture.py:3: return 'negative'"]
+    assert line_coverage.unallowed(missed, allow * 2) == [
+        "allowlist: fixture.py: \"return 'negative'\" runs under a test or is gone"
+    ]
+
+
+def test_each_coverage_allowance_names_an_executable_line():
+    lines = collections.Counter()
+    for path in sorted(line_coverage.PACKAGE.glob("*.py")):
+        text = path.read_text().splitlines()
+        lines.update((path.name, text[n - 1].strip()) for n in line_coverage.executable_lines(path))
+    allowed = collections.Counter((f, t) for f, t, _ in line_coverage.COVERAGE_ALLOW)
+    assert {key: k for key, k in allowed.items() if lines[key] < k} == {}

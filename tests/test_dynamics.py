@@ -4,16 +4,31 @@ import functools
 import itertools
 import operator
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverdyn import compactness
+from coverdyn import compactness, scenarios
 from coverdyn.attractor import construct_candidate
 from coverdyn.cli import RunConfig
-from coverdyn.compactness import default_cap, is_bounded, star_measure
-from coverdyn.covering import CheckResult, metric_chain_family
+from coverdyn.compactness import (
+    cantor_kuratowski_check,
+    default_cap,
+    is_bounded,
+    is_cauchy,
+    is_totally_bounded,
+    star_measure,
+)
+from coverdyn.covering import (
+    AdmissibleFamily,
+    CheckResult,
+    CoveringError,
+    SpaceMismatch,
+    make_covering_masks,
+    metric_chain_family,
+)
 from coverdyn.dynamics import (
     HYPOTHESIS_NAMES,
     TAIL_WINDOW,
@@ -36,12 +51,25 @@ from coverdyn.dynamics import (
     vector_tails,
     verify_eventual_compactness,
 )
+from coverdyn.funcspace import as_value
 from coverdyn.proximity import (
+    CoverCollection,
+    coarsen,
+    converges_to_zero,
     sets_equal_at_resolution,
     subset_at_resolution,
 )
-from coverdyn.scenarios import BUILTIN_SCENARIOS, get_scenario, load_system
-from coverdyn.space import CoverdynError, EmptyInput, iter_bits, line_grid
+from coverdyn.scenarios import BUILTIN_SCENARIOS, SchemaError, get_scenario, load_system
+from coverdyn.space import (
+    CoverdynError,
+    DuplicatePoint,
+    EmptyInput,
+    build_finite_topology,
+    build_metric_space,
+    enumerate_topologies,
+    iter_bits,
+    line_grid,
+)
 from reference import (
     divergent_sequence,
     prox_form_attracts,
@@ -80,16 +108,12 @@ def tails():
 @pytest.fixture(scope="module")
 def decay(grid):
     # geometric decay realized as exact index halving: associative on the grid
-    return Action(semigroup=nat_add(), space=grid, apply_fn=lambda t, i: i >> t)
+    return Action(space=grid, apply_fn=lambda t, i: i >> t)
 
 
 @pytest.fixture(scope="module")
 def identity_action(grid):
-    return Action(
-        semigroup=nat_add(),
-        space=grid,
-        apply_fn=lambda t, i: i,
-    )
+    return Action(space=grid, apply_fn=lambda t, i: i)
 
 
 def pick(grid, *idx):
@@ -97,15 +121,15 @@ def pick(grid, *idx):
 
 
 def test_action_associativity(decay):
-    assert decay.check_associativity(range(6)) is None
+    assert decay.check_associativity(nat_add().compose, range(6)) is None
 
 
 def test_associativity_reports_first_violating_triple(grid):
     # element 1 sends every point to 0, element 2 is the identity, so 1 + 1
     # disagrees with 1 applied twice first at point 1
-    action = Action(semigroup=nat_add(), space=grid, apply_fn=lambda t, i: 0 if t == 1 else i)
-    assert action.check_associativity((0, 1)) == (1, 1, 1)
-    assert reference_check_associativity(action, (0, 1)) == (1, 1, 1)
+    action = Action(space=grid, apply_fn=lambda t, i: 0 if t == 1 else i)
+    assert action.check_associativity(nat_add().compose, (0, 1)) == (1, 1, 1)
+    assert reference_check_associativity(action, nat_add().compose, (0, 1)) == (1, 1, 1)
 
 
 @st.composite
@@ -133,9 +157,9 @@ def self_map_actions(draw):
 @settings(max_examples=200, deadline=None)
 def test_associativity_rows_match_point_by_point_triples(case):
     n, apply_fn, elements, associative = case
-    action = Action(semigroup=nat_add(), space=line_grid(0.0, 1.0, n), apply_fn=apply_fn)
-    got = action.check_associativity(elements)
-    assert got == reference_check_associativity(action, elements)
+    action = Action(space=line_grid(0.0, 1.0, n), apply_fn=apply_fn)
+    got = action.check_associativity(nat_add().compose, elements)
+    assert got == reference_check_associativity(action, nat_add().compose, elements)
     if associative:
         assert got is None
 
@@ -143,7 +167,7 @@ def test_associativity_rows_match_point_by_point_triples(case):
 @pytest.mark.parametrize("image", [101, -1, True])
 def test_image_row_rejects_a_value_that_is_no_point_index(grid, image):
     # 101 is one past the last point of the grid; a bool is an int subclass
-    action = Action(semigroup=nat_add(), space=grid, apply_fn=lambda t, i: image if i == 7 else i)
+    action = Action(space=grid, apply_fn=lambda t, i: image if i == 7 else i)
     with pytest.raises(CoverdynError, match=f"element 3 sends point 7 to {image!r}"):
         action.image_indices(3)
     with pytest.raises(CoverdynError):
@@ -203,6 +227,88 @@ def test_public_entries_reject_empty_input(name, decay, fam, tails):
         call(tails, decay, fam)
 
 
+def _not_associative(fam):
+    # element 1 sends every point to 0, so 1 + 1 disagrees with 1 applied
+    # twice first at point 1; no built-in action fails this check
+    sc = get_scenario("decay_grid")
+    bad = dataclasses.replace(sc, action=Action(space=sc.space, apply_fn=lambda t, i: 0 if t == 1 else i))
+    return scenarios._validate(bad, 1.0, assoc_elements=(0, 1))
+
+
+# the guards of the library entries that no config reaches, on the 101-point
+# grid family: the call, the exception it raises, and its message
+BAD_INPUTS = {
+    "is_totally_bounded-empty": (
+        lambda fam: is_totally_bounded(0, fam), EmptyInput, "total boundedness of the empty set"
+    ),
+    "is_cauchy-empty": (lambda fam: is_cauchy([], fam), EmptyInput, "a Cauchy check needs a nonempty sequence"),
+    "cantor_kuratowski-no-chain": (
+        lambda fam: cantor_kuratowski_check([], fam, 1), EmptyInput, "the chain must be nonempty"
+    ),
+    "cantor_kuratowski-empty-element": (
+        lambda fam: cantor_kuratowski_check([fam.space.full_mask, 0], fam, 1), EmptyInput, "chain element 1 is empty"
+    ),
+    "coarsen-zero-steps": (
+        lambda fam: coarsen(CoverCollection(fam, 1), 0), ValueError, "n must be a positive integer"
+    ),
+    "converges_to_zero-empty": (
+        lambda fam: converges_to_zero([]), EmptyInput, "convergence needs at least one element"
+    ),
+    "closure_mask-empty": (lambda fam: fam.closure_mask(0), EmptyInput, "closure of the empty set"),
+    "family-no-covering": (
+        lambda fam: AdmissibleFamily(space=fam.space, coverings=()), EmptyInput, "a family needs at least one covering"
+    ),
+    "family-other-space": (
+        lambda fam: AdmissibleFamily(space=fam.space, coverings=(fam.coverings[0], *metric_chain_family(line_grid(0.0, 1.0, 3), 2.0, 0).coverings)),
+        SpaceMismatch,
+        "family coverings must share one space",
+    ),
+    "covering-empty-member": (
+        lambda fam: make_covering_masks(fam.space, [0, fam.space.full_mask]), EmptyInput, "members must be nonempty"
+    ),
+    "covering-misses-a-point": (
+        lambda fam: make_covering_masks(fam.space, [fam.space.full_mask >> 1]),
+        CoveringError,
+        re.escape("members do not cover the space; missing ['(1)']"),
+    ),
+    "covering-member-not-open": (
+        lambda fam: make_covering_masks(build_finite_topology(["a", "b"], [[], ["a"], ["a", "b"]]), [0b10, 0b11]),
+        CoveringError,
+        re.escape("member ['b'] is not open"),
+    ),
+    "check-unknown-name": (lambda fam: fam.admissibility_report.check("bogus"), KeyError, "bogus"),
+    "index_of-unknown-id": (lambda fam: fam.space.index_of("bogus"), KeyError, "bogus"),
+    "metric-space-ragged-rows": (
+        lambda fam: build_metric_space([[0.0], [1.0, 2.0]]), ValueError, "all coordinate vectors must have the same length"
+    ),
+    "topology-no-points": (
+        lambda fam: build_finite_topology([], [[]]), EmptyInput, "a space needs at least one point"
+    ),
+    "topology-duplicate-ids": (
+        lambda fam: build_finite_topology(["a", "a"], [[], ["a"]]), DuplicatePoint, "duplicate point ids"
+    ),
+    "topology-unknown-point": (
+        lambda fam: build_finite_topology(["a"], [[], ["a"], ["b"]]), ValueError, "open set mentions unknown point 'b'"
+    ),
+    "enumerate_topologies-5-points": (
+        lambda fam: enumerate_topologies(5), ValueError, "topology enumeration is intended for tiny spaces"
+    ),
+    "as_value-dimension": (
+        lambda fam: as_value((1.0, 2.0), 1), ValueError, re.escape("value (1.0, 2.0) has dimension 2, expected 1")
+    ),
+    "scenario-not-associative": (
+        _not_associative, SchemaError, re.escape("action is not associative at s=1, t=1, point (0.01)")
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_library_entries_reject_bad_input(name, fam):
+    call, error, message = BAD_INPUTS[name]
+    with pytest.raises(error, match=message):
+        call(fam)
+
+
 def test_divergent_sequence_blocks(tails):
     seq = divergent_sequence(tails)
     # block k is drawn from level k: membership holds at its own level
@@ -252,7 +358,7 @@ def first_loose_level(levels):
 def test_filter_basis_rejects_exactly_the_samples_that_do_not_nest(case):
     # listings are certified too, each level's after its sample
     F, samples, listings = case
-    listing = None if listings is None else lambda k, bound: listings[k]
+    listing = None if listings is None else lambda k: listings[k]
 
     def build():
         if F is None:
@@ -403,15 +509,17 @@ def test_absorbs_absent(identity_action, grid, tails):
 
 def basis_with(F, s_samples=None, enumeration_bound=None):
     """F with the inputs `check_hypotheses` reads from it replaced: its
-    semigroup samples `s_samples`, and an enumerable level is listed up to
-    `enumeration_bound` in place of `ENUMERATION_BOUND`."""
+    semigroup samples `s_samples`, and a listed level keeps the elements up
+    to `enumeration_bound` alone, for a bound below `ENUMERATION_BOUND`."""
     if s_samples is not None:
         F = dataclasses.replace(
             F, semigroup=dataclasses.replace(F.semigroup, samples=s_samples)
         )
     if enumeration_bound is not None and F.enumerate_level is not None:
         listing = F.enumerate_level
-        F = dataclasses.replace(F, enumerate_level=lambda j, _: listing(j, enumeration_bound))
+        F = dataclasses.replace(
+            F, enumerate_level=lambda j: tuple(b for b in listing(j) if b <= enumeration_bound)
+        )
     return F
 
 
@@ -514,7 +622,7 @@ def hypothesis_inputs(draw):
             listed[j] = tuple(draw(st.permutations(drawn + listed[j + 1])))
         F = explicit_basis(
             draw(nested_level_sets(depth)),
-            lambda j, bound: tuple(b for b in listed[j] if b <= bound),
+            lambda j: listed[j],
         )
         element = st.integers(0, 6)
     s_samples = draw(st.none() | st.lists(element, max_size=4).map(tuple))
@@ -537,7 +645,7 @@ def test_hypotheses_read_the_deepest_listing_and_take_blockers_from_level_0():
     listed = [(1, 0, 2, 3), (2, 3, 2), (2,)]
     reads = collections.Counter()
 
-    def listing(j, bound):
+    def listing(j):
         reads[j] += 1
         return listed[j]
 
@@ -613,9 +721,9 @@ def test_hypotheses_scan_the_grid_scale_basis_from_its_deepest_level():
                 calls["reads"] += 1
                 yield b
 
-    def listing(j, bound):
+    def listing(j):
         calls["enumerate", j] += 1
-        return CountedLevel(base.enumerate_level(j, bound))
+        return CountedLevel(base.enumerate_level(j))
 
     F = dataclasses.replace(
         base,
@@ -634,7 +742,7 @@ def test_hypotheses_scan_the_grid_scale_basis_from_its_deepest_level():
     assert rep.all_passed
     assert {key: n for key, n in calls.items() if key[0] == "enumerate"} == {("enumerate", F.depth): 1}
     rows, s_count = len(rep.checks), len(sem.samples)
-    deepest = len(base.enumerate_level(F.depth, 1000))
+    deepest = len(base.enumerate_level(F.depth))
     assert calls["compose"] + calls["divide"] == calls["reads"] == rows * s_count * deepest
 
 
@@ -768,7 +876,7 @@ def test_prolongational_limit_matches_reference_on_shallow_filters(decay, grid, 
 def test_orbit_cache_keeps_filter_bases_apart(decay, grid, order):
     # a fresh action per order, so that each order starts from an empty cache;
     # the two bases differ only in the elements their samplers return
-    action = Action(semigroup=nat_add(), space=grid, apply_fn=decay.apply_fn)
+    action = Action(space=grid, apply_fn=decay.apply_fn)
     bases = [integer_tails(nat_add(), depth=3, window=w) for w in (2, 6)]
     Y = pick(grid, 7, 50, 100)
     want = [
@@ -813,7 +921,7 @@ def test_filter_basis_hashes_its_fields_once(decay, grid):
     # F itself reads the deepest level
     levels = [truncated(F, k) for k in range(F.depth)] + [F]
     assert sampler.hashes == 0
-    action = Action(semigroup=nat_add(), space=grid, apply_fn=decay.apply_fn)
+    action = Action(space=grid, apply_fn=decay.apply_fn)
     for _ in range(3):
         for k, G in enumerate(levels):
             assert orbit_rows(action, G) == orbit_rows(action, G)
@@ -863,7 +971,7 @@ def test_orbit_rows_match_point_by_point_images(case):
     # one fresh action per order of the two memos; on each, the queries run
     # cold, warm, then reversed on the warm memos
     for rows_first in (False, True):
-        action = Action(semigroup=nat_add(), space=space, apply_fn=apply_fn)
+        action = Action(space=space, apply_fn=apply_fn)
         for F, Y in [*queries, *queries, *reversed(queries)]:
             if rows_first:
                 assert rows_ok(action, F)
@@ -874,7 +982,7 @@ def test_orbit_rows_match_point_by_point_images(case):
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
 def test_image_mask_cache_keeps_sets_apart(decay, grid, order):
     # a fresh action per order, so that each order starts from an empty cache
-    action = Action(semigroup=nat_add(), space=grid, apply_fn=decay.apply_fn)
+    action = Action(space=grid, apply_fn=decay.apply_fn)
     masks = [pick(grid, 7, 50, 100), pick(grid, 3, 64)]
     for el in (1, 3):
         for m in [masks[j] for j in order for _ in range(2)]:
@@ -921,7 +1029,7 @@ def random_systems(draw):
             i = f[i]
         return i
 
-    action = Action(semigroup=nat_add(), space=family.space, apply_fn=apply_fn)
+    action = Action(space=family.space, apply_fn=apply_fn)
     F = integer_tails(
         nat_add(), depth=draw(st.integers(0, 4)), window=draw(st.integers(1, 4)),
         start=draw(st.integers(0, 2)),
@@ -963,7 +1071,7 @@ def test_scans_match_the_full_scans_on_a_saturated_chain():
     grid9 = line_grid(0.0, 1.0, 9)
     family = metric_chain_family(grid9, 2.0, 6)
     assert len({c.members for c in family.coverings[2:]}) == 1
-    halving = Action(semigroup=nat_add(), space=grid9, apply_fn=lambda t, i: i >> t)
+    halving = Action(space=grid9, apply_fn=lambda t, i: i >> t)
     F = integer_tails(nat_add(), depth=5, window=3)
     sets = [1, 1 << 8, 0b110, 0b1000_0001, grid9.full_mask]
     for j, (Y, Z) in enumerate(itertools.product(sets, repeat=2)):

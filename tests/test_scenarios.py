@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import random
 
@@ -93,6 +94,16 @@ def test_composition_shifted_variant():
     assert sc.space.points[att].coords == (0.5,) * 3
     # the shifted scalings fix the shifted constant
     assert sc.action.apply_fn(0.25, att) == att
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.5])
+def test_composition_samples_lipschitz_functions(x0):
+    # each point is the table of a function at the arguments -1, 0 and 1,
+    # and every one is Lipschitz-1
+    args = (-1.0, 0.0, 1.0)
+    for p in get_scenario("composition", x0=x0).space.points:
+        for i, j in itertools.combinations(range(3), 2):
+            assert abs(p.coords[i] - p.coords[j]) <= abs(args[i] - args[j]), p.pid
 
 
 def test_unknown_scenario():
