@@ -109,7 +109,7 @@ def verify_global(
     cap: int,
 ) -> AttractorVerdict:
     """Nonempty, closed, compact, invariant, and attracts every test set."""
-    checks = _core_checks(candidate, action, family, cap, F.sampler(0)[:4])
+    checks = _core_checks(candidate, action, family, cap, F.probes())
 
     def unattracted():
         if not candidate:
@@ -143,7 +143,7 @@ def verify_uniform(
     point of the mask `points_sample` (in index order). J(x) is never empty:
     its seed holds x and every level sample is certified nonempty, so its
     orbit, and the closure of that orbit, hold a point."""
-    checks = _core_checks(candidate, action, family, cap, F.sampler(0)[:4])
+    checks = _core_checks(candidate, action, family, cap, F.probes())
 
     def limits_outside():
         if not candidate:

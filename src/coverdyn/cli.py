@@ -14,7 +14,7 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 from .attractor import (
@@ -43,49 +43,34 @@ from .scenarios import (
 from .space import CoverdynError
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    scenario: Optional[str]
-    config_path: Optional[str]
-    target: Optional[str]
-    max_level: Optional[int]
-    resolution: Optional[int]
-    cap: Optional[int]
-    format: str
-    out: Optional[str]
-    mutate: Optional[str]
-    # the defaults `main` reads as class attributes when no flag sets them
-    seed: int = 0
-    budget: int = 32
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "scenario": self.scenario,
-            "config": self.config_path,
-            "target": self.target,
-            "max_level": self.max_level,
-            "resolution": self.resolution,
-            "cap": self.cap,
-            "seed": self.seed,
-            "budget": self.budget,
-            "format": self.format,
-        }
+# the seed and budget of a run that sets no --seed or --budget; the parser
+# leaves both None so that `_reject_ignored_flags` sees an unset flag
+DEFAULTS = {"seed": 0, "budget": 32}
 
 
-def _load_scenario(rc: RunConfig) -> Scenario:
-    if rc.scenario:
-        sc = get_scenario(rc.scenario)
-    elif rc.config_path:
-        with open(rc.config_path, "r", encoding="utf-8") as fh:
+def _config(ns: argparse.Namespace) -> dict:
+    """The report's `config` block: every parsed option but `out`, `mutate`
+    and the positional `name`, with `config_path` as `config`, and `target`
+    on every command."""
+    cfg = {"target": None, **vars(ns)}
+    cfg["config"] = cfg.pop("config_path")
+    for dest in ("out", "mutate", "name"):
+        cfg.pop(dest, None)
+    return cfg
+
+
+def _load_scenario(ns: argparse.Namespace) -> Scenario:
+    if ns.scenario:
+        sc = get_scenario(ns.scenario)
+    elif ns.config_path:
+        with open(ns.config_path, "r", encoding="utf-8") as fh:
             sc = load_system(fh.read())
     else:
         raise SchemaError("either --scenario or --config is required")
-    if rc.max_level is not None and rc.max_level < sc.filter_basis.depth:
-        sc = replace(sc, filter_basis=replace(sc.filter_basis, depth=rc.max_level))
-    if rc.resolution is not None and rc.resolution < sc.family.size - 1:
-        sc = replace(sc, family=sc.family.prefix(rc.resolution))
+    if ns.max_level is not None and ns.max_level < sc.filter_basis.depth:
+        sc = replace(sc, filter_basis=replace(sc.filter_basis, depth=ns.max_level))
+    if ns.resolution is not None and ns.resolution < sc.family.size - 1:
+        sc = replace(sc, family=sc.family.prefix(ns.resolution))
     return sc
 
 
@@ -99,8 +84,8 @@ def _decorate(rows: list[dict], budget: int, resolution: int) -> list[dict]:
     return out
 
 
-def _emit(rc: RunConfig, payload: dict) -> str:
-    if rc.format == "json":
+def _emit(ns: argparse.Namespace, payload: dict) -> str:
+    if ns.format == "json":
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     buf = io.StringIO()
     w = csv.writer(buf)
@@ -118,9 +103,9 @@ def _emit(rc: RunConfig, payload: dict) -> str:
     return buf.getvalue()
 
 
-def _write(rc: RunConfig, text: str) -> None:
-    if rc.out:
-        with open(rc.out, "w", encoding="utf-8") as fh:
+def _write(ns: argparse.Namespace, text: str) -> None:
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -138,65 +123,65 @@ def _asymmetric_stars(family):
     ]
 
 
-def cmd_verify_axioms(rc: RunConfig) -> int:
-    if rc.scenario or rc.config_path:
-        sc = _load_scenario(rc)
-        rng = random.Random(rc.seed)
-        stars = _asymmetric_stars(sc.family) if rc.mutate == "prox-asymmetry" else None
+def cmd_verify_axioms(ns: argparse.Namespace) -> int:
+    if ns.scenario or ns.config_path:
+        sc = _load_scenario(ns)
+        rng = random.Random(ns.seed)
+        stars = _asymmetric_stars(sc.family) if ns.mutate == "prox-asymmetry" else None
         results = proximity_suite(sc.family, stars=stars)
         results += closure_criteria_suite(sc.family, rng=rng, trials=40)
         results += boundedness_suite(sc.family, rng=rng, trials=40)
-        results += measure_suite(sc.family, cap=rc.cap or sc.declared.cap, rng=rng, trials=60)
+        results += measure_suite(sc.family, cap=ns.cap or sc.declared.cap, rng=rng, trials=60)
         resolution = sc.family.depth
     else:
-        if rc.mutate == "prox-asymmetry":
+        if ns.mutate == "prox-asymmetry":
             fam = battery_family()
             results = proximity_suite(fam, stars=_asymmetric_stars(fam))
         else:
-            results = grid_battery(seed=rc.seed, cap=rc.cap)
+            results = grid_battery(seed=ns.seed, cap=ns.cap)
         resolution = BATTERY_DEPTH
-    rows = _decorate([r.to_dict() for r in results], rc.budget, resolution)
-    payload = {"command": "verify-axioms", "config": rc.to_dict(), "results": rows}
-    _write(rc, _emit(rc, payload))
+    rows = _decorate([r.to_dict() for r in results], ns.budget, resolution)
+    payload = {"command": "verify-axioms", "config": _config(ns), "results": rows}
+    _write(ns, _emit(ns, payload))
     return 0 if all(r["verdict"] == "pass" for r in rows) else 1
 
 
-def cmd_omega(rc: RunConfig) -> int:
-    sc = _load_scenario(rc)
-    if rc.target not in sc.testsets:
+def cmd_omega(ns: argparse.Namespace) -> int:
+    sc = _load_scenario(ns)
+    if ns.target not in sc.testsets:
         raise SchemaError(
-            f"unknown test set {rc.target!r}; known: {sorted(sc.testsets)}"
+            f"unknown test set {ns.target!r}; known: {sorted(sc.testsets)}"
         )
-    rep = omega_limit(sc.testsets[rc.target], sc.filter_basis, sc.action, sc.family)
+    rep = omega_limit(sc.testsets[ns.target], sc.filter_basis, sc.action, sc.family)
     payload = {
         "command": "omega",
-        "config": rc.to_dict(),
-        "target": rc.target,
+        "config": _config(ns),
+        "target": ns.target,
         "limit_set": rep.to_dict(),
         "results": _decorate(
             [
                 {
-                    "name": f"omega[{rc.target}]",
+                    "name": f"omega[{ns.target}]",
                     "verdict": "computed",
                     "witness": ",".join(rep.pids()[:8]),
                 }
             ],
-            rc.budget,
+            ns.budget,
             rep.resolution,
         ),
     }
-    _write(rc, _emit(rc, payload))
+    _write(ns, _emit(ns, payload))
     return 0
 
 
-def cmd_attractor(rc: RunConfig) -> int:
-    sc = _load_scenario(rc)
-    rng = random.Random(rc.seed)
+def cmd_attractor(ns: argparse.Namespace) -> int:
+    sc = _load_scenario(ns)
+    rng = random.Random(ns.seed)
     testsets = dict(sc.testsets)
-    testsets.update(sc.random_bounded_testsets(rng, count=min(rc.budget, 50)))
+    testsets.update(sc.random_bounded_testsets(rng, count=min(ns.budget, 50)))
     sc = replace(sc, testsets=testsets)
-    if rc.cap is not None:
-        sc = replace(sc, declared=replace(sc.declared, cap=rc.cap))
+    if ns.cap is not None:
+        sc = replace(sc, declared=replace(sc.declared, cap=ns.cap))
 
     report = check_equivalence(sc)
     candidate = sc.attractor_points()
@@ -242,7 +227,7 @@ def cmd_attractor(rc: RunConfig) -> int:
     )
     payload = {
         "command": "attractor",
-        "config": rc.to_dict(),
+        "config": _config(ns),
         "kind": report.kind,
         "expected_kind": sc.expected.kind,
         "equivalence": report.to_dict(),
@@ -250,17 +235,17 @@ def cmd_attractor(rc: RunConfig) -> int:
         "constructed_verdict": built_verdict.to_dict(),
         "uniqueness": uniqueness.to_dict() if uniqueness else None,
         "expectations_met": expectations_met,
-        "results": _decorate(rows, rc.budget, sc.family.depth),
+        "results": _decorate(rows, ns.budget, sc.family.depth),
     }
-    _write(rc, _emit(rc, payload))
+    _write(ns, _emit(ns, payload))
     return 0 if expectations_met else 1
 
 
-def cmd_scenario(rc: RunConfig) -> int:
-    sc = _load_scenario(rc)
+def cmd_scenario(ns: argparse.Namespace) -> int:
+    sc = _load_scenario(ns)
     payload = {
         "command": "scenario",
-        "config": rc.to_dict(),
+        "config": _config(ns),
         "name": sc.name,
         "points": sc.space.n,
         "coverings": [len(c.members) for c in sc.family.coverings],
@@ -272,11 +257,11 @@ def cmd_scenario(rc: RunConfig) -> int:
         },
         "results": _decorate(
             [{"name": "scenario", "verdict": "loaded", "witness": sc.name}],
-            rc.budget,
+            ns.budget,
             sc.family.depth,
         ),
     }
-    _write(rc, _emit(rc, payload))
+    _write(ns, _emit(ns, payload))
     return 0
 
 
@@ -362,20 +347,10 @@ def main(argv: Optional[list] = None) -> int:
         _reject_ignored_flags(ap, ns)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    rc = RunConfig(
-        command=ns.command,
-        scenario=ns.scenario or getattr(ns, "name", None),
-        config_path=ns.config_path,
-        target=getattr(ns, "target", None),
-        max_level=ns.max_level,
-        resolution=ns.resolution,
-        cap=ns.cap,
-        seed=RunConfig.seed if ns.seed is None else ns.seed,
-        budget=RunConfig.budget if ns.budget is None else ns.budget,
-        format=ns.format,
-        out=ns.out,
-        mutate=getattr(ns, "mutate", None),
-    )
+    ns.scenario = ns.scenario or getattr(ns, "name", None)
+    for dest, value in DEFAULTS.items():
+        if getattr(ns, dest) is None:
+            setattr(ns, dest, value)
     handlers = {
         "verify-axioms": cmd_verify_axioms,
         "omega": cmd_omega,
@@ -383,7 +358,7 @@ def main(argv: Optional[list] = None) -> int:
         "scenario": cmd_scenario,
     }
     try:
-        return handlers[rc.command](rc)
+        return handlers[ns.command](ns)
     except (CoverdynError, OSError, UnicodeDecodeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

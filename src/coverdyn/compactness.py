@@ -221,17 +221,15 @@ class NestedChainReport:
     """Outcome of the nested-closed-chain (Cantor-style) harness."""
 
     hypothesis_met: bool
-    intersection_mask: int
     measure_trace: tuple[CoverCollection, ...]
-    claim: str
 
 
 def cantor_kuratowski_check(
     masks: Sequence[int], family: AdmissibleFamily, cap: int
 ) -> NestedChainReport:
-    """Check a decreasing chain of nonempty closed sets: when the star measures
-    converge to zero, assert and report the nonempty intersection; otherwise
-    report that the hypothesis is not met (no claim)."""
+    """Check a decreasing chain of nonempty closed sets: whether the star
+    measures converge to zero, the hypothesis under which the intersection,
+    the chain's last element, is nonempty and compact."""
     if not masks:
         raise EmptyInput("the chain must be nonempty")
     for k, m in enumerate(masks):
@@ -243,11 +241,4 @@ def cantor_kuratowski_check(
         if masks[k] & ~masks[k - 1]:
             raise NotDecreasing(f"element {k} is not contained in element {k - 1}")
     trace = tuple(star_measure(m, family, cap) for m in masks)
-    met = converges_to_zero(trace)
-    return NestedChainReport(
-        hypothesis_met=met,
-        # the chain is decreasing, so its intersection is its last element
-        intersection_mask=masks[-1],
-        measure_trace=trace,
-        claim="nonempty compact intersection" if met else "hypothesis not met",
-    )
+    return NestedChainReport(hypothesis_met=converges_to_zero(trace), measure_trace=trace)

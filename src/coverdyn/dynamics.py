@@ -105,7 +105,7 @@ def scaling_maps(L: float = 0.5) -> Semigroup:
 ENUMERATION_BOUND = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterBasis:
     """A nested chain of semigroup subsets with per-level samplers.
 
@@ -122,9 +122,9 @@ class FilterBasis:
     `check_hypotheses` memoises it by element value.
     `sampler` must be a pure function of the level: `orbit_rows` and
     `orbit_mask` memoise per-point and per-set deepest orbits on the action,
-    keyed by the basis. A basis compares by its fields, and it hashes them
-    (its semigroup's with them) once, on the first lookup: the fields are
-    frozen, so every later lookup reads the stored hash.
+    keyed by the basis. A basis is its own memo key, as an action and a
+    family are: no lookup hashes its fields, and a `replace`d copy, even
+    one with equal fields, is a separate key.
     """
 
     semigroup: Semigroup
@@ -154,16 +154,14 @@ class FilterBasis:
                     raise NestingViolation(f"element {el!r} of level {k} is not listed at level {k - 1}")
                 listed = set(listing)
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            fields = (self.semigroup, self.depth, self.contains, self.sampler, self.enumerate_level)
-            h = hash(fields)
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def levels(self) -> range:
         return range(self.depth + 1)
+
+    def probes(self) -> tuple:
+        """The first four level-0 samples: the elements that an attractor
+        candidate's `invariant` row applies, and that a scenario's action
+        is checked associative on."""
+        return self.sampler(0)[:4]
 
 
 def integer_tails(
@@ -267,9 +265,8 @@ class Action:
 def orbit_rows(action: Action, F: FilterBasis) -> tuple[int, ...]:
     """Per point, the mask of its images under the sampled elements of the
     deepest filter level, from the cached `image_indices` rows, memoised on
-    the action per basis. A basis hashes by its fields, so bases with
-    different samplers or depths never share a key; the level-k rows are
-    those of `replace(F, depth=k)`."""
+    the action per basis. A basis is its own key, so two bases never share
+    one; the level-k rows are those of `replace(F, depth=k)`."""
     cache = action.__dict__.setdefault("_orbit_rows", {})
     rows = cache.get(F)
     if rows is None:

@@ -60,48 +60,33 @@ def build_function_model(
     return FunctionSpaceModel(space=space, value_dim=value_dim)
 
 
-@dataclass(frozen=True)
-class ArgConstraint:
-    """One constrained argument: open value balls of one radius around each center."""
-
-    arg_index: int
-    radius: float
-    centers: tuple[Value, ...]
-
-
-def constraint(model: FunctionSpaceModel, arg_index: int, radius: float) -> ArgConstraint:
-    """Value balls of `radius` at one argument, centered at every value the
-    model's functions take there."""
-    return ArgConstraint(
-        arg_index=arg_index, radius=float(radius), centers=model.observed_values(arg_index)
-    )
-
-
-def _slabs(model: FunctionSpaceModel, c: ArgConstraint) -> list[int]:
-    """Distinct nonempty point masks of the per-center value balls at one
-    argument, measured with the space's euclidean ball kernel (`ball_rows`)."""
-    (balls,) = ball_rows(model.values_at(c.arg_index), c.centers, [c.radius])
+def _slabs(model: FunctionSpaceModel, arg: int, radius: float) -> list[int]:
+    """Distinct nonempty point masks of the value balls of `radius` at one
+    argument, centered at every value the model's functions take there and
+    measured with the space's euclidean ball kernel (`ball_rows`)."""
+    (balls,) = ball_rows(model.values_at(arg), model.observed_values(arg), [radius])
     return sorted({m for m in balls if m})
 
 
 def pointwise_covering(
-    model: FunctionSpaceModel, constraints: Sequence[ArgConstraint]
+    model: FunctionSpaceModel, constraints: Sequence[tuple[int, float]]
 ) -> Covering:
-    """Members are all nonempty products of per-argument value balls."""
+    """Members are all nonempty products of per-argument value balls, one
+    (argument, radius) pair per constrained argument."""
     members = [model.space.full_mask]
-    for c in constraints:
-        slabs = _slabs(model, c)
+    for arg, radius in constraints:
+        slabs = _slabs(model, arg, radius)
         members = sorted(
             {m & s for m in members for s in slabs if m & s}
         )
         if not members:
-            raise ValueError(f"constraint at arg {c.arg_index} empties every member")
-    parts = ",".join(f"{c.arg_index}@{c.radius:g}" for c in constraints)
+            raise ValueError(f"constraint at arg {arg} empties every member")
+    parts = ",".join(f"{arg}@{radius:g}" for arg, radius in constraints)
     return make_covering_masks(model.space, members, label=f"pw[{parts}]")
 
 
 def pointwise_chain(
-    model: FunctionSpaceModel, levels: Sequence[Sequence[ArgConstraint]]
+    model: FunctionSpaceModel, levels: Sequence[Sequence[tuple[int, float]]]
 ) -> AdmissibleFamily:
     """Chain of pointwise coverings; double-refinements certified on construction."""
     covs = [pointwise_covering(model, cs) for cs in levels]

@@ -15,8 +15,8 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 from .attractor import KINDS
 from .covering import CHAIN_RATIO, AdmissibleFamily, metric_chain_family
@@ -33,7 +33,6 @@ from .dynamics import (
 )
 from .funcspace import (
     build_function_model,
-    constraint,
     pointwise_chain,
     pointwise_covering,
 )
@@ -74,10 +73,10 @@ RANDOM_TESTSET_MAX_SIZE = 6
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A system and its expectations. `testsets` and `points_sample` are int
-    masks; the points of `points_sample` are read in index order."""
+    masks; the points of `points_sample` are read in index order. `params`
+    are the builder arguments of a built-in, which `get_scenario` records."""
 
     name: str
-    space: Space
     family: AdmissibleFamily
     action: Action
     filter_basis: FilterBasis
@@ -85,7 +84,11 @@ class Scenario:
     declared: Declared
     expected: Expected
     points_sample: int
-    params: dict
+    params: dict = field(default_factory=dict)
+
+    @property
+    def space(self) -> Space:
+        return self.family.space
 
     def attractor_points(self) -> int:
         return self.space.mask_of(self.space.index_of(pid) for pid in self.expected.attractor)
@@ -105,13 +108,13 @@ class Scenario:
         return out
 
 
-def _validate(sc: Scenario, finest_radius: float, assoc_elements: Sequence) -> Scenario:
+def _validate(sc: Scenario, finest_radius: float) -> Scenario:
     if not sc.declared.snap_error < finest_radius / 2:
         raise SnapToleranceExceeded(
             f"snap error {sc.declared.snap_error:g} is not below half the finest "
             f"star radius {finest_radius / 2:g}"
         )
-    bad = sc.action.check_associativity(sc.filter_basis.semigroup.compose, assoc_elements)
+    bad = sc.action.check_associativity(sc.filter_basis.semigroup.compose, sc.filter_basis.probes())
     if bad is not None:
         s, t, x = bad
         pid = sc.space.points[x].pid
@@ -168,9 +171,7 @@ def scenario_iterated_contractions(
         return lookup[("pow", xf, e2)]
 
     radii = [eps0 * 0.25**i for i in range(chain_depth + 1)]
-    levels = [
-        [constraint(model, 0, r), constraint(model, 1, r)] for r in radii
-    ]
+    levels = [[(0, r), (1, r)] for r in radii]
     family = pointwise_chain(model, levels)
 
     action = Action(space=space, apply_fn=apply_fn)
@@ -199,7 +200,6 @@ def scenario_iterated_contractions(
     expected = Expected(attractor=attractor_pids, kind="both")
     sc = Scenario(
         name="iterated_contractions",
-        space=space,
         family=family,
         action=action,
         filter_basis=F,
@@ -207,9 +207,8 @@ def scenario_iterated_contractions(
         declared=declared,
         expected=expected,
         points_sample=space.full_mask,
-        params={"depth": depth, "eps0": eps0, "chain_depth": chain_depth},
     )
-    return _validate(sc, radii[-1], assoc_elements=(1, 2, 3, 5))
+    return _validate(sc, radii[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +251,7 @@ def scenario_composition(
         return lookup[("seed", sname, e2)]
 
     radii = [eps0 * 0.25**i for i in range(chain_depth + 1)]
-    levels = [
-        [constraint(model, a, r) for a in range(3)] for r in radii
-    ]
+    levels = [[(a, r) for a in range(3)] for r in radii]
     family = pointwise_chain(model, levels)
 
     action = Action(space=space, apply_fn=apply_fn)
@@ -276,7 +273,6 @@ def scenario_composition(
     expected = Expected(attractor=(f"i[{x0:g}]",), kind="both")
     sc = Scenario(
         name="composition",
-        space=space,
         family=family,
         action=action,
         filter_basis=F,
@@ -284,9 +280,8 @@ def scenario_composition(
         declared=declared,
         expected=expected,
         points_sample=space.full_mask,
-        params={"x0": x0, "depth": depth, "eps0": eps0, "chain_depth": chain_depth},
     )
-    return _validate(sc, radii[-1], assoc_elements=(0.5, 0.25, 0.125))
+    return _validate(sc, radii[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +328,13 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
         return by_exp[j2]
 
     radii = [16.0, 4.0, 1.0, 0.25, 0.0625, 0.015625]
-    levels = [[constraint(model, 0, radii[0])]] + [
-        [constraint(model, 0, r), constraint(model, 1, r)] for r in radii[1:]
-    ]
+    levels = [[(0, radii[0])]] + [[(0, r), (1, r)] for r in radii[1:]]
     family = pointwise_chain(model, levels)
 
     action = Action(space=space, apply_fn=apply_fn)
     F = vector_tails(2, depth=depth, window=window)
 
-    unit = pointwise_covering(model, [constraint(model, 0, 1.0)])
+    unit = pointwise_covering(model, [(0, 1.0)])
     testsets = {
         "orbit-star": unit.star_mask(1),
         "seed": 1 << by_exp[3],
@@ -357,7 +350,6 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
     expected = Expected(attractor=("zero",), kind="global-uniform-only")
     sc = Scenario(
         name="exp_decay",
-        space=space,
         family=family,
         action=action,
         filter_basis=F,
@@ -365,9 +357,8 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
         declared=declared,
         expected=expected,
         points_sample=sample,
-        params={"depth": depth, "window": window},
     )
-    return _validate(sc, radii[-1], assoc_elements=((0, 0), (1, 1), (2, 2)))
+    return _validate(sc, radii[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +393,6 @@ def scenario_decay_grid(
     )
     sc = Scenario(
         name="decay_grid",
-        space=space,
         family=family,
         action=action,
         filter_basis=F,
@@ -410,14 +400,8 @@ def scenario_decay_grid(
         declared=declared,
         expected=expected,
         points_sample=space.mask_of(range(0, space.n, 10)),
-        params={
-            "count": count,
-            "chain_depth": chain_depth,
-            "depth": depth,
-            "window": window,
-        },
     )
-    return _validate(sc, finest_radius, assoc_elements=(0, 1, 2, 3))
+    return _validate(sc, finest_radius)
 
 
 BUILTIN_SCENARIOS: dict[str, Callable[..., Scenario]] = {
@@ -433,7 +417,10 @@ def get_scenario(name: str, **overrides) -> Scenario:
         raise SchemaError(
             f"unknown scenario {name!r}; known: {sorted(BUILTIN_SCENARIOS)}"
         )
-    return BUILTIN_SCENARIOS[name](**overrides)
+    builder = BUILTIN_SCENARIOS[name]
+    bound = inspect.signature(builder).bind(**overrides)
+    bound.apply_defaults()
+    return replace(builder(**overrides), params=bound.arguments)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +539,7 @@ def _load_custom(cp) -> Scenario:
     else:
         raise SchemaError(f"unsupported action kind {akind!r}")
 
-    gkind = _jget(cp, "semigroup", "kind", "nat_add") if cp.has_section("semigroup") else "nat_add"
+    gkind = _jget(cp, "semigroup", "kind", "nat_add")
     if gkind != "nat_add":
         raise SchemaError(f"unsupported semigroup kind {gkind!r}")
     sem = nat_add()
@@ -600,11 +587,13 @@ def _load_custom(cp) -> Scenario:
     cap = _config_int(cp, "declared", "cap", default_cap(space.n))
     if cap < 1:
         raise SchemaError(f"[declared] cap must be at least 1; got {cap}")
-    witness = _jget(cp, "declared", "eventually_compact_witness") if cp.has_section("declared") else None
+    witness = _jget(cp, "declared", "eventually_compact_witness")
     if witness is not None:
         _config_element(witness, "[declared] eventually_compact_witness")
-    attractor_idx = _jget(cp, "expectations", "attractor", [0]) if cp.has_section("expectations") else [0]
-    kind_expect = _jget(cp, "expectations", "kind", "both") if cp.has_section("expectations") else "both"
+    attractor_idx = _jget(cp, "expectations", "attractor", [0])
+    if type(attractor_idx) is not list:
+        raise SchemaError(f"[expectations] attractor: {attractor_idx!r} is not a list of point indices")
+    kind_expect = _jget(cp, "expectations", "kind", "both")
     if kind_expect not in KINDS:
         raise SchemaError(f"[expectations] kind: {kind_expect!r} is not one of {list(KINDS)}")
 
@@ -630,7 +619,6 @@ def _load_custom(cp) -> Scenario:
         raise SchemaError(f"[scenario] name: {name!r} names a built-in scenario")
     sc = Scenario(
         name=name,
-        space=space,
         family=family,
         action=action,
         filter_basis=F,
@@ -638,9 +626,8 @@ def _load_custom(cp) -> Scenario:
         declared=declared,
         expected=expected,
         points_sample=space.mask_of(range(0, space.n, max(1, space.n // 10))),
-        params={},
     )
-    return _validate(sc, finest_radius, assoc_elements=(0, 1, 2))
+    return _validate(sc, finest_radius)
 
 
 def scenario_to_config(sc: Scenario) -> str:

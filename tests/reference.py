@@ -67,8 +67,9 @@ returns the same `CheckList` as `check_hypotheses`: one row per hypothesis in
 sorted-name order, whose witness is the first failure (s, level, blocker).
 
 `reference_slabs` builds the pointwise value balls of a function model by
-the former loop of `funcspace._slabs`: per center, every table value whose
-squared euclidean distance is below the squared radius.
+the former loop of `funcspace._slabs`: per value that the functions take at
+the argument, every table value whose squared euclidean distance from it is
+below the squared radius.
 
 `reference_orbit_mask` is the level orbit of a set by its definition, every
 sampled element applied to every point with `apply_fn`, with no image rows
@@ -344,17 +345,18 @@ def reference_asymptotically_compact(testsets, F, action, family):
     return first_failure("asymptotically_compact", clusterless())
 
 
-def reference_slabs(model, c):
-    """Distinct nonempty point masks of the per-center value balls of the
-    constraint `c`, by squared distances in plain Python. A function's value
-    at the argument is its slice of the point coordinates."""
-    r2 = c.radius * c.radius
+def reference_slabs(model, arg, radius):
+    """Distinct nonempty point masks of the value balls of `radius` at the
+    argument `arg`, one around each value a function takes there, by squared
+    distances in plain Python. A function's value at the argument is its
+    slice of the point coordinates."""
+    lo, hi = arg * model.value_dim, (arg + 1) * model.value_dim
+    values = [p.coords[lo:hi] for p in model.space.points]
+    r2 = radius * radius
     out = set()
-    for center in c.centers:
-        lo = c.arg_index * len(center)
+    for center in set(values):
         m = 0
-        for i, p in enumerate(model.space.points):
-            value = p.coords[lo : lo + len(center)]
+        for i, value in enumerate(values):
             if sum((x - y) ** 2 for x, y in zip(value, center)) < r2:
                 m |= 1 << i
         if m:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import warnings
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coverdyn.cli import main
+from coverdyn.cli import build_parser, main
 from coverdyn.compactness import CoverSearchBudgetExceeded
 from coverdyn.scenarios import load_system
 
@@ -373,6 +374,8 @@ CONFIGS = {
     "test-set-int": (CUSTOM + "\n[testsets]\na = 3\n", 2),
     "filter-levels-int": (CUSTOM.replace(INTEGER_TAILS, 'kind = "explicit"\nlevels = 3'), 2),
     "filter-levels-int-level": (CUSTOM.replace(INTEGER_TAILS, 'kind = "explicit"\nlevels = [3]'), 2),
+    # a scalar where a list of point indices belongs: the error names the key
+    "expectations-attractor-int": (CUSTOM + "\n[expectations]\nattractor = 3\n", 2),
 }
 # the error line of each of these rows
 MESSAGES = {
@@ -385,6 +388,7 @@ MESSAGES = {
     "test-set-int": 'error: [testsets] a: 3 is not "all" or a list of point indices\n',
     "filter-levels-int": "error: [filter] levels: 3 is not a list of lists of semigroup elements\n",
     "filter-levels-int-level": "error: [filter] levels: [3] is not a list of lists of semigroup elements\n",
+    "expectations-attractor-int": "error: [expectations] attractor: 3 is not a list of point indices\n",
     "filter-levels-strings": (
         "error: [filter] levels: ['ab', 'b'] is not a list of lists of semigroup elements\n"
     ),
@@ -817,3 +821,29 @@ def test_flag_the_command_does_not_read_is_usage_error(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+# one fast run of each subcommand
+CONFIG_RUNS = {
+    "verify-axioms": ("verify-axioms", "--mutate", "prox-asymmetry"),
+    "omega": ("omega", "--scenario", "decay_grid", "--target", "seed"),
+    "attractor": ("attractor", "--scenario", "decay_grid", "--budget", "1"),
+    "scenario": ("scenario", "decay_grid"),
+}
+
+
+def test_report_config_records_each_parsed_option_once(capsys):
+    # the report's config block is every option the parser declares, on
+    # every subcommand, but the output options and the positional name: a
+    # new flag that the report leaves out, or records twice, fails here
+    ap = build_parser()
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(CONFIG_RUNS) == set(sub.choices)
+    dests = {sub.dest} | {a.dest for p in sub.choices.values() for a in p._actions if a.dest != "help"}
+    want = {"config" if d == "config_path" else d for d in dests - {"out", "mutate", "name"}}
+    assert len(want) == 10
+    for argv in CONFIG_RUNS.values():
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        assert code in (0, 1), argv
+        assert set(json.loads(out)["config"]) == want, argv

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from coverdyn import compactness, scenarios
 from coverdyn.attractor import construct_candidate
-from coverdyn.cli import RunConfig
+from coverdyn.cli import DEFAULTS
 from coverdyn.compactness import (
     cantor_kuratowski_check,
     default_cap,
@@ -232,7 +232,21 @@ def _not_associative(fam):
     # twice first at point 1; no built-in action fails this check
     sc = get_scenario("decay_grid")
     bad = dataclasses.replace(sc, action=Action(space=sc.space, apply_fn=lambda t, i: 0 if t == 1 else i))
-    return scenarios._validate(bad, 1.0, assoc_elements=(0, 1))
+    return scenarios._validate(bad, 1.0)
+
+
+def _not_associative_at_the_fourth_probe(fam):
+    # composition's level-0 probes are 2^-1 .. 2^-4; the action below fixes
+    # every point under 2^-8, and only the fourth probe with itself composes
+    # to 2^-8, so the first three probes alone never see the fault
+    sc = get_scenario("composition")
+    assert sc.filter_basis.probes() == (0.5, 0.25, 0.125, 0.0625)
+    good = sc.action.apply_fn
+    bad = dataclasses.replace(sc, action=Action(
+        space=sc.space, apply_fn=lambda c, i: i if c == 0.0625**2 else good(c, i)
+    ))
+    assert bad.action.check_associativity(bad.filter_basis.semigroup.compose, (0.5, 0.25, 0.125)) is None
+    return scenarios._validate(bad, 1.0)
 
 
 # the guards of the library entries that no config reaches, on the 101-point
@@ -298,6 +312,9 @@ BAD_INPUTS = {
     ),
     "scenario-not-associative": (
         _not_associative, SchemaError, re.escape("action is not associative at s=1, t=1, point (0.01)")
+    ),
+    "scenario-not-associative-at-the-fourth-probe": (
+        _not_associative_at_the_fourth_probe, SchemaError, re.escape("action is not associative at s=0.0625, t=0.0625, point id.e0")
     ),
 }
 
@@ -913,26 +930,29 @@ class _HashCountingSampler:
         return object.__hash__(self)
 
 
-def test_filter_basis_hashes_its_fields_once(decay, grid):
+def test_filter_basis_is_its_own_memo_key(decay, grid):
     # every orbit_rows and orbit_mask lookup keys its memo by the basis, and
-    # only the first one on each basis hashes the basis's fields
+    # none of them hashes the basis's fields
     sampler = _HashCountingSampler(integer_tails(nat_add(), depth=3).sampler)
     F = dataclasses.replace(integer_tails(nat_add(), depth=3), sampler=sampler)
     # F itself reads the deepest level
     levels = [truncated(F, k) for k in range(F.depth)] + [F]
-    assert sampler.hashes == 0
     action = Action(space=grid, apply_fn=decay.apply_fn)
     for _ in range(3):
         for k, G in enumerate(levels):
             assert orbit_rows(action, G) == orbit_rows(action, G)
             for Y in (pick(grid, 7, 50), pick(grid, 100), grid.full_mask):
                 assert orbit_mask(Y, action, G) == reference_orbit_mask(k, Y, action, F)
-    assert sampler.hashes == len(levels)
-    # a basis with the same fields is equal and hashes equal: the memos are
-    # shared between them, as with the field hash of a frozen dataclass
+    assert sampler.hashes == 0
+    # a replaced twin with equal fields is a separate key: its lookup fills
+    # a memo entry of its own
     twin = dataclasses.replace(F)
-    assert twin == F and hash(twin) == hash(F) and twin is not F
-    assert sampler.hashes == len(levels) + 1
+    assert twin != F
+    rows = action.__dict__["_orbit_rows"]
+    assert twin not in rows
+    assert orbit_rows(action, twin) == orbit_rows(action, F)
+    assert rows[twin] is not rows[F]
+    assert sampler.hashes == 0
 
 
 @st.composite
@@ -1084,7 +1104,7 @@ def attractor_system(name, seed):
     sc = get_scenario(name)
     testsets = dict(sc.testsets)
     rng = random.Random(seed)
-    testsets.update(sc.random_bounded_testsets(rng, count=min(RunConfig.budget, 50)))
+    testsets.update(sc.random_bounded_testsets(rng, count=min(DEFAULTS["budget"], 50)))
     return dataclasses.replace(sc, testsets=testsets)
 
 

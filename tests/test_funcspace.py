@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from coverdyn import funcspace
 from coverdyn.covering import double_refines
 from coverdyn.funcspace import (
-    ArgConstraint,
     _slabs,
     build_function_model,
-    constraint,
     pointwise_chain,
     pointwise_covering,
 )
@@ -30,14 +28,16 @@ def table(model, f):
 
 
 def in_pointwise_star(model, f, g, constraints):
-    """Direct membership formula: per constrained argument, some center holds
-    both function values within the radius (arguments are independent)."""
-    for c in constraints:
-        fv = table(model, f)[c.arg_index]
-        gv = table(model, g)[c.arg_index]
-        r2 = c.radius * c.radius
+    """Direct membership formula: per constrained (argument, radius) pair,
+    some value that a function takes there holds both function values
+    within the radius (arguments are independent)."""
+    for arg, radius in constraints:
+        fv = table(model, f)[arg]
+        gv = table(model, g)[arg]
+        centers = {table(model, h)[arg] for h in range(model.space.n)}
+        r2 = radius * radius
         if not any(
-            _dist2(fv, ctr) < r2 and _dist2(gv, ctr) < r2 for ctr in c.centers
+            _dist2(fv, ctr) < r2 and _dist2(gv, ctr) < r2 for ctr in centers
         ):
             return False
     return True
@@ -81,7 +81,7 @@ def test_duplicate_tables_rejected():
 
 
 def test_pointwise_covering_members_cover(model):
-    cov = pointwise_covering(model, [constraint(model, 0, 0.6)])
+    cov = pointwise_covering(model, [(0, 0.6)])
     union = 0
     for m in cov.members:
         union |= m
@@ -89,14 +89,14 @@ def test_pointwise_covering_members_cover(model):
 
 
 def test_pointwise_covering_label_names_its_constraints(model):
-    cov = pointwise_covering(model, [constraint(model, 0, 1.0), constraint(model, 2, 0.25)])
+    cov = pointwise_covering(model, [(0, 1.0), (2, 0.25)])
     assert cov.label == "pw[0@1,2@0.25]"
 
 
 def test_star_membership_two_routes(model):
     # covering-star route versus the direct per-argument formula
     for radii in ((0.6,), (0.3, 0.6), (1.2, 0.8, 0.4)):
-        cons = [constraint(model, a, r) for a, r in enumerate(radii)]
+        cons = list(enumerate(radii))
         cov = pointwise_covering(model, cons)
         for f, g in itertools.product(range(model.space.n), repeat=2):
             via_star = in_star(cov, f, g)
@@ -106,7 +106,7 @@ def test_star_membership_two_routes(model):
 
 def test_unconstrained_argument_is_free(model):
     # constraining only the first argument ignores differences elsewhere
-    cons = [constraint(model, 0, 0.2)]
+    cons = [(0, 0.2)]
     cov = pointwise_covering(model, cons)
     idf = model.space.index_of("id")
     vee = model.space.index_of("vee")
@@ -122,7 +122,7 @@ def test_unconstrained_argument_is_free(model):
 
 def test_pointwise_chain_certifies(model):
     radii = [2.0, 0.5, 0.125]
-    levels = [[constraint(model, a, r) for a in range(3)] for r in radii]
+    levels = [[(a, r) for a in range(3)] for r in radii]
     fam = pointwise_chain(model, levels)
     for i in range(1, fam.size):
         assert double_refines(fam.coverings[i], fam.coverings[i - 1])
@@ -137,9 +137,9 @@ def test_vector_valued_model():
     ]
     m = build_function_model(tables, ["zero", "two", "mix"], value_dim=2)
     assert m.values_at(1) == [(0.0, 0.0), (2.0, 2.0), (2.0, 1.0)]
-    # centers default to observed values; at radius 1.2 the ball at (2,1)
+    # the balls are centered at the observed values; at radius 1.2 the ball at (2,1)
     # holds both (2,2) and (2,1), while (0,0) stays separated
-    cons = [constraint(m, 1, 1.2)]
+    cons = [(1, 1.2)]
     cov = pointwise_covering(m, cons)
     zero, two, mix = range(m.space.n)
     assert not in_star(cov, zero, two)
@@ -152,14 +152,12 @@ DYADIC = st.integers(-16, 16).map(lambda k: k / 8)
 
 
 def _value_case(values, centers, radius):
-    """A one-argument model whose tables are `values`, and a constraint on
-    it: balls around `centers`, or around the observed values when none."""
+    """A one-argument model whose tables are `values`, balls around
+    `centers`, or around the observed values when none, and a radius."""
     model = build_function_model(
         [[v] for v in values], [str(i) for i in range(len(values))], len(values[0])
     )
-    if not centers:
-        return model, constraint(model, 0, radius)
-    return model, ArgConstraint(0, float(radius), tuple(sorted(centers)))
+    return model, tuple(sorted(centers)) or model.observed_values(0), radius
 
 
 @st.composite
@@ -177,27 +175,35 @@ def dyadic_cases(draw):
     return _value_case(values, centers, radius)
 
 
+def _kernel_ties(values, centers, radius):
+    """Whether `ball_rows` puts a value at exactly the radius inside a ball;
+    every other membership must match the squared distance."""
+    r2 = radius * radius
+    ties = False
+    (balls,) = ball_rows(values, centers, [radius])
+    for center, row in zip(centers, balls):
+        for i, v in enumerate(values):
+            d2 = sum((x - y) ** 2 for x, y in zip(v, center))
+            if bool((row >> i) & 1) != (d2 < r2):
+                # in 1-D and 2-D the kernel is exact on this grid; in 3-D
+                # its rounding may put a value at exactly the radius inside
+                assert len(v) == 3 and d2 == r2, (v, center, radius)
+                ties = True
+    return ties
+
+
 @given(dyadic_cases())
 @settings(max_examples=200, deadline=None)
 # a 3-D tie: the exact distance of (2, 10, 11)/8 is 15/8, and the scaled
 # kernel rounds it one ulp below
 @example(_value_case([(0.0, 0.0, 0.0), (0.25, 1.25, 1.375)], [(0.0, 0.0, 0.0)], 1.875))
 def test_slabs_match_squared_reference_on_a_dyadic_grid(case):
-    model, c = case
+    model, centers, radius = case
     values = [p.coords for p in model.space.points]
-    r2 = c.radius * c.radius
-    ties = False
-    (balls,) = ball_rows(values, c.centers, [c.radius])
-    for center, row in zip(c.centers, balls):
-        for i, v in enumerate(values):
-            d2 = sum((x - y) ** 2 for x, y in zip(v, center))
-            if bool((row >> i) & 1) != (d2 < r2):
-                # in 1-D and 2-D the kernel is exact on this grid; in 3-D
-                # its rounding may put a value at exactly the radius inside
-                assert len(v) == 3 and d2 == r2, (v, center, c.radius)
-                ties = True
-    if not ties:
-        assert _slabs(model, c) == reference_slabs(model, c)
+    _kernel_ties(values, centers, radius)
+    # the slabs are the balls around the observed values
+    if not _kernel_ties(values, model.observed_values(0), radius):
+        assert _slabs(model, 0, radius) == reference_slabs(model, 0, radius)
 
 
 @pytest.mark.parametrize("name", ["composition", "exp_decay", "iterated_contractions"])
@@ -205,9 +211,9 @@ def test_builtin_families_match_reference_slabs(name, monkeypatch):
     sc = get_scenario(name)
     calls = []
 
-    def recording(model, c):
-        calls.append(c)
-        return reference_slabs(model, c)
+    def recording(model, arg, radius):
+        calls.append((arg, radius))
+        return reference_slabs(model, arg, radius)
 
     monkeypatch.setattr(funcspace, "_slabs", recording)
     ref = get_scenario(name)
