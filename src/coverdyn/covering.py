@@ -21,6 +21,9 @@ from .space import (
     ball_rows,
     bool_product,
     iter_bits,
+    run_spans,
+    run_stars,
+    run_transpose,
     transpose_masks,
     union_rows,
 )
@@ -54,16 +57,27 @@ class Covering:
     label: str
 
     @cached_property
+    def _spans(self) -> Optional[tuple[tuple[int, int], ...]]:
+        """Each member's index interval when every member is a run of ones, as
+        every ball of a line grid is; else None. The two tables below are
+        then sweeps over the intervals."""
+        return run_spans(self.members)
+
+    @cached_property
     def point_rows(self) -> tuple[int, ...]:
         """For each point index, the mask of the indices of members containing it
         (the transpose of `members`)."""
-        return transpose_masks(self.members, self.space.n)
+        if self._spans is None:
+            return transpose_masks(self.members, self.space.n)
+        return run_transpose(self._spans, self.space.n)
 
     @cached_property
     def point_star(self) -> tuple[int, ...]:
         """For each point index, the union of members containing it: point y is
         in the star of x iff some member holds both, i.e. their rows meet."""
-        return bool_product(self.point_rows, self.point_rows, len(self.members))
+        if self._spans is None:
+            return bool_product(self.point_rows, self.point_rows, len(self.members))
+        return run_stars(self._spans, self.space.n)
 
     def star_mask(self, ymask: int) -> int:
         """Union of the members meeting the point set `ymask`: the union of
@@ -112,6 +126,14 @@ def relation_rows(
     may hold both ends of s and miss a point between them; where members are
     index intervals, as balls on a line grid are, the first candidate holds
     s. A set wider than U's widest member fits nowhere.
+
+    Three kernels read that members are index intervals. `ball_rows` finds
+    each ball of increasing 1-D coordinates by its two ends; a covering whose
+    members are all intervals takes its point rows and point stars from
+    sweeps over them (`Covering._spans`); and here the first candidate holds
+    s. The first two test the fact before they rely on it, and this test is
+    correct without it. An exact tie predicate for a line grid's balls keeps
+    all three: each ball stays one interval, and only its ends may move.
 
     V refines U when every member of V fits U. The distinct member sets of
     all sources are tested once per target into one mask, and V refines U

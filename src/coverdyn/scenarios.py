@@ -484,9 +484,53 @@ def _config_element(value, where: str) -> int:
     return value
 
 
+# Every section and key that a custom config may hold, the one declaration
+# that the loader checks a config against. A section maps to its keys, or to
+# the value of its `kind` key and the keys of that kind besides `kind` (the
+# kind None: the section has no `kind`, or is absent). [testsets] names are
+# free, apart from the reserved rand<k>. A built-in kind reads [scenario]
+# alone, and its keys are `kind` and its builder's parameters.
+CUSTOM_SCHEMA = {
+    "scenario": ("kind", "name"),
+    "space": {"line_grid": ("start", "stop", "count")},
+    "family": {"metric_chain": ("eps0", "depth")},
+    "action": {"halving_decay": (), "identity": ()},
+    "semigroup": {None: (), "nat_add": ()},
+    "filter": {"integer_tails": ("depth", "window"), "explicit": ("levels",)},
+    "testsets": None,
+    "declared": ("cap", "eventually_compact_witness"),
+    "expectations": ("attractor", "kind"),
+}
+
+
+def _check_keys(cp, kind: str) -> None:
+    """Reject every section and key that a config of this kind does not read,
+    and every section kind that the schema does not name."""
+    if kind == "custom":
+        allowed = {}
+        for section, keys in CUSTOM_SCHEMA.items():
+            if isinstance(keys, dict):
+                skind = _jget(cp, section, "kind", required=None not in keys)
+                if skind not in tuple(keys):  # a tuple: a JSON list is unhashable
+                    raise SchemaError(f"unsupported {section} kind {skind!r}")
+                keys = ("kind", *keys[skind])
+            allowed[section] = keys
+    else:
+        allowed = {"scenario": ("kind", *inspect.signature(BUILTIN_SCENARIOS[kind]).parameters)}
+    for section in cp.sections():
+        if section not in allowed:
+            raise SchemaError(f"unknown section [{section}] for kind {kind}")
+        keys = allowed[section]
+        for key in cp.options(section):
+            if keys is not None and key not in keys:
+                raise SchemaError(f"unknown key [{section}] {key}")
+
+
 def load_system(cfg_text: str) -> Scenario:
     """Build a scenario from sectioned config text (snap checks enforced).
 
+    Every section and key must be one that the config's kind reads
+    (`CUSTOM_SCHEMA`), or the config is rejected before anything is built.
     A value that the builders reject with a non-coverdyn exception (a wrong
     type, an out-of-range number or index) is reported as a SchemaError.
     """
@@ -496,13 +540,11 @@ def load_system(cfg_text: str) -> Scenario:
     kind = _jget(cp, "scenario", "kind", required=True)
     if kind not in ("custom", *BUILTIN_SCENARIOS):
         raise SchemaError(f"unknown scenario kind {kind!r}")
+    _check_keys(cp, kind)
     try:
         if kind == "custom":
             return _load_custom(cp)
         params = {k: _jget(cp, "scenario", k) for k in cp.options("scenario") if k != "kind"}
-        unknown = set(params) - set(inspect.signature(BUILTIN_SCENARIOS[kind]).parameters)
-        if unknown:
-            raise SchemaError(f"unknown [scenario] parameters for {kind}: {sorted(unknown)}")
         flags = sorted(k for k, v in params.items() if type(v) is bool)
         if flags:
             raise SchemaError(f"[scenario] {flags[0]}: a boolean is not a number")
@@ -512,47 +554,35 @@ def load_system(cfg_text: str) -> Scenario:
 
 
 def _load_custom(cp) -> Scenario:
-    skind = _jget(cp, "space", "kind", required=True)
-    if skind != "line_grid":
-        raise SchemaError(f"unsupported space kind {skind!r}")
+    # `_check_keys` has read every section kind against CUSTOM_SCHEMA
     start = _config_number(cp, "space", "start", 0.0)
     stop = _config_number(cp, "space", "stop", 1.0)
     count = _config_int(cp, "space", "count", required=True)
     space = line_grid(start, stop, count)
     step = (stop - start) / (count - 1) if count > 1 else 0.0
 
-    fkind = _jget(cp, "family", "kind", required=True)
-    if fkind != "metric_chain":
-        raise SchemaError(f"unsupported family kind {fkind!r}")
     eps0 = _config_number(cp, "family", "eps0", required=True)
     chain_depth = _config_int(cp, "family", "depth", required=True)
     family = metric_chain_family(space, eps0, chain_depth)
     finest_radius = eps0 * CHAIN_RATIO**chain_depth
 
-    akind = _jget(cp, "action", "kind", required=True)
-    if akind == "halving_decay":
+    if _jget(cp, "action", "kind") == "halving_decay":
         apply_fn = lambda t, i: i >> t
         snap_error = step
-    elif akind == "identity":
+    else:  # identity
         apply_fn = lambda t, i: i
         snap_error = 0.0
-    else:
-        raise SchemaError(f"unsupported action kind {akind!r}")
 
-    gkind = _jget(cp, "semigroup", "kind", "nat_add")
-    if gkind != "nat_add":
-        raise SchemaError(f"unsupported semigroup kind {gkind!r}")
     sem = nat_add()
     action = Action(space=space, apply_fn=apply_fn)
 
-    tkind = _jget(cp, "filter", "kind", required=True)
-    if tkind == "integer_tails":
+    if _jget(cp, "filter", "kind") == "integer_tails":
         F = integer_tails(
             sem,
             depth=_config_int(cp, "filter", "depth", required=True),
             window=_config_int(cp, "filter", "window", 4),
         )
-    elif tkind == "explicit":
+    else:  # explicit
         levels = _jget(cp, "filter", "levels", required=True)
         if type(levels) is not list or any(type(lv) is not list for lv in levels):
             raise SchemaError(f"[filter] levels: {levels!r} is not a list of lists of semigroup elements")
@@ -565,8 +595,6 @@ def _load_custom(cp) -> Scenario:
             contains=lambda el, k: el in level_sets[k],
             sampler=lambda k: tuple(sorted(level_sets[k])),
         )
-    else:
-        raise SchemaError(f"unsupported filter kind {tkind!r}")
 
     testsets = {}
     if cp.has_section("testsets"):

@@ -4,7 +4,8 @@ A Space is a finite set of points carrying either coordinates, whose
 euclidean norm distances make it a metric space, or a validated finite
 topology, as a list of open sets. The coordinates in `Space.points` are the
 only stored geometry of a metric space: `ball_rows` measures balls from them,
-and nothing keeps a distance table. A metric space checks its input (finite
+and nothing keeps a distance table; on a line grid no ball needs one, since
+each is an index interval. A metric space checks its input (finite
 coordinates and distances, distinct ids and points); the metric axioms hold
 by construction, see `_pairwise_distances`.
 Every point, in every signature of the package, is its index in
@@ -17,6 +18,7 @@ indices, and `Space.pids` reads one back as the sorted point ids.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -141,6 +143,11 @@ def iter_bits(mask: int):
 # mask is column i of its row (little bit order within each byte). There are
 # two compositions: a mask picks rows of a table through `union_rows`, and a
 # table composes with a table through `bool_product`, one float32 matmul.
+# Where every mask of a table is a run of ones, an index interval [s, e),
+# `run_spans` reads the intervals off once, and `run_transpose` and
+# `run_stars` give what `transpose_masks` and the product of the transpose
+# with itself give, in O(n + m) steps on n columns and m runs, with no n x m
+# array.
 
 
 def union_rows(table: Sequence[int], mask: int) -> int:
@@ -192,6 +199,45 @@ def bool_product(rows: Sequence[int], cols: Sequence[int], width: int) -> tuple[
     lhs = _unpack(rows, width).astype(np.float32)
     rhs = _unpack(cols, width).astype(np.float32)
     return _pack(lhs @ rhs.T > 0)
+
+
+def run_spans(masks: Sequence[int]) -> Optional[tuple[tuple[int, int], ...]]:
+    """The (start, end) of each nonzero mask when every one is a run of ones,
+    the index interval [start, end); None when some mask is not a run."""
+    spans = []
+    for m in masks:
+        start, end = (m & -m).bit_length() - 1, m.bit_length()
+        if m != (1 << end) - (1 << start):
+            return None
+        spans.append((start, end))
+    return tuple(spans)
+
+
+def run_transpose(spans: Sequence[tuple[int, int]], width: int) -> tuple[int, ...]:
+    """`transpose_masks` of runs over `width` bits, from their spans: going up
+    the columns, bit k is switched on at start k and off at end k."""
+    edges = [0] * (width + 1)
+    for k, (start, end) in enumerate(spans):
+        edges[start] ^= 1 << k
+        edges[end] ^= 1 << k
+    return tuple(itertools.accumulate(edges[:width], operator.xor))
+
+
+def run_stars(spans: Sequence[tuple[int, int]], width: int) -> tuple[int, ...]:
+    """`bool_product(T, T, len(spans))` for `T = run_transpose(spans, width)`,
+    when every column lies in some run: the union of the runs through column
+    j. Those runs all hold j, so their union is the run from lo[j], the least
+    start of a run that ends after j (a suffix minimum of starts by end), to
+    hi[j], the greatest end of a run that starts at or before j (a prefix
+    maximum of ends by start)."""
+    least_start = [width] * (width + 1)  # by end
+    greatest_end = [0] * width  # by start
+    for start, end in spans:
+        least_start[end] = min(least_start[end], start)
+        greatest_end[start] = max(greatest_end[start], end)
+    lo = list(itertools.accumulate(reversed(least_start[1:]), min))[::-1]
+    hi = itertools.accumulate(greatest_end, max)
+    return tuple([(1 << h) - (1 << l) for l, h in zip(lo, hi)])
 
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -289,14 +335,61 @@ def ball_rows(
     coords: Sequence, centers: Sequence, radii: Sequence[float]
 ) -> list[tuple[int, ...]]:
     """Open euclidean balls from coordinates: per radius, per center, the
-    mask of the coordinate rows strictly closer than the radius. One kernel
-    pass measures every distance, then each radius is one `<`; the distance
+    mask of the coordinate rows strictly closer than the radius, that is
+    whose `_pairwise_distances` distance is below it.
+
+    On strictly increasing 1-D coordinates, as on a line grid, every ball is
+    an index interval, and `_interval_balls` finds its two ends with no
+    distance table. Any other coordinates go through one kernel pass that
+    measures every distance, and each radius is then one `<`; the distance
     table is dropped on return. In three or more dimensions a row at exactly
     the radius can round to inside (see `_pairwise_distances`)."""
     rows = np.asarray(coords, dtype=float)
     cs = np.asarray(centers, dtype=float).reshape(-1, rows.shape[1])
+    if rows.shape[1] == 1 and (np.diff(rows[:, 0]) > 0).all():
+        return _interval_balls(rows[:, 0], cs[:, 0], radii)
     dist = _pairwise_distances(cs, rows)
     return [_pack(dist < r) for r in radii]
+
+
+def _interval_balls(
+    xs: np.ndarray, cs: np.ndarray, radii: Sequence[float]
+) -> list[tuple[int, ...]]:
+    """`ball_rows` on strictly increasing 1-D coordinates `xs`.
+
+    In one dimension `_pairwise_distances` is exactly |fl(c - x)|, and IEEE
+    subtraction is monotone. So from the first index `mid` with x >= c the
+    distance rises, and below it the distance falls towards c: the ball is
+    [lo, hi), with lo the first index below `mid` inside the ball (else
+    `mid`) and hi the first index from `mid` on outside it (else n).
+    `np.searchsorted` at c - r and c + r guesses both ends, and `_first`
+    settles each on that exact predicate, so a tie rounds as it does in the
+    distance table. An exact tie predicate would change only the two
+    searches: the ball stays one interval."""
+    n = len(xs)
+    mid = np.searchsorted(xs, cs)
+    out = []
+    for r in radii:
+        def inside(j):
+            # an index past either end is masked out by `_first`
+            return np.abs(cs - xs[np.minimum(j, n - 1)]) < r
+
+        lo = _first(inside, np.searchsorted(xs, cs - r, side="right"), 0, mid)
+        hi = _first(lambda j: ~inside(j), np.searchsorted(xs, cs + r), mid, n)
+        out.append(tuple([(1 << h) - (1 << l) for l, h in zip(lo.tolist(), hi.tolist())]))
+    return out
+
+
+def _first(holds, guess: np.ndarray, a, b) -> np.ndarray:
+    """Per center, the least index j in [a, b) with `holds(j)`, else b, where
+    `holds` is false and then true along [a, b): the guess moves down while
+    the index below it holds and up while its own index does not."""
+    j = np.clip(guess, a, b)
+    while (step := (j > a) & holds(j - 1)).any():
+        j = j - step
+    while (step := (j < b) & ~holds(j)).any():
+        j = j + step
+    return j
 
 
 def build_finite_topology(

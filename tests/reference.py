@@ -109,7 +109,10 @@ collection masks, then the per-covering tables of the triangle laws
 regrouped from that table by value. It composes those tables by
 `walk_product`, the boolean matrix product by a bit walk, so it shares no
 kernel with `bool_product`. `stars_of` turns such a prox function into the
-per-covering tables that `proximity_suite` reads now.
+per-covering tables that `proximity_suite` reads now. `walk_transpose` is
+`transpose_masks` by a bit walk. The two walks are the oracles of both
+bit-matrix paths: the packed numpy kernels, and the sweeps over index
+intervals that a covering of runs takes.
 
 `zero_collection` is the whole family, the least collection: distance zero.
 """
@@ -656,6 +659,12 @@ def walk_product(rows, cols):
     """The boolean matrix product by a bit walk: bit j of output row i is set
     iff rows[i] & cols[j] != 0."""
     return tuple(sum(1 << j for j, c in enumerate(cols) if r & c) for r in rows)
+
+
+def walk_transpose(masks, width):
+    """The transposed bit matrix by a bit walk: bit i of output j is bit j of
+    masks[i]."""
+    return tuple(sum(((m >> j) & 1) << i for i, m in enumerate(masks)) for j in range(width))
 
 
 def _reference_triangles(family, vals) -> list[CheckResult]:

@@ -1,4 +1,6 @@
 import argparse
+import configparser
+import inspect
 import json
 import re
 import warnings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from coverdyn.cli import build_parser, main
 from coverdyn.compactness import CoverSearchBudgetExceeded
-from coverdyn.scenarios import load_system
+from coverdyn.scenarios import BUILTIN_SCENARIOS, CUSTOM_SCHEMA, load_system
 
 
 def run(capsys, *argv):
@@ -257,9 +259,38 @@ kind = "integer_tails"
 depth = 4
 """
 INTEGER_TAILS = 'kind = "integer_tails"\ndepth = 4'
+README = Path(__file__).resolve().parent.parent / "README.md"
+INI_BLOCKS = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+README_CUSTOM = next(text for text in INI_BLOCKS if 'kind = "custom"' in text)
 CONFIGS = {
     "custom-valid": (CUSTOM, 0),
     "unknown-parameter": ('[scenario]\nkind = "decay_grid"\nbogus = 3\n', 2),
+    # keys and sections that no loader reads used to be ignored: these ran
+    # with window 4, the default cap, and a filter nobody asked for
+    "readme-misspelt-key-and-section": (
+        README_CUSTOM.replace("window = 4", "window = 4\nwindw = 1") + "\n[declard]\ncap = 1\n",
+        2,
+    ),
+    "readme-misspelt-section": (README_CUSTOM + "\n[declard]\ncap = 1\n", 2),
+    "decay_grid-filter-section": (
+        '[scenario]\nkind = "decay_grid"\ncount = 101\n\n[filter]\ndepth = 3\n',
+        2,
+    ),
+    # keys that depend on a kind follow the kind
+    "explicit-filter-window": (
+        CUSTOM.replace(INTEGER_TAILS, 'kind = "explicit"\nlevels = [[1, 2], [2]]\nwindow = 4'),
+        2,
+    ),
+    "integer-tails-levels": (CUSTOM + "levels = [[1, 2], [2]]\n", 2),
+    "semigroup-unknown-key": (CUSTOM + "\n[semigroup]\nunit = 0\n", 2),
+    # configparser hands its DEFAULT keys to every section
+    "default-section-key": (CUSTOM + "\n[DEFAULT]\nx = 1\n", 2),
+    "section-kind-list": (CUSTOM.replace('kind = "line_grid"', "kind = [1]"), 2),
+    # a lone % is a configparser interpolation error, raised as the key is read
+    "value-interpolation-error": (CUSTOM.replace("count = 21", "count = %21"), 2),
+    "section-kind-interpolation-error": (CUSTOM.replace('kind = "line_grid"', 'kind = "%"'), 2),
+    # configparser folds key case, and the schema keeps that
+    "key-case-folded": (CUSTOM.replace("count = 21", "Count = 21"), 0),
     "empty-grid": ('[scenario]\nkind = "decay_grid"\ncount = 0\n', 2),
     "count-not-a-number": ('[scenario]\nkind = "decay_grid"\ncount = "abc"\n', 2),
     "snap-tolerance": ('[scenario]\nkind = "decay_grid"\nchain_depth = 9\n', 2),
@@ -379,6 +410,18 @@ CONFIGS = {
 }
 # the error line of each of these rows
 MESSAGES = {
+    "unknown-parameter": "error: unknown key [scenario] bogus\n",
+    "readme-misspelt-key-and-section": "error: unknown key [filter] windw\n",
+    "readme-misspelt-section": "error: unknown section [declard] for kind custom\n",
+    "decay_grid-filter-section": "error: unknown section [filter] for kind decay_grid\n",
+    "explicit-filter-window": "error: unknown key [filter] window\n",
+    "integer-tails-levels": "error: unknown key [filter] levels\n",
+    "semigroup-unknown-key": "error: unknown key [semigroup] unit\n",
+    "default-section-key": "error: unknown key [scenario] x\n",
+    "section-kind-list": "error: unsupported space kind [1]\n",
+    "value-interpolation-error": (
+        "error: bad value for [space] count: '%' must be followed by '%' or '(', found: '%21'\n"
+    ),
     "space-count-missing": "error: missing [space] count\n",
     "exp_decay-depth-5": "error: the witness family is tuned to the filter truncation\n",
     "filter-window-zero": "error: level 4 has an empty sample\n",
@@ -522,17 +565,12 @@ def test_one_point_decay_grid_loads(tmp_path, capsys, command):
     assert (code, capsys.readouterr().err) == (0, "")
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
-
-
 def test_readme_config_examples_load(tmp_path, capsys):
-    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
-    assert blocks
-    for text in blocks:
+    assert INI_BLOCKS
+    for text in INI_BLOCKS:
         load_system(text)
-    custom = next(text for text in blocks if 'kind = "custom"' in text)
     path = tmp_path / "system.ini"
-    path.write_text(custom, encoding="utf-8")
+    path.write_text(README_CUSTOM, encoding="utf-8")
     assert main(["attractor", "--config", str(path)]) == 0, capsys.readouterr().err
 
 
@@ -593,10 +631,15 @@ def config_texts(draw):
         if section in dropped:
             continue
         lines.append(f"[{section}]")
+        declared = CUSTOM_SCHEMA[section]
         if kinds:
-            lines.append(f'kind = "{pick(draw(st.sampled_from(kinds)), st.sampled_from(KINDS))}"')
+            kind = pick(draw(st.sampled_from(kinds)), st.sampled_from(KINDS))
+            lines.append(f'kind = "{kind}"')
+            # the keys of the drawn kind; another kind's keys when it is perturbed
+            declared = declared.get(kind, tuple(keys))
         for key, valid in keys.items():
-            lines.append(f"{key} = {pick(valid, VALUES)}")
+            if declared is None or key in declared:
+                lines.append(f"{key} = {pick(valid, VALUES)}")
     return "\n".join(lines) + "\n"
 
 
@@ -641,6 +684,82 @@ kind = "halving_decay"
 kind = "integer_tails"
 depth = 6
 """
+
+
+# every config of the repository that loads: the README's, the benchmark's
+# grid and this file's
+VALID_CONFIGS = [
+    *INI_BLOCKS,
+    (README.parent / "tests" / "golden" / "grid-scale.ini").read_text(encoding="utf-8"),
+    CUSTOM,
+    WIDE_GRID,
+    '[scenario]\nkind = "exp_decay"\nwindow = 3\n',
+]
+NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True)
+
+
+def declared_keys(text: str) -> dict:
+    """The schema's keys per section of a config that loads, for its kinds."""
+    parsed = _parse_config(text)
+    kind = json.loads(parsed["scenario"]["kind"])
+    if kind != "custom":
+        return {"scenario": ("kind", *inspect.signature(BUILTIN_SCENARIOS[kind]).parameters)}
+    out = {}
+    for section, keys in CUSTOM_SCHEMA.items():
+        if isinstance(keys, dict):
+            skind = json.loads(parsed[section]["kind"]) if parsed.has_option(section, "kind") else None
+            keys = ("kind", *keys[skind])
+        out[section] = keys
+    return out
+
+
+def _parse_config(text):
+    cp = configparser.ConfigParser()
+    cp.read_string(text)
+    return cp
+
+
+def test_valid_configs_hold_only_declared_keys():
+    for text in VALID_CONFIGS:
+        load_system(text)
+        parsed, keys = _parse_config(text), declared_keys(text)
+        for section in parsed.sections():
+            assert keys[section] is None or set(parsed.options(section)) <= set(keys[section])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.sampled_from(VALID_CONFIGS), data=st.data())
+def test_an_undeclared_key_or_section_is_a_config_error(tmp_path, capsys, text, data):
+    keys = declared_keys(text)
+    parsed = _parse_config(text)
+    path = tmp_path / "system.ini"
+    # one unknown key in each section whose key names are declared
+    for section in parsed.sections():
+        if keys[section] is None:  # [testsets] names are free
+            continue
+        key = data.draw(NAMES.filter(lambda k: k not in keys[section]))
+        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n"), encoding="utf-8")
+        assert main(["scenario", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: unknown key [{section}] {key}\n"
+    section = data.draw(NAMES.filter(lambda s: s not in keys))
+    path.write_text(text + f"\n[{section}]\nkind = 1\n", encoding="utf-8")
+    assert main(["scenario", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: unknown section [{section}] for kind ")
+
+
+def test_readme_names_every_declared_key():
+    # the README's config reference names each key of the schema, inline as
+    # `[section] key` or in its custom example
+    text = README.read_text(encoding="utf-8")
+    reference = text[text.index("## Config format") : text.index("## Library sketch")]
+    example = _parse_config(README_CUSTOM)
+    for section, keys in CUSTOM_SCHEMA.items():
+        if keys is None:
+            assert f"`[{section}]`" in reference
+            continue
+        names = {k for v in keys.values() for k in ("kind", *v)} if isinstance(keys, dict) else keys
+        for key in names:
+            assert f"`[{section}] {key}`" in reference or example.has_option(section, key), (section, key)
 
 
 ARGV_FLAGS = {

@@ -47,8 +47,11 @@ from reference import (
     reference_distance,
     reference_point_balls,
     reference_star_mask,
+    walk_product,
+    walk_transpose,
 )
 from test_proximity import TOPOLOGY_FAMILIES
+from test_space import random_runs
 
 
 @pytest.fixture(scope="module")
@@ -726,3 +729,56 @@ def test_first_failure_reads_no_further_than_the_first_witness():
 
     assert first_failure("law", witnesses()).witness == "first"
     assert produced == ["first"]
+
+
+def spy_dense(monkeypatch):
+    """Count the calls of the two packed kernels that `Covering` reads."""
+    calls = collections.Counter()
+    for name in ("transpose_masks", "bool_product"):
+        real = getattr(covering, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(covering, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 7, 9, 40, 65])
+def test_a_covering_of_runs_takes_the_sweeps(monkeypatch, n):
+    space = line_grid(0.0, 1.0, n)
+    rng = random.Random(n)
+    calls = spy_dense(monkeypatch)
+    for _ in range(8):
+        c = make_covering_masks(space, random_runs(rng, n))
+        rows = walk_transpose(c.members, n)
+        assert c.point_rows == rows
+        assert c.point_star == walk_product(rows, rows)
+        assert c.point_star == row_forms.point_star(c)
+    assert calls == {}
+
+
+@pytest.mark.parametrize("n", [3, 9, 40])
+def test_a_covering_with_one_gapped_member_keeps_the_packed_kernels(monkeypatch, n):
+    space = line_grid(0.0, 1.0, n)
+    rng = random.Random(n)
+    calls = spy_dense(monkeypatch)
+    for k in range(8):
+        gapped = 1 | 1 << rng.randrange(2, n)
+        c = make_covering_masks(space, random_runs(rng, n) + [gapped])
+        assert c._spans is None
+        rows = walk_transpose(c.members, n)
+        assert c.point_rows == rows
+        assert c.point_star == walk_product(rows, rows)
+        assert calls == {"transpose_masks": k + 1, "bool_product": k + 1}
+
+
+def test_a_line_grid_chain_takes_no_packed_kernel(monkeypatch):
+    # every ball of a line grid is an interval, from ball_rows to the stars
+    calls = spy_dense(monkeypatch)
+    fam = metric_chain_family(line_grid(0.0, 1.0, 101), 2.0, 4)
+    verify_admissible(fam)
+    assert calls == {}
+    for c in fam.coverings:
+        assert c.point_star == row_forms.point_star(c)

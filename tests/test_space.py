@@ -1,6 +1,9 @@
+import importlib.util
 import itertools
 import math
+import pathlib
 import random
+import sys
 import tracemalloc
 import warnings
 
@@ -26,6 +29,9 @@ from coverdyn.space import (
     build_metric_space,
     enumerate_topologies,
     line_grid,
+    run_spans,
+    run_stars,
+    run_transpose,
     transpose_masks,
     union_rows,
 )
@@ -37,6 +43,7 @@ from reference import (
     reference_point_balls,
     triangle_rtol,
     walk_product,
+    walk_transpose,
 )
 
 
@@ -369,10 +376,6 @@ def test_topology_closure():
 WIDTHS = (1, 7, 8, 9, 63, 64, 65)
 
 
-def walk_transpose(masks, width):
-    return tuple(sum(((m >> j) & 1) << i for i, m in enumerate(masks)) for j in range(width))
-
-
 def walk_union(table, mask):
     out = 0
     for k, row in enumerate(table):
@@ -490,3 +493,160 @@ def test_ball_masks_check_the_radius_and_the_metric():
         metric_chain_family(t, 1.0, 2)
     with pytest.raises(NotMetricSpace):
         nested_chain_suite(finite_all_coverings_family(t), rng=random.Random(0))
+
+
+# ---------------------------------------------------------------------------
+# the interval fast paths: balls of increasing 1-D coordinates, and the
+# tables of a covering whose members are runs of ones
+# ---------------------------------------------------------------------------
+
+
+def dense_balls(coords, centers, radii, kernel=space):
+    """The balls as the general path measures them: one distance table and
+    one `<` per radius."""
+    rows = np.asarray(coords, dtype=float)
+    cs = np.asarray(centers, dtype=float).reshape(-1, rows.shape[1])
+    dist = kernel._pairwise_distances(cs, rows)
+    return [kernel._pack(dist < r) for r in radii]
+
+
+def increasing_grids():
+    """Increasing 1-D grids with inexact points (shift 0.1, step 1e-3) and
+    exact ones (shift 7.25, step 1e6), with centers on and off the grid and
+    radii at multiples of the step, where ties round either way."""
+    rng = random.Random(41)
+    for shift, step, n in itertools.product((0.0, 7.25, 0.1, -3.3), (1e-3, 0.1, 1e6, 1 / 3), (1, 2, 9, 64, 101)):
+        xs = [shift + step * k for k in range(n)]
+        if len(set(xs)) < n:  # 1e-3 steps vanish next to 1e6-scale shifts
+            continue
+        centers = xs + [shift + step * rng.uniform(-2, n + 1) for _ in range(5)]
+        radii = [k * step / 2 for k in range(8)] + [3 * step, n * step, rng.uniform(0, n) * step]
+        yield [[x] for x in xs], [[c] for c in centers], radii
+
+
+def interval_balls_agree(kernel=space) -> bool:
+    """Whether `kernel.ball_rows` equals the dense form on every grid."""
+    return all(
+        kernel.ball_rows(coords, centers, radii) == dense_balls(coords, centers, radii, kernel)
+        for coords, centers, radii in increasing_grids()
+    )
+
+
+def test_interval_balls_match_the_distance_table(monkeypatch):
+    cases = list(increasing_grids())
+    want = [dense_balls(*case) for case in cases]
+
+    def table(a, b):
+        raise AssertionError("increasing 1-D coordinates took the distance table")
+
+    monkeypatch.setattr(space, "_pairwise_distances", table)
+    for case, expected in zip(cases, want):
+        assert ball_rows(*case) == expected, case[2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    xs=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40, unique=True),
+    centers=st.lists(st.floats(-2e6, 2e6, allow_nan=False), max_size=6),
+    radii=st.lists(st.floats(0.0, 3e6, allow_nan=False), min_size=1, max_size=4),
+)
+def test_interval_balls_match_the_distance_table_on_any_sorted_grid(xs, centers, radii):
+    # the radii also land on the gaps: each difference is a tie candidate
+    xs = sorted(set(x + 0.0 for x in xs))
+    coords = [[x] for x in xs]
+    radii = radii + [abs(xs[-1] - xs[0]), abs(xs[0] - 0.1)]
+    assert ball_rows(coords, [[c] for c in centers] + coords, radii) == dense_balls(
+        coords, [[c] for c in centers] + coords, radii
+    )
+
+
+@pytest.mark.parametrize("order", ["decreasing", "shuffled", "repeated", "2-D"])
+def test_other_coordinates_keep_the_distance_table(monkeypatch, order):
+    xs = [0.1 + 1e-3 * k for k in range(33)]
+    coords = {
+        "decreasing": [[x] for x in reversed(xs)],
+        "shuffled": [[x] for x in random.Random(7).sample(xs, len(xs))],
+        # equal neighbours are not strictly increasing
+        "repeated": [[x] for x in sorted(xs + xs[:3])],
+        "2-D": [[x, 2 * x] for x in xs],
+    }[order]
+    radii = [k * 1e-3 for k in range(5)]
+    want = dense_balls(coords, coords, radii)
+    calls = []
+    real = space._pairwise_distances
+
+    def table(a, b):
+        calls.append(a.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(space, "_pairwise_distances", table)
+    assert ball_rows(coords, coords, radii) == want
+    assert calls == [(len(coords), len(coords[0]))]
+
+
+MUTANTS = {
+    # each end settles one index short when its guess comes from below or above
+    "down-probe": ("& holds(j - 1)", "& holds(j - 2)"),
+    "up-probe": ("& ~holds(j)", "& ~holds(j + 1)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_an_off_by_one_fix_up_fails_the_ball_check(tmp_path, monkeypatch, name):
+    # the guess is wrong in both directions on these grids, so a fix-up
+    # that probes one index off must change some ball
+    assert interval_balls_agree()
+    old, new = MUTANTS[name]
+    source = pathlib.Path(space.__file__).read_text(encoding="utf-8")
+    assert source.count(old) == 1, old
+    path = tmp_path / "space_mutant.py"
+    path.write_text(source.replace(old, new), encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("space_mutant", path)
+    mutant = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "space_mutant", mutant)
+    spec.loader.exec_module(mutant)
+    try:
+        assert not interval_balls_agree(mutant)
+    except IndexError:  # a probe below index 0 of a one-point grid
+        pass
+
+
+def random_runs(rng, n):
+    """Runs of ones that cover [0, n), as masks: one-point runs, runs that
+    share a start or an end, nested and crossing runs, so no chain."""
+    spans = set()
+    for _ in range(rng.randint(1, 2 * n)):
+        start = rng.randrange(n)
+        shape = rng.random()
+        if shape < 0.25:
+            end = start + 1
+        elif shape < 0.5 and spans:
+            start, end = rng.choice(sorted(spans))
+            start = rng.randrange(start, end) if rng.random() < 0.5 else start
+            end = max(end, start + 1)
+        else:
+            end = rng.randint(start + 1, n)
+        spans.add((start, end))
+    covered = 0
+    for start, end in spans:
+        covered |= (1 << end) - (1 << start)
+    spans |= {(x, x + 1) for x in range(n) if not (covered >> x) & 1}
+    return [(1 << end) - (1 << start) for start, end in spans]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 13, 64, 65, 100])
+def test_run_tables_match_the_bit_walks(n):
+    rng = random.Random(n)
+    for _ in range(12):
+        masks = sorted(random_runs(rng, n), key=lambda m: rng.random())
+        spans = run_spans(masks)
+        assert [(1 << e) - (1 << s) for s, e in spans] == masks
+        rows = run_transpose(spans, n)
+        assert rows == walk_transpose(masks, n) == transpose_masks(masks, n)
+        assert run_stars(spans, n) == walk_product(rows, rows) == bool_product(rows, rows, len(masks))
+
+
+def test_run_spans_reject_a_mask_with_a_gap():
+    assert run_spans([0b1, 0b110, 0b1111]) == ((0, 1), (1, 3), (0, 4))
+    assert run_spans([0b111, 0b101]) is None
+    assert run_spans([]) == ()
