@@ -42,12 +42,12 @@ from .proximity import (
 )
 from .space import (
     ball_rows,
-    bool_product,
     build_finite_topology,
     enumerate_topologies,
     iter_bits,
     line_grid,
     transpose_masks,
+    union_rows,
 )
 
 
@@ -76,7 +76,7 @@ def proximity_suite(
     P = stars if stars is not None else [cov.point_star for cov in family.coverings]
     ix = range(n)
     # cols[i][y]: the x with covering i in prox(x, y), from one transpose of
-    # the tables laid side by side
+    # the tables laid side by side, for the symmetry row
     T = transpose_masks([sum(P[i][x] << i * n for i in range(size)) for x in ix], size * n)
     cols = [T[i * n : (i + 1) * n] for i in range(size)]
 
@@ -106,7 +106,7 @@ def proximity_suite(
     if discrete and _star_basis(family):
         out.append(first_failure("prox_separates_points", pairs_above(meet)))
 
-    out += _triangles(family, P, cols, val)
+    out += _triangles(family, P, val)
 
     sample = ix[:: max(1, n // 12)]
     out.append(first_failure("sequence_convergence_matches_prox", (
@@ -120,11 +120,11 @@ def proximity_suite(
     return out
 
 
-def _triangles(family: AdmissibleFamily, P, cols, val) -> list[CheckResult]:
+def _triangles(family: AdmissibleFamily, P, val) -> list[CheckResult]:
     """The coarsened triangle law with one and with two intermediate points,
     each on every tuple of points, read off the tables of `proximity_suite`:
-    P[i][x] is the mask of the y with covering i in prox(x, y), cols[i][y]
-    the mask of those x, and val(x, y) the collection mask of prox(x, y).
+    P[i][x] is the mask of the y with covering i in prox(x, y), and val(x, y)
+    the collection mask of prox(x, y).
 
     One intermediate: prox(x, y) precedes the coarsening of
     prox(x, z) & prox(z, y); the witness is the first failure in (z, x, y)
@@ -135,13 +135,12 @@ def _triangles(family: AdmissibleFamily, P, cols, val) -> list[CheckResult]:
     Coarsening ORs the rows of the collection's members, so both laws split
     per covering i: when i lies in every hop of a path from x to y,
     prox(x, y) must hold the coarsening of {i}. R2[i] and R3[i] compose P[i]
-    with itself two and three times, each one `bool_product` of a table with
-    cols[i], taken once per distinct table (the tables of a battery's tiny
-    families repeat): R3[i][x] is the mask of the y that x reaches in three
-    hops of P[i]. Qk[i][x] is the mask of the y whose prox(x, y) holds
-    `family.reach_rows(k)[i]`, the k-step coarsening of {i}: the AND of
-    P[j][x] over its members j. The k-intermediate law holds iff
-    R(k+1)[i][x] & ~Qk[i][x] is empty for every i and x.
+    with itself two and three times (`_hops`), once per distinct table (the
+    tables of a battery's tiny families repeat): R3[i][x] is the mask of the
+    y that x reaches in three hops of P[i]. Qk[i][x] is the mask of the y
+    whose prox(x, y) holds `family.reach_rows(k)[i]`, the k-step coarsening
+    of {i}: the AND of P[j][x] over its members j. The k-intermediate law
+    holds iff R(k+1)[i][x] & ~Qk[i][x] is empty for every i and x.
     """
     pts = family.space.points
     n = len(pts)
@@ -158,20 +157,14 @@ def _triangles(family: AdmissibleFamily, P, cols, val) -> list[CheckResult]:
         return [memo[r] for r in family.reach_rows(k)]
 
     Q1, Q2 = held(1), held(2)
-    # R2 and R3, composed once per distinct table: cols[i] is the transpose
-    # of P[i], so the table decides both
     tables = [tuple(P[i]) for i in range(size)]
-    composed = {}
-    for table, col in zip(tables, cols):
-        if table not in composed:
-            r2 = bool_product(table, col, n)
-            composed[table] = r2, bool_product(r2, col, n)
+    composed = {table: _hops(table) for table in dict.fromkeys(tables)}
     R2, R3 = zip(*(composed[table] for table in tables))
 
     def table_fault(law: str, x: int, bad: int):
         y = (bad & -bad).bit_length() - 1
         return RuntimeError(
-            f"internal error: the product tables fail the {law} law at "
+            f"internal error: the hop tables fail the {law} law at "
             f"({pts[x].pid},{pts[y].pid}) and the witness scan finds no path"
         )
 
@@ -215,6 +208,14 @@ def _triangles(family: AdmissibleFamily, P, cols, val) -> list[CheckResult]:
         first_failure("prox_triangle_1_intermediate", one_violations()),
         first_failure("prox_triangle_2_intermediate", two_violations()),
     ]
+
+
+def _hops(table: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two- and three-hop tables of a prox table: row x of each is the
+    union of the rows of `table` over row x of the hop before, the y that x
+    reaches in two and in three hops."""
+    r2 = tuple([union_rows(table, row) for row in table])
+    return r2, tuple([union_rows(table, row) for row in r2])
 
 
 def closure_criteria_suite(

@@ -19,7 +19,6 @@ from .space import (
     EmptyInput,
     Space,
     ball_rows,
-    bool_product,
     iter_bits,
     run_spans,
     run_stars,
@@ -73,10 +72,10 @@ class Covering:
 
     @cached_property
     def point_star(self) -> tuple[int, ...]:
-        """For each point index, the union of members containing it: point y is
-        in the star of x iff some member holds both, i.e. their rows meet."""
+        """For each point index, the union of members containing it, the
+        members that its point row picks."""
         if self._spans is None:
-            return bool_product(self.point_rows, self.point_rows, len(self.members))
+            return tuple([union_rows(self.members, row) for row in self.point_rows])
         return run_stars(self._spans, self.space.n)
 
     def star_mask(self, ymask: int) -> int:
@@ -450,14 +449,6 @@ class CheckList:
         return {"checks": [c.to_dict() for c in self.checks]}
 
 
-def _target_opens(family: AdmissibleFamily) -> list[int]:
-    space = family.space
-    if space.opens is not None:
-        return [o for o in space.opens if o != 0]
-    # metric discretizations resolve to the discrete topology
-    return [1 << i for i in range(space.n)]
-
-
 def verify_admissible(family: AdmissibleFamily) -> CheckList:
     """Check the admissibility axioms and both repleteness conditions, with witnesses.
 
@@ -467,13 +458,23 @@ def verify_admissible(family: AdmissibleFamily) -> CheckList:
     and every pair admits a common double-coarsening in the family.
     Both pair relations are symmetric, so each unordered pair is tested once:
     the first failing pair in row-major order always has i <= j.
+
+    The star basis tests each point against its least open alone: {x} on a
+    metric space, which resolves to the discrete topology, and the AND of
+    the opens that hold x on a finite topology. Every open that holds x
+    contains it, so a star that fits it fits them all; and as an int it is
+    the least of them, so it is the open that a scan of every open would
+    name first.
     """
     space = family.space
     covs = family.coverings
     L = len(covs)
     D = family.double_refine_rows
     R = family.refine_rows
-    targets = _target_opens(family)
+    least = [1 << x if space.is_metric else space.full_mask for x in range(space.n)]
+    for o in space.opens or ():
+        for x in iter_bits(o):
+            least[x] &= o
 
     refined = 0
     for row in D:
@@ -494,10 +495,9 @@ def verify_admissible(family: AdmissibleFamily) -> CheckList:
             if not (refined >> j) & 1
         )),
         first_failure("star_basis", (
-            f"no star of {space.points[x].pid} fits inside open {space.pids(o)}"
+            f"no star of {space.points[x].pid} fits inside open {space.pids(least[x])}"
             for x in range(space.n)
-            for o in targets
-            if (o >> x) & 1 and not any(cov.point_star[x] & ~o == 0 for cov in covs)
+            if not any(cov.point_star[x] & ~least[x] == 0 for cov in covs)
         )),
         first_failure("common_refinement", (
             f"no common refinement of ({i},{j})"

@@ -17,6 +17,11 @@ members that meet the set, with no point stars and no memo.
 intersection of those stars over every covering; `closure_mask` reads one
 covering per refinement-minimal class instead.
 
+`reference_star_basis` is the star-basis row of `verify_admissible` by the
+axiom: every point against every open that holds it, the singletons on a
+metric space, in row-major order. `verify_admissible` tests each point
+against its least open alone.
+
 `reference_attracts` is attraction by its definition, a full level scan:
 the orbit of Z at every filter level, taken point by point, against the star
 of Y at every covering, with no early stop. It returns the least absorbing
@@ -108,11 +113,11 @@ prox function: `p(x, y, family)` once per ordered pair into an n×n table of
 collection masks, then the per-covering tables of the triangle laws
 regrouped from that table by value. It composes those tables by
 `walk_product`, the boolean matrix product by a bit walk, so it shares no
-kernel with `bool_product`. `stars_of` turns such a prox function into the
+kernel with `union_rows`. `stars_of` turns such a prox function into the
 per-covering tables that `proximity_suite` reads now. `walk_transpose` is
 `transpose_masks` by a bit walk. The two walks are the oracles of both
-bit-matrix paths: the packed numpy kernels, and the sweeps over index
-intervals that a covering of runs takes.
+bit-matrix paths: `transpose_masks` with the compositions by `union_rows`,
+and the sweeps over index intervals that a covering of runs takes.
 
 `zero_collection` is the whole family, the least collection: distance zero.
 """
@@ -229,6 +234,18 @@ def reference_closure_mask(family, ymask):
     for cov in family.coverings:
         out &= reference_star_mask(cov, ymask)
     return out
+
+
+def reference_star_basis(family) -> CheckResult:
+    """The star-basis row by a scan of every (point, open that holds it)."""
+    space = family.space
+    opens = [1 << x for x in range(space.n)] if space.is_metric else [o for o in space.opens if o]
+    return first_failure("star_basis", (
+        f"no star of {space.points[x].pid} fits inside open {space.pids(o)}"
+        for x in range(space.n)
+        for o in opens
+        if (o >> x) & 1 and not any(reference_star_mask(cov, 1 << x) & ~o == 0 for cov in family.coverings)
+    ))
 
 
 def reference_attracts(ymask, zmask, F, action, family):

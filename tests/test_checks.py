@@ -1,8 +1,10 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
-from reference import reference_proximity_suite, stars_of
+from reference import reference_proximity_suite, stars_of, walk_product, walk_transpose
 from test_proximity import ALL_FAMILIES, GRID101_CHAIN, TOPOLOGY_FAMILIES, family_id
 
 from coverdyn import checks
@@ -59,28 +61,50 @@ def test_triangle_laws_fail_loudly_when_the_tables_and_the_scan_disagree(monkeyp
     # one stray bit in R2 or R3 of the finest covering's table flags the pair
     # of the grid ends, where no path of the correct prox fails either law,
     # so the witness scan finds nothing. Levels 2-4 of this chain have equal
-    # tables, composed once, so the product call is found by its operand.
-    # That table is the identity, so its R2 is the table itself: its R2 is
-    # the first call on that operand and its R3 the second
+    # tables, composed once, so the hop rows are found by their table: its
+    # first n rows are R2, the next n R3. That table is the identity, so
+    # R2[0] and R3[0] are both the point 0
     family = metric_chain_family(line_grid(0.0, 1.0, 9), 2.0, 4)
     n = family.space.n
     fine = family.coverings[-1].point_star
     assert fine == tuple(1 << x for x in range(n))
     assert len({cov.point_star for cov in family.coverings[2:]}) == 1
     assert all(r.passed for r in proximity_suite(family))
-    real, seen = checks.bool_product, []
+    real, seen = checks.union_rows, []
 
-    def stray(rows, cols, width):
-        out = real(rows, cols, width)
-        if tuple(rows) == fine:
-            if len(seen) == call:
-                out = (out[0] | 1 << (n - 1), *out[1:])
-            seen.append(rows)
+    def stray(table, mask):
+        out = real(table, mask)
+        if tuple(table) == fine:
+            if len(seen) == call * n:
+                out |= 1 << (n - 1)
+            seen.append(mask)
         return out
 
-    monkeypatch.setattr(checks, "bool_product", stray)
+    monkeypatch.setattr(checks, "union_rows", stray)
     with pytest.raises(RuntimeError, match=rf"the {law} law at \(\(0\),\(1\)\)"):
         proximity_suite(family)
+    assert len(seen) == 2 * n
+
+
+def _random_tables(n):
+    # asymmetric tables over n points: dense, sparse, and one empty row
+    rng = random.Random(n)
+    for density in (1, 2, 3):
+        rows = [functools.reduce(operator.and_, (rng.getrandbits(n) for _ in range(density))) for _ in range(n)]
+        yield [0, *rows[1:]]
+
+
+@pytest.mark.parametrize("family", [*ALL_FAMILIES, GRID101_CHAIN], ids=family_id)
+def test_triangle_hops_match_the_bit_walk(family):
+    # R2 and R3 compose a table with itself through its transpose: on the
+    # point stars, which are symmetric, and on the asymmetric control's
+    # tables and random tables, which are not
+    n = family.space.n
+    tables = [cov.point_star for cov in family.coverings] + _asymmetric_stars(family)
+    for table in tables + list(_random_tables(n)):
+        cols = walk_transpose(table, n)
+        r2 = walk_product(table, cols)
+        assert checks._hops(tuple(table)) == (r2, walk_product(r2, cols)), table
 
 
 def broken(x, y, family):

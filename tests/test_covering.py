@@ -46,6 +46,7 @@ from reference import (
     reference_closure_mask,
     reference_distance,
     reference_point_balls,
+    reference_star_basis,
     reference_star_mask,
     walk_product,
     walk_transpose,
@@ -350,18 +351,18 @@ def test_verify_admissible_makes_one_batched_relation_computation(monkeypatch):
 
 
 def test_relation_rows_of_a_1601_point_chain_take_no_dense_product(monkeypatch):
-    # the rows come from container lookups in the point rows: no boolean
-    # matrix product, and less memory than one n x n float32 table (10 MB)
+    # the rows come from container lookups in the point rows: no packed
+    # kernel, and less memory than one n x n table of 4-byte cells (10 MB)
     fam = metric_chain_family(line_grid(0.0, 1.0, 1601), 2.0, 3)
     covs = fam.coverings
     for cov in covs:
         cov.point_star
 
-    def dense(rows, cols, width):
-        raise AssertionError("relation rows took a dense boolean product")
+    def dense(masks, width):
+        raise AssertionError("relation rows took a packed transpose")
 
-    monkeypatch.setattr(covering, "bool_product", dense)
-    monkeypatch.setattr(space_module, "bool_product", dense)
+    monkeypatch.setattr(covering, "transpose_masks", dense)
+    monkeypatch.setattr(space_module, "transpose_masks", dense)
     tracemalloc.start()
     try:
         rows = relation_rows(covs, covs)
@@ -639,19 +640,8 @@ def admissible_oracle(fam):
          None if j is None else f"no double-refinement of {covs[j].label or j}")
     )
 
-    targets = [o for o in space.opens if o != 0]
-    bad = _first(
-        (x, o)
-        for x in range(space.n)
-        for o in targets
-        if (o >> x) & 1
-        and not any(U.star_mask(1 << x) & ~o == 0 for U in covs)
-    )
-    checks.append(
-        ("star_basis", bad is None,
-         None if bad is None else
-         f"no star of {pts[bad[0]].pid} fits inside open {space.pids(bad[1])}")
-    )
+    row = reference_star_basis(fam)
+    checks.append((row.name, row.passed, row.witness))
 
     pair = _first(
         (i, j)
@@ -708,6 +698,29 @@ def test_verify_admissible_matches_oracle_on_small_subfamilies():
     assert all(failures.values()), failures
 
 
+def test_star_basis_matches_the_all_opens_scan():
+    # every topology on at most three points, with its family of all open
+    # coverings and each one-covering subfamily, and line chains that pass
+    # and fail the row; the row tests each point against its least open
+    families = []
+    for n in (1, 2, 3):
+        for opens in enumerate_topologies(n):
+            space = Space(points=tuple(Point(pid=f"p{i}", index=i) for i in range(n)), opens=opens)
+            fam = finite_all_coverings_family(space)
+            families += [fam, *(AdmissibleFamily(space=space, coverings=(c,)) for c in fam.coverings)]
+    families += [
+        metric_chain_family(line_grid(0.0, 1.0, n), eps0, depth)
+        for n, eps0, depth in [(1, 2.0, 0), (9, 2.0, 1), (21, 2.0, 4), (33, 0.5, 3), (65, 2.0, 3)]
+    ]
+    verdicts = collections.Counter()
+    for fam in families:
+        row = verify_admissible(fam).check("star_basis")
+        assert row == reference_star_basis(fam), fam
+        verdicts[row.passed, fam.space.is_metric] += 1
+    assert len(families) == 397
+    assert all(verdicts[key] for key in itertools.product((False, True), repeat=2)), verdicts
+
+
 def test_first_failure_passes_on_empty_stream():
     r = first_failure("law", iter(()))
     assert (r.name, r.passed, r.witness) == ("law", True, None)
@@ -732,16 +745,16 @@ def test_first_failure_reads_no_further_than_the_first_witness():
 
 
 def spy_dense(monkeypatch):
-    """Count the calls of the two packed kernels that `Covering` reads."""
+    """Count the calls of `transpose_masks`, the one packed kernel that
+    `Covering` reads."""
     calls = collections.Counter()
-    for name in ("transpose_masks", "bool_product"):
-        real = getattr(covering, name)
+    real = covering.transpose_masks
 
-        def counted(*args, name=name, real=real):
-            calls[name] += 1
-            return real(*args)
+    def counted(*args):
+        calls["transpose_masks"] += 1
+        return real(*args)
 
-        monkeypatch.setattr(covering, name, counted)
+    monkeypatch.setattr(covering, "transpose_masks", counted)
     return calls
 
 
@@ -771,7 +784,7 @@ def test_a_covering_with_one_gapped_member_keeps_the_packed_kernels(monkeypatch,
         rows = walk_transpose(c.members, n)
         assert c.point_rows == rows
         assert c.point_star == walk_product(rows, rows)
-        assert calls == {"transpose_masks": k + 1, "bool_product": k + 1}
+        assert calls == {"transpose_masks": k + 1}
 
 
 def test_a_line_grid_chain_takes_no_packed_kernel(monkeypatch):

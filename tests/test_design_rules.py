@@ -189,11 +189,13 @@ RULES = [
     ),
     Rule(
         "two-bit-matrix-kernels",
-        r"bool_products|PRODUCT_BATCH_BYTES",
-        ("src",),
-        "a mask picks table rows through union_rows, and a table composes with a "
-        "table through one unbatched bool_product",
-        "PRODUCT_BATCH_BYTES = 1 << 18",
+        r"bool_product|float32|matmul",
+        ("src", "README.md"),
+        "union_rows is the one composition: a mask picks table rows through it, "
+        "and a table composes with a table row by row through it; "
+        "transpose_masks is the one transpose. No float matrix product is kept "
+        "beside them",
+        "    lhs = np.unpackbits(packed, axis=1).astype(np.float32)",
     ),
     Rule(
         "attraction-reads-one-orbit",

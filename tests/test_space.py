@@ -1,6 +1,8 @@
+import functools
 import importlib.util
 import itertools
 import math
+import operator
 import pathlib
 import random
 import sys
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from coverdyn import space
 from coverdyn.checks import nested_chain_suite
-from coverdyn.covering import finite_all_coverings_family, metric_chain_family
+from coverdyn.covering import Covering, finite_all_coverings_family, metric_chain_family
 from coverdyn.space import (
     DuplicatePoint,
     EmptyInput,
@@ -24,7 +26,6 @@ from coverdyn.space import (
     NotClosedUnderUnion,
     NotMetricSpace,
     ball_rows,
-    bool_product,
     build_finite_topology,
     build_metric_space,
     enumerate_topologies,
@@ -397,15 +398,26 @@ def test_transpose_masks_matches_bit_walk(width, count):
     assert transpose_masks(transpose_masks(masks, width), count) == tuple(masks)
 
 
-# two independent draws of operands for every shape; the seeds are the
-# case IDs this test has always carried
+# two independent draws of coverings for every point count; the seeds are
+# the case IDs this test has always carried
 @pytest.mark.parametrize("seed", [1 << 18, 64])
 @pytest.mark.parametrize("width", WIDTHS)
 def test_bool_products_match_bit_walk(width, seed):
+    # a covering's point stars are the boolean product of its point rows
+    # with themselves, which `Covering.point_star` takes through `union_rows`.
+    # The general path is forced, so that coverings of runs, a one-point
+    # space and members with an empty trace on the sample take it too
     rng = random.Random(seed + width)
-    for r, c in [*itertools.product((0, 1, 8, 9, 65), (0, 1, 7, 64)), (3, 5)]:
-        rows, cols = _masks(rng, r, width), _masks(rng, c, width)
-        assert bool_product(rows, cols, width) == walk_product(rows, cols), (r, c)
+    sample = line_grid(0.0, 1.0, width)
+    for count in (1, 2, 7, 8, 9, 65):
+        members = {0, *(rng.getrandbits(width) & rng.getrandbits(width) for _ in range(count))}
+        covered = functools.reduce(operator.or_, members)
+        members |= {1 << x for x in range(width) if not covered >> x & 1}
+        c = Covering(space=sample, members=tuple(sorted(members)), label="")
+        c.__dict__["_spans"] = None
+        rows = walk_transpose(c.members, width)
+        assert c.point_rows == rows
+        assert c.point_star == walk_product(rows, rows), count
 
 
 @pytest.mark.parametrize("width", (0, *WIDTHS))
@@ -423,9 +435,7 @@ def test_union_rows_matches_bit_walk(width, size):
 def test_bit_matrix_helpers_on_empty_input():
     assert transpose_masks([], 9) == (0,) * 9
     assert transpose_masks([0, 0], 0) == ()
-    assert bool_product([], [1, 2], 2) == ()
-    assert bool_product([3, 1], [], 2) == (0, 0)
-    assert bool_product([0, 0], [0], 0) == (0, 0)
+    assert union_rows([], 0) == 0
 
 
 BALL_GRIDS = [line_grid(0.0, 1.0, c) for c in (5, 6, 7, 8, 9, 17, 21, 31, 33, 41, 63, 64, 65, 101)]
@@ -643,7 +653,7 @@ def test_run_tables_match_the_bit_walks(n):
         assert [(1 << e) - (1 << s) for s, e in spans] == masks
         rows = run_transpose(spans, n)
         assert rows == walk_transpose(masks, n) == transpose_masks(masks, n)
-        assert run_stars(spans, n) == walk_product(rows, rows) == bool_product(rows, rows, len(masks))
+        assert run_stars(spans, n) == walk_product(rows, rows)
 
 
 def test_run_spans_reject_a_mask_with_a_gap():
