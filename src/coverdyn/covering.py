@@ -112,10 +112,10 @@ def _check_same_space(a: Covering, b: Covering) -> None:
 
 
 def relation_rows(
-    sources: Sequence[Covering], targets: Sequence[Covering]
+    coverings: Sequence[Covering],
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Refinement and double-refinement rows: bit j of row i is set when
-    sources[i] refines (double-refines) targets[j].
+    """Refinement and double-refinement rows, R and D: bit j of row i is set
+    when coverings[i] refines (double-refines) coverings[j].
 
     Both relations reduce to one container test: does some member of the
     target U hold the point set s? The only index is U's `point_rows`. A
@@ -124,7 +124,9 @@ def relation_rows(
     missed. Each candidate is confirmed by a subset test, because a member
     may hold both ends of s and miss a point between them; where members are
     index intervals, as balls on a line grid are, the first candidate holds
-    s. A set wider than U's widest member fits nowhere.
+    s. A set wider than U's widest member fits nowhere. Each target keeps
+    the verdicts of its container test (`_Held`), so a set that several
+    sources share is tested once per target.
 
     Three kernels read that members are index intervals. `ball_rows` finds
     each ball of increasing 1-D coordinates by its two ends; a covering whose
@@ -134,46 +136,75 @@ def relation_rows(
     correct without it. An exact tie predicate for a line grid's balls keeps
     all three: each ball stays one interval, and only its ends may move.
 
-    V refines U when every member of V fits U. The distinct member sets of
-    all sources are tested once per target into one mask, and V refines U
-    when that mask holds all of V's sets. Only there is double refinement
-    tested: any two intersecting members of V must fit U together. Two such
-    members share a point x and lie in the star of x in V, so a star that
-    fits U settles every pair that meets at x. Where the star of x does not
-    fit, the pairs of V-members holding x are tested one by one, and the
-    first pair whose union does not fit decides that V does not
-    double-refine U. The stars are tested per source, and each distinct star
-    once per target.
+    V refines U when every member of V fits U (`_refine_pass`); only then is
+    double refinement tested (`_star_pass`), so D ⊆ R. A pair is tested
+    only when five laws leave it open: R is reflexive, D ⊆ R, R∘R ⊆ R,
+    D∘R ⊆ D and R∘D ⊆ D, since members that meet lie in members that meet.
+    Rows are filled in order. Row i first visits the finished rows from
+    i - 1 down: where it holds R(i, j), it takes row j's R bits into R and
+    its D bits into D, and where it holds D(i, j), row j's R bits into both.
+    Then it visits the unfinished targets from the last down to itself,
+    where the bits it took may decide pairs too. On a chain listed coarse to
+    fine, row i's first test is its certificate, that level i double-refines
+    level i - 1, and that level's finished row decides every pair below: an
+    L-level chain tests no pair below its sub-diagonal.
     """
-    for c in itertools.chain(sources, targets):
-        _check_same_space(c, sources[0])
-    index: dict[int, int] = {}
-    for V in sources:
-        for m in V.members:
-            index.setdefault(m, len(index))
-    own = [sum(1 << index[m] for m in V.members) for V in sources]
-    refine = [0] * len(sources)
-    double = [0] * len(sources)
-    for j, U in enumerate(targets):
-        fits = _container_test(U)
-        held = sum(1 << k for k, s in enumerate(index) if fits(s))
-        star_fits: dict[int, bool] = {}
-        for i, V in enumerate(sources):
-            if own[i] & ~held:
-                continue
-            refine[i] |= 1 << j
-            for x, star in enumerate(V.point_star):
-                ok = star_fits.get(star)
-                if ok is None:
-                    ok = star_fits[star] = fits(star)
-                if not ok and not all(
-                    fits(V.members[a] | V.members[b])
-                    for a, b in itertools.combinations(iter_bits(V.point_rows[x]), 2)
-                ):
-                    break
-            else:
-                double[i] |= 1 << j
+    for c in coverings:
+        _check_same_space(c, coverings[0])
+    L = len(coverings)
+    held = [_Held(U) for U in coverings]
+    refine: list[int] = []
+    double: list[int] = []
+    for i, V in enumerate(coverings):
+        r, d = 1 << i, 0
+        for j in (*range(i - 1, -1, -1), *range(L - 1, i - 1, -1)):
+            bit = 1 << j
+            if not d & bit:
+                if not (r & bit or _refine_pass(V, held[j])):
+                    continue
+                r |= bit
+                if _star_pass(V, held[j]):
+                    d |= bit
+            if j < i:
+                r |= refine[j]
+                d |= refine[j] if d & bit else double[j]
+        refine.append(r)
+        double.append(d)
     return tuple(refine), tuple(double)
+
+
+class _Held(dict):
+    """One target's container test with its verdicts: `held[s]` is True when
+    some member of the target holds the point set s, and each set is tested
+    once."""
+
+    def __init__(self, U: Covering):
+        self.fits = _container_test(U)
+
+    def __missing__(self, s: int) -> bool:
+        ok = self[s] = self.fits(s)
+        return ok
+
+
+def _refine_pass(V: Covering, held: _Held) -> bool:
+    """Whether V refines the target: every member of V fits it."""
+    return all(map(held.__getitem__, V.members))
+
+
+def _star_pass(V: Covering, held: _Held) -> bool:
+    """Whether V, which refines the target, double-refines it: any two
+    intersecting members of V fit it together. Two such members share a
+    point x and lie in the star of x in V, so a star that fits settles every
+    pair that meets at x. Where the star of x does not fit, the pairs of
+    V-members holding x are tested one by one, and the first pair whose
+    union does not fit decides."""
+    for star, row in zip(V.point_star, V.point_rows):
+        if not held[star] and not all(
+            held[V.members[a] | V.members[b]]
+            for a, b in itertools.combinations(iter_bits(row), 2)
+        ):
+            return False
+    return True
 
 
 def _container_test(U: Covering) -> Callable[[int], bool]:
@@ -197,12 +228,12 @@ def _container_test(U: Covering) -> Callable[[int], bool]:
 
 def refines(V: Covering, U: Covering) -> bool:
     """True iff every member of V is contained in some member of U."""
-    return relation_rows((V,), (U,))[0][0] == 1
+    return bool(relation_rows((V, U))[0][0] & 0b10)
 
 
 def double_refines(V: Covering, U: Covering) -> bool:
     """True iff any two intersecting members of V fit jointly inside one member of U."""
-    return relation_rows((V,), (U,))[1][0] == 1
+    return bool(relation_rows((V, U))[1][0] & 0b10)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,12 +241,13 @@ class AdmissibleFamily:
     """An indexed list of coverings of one space.
 
     Chains are indexed coarse-to-fine and certified by `chain_family`: the
-    certificate is the sub-diagonal of `double_refine_rows`. Both relation
-    rows come from one `relation_rows` call over the family's coverings, made
-    on first read; it looks sets up in each covering's point rows and tests
-    its point stars, the tables that the star and closure queries read too.
-    Other families are arbitrary listings (typically every open covering of a
-    finite topology).
+    certificate is the sub-diagonal of `double_refine_rows`, and the rows
+    below it follow from the certificate by the composition laws, with no
+    test of their own. Both relation rows come from one `relation_rows` call
+    over the family's coverings, made on first read; it looks sets up in
+    each covering's point rows and tests its point stars, the tables that
+    the star and closure queries read too. Other families are arbitrary
+    listings (typically every open covering of a finite topology).
     """
 
     space: Space
@@ -238,7 +270,7 @@ class AdmissibleFamily:
 
     @cached_property
     def _relations(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return relation_rows(self.coverings, self.coverings)
+        return relation_rows(self.coverings)
 
     @property
     def refine_rows(self) -> tuple[int, ...]:
@@ -332,7 +364,11 @@ class AdmissibleFamily:
 
 def chain_family(space: Space, coverings: Sequence[Covering]) -> AdmissibleFamily:
     """Assemble a chain family, certifying every consecutive double-refinement;
-    raises `DegenerateChain` at the first that fails."""
+    raises `DegenerateChain` at the first that fails.
+
+    The certificate is read from the family's relation rows, where each
+    level's first test is its double refinement of the level above; every
+    pair further below is taken from the finished row of that level."""
     fam = AdmissibleFamily(space=space, coverings=tuple(coverings))
     covs, rows = fam.coverings, fam.double_refine_rows
     for i in range(1, len(covs)):

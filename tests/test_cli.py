@@ -187,9 +187,9 @@ def test_resolution_prefix_makes_no_second_relation_computation(capsys, monkeypa
     calls = []
     real = covering.relation_rows
 
-    def counted(sources, targets):
-        calls.append(len(sources))
-        return real(sources, targets)
+    def counted(coverings):
+        calls.append(len(coverings))
+        return real(coverings)
 
     monkeypatch.setattr(covering, "relation_rows", counted)
     code, out = run(capsys, "attractor", "--scenario", "decay_grid", *flags)

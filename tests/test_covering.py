@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverdyn import covering, space as space_module
+from coverdyn.checks import battery_family
 from coverdyn.covering import (
     AdmissibleFamily,
     Covering,
@@ -154,7 +155,7 @@ def test_relation_rows_match_the_row_forms_on_random_coverings(fam):
     # a point between them, so the container lookup meets candidates that
     # its subset test must turn down
     covs = fam.coverings
-    refine, double = relation_rows(covs, covs)
+    refine, double = relation_rows(covs)
     assert refine == row_forms.relation_rows(covs, row_forms.refines)
     assert double == row_forms.relation_rows(covs, row_forms.double_refines)
     assert double == row_forms.relation_rows(covs, row_forms.pair_set_double_refines)
@@ -217,8 +218,8 @@ def test_double_refinement_through_the_pairs_when_no_star_fits():
     U = make_covering_masks(space, [x | a | b, x | b | c, x | a | c])
     assert V.point_star[0] == space.full_mask
     assert row_forms.double_refines(V, U) and row_forms.pair_set_double_refines(V, U)
-    assert relation_rows((V,), (U,)) == ((1,), (1,))
-    assert relation_rows((V, U), (V, U)) == ((0b11, 0b10), (0b10, 0b00))
+    assert refines(V, U) and double_refines(V, U)
+    assert relation_rows((V, U)) == ((0b11, 0b10), (0b10, 0b00))
 
 
 def test_double_refines_quarter_balls_bruteforce():
@@ -328,9 +329,9 @@ def test_verify_admissible_makes_one_batched_relation_computation(monkeypatch):
     calls = []
     real = covering.relation_rows
 
-    def counted(sources, targets):
-        calls.append((tuple(sources), tuple(targets)))
-        return real(sources, targets)
+    def counted(coverings):
+        calls.append(tuple(coverings))
+        return real(coverings)
 
     def pairwise(V, U):
         raise AssertionError("pairwise relation call")
@@ -344,10 +345,7 @@ def test_verify_admissible_makes_one_batched_relation_computation(monkeypatch):
         build_finite_topology(["a", "b", "c"], [[], ["a"], ["b"], ["a", "b"], ["a", "b", "c"]])
     )
     verify_admissible(finite)
-    assert calls == [
-        (chain.coverings, chain.coverings),
-        (finite.coverings, finite.coverings),
-    ]
+    assert calls == [chain.coverings, finite.coverings]
 
 
 def test_relation_rows_of_a_1601_point_chain_take_no_dense_product(monkeypatch):
@@ -365,12 +363,119 @@ def test_relation_rows_of_a_1601_point_chain_take_no_dense_product(monkeypatch):
     monkeypatch.setattr(space_module, "transpose_masks", dense)
     tracemalloc.start()
     try:
-        rows = relation_rows(covs, covs)
+        rows = relation_rows(covs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rows == ((0b1, 0b11, 0b111, 0b1111), (0b1, 0b1, 0b11, 0b111))
     assert peak < 4 << 20
+
+
+# The families whose relation rows must be exact in every listing: every
+# all-coverings family on at most three points, the four built-in chains,
+# the 201-point decay_grid chain of the grid-scale benchmark and the default
+# battery's chain.
+RELATION_FAMILIES = {
+    **{f"topology{k}": (lambda f=f: f) for k, f in enumerate(TOPOLOGY_FAMILIES)},
+    **{name: (lambda name=name: get_scenario(name).family) for name in sorted(BUILTIN_SCENARIOS)},
+    "decay_grid-201": lambda: get_scenario("decay_grid", count=201).family,
+    "battery": battery_family,
+}
+
+
+def _listing(covs, how):
+    """The coverings as built, reversed, under a seeded random permutation,
+    or with one covering listed twice: no inference may lean on chain order."""
+    rng = random.Random(len(covs))
+    if how == "reversed":
+        return covs[::-1]
+    if how == "shuffled":
+        return tuple(rng.sample(covs, len(covs)))
+    if how == "duplicated":
+        k = rng.randrange(len(covs))
+        return covs[: k + 1] + covs[k:]
+    return covs
+
+
+@pytest.mark.parametrize("how", ["as-built", "reversed", "shuffled", "duplicated"])
+@pytest.mark.parametrize("case", list(RELATION_FAMILIES))
+def test_relation_rows_are_exact_in_every_listing(case, how):
+    covs = _listing(RELATION_FAMILIES[case]().coverings, how)
+    refine, double = relation_rows(covs)
+    assert refine == row_forms.relation_rows(covs, row_forms.refines)
+    assert double == row_forms.relation_rows(covs, row_forms.double_refines)
+    assert double == row_forms.relation_rows(covs, row_forms.pair_set_double_refines)
+
+
+def _spy_on_passes(monkeypatch):
+    """Record every refine pass and star pass of `relation_rows` as
+    (kind, source, target, sets tested), each container test under the pass
+    that made it; a container test outside a pass fails."""
+    passes, target_of, current = [], {}, []
+    real_test = covering._container_test
+
+    def container_test(U):
+        fits = real_test(U)
+
+        def spied(s):
+            assert current, "a container test outside a pass"
+            current[-1][3].append(s)
+            return fits(s)
+
+        target_of[spied] = U
+        return spied
+
+    def spy(kind, real_pass):
+        def run(V, held):
+            entry = (kind, V, target_of[held.fits], [])
+            passes.append(entry)
+            current.append(entry)
+            try:
+                return real_pass(V, held)
+            finally:
+                current.pop()
+
+        return run
+
+    monkeypatch.setattr(covering, "_container_test", container_test)
+    monkeypatch.setattr(covering, "_refine_pass", spy("refine", covering._refine_pass))
+    monkeypatch.setattr(covering, "_star_pass", spy("star", covering._star_pass))
+    return passes
+
+
+@pytest.mark.parametrize(
+    "case", [*sorted(BUILTIN_SCENARIOS), "decay_grid-201", "battery"]
+)
+def test_a_certified_chain_tests_no_pair_below_its_sub_diagonal(case, monkeypatch):
+    fam = RELATION_FAMILIES[case]()
+    covs = fam.coverings
+    passes = _spy_on_passes(monkeypatch)
+    assert relation_rows(covs) == (fam.refine_rows, fam.double_refine_rows)
+    level = {id(c): k for k, c in enumerate(covs)}
+    pairs = {kind: set() for kind in ("refine", "star")}
+    for kind, V, U, _ in passes:
+        pairs[kind].add((level[id(V)], level[id(U)]))
+    # the certificate is tested, and nothing below it
+    certificate = {(i, i - 1) for i in range(1, len(covs))}
+    assert certificate <= pairs["refine"] & pairs["star"]
+    assert not [(i, j) for kind in pairs for i, j in pairs[kind] if i > j + 1]
+
+
+def test_relation_rows_work_totals(monkeypatch):
+    # container tests; testing every distinct member set at every target
+    # makes 1 772 on decay_grid, 3 497 on the 201-point chain and 4 316 over
+    # the 34 small families
+    cases = {
+        "decay_grid": ([get_scenario("decay_grid").family.coverings], 600),
+        "decay_grid-201": ([get_scenario("decay_grid", count=201).family.coverings], 1200),
+        "topologies": ([f.coverings for f in TOPOLOGY_FAMILIES], 4316),
+    }
+    passes = _spy_on_passes(monkeypatch)
+    for name, (listings, bound) in cases.items():
+        passes.clear()
+        for covs in listings:
+            relation_rows(covs)
+        assert sum(len(tested) for *_, tested in passes) <= bound, name
 
 
 def test_prefix_reads_the_parent_rows():
@@ -565,13 +670,14 @@ def test_closure_properties_on_topologies():
 def test_replete_closure_fixed_point():
     # the all-open-coverings family is replete: refinement from its members
     # into a fresh listing of every open covering reaches no covering beyond
-    # the family's own refine rows
+    # the family's own refine rows; that block of the rows over both listings
+    # holds the rows of the family's coverings at the fresh ones
     s = build_finite_topology(["a", "b"], [[], ["a"], ["b"], ["a", "b"]])
     fam = finite_all_coverings_family(s)
     universe = enumerate_open_coverings(s)
     assert [U.members for U in universe] == [c.members for c in fam.coverings]
-    refine, _ = relation_rows(fam.coverings, universe)
-    assert refine == fam.refine_rows
+    refine, _ = relation_rows(fam.coverings + tuple(universe))
+    assert tuple(row >> fam.size for row in refine[: fam.size]) == fam.refine_rows
 
 
 def test_replete_closure_grows_from_finest():
