@@ -53,7 +53,7 @@ def construct_candidate(
         ymask = testsets[name]
         if not is_bounded(ymask, family):
             raise UnboundedTestset(f"test set {name!r} is not bounded")
-        out |= omega_limit(ymask, F, action, family).mask
+        out |= omega_limit(ymask, F, action, family)
     return out
 
 
@@ -116,9 +116,20 @@ def verify_global(
             yield "empty candidate"
         else:
             for name in sorted(testsets):
-                failures = attracts(candidate, testsets[name], F, action, family)
-                if failures:
-                    idx, (el, z, img) = min(failures.items())
+                zmask = testsets[name]
+                held = attracts(candidate, zmask, F, action, family)
+                if not held.is_zero:
+                    # the deepest orbit leaves the star of the least covering
+                    # missed, so one of that level's images does
+                    idx = next(i for i in range(family.size) if not (held.mask >> i) & 1)
+                    star = family.stars(candidate)[idx]
+                    el, z, img = next(
+                        (el, z, row[z])
+                        for el in F.sampler(F.depth)
+                        for row in (action.image_indices(el),)
+                        for z in iter_bits(zmask)
+                        if not (star >> row[z]) & 1
+                    )
                     pts = action.space.points
                     yield (
                         f"{name}: covering {idx} never absorbed; witness element "
@@ -150,10 +161,10 @@ def verify_uniform(
             yield "empty candidate"
         else:
             for x in iter_bits(points_sample):
-                rep = prolongational_limit(x, F, action, family)
-                if not subset_at_resolution(rep.mask, candidate, family):
+                lim = prolongational_limit(x, F, action, family)
+                if not subset_at_resolution(lim, candidate, family):
                     pid = action.space.points[x].pid
-                    yield f"limit of {pid} leaves the candidate: {rep.pids()[:4]}"
+                    yield f"limit of {pid} leaves the candidate: {action.space.pids(lim)[:4]}"
 
     checks.append(first_failure("prolongational_limits_inside", limits_outside()))
     return AttractorVerdict(

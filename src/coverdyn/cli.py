@@ -32,7 +32,7 @@ from .checks import (
     measure_suite,
     proximity_suite,
 )
-from .dynamics import omega_limit
+from .dynamics import limit_witnesses, omega_limit
 from .scenarios import (
     BUILTIN_SCENARIOS,
     Scenario,
@@ -152,22 +152,33 @@ def cmd_omega(ns: argparse.Namespace) -> int:
         raise SchemaError(
             f"unknown test set {ns.target!r}; known: {sorted(sc.testsets)}"
         )
-    rep = omega_limit(sc.testsets[ns.target], sc.filter_basis, sc.action, sc.family)
+    seed = sc.testsets[ns.target]
+    F, action, family = sc.filter_basis, sc.action, sc.family
+    mask = omega_limit(seed, F, action, family)
+    points, pts = sc.space.pids(mask), sc.space.points
     payload = {
         "command": "omega",
         "config": _config(ns),
         "target": ns.target,
-        "limit_set": rep.to_dict(),
+        "limit_set": {
+            "points": points,
+            "resolution": family.depth,
+            "truncation": F.depth,
+            "witnesses": {
+                pts[i].pid: {"element": repr(el), "source": pts[src].pid}
+                for i, (el, src) in limit_witnesses(seed, mask, F, action, family).items()
+            },
+        },
         "results": _decorate(
             [
                 {
                     "name": f"omega[{ns.target}]",
                     "verdict": "computed",
-                    "witness": ",".join(rep.pids()[:8]),
+                    "witness": ",".join(points[:8]),
                 }
             ],
             ns.budget,
-            rep.resolution,
+            family.depth,
         ),
     }
     _write(ns, _emit(ns, payload))

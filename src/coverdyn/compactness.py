@@ -30,7 +30,6 @@ would keep every measured family alive until the cyclic collector ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .covering import AdmissibleFamily
@@ -216,20 +215,13 @@ def is_cauchy(seq: Sequence[int], family: AdmissibleFamily, min_tail: int = 2) -
     )
 
 
-@dataclass(frozen=True)
-class NestedChainReport:
-    """Outcome of the nested-closed-chain (Cantor-style) harness."""
-
-    hypothesis_met: bool
-    measure_trace: tuple[CoverCollection, ...]
-
-
 def cantor_kuratowski_check(
     masks: Sequence[int], family: AdmissibleFamily, cap: int
-) -> NestedChainReport:
+) -> bool:
     """Check a decreasing chain of nonempty closed sets: whether the star
     measures converge to zero, the hypothesis under which the intersection,
-    the chain's last element, is nonempty and compact."""
+    the chain's last element, is nonempty and compact. Truncated convergence
+    reads the last term alone (`converges_to_zero`)."""
     if not masks:
         raise EmptyInput("the chain must be nonempty")
     for k, m in enumerate(masks):
@@ -240,5 +232,4 @@ def cantor_kuratowski_check(
     for k in range(1, len(masks)):
         if masks[k] & ~masks[k - 1]:
             raise NotDecreasing(f"element {k} is not contained in element {k - 1}")
-    trace = tuple(star_measure(m, family, cap) for m in masks)
-    return NestedChainReport(hypothesis_met=converges_to_zero(trace), measure_trace=trace)
+    return converges_to_zero([star_measure(m, family, cap) for m in masks])

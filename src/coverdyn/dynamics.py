@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 from .compactness import is_bounded, member_measure, star_measure
 from .covering import AdmissibleFamily, CheckList, CheckResult, first_failure
-from .proximity import stars_containing
+from .proximity import CoverCollection, semi_prox
 from .space import CoverdynError, EmptyInput, Space, iter_bits, union_rows
 
 
@@ -290,46 +290,15 @@ def orbit_mask(ymask: int, action: Action, F: FilterBasis) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class LimitSetReport:
-    """A computed limit set with the certification data that produced it:
-    `witnesses` maps each limit point's index to the (element, source index)
-    whose deepest-level image, read from the element's image row, lies in the
-    point's finest star."""
-
-    mask: int
-    space: Space
-    resolution: int
-    truncation: int
-    witnesses: dict
-
-    def pids(self) -> list[str]:
-        return self.space.pids(self.mask)
-
-    def to_dict(self) -> dict:
-        pts = self.space.points
-        return {
-            "points": self.pids(),
-            "resolution": self.resolution,
-            "truncation": self.truncation,
-            "witnesses": {
-                pts[i].pid: {"element": repr(el), "source": pts[src].pid}
-                for i, (el, src) in self.witnesses.items()
-            },
-        }
-
-
-def _limit_set(
-    seed: int, F: FilterBasis, action: Action, family: AdmissibleFamily
-) -> LimitSetReport:
-    """The closure (`closure_mask`) of the deepest level orbit of `seed`, the
-    last of nested level seeds: the samples nest too, so each level orbit holds
-    it, and closures are monotone, so it is the intersection of the level
-    closures. A limit point lies in the finest star of the deepest orbit and is
-    witnessed by the first deepest (element, seed point) whose image hits that
-    star. A point's star holds y iff y's star holds the point, so one pass over
-    those pairs lets each image claim the unwitnessed points of its star."""
-    mask = family.closure_mask(orbit_mask(seed, action, F))
+def limit_witnesses(
+    seed: int, mask: int, F: FilterBasis, action: Action, family: AdmissibleFamily
+) -> dict:
+    """Per point of the limit set `mask` of `seed`, in index order, the first
+    (element, seed point) of the deepest filter level whose image, read from
+    the element's image row, lies in the point's finest star. A limit point
+    lies in the finest star of the deepest orbit, so one is found. A point's
+    star holds y iff y's star holds the point, so one pass over those pairs
+    lets each image claim the unwitnessed points of its star."""
     stars = family.coverings[-1].point_star
     found, todo = {}, mask
     for el in F.sampler(F.depth):
@@ -341,60 +310,46 @@ def _limit_set(
             for i in iter_bits(claim):
                 found[i] = (el, src)
             todo &= ~claim
-    return LimitSetReport(
-        mask=mask,
-        space=action.space,
-        resolution=family.depth,
-        truncation=F.depth,
-        witnesses={i: found[i] for i in iter_bits(mask)},
-    )
+    return {i: found[i] for i in iter_bits(mask)}
 
 
 def omega_limit(
     ymask: int, F: FilterBasis, action: Action, family: AdmissibleFamily
-) -> LimitSetReport:
-    """Intersection over filter levels of the closures of the level orbits."""
+) -> int:
+    """The limit set ω(Y) as a point mask: the intersection over filter
+    levels of the closures of the level orbits of Y. The level orbits nest
+    and closures are monotone, so it is the closure (`closure_mask`) of the
+    deepest orbit."""
     if not ymask:
         raise EmptyInput("limit set of the empty set is undefined")
-    return _limit_set(ymask, F, action, family)
+    return family.closure_mask(orbit_mask(ymask, action, F))
 
 
 def prolongational_limit(
     x: int, F: FilterBasis, action: Action, family: AdmissibleFamily
-) -> LimitSetReport:
-    """Limit points of divergent orbits from shrinking stars around x: level k
-    seeds with the AND of x's point stars over coverings 0..k."""
+) -> int:
+    """The limit set J(x) of divergent orbits from shrinking stars around x,
+    as a point mask: level k seeds with the AND of x's point stars over
+    coverings 0..k. The seeds nest, so their level orbits do, and J(x) is
+    the closure of the deepest seed's deepest orbit."""
     seed = family.space.full_mask
     for cov in family.coverings[: F.depth + 1]:
         seed &= cov.point_star[x]
-    return _limit_set(seed, F, action, family)
+    return family.closure_mask(orbit_mask(seed, action, F))
 
 
 def attracts(
     ymask: int, zmask: int, F: FilterBasis, action: Action, family: AdmissibleFamily
-) -> dict:
-    """The coverings at which Y does not attract Z, each mapped to its
-    witness, the first (element, z, image) of the deepest filter level whose
-    image leaves the star of Y; empty when Y attracts Z. The level orbits
-    nest, and a subset of a star lies in it, so some level's orbit lies in a
-    star exactly when the deepest one does: one subset test on that orbit
-    decides every covering. Each covering has its own verdict, so every star
-    of Y is read, not only a base's."""
+) -> CoverCollection:
+    """The coverings at which Y attracts Z: semi_prox(Y, O_D), O_D the
+    deepest level orbit of Z, so Y attracts Z iff the collection
+    `is_zero`. Y attracts Z at a covering when some level's orbit lies in
+    the star of Y there; the level orbits nest, and a subset of a star lies
+    in it, so the deepest orbit decides every covering. Each covering has
+    its own verdict, so every star of Y is read, not only a base's."""
     if not ymask or not zmask:
         raise EmptyInput("attraction needs nonempty sets")
-    stars = family.stars(ymask)
-    held = stars_containing(orbit_mask(zmask, action, F), stars)
-    # the deepest orbit leaves each other star, so one of its images does
-    return {
-        i: next(
-            (el, z, row[z])
-            for el in F.sampler(F.depth)
-            for row in (action.image_indices(el),)
-            for z in iter_bits(zmask)
-            if not (stars[i] >> row[z]) & 1
-        )
-        for i in iter_bits(~held & ((1 << family.size) - 1))
-    }
+    return semi_prox(ymask, orbit_mask(zmask, action, F), family)
 
 
 def absorbs(ymask: int, zmask: int, F: FilterBasis, action: Action) -> bool:
@@ -405,18 +360,26 @@ def absorbs(ymask: int, zmask: int, F: FilterBasis, action: Action) -> bool:
     return orbit_mask(zmask, action, F) & ~ymask == 0
 
 
+# per hypothesis, the map (semigroup, s, b) -> the element whose membership
+# in level k decides it at (s, k, b); None fails every level
 HYPOTHESIS_NAMES = {
-    "left_translate_into": "for all s, A there is B with s*B inside A",
-    "right_translate_into": "for all s, A there is B with B*s inside A",
-    "within_right_translate": "for all s, A there is B inside A*s",
-    "within_left_translate": "for all s, A there is B inside s*A",
+    "left_translate_into": lambda sem, s, b: sem.compose(s, b),
+    "right_translate_into": lambda sem, s, b: sem.compose(b, s),
+    "within_right_translate": lambda sem, s, b: sem.divide_right(b, s),
+    "within_left_translate": lambda sem, s, b: sem.divide_left(b, s),
 }
 
 
 def check_hypotheses(F: FilterBasis, max_level: int) -> CheckList:
     """Exact translation-compatibility checks between the filter basis and the
     semigroup, per element s of `F.semigroup.samples` and level, using
-    semigroup division: one row per hypothesis, in sorted-name order.
+    semigroup division: one row per hypothesis, in sorted-name order. The
+    hypotheses, for every s and every level A:
+
+    - `left_translate_into`: there is a level B with s*B inside A;
+    - `right_translate_into`: there is a level B with B*s inside A;
+    - `within_right_translate`: there is a level B inside A*s;
+    - `within_left_translate`: there is a level B inside s*A.
 
     Levels are checked up to `max_level`, which callers leave below the
     depth so that witness levels can exist inside the truncation. A
@@ -463,11 +426,11 @@ def check_hypotheses(F: FilterBasis, max_level: int) -> CheckList:
         return mask
 
     def failures(name):
-        tested = _tested_element(name, sem)
+        tested = HYPOTHESIS_NAMES[name]
         for s in sem.samples:
             held = every
             for b in deepest:
-                held &= levels_holding(tested(s, b))
+                held &= levels_holding(tested(sem, s, b))
                 if not held:
                     break
             failed = every & ~held
@@ -476,24 +439,13 @@ def check_hypotheses(F: FilterBasis, max_level: int) -> CheckList:
                 # the deepest listing lies in level 0's, so level 0 holds a blocker
                 blocker = next(
                     b for b in listing(0)
-                    if not (levels_holding(tested(s, b)) >> k) & 1
+                    if not (levels_holding(tested(sem, s, b)) >> k) & 1
                 )
                 yield f"s={s!r} level={k} blocker={blocker!r}"
 
     return CheckList(checks=tuple(
         first_failure(name, failures(name)) for name in sorted(HYPOTHESIS_NAMES)
     ))
-
-
-def _tested_element(name: str, sem: Semigroup) -> Callable:
-    """The map (s, b) -> the element whose membership in level k decides
-    hypothesis `name` at (s, k, b); None fails every level."""
-    if name == "left_translate_into":
-        return sem.compose
-    if name == "right_translate_into":
-        return lambda s, b: sem.compose(b, s)
-    divide = sem.divide_right if name == "within_right_translate" else sem.divide_left
-    return lambda s, b: divide(b, s)
 
 
 TAIL_WINDOW = 4

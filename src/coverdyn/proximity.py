@@ -117,23 +117,16 @@ def prox_to_set(x: int, amask: int, family: AdmissibleFamily) -> CoverCollection
 
 
 def semi_prox(amask: int, bmask: int, family: AdmissibleFamily) -> CoverCollection:
-    """One-sided set proximity: coverings at which every point of B is star-close to A."""
+    """One-sided set proximity: the coverings at which every point of B is
+    star-close to A, that is, B lies inside the star of A. With B the
+    deepest level orbit of Z this is where A attracts Z (`attracts`)."""
     if not amask or not bmask:
         raise EmptyInput("semi_prox needs nonempty sets")
-    return CoverCollection(family, stars_containing(bmask, family.stars(amask)))
-
-
-def stars_containing(bmask: int, stars: Sequence[int]) -> int:
-    """Bitmask of the indices i with `bmask` inside stars[i].
-
-    With stars[i] the star of A at covering i this is semi_prox(A, B) for
-    callers that already hold the stars of A.
-    """
     mask = 0
-    for i, star in enumerate(stars):
+    for i, star in enumerate(family.stars(amask)):
         if bmask & ~star == 0:
             mask |= 1 << i
-    return mask
+    return CoverCollection(family, mask)
 
 
 def point_sequence_converges(seq: Sequence[int], x: int, family: AdmissibleFamily) -> bool:

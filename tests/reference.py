@@ -26,15 +26,17 @@ against its least open alone.
 the orbit of Z at every filter level, taken point by point, against the star
 of Y at every covering, with no early stop. It returns the least absorbing
 level per covering besides the failures, so a test can check that
-`attracts` fails exactly the coverings that no level absorbs.
+`attracts` misses exactly the coverings that no level absorbs, and that the
+`attracts` report row names the failure of the least of them.
 `reference_absorption_level` is absorption by its definition: the least
 filter level whose pointwise orbit of Z lies in Y. `absorbs` tests the
 deepest orbit alone.
 
 `reference_limit_witnesses` witnesses each point of a limit set by a scan of
 its own: the first (deepest element, seed point) whose image, taken with
-`apply_fn`, lies in the point's finest star. `_limit_set` finds them all in
+`apply_fn`, lies in the point's finest star. `limit_witnesses` finds them all in
 one pass in which each image claims the unwitnessed points of its star.
+`reference_prolongational_seed` is the seed whose limit set is J(x).
 
 `reference_limit_compact` is the `limit_compact` row of `check_dissipativity`
 by its definition: per test set, the OR over every filter level, read from
@@ -276,6 +278,15 @@ def reference_absorption_level(ymask, zmask, F, action):
         (k for k in F.levels() if reference_orbit_mask(k, zmask, action, F) & ~ymask == 0),
         None,
     )
+
+
+def reference_prolongational_seed(x, F, family):
+    """The deepest seed of J(x): the AND of x's point stars over coverings
+    0..min(depth, finest)."""
+    seed = family.space.full_mask
+    for cov in family.coverings[: F.depth + 1]:
+        seed &= cov.point_star[x]
+    return seed
 
 
 def reference_limit_witnesses(mask, seed, F, action, family):

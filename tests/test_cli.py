@@ -3,6 +3,7 @@ import configparser
 import inspect
 import json
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from coverdyn.cli import build_parser, main
 from coverdyn.compactness import CoverSearchBudgetExceeded
-from coverdyn.scenarios import BUILTIN_SCENARIOS, CUSTOM_SCHEMA, load_system
+from coverdyn.scenarios import BUILTIN_SCENARIOS, CUSTOM_SCHEMA, get_scenario, load_system
 
 
 def run(capsys, *argv):
@@ -195,6 +196,35 @@ def test_resolution_prefix_makes_no_second_relation_computation(capsys, monkeypa
     code, out = run(capsys, "attractor", "--scenario", "decay_grid", *flags)
     assert code == 0
     assert calls == [4]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_limit_witnesses_are_built_only_by_the_omega_report(capsys, monkeypatch, name):
+    # the attractor path reads limit sets as masks and builds no witness;
+    # every module of the package that binds the name is spied on
+    from coverdyn import dynamics
+
+    calls = []
+    real = dynamics.limit_witnesses
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("coverdyn.")]:
+        if getattr(module, "limit_witnesses", None) is real:
+            monkeypatch.setattr(module, "limit_witnesses", counted)
+    code, _ = run(capsys, "attractor", "--scenario", name)
+    assert code == 0
+    assert calls == []
+    sc = get_scenario(name)
+    code, out = run(capsys, "omega", "--scenario", name, "--target", min(sc.testsets))
+    assert code == 0
+    assert len(calls) == 1
+    block = json.loads(out)["limit_set"]
+    assert block["witnesses"]
+    # the block states the bounds that the limit set is computed up to
+    assert (block["resolution"], block["truncation"]) == (sc.family.depth, sc.filter_basis.depth)
 
 
 def test_omega_contraction_whole_lists_attractor(capsys):

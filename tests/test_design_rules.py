@@ -320,11 +320,15 @@ def test_rule_rejects_a_planted_violation(rule, tree, tmp_path):
 @pytest.mark.parametrize("anchor, held", [
     (r"^    def dropped_coverings\(", False),
     (r"^def check_dissipativity\(", False),
-    (r"^def _limit_set\(", False),
+    (r"^def omega_limit\(", False),
+    (r"^def limit_witnesses\(", False),
     (r"^def attracts\(", False),
     (r"^def check_hypotheses\(", False),
     (r"^    def clusterless_tails\(", True),
-], ids=["dropped_coverings", "dissipativity", "limit_set", "attracts", "hypotheses", "tails"])
+], ids=[
+    "dropped_coverings", "dissipativity", "limit_set", "limit_witnesses", "attracts",
+    "hypotheses", "tails",
+])
 def test_the_orbit_rule_allows_level_scans_in_the_tails_alone(
     anchor, held, tree, tmp_path
 ):
@@ -359,7 +363,6 @@ ALLOW = {
     "CoverCollection.finite": "perfbench/spans.py traces it by this name",
     "scenario_to_config": "the README documents it as the config round trip",
     "Point.index": "perfbench/run.py _battery_setup builds Point(pid=..., index=i)",
-    "NestedChainReport.measure_trace": "the certificate behind hypothesis_met (ROADMAP item 2)",
     "scenario_iterated_contractions": "get_scenario(name, **overrides) passes its parameters",
     "scenario_composition": "get_scenario(name, **overrides) passes its parameters",
     "scenario_exp_decay": "get_scenario(name, **overrides) passes its parameters",

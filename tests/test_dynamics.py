@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverdyn import compactness, scenarios
-from coverdyn.attractor import construct_candidate
+from coverdyn.attractor import construct_candidate, verify_global
 from coverdyn.cli import DEFAULTS
 from coverdyn.compactness import (
     cantor_kuratowski_check,
@@ -40,6 +40,7 @@ from coverdyn.dynamics import (
     check_dissipativity,
     check_hypotheses,
     integer_tails,
+    limit_witnesses,
     nat_add,
     nat_mul,
     omega_limit,
@@ -56,6 +57,7 @@ from coverdyn.proximity import (
     CoverCollection,
     coarsen,
     converges_to_zero,
+    semi_prox,
     sets_equal_at_resolution,
     subset_at_resolution,
 )
@@ -84,6 +86,7 @@ from reference import (
     reference_limit_witnesses,
     reference_orbit_mask,
     reference_point_balls,
+    reference_prolongational_seed,
     reference_tail_cluster,
 )
 from test_covering import random_cover_families
@@ -408,36 +411,33 @@ def test_filter_nesting_violation():
 
 
 def test_omega_decay_singleton_is_zero(decay, grid, fam, tails):
-    rep = omega_limit(pick(grid, 100), tails, decay, fam)
-    assert sets_equal_at_resolution(rep.mask, pick(grid, 0), fam)
-    assert rep.resolution == fam.depth
-    assert rep.truncation == tails.depth
+    mask = omega_limit(pick(grid, 100), tails, decay, fam)
+    assert sets_equal_at_resolution(mask, pick(grid, 0), fam)
     # every reported point carries a witness landing in its finest star
     fine = fam.coverings[-1]
-    for i, (el, src) in rep.witnesses.items():
+    witnesses = limit_witnesses(pick(grid, 100), mask, tails, decay, fam)
+    for i, (el, src) in witnesses.items():
         img = decay.apply_fn(el, src)
         assert (fine.point_star[i] >> img) & 1
-    assert sum(1 << i for i in rep.witnesses) == rep.mask
+    assert sum(1 << i for i in witnesses) == mask
 
 
 def test_omega_invariant_closed_set(identity_action, grid, tails):
     # a closed invariant set is its own limit set (exact, with a resolving family)
     sharp = metric_chain_family(grid, 2.0, 5)
     Y = sharp.closure_mask(pick(grid, 10, 11, 40))
-    rep = omega_limit(Y, tails, identity_action, sharp)
-    assert rep.mask == Y
+    assert omega_limit(Y, tails, identity_action, sharp) == Y
 
 
 def test_prolongational_contains_fixed_point(decay, grid, fam, tails):
-    rep = prolongational_limit(0, tails, decay, fam)
-    assert rep.mask & 1
+    assert prolongational_limit(0, tails, decay, fam) & 1
 
 
 def test_omega_subset_of_prolongational(decay, grid, fam, tails):
     for x in (0, 30, 100):
         om = omega_limit(1 << x, tails, decay, fam)
         jl = prolongational_limit(x, tails, decay, fam)
-        assert om.mask & ~jl.mask == 0
+        assert om & ~jl == 0
 
 
 def test_compact_vs_open_limit_inclusions(decay, grid, fam, tails):
@@ -446,15 +446,15 @@ def test_compact_vs_open_limit_inclusions(decay, grid, fam, tails):
     def prolongational_union(mask):
         out = 0
         for x in iter_bits(mask):
-            out |= prolongational_limit(x, tails, decay, fam).mask
+            out |= prolongational_limit(x, tails, decay, fam)
         return out
 
     K = pick(grid, 20, 60)
-    omK = omega_limit(K, tails, decay, fam).mask
+    omK = omega_limit(K, tails, decay, fam)
     assert subset_at_resolution(omK, prolongational_union(K), fam)
 
     U = reference_point_balls(grid, 0.03125)[40]
-    omU = omega_limit(U, tails, decay, fam).mask
+    omU = omega_limit(U, tails, decay, fam)
     assert subset_at_resolution(prolongational_union(U), omU, fam)
 
 
@@ -463,21 +463,24 @@ def test_attracts_invariant_subset(decay, grid, fam, tails):
     levels, failures = reference_attracts(zero, zero, tails, decay, fam)
     # every covering absorbs at level 0, so none fails
     assert levels == dict.fromkeys(range(fam.size), 0)
-    assert attracts(zero, zero, tails, decay, fam) == failures == {}
+    assert attracts(zero, zero, tails, decay, fam).is_zero and failures == {}
     assert prox_form_attracts(zero, zero, tails, decay, fam)
 
 
 def test_attracts_decay_whole_grid(decay, grid, fam, tails):
-    assert attracts(pick(grid, 0), grid.full_mask, tails, decay, fam) == {}
+    assert attracts(pick(grid, 0), grid.full_mask, tails, decay, fam).is_zero
     assert prox_form_attracts(pick(grid, 0), grid.full_mask, tails, decay, fam)
 
 
 def test_attracts_failure_witness(identity_action, grid, fam, tails):
     # the identity action never pulls a far point into fine stars of {0}
-    failures = attracts(pick(grid, 0), pick(grid, 80), tails, identity_action, fam)
-    assert failures
+    held = attracts(pick(grid, 0), pick(grid, 80), tails, identity_action, fam)
+    assert not held.is_zero
     assert not prox_form_attracts(pick(grid, 0), pick(grid, 80), tails, identity_action, fam)
+    # the witness of the least covering missed, by the reference scan
+    _, failures = reference_attracts(pick(grid, 0), pick(grid, 80), tails, identity_action, fam)
     idx, (el, z, img) = min(failures.items())
+    assert not (held.mask >> idx) & 1
     assert img == 80
 
 
@@ -493,7 +496,7 @@ def test_attracts_matches_prox_form_on_grid(request, action_name, grid, fam, tai
         grid.full_mask,
     ]
     for Y, Z in itertools.product(sets, repeat=2):
-        attracted = not attracts(Y, Z, tails, action, fam)
+        attracted = attracts(Y, Z, tails, action, fam).is_zero
         assert attracted == prox_form_attracts(Y, Z, tails, action, fam), (Y, Z)
 
 
@@ -506,7 +509,7 @@ def test_attracts_matches_prox_form_on_scenarios(name):
     targets = {**sc.testsets, **sc.random_bounded_testsets(random.Random(0), count=8)}
     attractors = {"attractor": sc.attractor_points(), **sc.testsets}
     for (yname, Y), (zname, Z) in itertools.product(attractors.items(), targets.items()):
-        attracted = not attracts(Y, Z, F, action, family)
+        attracted = attracts(Y, Z, F, action, family).is_zero
         assert attracted == prox_form_attracts(Y, Z, F, action, family), (yname, zname)
 
 
@@ -868,13 +871,13 @@ def reference_prolongational_limit(x, F, action, family):
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_prolongational_limit_matches_reference(name):
     sc = get_scenario(name)
+    F, action, family = sc.filter_basis, sc.action, sc.family
     for x in iter_bits(sc.points_sample):
-        rep = prolongational_limit(x, sc.filter_basis, sc.action, sc.family)
-        mask, witnesses = reference_prolongational_limit(
-            x, sc.filter_basis, sc.action, sc.family
-        )
-        assert rep.mask == mask, x
-        assert rep.witnesses == witnesses, x
+        lim = prolongational_limit(x, F, action, family)
+        mask, witnesses = reference_prolongational_limit(x, F, action, family)
+        assert lim == mask, x
+        seed = reference_prolongational_seed(x, F, family)
+        assert limit_witnesses(seed, lim, F, action, family) == witnesses, x
 
 
 @pytest.mark.parametrize("depth", range(5))
@@ -883,10 +886,11 @@ def test_prolongational_limit_matches_reference_on_shallow_filters(decay, grid, 
     # the finest covering seeds the same star; shallow filters end on coarser ones
     F = integer_tails(nat_add(), depth=depth, window=8)
     for x in range(0, grid.n, 5):
-        rep = prolongational_limit(x, F, decay, fam)
+        lim = prolongational_limit(x, F, decay, fam)
         mask, witnesses = reference_prolongational_limit(x, F, decay, fam)
-        assert rep.mask == mask, x
-        assert rep.witnesses == witnesses, x
+        assert lim == mask, x
+        seed = reference_prolongational_seed(x, F, fam)
+        assert limit_witnesses(seed, lim, F, decay, fam) == witnesses, x
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
@@ -1016,10 +1020,23 @@ def _check_scans(family, action, F, Y, Z, x):
     found by a scan of its own. `attracts` fails exactly the coverings at
     which no level absorbs. Witnesses are compared in order, since the
     reports list them in index order."""
-    failures = attracts(Y, Z, F, action, family)
+    held = attracts(Y, Z, F, action, family)
     levels, want = reference_attracts(Y, Z, F, action, family)
-    assert set(failures) == set(range(family.size)) - set(levels), (Y, Z)
-    assert list(failures.items()) == list(want.items()), (Y, Z)
+    assert held == semi_prox(Y, orbit_mask(Z, action, F), family), (Y, Z)
+    missing = {i for i in range(family.size) if not (held.mask >> i) & 1}
+    assert missing == set(range(family.size)) - set(levels) == set(want), (Y, Z)
+    # the `attracts` row witnesses the least covering missed, as the reference
+    # scan does
+    row = verify_global(Y, {"Z": Z}, F, action, family, cap=1).check("attracts")
+    if want:
+        idx, (el, z, img) = min(want.items())
+        pts = action.space.points
+        assert row.witness == (
+            f"Z: covering {idx} never absorbed; witness element {el!r} "
+            f"sends {pts[z].pid} to {pts[img].pid}"
+        ), (Y, Z)
+    else:
+        assert row.passed, (Y, Z)
     # J(x) seeds level k with the AND of x's stars over coverings 0..min(k, f)
     stars = [cov.point_star[x] for cov in family.coverings]
     stars_of_x = [functools.reduce(operator.and_, stars[: k + 1]) for k in F.levels()]
@@ -1031,9 +1048,10 @@ def _check_scans(family, action, F, Y, Z, x):
             reference_closure_mask(family, reference_orbit_mask(k, seeds[k], action, F))
             for k in F.levels()
         ))
-        assert lim.mask == mask, (Z, x)
+        assert lim == mask, (Z, x)
         witnesses = reference_limit_witnesses(mask, seeds[-1], F, action, family)
-        assert list(lim.witnesses.items()) == list(witnesses.items()), (Z, x)
+        got = limit_witnesses(seeds[-1], lim, F, action, family)
+        assert list(got.items()) == list(witnesses.items()), (Z, x)
 
 
 @st.composite

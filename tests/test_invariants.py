@@ -6,10 +6,18 @@ import random
 import pytest
 
 from coverdyn.attractor import check_equivalence, construct_candidate
-from coverdyn.dynamics import attracts, check_hypotheses, omega_limit, orbit_mask
+from coverdyn.dynamics import (
+    attracts,
+    check_hypotheses,
+    limit_witnesses,
+    omega_limit,
+    orbit_mask,
+    prolongational_limit,
+)
 from coverdyn.proximity import sets_equal_at_resolution, subset_at_resolution
 from coverdyn.scenarios import get_scenario
 from coverdyn.space import iter_bits
+from reference import reference_prolongational_seed
 
 NAMES = ("decay_grid", "iterated_contractions", "composition", "exp_decay")
 
@@ -33,7 +41,7 @@ def test_omega_forward_invariant_under_h1(name, scenarios, hypothesis_reports):
     if not hypothesis_reports[name].passed("left_translate_into"):
         pytest.skip("left-translation hypothesis not verified")
     for tname, Y in sc.testsets.items():
-        om = omega_limit(Y, sc.filter_basis, sc.action, sc.family).mask
+        om = omega_limit(Y, sc.filter_basis, sc.action, sc.family)
         if not om:
             continue
         image = orbit_mask(om, sc.action, dataclasses.replace(sc.filter_basis, depth=0))
@@ -53,7 +61,7 @@ def test_omega_invariant_under_h1_h4(name, scenarios, hypothesis_reports):
     if not check_equivalence(sc).taxonomy.passed("asymptotically_compact"):
         pytest.skip("asymptotic compactness not verified")
     for tname, Y in sc.testsets.items():
-        om = omega_limit(Y, sc.filter_basis, sc.action, sc.family).mask
+        om = omega_limit(Y, sc.filter_basis, sc.action, sc.family)
         if not om:
             continue
         for s in sc.filter_basis.sampler(0)[:3]:
@@ -74,9 +82,9 @@ def test_limit_set_minimality(name, scenarios):
         "attractor-closure": sc.family.closure_mask(sc.attractor_points()),
     }
     for tname, Y in sc.testsets.items():
-        om = omega_limit(Y, sc.filter_basis, sc.action, sc.family).mask
+        om = omega_limit(Y, sc.filter_basis, sc.action, sc.family)
         for kname, K in candidates.items():
-            if attracts(K, Y, sc.filter_basis, sc.action, sc.family):
+            if not attracts(K, Y, sc.filter_basis, sc.action, sc.family).is_zero:
                 continue
             assert subset_at_resolution(om, K, sc.family), (name, tname, kname)
 
@@ -106,7 +114,7 @@ def test_constructed_candidate_attracts_its_testsets(name, scenarios):
         pytest.skip("limit sets attract their own sets under asymptotic compactness")
     cand = construct_candidate(sc.testsets, sc.filter_basis, sc.action, sc.family)
     for tname, Y in sc.testsets.items():
-        assert attracts(cand, Y, sc.filter_basis, sc.action, sc.family) == {}, (name, tname)
+        assert attracts(cand, Y, sc.filter_basis, sc.action, sc.family).is_zero, (name, tname)
 
 
 def test_omega_limit_respects_random_bounded_sets():
@@ -116,7 +124,7 @@ def test_omega_limit_respects_random_bounded_sets():
         sc = get_scenario(name)
         A = sc.attractor_points()
         for tname, Y in sc.random_bounded_testsets(rng, count=8).items():
-            om = omega_limit(Y, sc.filter_basis, sc.action, sc.family).mask
+            om = omega_limit(Y, sc.filter_basis, sc.action, sc.family)
             assert subset_at_resolution(om, A, sc.family), (name, tname)
 
 
@@ -127,7 +135,7 @@ def test_omega_matches_cluster_point_oracle(name):
     sc = get_scenario(name)
     space, fam, F = sc.space, sc.family, sc.filter_basis
     for ymask in (sc.testsets["seed"],):
-        rep = omega_limit(ymask, F, sc.action, fam)
+        mask = omega_limit(ymask, F, sc.action, fam)
         oracle = 0
         for p in range(space.n):
             ok = True
@@ -140,17 +148,18 @@ def test_omega_matches_cluster_point_oracle(name):
                     break
             if ok:
                 oracle |= 1 << p
-        assert rep.mask == oracle
+        assert mask == oracle
 
 
 def test_prolongational_witnesses_certified():
     sc = get_scenario("decay_grid")
-    from coverdyn.dynamics import prolongational_limit
-
-    fine = sc.family.coverings[-1]
-    rep = prolongational_limit(50, sc.filter_basis, sc.action, sc.family)
-    assert rep.mask
-    assert sum(1 << i for i in rep.witnesses) == rep.mask
-    for i, (el, src) in rep.witnesses.items():
+    F, fam = sc.filter_basis, sc.family
+    fine = fam.coverings[-1]
+    lim = prolongational_limit(50, F, sc.action, fam)
+    assert lim
+    seed = reference_prolongational_seed(50, F, fam)
+    witnesses = limit_witnesses(seed, lim, F, sc.action, fam)
+    assert sum(1 << i for i in witnesses) == lim
+    for i, (el, src) in witnesses.items():
         img = sc.action.apply_fn(el, src)
         assert (fine.point_star[i] >> img) & 1
