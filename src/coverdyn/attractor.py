@@ -242,7 +242,7 @@ def check_equivalence(scenario) -> EquivalenceReport:
     hypothesis (sorted) named."""
     candidate = scenario.attractor_points()
     F, action, family = scenario.filter_basis, scenario.action, scenario.family
-    cap = scenario.declared.cap
+    cap = scenario.cap
     glob = verify_global(candidate, scenario.testsets, F, action, family, cap)
     unif = verify_uniform(candidate, scenario.points_sample, F, action, family, cap)
     taxonomy = check_dissipativity(
@@ -252,12 +252,12 @@ def check_equivalence(scenario) -> EquivalenceReport:
         scenario.testsets,
         cap=cap,
         points_sample=scenario.points_sample,
-        absorb_candidate=scenario.testsets.get(scenario.declared.absorbing_name),
+        absorb_candidate=scenario.testsets.get(scenario.absorbing_name),
     )
     hyp = check_hypotheses(F, max_level=max(0, F.depth - 6))
-    if scenario.declared.compact_witness is not None:
+    if scenario.compact_witness is not None:
         evc = verify_eventual_compactness(
-            action, scenario.declared.compact_witness, scenario.testsets, family, cap
+            action, scenario.compact_witness, scenario.testsets, family, cap
         )
     else:
         evc = CheckResult("eventually_compact", False, "not declared")

@@ -71,6 +71,8 @@ def _load_scenario(ns: argparse.Namespace) -> Scenario:
         sc = replace(sc, filter_basis=replace(sc.filter_basis, depth=ns.max_level))
     if ns.resolution is not None and ns.resolution < sc.family.size - 1:
         sc = replace(sc, family=sc.family.prefix(ns.resolution))
+    if ns.cap is not None:
+        sc = replace(sc, cap=ns.cap)
     return sc
 
 
@@ -131,7 +133,7 @@ def cmd_verify_axioms(ns: argparse.Namespace) -> int:
         results = proximity_suite(sc.family, stars=stars)
         results += closure_criteria_suite(sc.family, rng=rng, trials=40)
         results += boundedness_suite(sc.family, rng=rng, trials=40)
-        results += measure_suite(sc.family, cap=ns.cap or sc.declared.cap, rng=rng, trials=60)
+        results += measure_suite(sc.family, cap=sc.cap, rng=rng, trials=60)
         resolution = sc.family.depth
     else:
         if ns.mutate == "prox-asymmetry":
@@ -191,8 +193,6 @@ def cmd_attractor(ns: argparse.Namespace) -> int:
     testsets = dict(sc.testsets)
     testsets.update(sc.random_bounded_testsets(rng, count=min(ns.budget, 50)))
     sc = replace(sc, testsets=testsets)
-    if ns.cap is not None:
-        sc = replace(sc, declared=replace(sc.declared, cap=ns.cap))
 
     report = check_equivalence(sc)
     candidate = sc.attractor_points()
@@ -200,7 +200,7 @@ def cmd_attractor(ns: argparse.Namespace) -> int:
         testsets, sc.filter_basis, sc.action, sc.family
     )
     built_verdict = verify_global(
-        constructed, testsets, sc.filter_basis, sc.action, sc.family, sc.declared.cap
+        constructed, testsets, sc.filter_basis, sc.action, sc.family, sc.cap
     )
     uniqueness = None
     if report.global_verdict.all_passed and built_verdict.all_passed:
@@ -210,7 +210,7 @@ def cmd_attractor(ns: argparse.Namespace) -> int:
 
     hyp_match = all(
         report.hypotheses.passed(name) == expect
-        for name, expect in sc.declared.hypothesis_expect.items()
+        for name, expect in sc.expected.hypotheses.items()
     )
     expectations_met = (
         report.kind == sc.expected.kind

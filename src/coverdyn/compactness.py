@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .covering import AdmissibleFamily
-from .proximity import CoverCollection, converges_to_zero
+from .proximity import CoverCollection
 from .space import CoverdynError, EmptyInput, iter_bits
 
 
@@ -221,7 +221,8 @@ def cantor_kuratowski_check(
     """Check a decreasing chain of nonempty closed sets: whether the star
     measures converge to zero, the hypothesis under which the intersection,
     the chain's last element, is nonempty and compact. Truncated convergence
-    reads the last term alone (`converges_to_zero`)."""
+    reads the last term alone (`converges_to_zero`), so only the last
+    element is measured."""
     if not masks:
         raise EmptyInput("the chain must be nonempty")
     for k, m in enumerate(masks):
@@ -232,4 +233,4 @@ def cantor_kuratowski_check(
     for k in range(1, len(masks)):
         if masks[k] & ~masks[k - 1]:
             raise NotDecreasing(f"element {k} is not contained in element {k - 1}")
-    return converges_to_zero([star_measure(m, family, cap) for m in masks])
+    return star_measure(masks[-1], family, cap).is_zero

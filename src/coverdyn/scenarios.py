@@ -1,10 +1,11 @@
 """Built-in desk-scale systems and config-driven system ingestion.
 
 Each scenario bundles a space, a covering family, a semigroup action, a
-filter basis, named test sets, declared hypothesis flags, and the expected
-verdicts. All built-in arithmetic is dyadic, so actions land exactly on
-sample points; the only snapping is an explicit underflow floor, checked
-against half the finest covering radius at build time.
+filter basis, named test sets, a measure cap, the absorbing and
+eventual-compactness candidates, and the expected verdicts. All built-in
+arithmetic is dyadic, so actions land exactly on sample points; the only
+snapping is an explicit underflow floor, checked against half the finest
+covering radius at build time.
 """
 
 from __future__ import annotations
@@ -48,23 +49,14 @@ class SnapToleranceExceeded(CoverdynError):
 
 
 @dataclass(frozen=True)
-class Declared:
-    """Scenario-declared flags and budgets; each is individually checkable."""
-
-    cap: int
-    hypothesis_expect: dict
-    absorbing_name: str
-    snap_error: float
-    compact_witness: Optional[object] = None
-
-
-@dataclass(frozen=True)
 class Expected:
-    """The expected end-to-end verdict: the attractor's point ids and the
-    verdict kind that the `attractor` report compares against."""
+    """The expected end-to-end verdict: the attractor's point ids, the
+    verdict kind and the translation hypotheses' verdicts by name that the
+    `attractor` report compares against."""
 
     attractor: tuple[str, ...]
     kind: str  # one of attractor.KINDS
+    hypotheses: dict[str, bool]
 
 
 RANDOM_TESTSET_MAX_SIZE = 6
@@ -73,15 +65,20 @@ RANDOM_TESTSET_MAX_SIZE = 6
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A system and its expectations. `testsets` and `points_sample` are int
-    masks; the points of `points_sample` are read in index order. `params`
-    are the builder arguments of a built-in, which `get_scenario` records."""
+    masks; the points of `points_sample` are read in index order. `cap` is
+    the measure cardinality cap, `absorbing_name` the test set offered as the
+    absorbing candidate, and `compact_witness` the semigroup element offered
+    for eventual compactness, or None. `params` are the builder arguments of
+    a built-in, which `get_scenario` records."""
 
     name: str
     family: AdmissibleFamily
     action: Action
     filter_basis: FilterBasis
     testsets: dict[str, int]
-    declared: Declared
+    cap: int
+    absorbing_name: str
+    compact_witness: Optional[object]
     expected: Expected
     points_sample: int
     params: dict = field(default_factory=dict)
@@ -108,10 +105,11 @@ class Scenario:
         return out
 
 
-def _validate(sc: Scenario, finest_radius: float) -> Scenario:
-    if not sc.declared.snap_error < finest_radius / 2:
+def _validate(sc: Scenario, snap: float, finest_radius: float) -> Scenario:
+    """Check the builder's snap error `snap`, associativity and the test sets."""
+    if not snap < finest_radius / 2:
         raise SnapToleranceExceeded(
-            f"snap error {sc.declared.snap_error:g} is not below half the finest "
+            f"snap error {snap:g} is not below half the finest "
             f"star radius {finest_radius / 2:g}"
         )
     bad = sc.action.check_associativity(sc.filter_basis.semigroup.compose, sc.filter_basis.probes())
@@ -185,30 +183,29 @@ def scenario_iterated_contractions(
         "pair": 1 << lookup[("pow", 0.0, 1)] | 1 << lookup[("pow", 1.0, 2)],
     }
     delta = max(abs(z - xf) for z in args for xf in fixed)
-    declared = Declared(
-        cap=default_cap(space.n),
-        hypothesis_expect={
+    expected = Expected(
+        attractor=attractor_pids,
+        kind="both",
+        hypotheses={
             "left_translate_into": True,
             "right_translate_into": True,
             "within_right_translate": False,
             "within_left_translate": False,
         },
-        compact_witness=esnap,
-        absorbing_name="attractor",
-        snap_error=_pow2(-esnap) * delta,
     )
-    expected = Expected(attractor=attractor_pids, kind="both")
     sc = Scenario(
         name="iterated_contractions",
         family=family,
         action=action,
         filter_basis=F,
         testsets=testsets,
-        declared=declared,
+        cap=default_cap(space.n),
+        absorbing_name="attractor",
+        compact_witness=esnap,
         expected=expected,
         points_sample=space.full_mask,
     )
-    return _validate(sc, radii[-1])
+    return _validate(sc, _pow2(-esnap) * delta, radii[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -263,25 +260,25 @@ def scenario_composition(
         "seed": 1 << lookup[("seed", "id", 0)],
         "pair": 1 << lookup[("seed", "vee", 1)] | 1 << lookup[("seed", "shift", 0)],
     }
-    declared = Declared(
-        cap=default_cap(space.n),
-        hypothesis_expect=dict.fromkeys(HYPOTHESIS_NAMES, True),
-        compact_witness=_pow2(-esnap),
-        absorbing_name="attractor",
-        snap_error=_pow2(-esnap) * max(abs(v - x0) for t in tables for (v,) in t),
+    expected = Expected(
+        attractor=(f"i[{x0:g}]",),
+        kind="both",
+        hypotheses=dict.fromkeys(HYPOTHESIS_NAMES, True),
     )
-    expected = Expected(attractor=(f"i[{x0:g}]",), kind="both")
     sc = Scenario(
         name="composition",
         family=family,
         action=action,
         filter_basis=F,
         testsets=testsets,
-        declared=declared,
+        cap=default_cap(space.n),
+        absorbing_name="attractor",
+        compact_witness=_pow2(-esnap),
         expected=expected,
         points_sample=space.full_mask,
     )
-    return _validate(sc, radii[-1])
+    snap = _pow2(-esnap) * max(abs(v - x0) for t in tables for (v,) in t)
+    return _validate(sc, snap, radii[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +291,11 @@ DECAY_FLOOR_EXP = -7
 DECAY_WITNESS_MAX = 22
 
 
-def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
-    # each table holds the values at the arguments (0, 0) and (1, 1)
+def scenario_exp_decay(window: int = 4) -> Scenario:
+    # each table holds the values at the arguments (0, 0) and (1, 1); the
+    # witness family is tuned to the filter truncation DECAY_WITNESS_MAX
     floor = DECAY_FLOOR_EXP
     kmax = DECAY_WITNESS_MAX
-    if depth != kmax:
-        raise SchemaError("the witness family is tuned to the filter truncation")
 
     labels, tables, meta = ["zero"], [[(0.0, 0.0), (0.0, 0.0)]], [None]
     for j in range(floor, 1):  # small values 2^floor .. 2^0
@@ -332,7 +328,7 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
     family = pointwise_chain(model, levels)
 
     action = Action(space=space, apply_fn=apply_fn)
-    F = vector_tails(2, depth=depth, window=window)
+    F = vector_tails(2, depth=kmax, window=window)
 
     unit = pointwise_covering(model, [(0, 1.0)])
     testsets = {
@@ -341,24 +337,24 @@ def scenario_exp_decay(depth: int = 22, window: int = 4) -> Scenario:
         "small": 1 | 1 << by_exp[-7] | 1 << by_exp[-6] | 1 << by_exp[-5],
     }
     sample = sum(1 << i for i, j in enumerate(meta) if j is None or j <= 16)
-    declared = Declared(
-        cap=6,
-        hypothesis_expect=dict.fromkeys(HYPOTHESIS_NAMES, True),
-        absorbing_name="orbit-star",
-        snap_error=_pow2(floor - 1) * math.sqrt(2.0),
+    expected = Expected(
+        attractor=("zero",),
+        kind="global-uniform-only",
+        hypotheses=dict.fromkeys(HYPOTHESIS_NAMES, True),
     )
-    expected = Expected(attractor=("zero",), kind="global-uniform-only")
     sc = Scenario(
         name="exp_decay",
         family=family,
         action=action,
         filter_basis=F,
         testsets=testsets,
-        declared=declared,
+        cap=6,
+        absorbing_name="orbit-star",
+        compact_witness=None,
         expected=expected,
         points_sample=sample,
     )
-    return _validate(sc, radii[-1])
+    return _validate(sc, _pow2(floor - 1) * math.sqrt(2.0), radii[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +376,10 @@ def scenario_decay_grid(
         "seed": 1 << (space.n - 1),
         "low-ball": space.mask_of(i for i, p in enumerate(space.points) if abs(p.coords[0]) < 0.15),
     }
-    declared = Declared(
-        cap=default_cap(space.n),
-        hypothesis_expect=dict.fromkeys(HYPOTHESIS_NAMES, True),
-        compact_witness=7,
-        absorbing_name="low-ball",
-        snap_error=step,
-    )
     expected = Expected(
         attractor=(space.points[0].pid,),
         kind="both",
+        hypotheses=dict.fromkeys(HYPOTHESIS_NAMES, True),
     )
     sc = Scenario(
         name="decay_grid",
@@ -397,11 +387,13 @@ def scenario_decay_grid(
         action=action,
         filter_basis=F,
         testsets=testsets,
-        declared=declared,
+        cap=default_cap(space.n),
+        absorbing_name="low-ball",
+        compact_witness=7,
         expected=expected,
         points_sample=space.mask_of(range(0, space.n, 10)),
     )
-    return _validate(sc, finest_radius)
+    return _validate(sc, step, finest_radius)
 
 
 BUILTIN_SCENARIOS: dict[str, Callable[..., Scenario]] = {
@@ -568,10 +560,10 @@ def _load_custom(cp) -> Scenario:
 
     if _jget(cp, "action", "kind") == "halving_decay":
         apply_fn = lambda t, i: i >> t
-        snap_error = step
+        snap = step
     else:  # identity
         apply_fn = lambda t, i: i
-        snap_error = 0.0
+        snap = 0.0
 
     sem = nat_add()
     action = Action(space=space, apply_fn=apply_fn)
@@ -625,19 +617,13 @@ def _load_custom(cp) -> Scenario:
     if kind_expect not in KINDS:
         raise SchemaError(f"[expectations] kind: {kind_expect!r} is not one of {list(KINDS)}")
 
-    declared = Declared(
-        cap=cap,
-        hypothesis_expect={},
-        compact_witness=witness,
-        absorbing_name=next(iter(testsets)),
-        snap_error=snap_error,
-    )
     expected = Expected(
         attractor=tuple(
             space.points[_config_point(i, space, "[expectations] attractor")].pid
             for i in attractor_idx
         ),
         kind=kind_expect,
+        hypotheses={},
     )
     name = _jget(cp, "scenario", "name", "custom")
     if type(name) is not str:
@@ -651,11 +637,13 @@ def _load_custom(cp) -> Scenario:
         action=action,
         filter_basis=F,
         testsets=testsets,
-        declared=declared,
+        cap=cap,
+        absorbing_name=next(iter(testsets)),
+        compact_witness=witness,
         expected=expected,
         points_sample=space.mask_of(range(0, space.n, max(1, space.n // 10))),
     )
-    return _validate(sc, finest_radius)
+    return _validate(sc, snap, finest_radius)
 
 
 def scenario_to_config(sc: Scenario) -> str:

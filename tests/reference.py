@@ -32,6 +32,13 @@ level per covering besides the failures, so a test can check that
 filter level whose pointwise orbit of Z lies in Y. `absorbs` tests the
 deepest orbit alone.
 
+`reference_absorbing_rows` is the `bounded_dissipative` and
+`point_dissipative` rows by their definition: per bounded candidate, in
+the report's order, `all` over the test sets and over the sampled points of
+`reference_absorption_level`, one set or one point at a time.
+`check_dissipativity` tests each candidate once against the union of the
+test sets, and once against the sample.
+
 `reference_limit_witnesses` witnesses each point of a limit set by a scan of
 its own: the first (deepest element, seed point) whose image, taken with
 `apply_fn`, lies in the point's finest star. `limit_witnesses` finds them all in
@@ -278,6 +285,40 @@ def reference_absorption_level(ymask, zmask, F, action):
         (k for k in F.levels() if reference_orbit_mask(k, zmask, action, F) & ~ymask == 0),
         None,
     )
+
+
+def reference_absorbing_rows(testsets, points_sample, F, action, family, absorb_candidate):
+    """The `bounded_dissipative` and `point_dissipative` rows: the first
+    bounded candidate (the given one, its stars by the members, the whole
+    space) that absorbs every test set, and the first that absorbs every
+    sampled point, each point on its own."""
+    candidates = []
+    if absorb_candidate:
+        candidates.append(("declared", absorb_candidate))
+        for i, cov in enumerate(family.coverings):
+            candidates.append((f"declared-star-{i}", reference_star_mask(cov, absorb_candidate)))
+    candidates.append(("whole-space", family.space.full_mask))
+    bounded = [(cname, D) for cname, D in candidates if reference_bounded(D, family)]
+
+    def absorbs_each(D, sets):
+        return all(reference_absorption_level(D, m, F, action) is not None for m in sets)
+
+    sets = sorted(testsets.items())
+    found = next((c for c, D in bounded if absorbs_each(D, [m for _, m in sets])), None)
+    if found:
+        bounded_row = CheckResult("bounded_dissipative", True, f"absorbing set: {found}")
+    elif absorb_candidate or bounded:
+        bounded_row = CheckResult("bounded_dissipative", False, "no candidate absorbs every test set")
+    else:
+        bounded_row = CheckResult("bounded_dissipative", False, "no bounded absorbing candidate")
+    points = [1 << x for x in iter_bits(points_sample)]
+    found = next((c for c, D in bounded if absorbs_each(D, points)), None)
+    point_row = CheckResult(
+        "point_dissipative",
+        found is not None,
+        f"absorbing set: {found}" if found else "no bounded candidate absorbs every sampled point",
+    )
+    return bounded_row, point_row
 
 
 def reference_prolongational_seed(x, F, family):

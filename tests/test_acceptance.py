@@ -141,7 +141,7 @@ def test_criterion_4_decay_counterexample():
     sc = get_scenario("exp_decay")
     A = sc.attractor_points()
     unif = verify_uniform(
-        A, sc.points_sample, sc.filter_basis, sc.action, sc.family, sc.declared.cap
+        A, sc.points_sample, sc.filter_basis, sc.action, sc.family, sc.cap
     )
     T = sc.testsets["orbit-star"]
     held = attracts(A, T, sc.filter_basis, sc.action, sc.family)
@@ -192,10 +192,10 @@ def test_criterion_5_composition():
     sc = get_scenario("composition")
     A = sc.attractor_points()
     glob = verify_global(
-        A, sc.testsets, sc.filter_basis, sc.action, sc.family, sc.declared.cap
+        A, sc.testsets, sc.filter_basis, sc.action, sc.family, sc.cap
     )
     unif = verify_uniform(
-        A, sc.points_sample, sc.filter_basis, sc.action, sc.family, sc.declared.cap
+        A, sc.points_sample, sc.filter_basis, sc.action, sc.family, sc.cap
     )
     rng = random.Random(1)
     all_testsets = dict(sc.testsets)

@@ -43,7 +43,7 @@ def test_verify_global_decay(grid_sc):
         sc.filter_basis,
         sc.action,
         sc.family,
-        sc.declared.cap,
+        sc.cap,
     )
     assert v.all_passed, [c for c in v.checks if not c.passed]
     assert v.candidate == ("(0)",)
@@ -66,7 +66,7 @@ def test_verify_uniform_decay(grid_sc):
         sc.filter_basis,
         sc.action,
         sc.family,
-        sc.declared.cap,
+        sc.cap,
     )
     assert v.all_passed, [c for c in v.checks if not c.passed]
 
@@ -82,7 +82,7 @@ def test_verify_uniform_missing_limit_point():
         sc.filter_basis,
         sc.action,
         sc.family,
-        sc.declared.cap,
+        sc.cap,
     )
     chk = v.check("prolongational_limits_inside")
     assert not chk.passed
@@ -149,8 +149,8 @@ def test_equivalence_matches_expected_kind(name):
             "converse", True, "not applicable: asymptotically_compact fails"
         )
         assert not rep.taxonomy.passed("asymptotically_compact")
-    if sc.declared.hypothesis_expect:
-        for hname, expect in sc.declared.hypothesis_expect.items():
+    if sc.expected.hypotheses:
+        for hname, expect in sc.expected.hypotheses.items():
             assert rep.hypotheses.passed(hname) == expect, hname
 
 
@@ -169,7 +169,7 @@ def test_point_dissipative_existence_route():
             sc.testsets, sc.filter_basis, sc.action, sc.family
         )
         v = verify_global(
-            cand, sc.testsets, sc.filter_basis, sc.action, sc.family, sc.declared.cap
+            cand, sc.testsets, sc.filter_basis, sc.action, sc.family, sc.cap
         )
         assert v.all_passed, [c for c in v.checks if not c.passed]
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from coverdyn.cli import build_parser, main
 from coverdyn.compactness import CoverSearchBudgetExceeded
 from coverdyn.scenarios import BUILTIN_SCENARIOS, CUSTOM_SCHEMA, get_scenario, load_system
+from coverdyn.space import CoverdynError
 
 
 def run(capsys, *argv):
@@ -178,6 +179,36 @@ def test_attractor_cap_overrides_the_declared_cap(capsys):
     code, out = run(capsys, "attractor", "--scenario", "decay_grid", "--cap", "1")
     assert code == 0
     assert json.loads(out)["config"]["cap"] == 1
+
+
+class Spied(CoverdynError):
+    """Ends a command at its spied call."""
+
+
+@pytest.mark.parametrize("cap", [None, 1, 3])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_cap_flag_sets_the_scenario_cap_once_at_load(capsys, monkeypatch, name, cap):
+    # both commands that read a scenario's cap see --cap k, or else the
+    # builder's cap; the spies record it and stop the command there
+    from coverdyn import cli
+
+    seen = []
+
+    def measure(family, **kwargs):
+        seen.append(kwargs["cap"])
+        return []
+
+    def equivalence(sc):
+        seen.append(sc.cap)
+        raise Spied("spied")
+
+    monkeypatch.setattr(cli, "measure_suite", measure)
+    monkeypatch.setattr(cli, "check_equivalence", equivalence)
+    flags = () if cap is None else ("--cap", str(cap))
+    assert run(capsys, "verify-axioms", "--scenario", name, *flags)[0] == 0
+    assert run(capsys, "attractor", "--scenario", name, *flags)[0] == 2
+    expected = get_scenario(name).cap if cap is None else cap
+    assert seen == [expected, expected]
 
 
 @pytest.mark.parametrize("flags", [(), ("--resolution", "2")])
@@ -422,7 +453,10 @@ CONFIGS = {
         )
     },
     "space-count-missing": (CUSTOM.replace("count = 21\n", ""), 2),
+    # exp_decay's truncation is the one its witness family is tuned to, so
+    # depth is no parameter of it, not even at that value
     "exp_decay-depth-5": ('[scenario]\nkind = "exp_decay"\ndepth = 5\n', 2),
+    "exp_decay-depth-22": ('[scenario]\nkind = "exp_decay"\ndepth = 22\n', 2),
     # window 0 empties the deepest level's sample
     "filter-window-zero": (CUSTOM + "window = 0\n", 2),
     "filter-levels-empty-level": (
@@ -453,7 +487,8 @@ MESSAGES = {
         "error: bad value for [space] count: '%' must be followed by '%' or '(', found: '%21'\n"
     ),
     "space-count-missing": "error: missing [space] count\n",
-    "exp_decay-depth-5": "error: the witness family is tuned to the filter truncation\n",
+    "exp_decay-depth-5": "error: unknown key [scenario] depth\n",
+    "exp_decay-depth-22": "error: unknown key [scenario] depth\n",
     "filter-window-zero": "error: level 4 has an empty sample\n",
     "filter-levels-empty-level": "error: level 1 has an empty sample\n",
     "family-depth-negative": "error: bad config value: depth must be nonnegative\n",

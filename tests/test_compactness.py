@@ -429,6 +429,22 @@ def test_nested_chain_hypothesis_not_met(grid, fam):
     assert not cantor_kuratowski_check(chain, fam, cap=2)
 
 
+@pytest.mark.parametrize("length", [1, 2, 5])
+def test_nested_chain_measures_its_last_element_alone(grid, fam, monkeypatch, length):
+    # convergence reads the last measure, so only the last element is measured
+    measured = []
+    real = compactness.star_measure
+
+    def counted(mask, family, cap):
+        measured.append(mask)
+        return real(mask, family, cap)
+
+    monkeypatch.setattr(compactness, "star_measure", counted)
+    chain = shrinking_chain(grid, fam, 50, length)
+    cantor_kuratowski_check(chain, fam, default_cap(grid.n))
+    assert measured == [chain[-1]]
+
+
 def test_nested_chain_error_cases(grid, fam):
     with pytest.raises(NotDecreasing):
         cantor_kuratowski_check(

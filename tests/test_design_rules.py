@@ -71,7 +71,8 @@ RULES = [
     Rule(
         "no-declared-copies",
         r"prox_form_agrees|divergent_sequence|resolving: bool|eventually_compact: bool|global_ok"
-        r"|attraction_(index|bound)|failure_index|spread_(first_arg|delta1|lipschitz)|metric_name",
+        r"|attraction_(index|bound)|failure_index|spread_(first_arg|delta1|lipschitz)|metric_name"
+        r"|\bDeclared\b|snap_error|hypothesis_expect",
         (MODULES,),
         "each verdict is computed once, with no declared copy of a computed fact",
         "    resolving: bool",

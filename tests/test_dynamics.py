@@ -75,6 +75,7 @@ from coverdyn.space import (
 from reference import (
     divergent_sequence,
     prox_form_attracts,
+    reference_absorbing_rows,
     reference_absorption_level,
     reference_asymptotically_compact,
     reference_attracts,
@@ -235,7 +236,7 @@ def _not_associative(fam):
     # twice first at point 1; no built-in action fails this check
     sc = get_scenario("decay_grid")
     bad = dataclasses.replace(sc, action=Action(space=sc.space, apply_fn=lambda t, i: 0 if t == 1 else i))
-    return scenarios._validate(bad, 1.0)
+    return scenarios._validate(bad, 0.0, 1.0)
 
 
 def _not_associative_at_the_fourth_probe(fam):
@@ -249,7 +250,7 @@ def _not_associative_at_the_fourth_probe(fam):
         space=sc.space, apply_fn=lambda c, i: i if c == 0.0625**2 else good(c, i)
     ))
     assert bad.action.check_associativity(bad.filter_basis.semigroup.compose, (0.5, 0.25, 0.125)) is None
-    return scenarios._validate(bad, 1.0)
+    return scenarios._validate(bad, 0.0, 1.0)
 
 
 # the guards of the library entries that no config reaches, on the 101-point
@@ -1152,7 +1153,7 @@ def assert_taxonomy_rows_match_the_definition(testsets, F, action, family, cap):
 def test_limit_compact_matches_the_definition_on_scenarios(name, seed):
     sc = attractor_system(name, seed)
     assert_taxonomy_rows_match_the_definition(
-        sc.testsets, sc.filter_basis, sc.action, sc.family, sc.declared.cap
+        sc.testsets, sc.filter_basis, sc.action, sc.family, sc.cap
     )
 
 
@@ -1165,6 +1166,38 @@ def test_limit_compact_matches_the_definition_on_random_systems(system, data):
     assert_taxonomy_rows_match_the_definition(
         testsets, F, action, family, data.draw(st.integers(1, family.space.n))
     )
+
+
+def assert_absorbing_rows_match_the_definition(testsets, points_sample, F, action, family, D):
+    rep = check_dissipativity(
+        action, F, family, testsets, cap=1, points_sample=points_sample, absorb_candidate=D
+    )
+    expected = reference_absorbing_rows(testsets, points_sample, F, action, family, D)
+    assert (rep.check("bounded_dissipative"), rep.check("point_dissipative")) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_absorbing_rows_match_the_definition_on_scenarios(name, seed):
+    # each row tests a candidate once, against the union of the test sets
+    # or of the sampled points; the definition tests them one by one
+    sc = attractor_system(name, seed)
+    args = (sc.testsets, sc.points_sample, sc.filter_basis, sc.action, sc.family)
+    assert_absorbing_rows_match_the_definition(*args, sc.testsets[sc.absorbing_name])
+    assert_absorbing_rows_match_the_definition(*args, None)
+
+
+@given(random_systems(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_absorbing_rows_match_the_definition_on_random_systems(system, data):
+    family, action, F = system
+    full = family.space.full_mask
+    names = data.draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    testsets = {name: data.draw(st.integers(1, full)) for name in names}
+    # an empty sample passes at the first bounded candidate, as `all` of no points
+    points_sample = data.draw(st.integers(0, full))
+    D = data.draw(st.none() | st.integers(1, full))
+    assert_absorbing_rows_match_the_definition(testsets, points_sample, F, action, family, D)
 
 
 def test_eventually_bounded_reads_the_deepest_orbit(decay, grid, tails):
@@ -1207,7 +1240,7 @@ def test_limit_compact_reads_the_deepest_orbit_first(monkeypatch):
     for name in sorted(BUILTIN_SCENARIOS):
         sc = attractor_system(name, 1)
         calls.clear()
-        row = limit_compact(sc.testsets, sc.filter_basis, sc.action, sc.family, sc.declared.cap)
+        row = limit_compact(sc.testsets, sc.filter_basis, sc.action, sc.family, sc.cap)
         assert row.passed == (name != "exp_decay")
         searches[name] = len(calls)
     # measures are memoised per set, and many test sets share a deepest

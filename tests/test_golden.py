@@ -153,7 +153,7 @@ def test_failing_attracts_witnesses_in_the_goldens_are_confirmed(monkeypatch):
         cfg = payload["config"]
         sc = _load_scenario(argparse.Namespace(
             scenario=cfg["scenario"], config_path=cfg["config"],
-            max_level=cfg["max_level"], resolution=cfg["resolution"],
+            max_level=cfg["max_level"], resolution=cfg["resolution"], cap=cfg["cap"],
         ))
         rng = random.Random(cfg["seed"])
         testsets = {**sc.testsets, **sc.random_bounded_testsets(rng, count=min(cfg["budget"], 50))}

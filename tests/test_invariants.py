@@ -97,7 +97,7 @@ def test_eventually_compact_route_implies_asymptotic_compactness(
     rep = hypothesis_reports[name]
     eq = check_equivalence(sc)
     if not (
-        sc.declared.compact_witness is not None
+        sc.compact_witness is not None
         and eq.eventually_compact.passed
         and eq.taxonomy.passed("eventually_bounded")
         and rep.passed("within_left_translate")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from coverdyn import scenarios
 from coverdyn.compactness import is_bounded
 from coverdyn.dynamics import NestingViolation
 from coverdyn.scenarios import (
@@ -19,13 +20,23 @@ from coverdyn.scenarios import (
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
-def test_builtin_builds_and_validates(name):
+def test_builtin_builds_and_validates(name, monkeypatch):
+    # the builder hands its snap error to _validate, which stores none
+    snaps = []
+    real = scenarios._validate
+
+    def spy(sc, snap, finest_radius):
+        snaps.append(snap)
+        return real(sc, snap, finest_radius)
+
+    monkeypatch.setattr(scenarios, "_validate", spy)
     sc = get_scenario(name)
     assert sc.space.n >= 1
     assert sc.family.size >= 2
     for ts in sc.testsets.values():
         assert is_bounded(ts, sc.family)
-    assert sc.declared.snap_error < min_radius(sc) / 2
+    assert len(snaps) == 1
+    assert snaps[0] < min_radius(sc) / 2
 
 
 def min_radius(sc):
