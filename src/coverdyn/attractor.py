@@ -125,7 +125,7 @@ def verify_global(
                     star = family.stars(candidate)[idx]
                     el, z, img = next(
                         (el, z, row[z])
-                        for el in F.sampler(F.depth)
+                        for el in F.level_samples[F.depth]
                         for row in (action.image_indices(el),)
                         for z in iter_bits(zmask)
                         if not (star >> row[z]) & 1

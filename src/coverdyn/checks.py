@@ -322,7 +322,7 @@ def boundedness_suite(
 def measure_suite(
     family: AdmissibleFamily,
     rng: random.Random,
-    cap: Optional[int] = None,
+    cap: int,
     trials: int = 200,
 ) -> list[CheckResult]:
     """Star-measure laws: monotonicity, the capped union bracket (with exact
@@ -330,7 +330,6 @@ def measure_suite(
     bracket standing in for the auxiliary measure."""
     space = family.space
     ix = range(space.n)
-    cap = cap if cap is not None else default_cap(space.n)
     out = []
 
     if space.n <= 3:
@@ -388,7 +387,7 @@ NESTED_CHAIN_TRIALS = 100
 
 
 def nested_chain_suite(
-    family: AdmissibleFamily, rng: random.Random, cap: Optional[int] = None
+    family: AdmissibleFamily, rng: random.Random, cap: int
 ) -> list[CheckResult]:
     """Randomized nested-closed-chain harness on a metric space: closures of
     shrinking balls about one center must report nonempty intersections;
@@ -397,7 +396,6 @@ def nested_chain_suite(
     space = family.space
     space.require_metric()
     ix = range(space.n)
-    cap = cap if cap is not None else default_cap(space.n)
     out = []
     coords = [p.coords for p in space.points]
     # every center's ball at the radii of a chain of at most 6 links
@@ -438,10 +436,12 @@ def battery_family() -> AdmissibleFamily:
 
 
 def grid_battery(seed: int = 0, cap: Optional[int] = None) -> list[CheckResult]:
-    """The default verification battery: `battery_family()`, plus every
-    finite topology on up to three points."""
+    """The default verification battery: `battery_family()`, its measure
+    suites at `cap` or else its `default_cap`, plus every finite topology on
+    up to three points."""
     rng = random.Random(seed)
     fam = battery_family()
+    cap = default_cap(fam.space.n) if cap is None else cap
     results = [
         CheckResult(f"admissibility:{c.name}", c.passed, c.witness)
         for c in fam.admissibility_report.checks

@@ -1,7 +1,7 @@
 """Semigroup actions, filter bases, limit sets, attraction, and dissipativity checks.
 
-Limit behavior is directed by a filter basis given as a nested chain of
-semigroup subsets with per-level samplers. Nets are replaced by sequences
+Limit behavior is directed by a filter basis: a nested chain of semigroup
+subsets with the level samples it certified. Nets are replaced by sequences
 indexed by the chain truncation; all verdicts are "verified up to budget".
 The limit sets ω(Y) and J(x) intersect the closures of level orbits; level
 samples nest, so the orbits of one seed nest and, closures being monotone,
@@ -109,38 +109,33 @@ ENUMERATION_BOUND = 1000
 
 @dataclass(frozen=True, eq=False)
 class FilterBasis:
-    """A nested chain of semigroup subsets with per-level samplers.
+    """A nested chain of semigroup subsets, cut at `depth`, that stores each
+    level it certified as a tuple or a `range` in a tuple: any other sequence,
+    which could change after its check, raises `TypeError`.
 
-    `contains(el, k)` is the membership predicate of level k; `sampler(k)`
-    returns a deterministic finite sample of level k, certified nonempty,
-    inside its level and a subset of the previous level's sample, so level
-    orbits nest. `enumerate_level(k)`, when present, lists every element of
-    level k up to the carrier bound `ENUMERATION_BOUND` and backs exhaustive
-    hypothesis checks; each listing is certified a subset of the previous
-    level's, so the deepest listing is the smallest. A basis that fails
-    either certificate raises `NestingViolation`, naming the first level
-    that fails. The level-k orbits are those of `replace(F, depth=k)`.
-    `contains` must be a pure function of the element and the level:
-    `check_hypotheses` memoises it by element value.
-    `sampler` must be a pure function of the level: `orbit_rows` and
-    `orbit_mask` memoise per-point and per-set deepest orbits on the action,
-    keyed by the basis. A basis is its own memo key, as an action and a
-    family are: no lookup hashes its fields, and a `replace`d copy, even
-    one with equal fields, is a separate key.
+    `contains(el, k)`, level k's membership predicate, is pure: `check_hypotheses`
+    memoises it by element value. `level_samples[k]` is certified nonempty,
+    inside level k and a subset of level k - 1's sample, so level orbits nest.
+    `level_listings[k]`, if given, lists level k up to `ENUMERATION_BOUND` for
+    exhaustive hypothesis checks, certified a subset of level k - 1's listing.
+    A failed certificate, or a depth past the stored levels, raises
+    `NestingViolation` naming the first failing level. `replace(F, depth=k)`
+    shares the stored levels, certifies levels 0..k again and has the level-k
+    orbits. A basis is its own memo key: no lookup hashes its fields.
     """
 
     semigroup: Semigroup
     depth: int
     contains: Callable[[object, int], bool]
-    sampler: Callable[[int], tuple]
-    enumerate_level: Optional[Callable[[int], tuple]] = None
+    level_samples: tuple
+    level_listings: Optional[tuple] = None
 
     def __post_init__(self):
         if self.depth < 0:
             raise NestingViolation(f"a filter basis needs a level 0; got depth {self.depth}")
         previous = listed = None
-        for k in range(self.depth + 1):
-            sample = self.sampler(k)
+        for k in self.levels():
+            sample = _stored_level(self.level_samples, k, "sample")
             if not sample:
                 raise NestingViolation(f"level {k} has an empty sample")
             for el in sample:
@@ -149,8 +144,8 @@ class FilterBasis:
                 if previous is not None and el not in previous:
                     raise NestingViolation(f"sample {el!r} of level {k} is not sampled at level {k - 1}")
             previous = set(sample)
-            if self.enumerate_level is not None:
-                listing = self.enumerate_level(k)
+            if self.level_listings is not None:
+                listing = _stored_level(self.level_listings, k, "listing")
                 if listed is not None and not listed.issuperset(listing):
                     el = next(el for el in listing if el not in listed)
                     raise NestingViolation(f"element {el!r} of level {k} is not listed at level {k - 1}")
@@ -160,10 +155,18 @@ class FilterBasis:
         return range(self.depth + 1)
 
     def probes(self) -> tuple:
-        """The first four level-0 samples: the elements that an attractor
-        candidate's `invariant` row applies, and that a scenario's action
-        is checked associative on."""
-        return self.sampler(0)[:4]
+        """The first four level-0 samples: the elements that an attractor candidate's
+        `invariant` row applies, and that a scenario's action is checked associative on."""
+        return tuple(self.level_samples[0][:4])
+
+
+def _stored_level(levels, k: int, what: str):
+    """Level k of stored levels: a tuple or a range, in a tuple."""
+    if k >= len(levels):
+        raise NestingViolation(f"level {k} has no stored {what}")
+    if not (isinstance(levels, tuple) and isinstance(levels[k], (tuple, range))):
+        raise TypeError(f"the {what} of level {k} is not a tuple or a range in a tuple")
+    return levels[k]
 
 
 def integer_tails(
@@ -172,40 +175,42 @@ def integer_tails(
     """Tail sets {t : t >= k} of an integer semigroup.
 
     Level samples run from the level's floor to the common truncation edge
-    `depth + window`, so sampled level images nest like the tail sets do.
+    `depth + window`, so sampled level images nest like the tail sets do. A
+    deepest level that lists nothing up to `ENUMERATION_BOUND`, so that every
+    hypothesis would hold vacuously, raises `NestingViolation`.
     """
-    lo = lambda k: max(k, start)
+    lo, levels = (lambda k: max(k, start)), range(depth + 1)
+    if lo(depth) > ENUMERATION_BOUND:
+        raise NestingViolation(f"level {depth} lists no element up to the enumeration bound {ENUMERATION_BOUND}")
     return FilterBasis(
         semigroup=semigroup,
         depth=depth,
         contains=lambda el, k: el >= lo(k),
-        sampler=lambda k: tuple(range(lo(k), lo(depth) + window)),
-        enumerate_level=lambda k: tuple(range(lo(k), ENUMERATION_BOUND + 1)),
+        level_samples=tuple(range(lo(k), lo(depth) + window) for k in levels),
+        level_listings=tuple(range(lo(k), ENUMERATION_BOUND + 1) for k in levels),
     )
 
 
 def vector_tails(dim: int, depth: int, window: int = 4) -> FilterBasis:
     """Tail sets {t : t_i >= k for all i} of the vector-addition semigroup,
     sampled along the diagonal up to the truncation edge."""
+    diagonal = tuple([(m,) * dim for m in range(depth + window)])
     return FilterBasis(
         semigroup=vector_add(dim),
         depth=depth,
         contains=lambda el, k: all(v >= k for v in el),
-        # from a list: tuple() over a generator resizes as it grows, which
-        # raised peak memory on the attractor path
-        sampler=lambda k: tuple([(m,) * dim for m in range(k, depth + window)]),
+        level_samples=tuple(diagonal[k:] for k in range(depth + 1)),
     )
 
 
 def scaling_tails(depth: int, window: int = 3, L: float = 0.5) -> FilterBasis:
     """Levels {c : |c| <= L**m}: iterated contractions of scale at least m."""
-    tol = 1e-12
+    powers = tuple([L**j for j in range(max(depth, 1) + window)])
     return FilterBasis(
         semigroup=scaling_maps(L),
         depth=depth,
-        contains=lambda el, m: abs(el) <= L ** max(m, 1) + tol,
-        # from a list, as in vector_tails
-        sampler=lambda m: tuple([L**j for j in range(max(m, 1), max(depth, 1) + window)]),
+        contains=lambda el, m: abs(el) <= L ** max(m, 1) + 1e-12,
+        level_samples=tuple(powers[max(m, 1):] for m in range(depth + 1)),
     )
 
 
@@ -267,13 +272,12 @@ class Action:
 def orbit_rows(action: Action, F: FilterBasis) -> tuple[int, ...]:
     """Per point, the mask of its images under the sampled elements of the
     deepest filter level, from the cached `image_indices` rows, memoised on
-    the action per basis. A basis is its own key, so two bases never share
-    one; the level-k rows are those of `replace(F, depth=k)`."""
+    the action per basis: a basis is its own key."""
     cache = action.__dict__.setdefault("_orbit_rows", {})
     rows = cache.get(F)
     if rows is None:
         acc = [0] * action.space.n
-        for el in F.sampler(F.depth):
+        for el in F.level_samples[F.depth]:
             for i, j in enumerate(action.image_indices(el)):
                 acc[i] |= 1 << j
         rows = cache[F] = tuple(acc)
@@ -303,7 +307,7 @@ def limit_witnesses(
     lets each image claim the unwitnessed points of its star."""
     stars = family.coverings[-1].point_star
     found, todo = {}, mask
-    for el in F.sampler(F.depth):
+    for el in F.level_samples[F.depth]:
         if not todo:
             break
         row = action.image_indices(el)
@@ -388,31 +392,26 @@ def check_hypotheses(F: FilterBasis, max_level: int) -> CheckList:
     hypothesis holds at (s, k) when some filter level j has the element
     tested for each of its elements b inside level k: s*b, b*s, or the a
     with a*s = b or with s*a = b, one per hypothesis (a failed division
-    fails every level). Each level is its listing `F.enumerate_level(k)`,
-    every element up to `ENUMERATION_BOUND`, when the basis has one, else its
-    sample, so the verdict is exact up to that bound.
+    fails every level). Each level is its listing, or else its sample, so
+    the verdict is exact up to `ENUMERATION_BOUND`.
 
-    The basis certifies that these listings nest, and what holds for every
-    element of a listing holds for every element of a sublisting, so some
-    level j passes exactly when the deepest one does. One table pass over the
-    deepest listing decides every k at once: per (hypothesis, s) each of its
-    elements b is mapped to the element it is tested on, and that element to
-    the bitmask of checked levels that contain it (memoised by element value
-    across hypotheses and samples); the AND of those masks holds the levels
-    that pass. A row fails at its first failing (s, k), in sample order and
-    then level order; its witness names s, k and the first element of level
-    0 that blocks level k, and later samples go unchecked.
+    The listings nest, and what holds for every element of a listing holds
+    for every element of a sublisting, so some level j passes exactly when
+    the deepest one does. One table pass over the deepest listing decides
+    every k at once: per (hypothesis, s) each of its elements b is mapped to
+    the element it is tested on, and that element to the bitmask of checked
+    levels that contain it (memoised by element value across hypotheses and
+    samples); the AND of those masks holds the levels that pass. A row fails
+    at its first failing (s, k), in sample order and then level order; its
+    witness names s, k and the first element of level 0 that blocks level k,
+    and later samples go unchecked.
     """
     sem = F.semigroup
     checked = range(min(max_level, F.depth) + 1)
     every = (1 << len(checked)) - 1
 
-    def listing(j):
-        if F.enumerate_level is not None:
-            return F.enumerate_level(j)
-        return F.sampler(j)
-
-    deepest = listing(F.depth)
+    listings = F.level_samples if F.level_listings is None else F.level_listings
+    deepest = listings[F.depth]
     member: dict = {}  # tested element -> mask of the checked levels holding it
 
     def levels_holding(a) -> int:
@@ -440,7 +439,7 @@ def check_hypotheses(F: FilterBasis, max_level: int) -> CheckList:
                 k = (failed & -failed).bit_length() - 1
                 # the deepest listing lies in level 0's, so level 0 holds a blocker
                 blocker = next(
-                    b for b in listing(0)
+                    b for b in listings[0]
                     if not (levels_holding(tested(sem, s, b)) >> k) & 1
                 )
                 yield f"s={s!r} level={k} blocker={blocker!r}"
@@ -536,7 +535,7 @@ def check_dissipativity(
         levels = F.levels()[-TAIL_WINDOW:]
         for name, m in masks.items():
             for pname, xs in _sequence_patterns(m, F.depth + 1):
-                tail = [action.image_indices(F.sampler(k)[0])[xs[k]] for k in levels]
+                tail = [action.image_indices(F.level_samples[k][0])[xs[k]] for k in levels]
                 # a stable cluster, the truncated stand-in for a cluster point:
                 # some point's finest star holds two of the tail images, that
                 # is, the finest stars of two of them meet

@@ -585,7 +585,7 @@ def _load_custom(cp) -> Scenario:
             semigroup=sem,
             depth=len(level_sets) - 1,
             contains=lambda el, k: el in level_sets[k],
-            sampler=lambda k: tuple(sorted(level_sets[k])),
+            level_samples=tuple(tuple(sorted(lv)) for lv in level_sets),
         )
 
     testsets = {}

@@ -181,7 +181,7 @@ def metric_axiom_violation(dist, ids, rtol):
 
 def divergent_sequence(F):
     """A canonical divergent sequence: the k-th block is drawn from level k."""
-    return [(k, el) for k in F.levels() for el in F.sampler(k)]
+    return [(k, el) for k in F.levels() for el in F.level_samples[k]]
 
 
 def prox_form_attracts(ymask, zmask, F, action, family):
@@ -271,7 +271,7 @@ def reference_attracts(ymask, zmask, F, action, family):
         else:
             failures[i] = next(
                 (el, z, action.apply_fn(el, z))
-                for el in F.sampler(F.depth)
+                for el in F.level_samples[F.depth]
                 for z in iter_bits(zmask)
                 if not (star >> action.apply_fn(el, z)) & 1
             )
@@ -338,7 +338,7 @@ def reference_limit_witnesses(mask, seed, F, action, family):
     return {
         i: next(
             (el, src)
-            for el in F.sampler(F.depth)
+            for el in F.level_samples[F.depth]
             for src in iter_bits(seed)
             if (stars[i] >> action.apply_fn(el, src)) & 1
         )
@@ -409,7 +409,7 @@ def reference_asymptotically_compact(testsets, F, action, family):
     def clusterless():
         for name, m in sorted(testsets.items()):
             for pname, xs in _sequence_patterns(m, F.depth + 1):
-                tail = [action.apply_fn(F.sampler(k)[0], xs[k]) for k in levels]
+                tail = [action.apply_fn(F.level_samples[k][0], xs[k]) for k in levels]
                 if not reference_tail_cluster(tail, stars):
                     trail = ",".join(pts[i].pid for i in tail)
                     yield f"{name}/{pname}: tail images [{trail}] admit no cluster"
@@ -440,7 +440,7 @@ def reference_orbit_mask(level, ymask, action, F):
     """Union over the sampled elements of filter level `level` of the images
     of the points of `ymask`, taken point by point."""
     out = 0
-    for el in F.sampler(level):
+    for el in F.level_samples[level]:
         for i in iter_bits(ymask):
             out |= 1 << action.apply_fn(el, i)
     return out
@@ -524,9 +524,9 @@ def reference_check_hypotheses(
     levels = range(min(max_level, F.depth) + 1)
 
     def elements_of(j):
-        if F.enumerate_level is not None:
-            return tuple(b for b in F.enumerate_level(j) if b <= enumeration_bound)
-        return F.sampler(j)
+        if F.level_listings is not None:
+            return tuple(b for b in F.level_listings[j] if b <= enumeration_bound)
+        return F.level_samples[j]
 
     def holds(name, s, k, j) -> bool:
         return all(_single_holds(name, F, s, k, b) for b in elements_of(j))

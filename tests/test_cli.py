@@ -459,6 +459,10 @@ CONFIGS = {
     "exp_decay-depth-22": ('[scenario]\nkind = "exp_decay"\ndepth = 22\n', 2),
     # window 0 empties the deepest level's sample
     "filter-window-zero": (CUSTOM + "window = 0\n", 2),
+    # level 1001 of an integer tail basis lists nothing up to the enumeration
+    # bound, so every translation hypothesis would hold on it vacuously
+    "iterated_contractions-depth-1001": ('[scenario]\nkind = "iterated_contractions"\ndepth = 1001\n', 2),
+    "filter-depth-1001": (CUSTOM.replace(INTEGER_TAILS, 'kind = "integer_tails"\ndepth = 1001'), 2),
     "filter-levels-empty-level": (
         CUSTOM.replace(INTEGER_TAILS, 'kind = "explicit"\nlevels = [[0, 1], []]'),
         2,
@@ -490,6 +494,8 @@ MESSAGES = {
     "exp_decay-depth-5": "error: unknown key [scenario] depth\n",
     "exp_decay-depth-22": "error: unknown key [scenario] depth\n",
     "filter-window-zero": "error: level 4 has an empty sample\n",
+    "iterated_contractions-depth-1001": "error: level 1001 lists no element up to the enumeration bound 1000\n",
+    "filter-depth-1001": "error: level 1001 lists no element up to the enumeration bound 1000\n",
     "filter-levels-empty-level": "error: level 1 has an empty sample\n",
     "family-depth-negative": "error: bad config value: depth must be nonnegative\n",
     "composition-eps0-negative": "error: bad config value: constraint at arg 0 empties every member\n",

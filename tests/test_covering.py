@@ -176,7 +176,7 @@ def test_star_kernel_matches_definitions_on_builtin_families(name):
     # star of Y by definition, with orbits taken point by point
     for Y, Z in zip(sets, sets[1:4] + sets[:1]):
         orbits = [
-            space.mask_of(action.apply_fn(el, z) for el in F.sampler(k) for z in iter_bits(Z))
+            space.mask_of(action.apply_fn(el, z) for el in F.level_samples[k] for z in iter_bits(Z))
             for k in F.levels()
         ]
         held = attracts(Y, Z, F, action, fam).mask

@@ -30,6 +30,7 @@ from coverdyn.covering import (
     metric_chain_family,
 )
 from coverdyn.dynamics import (
+    ENUMERATION_BOUND,
     HYPOTHESIS_NAMES,
     TAIL_WINDOW,
     Action,
@@ -353,7 +354,7 @@ def level_samples(draw):
     F, floor, offsets = None, [0] * (depth + 1), st.lists(st.integers(0, 12), min_size=1, max_size=3)
     if draw(st.booleans()):
         F = integer_tails(nat_add(), depth=depth, window=draw(st.integers(1, 4)), start=draw(st.integers(0, 2)))
-        floor = [min(F.sampler(k)) for k in F.levels()]
+        floor = [min(F.level_samples[k]) for k in F.levels()]
         offsets = st.lists(st.integers(0, 3), min_size=1, max_size=3)
     samples = [frozenset()] * (depth + 2)
     for k in reversed(range(depth + 1)):
@@ -379,13 +380,15 @@ def first_loose_level(levels):
 def test_filter_basis_rejects_exactly_the_samples_that_do_not_nest(case):
     # listings are certified too, each level's after its sample
     F, samples, listings = case
-    listing = None if listings is None else lambda k: listings[k]
+    listing = None if listings is None else tuple(listings)
 
     def build():
         if F is None:
             return explicit_basis(samples, listing)
         return dataclasses.replace(
-            F, sampler=lambda k: tuple(sorted(samples[k])), enumerate_level=listing or F.enumerate_level
+            F,
+            level_samples=tuple(tuple(sorted(s)) for s in samples),
+            level_listings=listing or F.level_listings,
         )
 
     loose = first_loose_level(samples)
@@ -407,8 +410,62 @@ def test_filter_nesting_violation():
             semigroup=sem,
             depth=2,
             contains=lambda el, k: el >= k,
-            sampler=lambda k: (0,),  # level 1 sample escapes level 1
+            level_samples=((0,),) * 3,  # level 1 sample escapes level 1
         )
+
+
+@pytest.mark.parametrize("field", ["level_samples", "level_listings"])
+@pytest.mark.parametrize("held", ["levels-in-a-list", "level-2-a-list"])
+def test_filter_basis_rejects_levels_that_could_change_after_their_check(field, held):
+    # a list could change after the basis certified it, so no reader could
+    # trust that it indexes what was certified
+    base = integer_tails(nat_add(), depth=3)
+    stored = getattr(base, field)
+    if held == "levels-in-a-list":
+        levels, first = list(stored), 0
+    else:
+        levels, first = stored[:2] + (list(stored[2]),) + stored[3:], 2
+    what = field.removeprefix("level_").removesuffix("s")
+    with pytest.raises(TypeError, match=f"the {what} of level {first} is not a tuple or a range in a tuple"):
+        dataclasses.replace(base, **{field: levels})
+
+
+def test_a_cut_shares_the_stored_levels_and_certifies_levels_0_to_k_again():
+    # level 2 lies past the cut at depth 1, so the basis holds it uncertified;
+    # a cut certifies the levels it reads, and a depth past the stored levels fails
+    checked = collections.Counter()
+
+    def contains(el, k):
+        checked[k] += 1
+        return True
+
+    F = FilterBasis(semigroup=nat_add(), depth=1, contains=contains, level_samples=((0, 1), (1,), (0,)))
+    for k in (0, 1):
+        checked.clear()
+        G = dataclasses.replace(F, depth=k)
+        assert G.level_samples is F.level_samples
+        assert set(checked) == set(G.levels())
+    with pytest.raises(NestingViolation, match="sample 0 of level 2 is not sampled at level 1"):
+        dataclasses.replace(F, depth=2)
+    with pytest.raises(NestingViolation, match="a filter basis needs a level 0; got depth -1"):
+        dataclasses.replace(F, depth=-1)
+    tails = integer_tails(nat_add(), depth=6)
+    cut = dataclasses.replace(tails, depth=2)
+    assert cut.level_samples is tails.level_samples and cut.level_listings is tails.level_listings
+    with pytest.raises(NestingViolation, match="level 7 has no stored sample"):
+        dataclasses.replace(tails, depth=7)
+    with pytest.raises(NestingViolation, match="level 7 has no stored listing"):
+        dataclasses.replace(tails, depth=7, level_samples=tails.level_samples + (range(7, 10),))
+
+
+@pytest.mark.parametrize("start", [0, 1])
+def test_integer_tails_list_each_level_up_to_the_enumeration_bound(start):
+    # a level whose floor passes the bound would list no element, and every
+    # translation hypothesis would hold on it vacuously
+    F = integer_tails(nat_add(), depth=ENUMERATION_BOUND, start=start)
+    assert F.level_listings[-1] == range(ENUMERATION_BOUND, ENUMERATION_BOUND + 1)
+    with pytest.raises(NestingViolation, match="level 1001 lists no element up to the enumeration bound 1000"):
+        integer_tails(nat_add(), depth=ENUMERATION_BOUND + 1, start=start)
 
 
 def test_omega_decay_singleton_is_zero(decay, grid, fam, tails):
@@ -536,11 +593,10 @@ def basis_with(F, s_samples=None, enumeration_bound=None):
         F = dataclasses.replace(
             F, semigroup=dataclasses.replace(F.semigroup, samples=s_samples)
         )
-    if enumeration_bound is not None and F.enumerate_level is not None:
-        listing = F.enumerate_level
-        F = dataclasses.replace(
-            F, enumerate_level=lambda j: tuple(b for b in listing(j) if b <= enumeration_bound)
-        )
+    if enumeration_bound is not None and F.level_listings is not None:
+        F = dataclasses.replace(F, level_listings=tuple(
+            tuple(b for b in listed if b <= enumeration_bound) for listed in F.level_listings
+        ))
     return F
 
 
@@ -594,15 +650,15 @@ def assert_hypotheses_match_reference(F, s_samples=None, enumeration_bound=1000,
     )
 
 
-def explicit_basis(level_sets, enumerate_level=None):
+def explicit_basis(level_sets, level_listings=None):
     """A basis over nat_add built as the config `explicit` filter is, which
-    has no listing, or with the listing `enumerate_level`."""
+    has no listing, or with the listings `level_listings`."""
     return FilterBasis(
         semigroup=nat_add(),
         depth=len(level_sets) - 1,
         contains=lambda el, k: el in level_sets[k],
-        sampler=lambda k: tuple(sorted(level_sets[k])),
-        enumerate_level=enumerate_level,
+        level_samples=tuple(tuple(sorted(lv)) for lv in level_sets),
+        level_listings=level_listings,
     )
 
 
@@ -641,10 +697,7 @@ def hypothesis_inputs(draw):
         for j in reversed(range(depth + 1)):
             drawn = tuple(draw(st.lists(st.integers(0, 12), max_size=4)))
             listed[j] = tuple(draw(st.permutations(drawn + listed[j + 1])))
-        F = explicit_basis(
-            draw(nested_level_sets(depth)),
-            lambda j: listed[j],
-        )
+        F = explicit_basis(draw(nested_level_sets(depth)), tuple(listed[:-1]))
         element = st.integers(0, 6)
     s_samples = draw(st.none() | st.lists(element, max_size=4).map(tuple))
     max_level = draw(st.none() | st.integers(-1, depth + 1))
@@ -659,19 +712,27 @@ def test_hypotheses_table_pass_matches_reference(inputs):
     assert_hypotheses_match_reference(F, **kwargs)
 
 
+class CountedLevels(tuple):
+    """Stored levels that count, in `reads`, each level read by index."""
+
+    def __new__(cls, levels, reads):
+        self = super().__new__(cls, levels)
+        self.reads = reads
+        return self
+
+    def __getitem__(self, j):
+        self.reads[j] += 1
+        return tuple.__getitem__(self, j)
+
+
 def test_hypotheses_read_the_deepest_listing_and_take_blockers_from_level_0():
     # the listings nest: the deepest, (2,), decides every row, and 0 + 2
     # lies in checked levels 0 and 1 only; each failing row names the first
     # element of level 0's listing outside level 2, and level 1 goes unlisted
-    listed = [(1, 0, 2, 3), (2, 3, 2), (2,)]
     reads = collections.Counter()
-
-    def listing(j):
-        reads[j] += 1
-        return listed[j]
-
+    listed = CountedLevels([(1, 0, 2, 3), (2, 3, 2), (2,)], reads)
     F = basis_with(
-        explicit_basis([frozenset({0, 1, 2, 3}), frozenset({2, 3}), frozenset({3})], listing),
+        explicit_basis([frozenset({0, 1, 2, 3}), frozenset({2, 3}), frozenset({3})], listed),
         s_samples=(0,),
     )
     reads.clear()  # the basis certifies its listings when built
@@ -702,7 +763,7 @@ def test_hypotheses_match_reference_on_explicit_config_filter():
         '[filter]\nkind = "explicit"\nlevels = [[0, 1, 2, 3, 5], [2, 3, 5], [3, 5], [5]]\n'
     )
     F = sc.filter_basis
-    assert F.enumerate_level is None
+    assert F.level_listings is None
     for max_level in (None, 0, 1, 3):
         assert_hypotheses_match_reference(F, max_level=max_level, s_samples=(0, 1, 2, 3))
 
@@ -742,10 +803,7 @@ def test_hypotheses_scan_the_grid_scale_basis_from_its_deepest_level():
                 calls["reads"] += 1
                 yield b
 
-    def listing(j):
-        calls["enumerate", j] += 1
-        return CountedLevel(base.enumerate_level(j))
-
+    reads = collections.Counter()
     F = dataclasses.replace(
         base,
         semigroup=dataclasses.replace(
@@ -754,16 +812,17 @@ def test_hypotheses_scan_the_grid_scale_basis_from_its_deepest_level():
             divide_left=counted("divide", sem.divide_left),
             divide_right=counted("divide", sem.divide_right),
         ),
-        enumerate_level=listing,
+        level_listings=CountedLevels(map(CountedLevel, base.level_listings), reads),
     )
     kwargs = {"max_level": max(0, F.depth - 6)}
     calls.clear()  # the basis checks its samples when built
+    reads.clear()
     rep = check_hypotheses(F, **kwargs)
     assert rep == reference_check_hypotheses(base, **kwargs)
     assert rep.all_passed
-    assert {key: n for key, n in calls.items() if key[0] == "enumerate"} == {("enumerate", F.depth): 1}
+    assert reads == {F.depth: 1}
     rows, s_count = len(rep.checks), len(sem.samples)
-    deepest = len(base.enumerate_level(F.depth))
+    deepest = len(base.level_listings[F.depth])
     assert calls["compose"] + calls["divide"] == calls["reads"] == rows * s_count * deepest
 
 
@@ -847,14 +906,14 @@ def reference_prolongational_limit(x, F, action, family):
         i = min(k, finest)
         pmask = family.coverings[i].point_star[x]
         block = 0
-        for el in F.sampler(k):
+        for el in F.level_samples[k]:
             for src in iter_bits(pmask):
                 block |= 1 << action.apply_fn(el, src)
         acc &= family.closure_mask(block)
         if k == F.depth:
             deepest_pairs = [
                 (el, src)
-                for el in F.sampler(k)
+                for el in F.level_samples[k]
                 for src in iter_bits(pmask)
             ]
     fine = family.coverings[-1]
@@ -897,13 +956,13 @@ def test_prolongational_limit_matches_reference_on_shallow_filters(decay, grid, 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
 def test_orbit_cache_keeps_filter_bases_apart(decay, grid, order):
     # a fresh action per order, so that each order starts from an empty cache;
-    # the two bases differ only in the elements their samplers return
+    # the two bases differ only in the elements of their stored samples
     action = Action(space=grid, apply_fn=decay.apply_fn)
     bases = [integer_tails(nat_add(), depth=3, window=w) for w in (2, 6)]
     Y = pick(grid, 7, 50, 100)
     want = [
         [
-            grid.mask_of(action.apply_fn(el, i) for el in F.sampler(k) for i in iter_bits(Y))
+            grid.mask_of(action.apply_fn(el, i) for el in F.level_samples[k] for i in iter_bits(Y))
             for k in F.levels()
         ]
         for F in bases
@@ -920,26 +979,22 @@ def test_orbit_cache_keeps_filter_bases_apart(decay, grid, order):
     assert rows[0] != rows[1]
 
 
-class _HashCountingSampler:
-    """A sampler that counts how often it is hashed."""
+class _HashCountingLevels(tuple):
+    """Stored levels that count how often they are hashed."""
 
-    def __init__(self, sampler):
-        self.sampler = sampler
-        self.hashes = 0
-
-    def __call__(self, k):
-        return self.sampler(k)
+    hashes = 0
 
     def __hash__(self):
         self.hashes += 1
-        return object.__hash__(self)
+        return tuple.__hash__(self)
 
 
 def test_filter_basis_is_its_own_memo_key(decay, grid):
     # every orbit_rows and orbit_mask lookup keys its memo by the basis, and
     # none of them hashes the basis's fields
-    sampler = _HashCountingSampler(integer_tails(nat_add(), depth=3).sampler)
-    F = dataclasses.replace(integer_tails(nat_add(), depth=3), sampler=sampler)
+    base = integer_tails(nat_add(), depth=3)
+    samples = _HashCountingLevels(base.level_samples)
+    F = dataclasses.replace(base, level_samples=samples)
     # F itself reads the deepest level
     levels = [truncated(F, k) for k in range(F.depth)] + [F]
     action = Action(space=grid, apply_fn=decay.apply_fn)
@@ -948,7 +1003,7 @@ def test_filter_basis_is_its_own_memo_key(decay, grid):
             assert orbit_rows(action, G) == orbit_rows(action, G)
             for Y in (pick(grid, 7, 50), pick(grid, 100), grid.full_mask):
                 assert orbit_mask(Y, action, G) == reference_orbit_mask(k, Y, action, F)
-    assert sampler.hashes == 0
+    assert samples.hashes == 0
     # a replaced twin with equal fields is a separate key: its lookup fills
     # a memo entry of its own
     twin = dataclasses.replace(F)
@@ -957,7 +1012,7 @@ def test_filter_basis_is_its_own_memo_key(decay, grid):
     assert twin not in rows
     assert orbit_rows(action, twin) == orbit_rows(action, F)
     assert rows[twin] is not rows[F]
-    assert sampler.hashes == 0
+    assert samples.hashes == 0
 
 
 @st.composite

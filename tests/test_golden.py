@@ -98,7 +98,7 @@ def test_every_named_test_set_has_an_omega_golden():
 
 def _element(F, text):
     """The deepest-level sample element whose repr a report prints."""
-    return next(el for el in F.sampler(F.depth) if repr(el) == text)
+    return next(el for el in F.level_samples[F.depth] if repr(el) == text)
 
 
 @pytest.mark.parametrize("s", SCENARIOS)
@@ -123,7 +123,7 @@ def test_omega_witnesses_are_the_first_confirmed_pairs(s, capsys):
                 star = reference_star_mask(fam.coverings[-1], 1 << index[pid])
                 first = next(
                     (el, src)
-                    for el in F.sampler(F.depth)
+                    for el in F.level_samples[F.depth]
                     for src in iter_bits(seed)
                     if (star >> base.action.apply_fn(el, src)) & 1
                 )
@@ -172,7 +172,7 @@ def test_failing_attracts_witnesses_in_the_goldens_are_confirmed(monkeypatch):
             assert (Z >> z) & 1 and action.apply_fn(el, z) == img, (name, row)
             star = reference_star_mask(fam.coverings[idx], candidate)
             assert not (star >> img) & 1, (name, row)
-            pairs = [(e, y) for e in F.sampler(F.depth) for y in iter_bits(Z)]
+            pairs = [(e, y) for e in F.level_samples[F.depth] for y in iter_bits(Z)]
             assert all(
                 (star >> action.apply_fn(e, y)) & 1 for e, y in pairs[: pairs.index((el, z))]
             ), (name, row)

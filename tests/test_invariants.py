@@ -64,7 +64,7 @@ def test_omega_invariant_under_h1_h4(name, scenarios, hypothesis_reports):
         om = omega_limit(Y, sc.filter_basis, sc.action, sc.family)
         if not om:
             continue
-        for s in sc.filter_basis.sampler(0)[:3]:
+        for s in sc.filter_basis.level_samples[0][:3]:
             image = 0
             for i in iter_bits(om):
                 image |= 1 << sc.action.apply_fn(s, i)

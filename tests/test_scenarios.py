@@ -136,9 +136,9 @@ def scenarios_equal(a, b):
     if a.filter_basis.depth != b.filter_basis.depth:
         return False
     for k in a.filter_basis.levels():
-        if a.filter_basis.sampler(k) != b.filter_basis.sampler(k):
+        if a.filter_basis.level_samples[k] != b.filter_basis.level_samples[k]:
             return False
-        for el in a.filter_basis.sampler(k):
+        for el in a.filter_basis.level_samples[k]:
             for p in range(a.space.n):
                 ia, ib = a.action.apply_fn(el, p), b.action.apply_fn(el, p)
                 if a.space.points[ia].pid != b.space.points[ib].pid:

@@ -502,7 +502,7 @@ def test_ball_masks_check_the_radius_and_the_metric():
     with pytest.raises(NotMetricSpace):
         metric_chain_family(t, 1.0, 2)
     with pytest.raises(NotMetricSpace):
-        nested_chain_suite(finite_all_coverings_family(t), rng=random.Random(0))
+        nested_chain_suite(finite_all_coverings_family(t), rng=random.Random(0), cap=2)
 
 
 # ---------------------------------------------------------------------------
